@@ -5,7 +5,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet lint test race bench chaos threads ortho
+.PHONY: verify fmt vet lint test race bench perf chaos threads ortho
 
 verify: fmt vet lint race
 
@@ -36,6 +36,12 @@ race:
 bench:
 	go test -bench . -benchtime 1x -run '^$$' ./...
 	go run ./cmd/benchtables -experiment table3measured -size medium | tee BENCH_scatterwait.txt
+
+# The judged benchmark (BENCHMARK.json, bench/README.md): all four
+# workloads, untraced end-to-end pass then traced per-layer pass, into
+# perf.json. Compare two such files with `go run ./bench -compare`.
+perf:
+	go run ./bench -out perf.json
 
 # Chaos gate: the fault-injection soak — the faults/mpi/dist suites
 # under the race detector with a widened seed grid (the soak asserts

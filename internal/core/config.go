@@ -229,17 +229,33 @@ func Build(cfg Config) (*Problem, error) {
 	return p, nil
 }
 
+// schwarzOptions is the preconditioner configuration Cfg selects.
+func (p *Problem) schwarzOptions() schwarz.Options {
+	return schwarz.Options{
+		Overlap: p.Cfg.Overlap,
+		ILU:     ilu.Options{Level: p.Cfg.FillLevel, SinglePrecision: p.Cfg.SinglePrecision},
+		Pool:    p.Pool,
+	}
+}
+
 // PCFactory returns the Schwarz preconditioner factory for the problem's
-// partition and Config, remembering the last-built preconditioner so the
-// parallel cost model can read per-subdomain work.
+// partition and Config. The factory's first call builds the
+// preconditioner (schwarz.New); every later call refreshes that same
+// preconditioner in place from the new values (Refresh — the Jacobian's
+// sparsity pattern is fixed by the mesh, and a matrix of another
+// pattern is an error). Each call stores the preconditioner through
+// last, when non-nil, so the parallel cost model can read per-subdomain
+// work.
 func (p *Problem) PCFactory(last **schwarz.Preconditioner) newton.PCFactory {
+	var pc *schwarz.Preconditioner
 	return func(a *sparse.BCSR) (krylov.Preconditioner, error) {
-		pc, err := schwarz.New(a, p.Part.Part, p.Part.NParts, schwarz.Options{
-			Overlap: p.Cfg.Overlap,
-			ILU:     ilu.Options{Level: p.Cfg.FillLevel, SinglePrecision: p.Cfg.SinglePrecision},
-			Pool:    p.Pool,
-		})
-		if err != nil {
+		if pc == nil {
+			built, err := schwarz.New(a, p.Part.Part, p.Part.NParts, p.schwarzOptions())
+			if err != nil {
+				return nil, err
+			}
+			pc = built
+		} else if err := pc.Refresh(a); err != nil {
 			return nil, err
 		}
 		if last != nil {

@@ -11,7 +11,6 @@ package dist
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mpi"
@@ -58,8 +57,18 @@ type Matrix struct {
 	// baseline the paper's Table 3 analysis starts from.
 	NoOverlap bool
 
-	// Diagonal block (owned x owned) for the block Jacobi factorization.
-	diag *sparse.BCSR
+	// Diagonal block (owned x owned) for the block Jacobi factorization,
+	// and the factorization BlockJacobi retains (with the options it was
+	// built for) so a later call refactors it in place.
+	diag   *sparse.BCSR
+	bj     *ilu.Factorization
+	bjOpts ilu.Options
+
+	// Refresh state: the global pattern NewMatrix analysed, and for each
+	// block of local and diag the global block it is copied from.
+	pattern  sparse.Pattern
+	localSrc []int32
+	diagSrc  []int32
 
 	// Node-level worker pool (SetPool) with precomputed
 	// nonzero-balanced stripe bounds for the interior/boundary row sets
@@ -102,70 +111,76 @@ func NewMatrix(c *mpi.Comm, a *sparse.BCSR, part []int32) (*Matrix, error) {
 			return nil, fmt.Errorf("dist: rank %d owns no rows", q)
 		}
 	}
-	m := &Matrix{Comm: c, B: a.B}
-	for i := int32(0); i < int32(a.NB); i++ {
-		if part[i] == me {
-			m.Owned = append(m.Owned, i) //lint:alloc-ok one-time plan construction at partition setup
+	m := &Matrix{Comm: c, B: a.B, Owned: make([]int32, 0, counts[me])}
+	// Extended-local numbering in one dense array: -1 for rows this rank
+	// never reads, the owned rows numbered first in ascending global
+	// order, then — by an ascending scan of the rows marked needed — the
+	// ghosts.
+	const unread, needed = -1, -2
+	ext := make([]int32, a.NB)
+	for i, q := range part {
+		ext[i] = unread
+		if q == me {
+			ext[i] = int32(len(m.Owned))
+			m.Owned = append(m.Owned, int32(i)) //lint:alloc-ok appends into capacity preallocated to the exact owned count
 		}
 	}
-	ghostSet := map[int32]bool{}
+	nOwned := int32(len(m.Owned))
+	nGhosts, nnzb, nnzbDiag := 0, 0, 0
 	for _, gr := range m.Owned {
 		for _, j := range a.ColIdx[a.RowPtr[gr]:a.RowPtr[gr+1]] {
-			if part[j] != me {
-				ghostSet[j] = true
+			nnzb++
+			switch {
+			case ext[j] >= 0:
+				nnzbDiag++
+			case ext[j] == unread:
+				ext[j] = needed
+				nGhosts++
 			}
 		}
 	}
-	for g := range ghostSet {
-		m.Ghosts = append(m.Ghosts, g) //lint:alloc-ok one-time plan construction at partition setup
-	}
-	sort.Slice(m.Ghosts, func(i, j int) bool { return m.Ghosts[i] < m.Ghosts[j] })
-
-	// Extended-local numbering.
-	ext := make(map[int32]int32, len(m.Owned)+len(m.Ghosts))
-	for li, gr := range m.Owned {
-		ext[gr] = int32(li)
-	}
-	for li, gr := range m.Ghosts {
-		ext[gr] = int32(len(m.Owned) + li)
-	}
-	// Local rows (owned rows, all columns) and the diagonal block
-	// (owned columns only).
-	rows := make([][]int32, len(m.Owned))
-	diagRows := make([][]int32, len(m.Owned))
-	for li, gr := range m.Owned {
-		for _, j := range a.ColIdx[a.RowPtr[gr]:a.RowPtr[gr+1]] {
-			rows[li] = append(rows[li], ext[j]) //lint:alloc-ok one-time plan construction at partition setup
-			if part[j] == me {
-				diagRows[li] = append(diagRows[li], ext[j]) //lint:alloc-ok one-time plan construction at partition setup
-			}
+	m.Ghosts = make([]int32, 0, nGhosts)
+	for g, e := range ext {
+		if e == needed {
+			ext[g] = nOwned + int32(len(m.Ghosts))
+			m.Ghosts = append(m.Ghosts, int32(g)) //lint:alloc-ok appends into capacity preallocated to the exact ghost count
 		}
 	}
-	m.local = sparse.NewBCSRPattern(len(m.Owned), a.B, rows)
-	m.diag = sparse.NewBCSRPattern(len(m.Owned), a.B, diagRows)
-	bb := a.B * a.B
+	// Local rows (owned rows, all columns) and the diagonal block (owned
+	// columns only), each block with the index of its source in a. A
+	// row's owned columns precede its ghost columns in extended
+	// numbering and each group is already ascending, so two passes over
+	// the global row emit sorted local rows with no sort.
+	m.local = &sparse.BCSR{NB: len(m.Owned), B: a.B, RowPtr: make([]int32, nOwned+1), ColIdx: make([]int32, 0, nnzb)}
+	m.diag = &sparse.BCSR{NB: len(m.Owned), B: a.B, RowPtr: make([]int32, nOwned+1), ColIdx: make([]int32, 0, nnzbDiag)}
+	m.localSrc = make([]int32, 0, nnzb)
+	m.diagSrc = make([]int32, 0, nnzbDiag)
 	for li, gr := range m.Owned {
 		for k := a.RowPtr[gr]; k < a.RowPtr[gr+1]; k++ {
-			j := a.ColIdx[k]
-			src := a.Val[int(k)*bb : (int(k)+1)*bb]
-			dst, ok := m.local.BlockAt(li, int(ext[j]))
-			if !ok {
-				return nil, fmt.Errorf("dist: lost local block")
-			}
-			copy(dst, src)
-			if part[j] == me {
-				d, ok := m.diag.BlockAt(li, int(ext[j]))
-				if !ok {
-					return nil, fmt.Errorf("dist: lost diagonal block")
-				}
-				copy(d, src)
+			if e := ext[a.ColIdx[k]]; e < nOwned {
+				m.local.ColIdx = append(m.local.ColIdx, e) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+				m.localSrc = append(m.localSrc, k)         //lint:alloc-ok appends into exact preallocated capacity at plan construction
+				m.diag.ColIdx = append(m.diag.ColIdx, e)   //lint:alloc-ok appends into exact preallocated capacity at plan construction
+				m.diagSrc = append(m.diagSrc, k)           //lint:alloc-ok appends into exact preallocated capacity at plan construction
 			}
 		}
+		for k := a.RowPtr[gr]; k < a.RowPtr[gr+1]; k++ {
+			if e := ext[a.ColIdx[k]]; e >= nOwned {
+				m.local.ColIdx = append(m.local.ColIdx, e) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+				m.localSrc = append(m.localSrc, k)         //lint:alloc-ok appends into exact preallocated capacity at plan construction
+			}
+		}
+		m.local.RowPtr[li+1] = int32(len(m.local.ColIdx))
+		m.diag.RowPtr[li+1] = int32(len(m.diag.ColIdx))
 	}
+	bb := a.B * a.B
+	m.local.Val = make([]float64, nnzb*bb)
+	m.diag.Val = make([]float64, nnzbDiag*bb)
+	m.pattern = sparse.PatternOf(a)
+	m.gatherValues(a)
 	// Interior/boundary split: a row whose columns are all owned
 	// (extended-local index below len(Owned)) never reads the ghost
 	// tail, so it can be computed while the exchange is in flight.
-	nOwned := int32(len(m.Owned))
 	for li := 0; li < m.local.NB; li++ {
 		inner := true
 		for _, j := range m.local.ColIdx[m.local.RowPtr[li]:m.local.RowPtr[li+1]] {
@@ -198,11 +213,10 @@ func NewMatrix(c *mpi.Comm, a *sparse.BCSR, part []int32) (*Matrix, error) {
 	for q, rows := range asked {
 		locs := make([]int32, len(rows)) //lint:alloc-ok one-time plan negotiation at partition setup
 		for i, gr := range rows {
-			li, ok := ext[gr]
-			if !ok || int(li) >= len(m.Owned) {
+			if gr < 0 || int(gr) >= a.NB || part[gr] != me {
 				return nil, fmt.Errorf("dist: rank %d asked rank %d for row %d it does not own", q, me, gr)
 			}
-			locs[i] = li
+			locs[i] = ext[gr]
 		}
 		sendTo[q] = locs
 	}
@@ -219,6 +233,34 @@ func NewMatrix(c *mpi.Comm, a *sparse.BCSR, part []int32) (*Matrix, error) {
 	}
 	m.halo = newHalo(c, a.B, mpi.TagHalo, sendTo, recvFrom)
 	return m, nil
+}
+
+// gatherValues copies a's values into local and diag through the
+// source indices.
+func (m *Matrix) gatherValues(a *sparse.BCSR) {
+	bb := m.B * m.B
+	sparse.GatherBlocks(m.local.Val, a.Val, m.localSrc, bb)
+	sparse.GatherBlocks(m.diag.Val, a.Val, m.diagSrc, bb)
+}
+
+// refreshBytes is the value-copy traffic of one NewMatrix or Refresh.
+func (m *Matrix) refreshBytes() int64 {
+	return sparse.GatherBlocksBytes(len(m.localSrc)+len(m.diagSrc), m.B)
+}
+
+// Refresh reloads this rank's share from a, which must have exactly the
+// sparsity pattern NewMatrix analysed (anything else is an error and
+// leaves the matrix untouched). It is an indexed copy of every stored
+// value — bitwise what a fresh NewMatrix(a) holds — that allocates
+// nothing and sends nothing: the halo plan, the interior/boundary
+// split and the pool stripes depend on the pattern alone and are kept.
+// The block Jacobi factors are not touched; call BlockJacobi again.
+func (m *Matrix) Refresh(a *sparse.BCSR) error {
+	if err := m.pattern.Check(a); err != nil {
+		return fmt.Errorf("dist: refresh: %w", err)
+	}
+	m.gatherValues(a)
+	return nil
 }
 
 // LocalN returns the number of owned scalar unknowns.
@@ -334,12 +376,22 @@ func (m *Matrix) orthoReduce(w []float64, vs [][]float64, vj []float64, out []fl
 func (m *Matrix) Norm2(x []float64) float64 { return math.Sqrt(m.Dot(x, x)) }
 
 // BlockJacobi factors this rank's diagonal block with ILU(k) and
-// returns the local preconditioner solve.
+// returns the local preconditioner solve. The factorization is retained:
+// a later call with the same options (after a Refresh) refactors it in
+// place, and solves returned earlier then apply the new factors.
 func (m *Matrix) BlockJacobi(opts ilu.Options) (func(r, z []float64), error) {
-	f, err := ilu.Factor(m.diag, opts)
-	if err != nil {
-		return nil, err
+	if m.bj != nil && m.bjOpts == opts {
+		if err := m.bj.Refactor(m.diag); err != nil {
+			return nil, err
+		}
+	} else {
+		f, err := ilu.Factor(m.diag, opts)
+		if err != nil {
+			return nil, err
+		}
+		m.bj, m.bjOpts = f, opts
 	}
+	f := m.bj
 	return func(r, z []float64) {
 		sp := m.Prof.Begin(prof.PhaseTriSolve)
 		m.Prof.NoteThreads(prof.PhaseTriSolve, m.pool.Workers())

@@ -106,8 +106,11 @@ func (r *NewtonResult) ResidualHistory() []float64 {
 
 // NewtonSolve advances q to steady state with the distributed ψNK
 // iteration: the overlapped distributed residual (Residual), a
-// per-step first-order Jacobian partitioned by NewMatrix, block Jacobi
-// ILU subdomain preconditioning, and the distributed GMRES. Every rank
+// per-step first-order Jacobian partitioned by NewMatrix once and
+// reloaded by Refresh thereafter (the sparsity pattern never changes, so
+// the halo plan is negotiated at step 0 only), block Jacobi ILU
+// subdomain preconditioning refactored in place, and the distributed
+// GMRES. Every rank
 // calls it collectively with the same discretization, partition, and
 // options (SPMD); q is a global-length interlaced state of which this
 // rank advances its owned entries (ghost entries are maintained by the
@@ -116,7 +119,9 @@ func (r *NewtonResult) ResidualHistory() []float64 {
 //
 // The solve is hardened for chaos runs: a failed step (halo exchange
 // error, factorization failure, a BeforeStep veto) is retried up to
-// StepRetries times, and when retries are exhausted — or the world
+// StepRetries times — each retry drops the rank's Matrix and rebuilds it
+// collectively, so nothing a half-finished attempt touched is trusted —
+// and when retries are exhausted — or the world
 // itself is cancelled under it — NewtonSolve closes its profiler
 // phases and returns the partial result with the error, never a
 // half-updated state: q only changes when a step is accepted.
@@ -155,6 +160,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 	qTrial := make([]float64, n)
 	dq := make([]float64, n)
 	jac := d.JacobianPattern()
+	var am *Matrix // built by the first step attempt, refreshed by later ones
 
 	var rnorm float64
 	if err := c.Protect(func() error {
@@ -186,7 +192,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 			attempts++
 			err := c.Protect(func() error { //lint:alloc-ok one closure per step attempt; the hot path is the GMRES inside
 				return newtonStep(c, rsd, d, part, q, r, rnorm, cfl, opts, p, pool,
-					jac, qTrial, rTrial, dq, step, attempts-1, &st, &newNorm)
+					jac, &am, qTrial, rTrial, dq, step, attempts-1, &st, &newNorm)
 			})
 			if err == nil {
 				break
@@ -218,15 +224,39 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 	return res, nil
 }
 
+// stepOperator returns this rank's share of jac — am reloaded in place,
+// or a Matrix built collectively when am is nil — and its refreshed
+// block Jacobi solve, charged to pc_setup.
+func stepOperator(c *mpi.Comm, jac *sparse.BCSR, part []int32, am *Matrix, iluOpts ilu.Options,
+	p *prof.Profiler, pool *par.Pool) (*Matrix, func(r, z []float64), error) {
+	sp := p.Begin(prof.PhasePCSetup)
+	if am == nil {
+		var err error
+		if am, err = NewMatrix(c, jac, part); err != nil {
+			sp.End(0, 0)
+			return nil, nil, err
+		}
+		am.Prof = p
+		am.SetPool(pool)
+	} else if err := am.Refresh(jac); err != nil {
+		sp.End(0, 0)
+		return nil, nil, err
+	}
+	pcSolve, err := am.BlockJacobi(iluOpts)
+	sp.End(0, am.refreshBytes())
+	return am, pcSolve, err
+}
+
 // newtonStep runs one pseudo-timestep attempt: Jacobian refresh,
-// partitioned extraction, block Jacobi setup, distributed GMRES, and
+// partitioned extraction (into *amp, built when nil), block Jacobi
+// setup, distributed GMRES, and
 // the globally synchronized line search. On success *st and *newNorm
 // hold the step's outcome and qTrial/rTrial the accepted trial state;
 // on error the caller's q and r are untouched, so the attempt can be
 // retried or the solve aborted with a consistent partial result.
 func newtonStep(c *mpi.Comm, rsd *Residual, d *euler.Discretization, part []int32,
 	q, r []float64, rnorm, cfl float64, opts NewtonOptions, p *prof.Profiler, pool *par.Pool,
-	jac *sparse.BCSR, qTrial, rTrial, dq []float64, step, attempt int,
+	jac *sparse.BCSR, amp **Matrix, qTrial, rTrial, dq []float64, step, attempt int,
 	st *GMRESStats, newNorm *float64) error {
 	if opts.BeforeStep != nil {
 		if err := opts.BeforeStep(step, attempt); err != nil {
@@ -237,8 +267,9 @@ func newtonStep(c *mpi.Comm, rsd *Residual, d *euler.Discretization, part []int3
 	// Pseudo-time-augmented first-order Jacobian, assembled SPMD (every
 	// rank assembles from the same q, so the partitioned extraction
 	// below sees identical global values; blocks in far rows derive from
-	// stale far state, but NewMatrix copies only this rank's owned rows,
-	// whose columns are all owned-or-ghost — maintained by the halo).
+	// stale far state, but NewMatrix and Refresh copy only this rank's
+	// owned rows, whose columns are all owned-or-ghost — maintained by
+	// the halo).
 	jsp := p.Begin(prof.PhaseJacobian)
 	err := d.AssembleJacobian(q, jac)
 	if err == nil {
@@ -248,18 +279,11 @@ func newtonStep(c *mpi.Comm, rsd *Residual, d *euler.Discretization, part []int3
 	if err != nil {
 		return err
 	}
-	am, err := NewMatrix(c, jac, part)
+	am, pcSolve, err := stepOperator(c, jac, part, *amp, opts.ILU, p, pool)
 	if err != nil {
 		return err
 	}
-	am.Prof = p
-	am.SetPool(pool)
-	psp := p.Begin(prof.PhasePCSetup)
-	pcSolve, err := am.BlockJacobi(opts.ILU)
-	psp.End(0, 0)
-	if err != nil {
-		return err
-	}
+	*amp = am
 	lb := make([]float64, am.LocalN())
 	lx := make([]float64, am.LocalN())
 	for li, gr := range am.Owned {

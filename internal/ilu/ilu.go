@@ -25,13 +25,28 @@ type Factorization struct {
 	ColIdx []int32 // sorted within each row; includes the diagonal
 	diagK  []int32 // index (block slot) of the diagonal in each row
 
-	// Exactly one of val64/val32 is non-nil, per the storage precision.
-	val64 []float64
-	val32 []float32
-	// invDiag stores the inverted U diagonal blocks (always float64 in
-	// the double path, float32 in the single path).
+	// val64/invDiag64 are the elimination arrays: the combined factors
+	// and the inverted U diagonal blocks, always computed in float64.
+	// With single-precision storage they stay behind as Refactor's work
+	// arrays and the solves read the rounded copies val32/invDiag32
+	// (non-nil exactly then).
+	val64     []float64
 	invDiag64 []float64
+	val32     []float32
 	invDiag32 []float32
+
+	// Numeric-refresh state, built once by Factor from the pattern it
+	// analysed: aSlot[k] is the factor block that A's block k is copied
+	// into, fillSlots the factor blocks A does not cover (zeroed before
+	// each elimination). slot is the dense per-row work array of the IKJ
+	// elimination — slot[j] is the block of column j in the row being
+	// eliminated, -1 elsewhere, and all -1 between calls — and blk one
+	// block of scratch.
+	pattern   sparse.Pattern
+	aSlot     []int32
+	fillSlots []int32
+	slot      []int32
+	blk       []float64
 
 	// Level-set schedule of the triangular solves (levels.go): block
 	// rows grouped by dependency depth in the L (forward) and U
@@ -95,7 +110,10 @@ func (f *Factorization) FactorBytes() int64 {
 	return FactorBytesFor(len(f.ColIdx), f.B, f.BytesPerValue())
 }
 
-// Factor computes the block ILU(k) factorization of a.
+// Factor computes the block ILU(k) factorization of a: the symbolic
+// analysis (fill pattern, level-set schedule, A→factor copy index) and
+// one numeric pass. When a's values change on the same pattern, Refactor
+// repeats the numeric pass alone.
 func Factor(a *sparse.BCSR, opts Options) (*Factorization, error) {
 	if opts.Level < 0 {
 		return nil, fmt.Errorf("ilu: negative fill level %d", opts.Level)
@@ -107,22 +125,37 @@ func Factor(a *sparse.BCSR, opts Options) (*Factorization, error) {
 		return nil, err
 	}
 	f.buildLevels()
+	if err := f.indexValues(a); err != nil {
+		return nil, err
+	}
+	bb := a.B * a.B
+	f.val64 = make([]float64, len(f.ColIdx)*bb)
+	f.invDiag64 = make([]float64, f.NB*bb)
+	if opts.SinglePrecision {
+		f.val32 = make([]float32, len(f.val64))
+		f.invDiag32 = make([]float32, len(f.invDiag64))
+	}
 	if err := f.numeric(a); err != nil {
 		return nil, err
 	}
-	if opts.SinglePrecision {
-		f.val32 = make([]float32, len(f.val64))
-		for i, v := range f.val64 {
-			f.val32[i] = float32(v)
-		}
-		f.invDiag32 = make([]float32, len(f.invDiag64))
-		for i, v := range f.invDiag64 {
-			f.invDiag32[i] = float32(v)
-		}
-		f.val64 = nil
-		f.invDiag64 = nil
-	}
 	return f, nil
+}
+
+// Refactor recomputes the factors from a, which must have exactly the
+// sparsity pattern Factor analysed (anything else is an error and
+// leaves the factors untouched). Every stored value is overwritten —
+// fill blocks zeroed, A copied in, then eliminated — so the result is
+// bitwise the one a fresh Factor(a) computes, whatever the previous
+// call left behind; nothing is allocated. After an error (a singular
+// pivot block) the factors are undefined until a later Refactor
+// succeeds.
+func (f *Factorization) Refactor(a *sparse.BCSR) error {
+	sp := prof.Begin(prof.PhaseILUFactor)
+	defer sp.End(f.FactorFlops(), f.FactorBytes())
+	if err := f.pattern.Check(a); err != nil {
+		return fmt.Errorf("ilu: refactor: %w", err)
+	}
+	return f.numeric(a)
 }
 
 // symbolic computes the ILU(k) fill pattern by the standard level-of-fill
@@ -239,63 +272,193 @@ func insertSorted(s []int32, from int, v int32) []int32 {
 	return s
 }
 
-// numeric performs the block IKJ elimination on the symbolic pattern.
+// indexValues builds the numeric pass's copy index by walking each
+// factor row against A's row (both ascending): a factor block either
+// receives an A block or is fill.
+func (f *Factorization) indexValues(a *sparse.BCSR) error {
+	if len(a.ColIdx) > len(f.ColIdx) {
+		return fmt.Errorf("ilu: matrix stores %d blocks, its fill pattern only %d", len(a.ColIdx), len(f.ColIdx))
+	}
+	f.pattern = sparse.PatternOf(a)
+	f.aSlot = make([]int32, len(a.ColIdx))
+	f.fillSlots = make([]int32, 0, len(f.ColIdx)-len(a.ColIdx))
+	for i := 0; i < f.NB; i++ {
+		ka, aEnd := a.RowPtr[i], a.RowPtr[i+1]
+		for k := f.RowPtr[i]; k < f.RowPtr[i+1]; k++ {
+			if ka < aEnd && a.ColIdx[ka] == f.ColIdx[k] {
+				f.aSlot[ka] = k
+				ka++
+			} else {
+				f.fillSlots = append(f.fillSlots, k) //lint:alloc-ok appends into capacity preallocated to the exact fill count
+			}
+		}
+		if ka != aEnd {
+			return fmt.Errorf("ilu: pattern lost entry (%d,%d)", i, a.ColIdx[ka])
+		}
+	}
+	f.slot = make([]int32, f.NB)
+	for i := range f.slot {
+		f.slot[i] = -1
+	}
+	f.blk = make([]float64, f.B*f.B)
+	return nil
+}
+
+// numeric loads a's values into the fill pattern and performs the block
+// IKJ elimination in place — the one numeric path behind both Factor
+// and Refactor.
 func (f *Factorization) numeric(a *sparse.BCSR) error {
 	b := f.B
 	bb := b * b
-	f.val64 = make([]float64, len(f.ColIdx)*bb)
-	f.invDiag64 = make([]float64, f.NB*bb)
-	// Copy A into the fill pattern.
-	pos := make(map[int64]int32, len(f.ColIdx))
-	key := func(i int, j int32) int64 { return int64(i)<<32 | int64(j) }
-	for i := 0; i < f.NB; i++ {
-		for k := f.RowPtr[i]; k < f.RowPtr[i+1]; k++ {
-			pos[key(i, f.ColIdx[k])] = k
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			dst, ok := pos[key(i, a.ColIdx[k])]
-			if !ok {
-				return fmt.Errorf("ilu: pattern lost entry (%d,%d)", i, a.ColIdx[k])
-			}
-			copy(f.val64[int(dst)*bb:(int(dst)+1)*bb], a.Val[int(k)*bb:(int(k)+1)*bb])
-		}
+	val, inv, slot, factor := f.val64, f.invDiag64, f.slot, f.blk
+	for _, k := range f.fillSlots {
+		clear(val[int(k)*bb : int(k)*bb+bb]) //lint:bce-ok fill block offset comes from the precomputed index list
 	}
-	factor := make([]float64, bb)
-	tmp := make([]float64, bb)
+	for k, dst := range f.aSlot {
+		copy(val[int(dst)*bb:int(dst)*bb+bb], a.Val[k*bb:k*bb+bb]) //lint:bce-ok scatter through the precomputed A→factor copy index
+	}
 	for i := 0; i < f.NB; i++ {
-		row := f.ColIdx[f.RowPtr[i]:f.RowPtr[i+1]]
-		for t, p := range row {
-			if p >= int32(i) {
-				break
-			}
-			kip := int(f.RowPtr[i]) + t
+		lo, kd, hi := int(f.RowPtr[i]), int(f.diagK[i]), int(f.RowPtr[i+1])
+		for k := lo; k < hi; k++ {
+			slot[f.ColIdx[k]] = int32(k) //lint:bce-ok dense work array indexed by block column
+		}
+		for kip := lo; kip < kd; kip++ {
+			p := int(f.ColIdx[kip])
 			// factor = A_ip * invU_pp
-			matMul(f.val64[kip*bb:(kip+1)*bb], f.invDiag64[int(p)*bb:(int(p)+1)*bb], factor, b)
-			copy(f.val64[kip*bb:(kip+1)*bb], factor)
+			aip := val[kip*bb : kip*bb+bb]
+			matMul(aip, inv[p*bb:p*bb+bb], factor, b)
+			copy(aip, factor)
 			// Row update: A_ij -= factor * U_pj for j > p in row p.
-			for kp := f.RowPtr[p]; kp < f.RowPtr[p+1]; kp++ {
-				j := f.ColIdx[kp]
-				if j <= p {
-					continue
-				}
-				dst, ok := pos[key(i, j)]
-				if !ok {
+			uLo, uHi := int(f.diagK[p])+1, int(f.RowPtr[p+1])
+			for kp := uLo; kp < uHi; kp++ {
+				dst := int(slot[f.ColIdx[kp]]) //lint:bce-ok dense work array indexed by block column
+				if dst < 0 {
 					continue // fill dropped by the level rule
 				}
-				matMul(factor, f.val64[int(kp)*bb:(int(kp)+1)*bb], tmp, b)
-				blk := f.val64[int(dst)*bb : (int(dst)+1)*bb]
-				for z := 0; z < bb; z++ {
-					blk[z] -= tmp[z]
-				}
+				mulSub(val[dst*bb:dst*bb+bb], factor, val[kp*bb:kp*bb+bb], b) //lint:bce-ok block offsets are data-dependent through the pattern
 			}
 		}
-		// Invert the diagonal block.
-		kd := int(f.diagK[i])
-		if err := invertBlock(f.val64[kd*bb:(kd+1)*bb], f.invDiag64[i*bb:(i+1)*bb], b); err != nil {
-			return fmt.Errorf("ilu: singular pivot block at row %d: %w", i, err)
+		err := invertBlock(val[kd*bb:kd*bb+bb], inv[i*bb:i*bb+bb], b)
+		for k := lo; k < hi; k++ {
+			slot[f.ColIdx[k]] = -1 //lint:bce-ok dense work array indexed by block column
+		}
+		if err != nil {
+			return fmt.Errorf("ilu: singular pivot block at row %d: %w", i, err) //lint:escape-ok cold error exit: the row index is boxed only when the factorization fails
+		}
+	}
+	if f.val32 != nil {
+		v32 := f.val32[:len(val)]
+		for i, v := range val {
+			v32[i] = float32(v)
+		}
+		i32 := f.invDiag32[:len(inv)]
+		for i, v := range inv {
+			i32[i] = float32(v)
 		}
 	}
 	return nil
+}
+
+// mulSub computes c -= a*b for row-major n×n blocks. Each entry's
+// product sum is accumulated from zero in ascending k and subtracted
+// once — exactly a matMul into a temporary followed by a subtraction,
+// without the temporary. Unrolled kernels handle the paper's block
+// sizes (4 incompressible, 5 compressible).
+func mulSub(c, a, b []float64, n int) {
+	switch n {
+	case 4:
+		mulSub4(c, a, b)
+	case 5:
+		mulSub5(c, a, b)
+	default:
+		mulSubGeneric(c, a, b, n)
+	}
+}
+
+func mulSubGeneric(c, a, b []float64, n int) {
+	for i := 0; i < n; i++ {
+		ai := a[i*n : i*n+n]
+		ci := c[i*n : i*n+n]
+		for j := range ci {
+			var s float64
+			for k, w := range ai {
+				s += w * b[k*n+j] //lint:bce-ok strided walk down column j of b; k*n+j < n*n relates three lengths the prover cannot carry
+			}
+			ci[j] -= s
+		}
+	}
+}
+
+// mulSub4 holds b in registers and handles one row of a and c per
+// iteration, every sum still accumulated from zero in ascending k.
+func mulSub4(c, a, b []float64) {
+	c, a, b = c[:16:16], a[:16:16], b[:16:16]
+	b00, b01, b02, b03 := b[0], b[1], b[2], b[3]
+	b10, b11, b12, b13 := b[4], b[5], b[6], b[7]
+	b20, b21, b22, b23 := b[8], b[9], b[10], b[11]
+	b30, b31, b32, b33 := b[12], b[13], b[14], b[15]
+	for i := 0; i <= 12; i += 4 {
+		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
+		var s0, s1, s2, s3 float64
+		s0 += a0 * b00
+		s1 += a0 * b01
+		s2 += a0 * b02
+		s3 += a0 * b03
+		s0 += a1 * b10
+		s1 += a1 * b11
+		s2 += a1 * b12
+		s3 += a1 * b13
+		s0 += a2 * b20
+		s1 += a2 * b21
+		s2 += a2 * b22
+		s3 += a2 * b23
+		s0 += a3 * b30
+		s1 += a3 * b31
+		s2 += a3 * b32
+		s3 += a3 * b33
+		c[i] -= s0
+		c[i+1] -= s1
+		c[i+2] -= s2
+		c[i+3] -= s3
+	}
+}
+
+func mulSub5(c, a, b []float64) {
+	c, a, b = c[:25:25], a[:25:25], b[:25:25]
+	for i := 0; i <= 20; i += 5 {
+		a0, a1, a2, a3, a4 := a[i], a[i+1], a[i+2], a[i+3], a[i+4]
+		var s0, s1, s2, s3, s4 float64
+		s0 += a0 * b[0]
+		s1 += a0 * b[1]
+		s2 += a0 * b[2]
+		s3 += a0 * b[3]
+		s4 += a0 * b[4]
+		s0 += a1 * b[5]
+		s1 += a1 * b[6]
+		s2 += a1 * b[7]
+		s3 += a1 * b[8]
+		s4 += a1 * b[9]
+		s0 += a2 * b[10]
+		s1 += a2 * b[11]
+		s2 += a2 * b[12]
+		s3 += a2 * b[13]
+		s4 += a2 * b[14]
+		s0 += a3 * b[15]
+		s1 += a3 * b[16]
+		s2 += a3 * b[17]
+		s3 += a3 * b[18]
+		s4 += a3 * b[19]
+		s0 += a4 * b[20]
+		s1 += a4 * b[21]
+		s2 += a4 * b[22]
+		s3 += a4 * b[23]
+		s4 += a4 * b[24]
+		c[i] -= s0
+		c[i+1] -= s1
+		c[i+2] -= s2
+		c[i+3] -= s3
+		c[i+4] -= s4
+	}
 }
 
 // matMul computes c = a*b for row-major b×b blocks.

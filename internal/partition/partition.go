@@ -169,7 +169,11 @@ func rebalance(g sparse.Graph, p *Partition, tol float64) {
 	if hi < 1 {
 		hi = 1
 	}
-	links := make(map[int32]int, 8)
+	// Link counts and touched parts of the vertex under consideration
+	// (touchedParts). Score ties fall to the lowest part id, so the
+	// partition is a pure function of the graph.
+	links := make([]int, p.NParts)
+	var near []int32
 	for iter := 0; iter < 8*g.NV; iter++ {
 		// The most overweight and most starved parts this round.
 		over, under := int32(-1), int32(-1)
@@ -195,20 +199,15 @@ func rebalance(g sparse.Graph, p *Partition, tol float64) {
 				if p.Part[v] != over {
 					continue
 				}
-				for k := range links {
-					delete(links, k)
-				}
-				for _, w := range g.Adj[g.XAdj[v]:g.XAdj[v+1]] {
-					if q := p.Part[w]; q != over {
-						links[q]++
-					}
-				}
-				for q, l := range links {
+				near, _ = touchedParts(g, p.Part, v, links, near)
+				for _, q := range near {
+					l := links[q]
+					links[q] = 0
 					if sizes[q] >= sizes[over]-1 {
 						continue
 					}
 					score := l*1000 - sizes[q]
-					if score > bestScore {
+					if score > bestScore || (score == bestScore && bestV == int32(v) && q < bestQ) {
 						bestScore = score
 						bestV, bestQ = int32(v), q
 					}
@@ -351,6 +350,27 @@ func absorbUnassigned(g sparse.Graph, p *Partition) {
 	}
 }
 
+// touchedParts counts v's links into every part other than its own in
+// the dense per-part array links — all zero on entry; the caller zeroes
+// the entries it reads — and returns those parts in first-seen order
+// (reusing near's storage) with the number of links into v's own part.
+func touchedParts(g sparse.Graph, part []int32, v int, links []int, near []int32) ([]int32, int) {
+	near = near[:0]
+	home, homeLinks := part[v], 0
+	for _, w := range g.Adj[g.XAdj[v]:g.XAdj[v+1]] {
+		q := part[w]
+		if q == home {
+			homeLinks++
+			continue
+		}
+		if links[q] == 0 {
+			near = append(near, q)
+		}
+		links[q]++
+	}
+	return near, homeLinks
+}
+
 // refineCut greedily moves boundary vertices to the neighboring part
 // where they have the most neighbors, when the move reduces the edge cut
 // and keeps imbalance under maxImbalance. maxMoves bounds the work.
@@ -361,29 +381,26 @@ func refineCut(g sparse.Graph, p *Partition, maxImbalance float64, maxMoves int)
 	if cap < 1 {
 		cap = 1
 	}
-	gain := make(map[int32]int, 8)
+	// As in rebalance: gain ties fall to the lowest part id.
+	links := make([]int, p.NParts)
+	var near []int32
 	moves := 0
 	for pass := 0; pass < 4 && moves < maxMoves; pass++ {
 		improved := false
 		for v := 0; v < g.NV && moves < maxMoves; v++ {
 			home := p.Part[v]
-			for k := range gain {
-				delete(gain, k)
-			}
-			homeLinks := 0
-			for _, w := range g.Adj[g.XAdj[v]:g.XAdj[v+1]] {
-				q := p.Part[w]
-				if q == home {
-					homeLinks++
-				} else {
-					gain[q]++
-				}
-			}
+			var homeLinks int
+			near, homeLinks = touchedParts(g, p.Part, v, links, near)
 			var bestPart int32 = -1
 			bestGain := 0
-			for q, links := range gain {
-				if links-homeLinks > bestGain && sizes[q] < cap && sizes[home] > 1 {
-					bestGain = links - homeLinks
+			for _, q := range near {
+				gain := links[q] - homeLinks
+				links[q] = 0
+				if sizes[q] >= cap || sizes[home] <= 1 {
+					continue
+				}
+				if gain > bestGain || (gain == bestGain && bestPart >= 0 && q < bestPart) {
+					bestGain = gain
 					bestPart = q
 				}
 			}

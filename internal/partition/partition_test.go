@@ -258,3 +258,32 @@ func TestKWayValidProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKWayDeterministic is the regression for score ties that used to
+// fall to map iteration order in rebalance and refineCut: with three or
+// more parts KWay could return different partitions call to call
+// (12 of 60 calls at 600 vertices and 4 parts).
+func TestKWayDeterministic(t *testing.T) {
+	m, err := mesh.GenerateWingN(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sparse.Graph{NV: m.NumVertices(), XAdj: m.XAdj, Adj: m.Adj}
+	for _, nparts := range []int{3, 4, 8} {
+		first, err := KWay(g, nparts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 1; call < 60; call++ {
+			p, err := KWay(g, nparts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range p.Part {
+				if p.Part[v] != first.Part[v] {
+					t.Fatalf("%d parts: call %d puts vertex %d in part %d, the first call in %d", nparts, call, v, p.Part[v], first.Part[v])
+				}
+			}
+		}
+	}
+}

@@ -26,8 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -430,62 +428,6 @@ func (p *Profiler) WriteJSON(w io.Writer, streamBps float64) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(p.Report(streamBps))
-}
-
-// BaselineSchema names the layout WriteBaselineJSON emits.
-const BaselineSchema = "petscfun3d-phase-baseline/1"
-
-// roundSig rounds v to n significant decimal digits.
-func roundSig(v float64, n int) float64 {
-	f, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'g', n, 64), 64)
-	return f
-}
-
-func jsonNum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// WriteBaselineJSON writes the report in the checked-in bench-baseline
-// layout (BaselineSchema). A re-recorded baseline should diff only
-// where a measurement really moved, so the writer is deterministic in
-// everything but the samples: phases are sorted by name, each phase's
-// stable identity fields (name, category, call count, and the modeled
-// flop and byte totals) sit on one line, and the measured samples
-// (seconds and the rates derived from them) sit on the next, rounded to
-// three significant digits so timer jitter below the rounding grain
-// leaves the line untouched. The interactive -profile-json reports keep
-// the full-precision petscfun3d-profile/1 schema; the field names here
-// match it, so profile readers parse both.
-func WriteBaselineJSON(w io.Writer, rep Report) error {
-	phases := append([]PhaseStat(nil), rep.Phases...)
-	sort.Slice(phases, func(i, j int) bool { return phases[i].Phase < phases[j].Phase })
-	var b []byte
-	b = append(b, "{\n"...)
-	b = append(b, `  "schema": `+strconv.Quote(BaselineSchema)+",\n"...)
-	b = append(b, `  "total_seconds": `+jsonNum(roundSig(rep.TotalSeconds, 3))+",\n"...)
-	b = append(b, `  "stream_mbps": `+jsonNum(roundSig(rep.StreamMBps, 3))+",\n"...)
-	b = append(b, `  "phases": [`...)
-	for i, st := range phases {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, "\n    {\n"...)
-		b = append(b, `      "phase": `+strconv.Quote(st.Phase)+`, "category": `+strconv.Quote(st.Category)+
-			`, "calls": `+strconv.FormatInt(st.Calls, 10)+
-			`, "flops": `+strconv.FormatInt(st.Flops, 10)+
-			`, "bytes": `+strconv.FormatInt(st.Bytes, 10)+
-			`, "threads": `+strconv.FormatInt(st.Threads, 10)+",\n"...)
-		b = append(b, `      "seconds": `+jsonNum(roundSig(st.Seconds, 3))+
-			`, "cumulative_seconds": `+jsonNum(roundSig(st.CumulativeSeconds, 3))+
-			`, "mflops": `+jsonNum(roundSig(st.Mflops, 3))+
-			`, "mbps": `+jsonNum(roundSig(st.MBps, 3))+
-			`, "stream_fraction": `+jsonNum(roundSig(st.StreamFraction, 3))+"\n"...)
-		b = append(b, "    }"...)
-	}
-	b = append(b, "\n  ]\n}\n"...)
-	if !json.Valid(b) {
-		return fmt.Errorf("prof: baseline writer produced invalid JSON")
-	}
-	_, err := w.Write(b)
-	return err
 }
 
 // Package-level conveniences over Default.

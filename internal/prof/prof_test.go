@@ -244,56 +244,3 @@ func TestPhaseNamesTaxonomy(t *testing.T) {
 		t.Fatal("IsPhaseName accepted a name outside the taxonomy")
 	}
 }
-
-func TestBaselineJSONStable(t *testing.T) {
-	rep := Report{
-		Schema:       "petscfun3d-profile/1",
-		TotalSeconds: 0.61331207,
-		Phases: []PhaseStat{
-			{Phase: "flux", Category: "compute", Calls: 130, Seconds: 0.12498475,
-				CumulativeSeconds: 0.12498475, Flops: 343405140, Bytes: 90083760,
-				Mflops: 2747.5763, MBps: 720.75802},
-			{Phase: "boundary", Category: "compute", Calls: 18, Seconds: 0.00031433,
-				CumulativeSeconds: 0.00031433, Flops: 100, Bytes: 200},
-		},
-	}
-	var one, two bytes.Buffer
-	if err := WriteBaselineJSON(&one, rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBaselineJSON(&two, rep); err != nil {
-		t.Fatal(err)
-	}
-	if one.String() != two.String() {
-		t.Fatal("baseline writer is not deterministic")
-	}
-	// The layout parses as ordinary JSON with the profile field names.
-	var out Report
-	if err := json.Unmarshal(one.Bytes(), &out); err != nil {
-		t.Fatalf("baseline does not parse: %v\n%s", err, one.String())
-	}
-	if out.Schema != BaselineSchema {
-		t.Fatalf("schema %q, want %q", out.Schema, BaselineSchema)
-	}
-	// Phases are sorted by name regardless of input order.
-	if len(out.Phases) != 2 || out.Phases[0].Phase != "boundary" || out.Phases[1].Phase != "flux" {
-		t.Fatalf("phases not sorted: %+v", out.Phases)
-	}
-	// Identity fields survive exactly; samples are rounded to three
-	// significant digits so jitter below the grain cannot churn lines.
-	if out.Phases[1].Calls != 130 || out.Phases[1].Flops != 343405140 || out.Phases[1].Bytes != 90083760 {
-		t.Fatalf("identity fields changed: %+v", out.Phases[1])
-	}
-	if out.Phases[1].Seconds != 0.125 || out.Phases[1].Mflops != 2750 {
-		t.Fatalf("samples not rounded: %+v", out.Phases[1])
-	}
-	// A sub-grain perturbation of the measurement rewrites nothing.
-	rep.Phases[0].Seconds *= 1.0001
-	var three bytes.Buffer
-	if err := WriteBaselineJSON(&three, rep); err != nil {
-		t.Fatal(err)
-	}
-	if one.String() != three.String() {
-		t.Fatal("sub-grain jitter churned the baseline")
-	}
-}

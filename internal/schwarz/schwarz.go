@@ -39,9 +39,10 @@ type Subdomain struct {
 	Local    *sparse.BCSR
 	Factor   *ilu.Factorization
 
-	globalToLocal map[int32]int32
-	rhs           []float64
-	sol           []float64
+	ownedLocal []int32 // position in Extended of each owned row
+	src        []int32 // global block each block of Local is copied from
+	rhs        []float64
+	sol        []float64
 }
 
 // Preconditioner is a block Jacobi / RASM preconditioner over a
@@ -51,10 +52,15 @@ type Preconditioner struct {
 	B    int
 	Opts Options
 	Subs []*Subdomain
+
+	pattern sparse.Pattern // of the matrix New analysed
 }
 
 // New builds the preconditioner for global matrix a partitioned by part
-// (length a.NB, values in [0, nparts)).
+// (length a.NB, values in [0, nparts)): the symbolic analysis — index
+// sets, local patterns, copy indices, ILU fill patterns — and one
+// numeric pass. When a's values change on the same pattern, Refresh
+// repeats the numeric pass alone.
 func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditioner, error) {
 	if len(part) != a.NB {
 		return nil, fmt.Errorf("schwarz: partition length %d, matrix has %d block rows", len(part), a.NB)
@@ -62,83 +68,130 @@ func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditione
 	if opts.Overlap < 0 {
 		return nil, fmt.Errorf("schwarz: negative overlap %d", opts.Overlap)
 	}
-	sp := prof.Begin(prof.PhasePCSetup)
-	defer sp.End(0, 0) // extraction only; the factorizations report their own work
 	p := &Preconditioner{NB: a.NB, B: a.B, Opts: opts, Subs: make([]*Subdomain, nparts)}
-	owned := make([][]int32, nparts)
+	sp := prof.Begin(prof.PhasePCSetup)
+	// Extraction only; the factorizations report their own work.
+	defer func() { sp.End(0, p.refreshBytes()) }()
+	counts := make([]int, nparts)
 	for i, q := range part {
 		if q < 0 || int(q) >= nparts {
 			return nil, fmt.Errorf("schwarz: row %d in invalid part %d", i, q)
 		}
-		owned[q] = append(owned[q], int32(i)) //lint:alloc-ok one-time partition of rows at preconditioner setup
+		counts[q]++
+	}
+	owned := make([][]int32, nparts)
+	for q, n := range counts {
+		owned[q] = make([]int32, 0, n) //lint:alloc-ok one-time partition of rows at preconditioner setup
+	}
+	for i, q := range part {
+		owned[q] = append(owned[q], int32(i)) //lint:alloc-ok appends into capacity preallocated to the exact part size
+	}
+	// One dense mark array serves every subdomain in turn: -1 outside
+	// the subdomain being built, its local row index inside.
+	mark := make([]int32, a.NB)
+	for i := range mark {
+		mark[i] = -1
 	}
 	for q := 0; q < nparts; q++ {
-		sub, err := buildSubdomain(a, owned[q], opts)
+		sub, err := buildSubdomain(a, owned[q], mark, opts)
 		if err != nil {
 			return nil, fmt.Errorf("schwarz: subdomain %d: %w", q, err)
 		}
 		p.Subs[q] = sub
 	}
+	p.pattern = sparse.PatternOf(a)
 	return p, nil
 }
 
-func buildSubdomain(a *sparse.BCSR, owned []int32, opts Options) (*Subdomain, error) {
+// Refresh recomputes the preconditioner from a, which must have exactly
+// the sparsity pattern New analysed (anything else is an error and
+// leaves the preconditioner untouched): per subdomain one indexed value
+// copy and one ilu Refactor. Every stored value is overwritten, so the
+// result is bitwise the one a fresh New(a) computes whatever a previous
+// (even failed) refresh left behind; nothing is allocated. After an
+// error the preconditioner is undefined until a later Refresh succeeds.
+func (p *Preconditioner) Refresh(a *sparse.BCSR) error {
+	sp := prof.Begin(prof.PhasePCSetup)
+	defer sp.End(0, p.refreshBytes())
+	if err := p.pattern.Check(a); err != nil {
+		return fmt.Errorf("schwarz: refresh: %w", err)
+	}
+	for q, s := range p.Subs {
+		sparse.GatherBlocks(s.Local.Val, a.Val, s.src, a.B*a.B)
+		if err := s.Factor.Refactor(s.Local); err != nil {
+			return fmt.Errorf("schwarz: subdomain %d: %w", q, err)
+		}
+	}
+	return nil
+}
+
+// buildSubdomain runs the symbolic analysis of one subdomain and its
+// first numeric pass. mark is all -1 on entry and on return.
+func buildSubdomain(a *sparse.BCSR, owned []int32, mark []int32, opts Options) (*Subdomain, error) {
 	if len(owned) == 0 {
 		return nil, fmt.Errorf("empty subdomain")
 	}
 	s := &Subdomain{Owned: owned}
 	// Expand by BFS layers over the block sparsity graph.
-	in := make(map[int32]bool, len(owned)*2)
 	for _, r := range owned {
-		in[r] = true
+		mark[r] = 0
 	}
-	frontier := append([]int32(nil), owned...)
+	n := len(owned)
+	frontier := owned
 	for layer := 0; layer < opts.Overlap; layer++ {
 		var next []int32
 		for _, r := range frontier {
 			for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-				if !in[j] {
-					in[j] = true
+				if mark[j] < 0 {
+					mark[j] = 0
 					next = append(next, j) //lint:alloc-ok one-time BFS overlap expansion at subdomain setup
 				}
 			}
 		}
+		n += len(next)
 		frontier = next
 	}
-	s.Extended = make([]int32, 0, len(in))
-	for r := range in {
-		s.Extended = append(s.Extended, r) //lint:alloc-ok appends into exact preallocated capacity at setup
+	// An ascending scan of the marks numbers the extended rows in global
+	// order, so local columns come out sorted with no sort.
+	s.Extended = make([]int32, 0, n)
+	for r, m := range mark {
+		if m >= 0 {
+			mark[r] = int32(len(s.Extended))
+			s.Extended = append(s.Extended, int32(r)) //lint:alloc-ok appends into exact preallocated capacity at setup
+		}
 	}
-	sortInt32(s.Extended)
-	s.globalToLocal = make(map[int32]int32, len(s.Extended))
-	for li, r := range s.Extended {
-		s.globalToLocal[r] = int32(li)
+	s.ownedLocal = make([]int32, len(owned))
+	for i, r := range owned {
+		s.ownedLocal[i] = mark[r]
 	}
-	// Extract the local matrix: rows/cols restricted to Extended.
-	rows := make([][]int32, len(s.Extended))
-	for li, r := range s.Extended {
+	// Extract the local pattern — rows/cols restricted to Extended — and
+	// the index of each local block's source in a.
+	nnzb := 0
+	for _, r := range s.Extended {
 		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
-			if lj, ok := s.globalToLocal[j]; ok {
-				rows[li] = append(rows[li], lj) //lint:alloc-ok one-time local-matrix extraction at subdomain setup
+			if mark[j] >= 0 {
+				nnzb++
 			}
 		}
 	}
-	s.Local = sparse.NewBCSRPattern(len(s.Extended), a.B, rows)
-	bb := a.B * a.B
+	rowPtr := make([]int32, len(s.Extended)+1)
+	colIdx := make([]int32, 0, nnzb)
+	s.src = make([]int32, 0, nnzb)
 	for li, r := range s.Extended {
 		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			j := a.ColIdx[k]
-			lj, ok := s.globalToLocal[j]
-			if !ok {
-				continue
+			if lj := mark[a.ColIdx[k]]; lj >= 0 {
+				colIdx = append(colIdx, lj) //lint:alloc-ok appends into exact preallocated capacity at setup
+				s.src = append(s.src, k)    //lint:alloc-ok appends into exact preallocated capacity at setup
 			}
-			dst, ok := s.Local.BlockAt(li, int(lj))
-			if !ok {
-				return nil, fmt.Errorf("extraction lost block (%d,%d)", li, lj)
-			}
-			copy(dst, a.Val[int(k)*bb:(int(k)+1)*bb])
 		}
+		rowPtr[li+1] = int32(len(colIdx))
 	}
+	for _, r := range s.Extended {
+		mark[r] = -1
+	}
+	bb := a.B * a.B
+	s.Local = &sparse.BCSR{NB: len(s.Extended), B: a.B, RowPtr: rowPtr, ColIdx: colIdx, Val: make([]float64, nnzb*bb)}
+	sparse.GatherBlocks(s.Local.Val, a.Val, s.src, bb)
 	var err error
 	s.Factor, err = ilu.Factor(s.Local, opts.ILU)
 	if err != nil {
@@ -149,12 +202,17 @@ func buildSubdomain(a *sparse.BCSR, owned []int32, opts Options) (*Subdomain, er
 	return s, nil
 }
 
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for k := i; k > 0 && s[k] < s[k-1]; k-- {
-			s[k], s[k-1] = s[k-1], s[k]
+// refreshBytes is the value-copy traffic of one New or Refresh: every
+// subdomain's local blocks gathered from the global matrix. (The
+// subdomains a failed New never built are nil and copied nothing.)
+func (p *Preconditioner) refreshBytes() int64 {
+	nnzb := 0
+	for _, s := range p.Subs {
+		if s != nil {
+			nnzb += len(s.src)
 		}
 	}
+	return sparse.GatherBlocksBytes(nnzb, p.B)
 }
 
 // applyCopyBytes is the restrict/prolong copy traffic of one
@@ -188,9 +246,10 @@ func (p *Preconditioner) ApplySubdomain(s *Subdomain, r, z []float64) {
 		copy(s.rhs[li*b:li*b+b], r[int(gr)*b:int(gr)*b+b]) //lint:bce-ok restrict gathers through the subdomain row list; both offsets are data-dependent
 	}
 	s.Factor.SolvePar(p.Opts.Pool, s.rhs, s.sol)
-	for _, gr := range s.Owned {
-		li := s.globalToLocal[gr]
-		copy(z[int(gr)*b:int(gr)*b+b], s.sol[int(li)*b:int(li)*b+b]) //lint:bce-ok prolong scatters through the owned row list and local index map; both offsets are data-dependent
+	ownedLocal := s.ownedLocal[:len(s.Owned)]
+	for i, gr := range s.Owned {
+		li := int(ownedLocal[i])
+		copy(z[int(gr)*b:int(gr)*b+b], s.sol[li*b:li*b+b]) //lint:bce-ok prolong scatters through the owned row list and its local index list; both offsets are data-dependent
 	}
 }
 

@@ -2,11 +2,13 @@ package schwarz
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/par"
 	"petscfun3d/internal/partition"
 	"petscfun3d/internal/sparse"
 )
@@ -311,5 +313,165 @@ func TestCoarseLevelValidation(t *testing.T) {
 	pr := buildProblem(t, 4, 3, 3, 2, 2)
 	if _, err := NewCoarseLevel(pr.a, pr.part.Part[:3], 2); err == nil {
 		t.Error("short partition accepted")
+	}
+}
+
+// sameBits fails unless two vectors are bit-equal.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %x, want %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// samePreconditioner fails unless two preconditioners have identical
+// index sets, bit-equal local matrices, and bit-equal factors — the
+// factors compared through subdomain solves, sequential and on pools of
+// 2 and 4 workers — and bit-equal Apply output.
+func samePreconditioner(t *testing.T, got, want *Preconditioner, r []float64) {
+	t.Helper()
+	if len(got.Subs) != len(want.Subs) {
+		t.Fatalf("%d subdomains, want %d", len(got.Subs), len(want.Subs))
+	}
+	for q, w := range want.Subs {
+		g := got.Subs[q]
+		if len(g.Owned) != len(w.Owned) || len(g.Extended) != len(w.Extended) || g.GhostRows() != w.GhostRows() {
+			t.Fatalf("subdomain %d: %d owned / %d extended rows, want %d / %d", q, len(g.Owned), len(g.Extended), len(w.Owned), len(w.Extended))
+		}
+		for i, row := range w.Extended {
+			if g.Extended[i] != row {
+				t.Fatalf("subdomain %d: extended row %d is %d, want %d", q, i, g.Extended[i], row)
+			}
+		}
+		sameBits(t, "Local.Val", g.Local.Val, w.Local.Val)
+		n := len(w.Extended) * want.B
+		rhs, xg, xw := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range rhs {
+			rhs[i] = math.Cos(float64(i)*0.31 + float64(q))
+		}
+		w.Factor.Solve(rhs, xw)
+		g.Factor.Solve(rhs, xg)
+		sameBits(t, "factor solve", xg, xw)
+		for _, workers := range []int{1, 2, 4} {
+			pool := par.New(workers)
+			g.Factor.SolvePar(pool, rhs, xg)
+			pool.Close()
+			sameBits(t, "factor SolvePar", xg, xw)
+		}
+	}
+	zg, zw := make([]float64, len(r)), make([]float64, len(r))
+	want.Apply(r, zw)
+	got.Apply(r, zg)
+	sameBits(t, "Apply", zg, zw)
+}
+
+// TestRefreshBitwiseGrid: a preconditioner built for one matrix and
+// refreshed with another of the same pattern is bit-equal to a fresh
+// one built for the second, at every overlap and partition width.
+func TestRefreshBitwiseGrid(t *testing.T) {
+	for _, nparts := range []int{1, 4} {
+		pr := buildProblem(t, 6, 5, 4, 4, nparts)
+		a2 := sparse.BlockPattern(pr.g, 4)
+		a2.FillDeterministic(47)
+		for overlap := 0; overlap <= 2; overlap++ {
+			for _, single := range []bool{false, true} {
+				opts := Options{Overlap: overlap, ILU: ilu.Options{Level: 1, SinglePrecision: single}}
+				fresh, err := New(a2, pr.part.Part, nparts, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pc, err := New(pr.a, pr.part.Part, nparts, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pc.Refresh(a2); err != nil {
+					t.Fatal(err)
+				}
+				samePreconditioner(t, pc, fresh, pr.rhs)
+				if pc.FactorBlocks() != fresh.FactorBlocks() {
+					t.Fatalf("FactorBlocks %d, want %d", pc.FactorBlocks(), fresh.FactorBlocks())
+				}
+			}
+		}
+	}
+}
+
+// TestRefreshSingularPivotIsRecoverable: a refresh that hits a singular
+// pivot block fails with the subdomain and row named, and the next
+// refresh with a good matrix is bit-equal to a fresh build.
+func TestRefreshSingularPivotIsRecoverable(t *testing.T) {
+	const nparts = 4
+	pr := buildProblem(t, 6, 5, 4, 4, nparts)
+	opts := Options{Overlap: 1, ILU: ilu.Options{Level: 1}}
+	pc, err := New(pr.a, pr.part.Part, nparts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Global row 0 is local row 0 of its subdomain: no lower blocks, so
+	// its pivot is the zeroed block itself.
+	bad := &sparse.BCSR{NB: pr.a.NB, B: pr.a.B, RowPtr: pr.a.RowPtr, ColIdx: pr.a.ColIdx, Val: append([]float64(nil), pr.a.Val...)}
+	blk, ok := bad.BlockAt(0, 0)
+	if !ok {
+		t.Fatal("fixture: no diagonal block in row 0")
+	}
+	clear(blk)
+	err = pc.Refresh(bad)
+	if err == nil || !strings.Contains(err.Error(), "singular pivot block at row 0") || !strings.Contains(err.Error(), "subdomain") {
+		t.Fatalf("zeroed diagonal block gave %v, want a singular-pivot error naming subdomain and row", err)
+	}
+	a2 := sparse.BlockPattern(pr.g, 4)
+	a2.FillDeterministic(47)
+	if err := pc.Refresh(a2); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(a2, pr.part.Part, nparts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePreconditioner(t, pc, fresh, pr.rhs)
+}
+
+// TestRefreshRejectsOtherPattern: matrices of another shape, or with one
+// column moved, are errors.
+func TestRefreshRejectsOtherPattern(t *testing.T) {
+	pr := buildProblem(t, 6, 5, 4, 4, 2)
+	pc, err := New(pr.a, pr.part.Part, 2, Options{Overlap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := &sparse.BCSR{NB: pr.a.NB, B: pr.a.B, RowPtr: pr.a.RowPtr, ColIdx: append([]int32(nil), pr.a.ColIdx...), Val: pr.a.Val}
+	moved.ColIdx[moved.RowPtr[1]-1]++
+	for name, other := range map[string]*sparse.BCSR{
+		"other NB":         buildProblem(t, 5, 5, 4, 4, 2).a,
+		"other B":          buildProblem(t, 6, 5, 4, 5, 2).a,
+		"one column moved": moved,
+	} {
+		if err := pc.Refresh(other); err == nil || !strings.Contains(err.Error(), "pattern mismatch") {
+			t.Errorf("%s: Refresh returned %v, want a pattern-mismatch error", name, err)
+		}
+	}
+}
+
+// TestRefreshSteadyStateAllocs: the numeric refresh allocates nothing.
+func TestRefreshSteadyStateAllocs(t *testing.T) {
+	pr := buildProblem(t, 6, 5, 4, 4, 4)
+	for _, single := range []bool{false, true} {
+		pc, err := New(pr.a, pr.part.Part, 4, Options{Overlap: 1, ILU: ilu.Options{Level: 1, SinglePrecision: single}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			if err := pc.Refresh(pr.a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 0 {
+			t.Fatalf("single=%v: Refresh allocates %.1f objects per call", single, avg)
+		}
 	}
 }
