@@ -3,6 +3,7 @@ package cachesim
 import (
 	"testing"
 
+	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/sparse"
 )
@@ -269,11 +270,16 @@ func TestTraceILUSolveSinglePrecisionFewerMisses(t *testing.T) {
 	m := buildTestMesh(t)
 	g := sparse.Graph{NV: m.NumVertices(), XAdj: m.XAdj, Adj: m.Adj}
 	a := sparse.BlockPattern(g, 4)
+	a.FillDeterministic(7)
+	f, err := ilu.Factor(a, ilu.Options{Level: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(valBytes int) Counters {
 		h := smallHierarchy()
 		as := NewAddressSpace()
-		loc := PlaceILU(as, a.NB, a.B, a.NNZBlocks(), valBytes)
-		TraceILUSolve(h, a.RowPtr, a.ColIdx, a.NB, a.B, loc)
+		loc := PlaceILU(as, f.NB, f.B, f.NNZBlocks(), valBytes)
+		TraceILUSolve(h, f.Layout, f.B, loc)
 		return h.Counters()
 	}
 	c8, c4 := run(8), run(4)

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/sparse"
 )
@@ -90,10 +91,10 @@ func TraceBCSRSpMV(h *Hierarchy, a *sparse.BCSR, loc BCSRLayout) {
 }
 
 // ILULayout bundles the simulated base addresses of a block triangular
-// solve over an ILU factorization's pattern.
+// solve over an ILU factorization's solve-order storage.
 type ILULayout struct {
-	RowPtr, ColIdx, Val, InvDiag, B, X uint64
-	valSize                            int
+	LPtr, UPtr, Col, Val, B, X uint64
+	valSize                    int
 }
 
 // PlaceILU allocates address ranges for a triangular solve over a factor
@@ -101,34 +102,46 @@ type ILULayout struct {
 // 4 for single-precision factor storage, 8 for double.
 func PlaceILU(as *AddressSpace, nb, b, nnzBlocks, valBytes int) ILULayout {
 	return ILULayout{
-		RowPtr:  as.Alloc((nb+1)*sizeI32, 64),
-		ColIdx:  as.Alloc(nnzBlocks*sizeI32, 64),
+		LPtr:    as.Alloc((nb+1)*sizeI32, 64),
+		UPtr:    as.Alloc((nb+1)*sizeI32, 64),
+		Col:     as.Alloc(nnzBlocks*sizeI32, 64),
 		Val:     as.Alloc(nnzBlocks*b*b*valBytes, 64),
-		InvDiag: as.Alloc(nb*b*b*valBytes, 64),
 		B:       as.Alloc(nb*b*sizeF64, 64),
 		X:       as.Alloc(nb*b*sizeF64, 64),
 		valSize: valBytes,
 	}
 }
 
-// TraceILUSolve replays the forward+backward block triangular solve:
-// every stored factor block is read exactly once, plus the inverted
-// diagonals and the right-hand-side/solution vectors — the memory-
-// bandwidth-bound kernel of the paper's Table 2.
-func TraceILUSolve(h *Hierarchy, rowPtr, colIdx []int32, nb, b int, loc ILULayout) {
+// TraceILUSolve replays the block triangular solve in the order the
+// kernels of internal/ilu run it: the forward sweep over the L stream
+// (rows ascending), then the backward sweep over the U stream (rows
+// descending, each row's inverted diagonal block after its U blocks).
+// Every stored block is read exactly once — the memory-bandwidth-bound
+// kernel of the paper's Table 2.
+func TraceILUSolve(h *Hierarchy, lay ilu.Layout, b int, loc ILULayout) {
 	bb := b * b
-	// Forward sweep (rows ascending), then backward (descending); the
-	// same blocks are partitioned between the two sweeps, so tracing
-	// each block once per solve at its row's position is faithful.
+	nb := len(lay.LPtr) - 1
+	block := func(k int32) {
+		h.Access(loc.Col+uint64(k)*sizeI32, sizeI32)
+		h.Access(loc.Val+uint64(int(k)*bb*loc.valSize), bb*loc.valSize)
+		h.Access(loc.X+uint64(int(lay.Col[k])*b)*sizeF64, b*sizeF64)
+	}
 	for i := 0; i < nb; i++ {
-		h.Access(loc.RowPtr+uint64(i)*sizeI32, 2*sizeI32)
+		h.Access(loc.LPtr+uint64(i)*sizeI32, 2*sizeI32)
 		h.Access(loc.B+uint64(i*b)*sizeF64, b*sizeF64)
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			h.Access(loc.ColIdx+uint64(k)*sizeI32, sizeI32)
-			h.Access(loc.Val+uint64(int(k)*bb*loc.valSize), bb*loc.valSize)
-			h.Access(loc.X+uint64(int(colIdx[k])*b)*sizeF64, b*sizeF64)
+		for k := lay.LPtr[i]; k < lay.LPtr[i+1]; k++ {
+			block(k)
 		}
-		h.Access(loc.InvDiag+uint64(i*bb*loc.valSize), bb*loc.valSize)
+		h.Access(loc.X+uint64(i*b)*sizeF64, b*sizeF64)
+	}
+	for i := nb - 1; i >= 0; i-- {
+		h.Access(loc.UPtr+uint64(i)*sizeI32, 2*sizeI32)
+		h.Access(loc.X+uint64(i*b)*sizeF64, b*sizeF64)
+		kd := lay.UPtr[i] - 1
+		for k := lay.UPtr[i+1]; k < kd; k++ {
+			block(k)
+		}
+		h.Access(loc.Val+uint64(int(kd)*bb*loc.valSize), bb*loc.valSize)
 		h.Access(loc.X+uint64(i*b)*sizeF64, b*sizeF64)
 	}
 }

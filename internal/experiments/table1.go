@@ -204,14 +204,14 @@ func buildVariant(m *mesh.Mesh, sys euler.System, inter, block, reorder bool) (*
 			iloc := cachesim.PlaceILU(as, fact.NB, fact.B, fact.NNZBlocks(), fact.BytesPerValue())
 			for s := 0; s < sweeps; s++ {
 				cachesim.TraceBCSRSpMV(h, spmvA, mloc)
-				cachesim.TraceILUSolve(h, fact.RowPtr, fact.ColIdx, fact.NB, fact.B, iloc)
+				cachesim.TraceILUSolve(h, fact.Layout, fact.B, iloc)
 			}
 		} else {
 			mloc := cachesim.PlaceCSR(as, spmvC)
 			iloc := cachesim.PlaceILU(as, fact.NB, fact.B, fact.NNZBlocks(), fact.BytesPerValue())
 			for s := 0; s < sweeps; s++ {
 				cachesim.TraceCSRSpMV(h, spmvC, mloc)
-				cachesim.TraceILUSolve(h, fact.RowPtr, fact.ColIdx, fact.NB, fact.B, iloc)
+				cachesim.TraceILUSolve(h, fact.Layout, fact.B, iloc)
 			}
 		}
 	}

@@ -14,39 +14,47 @@ import (
 	"petscfun3d/internal/sparse"
 )
 
-// Factorization holds the combined L\U factors of a block ILU(k)
-// factorization. L has implicit identity diagonal blocks; U's diagonal
-// blocks are stored inverted for fast triangular solves.
-type Factorization struct {
-	NB     int
-	B      int
-	Level  int
-	RowPtr []int32
-	ColIdx []int32 // sorted within each row; includes the diagonal
-	diagK  []int32 // index (block slot) of the diagonal in each row
+// Layout is the order the factor blocks are stored in — the order the
+// triangular solves read them. Blocks are numbered through one value
+// array (block k's B² scalars start at k·B²) holding two streams: first
+// the L blocks of rows 0…NB-1, row i's being LPtr[i]…LPtr[i+1]-1; then
+// the U blocks of rows NB-1…0, row i's being UPtr[i+1]…UPtr[i]-2 with
+// its inverted diagonal block after them at UPtr[i]-1 (UPtr descends
+// from the block count at row 0 to the L block count at row NB). The
+// forward sweep is one ascending pass over the first stream, the
+// backward sweep one over the second. Within a row blocks ascend by
+// column; Col[k] is block k's column (its own row for a diagonal).
+type Layout struct {
+	LPtr, UPtr, Col []int32
+}
 
-	// val64/invDiag64 are the elimination arrays: the combined factors
-	// and the inverted U diagonal blocks, always computed in float64.
-	// With single-precision storage they stay behind as Refactor's work
-	// arrays and the solves read the rounded copies val32/invDiag32
-	// (non-nil exactly then).
-	val64     []float64
-	invDiag64 []float64
-	val32     []float32
-	invDiag32 []float32
+// Factorization holds the L and U factors of a block ILU(k)
+// factorization. L has implicit identity diagonal blocks; U's diagonal
+// blocks are stored inverted.
+type Factorization struct {
+	NB    int
+	B     int
+	Level int
+	Layout
+
+	// val64 is the elimination array, always float64. With single-
+	// precision storage it stays behind as Refactor's work array and the
+	// solves read val32, its element-wise rounding (non-nil exactly then).
+	val64 []float64
+	val32 []float32
 
 	// Numeric-refresh state, built once by Factor from the pattern it
 	// analysed: aSlot[k] is the factor block that A's block k is copied
 	// into, fillSlots the factor blocks A does not cover (zeroed before
 	// each elimination). slot is the dense per-row work array of the IKJ
 	// elimination — slot[j] is the block of column j in the row being
-	// eliminated, -1 elsewhere, and all -1 between calls — and blk one
-	// block of scratch.
+	// eliminated, -1 elsewhere, and all -1 between calls — blk one block
+	// of scratch and aug the augmented block of the pivot inversion.
 	pattern   sparse.Pattern
 	aSlot     []int32
 	fillSlots []int32
 	slot      []int32
-	blk       []float64
+	blk, aug  []float64
 
 	// Level-set schedule of the triangular solves (levels.go): block
 	// rows grouped by dependency depth in the L (forward) and U
@@ -57,13 +65,10 @@ type Factorization struct {
 	fwdRows, bwdRows []int32
 	fwdPtr, bwdPtr   []int32
 
-	// Solve scratch, hoisted out of the bandwidth-bound sweeps: seqTmp
-	// is the sequential diagonal-multiply temporary for block sizes the
-	// stack array cannot hold (B > 5); parScratch holds one such
-	// temporary per pool worker.
-	seqTmp     []float64
-	parScratch []float64
-	task       triTask
+	// tmp is backwardN's diagonal-multiply temporary, B scalars per pool
+	// worker (the sequential solve is worker 0).
+	tmp  []float64
+	task triTask
 }
 
 // Options configures a factorization.
@@ -76,7 +81,7 @@ type Options struct {
 }
 
 // NNZBlocks returns the number of stored blocks in the factors.
-func (f *Factorization) NNZBlocks() int { return len(f.ColIdx) }
+func (f *Factorization) NNZBlocks() int { return len(f.Col) }
 
 // BytesPerValue returns 4 or 8 according to the storage precision.
 func (f *Factorization) BytesPerValue() int {
@@ -102,12 +107,12 @@ func FactorBytesFor(nnzb, b, valBytes int) int64 {
 
 // FactorFlops estimates the floating-point work of this factorization.
 func (f *Factorization) FactorFlops() int64 {
-	return FactorFlopsFor(len(f.ColIdx), f.B)
+	return FactorFlopsFor(len(f.Col), f.B)
 }
 
 // FactorBytes estimates this factorization's memory traffic.
 func (f *Factorization) FactorBytes() int64 {
-	return FactorBytesFor(len(f.ColIdx), f.B, f.BytesPerValue())
+	return FactorBytesFor(len(f.Col), f.B, f.BytesPerValue())
 }
 
 // Factor computes the block ILU(k) factorization of a: the symbolic
@@ -128,12 +133,9 @@ func Factor(a *sparse.BCSR, opts Options) (*Factorization, error) {
 	if err := f.indexValues(a); err != nil {
 		return nil, err
 	}
-	bb := a.B * a.B
-	f.val64 = make([]float64, len(f.ColIdx)*bb)
-	f.invDiag64 = make([]float64, f.NB*bb)
+	f.val64 = make([]float64, len(f.Col)*a.B*a.B)
 	if opts.SinglePrecision {
 		f.val32 = make([]float32, len(f.val64))
-		f.invDiag32 = make([]float32, len(f.invDiag64))
 	}
 	if err := f.numeric(a); err != nil {
 		return nil, err
@@ -227,27 +229,31 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 		rowCols[i] = cols
 		rowLevs[i] = levs
 	}
-	// Assemble CSR-ish structure.
-	f.RowPtr = make([]int32, nb+1)
-	total := 0
+	// Assemble the solve-order layout: row i's lower columns into the L
+	// stream at its ascending position, its upper columns and then the
+	// diagonal into the U stream at its descending one.
+	f.LPtr = make([]int32, nb+1)
+	f.UPtr = make([]int32, nb+1)
 	for i := 0; i < nb; i++ {
-		total += len(rowCols[i])
-	}
-	f.ColIdx = make([]int32, 0, total)
-	f.diagK = make([]int32, nb)
-	for i := 0; i < nb; i++ {
-		found := false
-		for t, j := range rowCols[i] {
-			if j == int32(i) {
-				f.diagK[i] = f.RowPtr[i] + int32(t)
-				found = true
-			}
+		t := 0
+		for t < len(rowCols[i]) && rowCols[i][t] < int32(i) {
+			t++
 		}
-		if !found {
+		if t == len(rowCols[i]) || rowCols[i][t] != int32(i) {
 			return fmt.Errorf("ilu: row %d lost its diagonal", i)
 		}
-		f.ColIdx = append(f.ColIdx, rowCols[i]...) //lint:alloc-ok appends into capacity preallocated to the exact total
-		f.RowPtr[i+1] = int32(len(f.ColIdx))
+		f.LPtr[i+1] = f.LPtr[i] + int32(t)
+	}
+	f.UPtr[nb] = f.LPtr[nb]
+	for i := nb - 1; i >= 0; i-- {
+		f.UPtr[i] = f.UPtr[i+1] + int32(len(rowCols[i])) - (f.LPtr[i+1] - f.LPtr[i])
+	}
+	f.Col = make([]int32, f.UPtr[0])
+	for i := 0; i < nb; i++ {
+		t := f.LPtr[i+1] - f.LPtr[i] // position of the diagonal in rowCols[i]
+		copy(f.Col[f.LPtr[i]:], rowCols[i][:t])
+		copy(f.Col[f.UPtr[i+1]:], rowCols[i][t+1:])
+		f.Col[f.UPtr[i]-1] = int32(i)
 	}
 	return nil
 }
@@ -272,24 +278,33 @@ func insertSorted(s []int32, from int, v int32) []int32 {
 	return s
 }
 
+// rowSegments returns row i's blocks as three block ranges in ascending
+// column order: its L blocks, its diagonal, its U blocks.
+func (f *Factorization) rowSegments(i int) [3][2]int32 {
+	kd := f.UPtr[i] - 1
+	return [3][2]int32{{f.LPtr[i], f.LPtr[i+1]}, {kd, kd + 1}, {f.UPtr[i+1], kd}}
+}
+
 // indexValues builds the numeric pass's copy index by walking each
 // factor row against A's row (both ascending): a factor block either
 // receives an A block or is fill.
 func (f *Factorization) indexValues(a *sparse.BCSR) error {
-	if len(a.ColIdx) > len(f.ColIdx) {
-		return fmt.Errorf("ilu: matrix stores %d blocks, its fill pattern only %d", len(a.ColIdx), len(f.ColIdx))
+	if len(a.ColIdx) > len(f.Col) {
+		return fmt.Errorf("ilu: matrix stores %d blocks, its fill pattern only %d", len(a.ColIdx), len(f.Col))
 	}
 	f.pattern = sparse.PatternOf(a)
 	f.aSlot = make([]int32, len(a.ColIdx))
-	f.fillSlots = make([]int32, 0, len(f.ColIdx)-len(a.ColIdx))
+	f.fillSlots = make([]int32, 0, len(f.Col)-len(a.ColIdx))
 	for i := 0; i < f.NB; i++ {
 		ka, aEnd := a.RowPtr[i], a.RowPtr[i+1]
-		for k := f.RowPtr[i]; k < f.RowPtr[i+1]; k++ {
-			if ka < aEnd && a.ColIdx[ka] == f.ColIdx[k] {
-				f.aSlot[ka] = k
-				ka++
-			} else {
-				f.fillSlots = append(f.fillSlots, k) //lint:alloc-ok appends into capacity preallocated to the exact fill count
+		for _, seg := range f.rowSegments(i) {
+			for k := seg[0]; k < seg[1]; k++ {
+				if ka < aEnd && a.ColIdx[ka] == f.Col[k] {
+					f.aSlot[ka] = k
+					ka++
+				} else {
+					f.fillSlots = append(f.fillSlots, k) //lint:alloc-ok appends into capacity preallocated to the exact fill count
+				}
 			}
 		}
 		if ka != aEnd {
@@ -300,17 +315,21 @@ func (f *Factorization) indexValues(a *sparse.BCSR) error {
 	for i := range f.slot {
 		f.slot[i] = -1
 	}
-	f.blk = make([]float64, f.B*f.B)
+	bb := f.B * f.B
+	f.blk = make([]float64, bb)
+	f.aug = make([]float64, 2*bb)
+	f.tmp = make([]float64, f.B)
 	return nil
 }
 
 // numeric loads a's values into the fill pattern and performs the block
-// IKJ elimination in place — the one numeric path behind both Factor
-// and Refactor.
+// IKJ elimination in place, directly in the solve-order storage — the
+// one numeric path behind both Factor and Refactor.
 func (f *Factorization) numeric(a *sparse.BCSR) error {
 	b := f.B
 	bb := b * b
-	val, inv, slot, factor := f.val64, f.invDiag64, f.slot, f.blk
+	val, slot, factor := f.val64, f.slot, f.blk
+	col, lPtr, uPtr := f.Col, f.LPtr, f.UPtr
 	for _, k := range f.fillSlots {
 		clear(val[int(k)*bb : int(k)*bb+bb]) //lint:bce-ok fill block offset comes from the precomputed index list
 	}
@@ -318,29 +337,39 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 		copy(val[int(dst)*bb:int(dst)*bb+bb], a.Val[k*bb:k*bb+bb]) //lint:bce-ok scatter through the precomputed A→factor copy index
 	}
 	for i := 0; i < f.NB; i++ {
-		lo, kd, hi := int(f.RowPtr[i]), int(f.diagK[i]), int(f.RowPtr[i+1])
-		for k := lo; k < hi; k++ {
-			slot[f.ColIdx[k]] = int32(k) //lint:bce-ok dense work array indexed by block column
+		lower := col[lPtr[i]:lPtr[i+1]]
+		upper := col[uPtr[i+1]:uPtr[i]] // the U blocks, then the diagonal
+		kd := int(uPtr[i]) - 1
+		for t, j := range lower {
+			slot[j] = lPtr[i] + int32(t) //lint:bce-ok dense work array indexed by block column
 		}
-		for kip := lo; kip < kd; kip++ {
-			p := int(f.ColIdx[kip])
-			// factor = A_ip * invU_pp
+		for t, j := range upper {
+			slot[j] = uPtr[i+1] + int32(t) //lint:bce-ok dense work array indexed by block column
+		}
+		for t, pc := range lower {
+			p, kip := int(pc), int(lPtr[i])+t
+			// factor = A_ip * invU_pp; row p's inverse sits after its U blocks.
+			uLo, pd := int(uPtr[p+1]), int(uPtr[p])-1
 			aip := val[kip*bb : kip*bb+bb]
-			matMul(aip, inv[p*bb:p*bb+bb], factor, b)
+			matMul(aip, val[pd*bb:pd*bb+bb], factor, b)
 			copy(aip, factor)
 			// Row update: A_ij -= factor * U_pj for j > p in row p.
-			uLo, uHi := int(f.diagK[p])+1, int(f.RowPtr[p+1])
-			for kp := uLo; kp < uHi; kp++ {
-				dst := int(slot[f.ColIdx[kp]]) //lint:bce-ok dense work array indexed by block column
+			for kp := uLo; kp < pd; kp++ {
+				dst := int(slot[col[kp]]) //lint:bce-ok dense work array indexed by block column
 				if dst < 0 {
 					continue // fill dropped by the level rule
 				}
 				mulSub(val[dst*bb:dst*bb+bb], factor, val[kp*bb:kp*bb+bb], b) //lint:bce-ok block offsets are data-dependent through the pattern
 			}
 		}
-		err := invertBlock(val[kd*bb:kd*bb+bb], inv[i*bb:i*bb+bb], b)
-		for k := lo; k < hi; k++ {
-			slot[f.ColIdx[k]] = -1 //lint:bce-ok dense work array indexed by block column
+		// The pivot block is inverted where the backward sweep reads it.
+		diag := val[kd*bb : kd*bb+bb]
+		err := invertBlock(diag, diag, b, f.aug)
+		for _, j := range lower {
+			slot[j] = -1 //lint:bce-ok dense work array indexed by block column
+		}
+		for _, j := range upper {
+			slot[j] = -1 //lint:bce-ok dense work array indexed by block column
 		}
 		if err != nil {
 			return fmt.Errorf("ilu: singular pivot block at row %d: %w", i, err) //lint:escape-ok cold error exit: the row index is boxed only when the factorization fails
@@ -350,10 +379,6 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 		v32 := f.val32[:len(val)]
 		for i, v := range val {
 			v32[i] = float32(v)
-		}
-		i32 := f.invDiag32[:len(inv)]
-		for i, v := range inv {
-			i32[i] = float32(v)
 		}
 	}
 	return nil
@@ -474,16 +499,10 @@ func matMul(a, b, c []float64, n int) {
 	}
 }
 
-// invertBlock inverts the row-major n×n block src into dst using
-// Gauss-Jordan with partial pivoting.
-func invertBlock(src, dst []float64, n int) error {
-	var work [2 * 5 * 5]float64 // augmented [A | I], n <= 5 typical; fall back below
-	var aug []float64
-	if 2*n*n <= len(work) {
-		aug = work[:2*n*n]
-	} else {
-		aug = make([]float64, 2*n*n)
-	}
+// invertBlock inverts the row-major n×n block src into dst (which may
+// be src itself) using Gauss-Jordan with partial pivoting; aug is 2n²
+// scalars of scratch for the augmented block [A | I].
+func invertBlock(src, dst []float64, n int, aug []float64) error {
 	w := 2 * n
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

@@ -24,7 +24,7 @@ func wingBlockMatrix(t testing.TB, nx, ny, nz, b int, seed uint64) *sparse.BCSR 
 func TestInvertBlock(t *testing.T) {
 	src := []float64{4, 1, 0, 2, 5, 1, 0, 3, 6}
 	dst := make([]float64, 9)
-	if err := invertBlock(src, dst, 3); err != nil {
+	if err := invertBlock(src, dst, 3, make([]float64, 18)); err != nil {
 		t.Fatal(err)
 	}
 	// src * dst == I.
@@ -41,8 +41,18 @@ func TestInvertBlock(t *testing.T) {
 			}
 		}
 	}
+	// In place, as the numeric pass inverts its pivots.
+	inPlace := append([]float64(nil), src...)
+	if err := invertBlock(inPlace, inPlace, 3, make([]float64, 18)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dst {
+		if inPlace[i] != dst[i] {
+			t.Fatalf("in-place inverse differs at %d: %g vs %g", i, inPlace[i], dst[i])
+		}
+	}
 	singular := []float64{1, 2, 2, 4}
-	if err := invertBlock(singular, make([]float64, 4), 2); err == nil {
+	if err := invertBlock(singular, make([]float64, 4), 2, make([]float64, 8)); err == nil {
 		t.Error("singular block inverted")
 	}
 }
@@ -51,7 +61,7 @@ func TestInvertBlockNeedsPivoting(t *testing.T) {
 	// Zero in the (0,0) position requires a row swap.
 	src := []float64{0, 1, 1, 0}
 	dst := make([]float64, 4)
-	if err := invertBlock(src, dst, 2); err != nil {
+	if err := invertBlock(src, dst, 2, make([]float64, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0] != 0 || dst[1] != 1 || dst[2] != 1 || dst[3] != 0 {
@@ -227,44 +237,6 @@ func BenchmarkFactorILU1(b *testing.B) {
 		if _, err := Factor(a, Options{Level: 1}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkTriSolveDouble(b *testing.B) {
-	a := wingBlockMatrix(b, 10, 8, 7, 4, 17)
-	f, err := Factor(a, Options{Level: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := a.N()
-	rhs := make([]float64, n)
-	x := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	b.SetBytes(f.SolveBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Solve(rhs, x)
-	}
-}
-
-func BenchmarkTriSolveSingle(b *testing.B) {
-	a := wingBlockMatrix(b, 10, 8, 7, 4, 17)
-	f, err := Factor(a, Options{Level: 1, SinglePrecision: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := a.N()
-	rhs := make([]float64, n)
-	x := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = 1
-	}
-	b.SetBytes(f.SolveBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Solve(rhs, x)
 	}
 }
 

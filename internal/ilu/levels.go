@@ -23,12 +23,12 @@ import (
 func (f *Factorization) buildLevels() {
 	nb := f.NB
 	lev := make([]int32, nb)
-	// Forward: ascending rows, L dependencies are k < diagK[i].
+	// Forward: ascending rows, dependencies are the row's L blocks.
 	depth := 0
 	for i := 0; i < nb; i++ {
 		var l int32
-		for k := f.RowPtr[i]; k < f.diagK[i]; k++ {
-			if d := lev[f.ColIdx[k]] + 1; d > l {
+		for _, j := range f.Col[f.LPtr[i]:f.LPtr[i+1]] {
+			if d := lev[j] + 1; d > l {
 				l = d
 			}
 		}
@@ -38,15 +38,13 @@ func (f *Factorization) buildLevels() {
 		}
 	}
 	f.fwdRows, f.fwdPtr = bucketLevels(lev, depth)
-	// Backward: descending rows, U dependencies are k > diagK[i].
-	for i := range lev {
-		lev[i] = 0
-	}
+	// Backward: descending rows, dependencies are the row's U blocks.
+	clear(lev)
 	depth = 0
 	for i := nb - 1; i >= 0; i-- {
 		var l int32
-		for k := f.diagK[i] + 1; k < f.RowPtr[i+1]; k++ {
-			if d := lev[f.ColIdx[k]] + 1; d > l {
+		for _, j := range f.Col[f.UPtr[i+1] : f.UPtr[i]-1] {
+			if d := lev[j] + 1; d > l {
 				l = d
 			}
 		}
@@ -138,8 +136,8 @@ func (f *Factorization) SolvePar(p *par.Pool, b, x []float64) {
 	}
 	sp := prof.Begin(prof.PhaseTriSolve)
 	prof.NoteThreads(prof.PhaseTriSolve, nw)
-	if len(f.parScratch) < nw*f.B {
-		f.parScratch = make([]float64, nw*f.B)
+	if len(f.tmp) < nw*f.B {
+		f.tmp = make([]float64, nw*f.B)
 	}
 	t := &f.task
 	t.f, t.b, t.x = f, b, x
@@ -178,144 +176,11 @@ type triTask struct {
 
 // RunShard implements par.Task.
 func (t *triTask) RunShard(w, nw int) {
-	rows := t.rows[len(t.rows)*w/nw : len(t.rows)*(w+1)/nw]
-	if len(rows) == 0 {
-		return
-	}
+	lo, hi := len(t.rows)*w/nw, len(t.rows)*(w+1)/nw
 	f := t.f
 	if t.backward {
-		tmp := f.parScratch[w*f.B : w*f.B+f.B]
-		if f.val32 != nil {
-			f.backwardRows32(rows, t.x, tmp)
-		} else {
-			f.backwardRows(rows, t.x, tmp)
-		}
-		return
-	}
-	if f.val32 != nil {
-		f.forwardRows32(rows, t.b, t.x)
+		f.backward(t.rows, lo, hi, t.x, f.tmp[w*f.B:w*f.B+f.B])
 	} else {
-		f.forwardRows(rows, t.b, t.x)
-	}
-}
-
-// forwardRows runs the forward substitution's body for the listed rows:
-// y_i = b_i - Σ_{j<i} L_ij y_j, stored into x. Identical arithmetic and
-// accumulation order to the corresponding rows of Solve.
-func (f *Factorization) forwardRows(rows []int32, b, x []float64) {
-	n := f.B
-	bb := n * n
-	for _, i := range rows {
-		xi := x[int(i)*n : int(i)*n+n]
-		copy(xi, b[int(i)*n:int(i)*n+n])
-		for k := int(f.RowPtr[i]); k < int(f.diagK[i]); k++ {
-			j := int(f.ColIdx[k]) * n
-			blk := f.val64[k*bb : k*bb+bb]
-			xs := x[j : j+n]
-			for r := 0; r < n; r++ {
-				row := blk[r*n:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var s float64
-				for c, w := range row {
-					s += w * xs[c]
-				}
-				xi[r] -= s
-			}
-		}
-	}
-}
-
-// backwardRows runs the backward substitution's body for the listed
-// rows: x_i = invU_ii (y_i - Σ_{j>i} U_ij x_j), with the caller-owned
-// tmp holding the diagonal multiply.
-func (f *Factorization) backwardRows(rows []int32, x, tmp []float64) {
-	n := f.B
-	bb := n * n
-	for _, i := range rows {
-		xi := x[int(i)*n : int(i)*n+n]
-		for k := int(f.diagK[i]) + 1; k < int(f.RowPtr[i+1]); k++ {
-			j := int(f.ColIdx[k]) * n
-			blk := f.val64[k*bb : k*bb+bb]
-			xs := x[j : j+n]
-			for r := 0; r < n; r++ {
-				row := blk[r*n:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var s float64
-				for c, w := range row {
-					s += w * xs[c]
-				}
-				xi[r] -= s
-			}
-		}
-		inv := f.invDiag64[int(i)*bb : int(i)*bb+bb]
-		for r := 0; r < n; r++ {
-			row := inv[r*n:]
-			row = row[:len(xi)] // bce: ties len(row) to len(xi); the c index needs one range check, not two
-			var s float64
-			for c, w := range row {
-				s += w * xi[c]
-			}
-			tmp[r] = s
-		}
-		copy(xi, tmp)
-	}
-}
-
-// forwardRows32 is forwardRows for single-precision factor storage;
-// arithmetic stays in float64.
-func (f *Factorization) forwardRows32(rows []int32, b, x []float64) {
-	n := f.B
-	bb := n * n
-	for _, i := range rows {
-		xi := x[int(i)*n : int(i)*n+n]
-		copy(xi, b[int(i)*n:int(i)*n+n])
-		for k := int(f.RowPtr[i]); k < int(f.diagK[i]); k++ {
-			j := int(f.ColIdx[k]) * n
-			blk := f.val32[k*bb : k*bb+bb]
-			xs := x[j : j+n]
-			for r := 0; r < n; r++ {
-				row := blk[r*n:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var s float64
-				for c, w := range row {
-					s += float64(w) * xs[c]
-				}
-				xi[r] -= s
-			}
-		}
-	}
-}
-
-// backwardRows32 is backwardRows for single-precision factor storage.
-func (f *Factorization) backwardRows32(rows []int32, x, tmp []float64) {
-	n := f.B
-	bb := n * n
-	for _, i := range rows {
-		xi := x[int(i)*n : int(i)*n+n]
-		for k := int(f.diagK[i]) + 1; k < int(f.RowPtr[i+1]); k++ {
-			j := int(f.ColIdx[k]) * n
-			blk := f.val32[k*bb : k*bb+bb]
-			xs := x[j : j+n]
-			for r := 0; r < n; r++ {
-				row := blk[r*n:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var s float64
-				for c, w := range row {
-					s += float64(w) * xs[c]
-				}
-				xi[r] -= s
-			}
-		}
-		inv := f.invDiag32[int(i)*bb : int(i)*bb+bb]
-		for r := 0; r < n; r++ {
-			row := inv[r*n:]
-			row = row[:len(xi)] // bce: ties len(row) to len(xi); the c index needs one range check, not two
-			var s float64
-			for c, w := range row {
-				s += float64(w) * xi[c]
-			}
-			tmp[r] = s
-		}
-		copy(xi, tmp)
+		f.forward(t.rows, lo, hi, t.b, t.x)
 	}
 }

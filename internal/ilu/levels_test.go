@@ -17,40 +17,99 @@ func levelFixture(t testing.TB, b, level int, single bool) *Factorization {
 	return f
 }
 
-// TestLevelSetsAreAValidSchedule: every row appears exactly once per
-// direction, and every dependency lands in a strictly earlier level.
-func TestLevelSetsAreAValidSchedule(t *testing.T) {
+// TestLayoutInvariants: the solve-order storage holds every logical
+// block of the fill pattern exactly once — L stream ascending by row, U
+// stream descending by row, each row's diagonal last in its U range —
+// and the level schedule is a valid one for the dependencies it stores.
+func TestLayoutInvariants(t *testing.T) {
 	for _, level := range []int{0, 1, 2} {
-		f := levelFixture(t, 4, level, false)
+		a := wingBlockMatrix(t, 8, 5, 4, 4, 42)
+		f, err := Factor(a, Options{Level: level})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb, nnzb := f.NB, int32(f.NNZBlocks())
+		if len(f.LPtr) != nb+1 || len(f.UPtr) != nb+1 || f.LPtr[0] != 0 || f.UPtr[nb] != f.LPtr[nb] || f.UPtr[0] != nnzb {
+			t.Fatalf("level=%d: stream bounds lPtr[0]=%d lPtr[NB]=%d uPtr[NB]=%d uPtr[0]=%d nnzb=%d",
+				level, f.LPtr[0], f.LPtr[nb], f.UPtr[nb], f.UPtr[0], nnzb)
+		}
+		seen := make([]bool, nnzb)
+		for i := 0; i < nb; i++ {
+			if f.LPtr[i+1] < f.LPtr[i] {
+				t.Fatalf("level=%d: L stream not ascending at row %d", level, i)
+			}
+			if f.UPtr[i+1] >= f.UPtr[i] {
+				t.Fatalf("level=%d: U stream not descending at row %d (no room for its diagonal)", level, i)
+			}
+			if kd := f.UPtr[i] - 1; f.Col[kd] != int32(i) {
+				t.Fatalf("level=%d: row %d's last U-stream block is column %d, want its diagonal", level, i, f.Col[kd])
+			}
+			prev := int32(-1)
+			for s, seg := range f.rowSegments(i) {
+				for k := seg[0]; k < seg[1]; k++ {
+					if seen[k] {
+						t.Fatalf("level=%d: block %d stored in two rows", level, k)
+					}
+					seen[k] = true
+					j := f.Col[k]
+					if j <= prev {
+						t.Fatalf("level=%d row %d: column %d after %d", level, i, j, prev)
+					}
+					prev = j
+					if (s == 0 && j >= int32(i)) || (s == 1 && j != int32(i)) || (s == 2 && j <= int32(i)) {
+						t.Fatalf("level=%d row %d: column %d in segment %d", level, i, j, s)
+					}
+				}
+			}
+			// Every block of A is a logical block of its row.
+			for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+				found := false
+				for _, seg := range f.rowSegments(i) {
+					for k := seg[0]; k < seg[1]; k++ {
+						found = found || f.Col[k] == j
+					}
+				}
+				if !found {
+					t.Fatalf("level=%d: A's block (%d,%d) is not in the factor", level, i, j)
+				}
+			}
+		}
+		for k, ok := range seen {
+			if !ok {
+				t.Fatalf("level=%d: block %d belongs to no row", level, k)
+			}
+		}
+		if level == 0 && int(nnzb) != a.NNZBlocks() {
+			t.Fatalf("ILU(0) stores %d blocks, A %d", nnzb, a.NNZBlocks())
+		}
 		for dir, sched := range map[string]struct{ rows, ptr []int32 }{
 			"fwd": {f.fwdRows, f.fwdPtr},
 			"bwd": {f.bwdRows, f.bwdPtr},
 		} {
-			if len(sched.rows) != f.NB {
-				t.Fatalf("level=%d %s: %d scheduled rows, want %d", level, dir, len(sched.rows), f.NB)
+			if len(sched.rows) != nb {
+				t.Fatalf("level=%d %s: %d scheduled rows, want %d", level, dir, len(sched.rows), nb)
 			}
-			levelOf := make([]int, f.NB)
-			seen := make([]bool, f.NB)
+			levelOf := make([]int, nb)
+			scheduled := make([]bool, nb)
 			for l := 0; l+1 < len(sched.ptr); l++ {
 				for _, i := range sched.rows[sched.ptr[l]:sched.ptr[l+1]] {
-					if seen[i] {
+					if scheduled[i] {
 						t.Fatalf("level=%d %s: row %d scheduled twice", level, dir, i)
 					}
-					seen[i] = true
+					scheduled[i] = true
 					levelOf[i] = l
 				}
 			}
-			for i := 0; i < f.NB; i++ {
-				if !seen[i] {
+			for i := 0; i < nb; i++ {
+				if !scheduled[i] {
 					t.Fatalf("level=%d %s: row %d never scheduled", level, dir, i)
 				}
-				lo, hi := f.RowPtr[i], f.diagK[i]
+				deps := f.rowSegments(i)[0]
 				if dir == "bwd" {
-					lo, hi = f.diagK[i]+1, f.RowPtr[i+1]
+					deps = f.rowSegments(i)[2]
 				}
-				for k := lo; k < hi; k++ {
-					j := f.ColIdx[k]
-					if levelOf[j] >= levelOf[i] {
+				for k := deps[0]; k < deps[1]; k++ {
+					if j := f.Col[k]; levelOf[j] >= levelOf[i] {
 						t.Fatalf("level=%d %s: row %d (level %d) depends on row %d (level %d)",
 							level, dir, i, levelOf[i], j, levelOf[j])
 					}
@@ -131,19 +190,22 @@ func TestLevelStats(t *testing.T) {
 }
 
 // TestSolveParSteadyStateAllocs: after a warm-up solve sizes the
-// per-worker scratch, repeated threaded solves do not allocate.
+// per-worker scratch (which only the fallback kernels of B = 7 use),
+// repeated threaded solves do not allocate.
 func TestSolveParSteadyStateAllocs(t *testing.T) {
-	f := levelFixture(t, 4, 1, false)
-	n := f.NB * f.B
-	b := make([]float64, n)
-	x := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i % 7)
-	}
-	p := par.New(4)
-	defer p.Close()
-	f.SolvePar(p, b, x) // warm up scratch
-	if avg := testing.AllocsPerRun(20, func() { f.SolvePar(p, b, x) }); avg > 0 {
-		t.Fatalf("SolvePar allocates %.1f objects per solve", avg)
+	for _, b := range []int{4, 7} {
+		f := levelFixture(t, b, 1, false)
+		n := f.NB * f.B
+		rhs := make([]float64, n)
+		x := make([]float64, n)
+		for i := range rhs {
+			rhs[i] = float64(i % 7)
+		}
+		p := par.New(4)
+		f.SolvePar(p, rhs, x) // warm up scratch
+		if avg := testing.AllocsPerRun(20, func() { f.SolvePar(p, rhs, x) }); avg > 0 {
+			t.Fatalf("B=%d: SolvePar allocates %.1f objects per solve", b, avg)
+		}
+		p.Close()
 	}
 }

@@ -9,42 +9,39 @@ import (
 	"petscfun3d/internal/sparse"
 )
 
-// sameFactors fails unless two factorizations hold bit-equal structure
-// and values in every array a solve or a later Refactor reads.
+// sameFactors fails unless two factorizations hold bit-equal layout and
+// values in every array a solve or a later Refactor reads.
 func sameFactors(t *testing.T, got, want *Factorization) {
 	t.Helper()
-	if got.NB != want.NB || got.B != want.B || len(got.ColIdx) != len(want.ColIdx) {
-		t.Fatalf("shape %d/%d/%d, want %d/%d/%d", got.NB, got.B, len(got.ColIdx), want.NB, want.B, len(want.ColIdx))
+	if got.NB != want.NB || got.B != want.B {
+		t.Fatalf("shape %d/%d, want %d/%d", got.NB, got.B, want.NB, want.B)
 	}
-	for k := range want.ColIdx {
-		if got.ColIdx[k] != want.ColIdx[k] {
-			t.Fatalf("block %d in column %d, want %d", k, got.ColIdx[k], want.ColIdx[k])
-		}
-	}
-	same64 := func(name string, g, w []float64) {
+	sameIdx := func(name string, g, w []int32) {
 		if len(g) != len(w) {
-			t.Fatalf("%s: %d values, want %d", name, len(g), len(w))
+			t.Fatalf("%s: %d entries, want %d", name, len(g), len(w))
 		}
 		for i := range w {
-			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
-				t.Fatalf("%s[%d] = %x, want %x", name, i, math.Float64bits(g[i]), math.Float64bits(w[i]))
+			if g[i] != w[i] {
+				t.Fatalf("%s[%d] = %d, want %d", name, i, g[i], w[i])
 			}
 		}
 	}
-	same32 := func(name string, g, w []float32) {
-		if len(g) != len(w) {
-			t.Fatalf("%s: %d values, want %d", name, len(g), len(w))
-		}
-		for i := range w {
-			if math.Float32bits(g[i]) != math.Float32bits(w[i]) {
-				t.Fatalf("%s[%d] = %x, want %x", name, i, math.Float32bits(g[i]), math.Float32bits(w[i]))
-			}
+	sameIdx("lPtr", got.LPtr, want.LPtr)
+	sameIdx("uPtr", got.UPtr, want.UPtr)
+	sameIdx("col", got.Col, want.Col)
+	if len(got.val64) != len(want.val64) || len(got.val32) != len(want.val32) {
+		t.Fatalf("%d/%d values, want %d/%d", len(got.val64), len(got.val32), len(want.val64), len(want.val32))
+	}
+	for i, w := range want.val64 {
+		if math.Float64bits(got.val64[i]) != math.Float64bits(w) {
+			t.Fatalf("val64[%d] = %x, want %x", i, math.Float64bits(got.val64[i]), math.Float64bits(w))
 		}
 	}
-	same64("val64", got.val64, want.val64)
-	same64("invDiag64", got.invDiag64, want.invDiag64)
-	same32("val32", got.val32, want.val32)
-	same32("invDiag32", got.invDiag32, want.invDiag32)
+	for i, w := range want.val32 {
+		if math.Float32bits(got.val32[i]) != math.Float32bits(w) {
+			t.Fatalf("val32[%d] = %x, want %x", i, math.Float32bits(got.val32[i]), math.Float32bits(w))
+		}
+	}
 }
 
 func slotClean(f *Factorization) bool {
@@ -61,7 +58,7 @@ func slotClean(f *Factorization) bool {
 // factorization of the second, at every fill level, block size and
 // storage precision.
 func TestRefactorBitwiseGrid(t *testing.T) {
-	for _, b := range []int{1, 4, 5} {
+	for _, b := range []int{1, 4, 5, 7} {
 		a1 := wingBlockMatrix(t, 6, 5, 4, b, 11)
 		a2 := wingBlockMatrix(t, 6, 5, 4, b, 29)
 		for level := 0; level <= 2; level++ {
@@ -176,21 +173,25 @@ func TestRefactorRejectsOtherPattern(t *testing.T) {
 	}
 }
 
-// TestRefactorSteadyStateAllocs: the numeric refresh allocates nothing.
+// TestRefactorSteadyStateAllocs: the numeric refresh allocates nothing,
+// at the unrolled block sizes and at the fallback's — B = 7 inverts its
+// pivots in factorization-owned scratch like the rest.
 func TestRefactorSteadyStateAllocs(t *testing.T) {
-	for _, single := range []bool{false, true} {
-		a := wingBlockMatrix(t, 6, 5, 4, 4, 11)
-		f, err := Factor(a, Options{Level: 1, SinglePrecision: single})
-		if err != nil {
-			t.Fatal(err)
-		}
-		avg := testing.AllocsPerRun(10, func() {
-			if err := f.Refactor(a); err != nil {
+	for _, b := range []int{1, 4, 5, 7} {
+		for _, single := range []bool{false, true} {
+			a := wingBlockMatrix(t, 6, 5, 4, b, 11)
+			f, err := Factor(a, Options{Level: 1, SinglePrecision: single})
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if avg > 0 {
-			t.Fatalf("single=%v: Refactor allocates %.1f objects per call", single, avg)
+			avg := testing.AllocsPerRun(10, func() {
+				if err := f.Refactor(a); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > 0 {
+				t.Fatalf("B=%d single=%v: Refactor allocates %.1f objects per call", b, single, avg)
+			}
 		}
 	}
 }

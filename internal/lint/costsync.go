@@ -169,36 +169,24 @@ var costChecks = []coefCheck{
 		loops: []loopTerm{{5, 1}}, calls: []callTerm{{"MAxpy", 0, 3}},
 		formula: "orthoBytes", countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
 
-	// ilu: two flops per stored factor scalar. The forward c-loop
-	// (loop 0) runs B*B iterations of 2 flops per stored block — the
-	// forward and backward sweeps partition the blocks and run the same
-	// per-block arithmetic, so loop 0 carries the ColIdx marginal. The
-	// diagonal-inverse c-loop (loop 2) carries the per-row marginal.
-	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.Solve", totalLoops: 3,
-		loops: []loopTerm{{0, 16}}, formula: "Factorization.SolveFlops",
-		countVar: "ColIdx", env: map[string]int64{"B": 4, "NB": 50}},
-	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.Solve", totalLoops: 3,
-		loops: []loopTerm{{2, 16}}, formula: "Factorization.SolveFlops",
-		countVar: "NB", env: map[string]int64{"B": 4, "ColIdx": 500}},
-
-	// ilu level-scheduled solve kernels: the same per-block arithmetic
-	// as the sequential Solve, partitioned into the forward and backward
-	// level sweeps. forwardRows' innermost c-loop carries the ColIdx
-	// marginal (2*B*B flops per stored block); backwardRows' second
-	// innermost loop (the diagonal-inverse c-loop) carries the NB
-	// marginal.
-	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.forwardRows", totalLoops: 1,
-		loops: []loopTerm{{0, 16}}, formula: "Factorization.SolveFlops",
-		countVar: "ColIdx", env: map[string]int64{"B": 4, "NB": 50}},
-	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.backwardRows", totalLoops: 2,
-		loops: []loopTerm{{1, 16}}, formula: "Factorization.SolveFlops",
-		countVar: "NB", env: map[string]int64{"B": 4, "ColIdx": 500}},
-	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.forwardRows32", totalLoops: 1,
-		loops: []loopTerm{{0, 16}}, formula: "Factorization.SolveFlops",
-		countVar: "ColIdx", env: map[string]int64{"B": 4, "NB": 50}},
-	{pkg: "petscfun3d/internal/ilu", kernel: "Factorization.backwardRows32", totalLoops: 2,
-		loops: []loopTerm{{1, 16}}, formula: "Factorization.SolveFlops",
-		countVar: "NB", env: map[string]int64{"B": 4, "ColIdx": 500}},
+	// ilu: the one family of triangular-solve row kernels behind Solve
+	// and SolvePar. Each unrolled kernel's innermost loop is the walk
+	// over a row's stored off-diagonal blocks; its body is B*B
+	// multiply-adds accumulated from zero plus the B subtractions from
+	// the row's running value — SolveFlops' marginal per stored block
+	// (2*B*B + B). The float32 instantiations are the same source.
+	{pkg: "petscfun3d/internal/ilu", kernel: "forward4", totalLoops: 1,
+		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
+		countVar: "Col", env: map[string]int64{"B": 4, "NB": 50}},
+	{pkg: "petscfun3d/internal/ilu", kernel: "backward4", totalLoops: 1,
+		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
+		countVar: "Col", env: map[string]int64{"B": 4, "NB": 50}},
+	{pkg: "petscfun3d/internal/ilu", kernel: "forward5", totalLoops: 1,
+		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
+		countVar: "Col", env: map[string]int64{"B": 5, "NB": 50}},
+	{pkg: "petscfun3d/internal/ilu", kernel: "backward5", totalLoops: 1,
+		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
+		countVar: "Col", env: map[string]int64{"B": 5, "NB": 50}},
 
 	// krylov orthogonalization at step j=0, per mechanism. Innermost
 	// loop 10 is the basis-scale sweep (1 flop, 16 bytes per element);
