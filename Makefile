@@ -5,7 +5,19 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet lint test race bench perf chaos threads ortho
+.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid
+
+# named_gate runs the tests of packages $(2) that match the regex $(1)
+# under the race detector — after checking, package by package, that the
+# regex still selects a test there: `go test -run <no match>` exits 0,
+# so a renamed or merged test would otherwise empty its gate silently.
+define named_gate
+	@for p in $(2); do \
+		go test -list $(1) $$p | grep -q '^Test' || \
+			{ echo "named gate: -run $(1) selects no test in $$p"; exit 1; }; \
+	done
+	go test -race -count=1 -run $(1) $(2)
+endef
 
 verify: fmt vet lint race
 
@@ -53,22 +65,30 @@ chaos:
 	go run ./cmd/benchtables -experiment chaos -size small | tee BENCH_chaos.txt
 
 # Threads gate: the node-level worker-pool determinism grid — the pool
-# primitives' own suite, then the bitwise tri-solve/SpMV/reduction grids
-# and the hybrid ranks×threads soak — under the race detector, followed
-# by the measured thread-scaling sweep and the gather-corrected Table 5
-# model, teed into the BENCH_threads.txt record.
-threads:
+# primitives' own suite, then the bitwise tri-solve/SpMV grids, the one
+# GMRES mechanisms × ranks × workers grid (internal/dist) and the hybrid
+# ranks×threads soak — under the race detector, followed by the measured
+# thread-scaling sweep and the gather-corrected Table 5 model, teed into
+# the BENCH_threads.txt record.
+threads-grid:
 	go test -race -count=1 ./internal/par
-	go test -race -count=1 -run 'Par|Thread|Bitwise|Level|Determin' ./internal/sparse ./internal/ilu ./internal/euler ./internal/krylov ./internal/dist
+	$(call named_gate,'Par|Thread|Bitwise|Level|Determin',./internal/sparse ./internal/ilu ./internal/euler ./internal/dist)
+
+threads: threads-grid
 	go run ./cmd/benchtables -experiment threads -size medium | tee BENCH_threads.txt
 	go run ./cmd/benchtables -experiment table5 -size small | tee -a BENCH_threads.txt
 
 # Ortho gate: the fused multi-vector kernel determinism grid — MDot/
 # MAxpy bitwise against the per-vector reference across worker counts,
-# the batched-reduction GMRES suites, and the hybrid soak — under the
-# race detector, followed by the measured mgs/cgs/cgs2 orthogonalization
-# study, teed into the BENCH_ortho.txt record.
-ortho:
+# the batched vector AllReduce, the GMRES suites of both callers of the
+# one solver (rounds accounting, span charges, non-finite exits, the
+# mechanisms × ranks × workers grid), and the hybrid soak — under the
+# race detector (ortho-grid, which CI runs by name), followed by the
+# measured mgs/cgs/cgs2/cgs1 orthogonalization study, teed into the
+# BENCH_ortho.txt record.
+ortho-grid:
 	go test -race -count=1 ./internal/par
-	go test -race -count=1 -run 'MDot|MAxpy|MReduce|Ortho|Reduction|GMRES|Hybrid' ./internal/krylov ./internal/mpi ./internal/dist ./internal/experiments
+	$(call named_gate,'MDot|MAxpy|MReduce|Ortho|Reduction|AllReduceSumVec|GMRES|NonFinite|Hybrid',./internal/krylov ./internal/mpi ./internal/dist ./internal/experiments)
+
+ortho: ortho-grid
 	go run ./cmd/benchtables -experiment ortho -size medium | tee BENCH_ortho.txt

@@ -17,6 +17,7 @@ import (
 	"petscfun3d/internal/core"
 	"petscfun3d/internal/experiments"
 	"petscfun3d/internal/faults"
+	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/machine"
 	"petscfun3d/internal/newton"
 	"petscfun3d/internal/perfmodel"
@@ -43,7 +44,7 @@ func main() {
 	restart := flag.Int("gmres-restart", 20, "GMRES restart dimension")
 	maxIts := flag.Int("gmres-maxits", 40, "GMRES iteration cap per Newton step")
 	ktol := flag.Float64("gmres-rtol", 1e-2, "GMRES relative tolerance")
-	orthog := flag.String("orthogonalization", "mgs", "GMRES Gram-Schmidt variant: mgs|cgs|cgs2 (cgs/cgs2 use the fused one-pass MDot/MAxpy kernels)")
+	orthog := flag.String("orthogonalization", "mgs", "GMRES Gram-Schmidt variant: "+strings.Join(krylov.Orthogonalizations, "|")+" (all but mgs use the fused one-pass MDot/MAxpy kernels)")
 	fill := flag.Int("ilu-fill", 0, "ILU fill level k")
 	overlap := flag.Int("overlap", 0, "Schwarz subdomain overlap")
 	single := flag.Bool("single-precision-pc", false, "store preconditioner factors in float32")

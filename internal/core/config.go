@@ -121,6 +121,9 @@ func (cfg Config) Validate() error {
 	if cfg.NX > 0 && (cfg.NY <= 0 || cfg.NZ <= 0) {
 		return fmt.Errorf("core: lattice dimensions %dx%dx%d need all of NX, NY, NZ positive", cfg.NX, cfg.NY, cfg.NZ)
 	}
+	if err := cfg.Newton.Krylov.Validate(); err != nil {
+		return fmt.Errorf("core: Newton.Krylov: %w", err)
+	}
 	return nil
 }
 

@@ -26,6 +26,8 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"no mesh source", func(c *Config) { c.TargetVertices = 0 }, "TargetVertices"},
 		{"negative target vertices", func(c *Config) { c.TargetVertices = -10 }, "TargetVertices"},
 		{"partial lattice", func(c *Config) { c.NX = 5; c.NY = 0; c.NZ = 4 }, "lattice"},
+		{"orthogonalization typo", func(c *Config) { c.Newton.Krylov.Orthogonalization = "cgz" }, "Newton.Krylov: krylov: unknown Orthogonalization"},
+		{"zero restart", func(c *Config) { c.Newton.Krylov.Restart = 0 }, "Newton.Krylov: krylov: need positive Restart"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,6 +60,7 @@ func TestConfigValidateAccepts(t *testing.T) {
 		{"empty edge ordering", func(c *Config) { c.EdgeOrdering = "" }},
 		{"lattice dims without target", func(c *Config) { c.NX, c.NY, c.NZ = 5, 4, 3; c.TargetVertices = 0 }},
 		{"mesh file without target", func(c *Config) { c.MeshFile = "wing.mesh"; c.TargetVertices = 0 }},
+		{"single-round orthogonalization", func(c *Config) { c.Newton.Krylov.Orthogonalization = "cgs1" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -164,8 +164,10 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 		// mechanism — krylov.Stats.Reductions draws the same distinction
 		// in the real solve: per-vector mgs pays one single-word round
 		// per basis vector plus the norm (half the restart length on
-		// average), where the fused cgs/cgs2 paths batch the whole
-		// projection column into ONE multi-word round plus the norm.
+		// average), the fused cgs/cgs2 paths batch the whole projection
+		// column into ONE multi-word round plus the norm, and cgs1 folds
+		// the norm scalars into that one round. Validate has already
+		// rejected any other name.
 		WrapOperator: func(op krylov.Operator) krylov.Operator {
 			return krylov.OperatorFunc(func(v, y []float64) {
 				op.Apply(v, y)
@@ -175,6 +177,11 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 				chargeVecOps(krylovVecSweeps)
 				meanCol := cfg.Newton.Krylov.Restart/2 + 1
 				switch cfg.Newton.Krylov.Orthogonalization {
+				case "", "mgs":
+					for i := 0; i < meanCol; i++ {
+						mach.AllReduce(1)
+					}
+					mach.AllReduce(1)
 				case "cgs":
 					mach.AllReduce(meanCol)
 					mach.AllReduce(1)
@@ -182,11 +189,9 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 					// The batch carries the pre-projection norm too.
 					mach.AllReduce(meanCol + 1)
 					mach.AllReduce(1)
-				default: // mgs
-					for i := 0; i < meanCol; i++ {
-						mach.AllReduce(1)
-					}
-					mach.AllReduce(1)
+				case "cgs1":
+					// ... and the newest basis vector's norm; no second round.
+					mach.AllReduce(meanCol + 2)
 				}
 				mach.SetTag("")
 			})

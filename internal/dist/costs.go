@@ -38,31 +38,3 @@ func (h *Halo) haloUnpackBytes() int64 {
 	}
 	return rows * int64(h.b) * 16
 }
-
-// dotFlops and dotBytes: one multiply-add pass over two local vectors
-// of n scalars.
-func dotFlops(n int) int64 { return 2 * int64(n) }
-func dotBytes(n int) int64 { return 16 * int64(n) }
-
-// mdotFlops and mdotBytes: k fused local inner products against one
-// shared vector of n local scalars — 2k flops per element; one pass
-// over the shared vector plus one load per basis vector. The batched
-// global combine rides the same span (reduce phase), like Dot's.
-func mdotFlops(k, n int) int64 { return 2 * int64(k) * int64(n) }
-func mdotBytes(k, n int) int64 { return 8 * int64(k+1) * int64(n) }
-
-// orthoReduceFlops and orthoReduceBytes: the k-vector fused batch plus
-// the one extra basis-norm product of a Gram-Schmidt step's single
-// synchronization round.
-func orthoReduceFlops(k, n int) int64 { return 2 * int64(k+1) * int64(n) }
-func orthoReduceBytes(k, n int) int64 { return (8*int64(k) + 24) * int64(n) }
-
-// orthoFlops and orthoBytes: fused classical Gram-Schmidt step j
-// (0-based) of distributed GMRES over vectors of n local scalars — one
-// MAxpy subtraction sweep (2(j+1)n flops, (8(j+1)+16)n bytes) plus the
-// basis normalization (n flops, 16n bytes). The batched projections
-// nested inside are charged to the reduce phase by MDot itself, and the
-// post-projection norm is derived from the same batch — no extra
-// n-length sweep, no second synchronization.
-func orthoFlops(j, n int) int64 { return (2*int64(j+1) + 1) * int64(n) }
-func orthoBytes(j, n int) int64 { return (8*int64(j+1) + 32) * int64(n) }

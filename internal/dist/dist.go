@@ -10,7 +10,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mpi"
@@ -319,61 +318,6 @@ func (m *Matrix) mulVecBlocking(x, y []float64) error {
 	m.local.MulVec(ext, y)
 	return nil
 }
-
-// Dot returns the global inner product of two distributed vectors. The
-// whole call is charged to the reduce phase: the local products are a
-// vanishing fraction of it next to the wait for the last rank.
-func (m *Matrix) Dot(x, y []float64) float64 {
-	n := m.LocalN()
-	sp := m.Prof.Begin(prof.PhaseReduce)
-	m.Prof.NoteThreads(prof.PhaseReduce, m.pool.Workers())
-	defer sp.End(dotFlops(n), dotBytes(n))
-	// The fixed-shape segmented local product is bitwise identical at
-	// every worker count, so the global sum is too.
-	s := par.Dot(m.pool, x[:n], y[:n])
-	return m.Comm.AllReduceSum(s)
-}
-
-// MDot fills out[i] with the global inner product of x against every
-// vector of vs — ONE fused local pass over x (par.MDot) and ONE batched
-// vector AllReduce, where per-vector Dot calls would pay len(vs) global
-// synchronization rounds. Both halves are deterministic (fixed-shape
-// segmented local partials, rank-ordered elementwise combine), so each
-// out[i] is bitwise identical to Dot(x, vs[i]). out must hold at least
-// len(vs) entries; every vector of vs must span this rank's owned part.
-// The whole call is charged to the reduce phase, like Dot.
-func (m *Matrix) MDot(x []float64, vs [][]float64, out []float64) {
-	k := len(vs)
-	if k == 0 {
-		return
-	}
-	n := m.LocalN()
-	sp := m.Prof.Begin(prof.PhaseReduce)
-	m.Prof.NoteThreads(prof.PhaseReduce, m.pool.Workers())
-	defer sp.End(mdotFlops(k, n), mdotBytes(k, n))
-	par.MDot(m.pool, x[:n], vs, out)
-	m.Comm.AllReduceSumVec(out[:k], out[:k])
-}
-
-// orthoReduce is the one batched synchronization round of a fused
-// Gram-Schmidt step: out[i] = global w·vs[i] for the len(vs) batch
-// vectors (the basis plus w itself, for the pre-projection ‖w‖²) and
-// out[len(vs)] = global ‖vj‖² — every scalar the step needs from a
-// single rendezvous, where the per-vector path pays one round each.
-// Deterministic like MDot; charged to the reduce phase like Dot.
-func (m *Matrix) orthoReduce(w []float64, vs [][]float64, vj []float64, out []float64) {
-	k := len(vs)
-	n := m.LocalN()
-	sp := m.Prof.Begin(prof.PhaseReduce)
-	m.Prof.NoteThreads(prof.PhaseReduce, m.pool.Workers())
-	defer sp.End(orthoReduceFlops(k, n), orthoReduceBytes(k, n))
-	par.MDot(m.pool, w[:n], vs, out)
-	out[k] = par.Dot(m.pool, vj[:n], vj[:n])
-	m.Comm.AllReduceSumVec(out[:k+1], out[:k+1])
-}
-
-// Norm2 returns the global Euclidean norm.
-func (m *Matrix) Norm2(x []float64) float64 { return math.Sqrt(m.Dot(x, x)) }
 
 // BlockJacobi factors this rank's diagonal block with ILU(k) and
 // returns the local preconditioner solve. The factorization is retained:

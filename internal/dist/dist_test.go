@@ -10,7 +10,6 @@ import (
 	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/mpi"
-	"petscfun3d/internal/par"
 	"petscfun3d/internal/partition"
 	"petscfun3d/internal/prof"
 	"petscfun3d/internal/schwarz"
@@ -93,93 +92,6 @@ func TestDistributedMatVecMatchesSequential(t *testing.T) {
 	}
 	if len(board.vals) != pr.a.NB {
 		t.Fatalf("gathered %d rows, want %d", len(board.vals), pr.a.NB)
-	}
-}
-
-func TestDistributedDotAndNorm(t *testing.T) {
-	pr := buildTestProblem(t, 6, 5, 4, 2, 4)
-	b := 2
-	x := make([]float64, pr.a.N())
-	for i := range x {
-		x[i] = float64(i%13) - 6
-	}
-	var want float64
-	for _, v := range x {
-		want += v * v
-	}
-	err := mpi.Run(4, func(c *mpi.Comm) error {
-		dm, err := NewMatrix(c, pr.a, pr.part.Part)
-		if err != nil {
-			return err
-		}
-		lx := make([]float64, dm.LocalN())
-		for li, gr := range dm.Owned {
-			copy(lx[li*b:(li+1)*b], x[int(gr)*b:(int(gr)+1)*b])
-		}
-		got := dm.Dot(lx, lx)
-		if math.Abs(got-want) > 1e-9*math.Abs(want) {
-			return fmt.Errorf("rank %d: dot %g, want %g", c.Rank(), got, want)
-		}
-		if math.Abs(dm.Norm2(lx)-math.Sqrt(want)) > 1e-9 {
-			return fmt.Errorf("norm mismatch")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDistributedMDotBitwise: the batched global multi-dot must be
-// bitwise identical to the per-vector Dot collective — same fixed-shape
-// local partials, same rank-ordered combine per element — at every
-// worker count, while paying one synchronization round for the batch.
-func TestDistributedMDotBitwise(t *testing.T) {
-	pr := buildTestProblem(t, 6, 5, 4, 2, 4)
-	b := 2
-	const nvec = 5
-	err := mpi.Run(4, func(c *mpi.Comm) error {
-		dm, err := NewMatrix(c, pr.a, pr.part.Part)
-		if err != nil {
-			return err
-		}
-		lx := make([]float64, dm.LocalN())
-		vs := make([][]float64, nvec)
-		for li, gr := range dm.Owned {
-			for cpt := 0; cpt < b; cpt++ {
-				lx[li*b+cpt] = math.Sin(float64(int(gr)*b+cpt) * 0.31)
-			}
-		}
-		for k := range vs {
-			vs[k] = make([]float64, dm.LocalN())
-			for li, gr := range dm.Owned {
-				for cpt := 0; cpt < b; cpt++ {
-					vs[k][li*b+cpt] = math.Cos(float64(int(gr)*b+cpt)*0.17 + float64(k))
-				}
-			}
-		}
-		want := make([]float64, nvec)
-		for k := range vs {
-			want[k] = dm.Dot(lx, vs[k])
-		}
-		for _, nw := range []int{1, 2, 4} {
-			p := par.New(nw)
-			dm.SetPool(p)
-			got := make([]float64, nvec)
-			dm.MDot(lx, vs, got)
-			for k := range want {
-				if got[k] != want[k] {
-					p.Close()
-					return fmt.Errorf("rank %d nw=%d: MDot[%d]=%x, want %x", c.Rank(), nw, k, got[k], want[k])
-				}
-			}
-			dm.SetPool(nil)
-			p.Close()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

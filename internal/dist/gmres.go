@@ -2,10 +2,9 @@ package dist
 
 import (
 	"fmt"
-	"math"
 
+	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/par"
-	"petscfun3d/internal/prof"
 )
 
 // GMRESOptions configures the distributed solve.
@@ -15,12 +14,19 @@ type GMRESOptions struct {
 	RelTol   float64
 }
 
+// krylov maps the options onto the one GMRES: the single-round "cgs1"
+// orthogonalization, because here every round is a global
+// synchronization.
+func (o GMRESOptions) krylov(pool *par.Pool) krylov.Options {
+	return krylov.Options{Restart: o.Restart, MaxIters: o.MaxIters, RelTol: o.RelTol,
+		Orthogonalization: "cgs1", Pool: pool}
+}
+
 // GMRESStats reports the distributed solve's outcome. Reductions
 // counts the global synchronization rounds the solve performed (every
-// collective: the batched per-iteration projection reduce and each
-// residual norm) — the quantity the fused orthogonalization minimizes:
-// exactly ONE round per inner iteration, where per-vector Gram-Schmidt
-// pays j+2.
+// collective): krylov.Stats.Reductions — ONE batched round per inner
+// iteration, where per-vector Gram-Schmidt pays j+2 — plus the residual
+// norm round at the start and at each restart.
 type GMRESStats struct {
 	Iterations   int
 	Restarts     int
@@ -30,212 +36,25 @@ type GMRESStats struct {
 }
 
 // GMRES runs right-preconditioned restarted GMRES on the distributed
-// system A x = b. b and x are this rank's owned parts; pc is the local
+// system A x = b: krylov.SolveOn over this rank's owned parts b and x,
+// with a.MulVec as the operator, inner products summed through the
+// communicator, and the Matrix's pool and profiler. pc is the local
 // preconditioner solve (e.g. from Matrix.BlockJacobi). Every rank calls
-// it collectively; inner products synchronize through the communicator,
-// so all ranks see identical iteration decisions.
+// it collectively; all ranks see the same reduced values, so all take
+// identical iteration decisions.
 func GMRES(a *Matrix, pc func(r, z []float64), b, x []float64, opts GMRESOptions) (GMRESStats, error) {
-	n := a.LocalN()
-	if len(b) != n || len(x) != n {
+	if n := a.LocalN(); len(b) != n || len(x) != n {
 		return GMRESStats{}, fmt.Errorf("dist: local vector lengths %d/%d, want %d", len(b), len(x), n)
 	}
-	if opts.Restart < 1 || opts.MaxIters < 1 {
-		return GMRESStats{}, fmt.Errorf("dist: need positive Restart and MaxIters")
-	}
-	if pc == nil {
-		pc = func(r, z []float64) { copy(z, r) }
-	}
-	ksp := a.Prof.Begin(prof.PhaseKrylov)
-	defer ksp.End(0, 0)
-	mr := opts.Restart
-	var st GMRESStats
-
-	// One contiguous slab per matrix keeps the setup allocations out of
-	// the fill loops (no per-row make escaping from a hot-kernel loop)
-	// and the basis rows adjacent in memory.
-	v := make([][]float64, mr+1)
-	vbuf := make([]float64, (mr+1)*n)
-	for i := range v {
-		v[i] = vbuf[i*n : (i+1)*n] //lint:bce-ok slab carve-up at solve setup runs mr+1 times per solve, not per sweep iteration; prove cannot reason about the i*n products
-	}
-	h := make([][]float64, mr+1)
-	hbuf := make([]float64, (mr+1)*mr)
-	for i := range h {
-		h[i] = hbuf[i*mr : (i+1)*mr] //lint:bce-ok slab carve-up at solve setup runs mr+1 times per solve, not per sweep iteration; prove cannot reason about the i*mr products
-	}
-	cs := make([]float64, mr)
-	sn := make([]float64, mr)
-	g := make([]float64, mr+1)
-	y := make([]float64, mr)
-	z := make([]float64, n)
-	w := make([]float64, n)
-	r := make([]float64, n)
-	// Fused-orthogonalization workspace: the batched reduction carries
-	// the whole Hessenberg column, the pre-projection ‖w‖² (w itself
-	// rides the batch as its last vector), and the true squared norm of
-	// the newest basis vector (vnrm below); MAxpy subtracts with the
-	// negated coefficients.
-	hcol := make([]float64, mr+3)
-	hneg := make([]float64, mr+1)
-	vlist := make([][]float64, mr+2)
-	// vnrm[i] is the measured global ‖v_i‖². v_{j+1} is normalized by a
-	// norm DERIVED from the batch (no second synchronization), so its
-	// true norm is 1 only to the derivation's accuracy; the next
-	// iteration measures it in the same batched round and the projection
-	// divides by it. Without this, the normalization error would feed
-	// back through the derived norm at the projection's cancellation
-	// ratio per iteration and grow geometrically.
-	vnrm := make([]float64, mr+1)
-
-	residual := func() (float64, error) {
-		if err := a.MulVec(x, r); err != nil {
-			return 0, err
-		}
-		bs := b[:len(r)] // bce: ties len(bs) to len(r); the range index serves both unchecked
-		for i := range r {
-			r[i] = bs[i] - r[i]
-		}
-		st.Reductions++
-		return a.Norm2(r), nil
-	}
-	beta, err := residual()
-	if err != nil {
-		return st, err
-	}
-	target := opts.RelTol * beta
-	st.ResidualNorm = beta
-	if beta <= target || beta == 0 {
-		st.Converged = true
-		return st, nil
-	}
-	for st.Iterations < opts.MaxIters {
-		if st.Iterations > 0 {
-			st.Restarts++
-			if beta, err = residual(); err != nil {
-				return st, err
-			}
-			if beta <= target {
-				st.ResidualNorm = beta
-				st.Converged = true
-				return st, nil
-			}
-		}
-		inv := 1 / beta
-		v0 := v[0][:len(r)] // bce: ties len(v0) to len(r); the range index serves both unchecked
-		for i := range r {
-			v0[i] = r[i] * inv
-		}
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
-		j := 0
-		for ; j < mr && st.Iterations < opts.MaxIters; j++ {
-			st.Iterations++
-			pc(v[j], z)
-			if err := a.MulVec(z, w); err != nil {
-				return st, err
-			}
-			osp := a.Prof.Begin(prof.PhaseOrtho)
-			a.Prof.NoteThreads(prof.PhaseOrtho, a.pool.Workers())
-			// One-pass classical Gram-Schmidt with a batched reduction:
-			// every projection coefficient AND the pre-projection ‖w‖²
-			// (w rides the batch as its last vector) arrive from a single
-			// global synchronization round — the per-iteration latency
-			// term collapses from j+2 rounds to 1.
-			vl := vlist[:j+2]
-			copy(vl, v[:j+1])
-			vl[j+1] = w
-			a.orthoReduce(w, vl, v[j], hcol)
-			st.Reductions++
-			ww := hcol[j+1]
-			vnrm[j] = hcol[j+2]
-			// The post-projection norm is derived, not recomputed:
-			// ‖w − Vh‖² = ‖w‖² − Σ hᵢ·(w·vᵢ) because the projections came
-			// from this same w, with hᵢ = (w·vᵢ)/‖vᵢ‖² projecting against
-			// the MEASURED basis norms (the batch carries ‖v_j‖² one step
-			// after its derived normalization). Every rank derives the
-			// same values from the identical reduced batch, so every rank
-			// takes identical branches; the clamp at 0 covers cancellation
-			// at breakdown.
-			t := ww
-			hc := hcol[:j+1]
-			hn := hneg[:len(hc)] // bce: ties len(hn) to len(hc); the range index serves both unchecked
-			for i, di := range hc {
-				hij := di / vnrm[i] //lint:bce-ok O(1) Hessenberg-column arithmetic per O(n) projection sweep; the extents are not provable
-				h[i][j] = hij       //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
-				hn[i] = -hij
-				t -= hij * di
-			}
-			par.MAxpy(a.pool, hneg, v[:j+1], w)
-			if t < 0 {
-				t = 0
-			}
-			h[j+1][j] = math.Sqrt(t)
-			if h[j+1][j] > 1e-300 {
-				inv := 1 / h[j+1][j]
-				vj := v[j+1][:len(w)] // bce: ties len(vj) to len(w); the range index serves both unchecked
-				for k := range w {
-					vj[k] = w[k] * inv
-				}
-			} else {
-				for k := range v[j+1] {
-					v[j+1][k] = 0
-				}
-			}
-			// The fused local subtraction and scale sweeps; the batched
-			// projections inside are the nested reduce phase.
-			osp.End(orthoFlops(j, n), orthoBytes(j, n))
-			for i := 0; i < j; i++ {
-				t := cs[i]*h[i][j] + sn[i]*h[i+1][j] //lint:bce-ok O(restart) Givens update down the Hessenberg column; row lengths are not provable and the loop is negligible next to the n-length sweeps
-				h[i+1][j] = -sn[i]*h[i][j] + cs[i]*h[i+1][j]
-				h[i][j] = t //lint:bce-ok O(restart) Givens update down the Hessenberg column; row lengths are not provable and the loop is negligible next to the n-length sweeps
-			}
-			denom := math.Hypot(h[j][j], h[j+1][j])
-			if denom < 1e-300 {
-				cs[j], sn[j] = 1, 0
-			} else {
-				cs[j] = h[j][j] / denom
-				sn[j] = h[j+1][j] / denom
-			}
-			h[j][j] = cs[j]*h[j][j] + sn[j]*h[j+1][j]
-			h[j+1][j] = 0
-			g[j+1] = -sn[j] * g[j]
-			g[j] = cs[j] * g[j]
-			st.ResidualNorm = math.Abs(g[j+1])
-			if st.ResidualNorm <= target {
-				j++
-				break
-			}
-		}
-		yj := y[:j] // bce: j never exceeds mr; one check here serves the back-substitution loops
-		for i := range yj {
-			yj[i] = 0
-		}
-		for i := j - 1; i >= 0; i-- {
-			s := g[i]
-			hi := h[i][:j] // bce: ties the row extent to j; prove then erases both checks in the k loop
-			for k := i + 1; k < j; k++ {
-				s -= hi[k] * yj[k]
-			}
-			if math.Abs(h[i][i]) >= 1e-300 {
-				y[i] = s / h[i][i]
-			}
-		}
-		for i := range z {
-			z[i] = 0
-		}
-		// z = V y in one fused read-modify-write sweep (bitwise identical
-		// to the per-vector accumulation it replaces).
-		par.MAxpy(a.pool, yj, v[:j], z)
-		pc(z, w)
-		for i := range x {
-			x[i] += w[i]
-		}
-		if st.ResidualNorm <= target {
-			st.Converged = true
-			return st, nil
-		}
-	}
-	return st, nil
+	sum := func(buf []float64) { a.Comm.AllReduceSumVec(buf, buf) }
+	st, err := krylov.SolveOn(krylov.Space{Sum: sum, Prof: a.Prof}, a.MulVec, pc, b, x, opts.krylov(a.pool))
+	return GMRESStats{
+		Iterations: st.Iterations,
+		Restarts:   st.Restarts,
+		// Each residual evaluation is one matvec outside the iterations
+		// and one norm round.
+		Reductions:   st.Reductions + st.MatVecs - st.Iterations,
+		Converged:    st.Converged,
+		ResidualNorm: st.ResidualNorm,
+	}, err
 }

@@ -132,6 +132,9 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 	if opts.StepRetries < 0 {
 		return nil, fmt.Errorf("dist: negative StepRetries")
 	}
+	if err := opts.Krylov.krylov(nil).Validate(); err != nil {
+		return nil, fmt.Errorf("dist: Krylov: %w", err)
+	}
 	n := d.N()
 	if len(q) != n {
 		return nil, fmt.Errorf("dist: state length %d, want %d", len(q), n)

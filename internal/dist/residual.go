@@ -6,6 +6,7 @@ import (
 
 	"petscfun3d/internal/euler"
 	"petscfun3d/internal/mpi"
+	"petscfun3d/internal/par"
 	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
 )
@@ -145,11 +146,11 @@ func (r *Residual) Eval(q, res []float64) error {
 // global-length vector, summing only owned entries on each rank (ghost
 // and far entries are other ranks' responsibility — counting them would
 // double-count). A collective: the local sums meet in one reduction,
-// charged to the reduce phase like Matrix.Dot.
+// charged to the reduce phase as one inner product, like GMRES's.
 func (r *Residual) OwnedNorm2(x []float64) float64 {
 	b := r.D.Sys.B()
 	sp := r.Prof.Begin(prof.PhaseReduce)
-	defer sp.End(dotFlops(r.nOwned*b), dotBytes(r.nOwned*b))
+	defer sp.End(par.MDotFlops(1, r.nOwned*b), par.MDotBytes(1, r.nOwned*b))
 	var s float64
 	for v, owned := range r.ownedMask {
 		if !owned {

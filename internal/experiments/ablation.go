@@ -58,7 +58,9 @@ func Ablation(size Size) (*AblationResult, error) {
 		return nil, err
 	}
 	res.Baseline = base
-	p, err := core.Build(core.Config{TargetVertices: nv, System: "incompressible", Order: 1, Ranks: 1})
+	bcfg := core.DefaultConfig()
+	bcfg.TargetVertices = nv
+	p, err := core.Build(bcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,8 @@ func TestOrthoShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 9 { // 3 mechanisms x 3 worker counts x 1 restart
-		t.Fatalf("got %d rows, want 9", len(r.Rows))
+	if len(r.Rows) != 12 { // 4 mechanisms x 3 worker counts x 1 restart
+		t.Fatalf("got %d rows, want 12", len(r.Rows))
 	}
 	byMech := map[string]OrthoRow{}
 	for _, row := range r.Rows {
@@ -26,7 +26,7 @@ func TestOrthoShape(t *testing.T) {
 			byMech[row.Mechanism] = row
 		}
 	}
-	mgs, cgs, cgs2 := byMech["mgs"], byMech["cgs"], byMech["cgs2"]
+	mgs, cgs, cgs2, cgs1 := byMech["mgs"], byMech["cgs"], byMech["cgs2"], byMech["cgs1"]
 	// mgs synchronizes once per inner product; the fused mechanisms
 	// batch every projection into one MDot round (plus the norm).
 	if mgs.Reductions != mgs.InnerProds {
@@ -37,6 +37,9 @@ func TestOrthoShape(t *testing.T) {
 	}
 	if cgs2.Reductions < 2*cgs2.Iterations || cgs2.Reductions > 4*cgs2.Iterations {
 		t.Fatalf("cgs2 reductions %d outside [2,4] per iteration (%d its)", cgs2.Reductions, cgs2.Iterations)
+	}
+	if cgs1.Reductions != cgs1.Iterations {
+		t.Fatalf("cgs1 reductions %d, want 1 per iteration (%d)", cgs1.Reductions, cgs1.Iterations)
 	}
 	if cgs.BytesPerIt >= mgs.BytesPerIt {
 		t.Fatalf("cgs ortho bytes/it %.0f not below mgs %.0f", cgs.BytesPerIt, mgs.BytesPerIt)
@@ -49,7 +52,7 @@ func TestOrthoShape(t *testing.T) {
 	if err := r.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(sb.String(), "\n"); got != 10 {
-		t.Fatalf("csv has %d lines, want 10:\n%s", got, sb.String())
+	if got := strings.Count(sb.String(), "\n"); got != 13 {
+		t.Fatalf("csv has %d lines, want 13:\n%s", got, sb.String())
 	}
 }

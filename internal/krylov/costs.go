@@ -1,66 +1,22 @@
 package krylov
 
+import "petscfun3d/internal/par"
+
 // Cost formulas for the GMRES phase spans (enforced by the costconst
-// analyzer): one place holds the flop and traffic counts, so the
-// profiler's roofline accounting cannot disagree with itself about what
-// an orthogonalization step costs.
+// analyzer). The orthogonalization span is charged with the sum of
+// these over the kernels a step actually called, so no mechanism has a
+// closed form of its own to drift from its code.
 
-// orthoFlops and orthoBytes: modified Gram-Schmidt step j (0-based)
-// over vectors of n scalars — j+1 projections (dot+axpy), the norm, and
-// the basis scale, all O(n) vector sweeps. Per projection MGS streams w
-// through a 16-byte dot and a 24-byte axpy: 40(j+1) bytes per element
-// before the norm (16) and scale (16).
-func orthoFlops(j, n int) int64 { return (4*int64(j+1) + 3) * int64(n) }
-func orthoBytes(j, n int) int64 { return (40*int64(j+1) + 32) * int64(n) }
-
-// orthoFlopsCGS and orthoBytesCGS: fused classical Gram-Schmidt step j
-// — the same 2(j+1)n projection flops and 2(j+1)n subtraction flops as
-// MGS plus the norm (2n) and scale (n), but the traffic collapses: one
-// MDot pass (8(j+2)n bytes: shared w plus j+1 basis loads), one MAxpy
-// sweep (8(j+1)n + 16n), the norm (16n), and the scale (16n) —
-// 16(j+1)+56 bytes per element against MGS's 40(j+1)+32.
-func orthoFlopsCGS(j, n int) int64 { return (4*int64(j+1) + 3) * int64(n) }
-func orthoBytesCGS(j, n int) int64 { return (16*int64(j+1) + 56) * int64(n) }
-
-// orthoFlopsCGS2 and orthoBytesCGS2: the cgs2 base pass — CGS whose
-// MDot batch carries w itself as one extra vector (the pre-projection
-// ‖w‖² for the reorthogonalization decision): +2n flops and +8n bytes
-// over plain CGS.
-func orthoFlopsCGS2(j, n int) int64 { return (4*int64(j+1) + 5) * int64(n) }
-func orthoBytesCGS2(j, n int) int64 { return (16*int64(j+1) + 64) * int64(n) }
-
-// reorthFlops and reorthBytes: one full DGKS correction pass — a second
-// MDot (2(j+1)n flops, 8(j+2)n bytes), a second MAxpy (2(j+1)n flops,
-// (8(j+1)+16)n bytes), and the norm recomputation (2n flops, 16n bytes).
-func reorthFlops(j, n int) int64 { return (4*int64(j+1) + 2) * int64(n) }
-func reorthBytes(j, n int) int64 { return (16*int64(j+1) + 40) * int64(n) }
-
-// orthoFlopsFor and orthoBytesFor dispatch the per-mechanism formulas
-// for the orthogonalization span charge.
-func orthoFlopsFor(mech string, j, n int, reorth bool) int64 {
-	switch mech {
-	case "cgs":
-		return orthoFlopsCGS(j, n)
-	case "cgs2":
-		f := orthoFlopsCGS2(j, n)
-		if reorth {
-			f += reorthFlops(j, n)
-		}
-		return f
-	}
-	return orthoFlops(j, n)
+// dotsFlops and dotsBytes: one dots batch over n local scalars — a
+// k-vector par.MDot pass plus extra (0 or 1) separate par.Dot.
+func dotsFlops(k, extra, n int) int64 {
+	return par.MDotFlops(k, n) + int64(extra)*par.MDotFlops(1, n)
+}
+func dotsBytes(k, extra, n int) int64 {
+	return par.MDotBytes(k, n) + int64(extra)*par.MDotBytes(1, n)
 }
 
-func orthoBytesFor(mech string, j, n int, reorth bool) int64 {
-	switch mech {
-	case "cgs":
-		return orthoBytesCGS(j, n)
-	case "cgs2":
-		b := orthoBytesCGS2(j, n)
-		if reorth {
-			b += reorthBytes(j, n)
-		}
-		return b
-	}
-	return orthoBytes(j, n)
-}
+// scaleFlops and scaleBytes: the basis normalization, one multiply per
+// element, one vector read and one written.
+func scaleFlops(n int) int64 { return int64(n) }
+func scaleBytes(n int) int64 { return 16 * int64(n) }

@@ -1,13 +1,17 @@
 // Package krylov implements the restarted GMRES(m) Krylov solver with
-// right preconditioning and modified Gram-Schmidt orthogonalization —
-// the linear solver inside every Newton step of the application. The
-// operator is an interface, so both assembled matrices and the paper's
-// matrix-free finite-difference Jacobian plug in.
+// right preconditioning and a choice of Gram-Schmidt orthogonalizations
+// — the linear solver inside every Newton step of the application, on
+// one address space (Solve) or on vectors distributed over several
+// (SolveOn with a Space whose Sum is set; internal/dist's GMRES is that
+// caller). The operator is an interface, so both assembled matrices and
+// the paper's matrix-free finite-difference Jacobian plug in.
 package krylov
 
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"petscfun3d/internal/par"
 	"petscfun3d/internal/prof"
@@ -41,6 +45,10 @@ type Identity struct{}
 // Apply implements Preconditioner.
 func (Identity) Apply(r, z []float64) { copy(z, r) }
 
+// Orthogonalizations lists the accepted Options.Orthogonalization
+// names; the empty string selects the first.
+var Orthogonalizations = []string{"mgs", "cgs", "cgs2", "cgs1"}
+
 // Options configures a GMRES solve.
 type Options struct {
 	// Restart is the Krylov subspace dimension m of GMRES(m). The paper
@@ -54,17 +62,21 @@ type Options struct {
 	RelTol float64
 	// AbsTol is the absolute residual tolerance.
 	AbsTol float64
-	// Orthogonalization selects the Gram-Schmidt variant: "mgs"
-	// (modified, default — j+1 sequential inner products per iteration,
-	// 2j+3 pool barriers), "cgs" (classical — all j+1 products from one
-	// fused par.MDot pass over w and all subtractions from one par.MAxpy
-	// sweep: 3 barriers and ~2.5× less memory traffic per iteration;
-	// slightly less stable), or "cgs2" (classical with one selective
-	// DGKS reorthogonalization pass — the pre-projection ‖w‖² rides the
-	// same fused pass, and a second MDot/MAxpy round runs only when the
-	// projection cancelled more than half of w's mass; CGS speed with
-	// MGS-class orthogonality). The paper lists the orthogonalization
-	// mechanism among the Krylov tunables.
+	// Orthogonalization selects the Gram-Schmidt variant, one of
+	// Orthogonalizations: "mgs" (modified, default — j+1 sequential
+	// inner products per iteration, j+2 reduction rounds), "cgs"
+	// (classical — all j+1 products from one fused par.MDot pass over w
+	// and all subtractions from one par.MAxpy sweep: 2 rounds and ~2.5×
+	// less memory traffic per iteration; slightly less stable), "cgs2"
+	// (classical with one selective DGKS reorthogonalization pass — the
+	// pre-projection ‖w‖² rides the same fused pass, and a second
+	// MDot/MAxpy round runs only when the projection cancelled more than
+	// half of w's mass; CGS speed with MGS-class orthogonality), or
+	// "cgs1" (classical with ONE round per iteration: the post-projection
+	// norm is derived from the batch instead of reduced again — what
+	// internal/dist runs, where a round is a global synchronization).
+	// The paper lists the orthogonalization mechanism among the Krylov
+	// tunables.
 	Orthogonalization string
 	// Pool is the node-level worker pool for the solver's vector
 	// reductions and updates (dot, norm, axpy). The reductions use a
@@ -78,15 +90,29 @@ func DefaultOptions() Options {
 	return Options{Restart: 20, MaxIters: 80, RelTol: 1e-2, AbsTol: 1e-30}
 }
 
+// Validate rejects settings no solve can honor, naming the field.
+func (o Options) Validate() error {
+	if o.Restart < 1 || o.MaxIters < 1 {
+		return fmt.Errorf("krylov: need positive Restart and MaxIters (got %d, %d)", o.Restart, o.MaxIters)
+	}
+	if o.Orthogonalization != "" && !slices.Contains(Orthogonalizations, o.Orthogonalization) {
+		return fmt.Errorf("krylov: unknown Orthogonalization %q (want %s)",
+			o.Orthogonalization, strings.Join(Orthogonalizations, ", "))
+	}
+	return nil
+}
+
 // Stats reports the work performed by a solve, the inputs of the
 // parallel-cost model (each iteration costs one operator apply, one
 // preconditioner apply, and ~m/2 inner products for orthogonalization).
-// InnerProds counts n-length dot products computed; Reductions counts
-// synchronizing reduction rounds (pool barriers here, global reductions
-// in a distributed run) — "mgs" pays one round per product where the
-// fused "cgs"/"cgs2" paths batch a whole column into one, which is
-// exactly the distinction the parallel-cost model's reduction term
-// needs.
+// InnerProds counts the n-length dot products of the orthogonalization
+// steps; Reductions counts those steps' synchronizing reduction rounds
+// (pool barriers on one address space, global reductions on several) —
+// "mgs" pays one round per product where the fused paths batch a whole
+// column into one, which is exactly the distinction the parallel-cost
+// model's reduction term needs. The residual norms (one at the start
+// and one per restart) are in neither count; dist.GMRESStats.Reductions
+// adds them.
 type Stats struct {
 	Iterations   int
 	MatVecs      int
@@ -99,206 +125,143 @@ type Stats struct {
 	ResidualNorm float64
 }
 
-// Solve runs right-preconditioned GMRES(m) on A x = b, updating x in
-// place (its incoming value is the initial guess). Returns solve
-// statistics; an error only for malformed inputs.
+// NonFiniteError reports that a residual norm the iteration steers by
+// came out NaN or infinite — the operator or the preconditioner
+// produced a non-finite vector. Iteration is the 1-based iteration that
+// saw it (0: the initial residual). x holds the iterate of the last
+// completed restart cycle.
+type NonFiniteError struct {
+	Iteration int
+	Quantity  string
+	Value     float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("krylov: %s is %g at iteration %d", e.Quantity, e.Value, e.Iteration)
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// nonFinite builds the error off the iteration's hot path.
+//
+//go:noinline
+func nonFinite(iteration int, quantity string, v float64) error {
+	return &NonFiniteError{Iteration: iteration, Quantity: quantity, Value: v}
+}
+
+// Space says where a solve's vectors live. The solver never sees more
+// than that: it works on the slices it is handed and makes every inner
+// product global through Sum.
+type Space struct {
+	// Sum replaces each entry of buf by its sum over every address space
+	// holding a part of the vectors, identically on all of them, in one
+	// synchronizing round (mpi.Comm.AllReduceSumVec in place). nil: the
+	// slices are the whole vectors.
+	Sum func(buf []float64)
+	// Prof receives the solve's phase spans (nil: none).
+	Prof *prof.Profiler
+}
+
+// Solve runs right-preconditioned GMRES(m) on A x = b in one address
+// space, updating x in place (its incoming value is the initial guess).
+// Returns solve statistics; an error for malformed inputs or a
+// *NonFiniteError.
 func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, error) {
+	if m == nil {
+		m = Identity{}
+	}
+	return SolveOn(Space{Prof: prof.Default}, func(x, y []float64) error {
+		sp := prof.Begin(prof.PhaseMatVec)
+		a.Apply(x, y)
+		sp.End(0, 0) // the operator's own phases (e.g. flux) carry the work
+		return nil
+	}, m.Apply, b, x, opts)
+}
+
+// SolveOn is the GMRES(m) iteration itself, on vectors that live in
+// sp: b and x are this address space's parts, apply and pc (nil: none)
+// act on such parts, and with sp.Sum set every address space calls
+// SolveOn collectively and takes identical decisions, because each sees
+// the same reduced values. apply opens its own matvec span.
+func SolveOn(sp Space, apply func(x, y []float64) error, pc func(r, z []float64), b, x []float64, opts Options) (Stats, error) {
 	n := len(b)
 	if len(x) != n {
 		return Stats{}, fmt.Errorf("krylov: len(x)=%d, len(b)=%d", len(x), n)
 	}
-	if opts.Restart < 1 || opts.MaxIters < 1 {
-		return Stats{}, fmt.Errorf("krylov: need positive Restart and MaxIters")
+	if err := opts.Validate(); err != nil {
+		return Stats{}, err
 	}
-	switch opts.Orthogonalization {
-	case "", "mgs", "cgs", "cgs2":
-	default:
-		return Stats{}, fmt.Errorf("krylov: unknown orthogonalization %q", opts.Orthogonalization)
+	if pc == nil {
+		pc = Identity{}.Apply
 	}
-	if m == nil {
-		m = Identity{}
-	}
-	ksp := prof.Begin(prof.PhaseKrylov)
+	ksp := sp.Prof.Begin(prof.PhaseKrylov)
 	defer ksp.End(0, 0)
-	apply := func(x, y []float64) {
-		sp := prof.Begin(prof.PhaseMatVec)
-		a.Apply(x, y)
-		sp.End(0, 0) // the operator's own phases (e.g. flux) carry the work
-	}
 	mr := opts.Restart
-	var st Stats
 
-	// Krylov basis and Hessenberg factorization workspace. One contiguous
-	// slab per matrix keeps the setup allocations out of the fill loops
-	// (no per-row make escaping from a hot-kernel loop) and the basis
-	// rows adjacent in memory.
-	v := make([][]float64, mr+1)
-	vbuf := make([]float64, (mr+1)*n)
-	for i := range v {
-		v[i] = vbuf[i*n : (i+1)*n] //lint:bce-ok slab carve-up at solve setup runs mr+1 times per solve, not per sweep iteration; prove cannot reason about the i*n products
+	// One contiguous slab per shape keeps the basis rows adjacent in
+	// memory and the setup out of the loops: the n-vectors (basis
+	// v[0..mr], then z, r, w), the Hessenberg h[i][j] (row i 0..mr,
+	// column j 0..mr-1), and the restart-length arrays.
+	s := &gmres{sp: sp, pool: opts.Pool, n: n, apply: apply}
+	if sp.Sum != nil {
+		s.reduce = sp.Prof
 	}
-	h := make([][]float64, mr+1) // h[i][j], i row (0..mr), j col (0..mr-1)
-	hbuf := make([]float64, (mr+1)*mr)
-	for i := range h {
-		h[i] = hbuf[i*mr : (i+1)*mr] //lint:bce-ok slab carve-up at solve setup runs mr+1 times per solve, not per sweep iteration; prove cannot reason about the i*mr products
+	vecs := slab(mr+4, n)
+	s.v, s.h = vecs[:mr+1], slab(mr+1, mr)
+	z, r, w := vecs[mr+1], vecs[mr+2], vecs[mr+3]
+	short := slab(7, mr+3)
+	cs, sn, g, y, vnrm := short[0], short[1], short[2], short[3], short[6]
+	for i := range vnrm {
+		vnrm[i] = 1
 	}
-	cs := make([]float64, mr)
-	sn := make([]float64, mr)
-	g := make([]float64, mr+1)
-	y := make([]float64, mr)
-	z := make([]float64, n)
-	w := make([]float64, n)
-	// Fused-orthogonalization workspace: one Hessenberg column of batched
-	// dot results (hcol's extra slot carries the pre-projection ‖w‖² for
-	// cgs2 — w itself rides the fused pass as the last vector of vlist),
-	// and the negated coefficients MAxpy subtracts with.
-	hcol := make([]float64, mr+2)
-	hneg := make([]float64, mr+1)
-	vlist := make([][]float64, mr+2)
+	s.w, s.hcol, s.hneg, s.vnrm = w, short[4], short[5], vnrm
+	s.batch = make([][]float64, mr+2)
+	v, h := s.v, s.h
 
-	r := make([]float64, n)
-	apply(x, r)
-	st.MatVecs++
-	for i := range r {
-		r[i] = b[i] - r[i]
+	beta, err := s.residual(b, x, r)
+	if err != nil {
+		return s.st, err
 	}
-	beta := par.Norm2(opts.Pool, r)
-	st.InitialNorm = beta
-	st.ResidualNorm = beta
-	target := opts.RelTol * beta
-	if opts.AbsTol > target {
-		target = opts.AbsTol
-	}
-	if beta <= target {
-		st.Converged = true
-		return st, nil
-	}
-
-	for st.Iterations < opts.MaxIters {
-		// Start (re)cycle.
-		if st.Iterations > 0 {
-			apply(x, r)
-			st.MatVecs++
-			for i := range r {
-				r[i] = b[i] - r[i]
-			}
-			beta = par.Norm2(opts.Pool, r)
-			st.Restarts++
-			if beta <= target {
-				st.ResidualNorm = beta
-				st.Converged = true
-				return st, nil
-			}
+	s.st.InitialNorm, s.st.ResidualNorm = beta, beta
+	target := max(opts.RelTol*beta, opts.AbsTol)
+	for {
+		// Start (re)cycle from the true residual.
+		if !finite(beta) {
+			return s.st, nonFinite(s.st.Iterations, "residual norm", beta)
 		}
-		inv := 1 / beta
-		v0 := v[0][:len(r)] // bce: ties len(v0) to len(r); the range index serves both unchecked
-		for i := range r {
-			v0[i] = r[i] * inv
+		if beta <= target {
+			s.st.ResidualNorm = beta
+			s.st.Converged = true
+			return s.st, nil
 		}
-		for i := range g {
-			g[i] = 0
-		}
+		scaleInto(v[0], r, 1/beta)
+		clear(g)
 		g[0] = beta
 
 		j := 0
-		for ; j < mr && st.Iterations < opts.MaxIters; j++ {
-			st.Iterations++
+		for ; j < mr && s.st.Iterations < opts.MaxIters; j++ {
+			s.st.Iterations++
 			// w = A M^{-1} v_j.
-			m.Apply(v[j], z)
-			st.PrecondApps++
-			apply(z, w)
-			st.MatVecs++
-			osp := prof.Begin(prof.PhaseOrtho)
-			prof.NoteThreads(prof.PhaseOrtho, opts.Pool.Workers())
-			var wwPre float64
-			switch opts.Orthogonalization {
-			case "", "mgs":
-				// Modified Gram-Schmidt: one reduction round per basis
-				// vector, w streamed 2(j+1) times.
-				for i, vi := range v[:j+1] {
-					hij := par.Dot(opts.Pool, w, vi) //lint:bce-ok inlined kernel prologue length check, once per O(n) sweep
-					h[i][j] = hij                    //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
-					st.InnerProds++
-					st.Reductions++
-					par.Axpy(opts.Pool, -hij, vi, w)
-				}
-			case "cgs":
-				// Classical Gram-Schmidt on the fused kernels: all j+1
-				// projections from ONE pass over w (one batched reduction
-				// round), then one fused subtraction sweep. Same dots,
-				// same segmented partials as the per-vector path —
-				// bitwise identical to it — but w streams once per pass.
-				par.MDot(opts.Pool, w, v[:j+1], hcol)
-				st.InnerProds += j + 1
-				st.Reductions++
-				hc := hcol[:j+1]
-				hn := hneg[:len(hc)] // bce: ties len(hn) to len(hc); the range index serves both unchecked
-				for i, hij := range hc {
-					h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
-					hn[i] = -hij
-				}
-				par.MAxpy(opts.Pool, hneg, v[:j+1], w)
-			case "cgs2":
-				// Classical Gram-Schmidt with selective
-				// reorthogonalization: the pre-projection ‖w‖² rides the
-				// same fused pass (w itself is the last vector of the
-				// batch), so the reorthogonalization decision below costs
-				// no extra reduction round.
-				vl := vlist[:j+2]
-				copy(vl, v[:j+1])
-				vl[j+1] = w
-				par.MDot(opts.Pool, w, vl, hcol)
-				st.InnerProds += j + 2
-				st.Reductions++
-				wwPre = hcol[j+1]
-				hc := hcol[:j+1]
-				hn := hneg[:len(hc)] // bce: ties len(hn) to len(hc); the range index serves both unchecked
-				for i, hij := range hc {
-					h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
-					hn[i] = -hij
-				}
-				par.MAxpy(opts.Pool, hneg, v[:j+1], w)
+			pc(v[j], z)
+			s.st.PrecondApps++
+			if err := apply(z, w); err != nil {
+				return s.st, err
 			}
-			h[j+1][j] = par.Norm2(opts.Pool, w)
-			st.InnerProds++
-			st.Reductions++
-			reorth := false
-			if opts.Orthogonalization == "cgs2" && h[j+1][j]*h[j+1][j] < 0.5*wwPre {
-				// The projection cancelled more than half of w's mass
-				// (‖w_after‖ < ‖w_before‖/√2, the DGKS criterion): one
-				// full second Gram-Schmidt pass against the basis,
-				// corrections folded into the Hessenberg column.
-				reorth = true
-				par.MDot(opts.Pool, w, v[:j+1], hcol)
-				st.InnerProds += j + 1
-				st.Reductions++
-				hc := hcol[:j+1]
-				hn := hneg[:len(hc)] // bce: ties len(hn) to len(hc); the range index serves both unchecked
-				for i, cij := range hc {
-					h[i][j] += cij //lint:bce-ok one O(1) Hessenberg update per O(n) correction sweep; the row lengths are not provable
-					hn[i] = -cij
-				}
-				par.MAxpy(opts.Pool, hneg, v[:j+1], w)
-				h[j+1][j] = par.Norm2(opts.Pool, w)
-				st.InnerProds++
-				st.Reductions++
-			}
-			if h[j+1][j] > 1e-300 {
-				inv := 1 / h[j+1][j]
-				vj := v[j+1][:len(w)] // bce: ties len(vj) to len(w); the range index serves both unchecked
-				for i := range w {
-					vj[i] = w[i] * inv
-				}
+			s.st.MatVecs++
+			osp := sp.Prof.Begin(prof.PhaseOrtho)
+			sp.Prof.NoteThreads(prof.PhaseOrtho, opts.Pool.Workers())
+			s.flops, s.bytes = 0, 0
+			hn := s.orthogonalize(opts.Orthogonalization, j)
+			if hn > 1e-300 {
+				scaleInto(v[j+1], w, 1/hn)
 			} else {
 				// Happy breakdown: exact solution in this subspace.
-				for i := range v[j+1] {
-					v[j+1][i] = 0
-				}
+				clear(v[j+1])
 			}
-			// The projections, subtractions, norm(s), and the basis
-			// scale: all O(n) vector sweeps, charged per mechanism.
-			osp.End(orthoFlopsFor(opts.Orthogonalization, j, n, reorth),
-				orthoBytesFor(opts.Orthogonalization, j, n, reorth))
+			// The span's charge is the sum over the vector kernels the
+			// step called (dots and maxpy add theirs) plus the basis scale.
+			osp.End(s.flops+scaleFlops(n), s.bytes+scaleBytes(n))
+			h[j+1][j] = hn
 			// Apply accumulated Givens rotations to the new column.
 			for i := 0; i < j; i++ {
 				t := cs[i]*h[i][j] + sn[i]*h[i+1][j] //lint:bce-ok O(restart) Givens update down the Hessenberg column; row lengths are not provable and the loop is negligible next to the n-length sweeps
@@ -317,40 +280,253 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 			h[j+1][j] = 0
 			g[j+1] = -sn[j] * g[j]
 			g[j] = cs[j] * g[j]
-			st.ResidualNorm = math.Abs(g[j+1])
-			if st.ResidualNorm <= target {
+			s.st.ResidualNorm = math.Abs(g[j+1])
+			// A NaN or Inf anywhere in w reaches hn, and from hn the
+			// rotation: this one test sees them all.
+			if !finite(s.st.ResidualNorm) {
+				return s.st, nonFinite(s.st.Iterations, "rotated residual", s.st.ResidualNorm)
+			}
+			if s.st.ResidualNorm <= target {
 				j++
 				break
 			}
 		}
-		// Solve the j×j triangular system into the preallocated y (every
-		// entry of y[:j] is overwritten) and update x += M^{-1} V y.
+		// Solve the j×j triangular system into y (every entry of y[:j]
+		// is overwritten) and update x += M^{-1} V y.
 		yj := y[:j] // bce: j never exceeds mr; one check here serves the back-substitution loops
 		for i := j - 1; i >= 0; i-- {
-			s := g[i]
+			t := g[i]
 			hi := h[i][:j] // bce: ties the row extent to j; prove then erases both checks in the k loop
 			for k := i + 1; k < j; k++ {
-				s -= hi[k] * yj[k]
+				t -= hi[k] * yj[k]
 			}
 			if math.Abs(h[i][i]) < 1e-300 {
 				y[i] = 0
 			} else {
-				y[i] = s / h[i][i]
+				y[i] = t / h[i][i]
 			}
 		}
-		for i := range z {
-			z[i] = 0
-		}
+		clear(z)
 		// z = V y in one fused read-modify-write sweep (bitwise identical
 		// to the per-vector Axpy sequence, one barrier instead of j).
 		par.MAxpy(opts.Pool, yj, v[:j], z)
-		m.Apply(z, w)
-		st.PrecondApps++
+		pc(z, w)
+		s.st.PrecondApps++
 		par.Axpy(opts.Pool, 1, w, x)
-		if st.ResidualNorm <= target {
-			st.Converged = true
-			return st, nil
+		if s.st.ResidualNorm <= target {
+			s.st.Converged = true
+			return s.st, nil
+		}
+		if s.st.Iterations >= opts.MaxIters {
+			return s.st, nil
+		}
+		s.st.Restarts++
+		if beta, err = s.residual(b, x, r); err != nil {
+			return s.st, err
 		}
 	}
-	return st, nil
+}
+
+// slab returns rows slices of cols entries carved from one allocation.
+func slab(rows, cols int) [][]float64 {
+	buf := make([]float64, rows*cols)
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = buf[i*cols : (i+1)*cols]
+	}
+	return out
+}
+
+// gmres is one solve's vector-side state: where the vectors live, the
+// basis and the orthogonalization workspace, and the counts the vector
+// kernels report as they run.
+type gmres struct {
+	sp    Space
+	pool  *par.Pool
+	n     int
+	apply func(x, y []float64) error
+	// reduce is the profiler the reduce spans open on: sp.Prof when Sum
+	// is set, nil — inert spans, no reduce phase — on one address space.
+	reduce *prof.Profiler
+	st     Stats
+
+	v, h  [][]float64 // basis rows; Hessenberg h[i][j]
+	w     []float64   // the vector being orthogonalized
+	hcol  []float64   // one dots batch: a Hessenberg column, then w·w and ‖v_j‖² when asked for
+	hneg  []float64   // the negated coefficients maxpy subtracts with
+	batch [][]float64 // basis + w, the vectors of one dots batch
+	// vnrm[i] is ‖v_i‖² as the projections divide by it: 1 — the basis
+	// taken as normalized, a division that changes no bit — unless a
+	// mechanism measures it ("cgs1").
+	vnrm []float64
+	// one and pair are dot's and axpy's one-entry batch.
+	one  [1]float64
+	pair [1][]float64
+	// flops and bytes accumulate the open orthogonalization span's
+	// charge: every kernel a step calls adds its par formula.
+	flops, bytes int64
+}
+
+// residual sets r = b − A x and returns its global norm.
+func (s *gmres) residual(b, x, r []float64) (float64, error) {
+	if err := s.apply(x, r); err != nil {
+		return 0, err
+	}
+	s.st.MatVecs++
+	bs := b[:len(r)] // bce: ties len(bs) to len(r); the range index serves both unchecked
+	for i := range r {
+		r[i] = bs[i] - r[i]
+	}
+	return math.Sqrt(s.dot(r, r)), nil
+}
+
+// scaleInto sets dst = a·src.
+func scaleInto(dst, src []float64, a float64) {
+	dst = dst[:len(src)] // bce: ties len(dst) to len(src); the range index serves both unchecked
+	for i := range src {
+		dst[i] = src[i] * a
+	}
+}
+
+// dots fills out[i] with the global x·vs[i] and, when u is set,
+// out[len(vs)] with the global u·u: one fused par.MDot pass, at most one
+// par.Dot, ONE Sum round for the whole batch. Both halves are
+// deterministic (fixed-shape segmented local partials, rank-ordered
+// elementwise combine), so each entry is bitwise what a scalar reduction
+// of the same product gives. With Sum set the whole call is a reduce
+// span, local products included — they are a vanishing fraction of it
+// next to the wait for the last rank; on one address space the products
+// are the open orthogonalization span's work.
+func (s *gmres) dots(x []float64, vs [][]float64, u, out []float64) {
+	k, extra := len(vs), 0
+	rsp := s.reduce.Begin(prof.PhaseReduce)
+	s.reduce.NoteThreads(prof.PhaseReduce, s.pool.Workers())
+	par.MDot(s.pool, x, vs, out)
+	if u != nil {
+		extra = 1
+		out[k] = par.Dot(s.pool, u, u)
+	}
+	if s.sp.Sum != nil {
+		s.sp.Sum(out[:k+extra])
+	} else {
+		s.flops += dotsFlops(k, extra, s.n)
+		s.bytes += dotsBytes(k, extra, s.n)
+	}
+	rsp.End(dotsFlops(k, extra, s.n), dotsBytes(k, extra, s.n))
+}
+
+// dot returns the global x·y: a one-vector dots batch.
+func (s *gmres) dot(x, y []float64) float64 {
+	s.pair[0] = y
+	s.dots(x, s.pair[:], nil, s.one[:])
+	return s.one[0]
+}
+
+// norm returns the global ‖x‖ as one product and one round of an
+// orthogonalization step.
+func (s *gmres) norm(x []float64) float64 {
+	s.st.InnerProds++
+	s.st.Reductions++
+	return math.Sqrt(s.dot(x, x))
+}
+
+// maxpy computes y += Σ alphas[i]·vs[i] in one fused sweep, charged to
+// the open orthogonalization span.
+func (s *gmres) maxpy(alphas []float64, vs [][]float64, y []float64) {
+	par.MAxpy(s.pool, alphas, vs, y)
+	s.flops += par.MAxpyFlops(len(vs), s.n)
+	s.bytes += par.MAxpyBytes(len(vs), s.n)
+}
+
+// axpy computes y += a·x: a one-vector maxpy.
+func (s *gmres) axpy(a float64, x, y []float64) {
+	s.one[0], s.pair[0] = a, x
+	s.maxpy(s.one[:], s.pair[:], y)
+}
+
+// orthogonalize projects w against v[0..j] by the named mechanism,
+// filling rows 0..j of Hessenberg column j, and returns the global ‖w‖
+// left after the projection (the column's row j+1).
+func (s *gmres) orthogonalize(mech string, j int) float64 {
+	switch mech {
+	case "cgs":
+		s.fusedPass(j, false, nil, false)
+		return s.norm(s.w)
+	case "cgs2":
+		// The pre-projection ‖w‖² rides the fused pass, so the
+		// reorthogonalization decision costs no extra round.
+		s.fusedPass(j, true, nil, false)
+		wwPre := s.hcol[j+1]
+		hn := s.norm(s.w)
+		if hn*hn < 0.5*wwPre {
+			// The projection cancelled more than half of w's mass
+			// (‖w_after‖ < ‖w_before‖/√2, the DGKS criterion): one full
+			// second pass, corrections folded into the column.
+			s.fusedPass(j, false, nil, true)
+			hn = s.norm(s.w)
+		}
+		return hn
+	case "cgs1":
+		// One round: the norm is derived from the batch, not reduced
+		// again. v_{j+1} is then normalized by a derived norm, so its
+		// true norm is 1 only to the derivation's accuracy; assumed 1,
+		// that error would feed back through the next derived norm at
+		// the projection's cancellation ratio and grow geometrically.
+		// So each batch also measures ‖v_j‖² and the projection divides
+		// by it (DESIGN.md §9). The clamp covers cancellation at
+		// breakdown; every address space derives the same value.
+		return math.Sqrt(max(s.fusedPass(j, true, s.v[j], false), 0))
+	}
+	// Modified Gram-Schmidt: one round per basis vector, w streamed
+	// 2(j+1) times.
+	vs := s.v[:j+1]
+	for i, vi := range vs {
+		hij := s.dot(s.w, vi)
+		s.st.InnerProds++
+		s.st.Reductions++
+		s.h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
+		s.axpy(-hij, vi, s.w)
+	}
+	return s.norm(s.w)
+}
+
+// fusedPass is one classical Gram-Schmidt pass on the fused kernels:
+// every w·vᵢ — and, withNorm, w·w as the batch's last entry; and, with
+// u set, u·u after it, stored as ‖v_j‖² — from ONE pass over w and one
+// round; the coefficients hᵢ = (w·vᵢ)/‖vᵢ‖² stored into Hessenberg
+// column j (added to it on a reorthogonalization pass); then one fused
+// subtraction sweep. Same dots, same segmented partials as the
+// per-vector path — bitwise identical to it — but w streams once per
+// pass. Returns ‖w − Vh‖² = ‖w‖² − Σ hᵢ·(w·vᵢ), which holds because the
+// coefficients came from this same w; meaningful only withNorm.
+func (s *gmres) fusedPass(j int, withNorm bool, u []float64, add bool) float64 {
+	vs := s.v[:j+1]
+	batch := vs
+	if withNorm {
+		batch = s.batch[:j+2]
+		copy(batch, vs)
+		batch[j+1] = s.w
+	}
+	s.dots(s.w, batch, u, s.hcol)
+	s.st.InnerProds += len(batch)
+	s.st.Reductions++
+	if u != nil {
+		s.st.InnerProds++
+		s.vnrm[j] = s.hcol[len(batch)]
+	}
+	t := s.hcol[j+1]
+	hc := s.hcol[:j+1]
+	hn := s.hneg[:len(hc)] // bce: ties len(hn) to len(hc); the range index serves both unchecked
+	for i, di := range hc {
+		hij := di / s.vnrm[i] //lint:bce-ok O(1) Hessenberg-column arithmetic per O(n) projection sweep; the extents are not provable
+		if add {
+			s.h[i][j] += hij //lint:bce-ok one O(1) Hessenberg update per O(n) correction sweep; the row lengths are not provable
+		} else {
+			s.h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
+		}
+		hn[i] = -hij
+		t -= hij * di
+	}
+	s.maxpy(hn, vs, s.w)
+	return t
 }

@@ -1,11 +1,15 @@
 package krylov
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/par"
+	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
 )
 
@@ -194,6 +198,139 @@ func TestGMRESInputValidation(t *testing.T) {
 	}
 	if _, err := Solve(a, nil, make([]float64, 3), make([]float64, 3), Options{Restart: 0, MaxIters: 5}); err == nil {
 		t.Error("restart 0 accepted")
+	}
+	for _, name := range append([]string{""}, Orthogonalizations...) {
+		if err := (Options{Restart: 1, MaxIters: 1, Orthogonalization: name}).Validate(); err != nil {
+			t.Errorf("Validate rejected %q: %v", name, err)
+		}
+	}
+	err := Options{Restart: 1, MaxIters: 1, Orthogonalization: "cgz"}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "Orthogonalization") || !strings.Contains(err.Error(), "cgs1") {
+		t.Errorf("Validate on a typo: %v, want an error naming the field and the accepted names", err)
+	}
+}
+
+// TestNonFiniteOperatorStops: an operator that emits a NaN at its fifth
+// apply — with Restart 2 the first step of the second cycle (apply 1 is
+// the initial residual, 2-3 the first cycle, 4 the restart residual) —
+// stops the solve at iteration 3 with a structured error, under every
+// mechanism, instead of grinding through MaxIters on NaN vectors; x
+// keeps the first cycle's finite update.
+func TestNonFiniteOperatorStops(t *testing.T) {
+	a := wingMatrix(t, 5, 4, 4, 4, 43)
+	n := a.N()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.Cos(float64(i) * 0.23)
+	}
+	for _, mech := range Orthogonalizations {
+		applies := 0
+		op := OperatorFunc(func(x, y []float64) {
+			a.MulVec(x, y)
+			if applies++; applies == 5 {
+				y[n/2] = math.NaN()
+			}
+		})
+		x := make([]float64, n)
+		st, err := Solve(op, nil, b, x, Options{Restart: 2, MaxIters: 50, RelTol: 1e-12, Orthogonalization: mech})
+		var nf *NonFiniteError
+		if !errors.As(err, &nf) || nf.Iteration != 3 || st.Iterations != 3 {
+			t.Fatalf("%s: error %v after %d iterations, want a *NonFiniteError at iteration 3", mech, err, st.Iterations)
+		}
+		if applies != 5 {
+			t.Errorf("%s: %d applies, want the solve to stop at the 5th", mech, applies)
+		}
+		moved := false
+		for i, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s: x[%d] = %g after the failed solve", mech, i, v)
+			}
+			moved = moved || v != 0
+		}
+		if !moved {
+			t.Errorf("%s: x lost the completed cycle's update", mech)
+		}
+	}
+}
+
+// TestOrthoChargeIsSumOfKernelFormulas: for each mechanism, the flops
+// and bytes a fixed solve charges to the ortho phase — and, when the
+// vectors are distributed, to the reduce phase — equal the sum of the
+// par formulas over the vector kernels the mechanism calls, counted here
+// from the solve's own statistics. On one address space every product
+// of the orthogonalization steps is ortho work and there is no reduce
+// phase; with Sum set the products (and the 1 + Restarts residual norms)
+// are reduce work and ortho keeps the subtraction sweeps and the scale.
+func TestOrthoChargeIsSumOfKernelFormulas(t *testing.T) {
+	a := wingMatrix(t, 5, 4, 4, 4, 37)
+	n := a.N()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.Cos(float64(i) * 0.23)
+	}
+	apply := func(x, y []float64) error { a.MulVec(x, y); return nil }
+	// sum of MDot formulas over `batches` passes totalling `products`
+	// vectors, and of MAxpy formulas over `sweeps` totalling `vectors`.
+	mdot := func(products, batches int) (int64, int64) {
+		return par.MDotFlops(products, n), par.MDotBytes(products, n) + int64(batches-1)*par.MDotBytes(0, n)
+	}
+	maxpy := func(vectors, sweeps int) (int64, int64) {
+		return par.MAxpyFlops(vectors, n), par.MAxpyBytes(vectors, n) + int64(sweeps-1)*par.MAxpyBytes(0, n)
+	}
+	for _, mech := range Orthogonalizations {
+		for _, distributed := range []bool{false, true} {
+			p := prof.New()
+			p.Enable()
+			sp := Space{Prof: p}
+			if distributed {
+				sp.Sum = func([]float64) {} // one rank: the local sums are the global ones
+			}
+			st, err := SolveOn(sp, apply, nil, b, make([]float64, n),
+				Options{Restart: 6, MaxIters: 15, Orthogonalization: mech})
+			if err != nil {
+				t.Fatal(err)
+			}
+			its, prods, rounds := st.Iterations, st.InnerProds, st.Reductions
+			if its != 15 || st.Restarts != 2 {
+				t.Fatalf("%s: want the fixed 15 iterations in 3 cycles, got %+v", mech, st)
+			}
+			// What the mechanism's steps called, from the statistics:
+			// products and passes of MDot, separate Dots, vectors and
+			// sweeps of MAxpy.
+			var mdotProds, mdotBatches, extraDots, axpyVecs, axpySweeps int
+			switch mech {
+			case "mgs": // every product its own pass; one axpy per projection
+				mdotProds, mdotBatches, axpyVecs, axpySweeps = prods, prods, prods-its, prods-its
+			case "cgs": // a projection pass and a norm per step
+				mdotProds, mdotBatches, axpyVecs, axpySweeps = prods, rounds, prods-its, its
+			case "cgs2": // rounds/2 fused passes, each followed by a norm; w·w rides the first
+				mdotProds, mdotBatches, axpyVecs, axpySweeps = prods, rounds, prods-its-rounds/2, rounds/2
+			case "cgs1": // one pass per step carrying w·w, plus the separate ‖v_j‖²
+				mdotProds, mdotBatches, extraDots, axpyVecs, axpySweeps = prods-its, its, its, prods-2*its, its
+			}
+			dotF, dotB := mdot(mdotProds+extraDots, mdotBatches+extraDots)
+			axF, axB := maxpy(axpyVecs, axpySweeps)
+			scF, scB := int64(its)*scaleFlops(n), int64(its)*scaleBytes(n)
+			got := map[string]prof.PhaseStat{}
+			for _, ps := range p.Report(0).Phases {
+				got[ps.Phase] = ps
+			}
+			wantOrthoF, wantOrthoB := dotF+axF+scF, dotB+axB+scB
+			if distributed {
+				wantOrthoF, wantOrthoB = axF+scF, axB+scB
+				normF, normB := mdot(1+st.Restarts, 1+st.Restarts)
+				if r := got["reduce"]; r.Flops != dotF+normF || r.Bytes != dotB+normB || r.Calls != int64(rounds+1+st.Restarts) {
+					t.Errorf("%s distributed: reduce charged %d flops, %d bytes in %d spans; the kernels called sum to %d, %d in %d",
+						mech, r.Flops, r.Bytes, r.Calls, dotF+normF, dotB+normB, rounds+1+st.Restarts)
+				}
+			} else if _, ok := got["reduce"]; ok {
+				t.Errorf("%s: a reduce phase on one address space", mech)
+			}
+			if o := got["ortho"]; o.Flops != wantOrthoF || o.Bytes != wantOrthoB || o.Calls != int64(its) {
+				t.Errorf("%s distributed=%v: ortho charged %d flops, %d bytes in %d spans; the kernels called sum to %d, %d in %d",
+					mech, distributed, o.Flops, o.Bytes, o.Calls, wantOrthoF, wantOrthoB, its)
+			}
+		}
 	}
 }
 

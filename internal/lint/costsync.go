@@ -17,12 +17,14 @@ import (
 // formula in its count variable — equals the counted per-iteration
 // work times the declared iteration multiplicity.
 //
-// The registry below declares, for each audited kernel, which innermost
-// loops (by source order) and which known vector calls (Dot/Axpy/Norm2)
-// carry the count variable's marginal work. It also pins the kernel's
-// total innermost-loop count, so restructuring a kernel (adding or
-// removing a loop) forces the registry — and with it the formula review
-// — to be revisited. Equivalence entries additionally pin pairs of
+// The registry below declares, for each audited kernel, its innermost
+// loop count and which known vector calls (Dot/MDot/MAxpy) it makes: the
+// marginal work is what its innermost loops do per iteration plus what
+// those calls do per element. An audited kernel is a leaf — one loop, or
+// a helper around one kernel call — so no entry addresses a loop by its
+// position inside a larger function, and restructuring a kernel (adding
+// or removing a loop) forces the registry — and with it the formula
+// review — to be revisited. Equivalence entries additionally pin pairs of
 // formulas that must agree (a split sweep must charge exactly what the
 // full sweep charges), which is what keeps the overlap path's
 // interior+boundary accounting conservative.
@@ -36,47 +38,31 @@ var CostSync = &Analyzer{
 	Run:       runCostSync,
 }
 
-// loopTerm attributes per-iteration kernel work to the count variable:
-// innermost loop `index` (source order) runs `mult` iterations per unit
-// of the formula's count variable.
-type loopTerm struct {
-	index int
-	mult  int64
-}
-
-// callTerm attributes a known O(n) vector call (Dot/Axpy/Norm2/Scale)
-// to the count variable: the `occurrence`-th call (source order) to
-// `name` contributes its per-element flops times `mult`.
+// callTerm attributes a known O(n) vector call (Dot/MDot/MAxpy) to the
+// count variable: the kernel's one call to `name` contributes its
+// per-element flops times `mult`.
 type callTerm struct {
-	name       string
-	occurrence int
-	mult       int64
+	name string
+	mult int64
 }
 
 // knownCallFlops is the per-element flop cost of the shared vector
 // kernels the audited code calls instead of open-coding.
 var knownCallFlops = map[string]int64{
 	"Dot":   2, // multiply + add per element
-	"Axpy":  2, // multiply + add per element
-	"Norm2": 2, // multiply + add per element
-	"Scale": 1, // multiply per element
 	"MDot":  2, // multiply + add per element PER BATCHED VECTOR — the callTerm mult carries k
 	"MAxpy": 2, // multiply + add per element PER APPLIED VECTOR — the callTerm mult carries k
 }
 
 // knownCallBytes is the per-element memory traffic of the same calls:
-// Dot/Norm2 stream two vectors (16), Axpy streams two and writes one
-// back (24), Scale is a read-modify-write of one (16). The fused
-// multi-vector kernels are charged 8 bytes per stream with the stream
-// count in the callTerm mult: MDot moves k+1 streams (the shared vector
-// once plus each basis vector), MAxpy k+2 (each applied vector plus a
-// read-modify-write of the target) — the traffic collapse that makes
-// the fusion worth pinning.
+// Dot streams two vectors (16). The fused multi-vector kernels are
+// charged 8 bytes per stream with the stream count in the callTerm
+// mult: MDot moves k+1 streams (the shared vector once plus each basis
+// vector), MAxpy k+2 (each applied vector plus a read-modify-write of
+// the target) — the traffic collapse that makes the fusion worth
+// pinning.
 var knownCallBytes = map[string]int64{
 	"Dot":   16,
-	"Axpy":  24,
-	"Norm2": 16,
-	"Scale": 16,
 	"MDot":  8,
 	"MAxpy": 8,
 }
@@ -86,9 +72,9 @@ type coefCheck struct {
 	pkg        string // import path the kernel and formula live in
 	kernel     string // "Func" or "Type.Method"
 	totalLoops int    // expected innermost-loop count (structure pin)
-	loops      []loopTerm
 	calls      []callTerm
-	formula    string // "Func" or "Type.Method" in the same package
+	formulaPkg string // import path of the formula's package when it is not pkg (a direct import of it)
+	formula    string // "Func" or "Type.Method"
 	countVar   string // formula variable to differentiate
 	env        map[string]int64
 	bytes      bool // count 8-byte float loads/stores instead of flops
@@ -113,61 +99,17 @@ var costChecks = []coefCheck{
 	// B=4 kernel does 32 flops per stored block (innermost k-loop);
 	// MulVecFlops' marginal per ColIdx entry is 2*B*B.
 	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVec4", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "BCSR.MulVecFlops",
+		formula:  "BCSR.MulVecFlops",
 		countVar: "ColIdx", env: map[string]int64{"B": 4}},
 	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVec5", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "BCSR.MulVecFlops",
+		formula:  "BCSR.MulVecFlops",
 		countVar: "ColIdx", env: map[string]int64{"B": 5}},
 	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVecRows4", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "MulVecRowsFlops",
+		formula:  "MulVecRowsFlops",
 		countVar: "nnzBlocks", env: map[string]int64{"b": 4}},
 	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVecRows5", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "MulVecRowsFlops",
+		formula:  "MulVecRowsFlops",
 		countVar: "nnzBlocks", env: map[string]int64{"b": 5}},
-
-	// dist: the reduce-phase dot delegates its local product to the
-	// shared fixed-shape par.Dot — 2 flops and 2 float loads (16 bytes)
-	// per scalar, charged through the known-call table.
-	{pkg: "petscfun3d/internal/dist", kernel: "Matrix.Dot", totalLoops: 0,
-		calls: []callTerm{{"Dot", 0, 1}}, formula: "dotFlops",
-		countVar: "n", env: map[string]int64{}},
-	{pkg: "petscfun3d/internal/dist", kernel: "Matrix.Dot", totalLoops: 0,
-		calls: []callTerm{{"Dot", 0, 1}}, formula: "dotBytes",
-		countVar: "n", env: map[string]int64{}, bytes: true},
-	// dist Matrix.MDot: the batched reduce-phase multi-dot delegates
-	// its local products to the fused par.MDot — 2 flops per element per
-	// batched vector, one shared-vector stream plus one per basis vector
-	// (the callTerm mult carries k and k+1 at the pinned env k=1).
-	{pkg: "petscfun3d/internal/dist", kernel: "Matrix.MDot", totalLoops: 0,
-		calls: []callTerm{{"MDot", 0, 1}}, formula: "mdotFlops",
-		countVar: "n", env: map[string]int64{"k": 1}},
-	{pkg: "petscfun3d/internal/dist", kernel: "Matrix.MDot", totalLoops: 0,
-		calls: []callTerm{{"MDot", 0, 2}}, formula: "mdotBytes",
-		countVar: "n", env: map[string]int64{"k": 1}, bytes: true},
-	// dist Matrix.orthoReduce: the fused k-vector batch plus the one
-	// extra basis-norm Dot of a Gram-Schmidt step's single
-	// synchronization round, pinned at k=1.
-	{pkg: "petscfun3d/internal/dist", kernel: "Matrix.orthoReduce", totalLoops: 0,
-		calls: []callTerm{{"MDot", 0, 1}, {"Dot", 0, 1}}, formula: "orthoReduceFlops",
-		countVar: "n", env: map[string]int64{"k": 1}},
-	{pkg: "petscfun3d/internal/dist", kernel: "Matrix.orthoReduce", totalLoops: 0,
-		calls: []callTerm{{"MDot", 0, 2}, {"Dot", 0, 1}}, formula: "orthoReduceBytes",
-		countVar: "n", env: map[string]int64{"k": 1}, bytes: true},
-	// dist GMRES orthogonalization at step j=0: the fused MAxpy
-	// subtraction sweep (2 flops per element per applied vector, the
-	// callTerm mult carrying j+1) plus the basis scale (loop 5, 1 flop);
-	// the batched projections inside are charged to the reduce phase by
-	// orthoReduce itself, so they do not appear in orthoFlops. The
-	// O(restart) Hessenberg copy loop (loop 4) carries no n-marginal.
-	{pkg: "petscfun3d/internal/dist", kernel: "GMRES", totalLoops: 12,
-		loops: []loopTerm{{5, 1}}, calls: []callTerm{{"MAxpy", 0, 1}},
-		formula: "orthoFlops", countVar: "n", env: map[string]int64{"j": 0}},
-	// The same step's traffic: MAxpy moves j+3 streams of 8 bytes (j+1
-	// applied vectors plus the read-modify-write of w) and the scale
-	// streams 16 — (8(j+1)+32)n in total.
-	{pkg: "petscfun3d/internal/dist", kernel: "GMRES", totalLoops: 12,
-		loops: []loopTerm{{5, 1}}, calls: []callTerm{{"MAxpy", 0, 3}},
-		formula: "orthoBytes", countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
 
 	// ilu: the one family of triangular-solve row kernels behind Solve
 	// and SolvePar. Each unrolled kernel's innermost loop is the walk
@@ -176,69 +118,45 @@ var costChecks = []coefCheck{
 	// the row's running value — SolveFlops' marginal per stored block
 	// (2*B*B + B). The float32 instantiations are the same source.
 	{pkg: "petscfun3d/internal/ilu", kernel: "forward4", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
+		formula:  "Factorization.SolveFlops",
 		countVar: "Col", env: map[string]int64{"B": 4, "NB": 50}},
 	{pkg: "petscfun3d/internal/ilu", kernel: "backward4", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
+		formula:  "Factorization.SolveFlops",
 		countVar: "Col", env: map[string]int64{"B": 4, "NB": 50}},
 	{pkg: "petscfun3d/internal/ilu", kernel: "forward5", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
+		formula:  "Factorization.SolveFlops",
 		countVar: "Col", env: map[string]int64{"B": 5, "NB": 50}},
 	{pkg: "petscfun3d/internal/ilu", kernel: "backward5", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "Factorization.SolveFlops",
+		formula:  "Factorization.SolveFlops",
 		countVar: "Col", env: map[string]int64{"B": 5, "NB": 50}},
 
-	// krylov orthogonalization at step j=0, per mechanism. Innermost
-	// loop 10 is the basis-scale sweep (1 flop, 16 bytes per element);
-	// the O(restart) Hessenberg copy loops (7-9) carry no n-marginal.
-	// Norm2's third occurrence is the post-projection norm (the first
-	// two normalize restart residuals); its fourth is the cgs2
-	// reorthogonalization recompute. MDot/MAxpy occurrences 0/1/2 are
-	// the cgs, cgs2, and reorthogonalization passes in order; the
-	// callTerm mult carries the batch width (flops) and stream count
-	// (bytes) at the pinned j=0.
-	//
-	// mgs: one Dot (2) + one Axpy (2) per projection, the Norm2 (2),
-	// and the scale (1).
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"Dot", 0, 1}, {"Axpy", 0, 1}, {"Norm2", 2, 1}},
-		formula:  "orthoFlops",
-		countVar: "n", env: map[string]int64{"j": 0}},
-	// cgs: one fused MDot pass (2 per vector), one fused MAxpy sweep
-	// (2 per vector), the Norm2, and the scale.
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"MDot", 0, 1}, {"MAxpy", 0, 1}, {"Norm2", 2, 1}},
-		formula:  "orthoFlopsCGS",
-		countVar: "n", env: map[string]int64{"j": 0}},
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"MDot", 0, 2}, {"MAxpy", 0, 3}, {"Norm2", 2, 1}},
-		formula:  "orthoBytesCGS",
-		countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
-	// cgs2: the MDot batch carries w itself as one extra vector (the
-	// pre-projection norm for the reorthogonalization decision).
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"MDot", 1, 2}, {"MAxpy", 1, 1}, {"Norm2", 2, 1}},
-		formula:  "orthoFlopsCGS2",
-		countVar: "n", env: map[string]int64{"j": 0}},
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		loops:    []loopTerm{{10, 1}},
-		calls:    []callTerm{{"MDot", 1, 3}, {"MAxpy", 1, 3}, {"Norm2", 2, 1}},
-		formula:  "orthoBytesCGS2",
-		countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
-	// The selective reorthogonalization pass: a second MDot/MAxpy round
-	// and the norm recompute (no scale — the caller normalizes once).
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		calls:    []callTerm{{"MDot", 2, 1}, {"MAxpy", 2, 1}, {"Norm2", 3, 1}},
-		formula:  "reorthFlops",
-		countVar: "n", env: map[string]int64{"j": 0}},
-	{pkg: "petscfun3d/internal/krylov", kernel: "Solve", totalLoops: 15,
-		calls:    []callTerm{{"MDot", 2, 2}, {"MAxpy", 2, 3}, {"Norm2", 3, 1}},
-		formula:  "reorthBytes",
-		countVar: "n", env: map[string]int64{"j": 0}, bytes: true},
+	// krylov: the one GMRES charges its orthogonalization span with the
+	// sum of the formulas of the vector kernels a step called, so the
+	// registry pins the helpers every mechanism goes through, never a
+	// loop position inside the solver. dots is one fused MDot pass
+	// (2 flops per element per vector; one stream for the shared vector
+	// plus one per vector) and, with extra = 1, one Dot, pinned at k = 1;
+	// maxpy is one MAxpy sweep charged par's own formula (k applied
+	// vectors plus the read-modify-write of the target); scaleInto is
+	// the basis normalization (1 flop, one load and one store).
+	{pkg: "petscfun3d/internal/krylov", kernel: "gmres.dots", totalLoops: 0,
+		calls: []callTerm{{"MDot", 1}, {"Dot", 1}}, formula: "dotsFlops",
+		countVar: "n", env: map[string]int64{"k": 1, "extra": 1}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "gmres.dots", totalLoops: 0,
+		calls: []callTerm{{"MDot", 2}, {"Dot", 1}}, formula: "dotsBytes",
+		countVar: "n", env: map[string]int64{"k": 1, "extra": 1}, bytes: true},
+	{pkg: "petscfun3d/internal/krylov", kernel: "gmres.maxpy", totalLoops: 0,
+		calls: []callTerm{{"MAxpy", 1}}, formulaPkg: "petscfun3d/internal/par", formula: "MAxpyFlops",
+		countVar: "n", env: map[string]int64{"k": 1}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "gmres.maxpy", totalLoops: 0,
+		calls: []callTerm{{"MAxpy", 3}}, formulaPkg: "petscfun3d/internal/par", formula: "MAxpyBytes",
+		countVar: "n", env: map[string]int64{"k": 1}, bytes: true},
+	{pkg: "petscfun3d/internal/krylov", kernel: "scaleInto", totalLoops: 1,
+		formula:  "scaleFlops",
+		countVar: "n", env: map[string]int64{}},
+	{pkg: "petscfun3d/internal/krylov", kernel: "scaleInto", totalLoops: 1,
+		formula:  "scaleBytes",
+		countVar: "n", env: map[string]int64{}, bytes: true},
 
 	// par fused multi-vector group-of-4 kernels: MDotFlops/MDotBytes'
 	// per-element marginals at k=4 are exactly mdotSeg4's loop body
@@ -248,22 +166,22 @@ var costChecks = []coefCheck{
 	// compound multiply-adds (8 flops) over four streamed vectors plus
 	// one read-modify-write of the target (48 bytes).
 	{pkg: "petscfun3d/internal/par", kernel: "mdotSeg4", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "MDotFlops",
+		formula:  "MDotFlops",
 		countVar: "n", env: map[string]int64{"k": 4}},
 	{pkg: "petscfun3d/internal/par", kernel: "mdotSeg4", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "MDotBytes",
+		formula:  "MDotBytes",
 		countVar: "n", env: map[string]int64{"k": 4}, bytes: true},
 	{pkg: "petscfun3d/internal/par", kernel: "mdotSeg1", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "MDotFlops",
+		formula:  "MDotFlops",
 		countVar: "n", env: map[string]int64{"k": 1}},
 	{pkg: "petscfun3d/internal/par", kernel: "mdotSeg1", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "MDotBytes",
+		formula:  "MDotBytes",
 		countVar: "n", env: map[string]int64{"k": 1}, bytes: true},
 	{pkg: "petscfun3d/internal/par", kernel: "maxpy4", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "MAxpyFlops",
+		formula:  "MAxpyFlops",
 		countVar: "n", env: map[string]int64{"k": 4}},
 	{pkg: "petscfun3d/internal/par", kernel: "maxpy4", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "MAxpyBytes",
+		formula:  "MAxpyBytes",
 		countVar: "n", env: map[string]int64{"k": 4}, bytes: true},
 
 	// euler: structure pin only — the split-sweep kernel is one edge
@@ -279,19 +197,19 @@ var costChecks = []coefCheck{
 	// of the shared residual plus a streaming read of the private copy —
 	// 24 bytes, the undercharge the 16-byte model hid.
 	{pkg: "petscfun3d/internal/euler", kernel: "gatherPrivate", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "PrivateGatherFlops",
+		formula:  "PrivateGatherFlops",
 		countVar: "n", env: map[string]int64{"extra": 1}},
 	{pkg: "petscfun3d/internal/euler", kernel: "gatherPrivate", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "PrivateGatherBytes",
+		formula:  "PrivateGatherBytes",
 		countVar: "n", env: map[string]int64{"extra": 1}, bytes: true},
 
 	// Fixture package exercising the analyzer's positive and negative
 	// paths (internal/lint/testdata/src/costsync).
 	{pkg: "fixture/costsync", kernel: "Dot", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "dotFlops",
+		formula:  "dotFlops",
 		countVar: "n", env: map[string]int64{}},
 	{pkg: "fixture/costsync", kernel: "Axpy", totalLoops: 1,
-		loops: []loopTerm{{0, 1}}, formula: "axpyFlops",
+		formula:  "axpyFlops",
 		countVar: "n", env: map[string]int64{}},
 }
 
@@ -342,17 +260,12 @@ func runCoefCheck(pass *Pass, c coefCheck) {
 		return // structure pin only
 	}
 	var kernelCoef int64
-	for _, lt := range c.loops {
-		if lt.index >= len(loops) {
-			pass.Reportf(fd.Pos(), "costsync registry references loop %d of %s, which has %d", lt.index, c.kernel, len(loops))
-			return
-		}
-		kernelCoef += lt.mult * loopWork(pass.Pkg.Info, loops[lt.index], c.bytes)
+	for _, loop := range loops {
+		kernelCoef += loopWork(pass.Pkg.Info, loop, c.bytes)
 	}
 	for _, ct := range c.calls {
-		call := nthCall(pass.Pkg.Info, fd.Body, ct.name, ct.occurrence)
-		if call == nil {
-			pass.Reportf(fd.Pos(), "costsync registry references call %s #%d in %s, not found", ct.name, ct.occurrence, c.kernel)
+		if n := callCount(pass.Pkg.Info, fd.Body, ct.name); n != 1 {
+			pass.Reportf(fd.Pos(), "kernel %s calls %s %d times, the costsync registry expects exactly one", c.kernel, ct.name, n)
 			return
 		}
 		if c.bytes {
@@ -367,11 +280,15 @@ func runCoefCheck(pass *Pass, c coefCheck) {
 		env[k] = v
 	}
 	env[c.countVar] = base
-	f0, err := evalFormula(pass.Pkg, c.formula, env)
+	fpkg := pass.Pkg
+	if c.formulaPkg != "" {
+		fpkg = pass.Pkg.Imports[c.formulaPkg]
+	}
+	f0, err := evalFormula(fpkg, c.formula, env)
 	if err == nil {
 		env[c.countVar] = base + 1
 		var f1 int64
-		f1, err = evalFormula(pass.Pkg, c.formula, env)
+		f1, err = evalFormula(fpkg, c.formula, env)
 		if err == nil {
 			if marginal := f1 - f0; marginal != kernelCoef {
 				kind := "flops"
@@ -546,35 +463,30 @@ func exprIsFloat(info *types.Info, e ast.Expr) bool {
 	return ok && tv.Type != nil && isFloat(tv.Type)
 }
 
-// nthCall returns the n-th (source order) call in body whose callee is
-// named `name`, or nil.
-func nthCall(info *types.Info, body *ast.BlockStmt, name string, n int) *ast.CallExpr {
-	var out *ast.CallExpr
-	seen := 0
+// callCount returns how many calls in body have a callee named name.
+func callCount(info *types.Info, body *ast.BlockStmt, name string) int {
+	n := 0
 	shallowInspect(body, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := m.(*ast.CallExpr); ok {
+			if obj := calleeObject(info, call); obj != nil && obj.Name() == name {
+				n++
+			}
 		}
-		obj := calleeObject(info, call)
-		if obj == nil || obj.Name() != name {
-			return true
-		}
-		if seen == n {
-			out = call
-		}
-		seen++
-		return out == nil
+		return true
 	})
-	return out
+	return n
 }
 
 // evalFormula interprets a cost function symbolically: the body may be
 // a sequence of simple assignments followed by one return. Identifiers,
 // field selections (f.NB), len() of a field (len(a.ColIdx)), and 0-arg
 // method calls (d.Sys.B()) resolve through env by their last name;
-// integer conversions pass through; same-package calls recurse.
+// integer conversions pass through; calls to functions of the package
+// or of a module package it imports recurse.
 func evalFormula(pkg *Package, name string, env map[string]int64) (int64, error) {
+	if pkg == nil {
+		return 0, fmt.Errorf("formula %s: its package is not a direct import", name)
+	}
 	fd := findFuncDecl(pkg, name)
 	if fd == nil {
 		return 0, fmt.Errorf("formula %s not found", name)
@@ -690,8 +602,15 @@ func evalExpr(pkg *Package, e ast.Expr, locals, env map[string]int64) (int64, er
 				}
 				return 0, fmt.Errorf("unbound method value %s()", fn.Name())
 			}
-			// Same-package function call: recurse.
-			if callee := findFuncDecl(pkg, fn.Name()); callee != nil && callee.Recv == nil {
+			// Function of this package or of an imported one: recurse.
+			home := pkg
+			if fn.Pkg() != nil && fn.Pkg().Path() != pkg.Path {
+				home = pkg.Imports[fn.Pkg().Path()]
+			}
+			if home == nil {
+				return 0, fmt.Errorf("unsupported call")
+			}
+			if callee := findFuncDecl(home, fn.Name()); callee != nil && callee.Recv == nil {
 				sub := map[string]int64{}
 				i := 0
 				for _, field := range callee.Type.Params.List {
@@ -707,7 +626,7 @@ func evalExpr(pkg *Package, e ast.Expr, locals, env map[string]int64) (int64, er
 						i++
 					}
 				}
-				return evalFormula(pkg, fn.Name(), sub)
+				return evalFormula(home, fn.Name(), sub)
 			}
 		}
 		return 0, fmt.Errorf("unsupported call")

@@ -22,6 +22,9 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Imports holds the module packages this one imports directly, by
+	// import path (costsync follows cost formulas into them).
+	Imports map[string]*Package
 }
 
 // Loader parses and type-checks packages using only the standard
@@ -152,7 +155,12 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, Imports: map[string]*Package{}}
+	for _, imp := range tpkg.Imports() {
+		if dep, ok := l.pkgs[imp.Path()]; ok {
+			p.Imports[imp.Path()] = dep
+		}
+	}
 	l.pkgs[path] = p
 	l.typecache[path] = tpkg
 	return p, nil

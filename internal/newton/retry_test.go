@@ -1,7 +1,9 @@
 package newton
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -75,5 +77,45 @@ func TestStepRetriesExhaustedReturnPartialResult(t *testing.T) {
 	}
 	if res.FinalRnorm <= 0 || res.InitialRnorm <= 0 {
 		t.Fatalf("partial result lost its norms: initial %g final %g", res.InitialRnorm, res.FinalRnorm)
+	}
+}
+
+// TestNonFiniteLinearSolveIsAFailedStep: an operator that turns NaN from
+// step 2 on makes GMRES stop with its structured error at the first
+// iteration; the Newton loop treats that as a failed attempt, retries
+// once, and aborts with the two completed steps and a state no NaN
+// correction ever touched — where it used to add NaN into q and notice
+// only in the line search.
+func TestNonFiniteLinearSolveIsAFailedStep(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MaxSteps = 60
+	opts.StepRetries = 1
+	s, q := buildSolver(t, 6, 5, 4, euler.NewIncompressible(), opts)
+	solves := 0
+	s.Hooks = &Hooks{WrapOperator: func(op krylov.Operator) krylov.Operator {
+		solves++ // one linear solve per step attempt
+		poisoned, applies := solves >= 3, 0
+		return krylov.OperatorFunc(func(x, y []float64) {
+			op.Apply(x, y)
+			if applies++; poisoned && applies == 2 {
+				y[0] = math.NaN()
+			}
+		})
+	}}
+	res, err := s.Solve(q)
+	var nf *krylov.NonFiniteError
+	if !errors.As(err, &nf) || nf.Iteration != 1 {
+		t.Fatalf("error %v, want a *krylov.NonFiniteError at iteration 1", err)
+	}
+	if !strings.Contains(err.Error(), "step 2 failed after 2 attempt(s)") {
+		t.Fatalf("abort error does not name the step and attempts: %v", err)
+	}
+	if res == nil || len(res.Steps) != 2 {
+		t.Fatalf("partial result %+v, want the 2 completed steps", res)
+	}
+	for i, v := range q {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("q[%d] = %g after the aborted solve", i, v)
+		}
 	}
 }
