@@ -5,7 +5,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid
+.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid fuzz
 
 # named_gate runs the tests of packages $(2) that match the regex $(1)
 # under the race detector — after checking, package by package, that the
@@ -77,6 +77,19 @@ threads-grid:
 threads: threads-grid
 	go run ./cmd/benchtables -experiment threads -size medium | tee BENCH_threads.txt
 	go run ./cmd/benchtables -experiment table5 -size small | tee -a BENCH_threads.txt
+
+# Kernel-equivalence gate: the first-order edge kernels of
+# internal/euler against the generic sweep through the System interface
+# — bitwise over systems × layouts × edge orderings at every entry point,
+# the FuzzEdgeFlux seed corpus, and the shared-Discretization race test —
+# under the race detector (CI runs it by name).
+kernels-grid:
+	$(call named_gate,'KernelsMatch|EdgeFlux|SharedDiscretization|OperandOrders',./internal/euler)
+
+# The tree's native fuzz targets, 20 s each. A failing input is written
+# under the package's testdata/fuzz and then runs with plain go test.
+fuzz:
+	go test -run '^$$' -fuzz FuzzEdgeFlux -fuzztime 20s ./internal/euler
 
 # Ortho gate: the fused multi-vector kernel determinism grid — MDot/
 # MAxpy bitwise against the per-vector reference across worker counts,

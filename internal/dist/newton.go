@@ -162,6 +162,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 	rTrial := make([]float64, n)
 	qTrial := make([]float64, n)
 	dq := make([]float64, n)
+	ts := make([]float64, d.M.NumVertices()) // pseudo-time scales, refilled every step attempt
 	jac := d.JacobianPattern()
 	var am *Matrix // built by the first step attempt, refreshed by later ones
 
@@ -195,7 +196,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 			attempts++
 			err := c.Protect(func() error { //lint:alloc-ok one closure per step attempt; the hot path is the GMRES inside
 				return newtonStep(c, rsd, d, part, q, r, rnorm, cfl, opts, p, pool,
-					jac, &am, qTrial, rTrial, dq, step, attempts-1, &st, &newNorm)
+					jac, &am, qTrial, rTrial, dq, ts, step, attempts-1, &st, &newNorm)
 			})
 			if err == nil {
 				break
@@ -259,7 +260,7 @@ func stepOperator(c *mpi.Comm, jac *sparse.BCSR, part []int32, am *Matrix, iluOp
 // retried or the solve aborted with a consistent partial result.
 func newtonStep(c *mpi.Comm, rsd *Residual, d *euler.Discretization, part []int32,
 	q, r []float64, rnorm, cfl float64, opts NewtonOptions, p *prof.Profiler, pool *par.Pool,
-	jac *sparse.BCSR, amp **Matrix, qTrial, rTrial, dq []float64, step, attempt int,
+	jac *sparse.BCSR, amp **Matrix, qTrial, rTrial, dq, ts []float64, step, attempt int,
 	st *GMRESStats, newNorm *float64) error {
 	if opts.BeforeStep != nil {
 		if err := opts.BeforeStep(step, attempt); err != nil {
@@ -276,7 +277,8 @@ func newtonStep(c *mpi.Comm, rsd *Residual, d *euler.Discretization, part []int3
 	jsp := p.Begin(prof.PhaseJacobian)
 	err := d.AssembleJacobian(q, jac)
 	if err == nil {
-		newton.AddTimeDiagonal(jac, d.TimeScales(q), cfl)
+		d.TimeScalesInto(q, ts)
+		newton.AddTimeDiagonal(jac, ts, cfl)
 	}
 	jsp.End(0, 0)
 	if err != nil {

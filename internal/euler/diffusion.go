@@ -1,6 +1,9 @@
 package euler
 
-import "petscfun3d/internal/mesh"
+import (
+	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/sparse"
+)
 
 // Galerkin-type diffusion, per the paper's description of FUN3D
 // ("second-order flux-limited characteristics-based convection schemes
@@ -105,17 +108,13 @@ func (d *Discretization) addDiffusion(q, r []float64) {
 
 // addDiffusionJacobian adds the (linear, exact) viscous coupling to the
 // assembled Jacobian: dr_a/dq_b += w I_momentum, dr_a/dq_a -= w I_m, etc.
-func (d *Discretization) addDiffusionJacobian(a interface {
-	BlockAt(i, j int) ([]float64, bool)
-}) {
+// a has JacobianPattern's sparsity (AssembleJacobian checked it).
+func (d *Discretization) addDiffusionJacobian(a *sparse.BCSR) {
 	mu := d.Opts.Viscosity
 	comps := d.diffusiveComponents()
 	b := d.Sys.B()
-	add := func(i, j int32, w float64) {
-		blk, ok := a.BlockAt(int(i), int(j))
-		if !ok {
-			return
-		}
+	add := func(k int32, w float64) {
+		blk := a.Block(int(k))
 		for _, c := range comps {
 			blk[c*b+c] += w
 		}
@@ -126,10 +125,10 @@ func (d *Discretization) addDiffusionJacobian(a interface {
 			continue
 		}
 		// r_a += w(q_b - q_a): d/dq_b = +w, d/dq_a = -w.
-		add(e.a, e.b, w)
-		add(e.a, e.a, -w)
+		add(d.jac.ab[ei], w)
+		add(d.jac.diag[e.a], -w)
 		// r_b += w(q_a - q_b).
-		add(e.b, e.a, w)
-		add(e.b, e.b, -w)
+		add(d.jac.ba[ei], w)
+		add(d.jac.diag[e.b], -w)
 	}
 }

@@ -9,15 +9,18 @@ import (
 	"petscfun3d/internal/sparse"
 )
 
-// fluxWorkspace is the per-sweep scratch for one flux traversal: the
-// gathered endpoint states, the reconstructed face states, and the flux
-// and its scratch. The arrays live here — not as locals in the sweep —
-// because they are passed to System interface methods, which makes
-// stack locals escape to the heap inside the hot loops (the codegen
+// fluxWorkspace is the scratch of the sweeps that still go through the
+// System interface (second order and the boundary closures): the
+// gathered endpoint states, the reconstructed face states, the flux and
+// its scratch, and one Jacobian block. The arrays live here — not as
+// locals in the sweep — because they are passed to System interface
+// methods, which makes stack locals escape to the heap (the codegen
 // budget forbids that). Workspaces are borrowed from a pool because the
 // distributed ranks run as goroutines over one shared Discretization.
+// The first-order edge kernels (kernels.go) need none of it.
 type fluxWorkspace struct {
 	qa, qb, ql, qr, flux, scratch [5]float64
+	jac                           [25]float64
 }
 
 // edgeData is one edge of the flux loop: endpoints and the directed dual
@@ -69,9 +72,12 @@ type Discretization struct {
 	// Reusable worker-pool task of ResidualParallel; field re-pointing
 	// keeps the threaded sweep allocation-free in steady state.
 	fluxT fluxTask
-	// Cached freestream state for the boundary sweep (System.Freestream
-	// allocates a fresh vector per call).
+	// Plan-time state, built by NewDiscretization and read-only
+	// afterwards (ranks share one Discretization): the freestream ghost
+	// state of the boundary closures (System.Freestream allocates a
+	// fresh vector per call) and the Jacobian block positions.
 	infState []float64
+	jac      jacobianPlan
 	// Flux-sweep scratch states, pooled so concurrent sweeps (the
 	// distributed ranks share one Discretization) each borrow their own.
 	wsPool sync.Pool
@@ -100,7 +106,10 @@ func NewDiscretization(m *mesh.Mesh, geo *Geometry, sys System, opts Options) (*
 			return nil, err
 		}
 	}
-	d := &Discretization{M: m, Geo: geo, Sys: sys, Opts: opts}
+	if err := checkSystem(sys); err != nil {
+		return nil, err
+	}
+	d := &Discretization{M: m, Geo: geo, Sys: sys, Opts: opts, infState: sys.Freestream()}
 	// Materialize edges+normals in the requested iteration order.
 	order := make([]int, m.NumEdges())
 	for i := range order {
@@ -128,6 +137,7 @@ func NewDiscretization(m *mesh.Mesh, geo *Geometry, sys System, opts Options) (*
 		e := m.Edges[oi]
 		d.edges[i] = edgeData{a: e.A, b: e.B, n: geo.Normals[oi]}
 	}
+	d.jac = planJacobian(m, d.edges)
 	b := sys.B()
 	if opts.Order == 2 {
 		d.grad = make([]float64, m.NumVertices()*b*3)
@@ -202,9 +212,8 @@ func (d *Discretization) scatterAddStrided(r []float64, v int32, src []float64, 
 // freestream state, in the discretization's layout.
 func (d *Discretization) FreestreamVector() []float64 {
 	q := make([]float64, d.N())
-	inf := d.Sys.Freestream()
 	for v := int32(0); v < int32(d.M.NumVertices()); v++ {
-		for c, val := range inf {
+		for c, val := range d.infState {
 			q[d.idx(v, c)] = val
 		}
 	}
@@ -216,7 +225,6 @@ func (d *Discretization) FreestreamVector() []float64 {
 // boundary fluxes. r must have length N().
 func (d *Discretization) Residual(q, r []float64) {
 	sp := prof.Begin(prof.PhaseFlux)
-	b := d.Sys.B()
 	rs := r[:d.N()] // bce: one range check here; the zero loop then indexes the tied slice unchecked
 	for i := range rs {
 		rs[i] = 0
@@ -228,24 +236,10 @@ func (d *Discretization) Residual(q, r []float64) {
 			d.computeLimiters(q)
 		}
 		gsp.End(d.gradientFlops(), d.gradientBytes())
+		d.reconstructedEdges(q, r)
+	} else {
+		d.fluxEdges(d.edges, nil, q, r)
 	}
-	ws := d.getWS()
-	qa, qb, ql, qr := ws.qa[:b], ws.qb[:b], ws.ql[:b], ws.qr[:b]
-	flux, scratch := ws.flux[:b], ws.scratch[:b]
-	secondOrder := d.Opts.Order == 2
-	for _, e := range d.edges {
-		d.gather(q, e.a, qa) //lint:bce-ok the gathered row offset is data-dependent through the edge endpoint
-		d.gather(q, e.b, qb) //lint:bce-ok the gathered row offset is data-dependent through the edge endpoint
-		la, ra := qa, qb
-		if secondOrder {
-			d.reconstruct(e, qa, qb, ql, qr)
-			la, ra = ql, qr
-		}
-		NumFlux(d.Sys, la, ra, e.n, flux, scratch)
-		d.scatterAdd(r, e.a, flux, +1)
-		d.scatterAdd(r, e.b, flux, -1)
-	}
-	d.putWS(ws)
 	if d.Opts.Viscosity > 0 {
 		d.addDiffusion(q, r)
 	}
@@ -256,10 +250,7 @@ func (d *Discretization) Residual(q, r []float64) {
 // boundaryResidual adds the boundary closure fluxes.
 func (d *Discretization) boundaryResidual(q, r []float64) {
 	b := d.Sys.B()
-	if d.infState == nil {
-		d.infState = d.Sys.Freestream()
-	}
-	inf := d.infState // cached: Freestream allocates its state vector on every call
+	inf := d.infState
 	ws := d.getWS()
 	qi, flux, scratch := ws.qa[:b], ws.flux[:b], ws.scratch[:b]
 	bk := d.M.BKind
@@ -307,32 +298,34 @@ func (d *Discretization) wallFlux(q []float64, s mesh.Vec3, out []float64) {
 
 // TimeScales returns, for each vertex, the sum of spectral radii over its
 // control-volume faces; the local pseudo-timestep is then
-// Δt_v = CFL · Volume_v / TimeScales_v.
+// Δt_v = CFL · Volume_v / TimeScales_v. It allocates the result; a
+// solver that calls it every step holds one buffer for TimeScalesInto.
 func (d *Discretization) TimeScales(q []float64) []float64 {
-	b := d.Sys.B()
 	out := make([]float64, d.M.NumVertices())
-	ws := d.getWS()
-	qa, qb := ws.qa[:b], ws.qb[:b]
-	for _, e := range d.edges {
-		d.gather(q, e.a, qa) //lint:bce-ok the gathered row offset is data-dependent through the edge endpoint
-		d.gather(q, e.b, qb) //lint:bce-ok the gathered row offset is data-dependent through the edge endpoint
-		lam := d.Sys.SpectralRadius(qa, e.n)
-		if l2 := d.Sys.SpectralRadius(qb, e.n); l2 > lam {
-			lam = l2
-		}
-		out[e.a] += lam //lint:bce-ok the accumulation scatters through the edge endpoints; both are data-dependent
-		out[e.b] += lam //lint:bce-ok the accumulation scatters through the edge endpoints; both are data-dependent
-	}
+	d.TimeScalesInto(q, out)
+	return out
+}
+
+// TimeScalesInto is TimeScales into out, which must have length
+// NumVertices; it is overwritten.
+func (d *Discretization) TimeScalesInto(q, out []float64) {
 	bk := d.M.BKind
-	ba := d.Geo.BoundaryArea[:len(bk)] // bce: ties len(ba) to len(bk); the vertex index serves both unchecked
-	outv := out[:len(bk)]              // bce: ties len(outv) to len(bk) the same way
+	out = out[:len(bk)]                // bce: ties len(out) to len(bk); the vertex index serves both unchecked
+	ba := d.Geo.BoundaryArea[:len(bk)] // bce: ties len(ba) to len(bk) the same way
+	for i := range out {
+		out[i] = 0
+	}
+	d.timeScaleEdges(q, out)
+	ws := d.getWS()
+	qa := ws.qa[:d.Sys.B()]
 	for v, kind := range bk {
 		if kind == mesh.BNone {
 			continue
 		}
 		d.gather(q, int32(v), qa) //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
-		outv[v] += d.Sys.SpectralRadius(qa, ba[v])
+		out[v] += d.Sys.SpectralRadius(qa, ba[v])
 	}
+	d.putWS(ws)
 	// Viscous stiffness: the diffusion operator's diagonal weight joins
 	// the pseudo-timestep scale so the continuation stays robust when
 	// diffusion dominates convection.
@@ -349,6 +342,4 @@ func (d *Discretization) TimeScales(q []float64) []float64 {
 			out[e.b] += w //lint:bce-ok the accumulation scatters through the edge endpoints; both are data-dependent
 		}
 	}
-	d.putWS(ws)
-	return out
 }

@@ -44,18 +44,10 @@ func (d *Discretization) EdgeEndpoints(ei int32) (a, b int32) {
 // are not applied — the distributed residual path is first-order, as
 // the preconditioner side of the paper's solver is.
 func (d *Discretization) ResidualEdges(q, r []float64, edges []int32) {
-	b := d.Sys.B()
-	ws := d.getWS()
-	qa, qb, flux, scratch := ws.qa[:b], ws.qb[:b], ws.flux[:b], ws.scratch[:b]
-	for _, ei := range edges {
-		e := &d.edges[ei]    //lint:bce-ok the edge subset holds data-dependent indices into the full edge table
-		d.gather(q, e.a, qa) //lint:bce-ok the gathered row offset is data-dependent through the edge endpoint
-		d.gather(q, e.b, qb) //lint:bce-ok the gathered row offset is data-dependent through the edge endpoint
-		NumFlux(d.Sys, qa, qb, e.n, flux, scratch)
-		d.scatterAdd(r, e.a, flux, +1)
-		d.scatterAdd(r, e.b, flux, -1)
+	if len(edges) == 0 {
+		return // to the kernel a nil list means every edge; here it means none
 	}
-	d.putWS(ws)
+	d.fluxEdges(d.edges, edges, q, r)
 }
 
 // BoundaryResidualMasked adds the boundary closure fluxes (weak
@@ -63,7 +55,7 @@ func (d *Discretization) ResidualEdges(q, r []float64, edges []int32) {
 // length NumVertices.
 func (d *Discretization) BoundaryResidualMasked(q, r []float64, owned []bool) {
 	b := d.Sys.B()
-	inf := d.Sys.Freestream()
+	inf := d.infState
 	ws := d.getWS()
 	qi, flux, scratch := ws.qa[:b], ws.flux[:b], ws.scratch[:b]
 	bk := d.M.BKind

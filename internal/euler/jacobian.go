@@ -2,6 +2,7 @@ package euler
 
 import (
 	"fmt"
+	"slices"
 
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/prof"
@@ -13,6 +14,50 @@ import (
 func (d *Discretization) JacobianPattern() *sparse.BCSR {
 	g := sparse.Graph{NV: d.M.NumVertices(), XAdj: d.M.XAdj, Adj: d.M.Adj}
 	return sparse.BlockPattern(g, d.Sys.B())
+}
+
+// jacobianPlan holds where each edge's and each vertex's blocks sit in
+// JacobianPattern's value array, as block indices: row v of the pattern
+// is the sorted neighbors of v with v itself inserted, and starts at
+// block XAdj[v]+v. Built once by NewDiscretization; AssembleJacobian
+// then needs no search per edge.
+type jacobianPlan struct {
+	ab, ba []int32 // per flux edge: blocks (a,b) and (b,a)
+	diag   []int32 // per vertex: block (v,v)
+	nnzb   int
+	err    error // set when an edge's endpoints are not adjacent in the mesh graph
+}
+
+func planJacobian(m *mesh.Mesh, edges []edgeData) jacobianPlan {
+	nv := m.NumVertices()
+	p := jacobianPlan{
+		ab:   make([]int32, len(edges)),
+		ba:   make([]int32, len(edges)),
+		diag: make([]int32, nv),
+		nnzb: len(m.Adj) + nv,
+	}
+	for v := 0; v < nv; v++ {
+		below, _ := slices.BinarySearch(m.Neighbors(v), int32(v))
+		p.diag[v] = m.XAdj[v] + int32(v+below)
+	}
+	// block returns the position of (i, j), j a neighbor of i: its rank
+	// among i's neighbors, shifted past the diagonal when j > i.
+	block := func(i, j int32) (int32, bool) {
+		k, ok := slices.BinarySearch(m.Neighbors(int(i)), j)
+		if j > i {
+			k++
+		}
+		return m.XAdj[i] + i + int32(k), ok
+	}
+	for ei, e := range edges {
+		var okAB, okBA bool
+		p.ab[ei], okAB = block(e.a, e.b)
+		p.ba[ei], okBA = block(e.b, e.a)
+		if !(okAB && okBA) && p.err == nil {
+			p.err = fmt.Errorf("euler: Jacobian block (%d,%d) missing from pattern", e.a, e.b)
+		}
+	}
+	return p
 }
 
 // AssembleJacobian fills a (which must have JacobianPattern's sparsity)
@@ -32,78 +77,49 @@ func (d *Discretization) AssembleJacobian(q []float64, a *sparse.BCSR) error {
 		return fmt.Errorf("euler: Jacobian matrix is %dx%d blocks of %d, want %d of %d",
 			a.NB, a.NB, a.B, d.M.NumVertices(), b)
 	}
+	if d.jac.err != nil {
+		return d.jac.err
+	}
+	if len(a.ColIdx) != d.jac.nnzb {
+		return fmt.Errorf("euler: Jacobian matrix has %d blocks, JacobianPattern has %d", len(a.ColIdx), d.jac.nnzb)
+	}
+	diag := d.jac.diag
+	for v, k := range diag {
+		if a.ColIdx[k] != int32(v) {
+			return fmt.Errorf("euler: missing diagonal block %d", v)
+		}
+	}
 	sp := prof.Begin(prof.PhaseJacobian)
 	defer sp.End(d.jacobianFlops(), d.jacobianBytes())
 	for i := range a.Val {
 		a.Val[i] = 0
 	}
-	bb := b * b
-	var qa, qb [5]float64
-	jl := make([]float64, bb)
-	jr := make([]float64, bb)
-	addBlock := func(i, j int32, blk []float64, sign float64) error {
-		dst, ok := a.BlockAt(int(i), int(j))
-		if !ok {
-			return fmt.Errorf("euler: Jacobian block (%d,%d) missing from pattern", i, j)
-		}
-		for k := range blk {
-			dst[k] += sign * blk[k]
-		}
-		return nil
+	// dH/dqa = ½ A(qa)·S + ½λI ; dH/dqb = ½ A(qb)·S − ½λI
+	// (dissipation coefficient frozen, the standard approximation).
+	switch sys := d.Sys.(type) {
+	case *Incompressible:
+		jacEdges4(sys, d.edges, d.jac.ab, d.jac.ba, diag, q, a.Val)
+	case *Compressible:
+		jacEdges5(sys, d.edges, d.jac.ab, d.jac.ba, diag, q, a.Val)
 	}
-	for _, e := range d.edges {
-		d.gather(q, e.a, qa[:b])
-		d.gather(q, e.b, qb[:b])
-		lam := d.Sys.SpectralRadius(qa[:b], e.n)
-		if l2 := d.Sys.SpectralRadius(qb[:b], e.n); l2 > lam {
-			lam = l2
-		}
-		// dH/dqa = ½ A(qa)·S + ½λI ; dH/dqb = ½ A(qb)·S − ½λI
-		// (dissipation coefficient frozen, the standard approximation).
-		d.Sys.PhysJacobian(qa[:b], e.n, jl)
-		d.Sys.PhysJacobian(qb[:b], e.n, jr)
-		for k := range jl {
-			jl[k] *= 0.5
-			jr[k] *= 0.5
-		}
-		for c := 0; c < b; c++ {
-			jl[c*b+c] += 0.5 * lam
-			jr[c*b+c] -= 0.5 * lam
-		}
-		// r_a += H, r_b -= H.
-		if err := addBlock(e.a, e.a, jl, +1); err != nil {
-			return err
-		}
-		if err := addBlock(e.a, e.b, jr, +1); err != nil {
-			return err
-		}
-		if err := addBlock(e.b, e.a, jl, -1); err != nil {
-			return err
-		}
-		if err := addBlock(e.b, e.b, jr, -1); err != nil {
-			return err
-		}
-	}
-	// Boundary fluxes.
-	inf := d.Sys.Freestream()
+	// Boundary fluxes, through the interface like the residual's closure.
+	ws := d.getWS()
+	qa, jl := ws.qa[:b], ws.jac[:b*b]
 	for v := int32(0); v < int32(d.M.NumVertices()); v++ {
 		kind := d.M.BKind[v]
 		if kind == mesh.BNone {
 			continue
 		}
 		s := d.Geo.BoundaryArea[v]
-		d.gather(q, v, qa[:b])
-		dst, ok := a.BlockAt(int(v), int(v))
-		if !ok {
-			return fmt.Errorf("euler: missing diagonal block %d", v)
-		}
+		d.gather(q, v, qa)
+		dst := a.Block(int(diag[v]))
 		switch kind {
 		case mesh.BInflow, mesh.BOutflow:
-			lam := d.Sys.SpectralRadius(qa[:b], s)
-			if l2 := d.Sys.SpectralRadius(inf, s); l2 > lam {
+			lam := d.Sys.SpectralRadius(qa, s)
+			if l2 := d.Sys.SpectralRadius(d.infState, s); l2 > lam {
 				lam = l2
 			}
-			d.Sys.PhysJacobian(qa[:b], s, jl)
+			d.Sys.PhysJacobian(qa, s, jl)
 			for k := range jl {
 				dst[k] += 0.5 * jl[k]
 			}
@@ -111,16 +127,89 @@ func (d *Discretization) AssembleJacobian(q []float64, a *sparse.BCSR) error {
 				dst[c*b+c] += 0.5 * lam
 			}
 		case mesh.BWall:
-			d.wallJacobian(qa[:b], s, jl)
+			d.wallJacobian(qa, s, jl)
 			for k := range jl {
 				dst[k] += jl[k]
 			}
 		}
 	}
+	d.putWS(ws)
 	if d.Opts.Viscosity > 0 {
 		d.addDiffusionJacobian(a)
 	}
 	return nil
+}
+
+// jacEdges4 and jacEdges5 accumulate every edge's four blocks: r_a += H
+// and r_b −= H, so (a,a) and (b,a) take ±∂H/∂qa, (a,b) and (b,b) take
+// ±∂H/∂qb. The physical Jacobian and the spectral radius are the
+// system's own methods called on its concrete type — static calls on
+// stack blocks, one copy of the analytical Jacobian — and the block
+// positions come from the plan. Interlaced state only.
+func jacEdges4(sys *Incompressible, edges []edgeData, ab, ba, diag []int32, q, val []float64) {
+	var jl, jr [16]float64
+	ab, ba = ab[:len(edges)], ba[:len(edges)]
+	for ei := range edges {
+		e := &edges[ei]
+		qa, qb := q[int(e.a)*4:int(e.a)*4+4], q[int(e.b)*4:int(e.b)*4+4]
+		lam := sys.SpectralRadius(qa, e.n)
+		if l2 := sys.SpectralRadius(qb, e.n); l2 > lam {
+			lam = l2
+		}
+		sys.PhysJacobian(qa, e.n, jl[:])
+		sys.PhysJacobian(qb, e.n, jr[:])
+		for k := range jl {
+			jl[k] *= 0.5
+			jr[k] *= 0.5
+		}
+		for c := 0; c < 16; c += 5 {
+			jl[c] += 0.5 * lam
+			jr[c] -= 0.5 * lam
+		}
+		aa := val[int(diag[e.a])*16:][:16]
+		bb := val[int(diag[e.b])*16:][:16]
+		vab := val[int(ab[ei])*16:][:16]
+		vba := val[int(ba[ei])*16:][:16]
+		for k := range jl {
+			aa[k] += jl[k]
+			vab[k] += jr[k]
+			vba[k] -= jl[k]
+			bb[k] -= jr[k]
+		}
+	}
+}
+
+func jacEdges5(sys *Compressible, edges []edgeData, ab, ba, diag []int32, q, val []float64) {
+	var jl, jr [25]float64
+	ab, ba = ab[:len(edges)], ba[:len(edges)]
+	for ei := range edges {
+		e := &edges[ei]
+		qa, qb := q[int(e.a)*5:int(e.a)*5+5], q[int(e.b)*5:int(e.b)*5+5]
+		lam := sys.SpectralRadius(qa, e.n)
+		if l2 := sys.SpectralRadius(qb, e.n); l2 > lam {
+			lam = l2
+		}
+		sys.PhysJacobian(qa, e.n, jl[:])
+		sys.PhysJacobian(qb, e.n, jr[:])
+		for k := range jl {
+			jl[k] *= 0.5
+			jr[k] *= 0.5
+		}
+		for c := 0; c < 25; c += 6 {
+			jl[c] += 0.5 * lam
+			jr[c] -= 0.5 * lam
+		}
+		aa := val[int(diag[e.a])*25:][:25]
+		bb := val[int(diag[e.b])*25:][:25]
+		vab := val[int(ab[ei])*25:][:25]
+		vba := val[int(ba[ei])*25:][:25]
+		for k := range jl {
+			aa[k] += jl[k]
+			vab[k] += jr[k]
+			vba[k] -= jl[k]
+			bb[k] -= jr[k]
+		}
+	}
 }
 
 // wallJacobian computes d(wallFlux)/dq into j (row-major b×b).

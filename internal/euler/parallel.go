@@ -59,9 +59,8 @@ func (d *Discretization) ResidualParallel(q, r []float64, p *par.Pool) error {
 }
 
 // fluxTask is the reusable worker-pool task of ResidualParallel: one
-// contiguous edge stripe per worker, fluxes accumulated into the
-// worker's own residual array through a pooled workspace (stack locals
-// passed to System methods would escape inside the sweep).
+// contiguous edge stripe per worker, swept by the same edge kernel as
+// Residual into the worker's own residual array.
 type fluxTask struct {
 	d    *Discretization
 	q, r []float64
@@ -71,7 +70,6 @@ type fluxTask struct {
 func (t *fluxTask) RunShard(w, nw int) {
 	d := t.d
 	n := d.N()
-	b := d.Sys.B()
 	rr := t.r[:n]
 	if w > 0 {
 		rr = d.privRes[w-1][:n]
@@ -81,18 +79,7 @@ func (t *fluxTask) RunShard(w, nw int) {
 	}
 	ne := len(d.edges)
 	lo, hi := ne*w/nw, ne*(w+1)/nw
-	ws := d.getWS()
-	qa, qb := ws.qa[:b], ws.qb[:b]
-	flux, scratch := ws.flux[:b], ws.scratch[:b]
-	edges := d.edges[lo:hi] // hoisted: the stripe bound check runs once, not per edge
-	for _, e := range edges {
-		d.gather(t.q, e.a, qa) //lint:bce-ok the gathered row offset is data-dependent through the edge endpoint
-		d.gather(t.q, e.b, qb) //lint:bce-ok the gathered row offset is data-dependent through the edge endpoint
-		NumFlux(d.Sys, qa, qb, e.n, flux, scratch)
-		d.scatterAdd(rr, e.a, flux, +1)
-		d.scatterAdd(rr, e.b, flux, -1)
-	}
-	d.putWS(ws)
+	d.fluxEdges(d.edges[lo:hi], nil, t.q, rr)
 }
 
 // gatherPrivate sums the redundant private residual arrays into the

@@ -166,6 +166,26 @@ func (d *Discretization) computeLimiters(q []float64) {
 	}
 }
 
+// reconstructedEdges is the second-order convective sweep: the
+// endpoint states reconstructed to the edge midpoint, then the same
+// numerical flux through the System interface — the generic sweep the
+// first-order kernels are written out from.
+func (d *Discretization) reconstructedEdges(q, r []float64) {
+	b := d.Sys.B()
+	ws := d.getWS()
+	qa, qb, ql, qr := ws.qa[:b], ws.qb[:b], ws.ql[:b], ws.qr[:b]
+	flux, scratch := ws.flux[:b], ws.scratch[:b]
+	for _, e := range d.edges {
+		d.gather(q, e.a, qa)
+		d.gather(q, e.b, qb)
+		d.reconstruct(e, qa, qb, ql, qr)
+		NumFlux(d.Sys, ql, qr, e.n, flux, scratch)
+		d.scatterAdd(r, e.a, flux, +1)
+		d.scatterAdd(r, e.b, flux, -1)
+	}
+	d.putWS(ws)
+}
+
 // reconstruct extrapolates the endpoint states to the edge midpoint.
 func (d *Discretization) reconstruct(e edgeData, qa, qb, ql, qr []float64) {
 	b := d.Sys.B()

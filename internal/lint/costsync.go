@@ -184,14 +184,20 @@ var costChecks = []coefCheck{
 		formula:  "MAxpyBytes",
 		countVar: "n", env: map[string]int64{"k": 4}, bytes: true},
 
-	// euler: structure pin only — the split-sweep kernel is one edge
-	// loop over shared flux calls; its accounting is tied to the full
-	// sweep by the equivalence check below.
-	{pkg: "petscfun3d/internal/euler", kernel: "Discretization.ResidualEdges", totalLoops: 1},
-	// The pooled flux shard is one zeroing loop plus one edge loop over
-	// the same shared flux calls (structure pin; the sweep's accounting
-	// rides the equivalence check above).
-	{pkg: "petscfun3d/internal/euler", kernel: "fluxTask.RunShard", totalLoops: 2},
+	// euler: the first-order flux kernels have every System call written
+	// out, so the edge loop's arithmetic can be counted: EdgeFluxFlops(b)
+	// is exactly the multiplies, divides, adds and subtracts of one edge
+	// of fluxEdges4 / fluxEdges5 (square roots, absolute values and
+	// comparisons are not flops here, as elsewhere in this registry). The
+	// sweeps that call the kernels — Residual, ResidualEdges, the
+	// threaded shard — hold no arithmetic of their own; their accounting
+	// is tied to the kernels' by the equivalence check below.
+	{pkg: "petscfun3d/internal/euler", kernel: "fluxEdges4", totalLoops: 1,
+		formula:  "EdgeSubsetFlops",
+		countVar: "nEdges", env: map[string]int64{"b": 4}},
+	{pkg: "petscfun3d/internal/euler", kernel: "fluxEdges5", totalLoops: 1,
+		formula:  "EdgeSubsetFlops",
+		countVar: "nEdges", env: map[string]int64{"b": 5}},
 	// The redundant-work-array gather of the threaded sweep: one add
 	// per entry per extra private array (flops), and a read-modify-write
 	// of the shared residual plus a streaming read of the private copy —

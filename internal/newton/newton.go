@@ -159,6 +159,7 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 	rhs := make([]float64, n)
 	dq := make([]float64, n)
 	qTrial := make([]float64, n)
+	ts := make([]float64, d.M.NumVertices()) // pseudo-time scales, refilled every step
 	jac := d.JacobianPattern()
 	var pc krylov.Preconditioner
 	fluxEvals := 0
@@ -190,7 +191,7 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 			cfl = s.Opts.CFLMax
 		}
 		// Pseudo-time augmentation: V/Δt = TimeScales/CFL per vertex.
-		ts := d.TimeScales(q)
+		d.TimeScalesInto(q, ts)
 		// Matrix-free operator: Jv = (R(q+εv) − R(q))/ε + (V/Δt) v.
 		stepFlux := 0
 		assembled := krylov.OperatorFunc(func(v, y []float64) {
