@@ -5,18 +5,19 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid fuzz
+.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid allocs fuzz
 
 # named_gate runs the tests of packages $(2) that match the regex $(1)
-# under the race detector — after checking, package by package, that the
-# regex still selects a test there: `go test -run <no match>` exits 0,
-# so a renamed or merged test would otherwise empty its gate silently.
+# with the go test flags $(3) (-race, except where noted) — after
+# checking, package by package, that the regex still selects a test
+# there: `go test -run <no match>` exits 0, so a renamed or merged test
+# would otherwise empty its gate silently.
 define named_gate
 	@for p in $(2); do \
 		go test -list $(1) $$p | grep -q '^Test' || \
 			{ echo "named gate: -run $(1) selects no test in $$p"; exit 1; }; \
 	done
-	go test -race -count=1 -run $(1) $(2)
+	go test $(3) -count=1 -run $(1) $(2)
 endef
 
 verify: fmt vet lint race
@@ -72,7 +73,7 @@ chaos:
 # the BENCH_threads.txt record.
 threads-grid:
 	go test -race -count=1 ./internal/par
-	$(call named_gate,'Par|Thread|Bitwise|Level|Determin',./internal/sparse ./internal/ilu ./internal/euler ./internal/dist)
+	$(call named_gate,'Par|Thread|Bitwise|Level|Determin',./internal/sparse ./internal/ilu ./internal/euler ./internal/dist,-race)
 
 threads: threads-grid
 	go run ./cmd/benchtables -experiment threads -size medium | tee BENCH_threads.txt
@@ -84,7 +85,15 @@ threads: threads-grid
 # the FuzzEdgeFlux seed corpus, and the shared-Discretization race test —
 # under the race detector (CI runs it by name).
 kernels-grid:
-	$(call named_gate,'KernelsMatch|EdgeFlux|SharedDiscretization|OperandOrders',./internal/euler)
+	$(call named_gate,'KernelsMatch|EdgeFlux|SharedDiscretization|OperandOrders',./internal/euler,-race)
+
+# Allocation gates: one more Newton step allocates (next to) nothing —
+# default path, altpath configuration, 2 ranks — and Build + solve stays
+# within 1.25 × the floor of its resident structures; -v prints the
+# per-step numbers and the ledger table EXPERIMENTS.md records. WITHOUT
+# the race detector: it allocates on its own, and the tests skip under it.
+allocs:
+	$(call named_gate,'StepAllocates|AllocationLedger',./internal/core,-v)
 
 # The tree's native fuzz targets, 20 s each. A failing input is written
 # under the package's testdata/fuzz and then runs with plain go test.
@@ -101,7 +110,7 @@ fuzz:
 # BENCH_ortho.txt record.
 ortho-grid:
 	go test -race -count=1 ./internal/par
-	$(call named_gate,'MDot|MAxpy|MReduce|Ortho|Reduction|AllReduceSumVec|GMRES|NonFinite|Hybrid',./internal/krylov ./internal/mpi ./internal/dist ./internal/experiments)
+	$(call named_gate,'MDot|MAxpy|MReduce|Ortho|Reduction|AllReduceSumVec|GMRES|NonFinite|Hybrid',./internal/krylov ./internal/mpi ./internal/dist ./internal/experiments,-race)
 
 ortho: ortho-grid
 	go run ./cmd/benchtables -experiment ortho -size medium | tee BENCH_ortho.txt

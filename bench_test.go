@@ -61,13 +61,16 @@ func TestPhaseProfileBaseline(t *testing.T) {
 
 	// Fold a threaded solve in (assembled operator so the matvec phase
 	// runs the striped SpMV): tri_solve, matvec, and the Krylov
-	// reductions all carry threads=2.
+	// reductions all carry threads=2. Two Schwarz subdomains, so the
+	// refresh has blocks to gather — a one-part preconditioner shares the
+	// Jacobian and rightly charges pc_setup no bytes.
 	prof.Default.Enable()
 	tcfg := DefaultConfig()
 	tcfg.TargetVertices = 3000
 	tcfg.Newton.MaxSteps = 30
 	tcfg.Newton.AssembledOperator = true
 	tcfg.Threads = 2
+	tcfg.Ranks = 2
 	if _, err := Solve(tcfg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,152 @@
+package core
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/newton"
+	"petscfun3d/internal/schwarz"
+)
+
+// residentBytes is the heap a structure keeps alive: the capacity of
+// every slice reachable from v (through pointers, structs, slices and
+// interfaces, exported or not), each backing array counted once across
+// calls that share seen — so a structure visited after one it aliases
+// is charged only what it adds.
+func residentBytes(v any, seen map[uintptr]bool) int64 {
+	var walk func(reflect.Value) int64
+	walk = func(v reflect.Value) int64 {
+		switch v.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			if v.IsNil() || (v.Kind() == reflect.Pointer && seen[v.Pointer()]) {
+				return 0
+			}
+			if v.Kind() == reflect.Pointer {
+				seen[v.Pointer()] = true
+			}
+			return walk(v.Elem())
+		case reflect.Struct:
+			var n int64
+			for i := 0; i < v.NumField(); i++ {
+				n += walk(v.Field(i))
+			}
+			return n
+		case reflect.Slice:
+			if v.IsNil() || v.Cap() == 0 || seen[v.Pointer()] {
+				return 0
+			}
+			seen[v.Pointer()] = true
+			n := int64(v.Cap()) * int64(v.Type().Elem().Size())
+			switch v.Type().Elem().Kind() {
+			case reflect.Pointer, reflect.Interface, reflect.Struct, reflect.Slice:
+				for i := 0; i < v.Len(); i++ {
+					n += walk(v.Index(i))
+				}
+			}
+			return n
+		}
+		return 0
+	}
+	return walk(reflect.ValueOf(v))
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestAllocationLedger states the floor a memory model predicts for one
+// solve — every resident structure allocated once, sized from the
+// structures themselves — prints what each layer allocates against it
+// (the table of EXPERIMENTS.md "A solve that allocates once"; regenerate
+// it with `go test ./internal/core -run Ledger -v`), and gates the user
+// path: Build + solve within 1.25 × the floor. A layer's excess is its
+// set-up churn.
+func TestAllocationLedger(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation ledger: the race detector allocates on its own")
+	}
+	cfg := DefaultConfig()
+	cfg.TargetVertices = 3000
+	fail := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	type row struct {
+		layer           string
+		measured, floor int64
+	}
+	var rows []row
+	seen := map[uintptr]bool{}
+
+	// The layers one at a time, through the constructors Build and the
+	// solver call, each charged what it adds to what is already resident.
+	var m *mesh.Mesh
+	got := allocated(func() {
+		var err error
+		m, err = mesh.GenerateWingN(cfg.TargetVertices)
+		fail(err)
+		m = m.Renumber(mesh.RCM(m))
+	})
+	rows = append(rows, row{"mesh (generate, RCM, renumber)", got, residentBytes(m, seen)})
+
+	var p *Problem
+	got = allocated(func() {
+		var err error
+		p, err = Build(cfg)
+		fail(err)
+	})
+	defer p.Close()
+	residentBytes(p.Mesh, seen) // Build's own mesh: the row above charged its twin
+	rows = append(rows, row{"geometry, discretization, partition", got - rows[0].measured, residentBytes(p, seen)})
+
+	jac := p.Disc.JacobianPattern()
+	got = allocated(func() { jac = p.Disc.JacobianPattern() })
+	rows = append(rows, row{"jacobian", got, residentBytes(jac, seen)})
+
+	q := p.Disc.FreestreamVector()
+	fail(p.Disc.AssembleJacobian(q, jac))
+	ts := make([]float64, m.NumVertices())
+	p.Disc.TimeScalesInto(q, ts)
+	newton.AddTimeDiagonal(jac, ts, cfg.Newton.CFL0)
+	var pc *schwarz.Preconditioner
+	got = allocated(func() {
+		var err error
+		pc, err = schwarz.New(jac, p.Part.Part, p.Part.NParts, p.schwarzOptions())
+		fail(err)
+	})
+	rows = append(rows, row{"preconditioner (ILU factor and indices)", got, residentBytes(pc, seen)})
+
+	n := int64(p.Disc.N())
+	workspace := int64(cfg.Newton.Krylov.Restart+4) * n * 8
+	vectors := 5*n*8 + int64(8*len(ts)) // q, r, rhs, dq, qTrial; ts
+	rows = append(rows, row{"krylov workspace, (Restart+4)·n·8", workspace, workspace},
+		row{"newton vectors, 5·n·8 + nv·8", vectors, vectors})
+
+	var floor int64
+	for _, r := range rows {
+		floor += r.floor
+	}
+	total := allocated(func() {
+		_, err := RunSequential(cfg)
+		fail(err)
+	})
+	rows = append(rows, row{"Build + solve, user path", total, floor})
+
+	t.Logf("%-42s %12s %12s %8s", "layer", "measured B", "floor B", "ratio")
+	for _, r := range rows {
+		t.Logf("%-42s %12d %12d %8.2f", r.layer, r.measured, r.floor, float64(r.measured)/float64(r.floor))
+	}
+	if float64(total) > 1.25*float64(floor) {
+		t.Errorf("Build + solve allocates %d B, %.2f × the %d B floor of its resident structures; want at most 1.25 ×",
+			total, float64(total)/float64(floor), floor)
+	}
+}

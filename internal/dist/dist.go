@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"petscfun3d/internal/ilu"
+	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/par"
 	"petscfun3d/internal/prof"
@@ -75,6 +76,12 @@ type Matrix struct {
 	pool                 *par.Pool
 	intBounds, bndBounds []int32
 	rowsT                rowsTask
+
+	// What a sequence of solves on this Matrix reuses: GMRES's Krylov
+	// workspace, and NewtonSolve's local right-hand side and correction.
+	// They live and die with the Matrix, which serves one solve at a time.
+	ws     krylov.Workspace
+	lb, lx []float64
 
 	// Prof, when non-nil, receives this rank's measured phase timings
 	// (scatter, matvec, reduce, tri_solve). Each rank runs on its own

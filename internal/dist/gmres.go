@@ -36,9 +36,10 @@ type GMRESStats struct {
 }
 
 // GMRES runs right-preconditioned restarted GMRES on the distributed
-// system A x = b: krylov.SolveOn over this rank's owned parts b and x,
-// with a.MulVec as the operator, inner products summed through the
-// communicator, and the Matrix's pool and profiler. pc is the local
+// system A x = b: the one GMRES (krylov.Workspace.SolveOn, in the
+// workspace a keeps from solve to solve) over this rank's owned parts b
+// and x, with a.MulVec as the operator, inner products summed through
+// the communicator, and the Matrix's pool and profiler. pc is the local
 // preconditioner solve (e.g. from Matrix.BlockJacobi). Every rank calls
 // it collectively; all ranks see the same reduced values, so all take
 // identical iteration decisions.
@@ -47,7 +48,7 @@ func GMRES(a *Matrix, pc func(r, z []float64), b, x []float64, opts GMRESOptions
 		return GMRESStats{}, fmt.Errorf("dist: local vector lengths %d/%d, want %d", len(b), len(x), n)
 	}
 	sum := func(buf []float64) { a.Comm.AllReduceSumVec(buf, buf) }
-	st, err := krylov.SolveOn(krylov.Space{Sum: sum, Prof: a.Prof}, a.MulVec, pc, b, x, opts.krylov(a.pool))
+	st, err := a.ws.SolveOn(krylov.Space{Sum: sum, Prof: a.Prof}, a.MulVec, pc, b, x, opts.krylov(a.pool))
 	return GMRESStats{
 		Iterations: st.Iterations,
 		Restarts:   st.Restarts,

@@ -205,6 +205,9 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 				res.FinalRnorm = rnorm
 				return res, fmt.Errorf("dist: newton step %d failed after %d attempt(s): %w", step, attempts, err)
 			}
+			// Nothing the failed attempt touched is trusted: the retry
+			// rebuilds the Matrix — and with it the Krylov workspace.
+			am = nil
 		}
 		// Accept: the trial state's ghosts were filled by its residual
 		// evaluation, so the whole buffer is consistent.
@@ -242,6 +245,7 @@ func stepOperator(c *mpi.Comm, jac *sparse.BCSR, part []int32, am *Matrix, iluOp
 		}
 		am.Prof = p
 		am.SetPool(pool)
+		am.lb, am.lx = make([]float64, am.LocalN()), make([]float64, am.LocalN())
 	} else if err := am.Refresh(jac); err != nil {
 		sp.End(0, 0)
 		return nil, nil, err
@@ -289,8 +293,8 @@ func newtonStep(c *mpi.Comm, rsd *Residual, d *euler.Discretization, part []int3
 		return err
 	}
 	*amp = am
-	lb := make([]float64, am.LocalN())
-	lx := make([]float64, am.LocalN())
+	lb, lx := am.lb, am.lx
+	clear(lx)
 	for li, gr := range am.Owned {
 		for k := 0; k < b; k++ {
 			lb[li*b+k] = -r[int(gr)*b+k]

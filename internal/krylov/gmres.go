@@ -3,8 +3,9 @@
 // — the linear solver inside every Newton step of the application, on
 // one address space (Solve) or on vectors distributed over several
 // (SolveOn with a Space whose Sum is set; internal/dist's GMRES is that
-// caller). The operator is an interface, so both assembled matrices and
-// the paper's matrix-free finite-difference Jacobian plug in.
+// caller), in a Workspace a caller keeps across the solves of one Newton
+// iteration. The operator is an interface, so both assembled matrices
+// and the paper's matrix-free finite-difference Jacobian plug in.
 package krylov
 
 import (
@@ -165,12 +166,54 @@ type Space struct {
 // Solve runs right-preconditioned GMRES(m) on A x = b in one address
 // space, updating x in place (its incoming value is the initial guess).
 // Returns solve statistics; an error for malformed inputs or a
-// *NonFiniteError.
+// *NonFiniteError. It is (*Workspace).Solve on a fresh Workspace.
 func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, error) {
+	return new(Workspace).Solve(a, m, b, x, opts)
+}
+
+// SolveOn is (*Workspace).SolveOn on a fresh Workspace.
+func SolveOn(sp Space, apply func(x, y []float64) error, pc func(r, z []float64), b, x []float64, opts Options) (Stats, error) {
+	return new(Workspace).SolveOn(sp, apply, pc, b, x, opts)
+}
+
+// Workspace is the memory of a GMRES solve — basis slab, Hessenberg,
+// rotation arrays, batch list — kept so a sequence of solves (the
+// Newton steps of one nonlinear solve) allocates it once. The zero
+// value is ready; it re-fits itself when the vector length or
+// Options.Restart change, and a solve's result never depends on what
+// earlier solves left in it. A Workspace serves one solve at a time.
+type Workspace struct {
+	gmres                  // the solve in progress, and the buffers it orthogonalizes with
+	z, r         []float64 // n-vectors beside the basis and w
+	cs, sn, g, y []float64 // rotations, rotated right-hand side, triangular solution
+}
+
+// fit sizes the buffers for n-vectors and restart length mr, and the
+// pool's reduction scratch for the largest batch such a solve issues.
+func (ws *Workspace) fit(n, mr int, pool *par.Pool) {
+	pool.ReserveMDot(mr + 2)
+	if ws.n == n && len(ws.v) == mr+1 {
+		return
+	}
+	// One contiguous slab per shape keeps the basis rows adjacent in
+	// memory: the n-vectors (basis v[0..mr], then z, r, w), the
+	// Hessenberg h[i][j] (row i 0..mr, column j 0..mr-1), and the
+	// restart-length arrays.
+	vecs, short := slab(mr+4, n), slab(7, mr+3)
+	ws.n, ws.v, ws.h = n, vecs[:mr+1], slab(mr+1, mr)
+	ws.z, ws.r, ws.w = vecs[mr+1], vecs[mr+2], vecs[mr+3]
+	ws.cs, ws.sn, ws.g, ws.y = short[0], short[1], short[2], short[3]
+	ws.hcol, ws.hneg, ws.vnrm = short[4], short[5], short[6]
+	ws.batch = make([][]float64, mr+2)
+}
+
+// Solve is SolveOn in one address space: a's products run inside a
+// matvec span of the process-wide profiler, m (nil: none) preconditions.
+func (ws *Workspace) Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, error) {
 	if m == nil {
 		m = Identity{}
 	}
-	return SolveOn(Space{Prof: prof.Default}, func(x, y []float64) error {
+	return ws.SolveOn(Space{Prof: prof.Default}, func(x, y []float64) error {
 		sp := prof.Begin(prof.PhaseMatVec)
 		a.Apply(x, y)
 		sp.End(0, 0) // the operator's own phases (e.g. flux) carry the work
@@ -183,7 +226,7 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 // act on such parts, and with sp.Sum set every address space calls
 // SolveOn collectively and takes identical decisions, because each sees
 // the same reduced values. apply opens its own matvec span.
-func SolveOn(sp Space, apply func(x, y []float64) error, pc func(r, z []float64), b, x []float64, opts Options) (Stats, error) {
+func (ws *Workspace) SolveOn(sp Space, apply func(x, y []float64) error, pc func(r, z []float64), b, x []float64, opts Options) (Stats, error) {
 	n := len(b)
 	if len(x) != n {
 		return Stats{}, fmt.Errorf("krylov: len(x)=%d, len(b)=%d", len(x), n)
@@ -197,26 +240,20 @@ func SolveOn(sp Space, apply func(x, y []float64) error, pc func(r, z []float64)
 	ksp := sp.Prof.Begin(prof.PhaseKrylov)
 	defer ksp.End(0, 0)
 	mr := opts.Restart
+	ws.fit(n, mr, opts.Pool)
 
-	// One contiguous slab per shape keeps the basis rows adjacent in
-	// memory and the setup out of the loops: the n-vectors (basis
-	// v[0..mr], then z, r, w), the Hessenberg h[i][j] (row i 0..mr,
-	// column j 0..mr-1), and the restart-length arrays.
-	s := &gmres{sp: sp, pool: opts.Pool, n: n, apply: apply}
+	s := &ws.gmres
+	s.sp, s.pool, s.apply, s.reduce, s.st = sp, opts.Pool, apply, nil, Stats{}
 	if sp.Sum != nil {
 		s.reduce = sp.Prof
 	}
-	vecs := slab(mr+4, n)
-	s.v, s.h = vecs[:mr+1], slab(mr+1, mr)
-	z, r, w := vecs[mr+1], vecs[mr+2], vecs[mr+3]
-	short := slab(7, mr+3)
-	cs, sn, g, y, vnrm := short[0], short[1], short[2], short[3], short[6]
+	z, r, w := ws.z, ws.r, ws.w
+	cs, sn, g, y, vnrm := ws.cs, ws.sn, ws.g, ws.y, s.vnrm
+	v, h := s.v, s.h
+	// vnrm is the only state a solve reads before writing it.
 	for i := range vnrm {
 		vnrm[i] = 1
 	}
-	s.w, s.hcol, s.hneg, s.vnrm = w, short[4], short[5], vnrm
-	s.batch = make([][]float64, mr+2)
-	v, h := s.v, s.h
 
 	beta, err := s.residual(b, x, r)
 	if err != nil {
@@ -338,8 +375,9 @@ func slab(rows, cols int) [][]float64 {
 }
 
 // gmres is one solve's vector-side state: where the vectors live, the
-// basis and the orthogonalization workspace, and the counts the vector
-// kernels report as they run.
+// basis and the orthogonalization workspace (fitted to n by the
+// Workspace that embeds it), and the counts the vector kernels report
+// as they run.
 type gmres struct {
 	sp    Space
 	pool  *par.Pool

@@ -35,3 +35,25 @@ func literalLoopIsItsOwnFunction(n int) func() []int {
 		return out
 	}
 }
+
+// workspace mirrors a solver that keeps its buffers on a receiver: the
+// one fitting allocation sits outside every loop, and a make inside the
+// method's restart or iteration loops is still a finding.
+type workspace struct{ basis, w []float64 }
+
+func (ws *workspace) fit(n, m int) {
+	if len(ws.w) != n {
+		ws.basis, ws.w = make([]float64, n*m), make([]float64, n) // outside any loop: fine
+	}
+}
+
+func (ws *workspace) solve(n, m, restarts int) {
+	ws.fit(n, m)
+	for cycle := 0; cycle < restarts; cycle++ {
+		r := make([]float64, n) // want "make in a hot loop body"
+		for j := 0; j < m; j++ {
+			ws.w = make([]float64, n) // want "make in a hot loop body"
+			copy(ws.basis[j*n:], r)
+		}
+	}
+}

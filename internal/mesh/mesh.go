@@ -8,7 +8,7 @@ package mesh
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Vec3 is a point in three-dimensional space.
@@ -112,32 +112,43 @@ func (m *Mesh) Bandwidth() int {
 // buildConnectivity derives Edges, XAdj, and Adj from Tets.
 func (m *Mesh) buildConnectivity() {
 	nv := len(m.Coords)
-	// Collect the six edges of every tetrahedron, dedup via per-vertex
-	// neighbor sets built in two passes (count, fill, sort, dedup).
-	pairs := make([][2]int32, 0, 6*len(m.Tets))
-	for _, t := range m.Tets {
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				a, b := t[i], t[j]
-				if a > b {
-					a, b = b, a
+	// The six edges of every tetrahedron, bucketed by their smaller
+	// endpoint (count, then fill); each bucket sorted and reduced to one
+	// of each larger endpoint, counted before Edges is allocated so it
+	// gets its final size. Buckets in vertex order ARE the (A, B) order.
+	start := make([]int32, nv+1)
+	eachPair := func(visit func(a, b int32)) {
+		for _, t := range m.Tets {
+			for i := 0; i < 4; i++ {
+				for j := i + 1; j < 4; j++ {
+					visit(min(t[i], t[j]), max(t[i], t[j]))
 				}
-				pairs = append(pairs, [2]int32{a, b})
 			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
+	eachPair(func(a, _ int32) { start[a+1]++ })
+	for v := 0; v < nv; v++ {
+		start[v+1] += start[v]
+	}
+	upper := make([]int32, start[nv])
+	pos := make([]int32, nv)
+	copy(pos, start)
+	eachPair(func(a, b int32) {
+		upper[pos[a]] = b
+		pos[a]++
 	})
-	m.Edges = m.Edges[:0]
-	for i, p := range pairs {
-		if i > 0 && p == pairs[i-1] {
-			continue
+	unique := 0
+	for v := range pos {
+		bucket := upper[start[v]:start[v+1]]
+		slices.Sort(bucket)
+		pos[v] = int32(len(slices.Compact(bucket))) // now: the bucket's unique count
+		unique += int(pos[v])
+	}
+	m.Edges = make([]Edge, 0, unique)
+	for v, n := range pos {
+		for _, b := range upper[start[v] : start[v]+n] {
+			m.Edges = append(m.Edges, Edge{int32(v), b})
 		}
-		m.Edges = append(m.Edges, Edge{p[0], p[1]})
 	}
 	// Adjacency from edges.
 	deg := make([]int32, nv)
@@ -150,17 +161,16 @@ func (m *Mesh) buildConnectivity() {
 		m.XAdj[v+1] = m.XAdj[v] + deg[v]
 	}
 	m.Adj = make([]int32, m.XAdj[nv])
-	pos := make([]int32, nv)
-	copy(pos, m.XAdj[:nv])
+	copy(pos, m.XAdj)
+	// Edges are sorted by (A, B), so vertex v's segment receives its
+	// smaller neighbours ascending (the edges (a, v), a ascending) and
+	// then its larger ones ascending (the edges (v, b)): already sorted.
+	// Validate checks it.
 	for _, e := range m.Edges {
 		m.Adj[pos[e.A]] = e.B
 		pos[e.A]++
 		m.Adj[pos[e.B]] = e.A
 		pos[e.B]++
-	}
-	for v := 0; v < nv; v++ {
-		seg := m.Adj[m.XAdj[v]:m.XAdj[v+1]]
-		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
 	}
 }
 
@@ -197,6 +207,13 @@ func (m *Mesh) Validate() error {
 	}
 	if len(m.Adj) != 2*len(m.Edges) {
 		return fmt.Errorf("mesh: adjacency size %d is not twice edge count %d", len(m.Adj), len(m.Edges))
+	}
+	for v := int32(0); v < nv; v++ {
+		for k := m.XAdj[v] + 1; k < m.XAdj[v+1]; k++ {
+			if m.Adj[k-1] >= m.Adj[k] {
+				return fmt.Errorf("mesh: neighbours of vertex %d are not strictly ascending", v)
+			}
+		}
 	}
 	return nil
 }

@@ -300,6 +300,49 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("degenerate edge not caught")
 	}
+	bad3 := *m
+	bad3.Adj = append([]int32{}, m.Adj...)
+	bad3.Adj[0], bad3.Adj[1] = bad3.Adj[1], bad3.Adj[0]
+	if err := bad3.Validate(); err == nil {
+		t.Error("unsorted neighbour list not caught")
+	}
+}
+
+// TestConnectivityIsSortedAndUnique: buildConnectivity sorts nothing
+// after bucketing, so the orders every consumer relies on — edges
+// strictly ascending by (A, B), each vertex's neighbours strictly
+// ascending — are checked on a generated, an RCM-renumbered and a
+// scrambled mesh, against an edge set recomputed the slow way.
+func TestConnectivityIsSortedAndUnique(t *testing.T) {
+	m := testWing(t, 6, 5, 4)
+	for name, mm := range map[string]*Mesh{
+		"generated": m,
+		"rcm":       m.Renumber(RCM(m)),
+		"scrambled": m.Renumber(scrambleOrdering(m.NumVertices())),
+	} {
+		if err := mm.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := map[Edge]bool{}
+		for _, tet := range mm.Tets {
+			for i := 0; i < 4; i++ {
+				for j := i + 1; j < 4; j++ {
+					want[Edge{min(tet[i], tet[j]), max(tet[i], tet[j])}] = true
+				}
+			}
+		}
+		if len(mm.Edges) != len(want) || cap(mm.Edges) != len(want) {
+			t.Fatalf("%s: %d edges in capacity %d, want exactly %d", name, len(mm.Edges), cap(mm.Edges), len(want))
+		}
+		for i, e := range mm.Edges {
+			if !want[e] {
+				t.Fatalf("%s: edge %v is not an edge of any tetrahedron", name, e)
+			}
+			if i > 0 && !(mm.Edges[i-1].A < e.A || (mm.Edges[i-1].A == e.A && mm.Edges[i-1].B < e.B)) {
+				t.Fatalf("%s: edges %v, %v out of (A, B) order", name, mm.Edges[i-1], e)
+			}
+		}
+	}
 }
 
 func BenchmarkGenerateWing22k(b *testing.B) {

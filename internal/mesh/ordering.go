@@ -1,6 +1,9 @@
 package mesh
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Ordering is a vertex permutation. Order[new] = old gives the old index
 // of the vertex placed at position new; Perm[old] = new is its inverse.
@@ -69,12 +72,11 @@ func RCM(m *Mesh) Ordering {
 }
 
 func sortByDegree(m *Mesh, vs []int32) {
-	sort.Slice(vs, func(i, j int) bool {
-		di, dj := m.Degree(int(vs[i])), m.Degree(int(vs[j]))
-		if di != dj {
-			return di < dj
+	slices.SortFunc(vs, func(v, w int32) int {
+		if dv, dw := m.Degree(int(v)), m.Degree(int(w)); dv != dw {
+			return cmp.Compare(dv, dw)
 		}
-		return vs[i] < vs[j]
+		return cmp.Compare(v, w)
 	})
 }
 

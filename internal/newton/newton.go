@@ -176,6 +176,47 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 	res.InitialRnorm = r0
 	rnorm := r0
 
+	// The operators are built once and read the step's cfl, flux count
+	// and ‖q‖ (q is fixed while a step's Krylov solve runs) through
+	// these variables; ws is the solve's one Krylov workspace.
+	var cfl, qnorm float64
+	var stepFlux int
+	var ws krylov.Workspace
+	op := krylov.OperatorFunc(func(v, y []float64) {
+		// Matrix-free: Jv = (R(q+εv) − R(q))/ε + (V/Δt) v.
+		vn := sparse.Norm2(v)
+		if vn == 0 {
+			for i := range y {
+				y[i] = 0
+			}
+			return
+		}
+		eps := 1e-8 * (1 + qnorm) / vn
+		for i := range qTrial {
+			qTrial[i] = q[i] + eps*v[i]
+		}
+		active.Residual(qTrial, y)
+		stepFlux++
+		inv := 1 / eps
+		b := d.Sys.B()
+		for vtx := 0; vtx < d.M.NumVertices(); vtx++ {
+			td := ts[vtx] / cfl
+			for c := 0; c < b; c++ {
+				i := vtx*b + c
+				y[i] = (y[i]-r[i])*inv + td*v[i]
+			}
+		}
+	})
+	if s.Opts.AssembledOperator {
+		op = func(v, y []float64) {
+			// Striped owner-computes product: bitwise identical to the
+			// sequential MulVec at every worker count, so the assembled
+			// path's residual history is thread-count invariant too.
+			prof.NoteThreads(prof.PhaseMatVec, s.Opts.Krylov.Pool.Workers())
+			jac.MulVecPar(s.Opts.Krylov.Pool, v, y)
+		}
+	}
+
 	for step := 0; step < s.Opts.MaxSteps; step++ {
 		// Order continuation.
 		if s.Disc2 != nil && active == d && s.Opts.SwitchOrderAt > 0 && rnorm/r0 < s.Opts.SwitchOrderAt {
@@ -186,45 +227,16 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 			rnorm = sparse.Norm2(r)
 		}
 		// SER: grow the CFL with residual reduction.
-		cfl := s.Opts.CFL0 * math.Pow(r0/rnorm, s.Opts.SERExponent)
+		cfl = s.Opts.CFL0 * math.Pow(r0/rnorm, s.Opts.SERExponent)
 		if cfl > s.Opts.CFLMax {
 			cfl = s.Opts.CFLMax
 		}
 		// Pseudo-time augmentation: V/Δt = TimeScales/CFL per vertex.
 		d.TimeScalesInto(q, ts)
-		// Matrix-free operator: Jv = (R(q+εv) − R(q))/ε + (V/Δt) v.
-		stepFlux := 0
-		assembled := krylov.OperatorFunc(func(v, y []float64) {
-			// Striped owner-computes product: bitwise identical to the
-			// sequential MulVec at every worker count, so the assembled
-			// path's residual history is thread-count invariant too.
-			prof.NoteThreads(prof.PhaseMatVec, s.Opts.Krylov.Pool.Workers())
-			jac.MulVecPar(s.Opts.Krylov.Pool, v, y)
-		})
-		op := krylov.OperatorFunc(func(v, y []float64) {
-			vn := sparse.Norm2(v)
-			if vn == 0 {
-				for i := range y {
-					y[i] = 0
-				}
-				return
-			}
-			eps := 1e-8 * (1 + sparse.Norm2(q)) / vn
-			for i := range qTrial {
-				qTrial[i] = q[i] + eps*v[i]
-			}
-			active.Residual(qTrial, y)
-			stepFlux++
-			inv := 1 / eps
-			b := d.Sys.B()
-			for vtx := 0; vtx < d.M.NumVertices(); vtx++ {
-				td := ts[vtx] / cfl
-				for c := 0; c < b; c++ {
-					i := vtx*b + c
-					y[i] = (y[i]-r[i])*inv + td*v[i]
-				}
-			}
-		})
+		stepFlux = 0
+		if !s.Opts.AssembledOperator {
+			qnorm = sparse.Norm2(q)
+		}
 		// The fallible section — preconditioner refresh from the lagged
 		// first-order Jacobian, then the inexact Newton correction — runs
 		// under bounded retry: a failed attempt is re-run from a clean
@@ -255,9 +267,6 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 					dq[i] = 0
 				}
 				var kop krylov.Operator = op
-				if s.Opts.AssembledOperator {
-					kop = assembled
-				}
 				kpc := pc
 				if s.Hooks != nil {
 					if s.Hooks.WrapOperator != nil {
@@ -268,7 +277,7 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 					}
 				}
 				var err error
-				kst, err = krylov.Solve(kop, kpc, rhs, dq, s.Opts.Krylov)
+				kst, err = ws.Solve(kop, kpc, rhs, dq, s.Opts.Krylov)
 				return err
 			}()
 			if err == nil {

@@ -24,8 +24,9 @@ package par
 // x, each product through the fixed-shape segmented reduction (bitwise
 // identical to Dot at any worker count, nil pool included). out must
 // hold at least len(vs) entries; every vector of vs must have x's
-// length. The pool's partial-sum scratch grows to the largest vs seen
-// and is then reused, so the steady state allocates nothing.
+// length. The pool's partial-sum scratch grows to the largest vs seen;
+// a caller that knows its largest batch reserves it once (ReserveMDot)
+// and then no MDot allocates.
 func MDot(p *Pool, x []float64, vs [][]float64, out []float64) {
 	k := len(vs)
 	if k == 0 {
@@ -42,13 +43,8 @@ func MDot(p *Pool, x []float64, vs [][]float64, out []float64) {
 		}
 		return
 	}
-	need := k * Segments
-	if cap(p.mdotParts) < need {
-		// Scratch grows once to the largest basis seen, then is reused:
-		// the steady state allocates nothing.
-		p.mdotParts = make([]float64, need)
-	}
-	parts := p.mdotParts[:need]
+	p.ReserveMDot(k)
+	parts := p.mdotParts[:k*Segments]
 	if p.nw == 1 {
 		mdotSegments(x, vs, 0, Segments, parts)
 	} else {
@@ -59,6 +55,14 @@ func MDot(p *Pool, x []float64, vs [][]float64, out []float64) {
 	}
 	for i := range vs {
 		out[i] = combineSeg(parts[i*Segments:])
+	}
+}
+
+// ReserveMDot sizes the pool's partial-sum scratch for MDot batches of
+// up to k vectors (a no-op on a nil pool or one already that large).
+func (p *Pool) ReserveMDot(k int) {
+	if p != nil && cap(p.mdotParts) < k*Segments {
+		p.mdotParts = make([]float64, k*Segments)
 	}
 }
 

@@ -128,6 +128,26 @@ func TestMDotScratchGrowsOnce(t *testing.T) {
 	}
 }
 
+// TestReserveMDotSizesScratchOnce: a caller that knows its largest batch
+// (GMRES: Restart + 2) reserves the scratch up front, and then no MDot —
+// not the first, not a wider one later — allocates: within a solve the
+// batches grow by one vector per iteration, which used to reallocate the
+// scratch at every new width.
+func TestReserveMDotSizesScratchOnce(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	x, vs := basisFor(7, 12, 1024)
+	out := make([]float64, 12)
+	p.ReserveMDot(12)
+	for k := 1; k <= 12; k++ {
+		if avg := testing.AllocsPerRun(1, func() { MDot(p, x, vs[:k], out[:k]) }); avg > 0 {
+			t.Fatalf("MDot k=%d after ReserveMDot(12) allocates %.0f objects", k, avg)
+		}
+	}
+	var nilPool *Pool
+	nilPool.ReserveMDot(12) // a nil pool has no scratch: a no-op
+}
+
 // TestMReduceSteadyStateAllocs pins the zero-allocation contract of
 // both fused kernels on a warmed pool.
 func TestMReduceSteadyStateAllocs(t *testing.T) {

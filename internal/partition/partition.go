@@ -11,7 +11,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"petscfun3d/internal/sparse"
 )
@@ -538,12 +538,10 @@ func BuildHalos(g sparse.Graph, p *Partition) []Halo {
 	}
 	for i := range halos {
 		for q := range halos[i].Ghosts {
-			s := halos[i].Ghosts[q]
-			sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
+			slices.Sort(halos[i].Ghosts[q])
 		}
 		for q := range halos[i].Sends {
-			s := halos[i].Sends[q]
-			sort.Slice(s, func(a, b int) bool { return s[a] < s[b] })
+			slices.Sort(halos[i].Sends[q])
 		}
 	}
 	return halos

@@ -31,8 +31,11 @@ type Options struct {
 }
 
 // Subdomain is the solver state of one part: the owned and extended
-// (owned + overlap) block rows, the extracted local matrix, and its
-// ILU factorization.
+// (owned + overlap) block rows, the local matrix, and its ILU
+// factorization. Local is an extracted copy — unless Extended is every
+// row of the global matrix (one part, or an overlap that swallows the
+// mesh), when it IS the matrix last handed to New or Refresh: read it,
+// never write it. Factor is always a copy.
 type Subdomain struct {
 	Owned    []int32 // global block rows owned by this part, sorted
 	Extended []int32 // owned plus overlap layers, sorted
@@ -40,7 +43,7 @@ type Subdomain struct {
 	Factor   *ilu.Factorization
 
 	ownedLocal []int32 // position in Extended of each owned row
-	src        []int32 // global block each block of Local is copied from
+	src        []int32 // global block each block of a copied Local is copied from
 	rhs        []float64
 	sol        []float64
 }
@@ -106,10 +109,11 @@ func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditione
 // Refresh recomputes the preconditioner from a, which must have exactly
 // the sparsity pattern New analysed (anything else is an error and
 // leaves the preconditioner untouched): per subdomain one indexed value
-// copy and one ilu Refactor. Every stored value is overwritten, so the
-// result is bitwise the one a fresh New(a) computes whatever a previous
-// (even failed) refresh left behind; nothing is allocated. After an
-// error the preconditioner is undefined until a later Refresh succeeds.
+// copy (none where Local is a itself) and one ilu Refactor. Every stored
+// value is overwritten, so the result is bitwise the one a fresh New(a)
+// computes whatever a previous (even failed) refresh left behind;
+// nothing is allocated. After an error the preconditioner is undefined
+// until a later Refresh succeeds.
 func (p *Preconditioner) Refresh(a *sparse.BCSR) error {
 	sp := prof.Begin(prof.PhasePCSetup)
 	defer sp.End(0, p.refreshBytes())
@@ -117,7 +121,11 @@ func (p *Preconditioner) Refresh(a *sparse.BCSR) error {
 		return fmt.Errorf("schwarz: refresh: %w", err)
 	}
 	for q, s := range p.Subs {
-		sparse.GatherBlocks(s.Local.Val, a.Val, s.src, a.B*a.B)
+		if len(s.Extended) == a.NB {
+			s.Local = a
+		} else {
+			sparse.GatherBlocks(s.Local.Val, a.Val, s.src, a.B*a.B)
+		}
 		if err := s.Factor.Refactor(s.Local); err != nil {
 			return fmt.Errorf("schwarz: subdomain %d: %w", q, err)
 		}
@@ -164,8 +172,30 @@ func buildSubdomain(a *sparse.BCSR, owned []int32, mark []int32, opts Options) (
 	for i, r := range owned {
 		s.ownedLocal[i] = mark[r]
 	}
-	// Extract the local pattern — rows/cols restricted to Extended — and
-	// the index of each local block's source in a.
+	if len(s.Extended) == a.NB {
+		// Every row of a: the subdomain's matrix is a itself — shared,
+		// not copied, and Refresh re-points it instead of gathering.
+		s.Local = a
+	} else {
+		s.extract(a, mark)
+	}
+	for _, r := range s.Extended {
+		mark[r] = -1
+	}
+	var err error
+	s.Factor, err = ilu.Factor(s.Local, opts.ILU)
+	if err != nil {
+		return nil, err
+	}
+	s.rhs = make([]float64, len(s.Extended)*a.B)
+	s.sol = make([]float64, len(s.Extended)*a.B)
+	return s, nil
+}
+
+// extract copies the rows and columns of a that lie in Extended (mark
+// holds their local indices, -1 elsewhere) into a new Local, keeping in
+// src the index of each local block's source in a.
+func (s *Subdomain) extract(a *sparse.BCSR, mark []int32) {
 	nnzb := 0
 	for _, r := range s.Extended {
 		for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
@@ -186,25 +216,15 @@ func buildSubdomain(a *sparse.BCSR, owned []int32, mark []int32, opts Options) (
 		}
 		rowPtr[li+1] = int32(len(colIdx))
 	}
-	for _, r := range s.Extended {
-		mark[r] = -1
-	}
 	bb := a.B * a.B
 	s.Local = &sparse.BCSR{NB: len(s.Extended), B: a.B, RowPtr: rowPtr, ColIdx: colIdx, Val: make([]float64, nnzb*bb)}
 	sparse.GatherBlocks(s.Local.Val, a.Val, s.src, bb)
-	var err error
-	s.Factor, err = ilu.Factor(s.Local, opts.ILU)
-	if err != nil {
-		return nil, err
-	}
-	s.rhs = make([]float64, len(s.Extended)*a.B)
-	s.sol = make([]float64, len(s.Extended)*a.B)
-	return s, nil
 }
 
-// refreshBytes is the value-copy traffic of one New or Refresh: every
-// subdomain's local blocks gathered from the global matrix. (The
-// subdomains a failed New never built are nil and copied nothing.)
+// refreshBytes is the value-copy traffic of one New or Refresh: the
+// blocks each copied Local gathers from the global matrix. (A shared
+// Local has no src, and the subdomains a failed New never built are nil:
+// neither copied anything.)
 func (p *Preconditioner) refreshBytes() int64 {
 	nnzb := 0
 	for _, s := range p.Subs {

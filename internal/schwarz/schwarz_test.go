@@ -2,6 +2,7 @@ package schwarz
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -473,5 +474,102 @@ func TestRefreshSteadyStateAllocs(t *testing.T) {
 		if avg > 0 {
 			t.Fatalf("single=%v: Refresh allocates %.1f objects per call", single, avg)
 		}
+	}
+}
+
+// TestWholeMatrixSubdomainSharesIt: a subdomain whose extended rows are
+// every row of the matrix — the one part of a one-part preconditioner,
+// or both of two parts under an overlap that swallows the mesh — keeps
+// no copy: Local IS the matrix, no source index is built, New and
+// Refresh gather nothing, and Refresh with another matrix object
+// re-points Local at it. The factors and Apply are bitwise what the
+// copying path gave — kept here as its closed form: with Extended = all
+// rows in ascending order the extracted matrix is a verbatim copy, every
+// subdomain factors the same matrix, and restricted prolongation
+// assembles exactly one global ILU solve.
+func TestWholeMatrixSubdomainSharesIt(t *testing.T) {
+	for _, c := range []struct{ nparts, overlap int }{{1, 0}, {1, 2}, {2, 64}} {
+		pr := buildProblem(t, 6, 5, 4, 4, c.nparts)
+		a2 := sparse.BlockPattern(pr.g, 4)
+		a2.FillDeterministic(47)
+		opts := Options{Overlap: c.overlap, ILU: ilu.Options{Level: 1}}
+		pc, err := New(pr.a, pr.part.Part, c.nparts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(a *sparse.BCSR) {
+			t.Helper()
+			copied := &sparse.BCSR{NB: a.NB, B: a.B, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: append([]float64(nil), a.Val...)}
+			ref, err := ilu.Factor(copied, opts.ILU)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := make([]float64, a.N()), make([]float64, a.N())
+			ref.Solve(pr.rhs, want)
+			for q, s := range pc.Subs {
+				if s.Local != a || s.src != nil {
+					t.Fatalf("%d parts, overlap %d, subdomain %d: Local is a copy (%d source indices), want the matrix itself", c.nparts, c.overlap, q, len(s.src))
+				}
+				s.Factor.Solve(pr.rhs, got)
+				sameBits(t, "subdomain factor solve", got, want)
+			}
+			if b := pc.refreshBytes(); b != 0 {
+				t.Fatalf("%d parts, overlap %d: refresh charged %d gathered bytes, want 0", c.nparts, c.overlap, b)
+			}
+			pc.Apply(pr.rhs, got)
+			sameBits(t, "Apply", got, want)
+		}
+		check(pr.a)
+		if err := pc.Refresh(a2); err != nil {
+			t.Fatal(err)
+		}
+		check(a2)
+		fresh, err := New(a2, pr.part.Part, c.nparts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePreconditioner(t, pc, fresh, pr.rhs)
+
+		// A rejected matrix leaves Local on the last good one.
+		moved := &sparse.BCSR{NB: a2.NB, B: a2.B, RowPtr: a2.RowPtr, ColIdx: append([]int32(nil), a2.ColIdx...), Val: a2.Val}
+		moved.ColIdx[moved.RowPtr[1]-1]++
+		if err := pc.Refresh(moved); err == nil || !strings.Contains(err.Error(), "pattern mismatch") {
+			t.Fatalf("Refresh with a moved column returned %v, want a pattern-mismatch error", err)
+		}
+		check(a2)
+	}
+	// The control: at overlap 1 two parts do not cover the mesh, and keep
+	// their copies.
+	pr := buildProblem(t, 6, 5, 4, 4, 2)
+	pc, err := New(pr.a, pr.part.Part, 2, Options{Overlap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, s := range pc.Subs {
+		if s.Local == pr.a || len(s.src) == 0 {
+			t.Fatalf("subdomain %d of 2 at overlap 1 shares the global matrix", q)
+		}
+	}
+}
+
+// TestOnePartBuildAllocatesNoMatrixCopy: building a one-part
+// preconditioner allocates the factor and its index arrays, not a second
+// copy of the matrix values.
+func TestOnePartBuildAllocatesNoMatrixCopy(t *testing.T) {
+	pr := buildProblem(t, 8, 6, 5, 4, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pc, err := New(pr.a, pr.part.Part, 1, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ILU(0): the factor's values are one matrix's worth; a copied Local
+	// would be a second.
+	valBytes := uint64(8 * len(pr.a.Val))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New allocated %d bytes, matrix values %d (%.2fx)", got, valBytes, float64(got)/float64(valBytes))
+	if got >= 2*valBytes {
+		t.Fatalf("New allocated %d bytes for a %d-byte matrix: more than the factor alone (%d blocks)", got, valBytes, pc.FactorBlocks())
 	}
 }

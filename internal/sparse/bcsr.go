@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -366,9 +367,8 @@ func NewBCSRPattern(nb, b int, rows [][]int32) *BCSR {
 	}
 	a.ColIdx = make([]int32, 0, nnzb)
 	for i := 0; i < nb; i++ {
-		cols := append([]int32(nil), rows[i]...)                           //lint:alloc-ok one-time pattern construction; the caller's row must be copied before sorting
-		sort.Slice(cols, func(p, q int) bool { return cols[p] < cols[q] }) //lint:alloc-ok sort comparator at one-time pattern construction
-		a.ColIdx = append(a.ColIdx, cols...)                               //lint:alloc-ok appends into capacity preallocated to the exact nnzb
+		a.ColIdx = append(a.ColIdx, rows[i]...) //lint:alloc-ok appends into capacity preallocated to the exact nnzb
+		slices.Sort(a.ColIdx[a.RowPtr[i]:])
 		a.RowPtr[i+1] = int32(len(a.ColIdx))
 	}
 	a.Val = make([]float64, len(a.ColIdx)*b*b)

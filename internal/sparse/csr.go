@@ -8,6 +8,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -176,7 +177,7 @@ func (b *Builder) Build() *CSR {
 		for j := range b.rows[i] {
 			cols = append(cols, j) //lint:alloc-ok assembly-time row staging; cols is reused across rows
 		}
-		sort.Slice(cols, func(p, q int) bool { return cols[p] < cols[q] }) //lint:alloc-ok sort comparator at one-time assembly
+		slices.Sort(cols)
 		for _, j := range cols {
 			a.ColIdx = append(a.ColIdx, j)      //lint:alloc-ok appends into capacity preallocated to the exact nnz
 			a.Val = append(a.Val, b.rows[i][j]) //lint:alloc-ok appends into capacity preallocated to the exact nnz
