@@ -48,7 +48,7 @@ race:
 
 bench:
 	go test -bench . -benchtime 1x -run '^$$' ./...
-	go run ./cmd/benchtables -experiment table3measured -size medium | tee BENCH_scatterwait.txt
+	go run ./cmd/benchtables -experiment table3measured -size medium
 
 # The judged benchmark (BENCHMARK.json, bench/README.md): all four
 # workloads, untraced end-to-end pass then traced per-layer pass, into
@@ -63,21 +63,21 @@ perf:
 # followed by the measured η_impl-vs-skew sweep as a smoke test.
 chaos:
 	FUN3D_CHAOS_SEEDS=1,2,3 go test -race -count=1 ./internal/faults ./internal/mpi ./internal/dist
-	go run ./cmd/benchtables -experiment chaos -size small | tee BENCH_chaos.txt
+	go run ./cmd/benchtables -experiment chaos -size small
 
 # Threads gate: the node-level worker-pool determinism grid — the pool
 # primitives' own suite, then the bitwise tri-solve/SpMV grids, the one
 # GMRES mechanisms × ranks × workers grid (internal/dist) and the hybrid
 # ranks×threads soak — under the race detector, followed by the measured
-# thread-scaling sweep and the gather-corrected Table 5 model, teed into
-# the BENCH_threads.txt record.
+# thread-scaling sweep and the gather-corrected Table 5 model, printed
+# (none of these targets writes into the checkout).
 threads-grid:
 	go test -race -count=1 ./internal/par
 	$(call named_gate,'Par|Thread|Bitwise|Level|Determin',./internal/sparse ./internal/ilu ./internal/euler ./internal/dist,-race)
 
 threads: threads-grid
-	go run ./cmd/benchtables -experiment threads -size medium | tee BENCH_threads.txt
-	go run ./cmd/benchtables -experiment table5 -size small | tee -a BENCH_threads.txt
+	go run ./cmd/benchtables -experiment threads -size medium
+	go run ./cmd/benchtables -experiment table5 -size small
 
 # Kernel-equivalence gate: the first-order edge kernels of
 # internal/euler against the generic sweep through the System interface
@@ -106,11 +106,10 @@ fuzz:
 # one solver (rounds accounting, span charges, non-finite exits, the
 # mechanisms × ranks × workers grid), and the hybrid soak — under the
 # race detector (ortho-grid, which CI runs by name), followed by the
-# measured mgs/cgs/cgs2/cgs1 orthogonalization study, teed into the
-# BENCH_ortho.txt record.
+# measured mgs/cgs/cgs2/cgs1 orthogonalization study, printed.
 ortho-grid:
 	go test -race -count=1 ./internal/par
 	$(call named_gate,'MDot|MAxpy|MReduce|Ortho|Reduction|AllReduceSumVec|GMRES|NonFinite|Hybrid',./internal/krylov ./internal/mpi ./internal/dist ./internal/experiments,-race)
 
 ortho: ortho-grid
-	go run ./cmd/benchtables -experiment ortho -size medium | tee BENCH_ortho.txt
+	go run ./cmd/benchtables -experiment ortho -size medium

@@ -121,6 +121,15 @@ func (cfg Config) Validate() error {
 	if cfg.NX > 0 && (cfg.NY <= 0 || cfg.NZ <= 0) {
 		return fmt.Errorf("core: lattice dimensions %dx%dx%d need all of NX, NY, NZ positive", cfg.NX, cfg.NY, cfg.NZ)
 	}
+	if !(cfg.Newton.CFL0 > 0) { // rejects NaN too
+		return fmt.Errorf("core: nonpositive Newton.CFL0 %g", cfg.Newton.CFL0)
+	}
+	if cfg.Newton.MaxSteps < 1 {
+		return fmt.Errorf("core: Newton.MaxSteps %d, want at least 1", cfg.Newton.MaxSteps)
+	}
+	if cfg.Newton.StepRetries < 0 {
+		return fmt.Errorf("core: negative Newton.StepRetries %d", cfg.Newton.StepRetries)
+	}
 	if err := cfg.Newton.Krylov.Validate(); err != nil {
 		return fmt.Errorf("core: Newton.Krylov: %w", err)
 	}

@@ -28,6 +28,10 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"partial lattice", func(c *Config) { c.NX = 5; c.NY = 0; c.NZ = 4 }, "lattice"},
 		{"orthogonalization typo", func(c *Config) { c.Newton.Krylov.Orthogonalization = "cgz" }, "Newton.Krylov: krylov: unknown Orthogonalization"},
 		{"zero restart", func(c *Config) { c.Newton.Krylov.Restart = 0 }, "Newton.Krylov: krylov: need positive Restart"},
+		{"zero CFL0", func(c *Config) { c.Newton.CFL0 = 0 }, "Newton.CFL0"},
+		{"negative CFL0", func(c *Config) { c.Newton.CFL0 = -10 }, "Newton.CFL0"},
+		{"zero max steps", func(c *Config) { c.Newton.MaxSteps = 0 }, "Newton.MaxSteps"},
+		{"negative step retries", func(c *Config) { c.Newton.StepRetries = -1 }, "Newton.StepRetries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

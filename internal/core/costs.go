@@ -1,25 +1,11 @@
 package core
 
 // Kernel cost estimates feeding the virtual-machine model. The formulas
-// live next to the kernels they describe (internal/euler, internal/ilu)
-// so the modeled accounting here and the measured profiler
-// (internal/prof) charge the same work with the same constants; this
-// file only adapts them to the model's per-rank bookkeeping.
-
-import (
-	"petscfun3d/internal/euler"
-	"petscfun3d/internal/ilu"
-)
-
-// edgeFluxFlops is euler.EdgeFluxFlops: per-edge work of one flux
-// evaluation.
-func edgeFluxFlops(b int) int64 { return euler.EdgeFluxFlops(b) }
-
-// fluxTrafficBytes is euler.FluxTrafficBytes: memory traffic of one flux
-// evaluation over a subdomain.
-func fluxTrafficBytes(nvLocal, b int, edgesLocal int64) int64 {
-	return euler.FluxTrafficBytes(nvLocal, b, edgesLocal)
-}
+// of the kernels live next to them (euler.EdgeFluxFlops,
+// ilu.FactorFlopsFor, …) and are called from there, so the modeled
+// accounting and the measured profiler (internal/prof) charge the same
+// work with the same constants; only the model's own vector-sweep
+// estimates live here.
 
 // vecSweepBytes is the traffic of one pass over a local vector of n
 // scalars (read + write); vecSweepFlops the multiply-add work of the
@@ -31,24 +17,3 @@ func vecSweepFlops(n int) int64 { return int64(2 * n) }
 // iteration (orthogonalization axpys/dots, basis scaling, solution
 // update amortized over the restart cycle).
 const krylovVecSweeps = 8
-
-// jacobianAssemblyFlops is euler.JacobianAssemblyFlops: per-edge work of
-// the analytical first-order Jacobian.
-func jacobianAssemblyFlops(b int) int64 { return euler.JacobianAssemblyFlops(b) }
-
-// jacobianAssemblyBytes is euler.JacobianAssemblyBytes: per-edge traffic
-// of assembly.
-func jacobianAssemblyBytes(b int) int64 { return euler.JacobianAssemblyBytes(b) }
-
-// iluFactorFlops is ilu.FactorFlopsFor: work of factoring nnzb blocks of
-// size b.
-func iluFactorFlops(nnzb, b int) int64 { return ilu.FactorFlopsFor(nnzb, b) }
-
-// iluFactorBytes is ilu.FactorBytesFor: factorization memory traffic.
-func iluFactorBytes(nnzb, b, valBytes int) int64 { return ilu.FactorBytesFor(nnzb, b, valBytes) }
-
-// privateGatherBytes is euler.PrivateGatherBytes: traffic of summing the
-// extra threads' private residual copies into the shared residual (a
-// read-modify-write of the shared array plus a streaming read of each
-// private copy — 24 bytes per entry per extra thread, not 16).
-func privateGatherBytes(extra, n int64) int64 { return euler.PrivateGatherBytes(extra, n) }

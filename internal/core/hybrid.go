@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"petscfun3d/internal/euler"
 	"petscfun3d/internal/machine"
 )
 
@@ -49,8 +50,8 @@ func FluxPhaseTime(cfg Config, nodes, procsPerNode, threads, evals int) (float64
 		}
 		for r := 0; r < ranks; r++ {
 			mach.Compute(r,
-				loads.edges[r]*edgeFluxFlops(b),
-				fluxTrafficBytes(loads.localN[r]/b, b, loads.edges[r]),
+				loads.edges[r]*euler.EdgeFluxFlops(b),
+				euler.FluxTrafficBytes(loads.localN[r]/b, b, loads.edges[r]),
 				rate)
 			if threads > 1 {
 				// Gather of the private residual copies: a read-modify-write
@@ -59,7 +60,7 @@ func FluxPhaseTime(cfg Config, nodes, procsPerNode, threads, evals int) (float64
 				// node's shared memory bus. Charged through the same formula
 				// the measured kernel (euler.ResidualParallel) reports, so
 				// model and profiler agree on the 24 bytes per entry.
-				gatherBytes := float64(privateGatherBytes(int64(threads-1), int64(loads.localN[r])))
+				gatherBytes := float64(euler.PrivateGatherBytes(int64(threads-1), int64(loads.localN[r])))
 				mach.ComputeTimeDirect(r, gatherBytes/cfg.Profile.NodeStreamBW, 0)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"petscfun3d/internal/euler"
+	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/machine"
 	"petscfun3d/internal/newton"
@@ -113,8 +115,8 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 	chargeFlux := func() {
 		for r := 0; r < cfg.Ranks; r++ {
 			mach.Compute(r,
-				loads.edges[r]*edgeFluxFlops(b),
-				fluxTrafficBytes(loads.localN[r]/b, b, loads.edges[r]),
+				loads.edges[r]*euler.EdgeFluxFlops(b),
+				euler.FluxTrafficBytes(loads.localN[r]/b, b, loads.edges[r]),
 				cfg.Profile.FluxFlopRate)
 		}
 	}
@@ -141,13 +143,13 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 		AfterJacobian: func() {
 			for r := 0; r < cfg.Ranks; r++ {
 				edges := loads.edges[r]
-				mach.Compute(r, edges*jacobianAssemblyFlops(b), edges*jacobianAssemblyBytes(b), 0)
+				mach.Compute(r, edges*euler.JacobianAssemblyFlops(b), edges*euler.JacobianAssemblyBytes(b), 0)
 			}
 			if lastPC != nil {
 				for r, sub := range lastPC.Subs {
 					nnzb := sub.Factor.NNZBlocks()
 					vb := sub.Factor.BytesPerValue()
-					mach.Compute(r, iluFactorFlops(nnzb, b), iluFactorBytes(nnzb, b, vb), 0)
+					mach.Compute(r, ilu.FactorFlopsFor(nnzb, b), ilu.FactorBytesFor(nnzb, b, vb), 0)
 					if ghost := sub.GhostRows(); ghost > 0 {
 						// Overlapped matrix rows communicated once per
 						// refresh: approximate as extra bytes in a halo

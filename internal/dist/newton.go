@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"petscfun3d/internal/euler"
 	"petscfun3d/internal/ilu"
@@ -69,75 +68,44 @@ func DefaultNewtonOptions() NewtonOptions {
 	}
 }
 
-// NewtonStep records one pseudo-timestep of the distributed solve. The
-// Rnorm sequence is the solve's residual history — the quantity the
-// chaos soak asserts is bitwise identical under injected timing faults.
-type NewtonStep struct {
-	Index     int
-	Rnorm     float64
-	CFL       float64
-	LinearIts int
-	Attempts  int // 1 + retries this step consumed
+// newton maps the options onto the one ψNK loop.
+func (o NewtonOptions) newton() newton.Options {
+	return newton.Options{CFL0: o.CFL0, SERExponent: o.SERExponent, CFLMax: o.CFLMax,
+		MaxSteps: o.MaxSteps, RelTol: o.RelTol, LineSearch: o.LineSearch, StepRetries: o.StepRetries}
 }
 
-// NewtonResult is the outcome of a distributed solve. On a graceful
-// abort (step retries exhausted, world cancelled) NewtonSolve returns
-// the partial result alongside the error: the steps completed so far
-// remain valid, and the caller's profiler still holds every closed
-// phase.
-type NewtonResult struct {
-	Steps          []NewtonStep
-	Converged      bool
-	InitialRnorm   float64
-	FinalRnorm     float64
-	TotalLinearIts int
-}
-
-// ResidualHistory returns the initial norm followed by each step's
-// norm — the bitwise-comparable trajectory.
-func (r *NewtonResult) ResidualHistory() []float64 {
-	out := make([]float64, 0, len(r.Steps)+1)
-	out = append(out, r.InitialRnorm)
-	for _, s := range r.Steps {
-		out = append(out, s.Rnorm) //lint:alloc-ok preallocated report helper, not solver hot path
-	}
-	return out
-}
+// NewtonStep and NewtonResult are the one loop's records; dist fills
+// neither FluxEvals nor Order (its operator is the assembled one).
+type (
+	NewtonStep   = newton.Step
+	NewtonResult = newton.Result
+)
 
 // NewtonSolve advances q to steady state with the distributed ψNK
-// iteration: the overlapped distributed residual (Residual), a
-// per-step first-order Jacobian partitioned by NewMatrix once and
-// reloaded by Refresh thereafter (the sparsity pattern never changes, so
-// the halo plan is negotiated at step 0 only), block Jacobi ILU
-// subdomain preconditioning refactored in place, and the distributed
-// GMRES. Every rank
-// calls it collectively with the same discretization, partition, and
-// options (SPMD); q is a global-length interlaced state of which this
-// rank advances its owned entries (ghost entries are maintained by the
-// halo; far entries stay at their initial values and are never read
-// into owned results).
+// iteration — newton.Iterate over this rank's System: the overlapped
+// distributed residual (Residual), a per-step first-order Jacobian
+// partitioned by NewMatrix once and reloaded by Refresh thereafter (the
+// sparsity pattern never changes, so the halo plan is negotiated at step
+// 0 only), block Jacobi ILU subdomain preconditioning refactored in
+// place, and the distributed GMRES. Every rank calls it collectively
+// with the same discretization, partition, and options (SPMD); q is a
+// global-length interlaced state of which this rank advances its owned
+// entries (ghost entries are maintained by the halo; far entries stay at
+// their initial values and are never read into owned results).
 //
 // The solve is hardened for chaos runs: a failed step (halo exchange
 // error, factorization failure, a BeforeStep veto) is retried up to
 // StepRetries times — each retry drops the rank's Matrix and rebuilds it
 // collectively, so nothing a half-finished attempt touched is trusted —
-// and when retries are exhausted — or the world
-// itself is cancelled under it — NewtonSolve closes its profiler
-// phases and returns the partial result with the error, never a
-// half-updated state: q only changes when a step is accepted.
+// and when retries are exhausted, or the world itself is cancelled under
+// it, NewtonSolve closes its profiler phases and returns the partial
+// result with the error, never a half-updated state.
 func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64, opts NewtonOptions, p *prof.Profiler) (*NewtonResult, error) {
-	if opts.CFL0 <= 0 || opts.MaxSteps < 1 {
-		return nil, fmt.Errorf("dist: nonpositive CFL0 or MaxSteps")
-	}
-	if opts.StepRetries < 0 {
-		return nil, fmt.Errorf("dist: negative StepRetries")
-	}
 	if err := opts.Krylov.krylov(nil).Validate(); err != nil {
 		return nil, fmt.Errorf("dist: Krylov: %w", err)
 	}
-	n := d.N()
-	if len(q) != n {
-		return nil, fmt.Errorf("dist: state length %d, want %d", len(q), n)
+	if len(q) != d.N() {
+		return nil, fmt.Errorf("dist: state length %d, want %d", len(q), d.N())
 	}
 	nsp := p.Begin(prof.PhaseNewton)
 	defer nsp.End(0, 0)
@@ -148,87 +116,82 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 		pool = par.New(opts.Threads)
 		defer pool.Close()
 	}
-	res := &NewtonResult{}
 	var rsd *Residual
-	if err := c.Protect(func() error {
-		var e error
-		rsd, e = NewResidual(c, d, part)
-		return e
+	if err := c.Protect(func() (err error) {
+		rsd, err = NewResidual(c, d, part)
+		return err
 	}); err != nil {
-		return res, err
+		return &NewtonResult{}, err
 	}
 	rsd.Prof = p
-	r := make([]float64, n)
-	rTrial := make([]float64, n)
-	qTrial := make([]float64, n)
-	dq := make([]float64, n)
+	b := d.Sys.B()
 	ts := make([]float64, d.M.NumVertices()) // pseudo-time scales, refilled every step attempt
 	jac := d.JacobianPattern()
 	var am *Matrix // built by the first step attempt, refreshed by later ones
 
-	var rnorm float64
-	if err := c.Protect(func() error {
-		if err := rsd.Eval(q, r); err != nil {
-			return err
-		}
-		rnorm = rsd.OwnedNorm2(r)
-		return nil
-	}); err != nil {
-		return res, err
-	}
-	res.InitialRnorm = rnorm
-	res.FinalRnorm = rnorm
-	r0 := rnorm
-	if r0 == 0 {
-		res.Converged = true
-		return res, nil
-	}
-
-	for step := 0; step < opts.MaxSteps; step++ {
-		cfl := opts.CFL0 * math.Pow(r0/rnorm, opts.SERExponent)
-		if cfl > opts.CFLMax {
-			cfl = opts.CFLMax
-		}
-		var st GMRESStats
-		var newNorm float64
-		attempts := 0
-		for {
-			attempts++
-			err := c.Protect(func() error { //lint:alloc-ok one closure per step attempt; the hot path is the GMRES inside
-				return newtonStep(c, rsd, d, part, q, r, rnorm, cfl, opts, p, pool,
-					jac, &am, qTrial, rTrial, dq, ts, step, attempts-1, &st, &newNorm)
+	return newton.Iterate(newton.System{
+		// The trial state's ghosts are filled by its residual evaluation,
+		// so the whole buffer is consistent when the loop accepts it.
+		Residual: func(q, r []float64) (norm float64, err error) {
+			err = c.Protect(func() (err error) {
+				if err = rsd.Eval(q, r); err == nil {
+					norm = rsd.OwnedNorm2(r)
+				}
+				return err
 			})
-			if err == nil {
-				break
-			}
-			if errors.Is(err, mpi.ErrAborted) || attempts > opts.StepRetries {
-				res.FinalRnorm = rnorm
-				return res, fmt.Errorf("dist: newton step %d failed after %d attempt(s): %w", step, attempts, err)
-			}
-			// Nothing the failed attempt touched is trusted: the retry
-			// rebuilds the Matrix — and with it the Krylov workspace.
-			am = nil
-		}
-		// Accept: the trial state's ghosts were filled by its residual
-		// evaluation, so the whole buffer is consistent.
-		copy(q, qTrial)
-		copy(r, rTrial)
-		rnorm = newNorm
-		res.TotalLinearIts += st.Iterations
-		res.Steps = append(res.Steps, NewtonStep{ //lint:alloc-ok one history record per pseudo-timestep
-			Index: step, Rnorm: rnorm, CFL: cfl,
-			LinearIts: st.Iterations, Attempts: attempts,
-		})
-		res.FinalRnorm = rnorm
-		if rnorm/r0 <= opts.RelTol {
-			res.Converged = true
-			break
-		}
-		if math.IsNaN(rnorm) || math.IsInf(rnorm, 0) {
-			return res, fmt.Errorf("dist: newton diverged at step %d (residual %g)", step, rnorm)
-		}
-	}
-	return res, nil
+			return norm, err
+		},
+		// One step attempt: Jacobian refresh, partitioned extraction (into
+		// am, built when nil), block Jacobi setup and distributed GMRES.
+		Correct: func(cor *newton.Correction) (its int, err error) {
+			err = c.Protect(func() error {
+				if cor.Attempt > 0 {
+					// Nothing the failed attempt touched is trusted: the retry
+					// rebuilds the Matrix — and with it the Krylov workspace.
+					am = nil
+				}
+				if opts.BeforeStep != nil {
+					if err := opts.BeforeStep(cor.Step, cor.Attempt); err != nil {
+						return err
+					}
+				}
+				// Pseudo-time-augmented first-order Jacobian, assembled SPMD
+				// (every rank assembles from the same q, so the partitioned
+				// extraction below sees identical global values; blocks in far
+				// rows derive from stale far state, but NewMatrix and Refresh
+				// copy only this rank's owned rows, whose columns are all
+				// owned-or-ghost — maintained by the halo).
+				jsp := p.Begin(prof.PhaseJacobian)
+				err := d.AssembleJacobian(cor.Q, jac)
+				d.TimeScalesInto(cor.Q, ts)
+				newton.AddTimeDiagonal(jac, ts, cor.CFL)
+				jsp.End(0, 0)
+				if err != nil {
+					return err
+				}
+				var pcSolve func(r, z []float64)
+				if am, pcSolve, err = stepOperator(c, jac, part, am, opts.ILU, p, pool); err != nil {
+					return err
+				}
+				clear(am.lx)
+				for li, gr := range am.Owned {
+					copy(am.lb[li*b:(li+1)*b], cor.RHS[int(gr)*b:(int(gr)+1)*b])
+				}
+				gst, err := GMRES(am, pcSolve, am.lb, am.lx, opts.Krylov)
+				if err != nil {
+					return err
+				}
+				// DQ arrives zeroed; only the owned entries are this rank's.
+				for li, gr := range am.Owned {
+					copy(cor.DQ[int(gr)*b:(int(gr)+1)*b], am.lx[li*b:(li+1)*b])
+				}
+				its = gst.Iterations
+				return nil
+			})
+			return its, err
+		},
+		Fatal: func(err error) bool { return errors.Is(err, mpi.ErrAborted) },
+	}, q, opts.newton())
 }
 
 // stepOperator returns this rank's share of jac — am reloaded in place,
@@ -253,83 +216,4 @@ func stepOperator(c *mpi.Comm, jac *sparse.BCSR, part []int32, am *Matrix, iluOp
 	pcSolve, err := am.BlockJacobi(iluOpts)
 	sp.End(0, am.refreshBytes())
 	return am, pcSolve, err
-}
-
-// newtonStep runs one pseudo-timestep attempt: Jacobian refresh,
-// partitioned extraction (into *amp, built when nil), block Jacobi
-// setup, distributed GMRES, and
-// the globally synchronized line search. On success *st and *newNorm
-// hold the step's outcome and qTrial/rTrial the accepted trial state;
-// on error the caller's q and r are untouched, so the attempt can be
-// retried or the solve aborted with a consistent partial result.
-func newtonStep(c *mpi.Comm, rsd *Residual, d *euler.Discretization, part []int32,
-	q, r []float64, rnorm, cfl float64, opts NewtonOptions, p *prof.Profiler, pool *par.Pool,
-	jac *sparse.BCSR, amp **Matrix, qTrial, rTrial, dq, ts []float64, step, attempt int,
-	st *GMRESStats, newNorm *float64) error {
-	if opts.BeforeStep != nil {
-		if err := opts.BeforeStep(step, attempt); err != nil {
-			return err
-		}
-	}
-	b := d.Sys.B()
-	// Pseudo-time-augmented first-order Jacobian, assembled SPMD (every
-	// rank assembles from the same q, so the partitioned extraction
-	// below sees identical global values; blocks in far rows derive from
-	// stale far state, but NewMatrix and Refresh copy only this rank's
-	// owned rows, whose columns are all owned-or-ghost — maintained by
-	// the halo).
-	jsp := p.Begin(prof.PhaseJacobian)
-	err := d.AssembleJacobian(q, jac)
-	if err == nil {
-		d.TimeScalesInto(q, ts)
-		newton.AddTimeDiagonal(jac, ts, cfl)
-	}
-	jsp.End(0, 0)
-	if err != nil {
-		return err
-	}
-	am, pcSolve, err := stepOperator(c, jac, part, *amp, opts.ILU, p, pool)
-	if err != nil {
-		return err
-	}
-	*amp = am
-	lb, lx := am.lb, am.lx
-	clear(lx)
-	for li, gr := range am.Owned {
-		for k := 0; k < b; k++ {
-			lb[li*b+k] = -r[int(gr)*b+k]
-		}
-	}
-	gst, err := GMRES(am, pcSolve, lb, lx, opts.Krylov)
-	if err != nil {
-		return err
-	}
-	for i := range dq {
-		dq[i] = 0
-	}
-	for li, gr := range am.Owned {
-		copy(dq[int(gr)*b:(int(gr)+1)*b], lx[li*b:(li+1)*b])
-	}
-	// Backtracking on the globally reduced trial norm: every rank
-	// computes the same norms, so every rank halves λ together.
-	lambda := 1.0
-	for try := 0; ; try++ {
-		copy(qTrial, q)
-		for _, gr := range am.Owned {
-			for k := 0; k < b; k++ {
-				i := int(gr)*b + k
-				qTrial[i] = q[i] + lambda*dq[i]
-			}
-		}
-		if err := rsd.Eval(qTrial, rTrial); err != nil {
-			return err
-		}
-		*newNorm = rsd.OwnedNorm2(rTrial)
-		if !opts.LineSearch || *newNorm <= rnorm*(1+1e-10) || try >= 5 {
-			break
-		}
-		lambda *= 0.5
-	}
-	*st = gst
-	return nil
 }

@@ -247,31 +247,9 @@ func (d *Discretization) Residual(q, r []float64) {
 	sp.End(d.SweepFlops(), d.SweepBytes())
 }
 
-// boundaryResidual adds the boundary closure fluxes.
+// boundaryResidual adds the boundary closure fluxes at every vertex.
 func (d *Discretization) boundaryResidual(q, r []float64) {
-	b := d.Sys.B()
-	inf := d.infState
-	ws := d.getWS()
-	qi, flux, scratch := ws.qa[:b], ws.flux[:b], ws.scratch[:b]
-	bk := d.M.BKind
-	ba := d.Geo.BoundaryArea[:len(bk)] // bce: ties len(ba) to len(bk); the vertex index serves both unchecked
-	for v, kind := range bk {
-		if kind == mesh.BNone {
-			continue
-		}
-		s := ba[v]
-		d.gather(q, int32(v), qi) //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
-		switch kind {
-		case mesh.BInflow, mesh.BOutflow:
-			// Weak characteristic farfield: upwind flux against the
-			// freestream ghost state.
-			NumFlux(d.Sys, qi, inf, s, flux, scratch)
-		case mesh.BWall:
-			d.wallFlux(qi, s, flux)
-		}
-		d.scatterAdd(r, int32(v), flux, +1)
-	}
-	d.putWS(ws)
+	d.BoundaryResidualMasked(q, r, nil)
 }
 
 // wallFlux is the impermeable slip-wall flux: pressure force only.

@@ -51,27 +51,30 @@ func (d *Discretization) ResidualEdges(q, r []float64, edges []int32) {
 }
 
 // BoundaryResidualMasked adds the boundary closure fluxes (weak
-// farfield and slip wall) for owned vertices only. owned must have
-// length NumVertices.
+// farfield and slip wall) for owned vertices only; a nil mask means
+// every vertex. A non-nil owned must have length NumVertices.
 func (d *Discretization) BoundaryResidualMasked(q, r []float64, owned []bool) {
 	b := d.Sys.B()
 	inf := d.infState
 	ws := d.getWS()
 	qi, flux, scratch := ws.qa[:b], ws.flux[:b], ws.scratch[:b]
 	bk := d.M.BKind
-	ow := owned[:len(bk)]              // bce: ties len(ow) to len(bk); the vertex index serves both unchecked
-	ba := d.Geo.BoundaryArea[:len(bk)] // bce: ties len(ba) to len(bk) the same way
+	if owned != nil {
+		owned = owned[:len(bk)] // a short mask panics here instead of reading as "not masked" below
+	}
+	ba := d.Geo.BoundaryArea[:len(bk)] // bce: ties len(ba) to len(bk); the vertex index serves both unchecked
 	for v, kind := range bk {
-		if !ow[v] {
-			continue
-		}
-		if kind == mesh.BNone {
+		// v < len(owned) is false for every v under a nil mask, true for
+		// every v under a real one: the guard that makes owned[v] unchecked.
+		if kind == mesh.BNone || (v < len(owned) && !owned[v]) {
 			continue
 		}
 		s := ba[v]
 		d.gather(q, int32(v), qi) //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
 		switch kind {
 		case mesh.BInflow, mesh.BOutflow:
+			// Weak characteristic farfield: upwind flux against the
+			// freestream ghost state.
 			NumFlux(d.Sys, qi, inf, s, flux, scratch)
 		case mesh.BWall:
 			d.wallFlux(qi, s, flux)

@@ -11,7 +11,6 @@ package newton
 
 import (
 	"fmt"
-	"math"
 
 	"petscfun3d/internal/euler"
 	"petscfun3d/internal/krylov"
@@ -99,7 +98,9 @@ type Hooks struct {
 }
 
 // Step records one pseudo-timestep for convergence histories (Figure 5)
-// and efficiency decompositions (Table 3).
+// and efficiency decompositions (Table 3). The Rnorm sequence is the
+// solve's residual history — the quantity the chaos soak asserts is
+// bitwise identical under injected timing faults.
 type Step struct {
 	Index     int
 	Rnorm     float64
@@ -107,9 +108,13 @@ type Step struct {
 	LinearIts int
 	FluxEvals int
 	Order     int
+	Attempts  int // 1 + retries this step consumed
 }
 
-// Result is the outcome of a steady-state solve.
+// Result is the outcome of a steady-state solve. On a graceful abort
+// (step retries exhausted, world cancelled) it is returned partial
+// alongside the error: the steps completed so far remain valid, and the
+// caller's profiler still holds every closed phase.
 type Result struct {
 	Steps          []Step
 	Converged      bool
@@ -117,6 +122,17 @@ type Result struct {
 	InitialRnorm   float64
 	TotalLinearIts int
 	TotalFluxEvals int
+}
+
+// ResidualHistory returns the initial norm followed by each step's
+// norm — the bitwise-comparable trajectory.
+func (r *Result) ResidualHistory() []float64 {
+	out := make([]float64, 0, len(r.Steps)+1)
+	out = append(out, r.InitialRnorm)
+	for _, s := range r.Steps {
+		out = append(out, s.Rnorm)
+	}
+	return out
 }
 
 // Solver drives a discretization to steady state.
@@ -136,74 +152,59 @@ type Solver struct {
 	Hooks *Hooks
 }
 
-// Solve advances q (in place, interlaced layout) to steady state.
+// Solve advances q (in place, interlaced layout) to steady state: the
+// one-address-space System of Iterate.
 func (s *Solver) Solve(q []float64) (*Result, error) {
 	if s.PC == nil {
 		return nil, fmt.Errorf("newton: no preconditioner factory")
 	}
-	if s.Opts.CFL0 <= 0 || s.Opts.MaxSteps < 1 {
-		return nil, fmt.Errorf("newton: nonpositive CFL0 or MaxSteps")
-	}
 	d := s.Disc
-	n := d.N()
-	if len(q) != n {
-		return nil, fmt.Errorf("newton: state length %d, want %d", len(q), n)
+	if len(q) != d.N() {
+		return nil, fmt.Errorf("newton: state length %d, want %d", len(q), d.N())
+	}
+	h := s.Hooks
+	if h == nil {
+		h = &Hooks{}
 	}
 	// Root profiling span: its self time is the Newton loop's own work
 	// (pseudo-timestep scales, line-search bookkeeping, state updates)
 	// not claimed by a nested phase.
 	nsp := prof.Begin(prof.PhaseNewton)
 	defer nsp.End(0, 0)
-	res := &Result{}
-	r := make([]float64, n)
-	rhs := make([]float64, n)
-	dq := make([]float64, n)
-	qTrial := make([]float64, n)
-	ts := make([]float64, d.M.NumVertices()) // pseudo-time scales, refilled every step
+	ts := make([]float64, d.M.NumVertices()) // pseudo-time scales, refilled every step attempt
 	jac := d.JacobianPattern()
 	var pc krylov.Preconditioner
-	fluxEvals := 0
-
 	active := d
-	d.Residual(q, r)
-	fluxEvals++
-	s.fireResidual()
-	r0 := sparse.Norm2(r)
-	if r0 == 0 {
-		res.Converged = true
-		return res, nil
-	}
-	res.InitialRnorm = r0
-	rnorm := r0
+	// fluxEvals counts every flux evaluation of the solve, stepStart its
+	// value when the current step began.
+	var fluxEvals, stepStart int
 
-	// The operators are built once and read the step's cfl, flux count
-	// and ‖q‖ (q is fixed while a step's Krylov solve runs) through
-	// these variables; ws is the solve's one Krylov workspace.
-	var cfl, qnorm float64
-	var stepFlux int
+	// The operators are built once and read the attempt's buffers and cfl
+	// through c, and ‖q‖ (q is fixed while a step's Krylov solve runs)
+	// through qnorm; ws is the solve's one Krylov workspace.
+	var c *Correction
+	var qnorm float64
 	var ws krylov.Workspace
 	op := krylov.OperatorFunc(func(v, y []float64) {
 		// Matrix-free: Jv = (R(q+εv) − R(q))/ε + (V/Δt) v.
 		vn := sparse.Norm2(v)
 		if vn == 0 {
-			for i := range y {
-				y[i] = 0
-			}
+			clear(y)
 			return
 		}
 		eps := 1e-8 * (1 + qnorm) / vn
-		for i := range qTrial {
-			qTrial[i] = q[i] + eps*v[i]
+		for i := range c.Trial {
+			c.Trial[i] = c.Q[i] + eps*v[i]
 		}
-		active.Residual(qTrial, y)
-		stepFlux++
+		active.Residual(c.Trial, y)
+		fluxEvals++
 		inv := 1 / eps
 		b := d.Sys.B()
 		for vtx := 0; vtx < d.M.NumVertices(); vtx++ {
-			td := ts[vtx] / cfl
-			for c := 0; c < b; c++ {
-				i := vtx*b + c
-				y[i] = (y[i]-r[i])*inv + td*v[i]
+			td := ts[vtx] / c.CFL
+			for k := 0; k < b; k++ {
+				i := vtx*b + k
+				y[i] = (y[i]-c.R[i])*inv + td*v[i]
 			}
 		}
 	})
@@ -217,121 +218,77 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 		}
 	}
 
-	for step := 0; step < s.Opts.MaxSteps; step++ {
-		// Order continuation.
-		if s.Disc2 != nil && active == d && s.Opts.SwitchOrderAt > 0 && rnorm/r0 < s.Opts.SwitchOrderAt {
-			active = s.Disc2
+	res, err := Iterate(System{
+		Residual: func(q, r []float64) (float64, error) {
 			active.Residual(q, r)
 			fluxEvals++
-			s.fireResidual()
-			rnorm = sparse.Norm2(r)
-		}
-		// SER: grow the CFL with residual reduction.
-		cfl = s.Opts.CFL0 * math.Pow(r0/rnorm, s.Opts.SERExponent)
-		if cfl > s.Opts.CFLMax {
-			cfl = s.Opts.CFLMax
-		}
-		// Pseudo-time augmentation: V/Δt = TimeScales/CFL per vertex.
-		d.TimeScalesInto(q, ts)
-		stepFlux = 0
-		if !s.Opts.AssembledOperator {
-			qnorm = sparse.Norm2(q)
-		}
-		// The fallible section — preconditioner refresh from the lagged
-		// first-order Jacobian, then the inexact Newton correction — runs
-		// under bounded retry: a failed attempt is re-run from a clean
-		// assembly (AssembleJacobian zero-fills, so no partial time
-		// diagonal survives), and when Options.StepRetries is exhausted
-		// the solve aborts gracefully with the partial Result.
-		var kst krylov.Stats
-		attempts := 0
-		for {
-			attempts++
-			err := func() error {
-				if pc == nil || (s.Opts.JacobianLag > 0 && step%s.Opts.JacobianLag == 0) {
-					if err := d.AssembleJacobian(q, jac); err != nil {
-						return err
-					}
-					AddTimeDiagonal(jac, ts, cfl)
-					var err error
-					pc, err = s.PC(jac)
+			if h.AfterResidual != nil {
+				h.AfterResidual()
+			}
+			return sparse.Norm2(r), nil
+		},
+		// Preconditioner refresh from the lagged first-order Jacobian, then
+		// the inexact Newton correction. A retry re-runs it from a clean
+		// assembly: AssembleJacobian zero-fills, so no partial time diagonal
+		// survives, and a preconditioner built by a half-finished attempt
+		// is not trusted.
+		Correct: func(cc *Correction) (its int, err error) {
+			c = cc
+			if h.OnStepError != nil {
+				defer func() {
 					if err != nil {
-						return err
+						h.OnStepError(c.Step, c.Attempt, err)
 					}
-					if s.Hooks != nil && s.Hooks.AfterJacobian != nil {
-						s.Hooks.AfterJacobian()
-					}
+				}()
+			}
+			if c.Attempt == 0 {
+				stepStart = fluxEvals
+			} else {
+				pc = nil
+			}
+			// Pseudo-time augmentation: V/Δt = TimeScales/CFL per vertex.
+			d.TimeScalesInto(c.Q, ts)
+			if !s.Opts.AssembledOperator {
+				qnorm = sparse.Norm2(c.Q)
+			}
+			if pc == nil || (s.Opts.JacobianLag > 0 && c.Step%s.Opts.JacobianLag == 0) {
+				if err = d.AssembleJacobian(c.Q, jac); err != nil {
+					return 0, err
 				}
-				for i := range rhs {
-					rhs[i] = -r[i]
-					dq[i] = 0
+				AddTimeDiagonal(jac, ts, c.CFL)
+				if pc, err = s.PC(jac); err != nil {
+					return 0, err
 				}
-				var kop krylov.Operator = op
-				kpc := pc
-				if s.Hooks != nil {
-					if s.Hooks.WrapOperator != nil {
-						kop = s.Hooks.WrapOperator(kop)
-					}
-					if s.Hooks.WrapPreconditioner != nil {
-						kpc = s.Hooks.WrapPreconditioner(kpc)
-					}
+				if h.AfterJacobian != nil {
+					h.AfterJacobian()
 				}
-				var err error
-				kst, err = ws.Solve(kop, kpc, rhs, dq, s.Opts.Krylov)
-				return err
-			}()
-			if err == nil {
-				break
 			}
-			if s.Hooks != nil && s.Hooks.OnStepError != nil {
-				s.Hooks.OnStepError(step, attempts-1, err)
+			var kop krylov.Operator = op
+			kpc := pc
+			if h.WrapOperator != nil {
+				kop = h.WrapOperator(kop)
 			}
-			if attempts > s.Opts.StepRetries {
-				res.FinalRnorm = rnorm
-				res.TotalFluxEvals = fluxEvals + stepFlux
-				return res, fmt.Errorf("newton: step %d failed after %d attempt(s): %w", step, attempts, err)
+			if h.WrapPreconditioner != nil {
+				kpc = h.WrapPreconditioner(kpc)
 			}
-			// Force a clean refresh on the retry: a preconditioner built
-			// by a half-finished attempt must not be trusted.
-			pc = nil
-		}
-		// Line search (backtracking) on the residual norm.
-		lambda := 1.0
-		var newNorm float64
-		for attempt := 0; ; attempt++ {
-			for i := range qTrial {
-				qTrial[i] = q[i] + lambda*dq[i]
+			kst, err := ws.Solve(kop, kpc, c.RHS, c.DQ, s.Opts.Krylov)
+			return kst.Iterations, err
+		},
+		// Order continuation: past SwitchOrderAt the second-order residual
+		// takes over, and the loop re-evaluates r(q) with it.
+		Accepted: func(st *Step, reduction float64) bool {
+			st.FluxEvals, st.Order = fluxEvals-stepStart, active.Opts.Order
+			if s.Disc2 != nil && active == d && s.Opts.SwitchOrderAt > 0 && reduction < s.Opts.SwitchOrderAt {
+				active = s.Disc2
+				return true
 			}
-			active.Residual(qTrial, rhs)
-			stepFlux++
-			s.fireResidual()
-			newNorm = sparse.Norm2(rhs)
-			if !s.Opts.LineSearch || newNorm <= rnorm*(1+1e-10) || attempt >= 5 {
-				break
-			}
-			lambda *= 0.5
-		}
-		copy(q, qTrial)
-		copy(r, rhs)
-		rnorm = newNorm
-		fluxEvals += stepFlux
-		res.TotalLinearIts += kst.Iterations
-		res.Steps = append(res.Steps, Step{
-			Index: step, Rnorm: rnorm, CFL: cfl,
-			LinearIts: kst.Iterations, FluxEvals: stepFlux,
-			Order: active.Opts.Order,
-		})
-		if rnorm/r0 <= s.Opts.RelTol {
-			res.Converged = true
-			break
-		}
-		if math.IsNaN(rnorm) || math.IsInf(rnorm, 0) {
-			return res, fmt.Errorf("newton: diverged at step %d (residual %g)", step, rnorm)
-		}
+			return false
+		},
+	}, q, s.Opts)
+	if res != nil {
+		res.TotalFluxEvals = fluxEvals
 	}
-	res.FinalRnorm = rnorm
-	res.TotalFluxEvals = fluxEvals
-	return res, nil
+	return res, err
 }
 
 // AddTimeDiagonal adds ts[v]/cfl to the diagonal of every diagonal
@@ -349,12 +306,5 @@ func AddTimeDiagonal(a *sparse.BCSR, ts []float64, cfl float64) {
 		for c := 0; c < b; c++ {
 			blk[c*b+c] += td
 		}
-	}
-}
-
-// fireResidual invokes the AfterResidual hook when installed.
-func (s *Solver) fireResidual() {
-	if s.Hooks != nil && s.Hooks.AfterResidual != nil {
-		s.Hooks.AfterResidual()
 	}
 }
