@@ -66,14 +66,16 @@ chaos:
 	go run ./cmd/benchtables -experiment chaos -size small
 
 # Threads gate: the node-level worker-pool determinism grid — the pool
-# primitives' own suite, then the bitwise tri-solve/SpMV grids, the one
-# GMRES mechanisms × ranks × workers grid (internal/dist) and the hybrid
-# ranks×threads soak — under the race detector, followed by the measured
-# thread-scaling sweep and the gather-corrected Table 5 model, printed
-# (none of these targets writes into the checkout).
+# primitives' own suite, then the bitwise tri-solve/SpMV grids, the
+# Schwarz subdomains × workers grid (internal/schwarz) and the whole
+# solve across thread counts (internal/core), the one GMRES mechanisms ×
+# ranks × workers grid (internal/dist) and the hybrid ranks×threads soak
+# — under the race detector, followed by the measured thread-scaling
+# sweep and the gather-corrected Table 5 model, printed (none of these
+# targets writes into the checkout).
 threads-grid:
 	go test -race -count=1 ./internal/par
-	$(call named_gate,'Par|Thread|Bitwise|Level|Determin',./internal/sparse ./internal/ilu ./internal/euler ./internal/dist,-race)
+	$(call named_gate,'Par|Thread|Bitwise|Level|Determin',./internal/sparse ./internal/ilu ./internal/schwarz ./internal/core ./internal/euler ./internal/dist,-race)
 
 threads: threads-grid
 	go run ./cmd/benchtables -experiment threads -size medium

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -139,4 +140,31 @@ func TestPCFactoryRecoversFromSingularPivot(t *testing.T) {
 		t.Fatalf("step failures %q, want one singular-pivot error naming row 0", failures)
 	}
 	sameHistory(t, "retried vs clean", retried, clean)
+}
+
+// TestSolveBitwiseAcrossThreads: the altpath solve (4 overlapping
+// subdomains, float32 ILU(1) factors, assembled operator) keeps its
+// residual history bit for bit at every thread count — whole subdomains
+// across the pool at 2, 3 and 4 threads, level-scheduled solves inside
+// each subdomain at 8.
+func TestSolveBitwiseAcrossThreads(t *testing.T) {
+	var want []float64
+	for _, threads := range []int{1, 2, 3, 4, 8} {
+		cfg := altpathConfig()
+		cfg.TargetVertices = 1200
+		cfg.Newton.MaxSteps = 4
+		cfg.Threads = threads
+		res, err := RunSequential(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := []float64{res.Newton.InitialRnorm}
+		for _, st := range res.Newton.Steps {
+			hist = append(hist, st.Rnorm)
+		}
+		if want == nil {
+			want = hist
+		}
+		sameHistory(t, fmt.Sprintf("%d threads vs 1", threads), hist, want)
+	}
 }

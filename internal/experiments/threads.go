@@ -12,7 +12,10 @@ import (
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/par"
+	"petscfun3d/internal/partition"
+	"petscfun3d/internal/schwarz"
 	"petscfun3d/internal/sparse"
+	"petscfun3d/internal/stream"
 )
 
 // ThreadsRow is one worker count of the measured node-level thread
@@ -24,11 +27,26 @@ type ThreadsRow struct {
 	TriSolveSec float64 // ilu.Factorization.SolvePar (level-scheduled)
 	SpMVSec     float64 // sparse.BCSR.MulVecPar (nonzero-balanced stripes)
 	DotSec      float64 // par.Dot (fixed-shape segmented reduction)
-	FluxSpeed   float64
-	TriSpeed    float64
-	SpMVSpeed   float64
-	DotSpeed    float64
+	// The Schwarz preconditioner over four (schwarzParts) overlapping
+	// subdomains of the same matrix: whole subdomains across the pool
+	// while there are at least as many as workers, the level-scheduled
+	// solve inside each subdomain in turn beyond that.
+	ApplySec   float64 // schwarz.Preconditioner.Apply
+	RefreshSec float64 // schwarz.Preconditioner.Refresh
+	FluxSpeed  float64
+	TriSpeed   float64
+	SpMVSpeed  float64
+	DotSpeed   float64
+	// ApplyFrac and RefreshFrac are the achieved bandwidth — the bytes
+	// the SolveBytes / FactorBytes formulas count, per second — as a
+	// fraction of the host's STREAM Triad.
+	ApplySpeed, ApplyFrac     float64
+	RefreshSpeed, RefreshFrac float64
 }
+
+// schwarzParts is the subdomain count of the study's preconditioner
+// rows (the altpath workload's).
+const schwarzParts = 4
 
 // ThreadsResult is the measured counterpart of the Table 5 threading
 // column: real wall-clock scaling of the pooled kernels on one node,
@@ -49,7 +67,9 @@ type ThreadsResult struct {
 	// reads as a determinism/overhead study rather than a scaling one.
 	Cores  int
 	Levels ilu.LevelStats
-	Rows   []ThreadsRow
+	// StreamBps is the host's STREAM Triad bandwidth, bytes/s.
+	StreamBps float64
+	Rows      []ThreadsRow
 }
 
 // Threads runs the measured node-level thread-scaling study.
@@ -91,7 +111,12 @@ func ThreadsStudy(nv, sweeps, reps int, workers []int) (*ThreadsResult, error) {
 		x[i] = math.Sin(float64(i) * 0.19)
 	}
 	res := &ThreadsResult{Vertices: m.NumVertices(), B: b, Sweeps: sweeps,
-		Cores: runtime.GOMAXPROCS(0), Levels: f.LevelStats()}
+		Cores: runtime.GOMAXPROCS(0), Levels: f.LevelStats(), StreamBps: stream.TriadBandwidth()}
+	part, err := partition.KWay(g, schwarzParts)
+	if err != nil {
+		return nil, err
+	}
+	schwarzOpts := schwarz.Options{Overlap: 1, ILU: ilu.Options{Level: 0}}
 
 	// Single-thread reference outputs for the bitwise check.
 	refR := make([]float64, d.N())
@@ -103,6 +128,12 @@ func ThreadsStudy(nv, sweeps, reps int, workers []int) (*ThreadsResult, error) {
 	refY := make([]float64, n)
 	a.MulVecPar(nil, x, refY)
 	refDot := par.Dot(nil, x, refY)
+	refPC, err := schwarz.New(a, part.Part, schwarzParts, schwarzOpts)
+	if err != nil {
+		return nil, err
+	}
+	refPZ, pz := make([]float64, n), make([]float64, n)
+	refPC.Apply(x, refPZ)
 
 	for _, nt := range workers {
 		var p *par.Pool
@@ -121,6 +152,16 @@ func ThreadsStudy(nv, sweeps, reps int, workers []int) (*ThreadsResult, error) {
 		f.SolvePar(p, x, z)
 		a.MulVecPar(p, x, y)
 		dot := par.Dot(p, x, y)
+		schwarzOpts.Pool = p
+		pc, err := schwarz.New(a, part.Part, schwarzParts, schwarzOpts)
+		if err == nil {
+			err = pc.Refresh(a)
+		}
+		if err != nil {
+			p.Close()
+			return nil, err
+		}
+		pc.Apply(x, pz)
 		for i := range refR {
 			if r[i] != r2[i] {
 				p.Close()
@@ -132,9 +173,9 @@ func ThreadsStudy(nv, sweeps, reps int, workers []int) (*ThreadsResult, error) {
 			}
 		}
 		for i := range refZ {
-			if z[i] != refZ[i] || y[i] != refY[i] {
+			if z[i] != refZ[i] || y[i] != refY[i] || pz[i] != refPZ[i] {
 				p.Close()
-				return nil, fmt.Errorf("experiments: %d-thread solve/spmv differs from sequential at %d", nt, i)
+				return nil, fmt.Errorf("experiments: %d-thread solve/spmv/schwarz differs from sequential at %d", nt, i)
 			}
 		}
 		if dot != refDot {
@@ -162,6 +203,20 @@ func ThreadsStudy(nv, sweeps, reps int, workers []int) (*ThreadsResult, error) {
 				par.Dot(p, x, y)
 			}
 		})
+		row.ApplySec = bestOf(reps, func() {
+			for s := 0; s < sweeps; s++ {
+				pc.Apply(x, pz)
+			}
+		})
+		row.RefreshSec = bestOf(reps, func() {
+			for s := 0; s < sweeps; s++ {
+				_ = pc.Refresh(a) // validated above; the timing loop repeats the same call
+			}
+		})
+		if res.StreamBps > 0 {
+			row.ApplyFrac = float64(pc.SolveBytes()) * float64(sweeps) / row.ApplySec / res.StreamBps
+			row.RefreshFrac = float64(pc.FactorBytes()) * float64(sweeps) / row.RefreshSec / res.StreamBps
+		}
 		p.Close()
 		res.Rows = append(res.Rows, row)
 	}
@@ -172,6 +227,8 @@ func ThreadsStudy(nv, sweeps, reps int, workers []int) (*ThreadsResult, error) {
 		r.TriSpeed = base.TriSolveSec / r.TriSolveSec
 		r.SpMVSpeed = base.SpMVSec / r.SpMVSec
 		r.DotSpeed = base.DotSec / r.DotSec
+		r.ApplySpeed = base.ApplySec / r.ApplySec
+		r.RefreshSpeed = base.RefreshSec / r.RefreshSec
 	}
 	return res, nil
 }
@@ -207,6 +264,24 @@ func (t *ThreadsResult) Render() string {
 	}
 	sb.WriteString("flux pays the private-array gather (Table 5's threading tax); tri-solve is bounded by the\n" +
 		"level schedule's width; spmv and dot are memory-bandwidth-bound at the node.\n")
+	fmt.Fprintf(&sb, "Schwarz preconditioner, %d subdomains, overlap 1, ILU(0) — which unit of parallelism pays (STREAM Triad %.0f MB/s)\n",
+		schwarzParts, t.StreamBps/1e6)
+	fmt.Fprintf(&sb, "%7s | %-10s | %9s %5s %7s | %9s %5s %7s\n",
+		"Threads", "unit", "apply", "spd", "/STREAM", "refresh", "spd", "/STREAM")
+	for _, r := range t.Rows {
+		unit := "subdomains"
+		switch {
+		case r.Threads == 1:
+			unit = "-"
+		case r.Threads > schwarzParts:
+			unit = "levels"
+		}
+		fmt.Fprintf(&sb, "%7d | %-10s | %8.4fs %5.2f %7.2f | %8.4fs %5.2f %7.2f\n",
+			r.Threads, unit, r.ApplySec, r.ApplySpeed, r.ApplyFrac, r.RefreshSec, r.RefreshSpeed, r.RefreshFrac)
+	}
+	sb.WriteString("with a subdomain per worker every subdomain runs the sequential solve in storage order (one barrier\n" +
+		"per apply); past that the subdomains run in turn on the level schedule of the tri-solve column. Apply's\n" +
+		"bytes are the factors read once (SolveBytes), Refresh's the FactorBytes estimate.\n")
 	return sb.String()
 }
 
@@ -217,8 +292,11 @@ func (t *ThreadsResult) WriteCSV(w io.Writer) error {
 		rows = append(rows, []string{
 			d(r.Threads), f(r.FluxSec), f(r.FluxSpeed), f(r.TriSolveSec), f(r.TriSpeed),
 			f(r.SpMVSec), f(r.SpMVSpeed), f(r.DotSec), f(r.DotSpeed),
+			f(r.ApplySec), f(r.ApplySpeed), f(r.ApplyFrac), f(r.RefreshSec), f(r.RefreshSpeed), f(r.RefreshFrac),
 		})
 	}
 	return writeCSV(w, []string{"threads", "flux_sec", "flux_speedup", "trisolve_sec", "trisolve_speedup",
-		"spmv_sec", "spmv_speedup", "dot_sec", "dot_speedup"}, rows)
+		"spmv_sec", "spmv_speedup", "dot_sec", "dot_speedup",
+		"schwarz_apply_sec", "schwarz_apply_speedup", "schwarz_apply_stream_frac",
+		"schwarz_refresh_sec", "schwarz_refresh_speedup", "schwarz_refresh_stream_frac"}, rows)
 }

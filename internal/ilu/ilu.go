@@ -48,13 +48,13 @@ type Factorization struct {
 	// into, fillSlots the factor blocks A does not cover (zeroed before
 	// each elimination). slot is the dense per-row work array of the IKJ
 	// elimination — slot[j] is the block of column j in the row being
-	// eliminated, -1 elsewhere, and all -1 between calls — blk one block
-	// of scratch and aug the augmented block of the pivot inversion.
+	// eliminated, -1 elsewhere, and all -1 between calls — and aug the
+	// augmented block of the pivot inversion.
 	pattern   sparse.Pattern
 	aSlot     []int32
 	fillSlots []int32
 	slot      []int32
-	blk, aug  []float64
+	aug       []float64
 
 	// Level-set schedule of the triangular solves (levels.go): block
 	// rows grouped by dependency depth in the L (forward) and U
@@ -120,12 +120,26 @@ func (f *Factorization) FactorBytes() int64 {
 // one numeric pass. When a's values change on the same pattern, Refactor
 // repeats the numeric pass alone.
 func Factor(a *sparse.BCSR, opts Options) (*Factorization, error) {
+	sp := prof.Begin(prof.PhaseILUFactor)
+	f, err := FactorNoSpan(a, opts)
+	if err != nil {
+		sp.End(0, 0)
+		return nil, err
+	}
+	sp.End(f.FactorFlops(), f.FactorBytes())
+	return f, nil
+}
+
+// FactorNoSpan, RefactorNoSpan and SolveNoSpan are Factor, Refactor and
+// Solve without their profiler span — for a pool task's workers, which
+// may not open spans (package prof): the goroutine that calls Run opens
+// one span around it and charges the FactorFlops/FactorBytes or
+// SolveFlops/SolveBytes of everything the task ran.
+func FactorNoSpan(a *sparse.BCSR, opts Options) (*Factorization, error) {
 	if opts.Level < 0 {
 		return nil, fmt.Errorf("ilu: negative fill level %d", opts.Level)
 	}
-	sp := prof.Begin(prof.PhaseILUFactor)
 	f := &Factorization{NB: a.NB, B: a.B, Level: opts.Level}
-	defer func() { sp.End(f.FactorFlops(), f.FactorBytes()) }()
 	if err := f.symbolic(a, opts.Level); err != nil {
 		return nil, err
 	}
@@ -154,6 +168,11 @@ func Factor(a *sparse.BCSR, opts Options) (*Factorization, error) {
 func (f *Factorization) Refactor(a *sparse.BCSR) error {
 	sp := prof.Begin(prof.PhaseILUFactor)
 	defer sp.End(f.FactorFlops(), f.FactorBytes())
+	return f.RefactorNoSpan(a)
+}
+
+// RefactorNoSpan is Refactor for a pool task's workers (see FactorNoSpan).
+func (f *Factorization) RefactorNoSpan(a *sparse.BCSR) error {
 	if err := f.pattern.Check(a); err != nil {
 		return fmt.Errorf("ilu: refactor: %w", err)
 	}
@@ -315,9 +334,7 @@ func (f *Factorization) indexValues(a *sparse.BCSR) error {
 	for i := range f.slot {
 		f.slot[i] = -1
 	}
-	bb := f.B * f.B
-	f.blk = make([]float64, bb)
-	f.aug = make([]float64, 2*bb)
+	f.aug = make([]float64, 2*f.B*f.B)
 	f.tmp = make([]float64, f.B)
 	return nil
 }
@@ -328,7 +345,7 @@ func (f *Factorization) indexValues(a *sparse.BCSR) error {
 func (f *Factorization) numeric(a *sparse.BCSR) error {
 	b := f.B
 	bb := b * b
-	val, slot, factor := f.val64, f.slot, f.blk
+	val, slot := f.val64, f.slot
 	col, lPtr, uPtr := f.Col, f.LPtr, f.UPtr
 	for _, k := range f.fillSlots {
 		clear(val[int(k)*bb : int(k)*bb+bb]) //lint:bce-ok fill block offset comes from the precomputed index list
@@ -348,12 +365,12 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 		}
 		for t, pc := range lower {
 			p, kip := int(pc), int(lPtr[i])+t
-			// factor = A_ip * invU_pp; row p's inverse sits after its U blocks.
+			// A_ip *= invU_pp, in place; row p's inverse sits after its U
+			// blocks. (aug is free until the pivot inversion below.)
 			uLo, pd := int(uPtr[p+1]), int(uPtr[p])-1
-			aip := val[kip*bb : kip*bb+bb]
-			matMul(aip, val[pd*bb:pd*bb+bb], factor, b)
-			copy(aip, factor)
-			// Row update: A_ij -= factor * U_pj for j > p in row p.
+			factor := val[kip*bb : kip*bb+bb]
+			mulRight(factor, val[pd*bb:pd*bb+bb], f.aug, b)
+			// Row update: A_ij -= A_ip * U_pj for j > p in row p.
 			for kp := uLo; kp < pd; kp++ {
 				dst := int(slot[col[kp]]) //lint:bce-ok dense work array indexed by block column
 				if dst < 0 {
@@ -483,6 +500,86 @@ func mulSub5(c, a, b []float64) {
 		c[i+2] -= s2
 		c[i+3] -= s3
 		c[i+4] -= s4
+	}
+}
+
+// mulRight computes a = a*b in place for row-major n×n blocks, every
+// entry's product sum accumulated from +0 in ascending k — matMul's
+// order, so the result is bitwise matMul's. Row i of the product reads
+// row i of a only, which is what lets the written-out kernels overwrite
+// a row by row; other sizes go through matMul into scratch (n² scalars).
+func mulRight(a, b, scratch []float64, n int) {
+	switch n {
+	case 4:
+		mulRight4(a, b)
+	case 5:
+		mulRight5(a, b)
+	default:
+		matMul(a, b, scratch, n)
+		copy(a, scratch[:n*n])
+	}
+}
+
+func mulRight4(a, b []float64) {
+	a, b = a[:16:16], b[:16:16]
+	b00, b01, b02, b03 := b[0], b[1], b[2], b[3]
+	b10, b11, b12, b13 := b[4], b[5], b[6], b[7]
+	b20, b21, b22, b23 := b[8], b[9], b[10], b[11]
+	b30, b31, b32, b33 := b[12], b[13], b[14], b[15]
+	for i := 0; i <= 12; i += 4 {
+		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
+		var s0, s1, s2, s3 float64
+		s0 += a0 * b00
+		s1 += a0 * b01
+		s2 += a0 * b02
+		s3 += a0 * b03
+		s0 += a1 * b10
+		s1 += a1 * b11
+		s2 += a1 * b12
+		s3 += a1 * b13
+		s0 += a2 * b20
+		s1 += a2 * b21
+		s2 += a2 * b22
+		s3 += a2 * b23
+		s0 += a3 * b30
+		s1 += a3 * b31
+		s2 += a3 * b32
+		s3 += a3 * b33
+		a[i], a[i+1], a[i+2], a[i+3] = s0, s1, s2, s3
+	}
+}
+
+func mulRight5(a, b []float64) {
+	a, b = a[:25:25], b[:25:25]
+	for i := 0; i <= 20; i += 5 {
+		a0, a1, a2, a3, a4 := a[i], a[i+1], a[i+2], a[i+3], a[i+4]
+		var s0, s1, s2, s3, s4 float64
+		s0 += a0 * b[0]
+		s1 += a0 * b[1]
+		s2 += a0 * b[2]
+		s3 += a0 * b[3]
+		s4 += a0 * b[4]
+		s0 += a1 * b[5]
+		s1 += a1 * b[6]
+		s2 += a1 * b[7]
+		s3 += a1 * b[8]
+		s4 += a1 * b[9]
+		s0 += a2 * b[10]
+		s1 += a2 * b[11]
+		s2 += a2 * b[12]
+		s3 += a2 * b[13]
+		s4 += a2 * b[14]
+		s0 += a3 * b[15]
+		s1 += a3 * b[16]
+		s2 += a3 * b[17]
+		s3 += a3 * b[18]
+		s4 += a3 * b[19]
+		s0 += a4 * b[20]
+		s1 += a4 * b[21]
+		s2 += a4 * b[22]
+		s3 += a4 * b[23]
+		s4 += a4 * b[24]
+		a[i], a[i+1], a[i+2], a[i+3], a[i+4] = s0, s1, s2, s3, s4
 	}
 }
 

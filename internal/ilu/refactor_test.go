@@ -240,6 +240,53 @@ func TestMulSubMatchesMatMulThenSubtract(t *testing.T) {
 	}
 }
 
+// TestMulRightMatchesMatMulThenCopy pins the in-place L-block multiply
+// (A_ip ← A_ip·invU_pp) to the matMul-into-scratch-and-copy form it
+// replaced, bit for bit: random blocks, signed zeros (a row of -0 against
+// a positive b gives -0 products, so a sum seeded with its first product
+// instead of +0 would come out -0), and denormals (whose products
+// underflow and whose sums round differently in any other order).
+func TestMulRightMatchesMatMulThenCopy(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	denormal := math.Float64frombits(0x000f_0000_0000_0001)
+	for _, n := range []int{1, 2, 4, 5, 7} {
+		nn := n * n
+		a, b, want, scratch := make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn)
+		s := uint64(n) + 77
+		next := func() float64 {
+			s = s*6364136223846793005 + 1442695040888963407
+			return float64(int64(s>>20)%2000)/1000 - 1
+		}
+		for trial := 0; trial < 30; trial++ {
+			for i := 0; i < nn; i++ {
+				a[i], b[i] = next(), next()
+			}
+			switch trial % 3 {
+			case 1:
+				for i := 0; i < n; i++ {
+					a[i] = negZero
+				}
+				a[nn-1] = 0
+				for i := range b {
+					b[i] = math.Abs(b[i])
+				}
+			case 2:
+				for i := 0; i < nn; i += 2 {
+					a[i] *= denormal
+				}
+				b[0], b[nn-1] = denormal, -denormal
+			}
+			matMul(a, b, want, n)
+			mulRight(a, b, scratch, n)
+			for i := range want {
+				if math.Float64bits(a[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d trial %d entry %d: %x, want %x", n, trial, i, math.Float64bits(a[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkRefactorILU0(b *testing.B)   { benchmarkRefactor(b, 4, 0) }
 func BenchmarkRefactorILU1B5(b *testing.B) { benchmarkRefactor(b, 5, 1) }
 

@@ -11,6 +11,11 @@ import "petscfun3d/internal/prof"
 func (f *Factorization) Solve(b, x []float64) {
 	sp := prof.Begin(prof.PhaseTriSolve)
 	defer sp.End(f.SolveFlops(), f.SolveBytes())
+	f.SolveNoSpan(b, x)
+}
+
+// SolveNoSpan is Solve for a pool task's workers (see FactorNoSpan).
+func (f *Factorization) SolveNoSpan(b, x []float64) {
 	f.forward(nil, 0, f.NB, b, x)
 	f.backward(nil, 0, f.NB, x, f.tmp)
 }

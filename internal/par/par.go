@@ -185,10 +185,12 @@ func (p *Pool) catch(w int) {
 // monotone prefix-sum weight array: item i has weight
 // prefix[i+1]-prefix[i], and stripe w covers items
 // [bounds[w], bounds[w+1]) holding as close to total/nw weight as the
-// prefix allows. With a matrix's RowPtr as the prefix this balances row
-// stripes by nonzero count — the owner-computes partition of the
-// threaded SpMV. The boundaries depend only on (prefix, nw), never on
-// scheduling.
+// prefix allows: boundary w is the item boundary nearest total·w/nw
+// (the later one on a tie), which matters when items are few and heavy —
+// four subdomains over two workers must cut 2 + 2, not 3 + 1. With a
+// matrix's RowPtr as the prefix this balances row stripes by nonzero
+// count — the owner-computes partition of the threaded SpMV. The
+// boundaries depend only on (prefix, nw), never on scheduling.
 func Stripes(prefix []int32, nw int, bounds []int32) {
 	items := len(prefix) - 1
 	total := int64(prefix[items]) - int64(prefix[0])
@@ -204,6 +206,9 @@ func Stripes(prefix []int32, nw int, bounds []int32) {
 			} else {
 				hi = mid
 			}
+		}
+		if lo > int(bounds[w-1]) && target-int64(prefix[lo-1]) < int64(prefix[lo])-target {
+			lo--
 		}
 		bounds[w] = int32(lo)
 	}

@@ -143,6 +143,31 @@ func TestStripesBalancedAndComplete(t *testing.T) {
 	}
 }
 
+// TestStripesFewHeavyItems: with a handful of heavy items — subdomains,
+// not rows — each boundary lands on the item boundary nearest its target,
+// not on the first one past it.
+func TestStripesFewHeavyItems(t *testing.T) {
+	for _, c := range []struct {
+		prefix []int32
+		nw     int
+		want   []int32
+	}{
+		{[]int32{0, 72492, 149678, 227509, 299965}, 2, []int32{0, 2, 4}},
+		{[]int32{0, 10, 20, 30, 40}, 4, []int32{0, 1, 2, 3, 4}},
+		{[]int32{0, 10, 11, 12, 13}, 2, []int32{0, 1, 4}},
+		{[]int32{0, 1, 2, 3, 13}, 2, []int32{0, 3, 4}},
+		{[]int32{5, 6, 7, 8, 9, 10, 11, 12}, 3, []int32{0, 2, 4, 7}},
+	} {
+		bounds := make([]int32, c.nw+1)
+		Stripes(c.prefix, c.nw, bounds)
+		for i := range c.want {
+			if bounds[i] != c.want[i] {
+				t.Fatalf("Stripes(%v, %d) = %v, want %v", c.prefix, c.nw, bounds, c.want)
+			}
+		}
+	}
+}
+
 type panicTask struct{ victim int }
 
 func (t *panicTask) RunShard(w, nw int) {

@@ -23,10 +23,15 @@ type Options struct {
 	// ILU configures the subdomain solver (fill level, storage
 	// precision).
 	ILU ilu.Options
-	// Pool is the node-level worker pool for the level-scheduled
-	// subdomain triangular solves; nil solves sequentially. A non-nil
-	// pool serves one solve at a time, so concurrent ApplySubdomain
-	// calls (the virtual machine's per-rank accounting) require nil.
+	// Pool is the node-level worker pool; nil runs everything on the
+	// caller. With at least as many subdomains as workers, New, Refresh
+	// and Apply hand each worker a run of whole subdomains and every
+	// subdomain runs the sequential kernels; with fewer (one subdomain
+	// under threads), the subdomains run in turn and each triangular
+	// solve is level-scheduled across the pool (ilu.SolvePar). Either
+	// way the values are bitwise those of a nil pool. A pool — and the
+	// per-subdomain work vectors — serve one call at a time: no two of
+	// Apply and Refresh may overlap on one preconditioner.
 	Pool *par.Pool
 }
 
@@ -49,7 +54,8 @@ type Subdomain struct {
 }
 
 // Preconditioner is a block Jacobi / RASM preconditioner over a
-// partitioned global block matrix.
+// partitioned global block matrix. Opts is what New was given (the
+// thread schedule is cut for its Pool); it is not to be changed.
 type Preconditioner struct {
 	NB   int
 	B    int
@@ -57,6 +63,16 @@ type Preconditioner struct {
 	Subs []*Subdomain
 
 	pattern sparse.Pattern // of the matrix New analysed
+
+	// bounds cuts Subs into one contiguous run per pool worker (worker
+	// w's subdomains are bounds[w]…bounds[w+1]-1), balanced by stored
+	// factor blocks; nil when subdomains are not the threaded unit. errs
+	// is one slot per subdomain for the numeric pass's outcome, all nil
+	// between calls.
+	bounds  []int32
+	errs    []error
+	applyT  applyTask
+	factorT factorTask
 }
 
 // New builds the preconditioner for global matrix a partitioned by part
@@ -71,7 +87,11 @@ func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditione
 	if opts.Overlap < 0 {
 		return nil, fmt.Errorf("schwarz: negative overlap %d", opts.Overlap)
 	}
-	p := &Preconditioner{NB: a.NB, B: a.B, Opts: opts, Subs: make([]*Subdomain, nparts)}
+	p := &Preconditioner{NB: a.NB, B: a.B, Opts: opts, Subs: make([]*Subdomain, nparts), errs: make([]error, nparts)}
+	p.applyT.p, p.factorT.p = p, p
+	if nw := opts.Pool.Workers(); nw > 1 && nparts >= nw {
+		p.bounds = make([]int32, nw+1)
+	}
 	sp := prof.Begin(prof.PhasePCSetup)
 	// Extraction only; the factorizations report their own work.
 	defer func() { sp.End(0, p.refreshBytes()) }()
@@ -103,7 +123,50 @@ func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditione
 		p.Subs[q] = sub
 	}
 	p.pattern = sparse.PatternOf(a)
+	// The factors do not exist yet: their first pass is balanced by the
+	// local matrices' block counts, every later one by their own.
+	p.balance()
+	if err := p.factor(a); err != nil {
+		return nil, err
+	}
+	p.balance()
 	return p, nil
+}
+
+// balance cuts the subdomains into the workers' runs by stored blocks —
+// a function of the pattern only, so the cut never depends on values or
+// scheduling (and the values never depend on the cut).
+func (p *Preconditioner) balance() {
+	if p.bounds == nil {
+		return
+	}
+	prefix := make([]int32, len(p.Subs)+1)
+	for q, s := range p.Subs {
+		n := len(s.Local.ColIdx)
+		if s.Factor != nil {
+			n = s.Factor.NNZBlocks()
+		}
+		prefix[q+1] = prefix[q] + int32(n)
+	}
+	par.Stripes(prefix, len(p.bounds)-1, p.bounds)
+}
+
+// shard returns worker w's run of subdomains: everything, for the one
+// inline shard of a preconditioner whose subdomains are not threaded.
+func (p *Preconditioner) shard(w int) (lo, hi int) {
+	if p.bounds == nil {
+		return 0, len(p.Subs)
+	}
+	return int(p.bounds[w]), int(p.bounds[w+1])
+}
+
+// subdomainPool is the pool whole subdomains run across — nil (Run on
+// it is one inline shard) unless subdomains are the threaded unit.
+func (p *Preconditioner) subdomainPool() *par.Pool {
+	if p.bounds == nil {
+		return nil
+	}
+	return p.Opts.Pool
 }
 
 // Refresh recomputes the preconditioner from a, which must have exactly
@@ -120,21 +183,63 @@ func (p *Preconditioner) Refresh(a *sparse.BCSR) error {
 	if err := p.pattern.Check(a); err != nil {
 		return fmt.Errorf("schwarz: refresh: %w", err)
 	}
-	for q, s := range p.Subs {
+	return p.factor(a)
+}
+
+// factor is the numeric pass of New and Refresh: every subdomain gathers
+// a's values and factors them, each worker taking its run of subdomains.
+// Workers open no spans, so the one ilu_factor span here carries every
+// subdomain's work. Every subdomain is attempted whatever happens to the
+// others; the error is the lowest-numbered failure at every worker count.
+func (p *Preconditioner) factor(a *sparse.BCSR) error {
+	pool := p.subdomainPool()
+	sp := prof.Begin(prof.PhaseILUFactor)
+	if pool != nil {
+		prof.NoteThreads(prof.PhaseILUFactor, pool.Workers())
+	}
+	t := &p.factorT
+	t.a = a
+	pool.Run(t)
+	t.a = nil
+	sp.End(p.FactorFlops(), p.FactorBytes())
+	var first error
+	for q, err := range p.errs {
+		if err != nil && first == nil {
+			first = fmt.Errorf("schwarz: subdomain %d: %w", q, err)
+		}
+		p.errs[q] = nil
+	}
+	return first
+}
+
+// factorTask is the reusable pool task of factor (p is set once, by New).
+type factorTask struct {
+	p *Preconditioner
+	a *sparse.BCSR
+}
+
+// RunShard implements par.Task: gather and factor one run of subdomains.
+func (t *factorTask) RunShard(w, nw int) {
+	p, a := t.p, t.a
+	lo, hi := p.shard(w)
+	for q := lo; q < hi; q++ {
+		s := p.Subs[q]
 		if len(s.Extended) == a.NB {
 			s.Local = a
 		} else {
 			sparse.GatherBlocks(s.Local.Val, a.Val, s.src, a.B*a.B)
 		}
-		if err := s.Factor.Refactor(s.Local); err != nil {
-			return fmt.Errorf("schwarz: subdomain %d: %w", q, err)
+		if s.Factor == nil {
+			s.Factor, p.errs[q] = ilu.FactorNoSpan(s.Local, p.Opts.ILU)
+		} else {
+			p.errs[q] = s.Factor.RefactorNoSpan(s.Local)
 		}
 	}
-	return nil
 }
 
-// buildSubdomain runs the symbolic analysis of one subdomain and its
-// first numeric pass. mark is all -1 on entry and on return.
+// buildSubdomain builds one subdomain's index sets, the pattern of its
+// local matrix and its work vectors; the values and the factorization
+// come with the first numeric pass. mark is all -1 on entry and on return.
 func buildSubdomain(a *sparse.BCSR, owned []int32, mark []int32, opts Options) (*Subdomain, error) {
 	if len(owned) == 0 {
 		return nil, fmt.Errorf("empty subdomain")
@@ -182,19 +287,14 @@ func buildSubdomain(a *sparse.BCSR, owned []int32, mark []int32, opts Options) (
 	for _, r := range s.Extended {
 		mark[r] = -1
 	}
-	var err error
-	s.Factor, err = ilu.Factor(s.Local, opts.ILU)
-	if err != nil {
-		return nil, err
-	}
 	s.rhs = make([]float64, len(s.Extended)*a.B)
 	s.sol = make([]float64, len(s.Extended)*a.B)
 	return s, nil
 }
 
-// extract copies the rows and columns of a that lie in Extended (mark
-// holds their local indices, -1 elsewhere) into a new Local, keeping in
-// src the index of each local block's source in a.
+// extract builds the pattern of the rows and columns of a that lie in
+// Extended (mark holds their local indices, -1 elsewhere) as a new Local,
+// keeping in src the index of each local block's source in a.
 func (s *Subdomain) extract(a *sparse.BCSR, mark []int32) {
 	nnzb := 0
 	for _, r := range s.Extended {
@@ -216,9 +316,7 @@ func (s *Subdomain) extract(a *sparse.BCSR, mark []int32) {
 		}
 		rowPtr[li+1] = int32(len(colIdx))
 	}
-	bb := a.B * a.B
-	s.Local = &sparse.BCSR{NB: len(s.Extended), B: a.B, RowPtr: rowPtr, ColIdx: colIdx, Val: make([]float64, nnzb*bb)}
-	sparse.GatherBlocks(s.Local.Val, a.Val, s.src, bb)
+	s.Local = &sparse.BCSR{NB: len(s.Extended), B: a.B, RowPtr: rowPtr, ColIdx: colIdx, Val: make([]float64, nnzb*a.B*a.B)}
 }
 
 // refreshBytes is the value-copy traffic of one New or Refresh: the
@@ -244,32 +342,57 @@ func (p *Preconditioner) applyCopyBytes() int64 { return int64(32 * p.NB * p.B) 
 // subdomain solves, restricted prolongation (owned unknowns only).
 func (p *Preconditioner) Apply(r, z []float64) {
 	sp := prof.Begin(prof.PhasePCApply)
-	// Restrict/prolong copy traffic; the triangular solves inside report
-	// their own flops and bytes.
+	// Restrict/prolong copy traffic; the triangular solves report their
+	// own flops and bytes.
 	defer sp.End(0, p.applyCopyBytes())
 	zs := z[:p.NB*p.B]
 	for i := range zs {
 		zs[i] = 0
 	}
-	for _, s := range p.Subs {
-		p.ApplySubdomain(s, r, z)
+	t := &p.applyT
+	t.r, t.z = r, z
+	if pool := p.subdomainPool(); pool != nil {
+		// Workers open no spans: this one carries every subdomain's solve.
+		tri := prof.Begin(prof.PhaseTriSolve)
+		prof.NoteThreads(prof.PhaseTriSolve, pool.Workers())
+		pool.Run(t)
+		tri.End(p.SolveFlops(), p.SolveBytes())
+	} else {
+		t.RunShard(0, 1)
 	}
+	t.r, t.z = nil, nil
 }
 
-// ApplySubdomain performs one subdomain's restrict-solve-prolong. It is
-// exposed so the virtual machine can account each subdomain's work to
-// its rank; subdomains touch disjoint owned entries of z, so concurrent
-// calls on distinct subdomains are safe when z is shared.
-func (p *Preconditioner) ApplySubdomain(s *Subdomain, r, z []float64) {
+// applyTask is the reusable pool task of Apply (p is set once, by New).
+type applyTask struct {
+	p    *Preconditioner
+	r, z []float64
+}
+
+// RunShard implements par.Task: restrict, solve and prolong one run of
+// subdomains. Each subdomain writes its own work vectors and its owned
+// rows of z, which no other subdomain owns. On a worker the solve is the
+// sequential one, span-free; on the caller of an unthreaded run it is
+// SolvePar, which level-schedules across a pool with more workers than
+// there are subdomains and is Solve otherwise.
+func (t *applyTask) RunShard(w, nw int) {
+	p, r, z := t.p, t.r, t.z
 	b := p.B
-	for li, gr := range s.Extended {
-		copy(s.rhs[li*b:li*b+b], r[int(gr)*b:int(gr)*b+b]) //lint:bce-ok restrict gathers through the subdomain row list; both offsets are data-dependent
-	}
-	s.Factor.SolvePar(p.Opts.Pool, s.rhs, s.sol)
-	ownedLocal := s.ownedLocal[:len(s.Owned)]
-	for i, gr := range s.Owned {
-		li := int(ownedLocal[i])
-		copy(z[int(gr)*b:int(gr)*b+b], s.sol[li*b:li*b+b]) //lint:bce-ok prolong scatters through the owned row list and its local index list; both offsets are data-dependent
+	lo, hi := p.shard(w)
+	for _, s := range p.Subs[lo:hi] {
+		for li, gr := range s.Extended {
+			copy(s.rhs[li*b:li*b+b], r[int(gr)*b:int(gr)*b+b]) //lint:bce-ok restrict gathers through the subdomain row list; both offsets are data-dependent
+		}
+		if p.bounds != nil {
+			s.Factor.SolveNoSpan(s.rhs, s.sol)
+		} else {
+			s.Factor.SolvePar(p.Opts.Pool, s.rhs, s.sol)
+		}
+		ownedLocal := s.ownedLocal[:len(s.Owned)]
+		for i, gr := range s.Owned {
+			li := int(ownedLocal[i])
+			copy(z[int(gr)*b:int(gr)*b+b], s.sol[li*b:li*b+b]) //lint:bce-ok prolong scatters through the owned row list and its local index list; both offsets are data-dependent
+		}
 	}
 }
 
@@ -282,6 +405,48 @@ func (s *Subdomain) SolveFlops() int64 { return s.Factor.SolveFlops() }
 
 // SolveBytes returns the memory traffic of one subdomain apply.
 func (s *Subdomain) SolveBytes() int64 { return s.Factor.SolveBytes() }
+
+// SolveFlops returns the floating-point work of one Apply's triangular
+// solves, summed over the subdomains.
+func (p *Preconditioner) SolveFlops() int64 {
+	var n int64
+	for _, s := range p.Subs {
+		n += s.SolveFlops()
+	}
+	return n
+}
+
+// SolveBytes returns the memory traffic of one Apply's triangular solves.
+func (p *Preconditioner) SolveBytes() int64 {
+	var n int64
+	for _, s := range p.Subs {
+		n += s.SolveBytes()
+	}
+	return n
+}
+
+// FactorFlops returns the floating-point work of one numeric pass over
+// the subdomains factored so far (all of them, outside a failed New).
+func (p *Preconditioner) FactorFlops() int64 {
+	var n int64
+	for _, s := range p.Subs {
+		if s.Factor != nil {
+			n += s.Factor.FactorFlops()
+		}
+	}
+	return n
+}
+
+// FactorBytes returns the memory traffic of one numeric pass.
+func (p *Preconditioner) FactorBytes() int64 {
+	var n int64
+	for _, s := range p.Subs {
+		if s.Factor != nil {
+			n += s.Factor.FactorBytes()
+		}
+	}
+	return n
+}
 
 // FactorBlocks returns the number of stored blocks across all subdomain
 // factors (the preconditioner's memory footprint).

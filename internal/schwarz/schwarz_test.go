@@ -1,6 +1,7 @@
 package schwarz
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/par"
 	"petscfun3d/internal/partition"
+	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
 )
 
@@ -402,39 +404,73 @@ func TestRefreshBitwiseGrid(t *testing.T) {
 	}
 }
 
-// TestRefreshSingularPivotIsRecoverable: a refresh that hits a singular
-// pivot block fails with the subdomain and row named, and the next
+// TestRefreshSingularPivotIsRecoverable: a numeric pass in which two
+// subdomains hit a singular pivot block fails, on the caller alone and on
+// pools of 1, 2 and 3 workers, with the same error — the lowest-numbered
+// failing subdomain and its row — leaves no error behind, and the next
 // refresh with a good matrix is bit-equal to a fresh build.
 func TestRefreshSingularPivotIsRecoverable(t *testing.T) {
 	const nparts = 4
 	pr := buildProblem(t, 6, 5, 4, 4, nparts)
-	opts := Options{Overlap: 1, ILU: ilu.Options{Level: 1}}
-	pc, err := New(pr.a, pr.part.Part, nparts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Global row 0 is local row 0 of its subdomain: no lower blocks, so
-	// its pivot is the zeroed block itself.
-	bad := &sparse.BCSR{NB: pr.a.NB, B: pr.a.B, RowPtr: pr.a.RowPtr, ColIdx: pr.a.ColIdx, Val: append([]float64(nil), pr.a.Val...)}
-	blk, ok := bad.BlockAt(0, 0)
-	if !ok {
-		t.Fatal("fixture: no diagonal block in row 0")
-	}
-	clear(blk)
-	err = pc.Refresh(bad)
-	if err == nil || !strings.Contains(err.Error(), "singular pivot block at row 0") || !strings.Contains(err.Error(), "subdomain") {
-		t.Fatalf("zeroed diagonal block gave %v, want a singular-pivot error naming subdomain and row", err)
-	}
 	a2 := sparse.BlockPattern(pr.g, 4)
 	a2.FillDeterministic(47)
-	if err := pc.Refresh(a2); err != nil {
-		t.Fatal(err)
+	var wantErr string
+	for _, workers := range []int{0, 1, 2, 3} {
+		var pool *par.Pool
+		if workers > 0 {
+			pool = par.New(workers)
+		}
+		opts := Options{Overlap: 1, ILU: ilu.Options{Level: 1}, Pool: pool}
+		pc, err := New(pr.a, pr.part.Part, nparts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Local row 0 of a subdomain has no lower blocks, so its pivot is
+		// the zeroed block itself: subdomains 1 and 3 fail for certain
+		// (on different workers of a 2- or 3-worker pool).
+		bad := &sparse.BCSR{NB: pr.a.NB, B: pr.a.B, RowPtr: pr.a.RowPtr, ColIdx: pr.a.ColIdx, Val: append([]float64(nil), pr.a.Val...)}
+		for _, q := range []int{1, 3} {
+			row := int(pc.Subs[q].Extended[0])
+			blk, ok := bad.BlockAt(row, row)
+			if !ok {
+				t.Fatalf("fixture: no diagonal block in row %d", row)
+			}
+			clear(blk)
+		}
+		check := func(what string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "singular pivot block at row") || !strings.Contains(err.Error(), "subdomain") {
+				t.Fatalf("%d workers, %s: zeroed diagonal blocks gave %v, want a singular-pivot error naming subdomain and row", workers, what, err)
+			}
+			var q int
+			if _, scanErr := fmt.Sscanf(err.Error(), "schwarz: subdomain %d:", &q); scanErr != nil || q > 1 {
+				t.Fatalf("%d workers, %s: %v does not name the lowest failing subdomain (1 at most)", workers, what, err)
+			}
+			if wantErr == "" {
+				wantErr = err.Error()
+			}
+			if err.Error() != wantErr {
+				t.Fatalf("%d workers, %s: error %q, want %q as on the caller alone", workers, what, err, wantErr)
+			}
+		}
+		check("Refresh", pc.Refresh(bad))
+		for q, e := range pc.errs {
+			if e != nil {
+				t.Fatalf("%d workers: error slot %d still holds %v after Refresh returned", workers, q, e)
+			}
+		}
+		_, err = New(bad, pr.part.Part, nparts, opts)
+		check("New", err)
+		if err := pc.Refresh(a2); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(a2, pr.part.Part, nparts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePreconditioner(t, pc, fresh, pr.rhs)
+		pool.Close()
 	}
-	fresh, err := New(a2, pr.part.Part, nparts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePreconditioner(t, pc, fresh, pr.rhs)
 }
 
 // TestRefreshRejectsOtherPattern: matrices of another shape, or with one
@@ -458,21 +494,148 @@ func TestRefreshRejectsOtherPattern(t *testing.T) {
 	}
 }
 
-// TestRefreshSteadyStateAllocs: the numeric refresh allocates nothing.
-func TestRefreshSteadyStateAllocs(t *testing.T) {
+// steadyStateAllocs fails if call allocates on a built preconditioner —
+// double and single storage, on the caller alone and with subdomains
+// across a 2-worker pool.
+func steadyStateAllocs(t *testing.T, what string, call func(pc *Preconditioner, pr *problem, z []float64)) {
 	pr := buildProblem(t, 6, 5, 4, 4, 4)
-	for _, single := range []bool{false, true} {
-		pc, err := New(pr.a, pr.part.Part, 4, Options{Overlap: 1, ILU: ilu.Options{Level: 1, SinglePrecision: single}})
-		if err != nil {
-			t.Fatal(err)
+	z := make([]float64, pr.a.N())
+	for _, workers := range []int{0, 2} {
+		var pool *par.Pool
+		if workers > 0 {
+			pool = par.New(workers)
 		}
-		avg := testing.AllocsPerRun(10, func() {
-			if err := pc.Refresh(pr.a); err != nil {
+		for _, single := range []bool{false, true} {
+			pc, err := New(pr.a, pr.part.Part, 4, Options{Overlap: 1, ILU: ilu.Options{Level: 1, SinglePrecision: single}, Pool: pool})
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if avg > 0 {
-			t.Fatalf("single=%v: Refresh allocates %.1f objects per call", single, avg)
+			if avg := testing.AllocsPerRun(10, func() { call(pc, pr, z) }); avg > 0 {
+				t.Fatalf("%d workers, single=%v: %s allocates %.1f objects per call", workers, single, what, avg)
+			}
+		}
+		pool.Close()
+	}
+}
+
+// TestRefreshSteadyStateAllocs: the numeric refresh allocates nothing.
+func TestRefreshSteadyStateAllocs(t *testing.T) {
+	steadyStateAllocs(t, "Refresh", func(pc *Preconditioner, pr *problem, _ []float64) {
+		if err := pc.Refresh(pr.a); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestApplySteadyStateAllocs: an application allocates nothing.
+func TestApplySteadyStateAllocs(t *testing.T) {
+	steadyStateAllocs(t, "Apply", func(pc *Preconditioner, pr *problem, z []float64) {
+		pc.Apply(pr.rhs, z)
+	})
+}
+
+// TestSubdomainParallelBitwiseGrid: with whole subdomains run across a
+// pool — or, with fewer subdomains than workers, each solve level-
+// scheduled across it — New, Apply and Refresh followed by Apply give
+// the bits of a nil pool, over subdomain counts × workers × overlap ×
+// fill × storage precision × block size.
+func TestSubdomainParallelBitwiseGrid(t *testing.T) {
+	pools := map[int]*par.Pool{}
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		pools[workers] = par.New(workers)
+		defer pools[workers].Close()
+	}
+	for _, b := range []int{4, 5} {
+		for _, nparts := range []int{1, 2, 4, 7} {
+			pr := buildProblem(t, 6, 5, 4, b, nparts)
+			a2 := sparse.BlockPattern(pr.g, b)
+			a2.FillDeterministic(47)
+			for overlap := 0; overlap <= 1; overlap++ {
+				for fill := 0; fill <= 1; fill++ {
+					for _, single := range []bool{false, true} {
+						opts := Options{Overlap: overlap, ILU: ilu.Options{Level: fill, SinglePrecision: single}}
+						ref, err := New(pr.a, pr.part.Part, nparts, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						n := pr.a.N()
+						want, want2, got := make([]float64, n), make([]float64, n), make([]float64, n)
+						ref.Apply(pr.rhs, want)
+						if err := ref.Refresh(a2); err != nil {
+							t.Fatal(err)
+						}
+						ref.Apply(pr.rhs, want2)
+						for workers, pool := range pools {
+							name := fmt.Sprintf("b=%d parts=%d overlap=%d fill=%d single=%v workers=%d", b, nparts, overlap, fill, single, workers)
+							opts.Pool = pool
+							pc, err := New(pr.a, pr.part.Part, nparts, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if threaded := pc.bounds != nil; threaded != (workers > 1 && nparts >= workers) {
+								t.Fatalf("%s: subdomains threaded = %v", name, threaded)
+							}
+							pc.Apply(pr.rhs, got)
+							sameBits(t, name+": Apply after New", got, want)
+							if err := pc.Refresh(a2); err != nil {
+								t.Fatal(err)
+							}
+							pc.Apply(pr.rhs, got)
+							sameBits(t, name+": Apply after Refresh", got, want2)
+							for q, s := range pc.Subs {
+								sameBits(t, fmt.Sprintf("%s: subdomain %d Local.Val", name, q), s.Local.Val, ref.Subs[q].Local.Val)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPooledSpansStayOnTheCaller: with subdomains across a pool, one
+// Apply records one tri_solve span and one Refresh one ilu_factor span —
+// the workers, which run the kernels, open none — charged with the sum
+// of the subdomains' work and the pool's width.
+func TestPooledSpansStayOnTheCaller(t *testing.T) {
+	pr := buildProblem(t, 6, 5, 4, 4, 4)
+	pool := par.New(2)
+	defer pool.Close()
+	pc, err := New(pr.a, pr.part.Part, 4, Options{Overlap: 1, ILU: ilu.Options{Level: 1}, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var solveFlops, solveBytes, factorFlops, factorBytes int64
+	for _, s := range pc.Subs {
+		solveFlops += s.SolveFlops()
+		solveBytes += s.SolveBytes()
+		factorFlops += s.Factor.FactorFlops()
+		factorBytes += s.Factor.FactorBytes()
+	}
+	z := make([]float64, pr.a.N())
+	prof.Default.Reset()
+	prof.Default.Enable()
+	pc.Apply(pr.rhs, z)
+	err = pc.Refresh(pr.a)
+	prof.Default.Disable()
+	rep := prof.Default.Report(0)
+	prof.Default.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]prof.PhaseStat{
+		"pc_apply":   {Calls: 1, Bytes: pc.applyCopyBytes()},
+		"tri_solve":  {Calls: 1, Flops: solveFlops, Bytes: solveBytes, Threads: 2},
+		"pc_setup":   {Calls: 1, Bytes: pc.refreshBytes()},
+		"ilu_factor": {Calls: 1, Flops: factorFlops, Bytes: factorBytes, Threads: 2},
+	}
+	if len(rep.Phases) != len(want) {
+		t.Fatalf("recorded phases %+v, want %d", rep.Phases, len(want))
+	}
+	for _, st := range rep.Phases {
+		w, ok := want[st.Phase]
+		if !ok || st.Calls != w.Calls || st.Flops != w.Flops || st.Bytes != w.Bytes || st.Threads != w.Threads {
+			t.Errorf("phase %s: %d calls, %d flops, %d bytes, %d threads; want %+v", st.Phase, st.Calls, st.Flops, st.Bytes, st.Threads, w)
 		}
 	}
 }
