@@ -5,7 +5,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid allocs fuzz
+.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid dist-grid allocs fuzz
 
 # named_gate runs the tests of packages $(2) that match the regex $(1)
 # with the go test flags $(3) (-race, except where noted) — after
@@ -88,6 +88,17 @@ threads: threads-grid
 # under the race detector (CI runs it by name).
 kernels-grid:
 	$(call named_gate,'KernelsMatch|EdgeFlux|SharedDiscretization|OperandOrders',./internal/euler,-race)
+
+# Rank-ownership gate: a rank assembles and multiplies only what it
+# owns, with the bits of the global path — every rank's in-place
+# Jacobian rows and time scales against the global assembly (systems ×
+# ranks × partitioners × edge orderings), the column-split product
+# against one MulVec in sparse and against the owned-first global matrix
+# in dist (threads × overlapped/blocking, the empty and the all-boundary
+# ghost block), and a second in-place assembly against a fresh build —
+# under the race detector (CI runs it by name).
+dist-grid:
+	$(call named_gate,'LocalJacobian|MulVecAddRows|SplitMatVec|MatrixRefresh|StepOperator',./internal/euler ./internal/sparse ./internal/dist,-race)
 
 # Allocation gates: one more Newton step allocates (next to) nothing —
 # default path, altpath configuration, 2 ranks — and Build + solve stays

@@ -5,8 +5,11 @@ import (
 	"runtime"
 	"testing"
 
+	"petscfun3d/internal/dist"
 	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/newton"
+	"petscfun3d/internal/prof"
 	"petscfun3d/internal/schwarz"
 )
 
@@ -148,5 +151,77 @@ func TestAllocationLedger(t *testing.T) {
 	if float64(total) > 1.25*float64(floor) {
 		t.Errorf("Build + solve allocates %d B, %.2f × the %d B floor of its resident structures; want at most 1.25 ×",
 			total, float64(total)/float64(floor), floor)
+	}
+
+	// Two ranks through dist.NewtonSolve: each rank's floor is what it
+	// keeps — its diagonal and ghost-column blocks with the halo plan and
+	// the block Jacobi factors (a reference dist.Matrix of the same
+	// partition, measured like every structure above), the Krylov
+	// workspace, the assembly and residual plans and the loop's
+	// global-length vectors — plus the fabric's copy of every message.
+	// The ranks' solves together may not allocate one more array the size
+	// of the smaller rank's diagonal block.
+	cfg.Ranks = 2
+	p2, err := Build(cfg)
+	fail(err)
+	defer p2.Close()
+	opts := dist.DefaultNewtonOptions()
+	part := p2.Part.Part
+	b, nv := p2.Sys.B(), p2.Mesh.NumVertices()
+	var floors, diagVal [2]int64
+	fail(mpi.Run(2, func(c *mpi.Comm) error {
+		me := int32(c.Rank())
+		dm, err := dist.NewMatrix(c, jac, part)
+		if err != nil {
+			return err
+		}
+		if _, err := dm.BlockJacobi(opts.ILU); err != nil {
+			return err
+		}
+		planEdges := 0
+		for _, e := range p2.Mesh.Edges {
+			if part[e.A] == me || part[e.B] == me {
+				planEdges++
+			}
+		}
+		for _, v := range dm.Owned {
+			for _, w := range p2.Mesh.Neighbors(int(v)) {
+				if part[w] == me {
+					diagVal[me]++
+				}
+			}
+		}
+		diagVal[me] = (diagVal[me] + int64(len(dm.Owned))) * int64(b*b) * 8
+		nLocal := int64(dm.LocalN())
+		floors[me] = residentBytes(dm, map[uintptr]bool{}) +
+			int64(opts.Krylov.Restart+4)*nLocal*8 + 2*nLocal*8 + // Krylov workspace; local right-hand side and correction
+			int64(planEdges)*(3+1)*4 + int64(nv)*(4+1) + // assembly plan (edge, two blocks) and residual edge lists; diagonal positions and ownership mask
+			5*n*8 + int64(nv)*8 // q, r, rhs, dq, qTrial at global length; ts
+		return nil
+	}))
+	profs := []*prof.Profiler{prof.New(), prof.New()}
+	total2 := allocated(func() {
+		fail(mpi.Run(2, func(c *mpi.Comm) error {
+			profs[c.Rank()].Enable()
+			_, err := dist.NewtonSolve(c, p2.Disc, part, p2.Disc.FreestreamVector(), opts, profs[c.Rank()])
+			return err
+		}))
+	})
+	var messages int64 // each payload copied once by ISend, with its envelope (alloc_test.go)
+	for _, pr := range profs {
+		for _, st := range pr.Report(0).Phases {
+			if st.Phase == prof.PhaseScatterWait.String() {
+				messages += st.Bytes/2*9/8 + 1024*st.Calls
+			}
+		}
+	}
+	floor2 := floors[0] + floors[1] + messages
+	t.Logf("%-42s %12s %12d", "2 ranks: rank 0 resident floor", "", floors[0])
+	t.Logf("%-42s %12s %12d", "2 ranks: rank 1 resident floor", "", floors[1])
+	t.Logf("%-42s %12s %12d", "2 ranks: messages", "", messages)
+	t.Logf("%-42s %12d %12d %8.2f", "2 ranks: dist.NewtonSolve, both ranks", total2, floor2, float64(total2)/float64(floor2))
+	if spare := min(diagVal[0], diagVal[1]); total2-floor2 >= spare {
+		t.Errorf("the 2-rank solve allocates %d B beyond its %d B floor: room for a second matrix-sized array (the smaller diagonal block is %d B)",
+			total2-floor2, floor2, spare)
 	}
 }

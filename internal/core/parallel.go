@@ -218,13 +218,11 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 		},
 	}
 
-	nopts := cfg.Newton
-	nopts.Krylov.Pool = p.Pool
 	s := &newton.Solver{
 		Disc:  p.Disc,
 		Disc2: p.Disc2,
 		PC:    p.PCFactory(&lastPC),
-		Opts:  nopts,
+		Opts:  p.newtonOptions(),
 		Hooks: hooks,
 	}
 	q := p.Disc.FreestreamVector()

@@ -10,7 +10,9 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
+	"petscfun3d/internal/euler"
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mpi"
@@ -19,10 +21,13 @@ import (
 	"petscfun3d/internal/sparse"
 )
 
-// Matrix is one rank's share of a partitioned BCSR matrix: the owned
-// block rows, with column indices renumbered into local-extended space
-// (owned rows first in ascending global order, then ghosts in ascending
-// global order).
+// Matrix is one rank's share of a partitioned BCSR matrix, stored as
+// PETSc stores it: the owned block rows split by column into the
+// diagonal block (owned × owned — what block Jacobi factors, and what
+// MulVec multiplies while the ghost values are in flight) and the
+// off-diagonal block (owned × ghost). Columns are in extended-local
+// numbering: owned rows first in ascending global order, then ghosts in
+// ascending global order.
 type Matrix struct {
 	Comm *mpi.Comm
 	B    int
@@ -30,18 +35,15 @@ type Matrix struct {
 	Owned  []int32 // ascending global block rows owned by this rank
 	Ghosts []int32 // ascending global block rows read but not owned
 
-	local *sparse.BCSR // NB = len(Owned), cols in extended numbering
-
-	// Interior/boundary row split, fixed at plan time: interior rows
-	// reference only owned columns, so they can be computed while the
-	// ghost exchange is in flight; boundary rows need ghost values and
-	// run after it. innerNNZB/bndNNZB count each set's stored blocks
-	// (they sum to the local matrix's total, so the split's flop
-	// accounting matches one full MulVec exactly).
-	interior  []int32
-	boundary  []int32
-	innerNNZB int
-	bndNNZB   int
+	// diag and off have one row per owned row; off's rows are empty
+	// except the boundary rows. Their values are consecutive stretches
+	// of val — diag's blocks, off's blocks, then one sink block no
+	// product reads — so an assembly that addresses val by block index
+	// (euler.LocalJacobian) fills both in one sweep, with the blocks of
+	// rows this rank does not own all falling into the sink.
+	diag, off *sparse.BCSR
+	val       []float64
+	boundary  []int32 // rows with a ghost column, ascending
 
 	// Halo exchange plan with persistent staging buffers.
 	halo *Halo
@@ -57,48 +59,74 @@ type Matrix struct {
 	// baseline the paper's Table 3 analysis starts from.
 	NoOverlap bool
 
-	// Diagonal block (owned x owned) for the block Jacobi factorization,
-	// and the factorization BlockJacobi retains (with the options it was
-	// built for) so a later call refactors it in place.
-	diag   *sparse.BCSR
+	// The factorization of diag BlockJacobi retains (with the options it
+	// was built for) so a later call refactors it in place.
 	bj     *ilu.Factorization
 	bjOpts ilu.Options
 
-	// Refresh state: the global pattern NewMatrix analysed, and for each
-	// block of local and diag the global block it is copied from.
-	pattern  sparse.Pattern
-	localSrc []int32
-	diagSrc  []int32
-
-	// Node-level worker pool (SetPool) with precomputed
-	// nonzero-balanced stripe bounds for the interior/boundary row sets
-	// and the reusable SpMV task.
-	pool                 *par.Pool
-	intBounds, bndBounds []int32
-	rowsT                rowsTask
+	// Node-level worker pool (SetPool) with the nonzero-balanced stripe
+	// bounds of the boundary rows and the reusable task that sweeps
+	// them; diag keeps its own stripes (sparse.BCSR.MulVecPar).
+	pool      *par.Pool
+	bndBounds []int32
+	rowsT     rowsTask
 
 	// What a sequence of solves on this Matrix reuses: GMRES's Krylov
-	// workspace, and NewtonSolve's local right-hand side and correction.
-	// They live and die with the Matrix, which serves one solve at a time.
+	// workspace, and NewtonSolve's assembly plan, local right-hand side
+	// and correction. They live and die with the Matrix, which serves
+	// one solve at a time.
 	ws     krylov.Workspace
+	jac    *euler.LocalJacobian
 	lb, lx []float64
 
 	// Prof, when non-nil, receives this rank's measured phase timings
-	// (scatter, matvec, reduce, tri_solve). Each rank runs on its own
-	// goroutine, so each rank must have its own profiler; merge them
-	// with prof.Merge after mpi.Run returns. The process-wide
+	// (scatter, matvec, reduce, ilu_factor, tri_solve). Each rank runs
+	// on its own goroutine, so each rank must have its own profiler;
+	// merge them with prof.Merge after mpi.Run returns. The process-wide
 	// prof.Default is NOT used here — it assumes single-goroutine
 	// nesting.
 	Prof *prof.Profiler
 }
 
 // NewMatrix extracts rank c.Rank()'s share of the global matrix a under
-// the block-row partition part (len a.NB). Every rank calls it with the
+// the block-row partition part (len a.NB): the plan from a's pattern,
+// then one copy of the owned rows' values. Every rank calls it with the
 // same a and part (SPMD); the halo plan is negotiated over the
 // communicator.
 func NewMatrix(c *mpi.Comm, a *sparse.BCSR, part []int32) (*Matrix, error) {
-	if len(part) != a.NB {
-		return nil, fmt.Errorf("dist: partition length %d for %d block rows", len(part), a.NB)
+	m, ext, err := planMatrix(c, sparse.Graph{NV: a.NB, XAdj: a.RowPtr, Adj: a.ColIdx}, false, a.B, part)
+	if err != nil {
+		return nil, err
+	}
+	// Both halves of a local row keep a's column order, so a walk along
+	// the global row fills each in sequence.
+	bb := a.B * a.B
+	nOwned := int32(len(m.Owned))
+	for li, gr := range m.Owned {
+		kd, ko := int(m.diag.RowPtr[li]), int(m.off.RowPtr[li])
+		for k := int(a.RowPtr[gr]); k < int(a.RowPtr[gr+1]); k++ {
+			if ext[a.ColIdx[k]] < nOwned {
+				copy(m.diag.Val[kd*bb:kd*bb+bb], a.Val[k*bb:k*bb+bb])
+				kd++
+			} else {
+				copy(m.off.Val[ko*bb:ko*bb+bb], a.Val[k*bb:k*bb+bb])
+				ko++
+			}
+		}
+	}
+	return m, nil
+}
+
+// planMatrix builds rank c.Rank()'s Matrix — structure, halo plan and
+// zeroed values — for blocks of b under the block-row partition part
+// (len g.NV), from sparsity alone: block row i holds the ascending
+// columns g.Adj[g.XAdj[i]:g.XAdj[i+1]], and column i as well when self
+// is set (a mesh graph, whose self coupling is implied). It returns with
+// it the extended-local number of every global row (−1 for rows this
+// rank never reads), which is not kept. Collective.
+func planMatrix(c *mpi.Comm, g sparse.Graph, self bool, b int, part []int32) (*Matrix, []int32, error) {
+	if len(part) != g.NV {
+		return nil, nil, fmt.Errorf("dist: partition length %d for %d block rows", len(part), g.NV)
 	}
 	me := int32(c.Rank())
 	// Validate every rank's ownership locally (the partition is SPMD
@@ -108,22 +136,22 @@ func NewMatrix(c *mpi.Comm, a *sparse.BCSR, part []int32) (*Matrix, error) {
 	counts := make([]int, c.Size())
 	for i, q := range part {
 		if q < 0 || int(q) >= c.Size() {
-			return nil, fmt.Errorf("dist: row %d assigned to invalid rank %d", i, q)
+			return nil, nil, fmt.Errorf("dist: row %d assigned to invalid rank %d", i, q)
 		}
 		counts[q]++
 	}
 	for q, n := range counts {
 		if n == 0 {
-			return nil, fmt.Errorf("dist: rank %d owns no rows", q)
+			return nil, nil, fmt.Errorf("dist: rank %d owns no rows", q)
 		}
 	}
-	m := &Matrix{Comm: c, B: a.B, Owned: make([]int32, 0, counts[me])}
+	m := &Matrix{Comm: c, B: b, Owned: make([]int32, 0, counts[me])}
 	// Extended-local numbering in one dense array: -1 for rows this rank
 	// never reads, the owned rows numbered first in ascending global
 	// order, then — by an ascending scan of the rows marked needed — the
 	// ghosts.
 	const unread, needed = -1, -2
-	ext := make([]int32, a.NB)
+	ext := make([]int32, g.NV)
 	for i, q := range part {
 		ext[i] = unread
 		if q == me {
@@ -132,95 +160,78 @@ func NewMatrix(c *mpi.Comm, a *sparse.BCSR, part []int32) (*Matrix, error) {
 		}
 	}
 	nOwned := int32(len(m.Owned))
-	nGhosts, nnzb, nnzbDiag := 0, 0, 0
+	nGhosts, nnzbDiag, nnzbOff := 0, 0, 0
+	if self {
+		nnzbDiag = len(m.Owned)
+	}
 	for _, gr := range m.Owned {
-		for _, j := range a.ColIdx[a.RowPtr[gr]:a.RowPtr[gr+1]] {
-			nnzb++
-			switch {
-			case ext[j] >= 0:
+		for _, j := range g.Adj[g.XAdj[gr]:g.XAdj[gr+1]] {
+			if ext[j] >= 0 {
 				nnzbDiag++
-			case ext[j] == unread:
+				continue
+			}
+			nnzbOff++
+			if ext[j] == unread {
 				ext[j] = needed
 				nGhosts++
 			}
 		}
 	}
 	m.Ghosts = make([]int32, 0, nGhosts)
-	for g, e := range ext {
+	for v, e := range ext {
 		if e == needed {
-			ext[g] = nOwned + int32(len(m.Ghosts))
-			m.Ghosts = append(m.Ghosts, int32(g)) //lint:alloc-ok appends into capacity preallocated to the exact ghost count
+			ext[v] = nOwned + int32(len(m.Ghosts))
+			m.Ghosts = append(m.Ghosts, int32(v)) //lint:alloc-ok appends into capacity preallocated to the exact ghost count
 		}
 	}
-	// Local rows (owned rows, all columns) and the diagonal block (owned
-	// columns only), each block with the index of its source in a. A
-	// row's owned columns precede its ghost columns in extended
-	// numbering and each group is already ascending, so two passes over
-	// the global row emit sorted local rows with no sort.
-	m.local = &sparse.BCSR{NB: len(m.Owned), B: a.B, RowPtr: make([]int32, nOwned+1), ColIdx: make([]int32, 0, nnzb)}
-	m.diag = &sparse.BCSR{NB: len(m.Owned), B: a.B, RowPtr: make([]int32, nOwned+1), ColIdx: make([]int32, 0, nnzbDiag)}
-	m.localSrc = make([]int32, 0, nnzb)
-	m.diagSrc = make([]int32, 0, nnzbDiag)
+	// A row's owned columns and its ghost columns are each ascending in
+	// extended numbering as they are in global numbering, so one pass
+	// over the global row emits both local rows sorted, the implied self
+	// column slotted in at its place.
+	m.val = make([]float64, (nnzbDiag+nnzbOff+1)*b*b)
+	split := nnzbDiag * b * b
+	m.diag = &sparse.BCSR{NB: len(m.Owned), B: b, RowPtr: make([]int32, nOwned+1), ColIdx: make([]int32, 0, nnzbDiag), Val: m.val[:split:split]}
+	m.off = &sparse.BCSR{NB: len(m.Owned), B: b, RowPtr: make([]int32, nOwned+1), ColIdx: make([]int32, 0, nnzbOff), Val: m.val[split : len(m.val)-b*b : len(m.val)-b*b]}
 	for li, gr := range m.Owned {
-		for k := a.RowPtr[gr]; k < a.RowPtr[gr+1]; k++ {
-			if e := ext[a.ColIdx[k]]; e < nOwned {
-				m.local.ColIdx = append(m.local.ColIdx, e) //lint:alloc-ok appends into exact preallocated capacity at plan construction
-				m.localSrc = append(m.localSrc, k)         //lint:alloc-ok appends into exact preallocated capacity at plan construction
-				m.diag.ColIdx = append(m.diag.ColIdx, e)   //lint:alloc-ok appends into exact preallocated capacity at plan construction
-				m.diagSrc = append(m.diagSrc, k)           //lint:alloc-ok appends into exact preallocated capacity at plan construction
+		self := self
+		for _, j := range g.Adj[g.XAdj[gr]:g.XAdj[gr+1]] {
+			e := ext[j]
+			if e >= nOwned {
+				m.off.ColIdx = append(m.off.ColIdx, e) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+				continue
 			}
-		}
-		for k := a.RowPtr[gr]; k < a.RowPtr[gr+1]; k++ {
-			if e := ext[a.ColIdx[k]]; e >= nOwned {
-				m.local.ColIdx = append(m.local.ColIdx, e) //lint:alloc-ok appends into exact preallocated capacity at plan construction
-				m.localSrc = append(m.localSrc, k)         //lint:alloc-ok appends into exact preallocated capacity at plan construction
+			if self && e > int32(li) {
+				m.diag.ColIdx = append(m.diag.ColIdx, int32(li)) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+				self = false
 			}
+			m.diag.ColIdx = append(m.diag.ColIdx, e) //lint:alloc-ok appends into exact preallocated capacity at plan construction
 		}
-		m.local.RowPtr[li+1] = int32(len(m.local.ColIdx))
+		if self {
+			m.diag.ColIdx = append(m.diag.ColIdx, int32(li)) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+		}
 		m.diag.RowPtr[li+1] = int32(len(m.diag.ColIdx))
-	}
-	bb := a.B * a.B
-	m.local.Val = make([]float64, nnzb*bb)
-	m.diag.Val = make([]float64, nnzbDiag*bb)
-	m.pattern = sparse.PatternOf(a)
-	m.gatherValues(a)
-	// Interior/boundary split: a row whose columns are all owned
-	// (extended-local index below len(Owned)) never reads the ghost
-	// tail, so it can be computed while the exchange is in flight.
-	for li := 0; li < m.local.NB; li++ {
-		inner := true
-		for _, j := range m.local.ColIdx[m.local.RowPtr[li]:m.local.RowPtr[li+1]] {
-			if j >= nOwned {
-				inner = false
-				break
-			}
-		}
-		nnzb := int(m.local.RowPtr[li+1] - m.local.RowPtr[li])
-		if inner {
-			m.interior = append(m.interior, int32(li)) //lint:alloc-ok one-time plan construction at partition setup
-			m.innerNNZB += nnzb
-		} else {
+		m.off.RowPtr[li+1] = int32(len(m.off.ColIdx))
+		if m.off.RowPtr[li+1] > m.off.RowPtr[li] {
 			m.boundary = append(m.boundary, int32(li)) //lint:alloc-ok one-time plan construction at partition setup
-			m.bndNNZB += nnzb
 		}
 	}
-	m.extBuf = make([]float64, (len(m.Owned)+len(m.Ghosts))*a.B)
+	m.extBuf = make([]float64, (len(m.Owned)+len(m.Ghosts))*b)
 	// Halo negotiation: send each rank the list of its rows we need,
 	// then translate both directions into extended-local numbering.
 	needFrom := map[int][]int32{}
-	for _, g := range m.Ghosts {
-		needFrom[int(part[g])] = append(needFrom[int(part[g])], g) //lint:alloc-ok one-time plan negotiation at partition setup
+	for _, v := range m.Ghosts {
+		needFrom[int(part[v])] = append(needFrom[int(part[v])], v) //lint:alloc-ok one-time plan negotiation at partition setup
 	}
 	asked, err := negotiateHalo(c, needFrom)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sendTo := map[int][]int32{}
 	for q, rows := range asked {
 		locs := make([]int32, len(rows)) //lint:alloc-ok one-time plan negotiation at partition setup
 		for i, gr := range rows {
-			if gr < 0 || int(gr) >= a.NB || part[gr] != me {
-				return nil, fmt.Errorf("dist: rank %d asked rank %d for row %d it does not own", q, me, gr)
+			if gr < 0 || int(gr) >= g.NV || part[gr] != me {
+				return nil, nil, fmt.Errorf("dist: rank %d asked rank %d for row %d it does not own", q, me, gr)
 			}
 			locs[i] = ext[gr]
 		}
@@ -237,112 +248,93 @@ func NewMatrix(c *mpi.Comm, a *sparse.BCSR, part []int32) (*Matrix, error) {
 		}
 		recvFrom[q] = locs
 	}
-	m.halo = newHalo(c, a.B, mpi.TagHalo, sendTo, recvFrom)
-	return m, nil
+	m.halo = newHalo(c, b, mpi.TagHalo, sendTo, recvFrom)
+	return m, ext, nil
 }
 
-// gatherValues copies a's values into local and diag through the
-// source indices.
-func (m *Matrix) gatherValues(a *sparse.BCSR) {
-	bb := m.B * m.B
-	sparse.GatherBlocks(m.local.Val, a.Val, m.localSrc, bb)
-	sparse.GatherBlocks(m.diag.Val, a.Val, m.diagSrc, bb)
-}
-
-// refreshBytes is the value-copy traffic of one NewMatrix or Refresh.
-func (m *Matrix) refreshBytes() int64 {
-	return sparse.GatherBlocksBytes(len(m.localSrc)+len(m.diagSrc), m.B)
-}
-
-// Refresh reloads this rank's share from a, which must have exactly the
-// sparsity pattern NewMatrix analysed (anything else is an error and
-// leaves the matrix untouched). It is an indexed copy of every stored
-// value — bitwise what a fresh NewMatrix(a) holds — that allocates
-// nothing and sends nothing: the halo plan, the interior/boundary
-// split and the pool stripes depend on the pattern alone and are kept.
-// The block Jacobi factors are not touched; call BlockJacobi again.
-func (m *Matrix) Refresh(a *sparse.BCSR) error {
-	if err := m.pattern.Check(a); err != nil {
-		return fmt.Errorf("dist: refresh: %w", err)
+// block returns where block (gi, gj) of the global matrix sits in val —
+// diag's blocks first, then off's — for a row gi this rank owns, and
+// false when the Matrix stores no such block. Plan-time only.
+func (m *Matrix) block(gi, gj int32) (int32, bool) {
+	li, ok := slices.BinarySearch(m.Owned, gi)
+	if !ok {
+		return 0, false
 	}
-	m.gatherValues(a)
-	return nil
+	half, first, col := m.diag, int32(0), int32(0)
+	if lj, ok := slices.BinarySearch(m.Owned, gj); ok {
+		col = int32(lj)
+	} else if g, ok := slices.BinarySearch(m.Ghosts, gj); ok {
+		half, first, col = m.off, int32(len(m.diag.ColIdx)), int32(len(m.Owned)+g)
+	} else {
+		return 0, false
+	}
+	k, ok := slices.BinarySearch(half.ColIdx[half.RowPtr[li]:half.RowPtr[li+1]], col)
+	return first + half.RowPtr[li] + int32(k), ok
 }
+
+// sink is the block of val that belongs to neither half.
+func (m *Matrix) sink() int32 { return int32(len(m.diag.ColIdx) + len(m.off.ColIdx)) }
 
 // LocalN returns the number of owned scalar unknowns.
 func (m *Matrix) LocalN() int { return len(m.Owned) * m.B }
 
-// Scatter fills the ghost region of the extended vector xExt (length
-// LocalN()+len(Ghosts)*B) from the owning ranks, blocking until done;
-// the owned prefix must already hold this rank's values. The wait is
-// folded into the scatter phase — use the overlapped MulVec to measure
-// it separately.
-func (m *Matrix) Scatter(xExt []float64) error {
-	return m.halo.Exchange(m.Prof, xExt)
-}
-
 // MulVec computes the owned part of y = A x, where x and y are local
 // owned vectors (length LocalN()); one halo exchange per call. By
-// default the exchange is overlapped with the interior rows (post,
-// compute interior, wait, compute boundary — the paper's first-order
-// scatter fix); NoOverlap selects the blocking baseline. Both paths
-// produce bitwise-identical y: they run the same per-row kernels, and
-// each row's dot product is independent of the order rows are visited.
+// default the exchange is overlapped with the diagonal block (post,
+// y = diag·x_owned for every row, wait, y += off·x_ghost on the boundary
+// rows — the paper's first-order scatter fix, in PETSc's MatMult form);
+// NoOverlap completes a blocking exchange first. Both produce the bits
+// of one product over rows stored owned-columns-first: a boundary row's
+// second half resumes the running sums its first half stored in y.
 func (m *Matrix) MulVec(x, y []float64) error {
-	if m.NoOverlap {
-		return m.mulVecBlocking(x, y)
-	}
 	sp := m.Prof.Begin(prof.PhaseMatVec)
 	defer sp.End(0, 0) // the work is charged by the nested interior/boundary spans
 	ext := m.extBuf
 	copy(ext, x[:m.LocalN()])
-	if err := m.halo.Start(m.Prof, ext); err != nil {
+	var err error
+	if m.NoOverlap {
+		err = m.halo.Exchange(m.Prof, ext)
+	} else {
+		err = m.halo.Start(m.Prof, ext)
+	}
+	if err != nil {
 		return err
 	}
 	m.Prof.NoteThreads(prof.PhaseMatVec, m.pool.Workers())
 	isp := m.Prof.Begin(prof.PhaseInterior)
-	m.mulRows(m.interior, m.intBounds, ext, y)
-	isp.End(sparse.MulVecRowsFlops(m.innerNNZB, m.B), sparse.MulVecRowsBytes(m.innerNNZB, len(m.interior), m.B))
-	if err := m.halo.Finish(m.Prof, ext); err != nil {
-		return err
+	m.diag.MulVecPar(m.pool, ext, y)
+	isp.End(m.diag.MulVecFlops(), m.diag.MulVecBytes())
+	if !m.NoOverlap {
+		if err := m.halo.Finish(m.Prof, ext); err != nil {
+			return err
+		}
 	}
 	bsp := m.Prof.Begin(prof.PhaseBoundary)
-	m.mulRows(m.boundary, m.bndBounds, ext, y)
-	bsp.End(sparse.MulVecRowsFlops(m.bndNNZB, m.B), sparse.MulVecRowsBytes(m.bndNNZB, len(m.boundary), m.B))
-	return nil
-}
-
-// mulVecBlocking is the pre-overlap baseline: one blocking scatter,
-// then the full local product.
-func (m *Matrix) mulVecBlocking(x, y []float64) error {
-	sp := m.Prof.Begin(prof.PhaseMatVec)
-	defer sp.End(m.local.MulVecFlops(), m.local.MulVecBytes())
-	ext := m.extBuf
-	copy(ext, x[:m.LocalN()])
-	if err := m.Scatter(ext); err != nil {
-		return err
-	}
-	m.local.MulVec(ext, y)
+	m.addGhostColumns(ext, y)
+	bsp.End(sparse.MulVecRowsFlops(len(m.off.ColIdx), m.B), sparse.MulVecRowsBytes(len(m.off.ColIdx), len(m.boundary), m.B))
 	return nil
 }
 
 // BlockJacobi factors this rank's diagonal block with ILU(k) and
 // returns the local preconditioner solve. The factorization is retained:
-// a later call with the same options (after a Refresh) refactors it in
-// place, and solves returned earlier then apply the new factors.
+// a later call with the same options (after the values changed in
+// place) refactors it, and solves returned earlier then apply the new
+// factors.
 func (m *Matrix) BlockJacobi(opts ilu.Options) (func(r, z []float64), error) {
+	sp := m.Prof.Begin(prof.PhaseILUFactor)
+	var err error
 	if m.bj != nil && m.bjOpts == opts {
-		if err := m.bj.Refactor(m.diag); err != nil {
-			return nil, err
-		}
+		err = m.bj.RefactorNoSpan(m.diag)
 	} else {
-		f, err := ilu.Factor(m.diag, opts)
-		if err != nil {
-			return nil, err
-		}
-		m.bj, m.bjOpts = f, opts
+		m.bj, err = ilu.FactorNoSpan(m.diag, opts) // nil on failure: the next call factors afresh
+		m.bjOpts = opts
+	}
+	if err != nil {
+		sp.End(0, 0)
+		return nil, err
 	}
 	f := m.bj
+	sp.End(f.FactorFlops(), f.FactorBytes())
 	return func(r, z []float64) {
 		sp := m.Prof.Begin(prof.PhaseTriSolve)
 		m.Prof.NoteThreads(prof.PhaseTriSolve, m.pool.Workers())

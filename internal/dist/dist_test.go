@@ -10,6 +10,7 @@ import (
 	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/mpi"
+	"petscfun3d/internal/par"
 	"petscfun3d/internal/partition"
 	"petscfun3d/internal/prof"
 	"petscfun3d/internal/schwarz"
@@ -442,8 +443,8 @@ func TestAsymmetricPartitionAllBoundaryRows(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(dm.interior) != 0 {
-			return fmt.Errorf("rank %d expected all-boundary rows, got %d interior", c.Rank(), len(dm.interior))
+		if len(dm.boundary) != len(dm.Owned) {
+			return fmt.Errorf("rank %d expected all-boundary rows, got %d of %d", c.Rank(), len(dm.boundary), len(dm.Owned))
 		}
 		lx := make([]float64, dm.LocalN())
 		ly := make([]float64, dm.LocalN())
@@ -556,5 +557,114 @@ func TestHaloDoubleStartRejected(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitMatVecBitwiseGrid: the product computed as diag·x_owned, then
+// the ghost columns added on the boundary rows, has the bits of
+// sparse.BCSR.MulVec on the global matrix renumbered owned-first (owned
+// rows, then ghosts, then the rest, each ascending — so an owned row
+// keeps its stored column order): at 1 and 2 threads, overlapped and
+// blocking, on a mesh partition, on the 1-rank world whose ghost block
+// is empty, and on a partition where every row of a rank is a boundary
+// row.
+func TestSplitMatVecBitwiseGrid(t *testing.T) {
+	mesh3 := buildTestProblem(t, 7, 6, 5, 4, 3)
+	mesh1 := buildTestProblem(t, 6, 5, 4, 5, 1)
+	const nb = 5
+	rows := make([][]int32, nb)
+	for i := range rows {
+		for j := 0; j < nb; j++ {
+			rows[i] = append(rows[i], int32(j))
+		}
+	}
+	dense := sparse.NewBCSRPattern(nb, 4, rows)
+	dense.FillDeterministic(23)
+	cases := []struct {
+		name   string
+		a      *sparse.BCSR
+		part   []int32
+		nranks int
+	}{
+		{"mesh, 3 ranks", mesh3.a, mesh3.part.Part, 3},
+		{"mesh, 1 rank", mesh1.a, mesh1.part.Part, 1},
+		{"dense, every row a boundary row", dense, []int32{0, 0, 1, 0, 0}, 2},
+	}
+	for _, tc := range cases {
+		a, b := tc.a, tc.a.B
+		x := make([]float64, a.N())
+		for i := range x {
+			x[i] = math.Cos(float64(i)*0.37) * math.Exp(math.Sin(float64(i)))
+		}
+		err := mpi.Run(tc.nranks, func(c *mpi.Comm) error {
+			dm, err := NewMatrix(c, a, tc.part)
+			if err != nil {
+				return err
+			}
+			if tc.nranks == 1 && len(dm.off.ColIdx)+len(dm.boundary) != 0 {
+				return fmt.Errorf("the 1-rank world has %d ghost-column blocks", len(dm.off.ColIdx))
+			}
+			// The owned-first renumbering of the global rows.
+			perm := make([]int32, a.NB)
+			for g := range perm {
+				perm[g] = -1
+			}
+			next := int32(0)
+			for _, list := range [][]int32{dm.Owned, dm.Ghosts} {
+				for _, g := range list {
+					perm[g] = next
+					next++
+				}
+			}
+			for g := range perm {
+				if perm[g] < 0 {
+					perm[g] = next
+					next++
+				}
+			}
+			refRows := make([][]int32, a.NB)
+			for _, gr := range dm.Owned {
+				for _, j := range a.ColIdx[a.RowPtr[gr]:a.RowPtr[gr+1]] {
+					refRows[perm[gr]] = append(refRows[perm[gr]], perm[j])
+				}
+			}
+			ref := sparse.NewBCSRPattern(a.NB, b, refRows)
+			for _, gr := range dm.Owned {
+				for k := a.RowPtr[gr]; k < a.RowPtr[gr+1]; k++ {
+					dst, _ := ref.BlockAt(int(perm[gr]), int(perm[a.ColIdx[k]]))
+					copy(dst, a.Block(int(k)))
+				}
+			}
+			xp, want := make([]float64, a.N()), make([]float64, a.N())
+			for g, pg := range perm {
+				copy(xp[int(pg)*b:int(pg)*b+b], x[g*b:g*b+b])
+			}
+			ref.MulVec(xp, want)
+			lx, ly := xp[:dm.LocalN()], make([]float64, dm.LocalN())
+			for _, threads := range []int{1, 2} {
+				pool := par.New(threads)
+				dm.SetPool(pool)
+				for _, blocking := range []bool{false, true} {
+					dm.NoOverlap = blocking
+					for i := range ly {
+						ly[i] = math.NaN() // MulVec must overwrite
+					}
+					err := dm.MulVec(lx, ly)
+					if err == nil {
+						err = bitsDiffer(ly, want[:len(ly)])
+					}
+					if err != nil {
+						pool.Close()
+						return fmt.Errorf("rank %d, %d threads, blocking=%v: %w", c.Rank(), threads, blocking, err)
+					}
+				}
+				dm.SetPool(nil)
+				pool.Close()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
 }

@@ -83,11 +83,12 @@ type (
 
 // NewtonSolve advances q to steady state with the distributed ψNK
 // iteration — newton.Iterate over this rank's System: the overlapped
-// distributed residual (Residual), a per-step first-order Jacobian
-// partitioned by NewMatrix once and reloaded by Refresh thereafter (the
-// sparsity pattern never changes, so the halo plan is negotiated at step
-// 0 only), block Jacobi ILU subdomain preconditioning refactored in
-// place, and the distributed GMRES. Every rank calls it collectively
+// distributed residual (Residual), a per-step first-order Jacobian of
+// which each rank assembles the rows it owns, in place in a Matrix
+// planned from the mesh graph once (the sparsity pattern never changes,
+// so the halo plan is negotiated at step 0 only), block Jacobi ILU
+// subdomain preconditioning refactored in place, and the distributed
+// GMRES. Every rank calls it collectively
 // with the same discretization, partition, and options (SPMD); q is a
 // global-length interlaced state of which this rank advances its owned
 // entries (ghost entries are maintained by the halo; far entries stay at
@@ -126,8 +127,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 	rsd.Prof = p
 	b := d.Sys.B()
 	ts := make([]float64, d.M.NumVertices()) // pseudo-time scales, refilled every step attempt
-	jac := d.JacobianPattern()
-	var am *Matrix // built by the first step attempt, refreshed by later ones
+	var am *Matrix                           // built by the first step attempt, reassembled in place by later ones
 
 	return newton.Iterate(newton.System{
 		// The trial state's ghosts are filled by its residual evaluation,
@@ -141,13 +141,14 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 			})
 			return norm, err
 		},
-		// One step attempt: Jacobian refresh, partitioned extraction (into
-		// am, built when nil), block Jacobi setup and distributed GMRES.
+		// One step attempt: in-place Jacobian assembly (into am, built when
+		// nil), block Jacobi setup and distributed GMRES.
 		Correct: func(cor *newton.Correction) (its int, err error) {
 			err = c.Protect(func() error {
 				if cor.Attempt > 0 {
 					// Nothing the failed attempt touched is trusted: the retry
-					// rebuilds the Matrix — and with it the Krylov workspace.
+					// rebuilds the Matrix — and with it the assembly plan and
+					// the Krylov workspace.
 					am = nil
 				}
 				if opts.BeforeStep != nil {
@@ -155,22 +156,9 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 						return err
 					}
 				}
-				// Pseudo-time-augmented first-order Jacobian, assembled SPMD
-				// (every rank assembles from the same q, so the partitioned
-				// extraction below sees identical global values; blocks in far
-				// rows derive from stale far state, but NewMatrix and Refresh
-				// copy only this rank's owned rows, whose columns are all
-				// owned-or-ghost — maintained by the halo).
-				jsp := p.Begin(prof.PhaseJacobian)
-				err := d.AssembleJacobian(cor.Q, jac)
-				d.TimeScalesInto(cor.Q, ts)
-				newton.AddTimeDiagonal(jac, ts, cor.CFL)
-				jsp.End(0, 0)
-				if err != nil {
-					return err
-				}
 				var pcSolve func(r, z []float64)
-				if am, pcSolve, err = stepOperator(c, jac, part, am, opts.ILU, p, pool); err != nil {
+				var err error
+				if am, pcSolve, err = stepOperator(c, rsd, part, am, cor.Q, ts, cor.CFL, opts.ILU, p, pool); err != nil {
 					return err
 				}
 				clear(am.lx)
@@ -194,26 +182,54 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 	}, q, opts.newton())
 }
 
-// stepOperator returns this rank's share of jac — am reloaded in place,
-// or a Matrix built collectively when am is nil — and its refreshed
-// block Jacobi solve, charged to pc_setup.
-func stepOperator(c *mpi.Comm, jac *sparse.BCSR, part []int32, am *Matrix, iluOpts ilu.Options,
-	p *prof.Profiler, pool *par.Pool) (*Matrix, func(r, z []float64), error) {
-	sp := p.Begin(prof.PhasePCSetup)
+// stepOperator assembles this rank's rows of the pseudo-time-augmented
+// first-order Jacobian at q straight into am's two blocks (the rows'
+// columns are all owned or ghost, which the residual's halo keeps
+// current in q) and refactors the block Jacobi solve from them in
+// place. A nil am is built first, collectively: the Matrix planned from
+// the mesh graph, and the assembly plan that addresses its values. ts
+// is scratch of length NumVertices.
+func stepOperator(c *mpi.Comm, rsd *Residual, part []int32, am *Matrix, q, ts []float64, cfl float64,
+	iluOpts ilu.Options, p *prof.Profiler, pool *par.Pool) (*Matrix, func(r, z []float64), error) {
 	if am == nil {
+		sp := p.Begin(prof.PhasePCSetup)
 		var err error
-		if am, err = NewMatrix(c, jac, part); err != nil {
-			sp.End(0, 0)
+		am, err = planOperator(c, rsd, part)
+		sp.End(0, 0)
+		if err != nil {
 			return nil, nil, err
 		}
 		am.Prof = p
 		am.SetPool(pool)
-		am.lb, am.lx = make([]float64, am.LocalN()), make([]float64, am.LocalN())
-	} else if err := am.Refresh(jac); err != nil {
-		sp.End(0, 0)
-		return nil, nil, err
 	}
+	jsp := p.Begin(prof.PhaseJacobian)
+	am.jac.Assemble(q, am.val)
+	am.jac.TimeScalesInto(q, ts)
+	// AddTimeDiagonal reads the scale of local row li at ts[li]; li never
+	// exceeds the row's global number, so the move down is safe in place.
+	for li, gr := range am.Owned {
+		ts[li] = ts[gr]
+	}
+	newton.AddTimeDiagonal(am.diag, ts, cfl)
+	jsp.End(am.jac.Flops(), am.jac.Bytes())
+	sp := p.Begin(prof.PhasePCSetup)
 	pcSolve, err := am.BlockJacobi(iluOpts)
-	sp.End(0, am.refreshBytes())
+	sp.End(0, 0) // the factorization is charged by its own span
 	return am, pcSolve, err
+}
+
+// planOperator builds the Matrix NewtonSolve assembles into: structure
+// and halo plan from the mesh graph, the assembly plan over its value
+// array, and the local right-hand side and correction.
+func planOperator(c *mpi.Comm, rsd *Residual, part []int32) (*Matrix, error) {
+	d := rsd.D
+	am, _, err := planMatrix(c, sparse.Graph{NV: d.M.NumVertices(), XAdj: d.M.XAdj, Adj: d.M.Adj}, true, d.Sys.B(), part)
+	if err != nil {
+		return nil, err
+	}
+	if am.jac, err = d.PlanLocalJacobian(rsd.ownedMask, am.block, am.sink()); err != nil {
+		return nil, err
+	}
+	am.lb, am.lx = make([]float64, am.LocalN()), make([]float64, am.LocalN())
+	return am, nil
 }

@@ -7,8 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"petscfun3d/internal/euler"
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mpi"
+	"petscfun3d/internal/newton"
 	"petscfun3d/internal/sparse"
 )
 
@@ -28,11 +30,11 @@ func bitsDiffer(got, want []float64) error {
 // values, one MulVec (a halo exchange each, posted collectively in the
 // same order on every rank) and one block Jacobi solve, all bit-equal.
 func sameOperator(got, want *Matrix, opts ilu.Options) error {
-	if err := bitsDiffer(got.local.Val, want.local.Val); err != nil {
-		return fmt.Errorf("local values: %w", err)
-	}
 	if err := bitsDiffer(got.diag.Val, want.diag.Val); err != nil {
 		return fmt.Errorf("diagonal-block values: %w", err)
+	}
+	if err := bitsDiffer(got.off.Val, want.off.Val); err != nil {
+		return fmt.Errorf("ghost-column values: %w", err)
 	}
 	n := want.LocalN()
 	x, yg, yw := make([]float64, n), make([]float64, n), make([]float64, n)
@@ -64,31 +66,66 @@ func sameOperator(got, want *Matrix, opts ilu.Options) error {
 	return nil
 }
 
-// TestMatrixRefreshBitwise: a distributed matrix built for one global
-// matrix and refreshed with another of the same pattern is bit-equal —
+// refreshCFL is the pseudo-time step of the operators these tests build.
+const refreshCFL = 25
+
+// shiftedJacobian is the sequential path's operator at q: the global
+// first-order Jacobian plus the pseudo-time diagonal.
+func shiftedJacobian(t testing.TB, d *euler.Discretization, q []float64) *sparse.BCSR {
+	t.Helper()
+	a := d.JacobianPattern()
+	if err := d.AssembleJacobian(q, a); err != nil {
+		t.Fatal(err)
+	}
+	newton.AddTimeDiagonal(a, d.TimeScales(q), refreshCFL)
+	return a
+}
+
+// secondState is another non-freestream state of q's shape.
+func secondState(q []float64) []float64 {
+	q2 := append([]float64(nil), q...)
+	for i := range q2 {
+		q2[i] += 0.03 * math.Cos(float64(i)*0.31)
+	}
+	return q2
+}
+
+// assembleAt runs one step's operator build on this rank: am (planned
+// when nil) assembled in place at q and its block Jacobi refactored.
+func assembleAt(c *mpi.Comm, rsd *Residual, part []int32, am *Matrix, q []float64, opts ilu.Options) (*Matrix, error) {
+	am, _, err := stepOperator(c, rsd, part, am, q, make([]float64, rsd.D.M.NumVertices()), refreshCFL, opts, nil, nil)
+	return am, err
+}
+
+// TestMatrixRefreshBitwise: a rank's matrix planned from the mesh graph,
+// assembled in place at one state and then at another, is bit-equal —
 // values, MulVec, block Jacobi solve — to a fresh NewMatrix of the
-// second, on 2 and 4 ranks, in both storage precisions; the refresh
-// keeps the halo plan and refactors the retained factorization.
+// sequential path's global operator at the second state, on 2 and 4
+// ranks, in both storage precisions; the second assembly keeps the halo
+// plan and refactors the retained factorization. And the other way
+// round: assembling in place into that NewMatrix, at the state its
+// values came from, changes no bit of it.
 func TestMatrixRefreshBitwise(t *testing.T) {
 	for _, nranks := range []int{2, 4} {
-		pr := buildTestProblem(t, 6, 5, 4, 4, nranks)
-		a2 := sparse.BlockPattern(pr.g, 4)
-		a2.FillDeterministic(53)
+		d, p, q1 := buildResidualProblem(t, 6, 5, 4, nranks)
+		q2 := secondState(q1)
+		a2 := shiftedJacobian(t, d, q2)
 		for _, single := range []bool{false, true} {
 			opts := ilu.Options{Level: 1, SinglePrecision: single}
 			err := mpi.Run(nranks, func(c *mpi.Comm) error {
-				m, err := NewMatrix(c, pr.a, pr.part.Part)
+				rsd, err := NewResidual(c, d, p.Part)
 				if err != nil {
 					return err
 				}
-				if _, err := m.BlockJacobi(opts); err != nil {
+				m, err := assembleAt(c, rsd, p.Part, nil, q1, opts)
+				if err != nil {
 					return err
 				}
 				plan, factors := m.halo, m.bj
-				if err := m.Refresh(a2); err != nil {
+				if _, err := assembleAt(c, rsd, p.Part, m, q2, opts); err != nil {
 					return err
 				}
-				fresh, err := NewMatrix(c, a2, pr.part.Part)
+				fresh, err := NewMatrix(c, a2, p.Part)
 				if err != nil {
 					return err
 				}
@@ -96,7 +133,17 @@ func TestMatrixRefreshBitwise(t *testing.T) {
 					return err
 				}
 				if m.halo != plan || m.bj != factors {
-					return fmt.Errorf("refresh replaced the halo plan or the retained factorization")
+					return fmt.Errorf("the second assembly replaced the halo plan or the retained factorization")
+				}
+				loaded := append([]float64(nil), fresh.val[:int(fresh.sink())*16]...)
+				if fresh.jac, err = d.PlanLocalJacobian(rsd.ownedMask, fresh.block, fresh.sink()); err != nil {
+					return err
+				}
+				if _, err := assembleAt(c, rsd, p.Part, fresh, q2, opts); err != nil {
+					return err
+				}
+				if err := bitsDiffer(fresh.val[:len(loaded)], loaded); err != nil {
+					return fmt.Errorf("in-place assembly over NewMatrix's values: %w", err)
 				}
 				return nil
 			}, mpi.Options{WatchdogTimeout: 60 * time.Second})
@@ -107,47 +154,47 @@ func TestMatrixRefreshBitwise(t *testing.T) {
 	}
 }
 
-// TestMatrixRefreshSingularPivotIsRecoverable: after a refresh whose
-// block Jacobi refactorization hits a singular pivot block (a structured
-// error on the rank that owns it), a refresh with a good matrix is
-// bit-equal to a fresh build.
+// TestMatrixRefreshSingularPivotIsRecoverable: after a block Jacobi
+// refactorization that hits a singular pivot block (a structured error
+// on the rank that owns it), the next in-place assembly is bit-equal to
+// a fresh build.
 func TestMatrixRefreshSingularPivotIsRecoverable(t *testing.T) {
 	const nranks = 2
-	pr := buildTestProblem(t, 6, 5, 4, 4, nranks)
-	a2 := sparse.BlockPattern(pr.g, 4)
-	a2.FillDeterministic(53)
-	// Global row 0 is local row 0 of its owner: no lower blocks, so its
-	// pivot is the zeroed block itself.
-	bad := &sparse.BCSR{NB: a2.NB, B: a2.B, RowPtr: a2.RowPtr, ColIdx: a2.ColIdx, Val: append([]float64(nil), a2.Val...)}
-	blk, ok := bad.BlockAt(0, 0)
-	if !ok {
-		t.Fatal("fixture: no diagonal block in row 0")
-	}
-	clear(blk)
+	d, p, q1 := buildResidualProblem(t, 6, 5, 4, nranks)
+	q2 := secondState(q1)
+	a2 := shiftedJacobian(t, d, q2)
 	opts := ilu.Options{Level: 0}
 	err := mpi.Run(nranks, func(c *mpi.Comm) error {
-		m, err := NewMatrix(c, pr.a, pr.part.Part)
+		rsd, err := NewResidual(c, d, p.Part)
 		if err != nil {
 			return err
 		}
-		if _, err := m.BlockJacobi(opts); err != nil {
+		m, err := assembleAt(c, rsd, p.Part, nil, q1, opts)
+		if err != nil {
 			return err
 		}
-		if err := m.Refresh(bad); err != nil {
-			return err
+		// Global row 0 is local row 0 of its owner: no lower blocks, so
+		// its pivot is the zeroed block itself.
+		owner := int(p.Part[0]) == c.Rank()
+		if owner {
+			blk, ok := m.diag.BlockAt(0, 0)
+			if !ok {
+				return fmt.Errorf("fixture: no diagonal block in row 0")
+			}
+			clear(blk)
 		}
 		_, err = m.BlockJacobi(opts)
-		if owner := int(pr.part.Part[0]) == c.Rank(); owner {
+		if owner {
 			if err == nil || !strings.Contains(err.Error(), "singular pivot block at row 0") {
 				return fmt.Errorf("zeroed diagonal block gave %v, want a singular-pivot error naming row 0", err)
 			}
 		} else if err != nil {
 			return err
 		}
-		if err := m.Refresh(a2); err != nil {
+		if _, err := assembleAt(c, rsd, p.Part, m, q2, opts); err != nil {
 			return err
 		}
-		fresh, err := NewMatrix(c, a2, pr.part.Part)
+		fresh, err := NewMatrix(c, a2, p.Part)
 		if err != nil {
 			return err
 		}
@@ -158,27 +205,31 @@ func TestMatrixRefreshSingularPivotIsRecoverable(t *testing.T) {
 	}
 }
 
-// TestMatrixRefreshRejectsOtherPattern: matrices of another shape, or
-// with one column moved, are errors (raised before anything is copied
-// or sent).
+// TestMatrixRefreshRejectsOtherPattern: in-place assembly addresses the
+// blocks of the mesh graph, so planning it over a Matrix that lacks one
+// of them is an error (raised before anything is written).
 func TestMatrixRefreshRejectsOtherPattern(t *testing.T) {
-	pr := buildTestProblem(t, 6, 5, 4, 4, 2)
-	moved := &sparse.BCSR{NB: pr.a.NB, B: pr.a.B, RowPtr: pr.a.RowPtr, ColIdx: append([]int32(nil), pr.a.ColIdx...), Val: pr.a.Val}
-	moved.ColIdx[moved.RowPtr[1]-1]++
-	others := map[string]*sparse.BCSR{
-		"other NB":         buildTestProblem(t, 5, 5, 4, 4, 2).a,
-		"other B":          buildTestProblem(t, 6, 5, 4, 5, 2).a,
-		"one column moved": moved,
-	}
+	d, p, q := buildResidualProblem(t, 6, 5, 4, 2)
+	a := shiftedJacobian(t, d, q)
+	// Row 1 loses its last column to the next free one.
+	moved := &sparse.BCSR{NB: a.NB, B: a.B, RowPtr: a.RowPtr, ColIdx: append([]int32(nil), a.ColIdx...), Val: a.Val}
+	moved.ColIdx[moved.RowPtr[2]-1]++
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		m, err := NewMatrix(c, pr.a, pr.part.Part)
+		rsd, err := NewResidual(c, d, p.Part)
 		if err != nil {
 			return err
 		}
-		for name, other := range others {
-			if err := m.Refresh(other); err == nil || !strings.Contains(err.Error(), "pattern mismatch") {
-				return fmt.Errorf("%s: Refresh returned %v, want a pattern-mismatch error", name, err)
+		m, err := NewMatrix(c, moved, p.Part)
+		if err != nil {
+			return err
+		}
+		_, err = d.PlanLocalJacobian(rsd.ownedMask, m.block, m.sink())
+		if owner := int(p.Part[1]) == c.Rank(); owner {
+			if err == nil || !strings.Contains(err.Error(), "missing from the rank's matrix") {
+				return fmt.Errorf("one column moved: plan returned %v, want a missing-block error", err)
 			}
+		} else if err != nil {
+			return err
 		}
 		return nil
 	}, mpi.Options{WatchdogTimeout: 60 * time.Second})
@@ -187,26 +238,33 @@ func TestMatrixRefreshRejectsOtherPattern(t *testing.T) {
 	}
 }
 
-// TestMatrixRefreshSteadyStateAllocs: Refresh allocates nothing. One
-// rank, so no peer goroutine's allocations are counted.
+// TestMatrixRefreshSteadyStateAllocs: a step's operator build past the
+// first — in-place assembly and refactorization — allocates only the
+// preconditioner closure it returns. One rank, so no peer goroutine's
+// allocations are counted.
 func TestMatrixRefreshSteadyStateAllocs(t *testing.T) {
-	pr := buildTestProblem(t, 6, 5, 4, 4, 1)
+	d, p, q := buildResidualProblem(t, 6, 5, 4, 1)
 	err := mpi.Run(1, func(c *mpi.Comm) error {
-		m, err := NewMatrix(c, pr.a, pr.part.Part)
+		rsd, err := NewResidual(c, d, p.Part)
 		if err != nil {
 			return err
 		}
-		var refreshErr error
+		ts := make([]float64, d.M.NumVertices())
+		m, _, err := stepOperator(c, rsd, p.Part, nil, q, ts, refreshCFL, ilu.Options{}, nil, nil)
+		if err != nil {
+			return err
+		}
+		var stepErr error
 		avg := testing.AllocsPerRun(10, func() {
-			if err := m.Refresh(pr.a); err != nil {
-				refreshErr = err
+			if _, _, err := stepOperator(c, rsd, p.Part, m, q, ts, refreshCFL, ilu.Options{}, nil, nil); err != nil {
+				stepErr = err
 			}
 		})
-		if refreshErr != nil {
-			return refreshErr
+		if stepErr != nil {
+			return stepErr
 		}
-		if avg > 0 {
-			return fmt.Errorf("Refresh allocates %.1f objects per call", avg)
+		if avg > 1 {
+			return fmt.Errorf("a later step's operator build allocates %.1f objects, want the returned closure alone", avg)
 		}
 		return nil
 	}, mpi.Options{WatchdogTimeout: 60 * time.Second})
@@ -215,8 +273,8 @@ func TestMatrixRefreshSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestNewtonRefreshMatchesRebuild: the steady-state solve (one
-// NewMatrix, then Refresh + Refactor each step) produces a residual
+// TestNewtonRefreshMatchesRebuild: the steady-state solve (one plan,
+// then in-place assembly + Refactor each step) produces a residual
 // history bit-equal to a solve that drops and rebuilds the matrix —
 // plan negotiation included — before every step's successful attempt,
 // which is what a failed attempt forces. 2 and 4 ranks.
@@ -252,37 +310,36 @@ func TestNewtonRefreshMatchesRebuild(t *testing.T) {
 		}
 		for r := range hists {
 			if err := bitsDiffer(hists[r], steady); err != nil {
-				t.Fatalf("%d ranks, rank %d: rebuilt-every-step history vs refreshed: %v", nranks, r, err)
+				t.Fatalf("%d ranks, rank %d: rebuilt-every-step history vs reassembled in place: %v", nranks, r, err)
 			}
 		}
 	}
 }
 
 // TestStepOperatorBuildsOnce: the Newton driver's operator is built —
-// and its halo plan negotiated — by the first call only; later calls
-// reload the same Matrix.
+// its halo plan negotiated, its assembly planned — by the first call
+// only; later calls reassemble the same Matrix.
 func TestStepOperatorBuildsOnce(t *testing.T) {
-	pr := buildTestProblem(t, 6, 5, 4, 4, 2)
-	a2 := sparse.BlockPattern(pr.g, 4)
-	a2.FillDeterministic(53)
+	d, p, q1 := buildResidualProblem(t, 6, 5, 4, 2)
+	q2 := secondState(q1)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		first, _, err := stepOperator(c, pr.a, pr.part.Part, nil, ilu.Options{}, nil, nil)
+		rsd, err := NewResidual(c, d, p.Part)
 		if err != nil {
 			return err
 		}
-		plan := first.halo
-		second, _, err := stepOperator(c, a2, pr.part.Part, first, ilu.Options{}, nil, nil)
+		first, err := assembleAt(c, rsd, p.Part, nil, q1, ilu.Options{})
 		if err != nil {
 			return err
 		}
-		if second != first || second.halo != plan {
-			return fmt.Errorf("second step rebuilt the matrix or its halo plan")
-		}
-		fresh, err := NewMatrix(c, a2, pr.part.Part)
+		halo, jac, val := first.halo, first.jac, &first.val[0]
+		second, err := assembleAt(c, rsd, p.Part, first, q2, ilu.Options{})
 		if err != nil {
 			return err
 		}
-		return sameOperator(second, fresh, ilu.Options{})
+		if second != first || second.halo != halo || second.jac != jac || &second.val[0] != val {
+			return fmt.Errorf("the second step rebuilt the matrix, its halo plan, its assembly plan or its values")
+		}
+		return nil
 	}, mpi.Options{WatchdogTimeout: 60 * time.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -1,73 +1,57 @@
 package dist
 
-import (
-	"petscfun3d/internal/par"
-	"petscfun3d/internal/sparse"
-)
+import "petscfun3d/internal/par"
 
-// Node-level threading of the rank-local kernels: the interior and
-// boundary row sets of the overlapped SpMV are cut into one contiguous
-// stripe per worker, with stripe boundaries balanced by stored-block
-// count so skewed boundary rows do not serialize the sweep. Each owned
-// row is written by exactly one worker with the sequential per-row
-// kernel, so the product — and therefore the whole hybrid
-// ranks×threads residual history — is bitwise identical to the
-// sequential run.
+// Node-level threading of the rank-local kernels. The diagonal block's
+// product is sparse.BCSR.MulVecPar's; the boundary rows of the
+// ghost-column pass are cut into one contiguous stripe per worker, with
+// stripe boundaries balanced by stored-block count so skewed rows do
+// not serialize the sweep. Each owned row is written by exactly one
+// worker with the sequential per-row kernel, so the product — and
+// therefore the whole hybrid ranks×threads residual history — is
+// bitwise identical to the sequential run.
 
 // SetPool attaches a node-level worker pool to this rank's kernels
 // (SpMV stripes, triangular solves, reductions) and precomputes the
-// nonzero-balanced stripe bounds. A nil pool restores sequential
-// execution. The pool serves one rank: in a multi-rank world each rank
-// goroutine needs its own pool.
+// nonzero-balanced stripe bounds of the boundary rows. A nil pool
+// restores sequential execution. The pool serves one rank: in a
+// multi-rank world each rank goroutine needs its own pool.
 func (m *Matrix) SetPool(p *par.Pool) {
-	m.pool = p
-	nw := p.Workers()
-	if nw == 1 {
-		m.intBounds, m.bndBounds = nil, nil
-		return
+	m.pool, m.bndBounds = p, nil
+	if nw := p.Workers(); nw > 1 {
+		prefix := make([]int32, len(m.boundary)+1)
+		for i, r := range m.boundary {
+			prefix[i+1] = prefix[i] + (m.off.RowPtr[r+1] - m.off.RowPtr[r])
+		}
+		m.bndBounds = make([]int32, nw+1)
+		par.Stripes(prefix, nw, m.bndBounds)
 	}
-	m.intBounds = stripeRows(m.local, m.interior, nw)
-	m.bndBounds = stripeRows(m.local, m.boundary, nw)
 }
 
-// stripeRows cuts a row list into nw contiguous stripes balanced by the
-// rows' stored-block counts.
-func stripeRows(a *sparse.BCSR, rows []int32, nw int) []int32 {
-	prefix := make([]int32, len(rows)+1)
-	for i, r := range rows {
-		prefix[i+1] = prefix[i] + (a.RowPtr[r+1] - a.RowPtr[r])
-	}
-	bounds := make([]int32, nw+1)
-	par.Stripes(prefix, nw, bounds)
-	return bounds
-}
-
-// mulRows runs one row set of the overlapped product — striped over the
-// pool when one is attached, sequentially otherwise.
-func (m *Matrix) mulRows(rows []int32, bounds []int32, x, y []float64) {
-	if m.pool.Workers() == 1 || len(bounds) == 0 {
-		m.local.MulVecRows(rows, x, y)
+// addGhostColumns resumes y += off·x over the boundary rows — striped
+// over the pool when one is attached, sequentially otherwise.
+func (m *Matrix) addGhostColumns(x, y []float64) {
+	if len(m.bndBounds) == 0 {
+		m.off.MulVecAddRows(m.boundary, x, y)
 		return
 	}
 	t := &m.rowsT
-	t.m, t.rows, t.bounds, t.x, t.y = m, rows, bounds, x, y
+	t.m, t.x, t.y = m, x, y
 	m.pool.Run(t)
-	t.rows, t.bounds, t.x, t.y = nil, nil, nil, nil
+	t.x, t.y = nil, nil
 }
 
-// rowsTask is the reusable pool task of mulRows: one nonzero-balanced
-// stripe of the row list per worker.
+// rowsTask is the reusable pool task of addGhostColumns: one
+// nonzero-balanced stripe of the boundary rows per worker.
 type rowsTask struct {
-	m      *Matrix
-	rows   []int32
-	bounds []int32
-	x, y   []float64
+	m    *Matrix
+	x, y []float64
 }
 
 // RunShard implements par.Task.
 func (t *rowsTask) RunShard(w, nw int) {
-	lo, hi := t.bounds[w], t.bounds[w+1]
-	if lo < hi {
-		t.m.local.MulVecRows(t.rows[lo:hi], t.x, t.y)
+	m := t.m
+	if lo, hi := m.bndBounds[w], m.bndBounds[w+1]; lo < hi {
+		m.off.MulVecAddRows(m.boundary[lo:hi], t.x, t.y)
 	}
 }

@@ -61,7 +61,8 @@ func PrivateGatherBytes(extra, n int64) int64 { return 24 * extra * n }
 func JacobianAssemblyFlops(b int) int64 { return int64(12 * b * b) }
 
 // JacobianAssemblyBytes estimates per-edge traffic of assembly: four
-// b×b block read-modify-writes.
+// b×b blocks read and written — the two stored off-diagonal blocks as
+// well, whose lines a write-allocating cache reads before the store.
 func JacobianAssemblyBytes(b int) int64 { return int64(4 * 2 * 8 * b * b) }
 
 // SweepFlops is the flop count of one residual evaluation on this
@@ -103,4 +104,15 @@ func (d *Discretization) jacobianFlops() int64 {
 // jacobianBytes is the memory traffic of one Jacobian assembly.
 func (d *Discretization) jacobianBytes() int64 {
 	return int64(len(d.edges)) * JacobianAssemblyBytes(d.Sys.B())
+}
+
+// Flops is the flop count of one Assemble: the assembly's per-edge work
+// over the plan's edges.
+func (p *LocalJacobian) Flops() int64 {
+	return int64(len(p.plan.idx)) * JacobianAssemblyFlops(p.d.Sys.B())
+}
+
+// Bytes is the memory traffic of one Assemble.
+func (p *LocalJacobian) Bytes() int64 {
+	return int64(len(p.plan.idx)) * JacobianAssemblyBytes(p.d.Sys.B())
 }

@@ -287,23 +287,7 @@ func (d *Discretization) TimeScales(q []float64) []float64 {
 // TimeScalesInto is TimeScales into out, which must have length
 // NumVertices; it is overwritten.
 func (d *Discretization) TimeScalesInto(q, out []float64) {
-	bk := d.M.BKind
-	out = out[:len(bk)]                // bce: ties len(out) to len(bk); the vertex index serves both unchecked
-	ba := d.Geo.BoundaryArea[:len(bk)] // bce: ties len(ba) to len(bk) the same way
-	for i := range out {
-		out[i] = 0
-	}
-	d.timeScaleEdges(q, out)
-	ws := d.getWS()
-	qa := ws.qa[:d.Sys.B()]
-	for v, kind := range bk {
-		if kind == mesh.BNone {
-			continue
-		}
-		d.gather(q, int32(v), qa) //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
-		out[v] += d.Sys.SpectralRadius(qa, ba[v])
-	}
-	d.putWS(ws)
+	d.timeScales(&d.jac, q, out)
 	// Viscous stiffness: the diffusion operator's diagonal weight joins
 	// the pseudo-timestep scale so the continuation stays robust when
 	// diffusion dominates convection.
@@ -320,4 +304,27 @@ func (d *Discretization) TimeScalesInto(q, out []float64) {
 			out[e.b] += w //lint:bce-ok the accumulation scatters through the edge endpoints; both are data-dependent
 		}
 	}
+}
+
+// timeScales overwrites out (length NumVertices) with the spectral-radius
+// sums of the plan's edges and of the boundary faces of the plan's rows.
+// A row outside the plan is left with the partial sum of the swept edges
+// that touch it.
+func (d *Discretization) timeScales(p *jacobianPlan, q, out []float64) {
+	bk := d.M.BKind
+	out = out[:len(bk)]                // bce: ties len(out) to len(bk); the vertex index serves both unchecked
+	ba := d.Geo.BoundaryArea[:len(bk)] // bce: ties len(ba) to len(bk) the same way
+	diag := p.diag[:len(bk)]           // bce: and len(diag)
+	clear(out)
+	d.timeScaleEdges(p.idx, q, out)
+	ws := d.getWS()
+	qa := ws.qa[:d.Sys.B()]
+	for v, kind := range bk {
+		if kind == mesh.BNone || diag[v] == p.sink {
+			continue
+		}
+		d.gather(q, int32(v), qa) //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
+		out[v] += d.Sys.SpectralRadius(qa, ba[v])
+	}
+	d.putWS(ws)
 }

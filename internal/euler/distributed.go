@@ -1,6 +1,11 @@
 package euler
 
-import "petscfun3d/internal/mesh"
+import (
+	"fmt"
+
+	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/sparse"
+)
 
 // Distributed-residual entry points: the edge loop split by vertex
 // ownership so a partitioned caller (internal/dist) can overlap the
@@ -83,3 +88,75 @@ func (d *Discretization) BoundaryResidualMasked(q, r []float64, owned []bool) {
 	}
 	d.putWS(ws)
 }
+
+// LocalJacobian is one rank's plan for assembling the first-order
+// Jacobian rows it owns straight into its own value array: the flux
+// edges with an owned endpoint, ascending, and where their blocks go.
+// Ascending edge order makes the owned rows bitwise AssembleJacobian's:
+// an owned diagonal block sums the same edges in the same order, an
+// owned off-diagonal block is its one edge's. Blocks of rows the rank
+// does not own all land in one sink block the caller sets aside and
+// never reads. Read-only once built, like the Discretization's own plan.
+type LocalJacobian struct {
+	d    *Discretization
+	plan jacobianPlan
+}
+
+// PlanLocalJacobian plans the rows marked in owned (length NumVertices).
+// block(i, j) is the block of the caller's value array that holds entry
+// (i, j) of an owned row i — j is i or a mesh neighbor of i — and false
+// when the array has none; sink is the block set aside for every other
+// row. Inviscid interlaced discretizations only, like the
+// distributed residual.
+func (d *Discretization) PlanLocalJacobian(owned []bool, block func(i, j int32) (int32, bool), sink int32) (*LocalJacobian, error) {
+	if d.Opts.Layout != sparse.Interlaced || d.Opts.Viscosity != 0 {
+		return nil, fmt.Errorf("euler: rank-local Jacobian assembly requires the inviscid interlaced discretization")
+	}
+	nv := d.M.NumVertices()
+	if len(owned) != nv {
+		return nil, fmt.Errorf("euler: ownership mask length %d for %d vertices", len(owned), nv)
+	}
+	var missing error
+	at := func(i, j int32) int32 {
+		if !owned[i] {
+			return sink
+		}
+		k, ok := block(i, j)
+		if !ok && missing == nil {
+			missing = fmt.Errorf("euler: Jacobian block (%d,%d) missing from the rank's matrix", i, j)
+		}
+		return k
+	}
+	n := 0
+	for ei := range d.edges {
+		if e := &d.edges[ei]; owned[e.a] || owned[e.b] {
+			n++
+		}
+	}
+	p := jacobianPlan{idx: make([]int32, 0, n), ab: make([]int32, 0, n), ba: make([]int32, 0, n),
+		diag: make([]int32, nv), sink: sink}
+	for v := range p.diag {
+		p.diag[v] = at(int32(v), int32(v))
+	}
+	for ei := range d.edges {
+		if e := &d.edges[ei]; owned[e.a] || owned[e.b] {
+			p.idx = append(p.idx, int32(ei))  //lint:alloc-ok appends into capacity preallocated to the exact edge count
+			p.ab = append(p.ab, at(e.a, e.b)) //lint:alloc-ok appends into capacity preallocated to the exact edge count
+			p.ba = append(p.ba, at(e.b, e.a)) //lint:alloc-ok appends into capacity preallocated to the exact edge count
+		}
+	}
+	if missing != nil {
+		return nil, missing
+	}
+	return &LocalJacobian{d: d, plan: p}, nil
+}
+
+// Assemble overwrites val — the whole array the plan addresses, sink
+// included — with the Jacobian at q (global length, owned and ghost
+// entries current).
+func (p *LocalJacobian) Assemble(q, val []float64) { p.d.assemble(&p.plan, q, val) }
+
+// TimeScalesInto is Discretization.TimeScalesInto for the owned
+// vertices: out (length NumVertices) is overwritten, and only its owned
+// entries mean anything afterwards.
+func (p *LocalJacobian) TimeScalesInto(q, out []float64) { p.d.timeScales(&p.plan, q, out) }

@@ -16,14 +16,20 @@ func (d *Discretization) JacobianPattern() *sparse.BCSR {
 	return sparse.BlockPattern(g, d.Sys.B())
 }
 
-// jacobianPlan holds where each edge's and each vertex's blocks sit in
-// JacobianPattern's value array, as block indices: row v of the pattern
-// is the sorted neighbors of v with v itself inserted, and starts at
-// block XAdj[v]+v. Built once by NewDiscretization; AssembleJacobian
-// then needs no search per edge.
+// jacobianPlan holds where each swept edge's and each vertex's blocks
+// sit in a value array, as block indices, so assembly needs no search
+// per edge. The plan of the whole matrix (planJacobian, built once by
+// NewDiscretization) sweeps every edge into JacobianPattern's array:
+// row v of the pattern is the sorted neighbors of v with v itself
+// inserted, and starts at block XAdj[v]+v. A rank's plan
+// (PlanLocalJacobian) sweeps the edges that touch a row it owns into
+// the caller's array, every block of a row it does not own landing in
+// one sink block, so the edge loop is the same branch-free loop.
 type jacobianPlan struct {
-	ab, ba []int32 // per flux edge: blocks (a,b) and (b,a)
+	idx    []int32 // swept flux edges, ascending; nil: every edge
+	ab, ba []int32 // per swept edge: blocks (a,b) and (b,a)
 	diag   []int32 // per vertex: block (v,v)
+	sink   int32   // where rows outside the plan land; -1 when it covers every row
 	nnzb   int
 	err    error // set when an edge's endpoints are not adjacent in the mesh graph
 }
@@ -34,6 +40,7 @@ func planJacobian(m *mesh.Mesh, edges []edgeData) jacobianPlan {
 		ab:   make([]int32, len(edges)),
 		ba:   make([]int32, len(edges)),
 		diag: make([]int32, nv),
+		sink: -1,
 		nnzb: len(m.Adj) + nv,
 	}
 	for v := 0; v < nv; v++ {
@@ -91,28 +98,42 @@ func (d *Discretization) AssembleJacobian(q []float64, a *sparse.BCSR) error {
 	}
 	sp := prof.Begin(prof.PhaseJacobian)
 	defer sp.End(d.jacobianFlops(), d.jacobianBytes())
-	for i := range a.Val {
-		a.Val[i] = 0
+	d.assemble(&d.jac, q, a.Val)
+	if d.Opts.Viscosity > 0 {
+		d.addDiffusionJacobian(a)
 	}
-	// dH/dqa = ½ A(qa)·S + ½λI ; dH/dqb = ½ A(qb)·S − ½λI
-	// (dissipation coefficient frozen, the standard approximation).
+	return nil
+}
+
+// assemble writes the first-order flux Jacobian at q into the plan's
+// blocks of val: dH/dqa = ½ A(qa)·S + ½λI, dH/dqb = ½ A(qb)·S − ½λI
+// (dissipation coefficient frozen, the standard approximation) over the
+// plan's edges, then the boundary closure of the plan's rows. val is the
+// plan's whole array and is zeroed first: every block accumulates. (An
+// off-diagonal block has one edge and could be stored instead, saving
+// the zero fill; measured, that wins on a matrix larger than the last
+// cache level and loses on one inside it, where the fill is what brings
+// the lines in — EXPERIMENTS.md, "The Jacobian in one pass".)
+func (d *Discretization) assemble(p *jacobianPlan, q, val []float64) {
+	b := d.Sys.B()
+	bb := b * b
+	clear(val)
 	switch sys := d.Sys.(type) {
 	case *Incompressible:
-		jacEdges4(sys, d.edges, d.jac.ab, d.jac.ba, diag, q, a.Val)
+		jacEdges4(sys, d.edges, p.idx, p.ab, p.ba, p.diag, q, val)
 	case *Compressible:
-		jacEdges5(sys, d.edges, d.jac.ab, d.jac.ba, diag, q, a.Val)
+		jacEdges5(sys, d.edges, p.idx, p.ab, p.ba, p.diag, q, val)
 	}
 	// Boundary fluxes, through the interface like the residual's closure.
 	ws := d.getWS()
-	qa, jl := ws.qa[:b], ws.jac[:b*b]
-	for v := int32(0); v < int32(d.M.NumVertices()); v++ {
-		kind := d.M.BKind[v]
-		if kind == mesh.BNone {
+	qa, jl := ws.qa[:b], ws.jac[:bb]
+	for v, kind := range d.M.BKind {
+		if kind == mesh.BNone || p.diag[v] == p.sink {
 			continue
 		}
 		s := d.Geo.BoundaryArea[v]
-		d.gather(q, v, qa)
-		dst := a.Block(int(diag[v]))
+		d.gather(q, int32(v), qa)
+		dst := val[int(p.diag[v])*bb:][:bb]
 		switch kind {
 		case mesh.BInflow, mesh.BOutflow:
 			lam := d.Sys.SpectralRadius(qa, s)
@@ -134,22 +155,27 @@ func (d *Discretization) AssembleJacobian(q []float64, a *sparse.BCSR) error {
 		}
 	}
 	d.putWS(ws)
-	if d.Opts.Viscosity > 0 {
-		d.addDiffusionJacobian(a)
-	}
-	return nil
 }
 
-// jacEdges4 and jacEdges5 accumulate every edge's four blocks: r_a += H
-// and r_b −= H, so (a,a) and (b,a) take ±∂H/∂qa, (a,b) and (b,b) take
-// ±∂H/∂qb. The physical Jacobian and the spectral radius are the
-// system's own methods called on its concrete type — static calls on
-// stack blocks, one copy of the analytical Jacobian — and the block
-// positions come from the plan. Interlaced state only.
-func jacEdges4(sys *Incompressible, edges []edgeData, ab, ba, diag []int32, q, val []float64) {
+// jacEdges4 and jacEdges5 accumulate every swept edge's four blocks:
+// r_a += H and r_b −= H, so (a,a) and (b,a) take ±∂H/∂qa, (a,b) and
+// (b,b) take ±∂H/∂qb. The physical Jacobian and the spectral radius are
+// the system's own methods called on its concrete type — static calls
+// on stack blocks, one copy of the analytical Jacobian — and the block
+// positions come from the plan (idx as in the flux kernels: nil sweeps
+// every edge). Interlaced state only.
+func jacEdges4(sys *Incompressible, edges []edgeData, idx, ab, ba, diag []int32, q, val []float64) {
 	var jl, jr [16]float64
-	ab, ba = ab[:len(edges)], ba[:len(edges)]
-	for ei := range edges {
+	n := len(edges)
+	if idx != nil {
+		n = len(idx)
+	}
+	ab, ba = ab[:n], ba[:n]
+	for k := 0; k < n; k++ {
+		ei := k
+		if idx != nil {
+			ei = int(idx[k])
+		}
 		e := &edges[ei]
 		qa, qb := q[int(e.a)*4:int(e.a)*4+4], q[int(e.b)*4:int(e.b)*4+4]
 		lam := sys.SpectralRadius(qa, e.n)
@@ -158,9 +184,9 @@ func jacEdges4(sys *Incompressible, edges []edgeData, ab, ba, diag []int32, q, v
 		}
 		sys.PhysJacobian(qa, e.n, jl[:])
 		sys.PhysJacobian(qb, e.n, jr[:])
-		for k := range jl {
-			jl[k] *= 0.5
-			jr[k] *= 0.5
+		for i := range jl {
+			jl[i] *= 0.5
+			jr[i] *= 0.5
 		}
 		for c := 0; c < 16; c += 5 {
 			jl[c] += 0.5 * lam
@@ -168,21 +194,29 @@ func jacEdges4(sys *Incompressible, edges []edgeData, ab, ba, diag []int32, q, v
 		}
 		aa := val[int(diag[e.a])*16:][:16]
 		bb := val[int(diag[e.b])*16:][:16]
-		vab := val[int(ab[ei])*16:][:16]
-		vba := val[int(ba[ei])*16:][:16]
-		for k := range jl {
-			aa[k] += jl[k]
-			vab[k] += jr[k]
-			vba[k] -= jl[k]
-			bb[k] -= jr[k]
+		vab := val[int(ab[k])*16:][:16]
+		vba := val[int(ba[k])*16:][:16]
+		for i := range jl {
+			aa[i] += jl[i]
+			vab[i] += jr[i]
+			vba[i] -= jl[i]
+			bb[i] -= jr[i]
 		}
 	}
 }
 
-func jacEdges5(sys *Compressible, edges []edgeData, ab, ba, diag []int32, q, val []float64) {
+func jacEdges5(sys *Compressible, edges []edgeData, idx, ab, ba, diag []int32, q, val []float64) {
 	var jl, jr [25]float64
-	ab, ba = ab[:len(edges)], ba[:len(edges)]
-	for ei := range edges {
+	n := len(edges)
+	if idx != nil {
+		n = len(idx)
+	}
+	ab, ba = ab[:n], ba[:n]
+	for k := 0; k < n; k++ {
+		ei := k
+		if idx != nil {
+			ei = int(idx[k])
+		}
 		e := &edges[ei]
 		qa, qb := q[int(e.a)*5:int(e.a)*5+5], q[int(e.b)*5:int(e.b)*5+5]
 		lam := sys.SpectralRadius(qa, e.n)
@@ -191,9 +225,9 @@ func jacEdges5(sys *Compressible, edges []edgeData, ab, ba, diag []int32, q, val
 		}
 		sys.PhysJacobian(qa, e.n, jl[:])
 		sys.PhysJacobian(qb, e.n, jr[:])
-		for k := range jl {
-			jl[k] *= 0.5
-			jr[k] *= 0.5
+		for i := range jl {
+			jl[i] *= 0.5
+			jr[i] *= 0.5
 		}
 		for c := 0; c < 25; c += 6 {
 			jl[c] += 0.5 * lam
@@ -201,13 +235,13 @@ func jacEdges5(sys *Compressible, edges []edgeData, ab, ba, diag []int32, q, val
 		}
 		aa := val[int(diag[e.a])*25:][:25]
 		bb := val[int(diag[e.b])*25:][:25]
-		vab := val[int(ab[ei])*25:][:25]
-		vba := val[int(ba[ei])*25:][:25]
-		for k := range jl {
-			aa[k] += jl[k]
-			vab[k] += jr[k]
-			vba[k] -= jl[k]
-			bb[k] -= jr[k]
+		vab := val[int(ab[k])*25:][:25]
+		vba := val[int(ba[k])*25:][:25]
+		for i := range jl {
+			aa[i] += jl[i]
+			vab[i] += jr[i]
+			vba[i] -= jl[i]
+			bb[i] -= jr[i]
 		}
 	}
 }

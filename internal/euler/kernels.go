@@ -154,15 +154,15 @@ func fluxEdges5(gamma float64, edges []edgeData, idx []int32, q, r []float64, sv
 	}
 }
 
-// timeScaleEdges adds each edge's larger spectral radius to both of its
-// endpoints in out.
-func (d *Discretization) timeScaleEdges(q, out []float64) {
+// timeScaleEdges adds each selected edge's larger spectral radius to
+// both of its endpoints in out.
+func (d *Discretization) timeScaleEdges(idx []int32, q, out []float64) {
 	sv, sc := d.strides()
 	switch sys := d.Sys.(type) {
 	case *Incompressible:
-		timeScaleEdges4(sys, d.edges, q, out, sv, sc)
+		timeScaleEdges4(sys, d.edges, idx, q, out, sv, sc)
 	case *Compressible:
-		timeScaleEdges5(sys, d.edges, q, out, sv, sc)
+		timeScaleEdges5(sys, d.edges, idx, q, out, sv, sc)
 	default:
 		//lint:panic-ok internal invariant: NewDiscretization rejects systems without an edge kernel
 		panic("euler: timeScaleEdges: unknown system")
@@ -172,10 +172,18 @@ func (d *Discretization) timeScaleEdges(q, out []float64) {
 // timeScaleEdges4 and timeScaleEdges5 call the system's own
 // SpectralRadius on its concrete type — a static call on stack states,
 // the same arithmetic the flux kernels write out.
-func timeScaleEdges4(sys *Incompressible, edges []edgeData, q, out []float64, sv, sc int) {
+func timeScaleEdges4(sys *Incompressible, edges []edgeData, idx []int32, q, out []float64, sv, sc int) {
 	var qa, qb [4]float64
-	for i := range edges {
-		e := &edges[i]
+	n := len(edges)
+	if idx != nil {
+		n = len(idx)
+	}
+	for k := 0; k < n; k++ {
+		ei := k
+		if idx != nil {
+			ei = int(idx[k])
+		}
+		e := &edges[ei]
 		ia, ib := int(e.a)*sv, int(e.b)*sv
 		for c := range qa {
 			qa[c], qb[c] = q[ia+c*sc], q[ib+c*sc] //lint:bce-ok gather through the edge endpoint and the layout strides is data-dependent
@@ -189,10 +197,18 @@ func timeScaleEdges4(sys *Incompressible, edges []edgeData, q, out []float64, sv
 	}
 }
 
-func timeScaleEdges5(sys *Compressible, edges []edgeData, q, out []float64, sv, sc int) {
+func timeScaleEdges5(sys *Compressible, edges []edgeData, idx []int32, q, out []float64, sv, sc int) {
 	var qa, qb [5]float64
-	for i := range edges {
-		e := &edges[i]
+	n := len(edges)
+	if idx != nil {
+		n = len(idx)
+	}
+	for k := 0; k < n; k++ {
+		ei := k
+		if idx != nil {
+			ei = int(idx[k])
+		}
+		e := &edges[ei]
 		ia, ib := int(e.a)*sv, int(e.b)*sv
 		for c := range qa {
 			qa[c], qb[c] = q[ia+c*sc], q[ib+c*sc] //lint:bce-ok gather through the edge endpoint and the layout strides is data-dependent

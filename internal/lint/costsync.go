@@ -104,10 +104,10 @@ var costChecks = []coefCheck{
 	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVec5", totalLoops: 1,
 		formula:  "BCSR.MulVecFlops",
 		countVar: "ColIdx", env: map[string]int64{"B": 5}},
-	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVecRows4", totalLoops: 1,
+	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVecAddRows4", totalLoops: 1,
 		formula:  "MulVecRowsFlops",
 		countVar: "nnzBlocks", env: map[string]int64{"b": 4}},
-	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVecRows5", totalLoops: 1,
+	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVecAddRows5", totalLoops: 1,
 		formula:  "MulVecRowsFlops",
 		countVar: "nnzBlocks", env: map[string]int64{"b": 5}},
 
@@ -226,6 +226,14 @@ var equivChecks = []equivCheck{
 	{pkg: "petscfun3d/internal/euler",
 		fnA: "Discretization.SweepFlops", envA: map[string]int64{"edges": 7, "B": 5},
 		fnB: "EdgeSubsetFlops", envB: map[string]int64{"nEdges": 7, "b": 5}},
+	// A rank's in-place assembly charges per edge what the full assembly
+	// charges.
+	{pkg: "petscfun3d/internal/euler",
+		fnA: "Discretization.jacobianFlops", envA: map[string]int64{"edges": 7, "B": 5},
+		fnB: "LocalJacobian.Flops", envB: map[string]int64{"idx": 7, "B": 5}},
+	{pkg: "petscfun3d/internal/euler",
+		fnA: "Discretization.jacobianBytes", envA: map[string]int64{"edges": 7, "B": 5},
+		fnB: "LocalJacobian.Bytes", envB: map[string]int64{"idx": 7, "B": 5}},
 	// Likewise the row-subset matvec against the full matvec.
 	{pkg: "petscfun3d/internal/sparse",
 		fnA: "BCSR.MulVecFlops", envA: map[string]int64{"ColIdx": 123, "B": 4},

@@ -126,31 +126,33 @@ func (a *BCSR) mulVec5(lo, hi int, x, y []float64) {
 	}
 }
 
-// MulVecRows computes y[i] = (A x)[i] for the listed block rows only,
-// leaving every other row of y untouched. The per-row arithmetic is the
-// same as MulVec's (identical kernels, identical accumulation order),
-// so computing a partition of the rows in any order — e.g. interior
-// rows during a halo exchange and boundary rows after it — produces
-// results bitwise identical to one full MulVec.
-func (a *BCSR) MulVecRows(rows []int32, x, y []float64) {
+// MulVecAddRows computes y[i] += (A x)[i] for the listed block rows,
+// leaving every other row of y untouched. A row's kernel resumes the
+// running sums MulVec keeps — the same expressions, continued from y[i]
+// — so the product of a matrix split by columns into [D | O], computed
+// as y = D x then y += O x over the rows O populates, is bitwise the
+// MulVec of the unsplit matrix with D's columns first: what lets a rank
+// multiply its owned columns while the ghost values are in flight.
+func (a *BCSR) MulVecAddRows(rows []int32, x, y []float64) {
 	if len(x) < a.N() || len(y) < a.N() {
 		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
-		panic(fmt.Sprintf("sparse: BCSR MulVecRows dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N(), len(x), len(y)))
+		panic(fmt.Sprintf("sparse: BCSR MulVecAddRows dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N(), len(x), len(y)))
 	}
 	switch a.B {
 	case 4:
-		a.mulVecRows4(rows, x, y)
+		a.mulVecAddRows4(rows, x, y)
 	case 5:
-		a.mulVecRows5(rows, x, y)
+		a.mulVecAddRows5(rows, x, y)
 	default:
-		a.mulVecRowsGeneric(rows, x, y)
+		a.mulVecAddRowsGeneric(rows, x, y)
 	}
 }
 
-func (a *BCSR) mulVecRows4(rows []int32, x, y []float64) {
+func (a *BCSR) mulVecAddRows4(rows []int32, x, y []float64) {
 	for _, i := range rows {
 		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1]) // bce: hoist the row extent; int arithmetic keeps prove in play below
-		var s0, s1, s2, s3 float64
+		o := int(i) * 4
+		s0, s1, s2, s3 := y[o], y[o+1], y[o+2], y[o+3]
 		for k := start; k < end; k++ {
 			j := int(a.ColIdx[k]) * 4                      //lint:bce-ok k is bounded by RowPtr contents, a relation no slice length expresses
 			x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3] //lint:bce-ok gather through the block column index is data-dependent
@@ -160,15 +162,15 @@ func (a *BCSR) mulVecRows4(rows []int32, x, y []float64) {
 			s2 += v[8]*x0 + v[9]*x1 + v[10]*x2 + v[11]*x3
 			s3 += v[12]*x0 + v[13]*x1 + v[14]*x2 + v[15]*x3
 		}
-		o := int(i) * 4
 		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
 	}
 }
 
-func (a *BCSR) mulVecRows5(rows []int32, x, y []float64) {
+func (a *BCSR) mulVecAddRows5(rows []int32, x, y []float64) {
 	for _, i := range rows {
 		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1]) // bce: hoist the row extent; int arithmetic keeps prove in play below
-		var s0, s1, s2, s3, s4 float64
+		o := int(i) * 5
+		s0, s1, s2, s3, s4 := y[o], y[o+1], y[o+2], y[o+3], y[o+4]
 		for k := start; k < end; k++ {
 			j := int(a.ColIdx[k]) * 5                                  //lint:bce-ok k is bounded by RowPtr contents, a relation no slice length expresses
 			x0, x1, x2, x3, x4 := x[j], x[j+1], x[j+2], x[j+3], x[j+4] //lint:bce-ok gather through the block column index is data-dependent
@@ -179,19 +181,15 @@ func (a *BCSR) mulVecRows5(rows []int32, x, y []float64) {
 			s3 += v[15]*x0 + v[16]*x1 + v[17]*x2 + v[18]*x3 + v[19]*x4
 			s4 += v[20]*x0 + v[21]*x1 + v[22]*x2 + v[23]*x3 + v[24]*x4
 		}
-		o := int(i) * 5
 		y[o], y[o+1], y[o+2], y[o+3], y[o+4] = s0, s1, s2, s3, s4
 	}
 }
 
-func (a *BCSR) mulVecRowsGeneric(rows []int32, x, y []float64) {
+func (a *BCSR) mulVecAddRowsGeneric(rows []int32, x, y []float64) {
 	b := a.B
 	bb := b * b
 	for _, i := range rows {
 		ys := y[int(i)*b : int(i)*b+b]
-		for c := range ys {
-			ys[c] = 0
-		}
 		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1])
 		for k := start; k < end; k++ {
 			j := int(a.ColIdx[k]) * b
@@ -210,20 +208,20 @@ func (a *BCSR) mulVecRowsGeneric(rows []int32, x, y []float64) {
 	}
 }
 
-// MulVecRowsFlops returns the floating-point work of a MulVecRows over
-// a row subset holding nnzBlocks stored blocks of size b.
+// MulVecRowsFlops returns the floating-point work of a MulVecAddRows
+// over a row subset holding nnzBlocks stored blocks of size b.
 func MulVecRowsFlops(nnzBlocks, b int) int64 {
 	return 2 * int64(nnzBlocks) * int64(b) * int64(b)
 }
 
-// MulVecRowsBytes returns the memory traffic of a MulVecRows over
+// MulVecRowsBytes returns the memory traffic of a MulVecAddRows over
 // nRows block rows holding nnzBlocks stored blocks of size b: blocks
-// and column indices read once, the destination rows written once, and
-// one source-vector gather per block (subset sweeps have no reuse
-// guarantee across the full source vector).
+// and column indices read once, the destination rows read and written
+// once, and one source-vector gather per block (subset sweeps have no
+// reuse guarantee across the full source vector).
 func MulVecRowsBytes(nnzBlocks, nRows, b int) int64 {
 	bb := int64(b) * int64(b)
-	return int64(nnzBlocks)*(bb*8+4+int64(b)*8) + int64(nRows)*int64(b)*8
+	return int64(nnzBlocks)*(bb*8+4+int64(b)*8) + int64(nRows)*int64(b)*16
 }
 
 func (a *BCSR) mulVecGeneric(lo, hi int, x, y []float64) {

@@ -103,3 +103,61 @@ func TestMulVecParSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("MulVecPar allocates %.1f objects per product", avg)
 	}
 }
+
+// TestMulVecAddRowsResumesMulVecBitwise: a matrix cut by columns into
+// [D | O] — D the columns below a split, O the rest — multiplied as
+// y = D x followed by y += O x over the rows O populates has the bits
+// of one MulVec of the whole, for every block-size kernel
+// specialization; rows outside the list are left alone.
+func TestMulVecAddRowsResumesMulVecBitwise(t *testing.T) {
+	for _, b := range []int{1, 3, 4, 5} {
+		a := BlockPattern(bandGraph(60), b)
+		a.FillDeterministic(17)
+		x := testVector(a.N(), 29)
+		want := make([]float64, a.N())
+		a.MulVec(x, want)
+		const split = 23
+		lo, hi := make([][]int32, a.NB), make([][]int32, a.NB)
+		for i := 0; i < a.NB; i++ {
+			for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
+				if j < split {
+					lo[i] = append(lo[i], j)
+				} else {
+					hi[i] = append(hi[i], j)
+				}
+			}
+		}
+		d, o := NewBCSRPattern(a.NB, b, lo), NewBCSRPattern(a.NB, b, hi)
+		var rows []int32
+		for i := 0; i < a.NB; i++ {
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				half := d
+				if a.ColIdx[k] >= split {
+					half = o
+				}
+				dst, _ := half.BlockAt(i, int(a.ColIdx[k]))
+				copy(dst, a.Block(int(k)))
+			}
+			if len(hi[i]) > 0 {
+				rows = append(rows, int32(i))
+			}
+		}
+		if len(rows) == 0 || len(rows) == a.NB {
+			t.Fatalf("b=%d: O populates %d of %d rows; the split does not exercise the row list", b, len(rows), a.NB)
+		}
+		got := make([]float64, a.N())
+		d.MulVec(x, got)
+		o.MulVecAddRows(rows, x, got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("b=%d: y[%d]=%x, want %x", b, i, got[i], want[i])
+			}
+		}
+		o.MulVecAddRows(nil, x, got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("b=%d: an empty row list changed y[%d]", b, i)
+			}
+		}
+	}
+}
