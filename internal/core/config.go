@@ -154,18 +154,6 @@ type Problem struct {
 // Close releases the problem's worker pool (safe on nil pools).
 func (p *Problem) Close() { p.Pool.Close() }
 
-// newtonOptions is the ψNK configuration of a solve on p: Cfg.Newton on
-// the problem's pool, switching to Disc2 at the threshold it was built
-// for.
-func (p *Problem) newtonOptions() newton.Options {
-	o := p.Cfg.Newton
-	o.Krylov.Pool = p.Pool
-	if p.Disc2 != nil {
-		o.SwitchOrderAt = p.Cfg.SwitchOrderAt
-	}
-	return o
-}
-
 // Build assembles a problem.
 func Build(cfg Config) (*Problem, error) {
 	if err := cfg.Validate(); err != nil {

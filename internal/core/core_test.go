@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"petscfun3d/internal/newton"
 	"petscfun3d/internal/perfmodel"
 )
 
@@ -38,40 +37,6 @@ func TestBuildOrderContinuationPair(t *testing.T) {
 	}
 	if p.Disc.Opts.Order != 1 || p.Disc2 == nil || p.Disc2.Opts.Order != 2 {
 		t.Error("order continuation pair not built")
-	}
-}
-
-// TestOrderContinuationSwitchesOnTheUserPath: Config.SwitchOrderAt
-// reaches the Newton loop, not only Build — the recorded steps run first
-// order until the residual reduction passes the threshold and second
-// order from the step after, on the sequential and the modeled path.
-func TestOrderContinuationSwitchesOnTheUserPath(t *testing.T) {
-	cfg := smallConfig()
-	cfg.SwitchOrderAt = 1e-2
-	seq, err := RunSequential(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Ranks = 2
-	par, err := RunParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*newton.Result{"sequential": seq.Newton, "parallel": par.Newton} {
-		switched := false
-		for _, st := range res.Steps {
-			want := 1
-			if switched {
-				want = 2
-			}
-			if st.Order != want {
-				t.Fatalf("%s: step %d ran order %d at reduction %.2e before it, want order %d", name, st.Index, st.Order, st.Rnorm/res.InitialRnorm, want)
-			}
-			switched = switched || st.Rnorm/res.InitialRnorm < cfg.SwitchOrderAt
-		}
-		if last := res.Steps[len(res.Steps)-1]; !switched || last.Order != 2 {
-			t.Fatalf("%s: the solve never switched to second order (%d steps, final reduction %.2e)", name, len(res.Steps), res.FinalRnorm/res.InitialRnorm)
-		}
 	}
 }
 

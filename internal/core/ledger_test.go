@@ -195,8 +195,8 @@ func TestAllocationLedger(t *testing.T) {
 		nLocal := int64(dm.LocalN())
 		floors[me] = residentBytes(dm, map[uintptr]bool{}) +
 			int64(opts.Krylov.Restart+4)*nLocal*8 + 2*nLocal*8 + // Krylov workspace; local right-hand side and correction
-			int64(planEdges)*(3+1)*4 + int64(nv)*(4+1) + // assembly plan (edge, two blocks) and residual edge lists; diagonal positions and ownership mask
-			5*n*8 + int64(nv)*8 // q, r, rhs, dq, qTrial at global length; ts
+			int64(planEdges)*(5+1)*4 + int64(nv)*(4+1) + // assembly plan (edge, two blocks, two time-scale rows) and residual edge lists; diagonal positions and ownership mask
+			5*n*8 + int64(len(dm.Owned)+1)*8 // q, r, rhs, dq, qTrial at global length; the rank's time scales
 		return nil
 	}))
 	profs := []*prof.Profiler{prof.New(), prof.New()}

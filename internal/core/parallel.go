@@ -218,11 +218,13 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 		},
 	}
 
+	nopts := cfg.Newton
+	nopts.Krylov.Pool = p.Pool
 	s := &newton.Solver{
 		Disc:  p.Disc,
 		Disc2: p.Disc2,
 		PC:    p.PCFactory(&lastPC),
-		Opts:  p.newtonOptions(),
+		Opts:  nopts,
 		Hooks: hooks,
 	}
 	q := p.Disc.FreestreamVector()

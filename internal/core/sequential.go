@@ -27,11 +27,13 @@ func RunSequential(cfg Config) (*SequentialResult, error) {
 	}
 	defer p.Close()
 	var lastPC *schwarz.Preconditioner
+	nopts := cfg.Newton
+	nopts.Krylov.Pool = p.Pool
 	s := &newton.Solver{
 		Disc:  p.Disc,
 		Disc2: p.Disc2,
 		PC:    p.PCFactory(&lastPC),
-		Opts:  p.newtonOptions(),
+		Opts:  nopts,
 	}
 	q := p.Disc.FreestreamVector()
 	start := time.Now()

@@ -72,12 +72,12 @@ type Matrix struct {
 	rowsT     rowsTask
 
 	// What a sequence of solves on this Matrix reuses: GMRES's Krylov
-	// workspace, and NewtonSolve's assembly plan, local right-hand side
-	// and correction. They live and die with the Matrix, which serves
-	// one solve at a time.
-	ws     krylov.Workspace
-	jac    *euler.LocalJacobian
-	lb, lx []float64
+	// workspace, and NewtonSolve's assembly plan, local right-hand side,
+	// correction and pseudo-time scales. They live and die with the
+	// Matrix, which serves one solve at a time.
+	ws         krylov.Workspace
+	jac        *euler.LocalJacobian
+	lb, lx, ts []float64
 
 	// Prof, when non-nil, receives this rank's measured phase timings
 	// (scatter, matvec, reduce, ilu_factor, tri_solve). Each rank runs

@@ -126,8 +126,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 	}
 	rsd.Prof = p
 	b := d.Sys.B()
-	ts := make([]float64, d.M.NumVertices()) // pseudo-time scales, refilled every step attempt
-	var am *Matrix                           // built by the first step attempt, reassembled in place by later ones
+	var am *Matrix // built by the first step attempt, reassembled in place by later ones
 
 	return newton.Iterate(newton.System{
 		// The trial state's ghosts are filled by its residual evaluation,
@@ -158,7 +157,7 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 				}
 				var pcSolve func(r, z []float64)
 				var err error
-				if am, pcSolve, err = stepOperator(c, rsd, part, am, cor.Q, ts, cor.CFL, opts.ILU, p, pool); err != nil {
+				if am, pcSolve, err = stepOperator(c, rsd, part, am, cor.Q, cor.CFL, opts.ILU, p, pool); err != nil {
 					return err
 				}
 				clear(am.lx)
@@ -187,9 +186,8 @@ func NewtonSolve(c *mpi.Comm, d *euler.Discretization, part []int32, q []float64
 // columns are all owned or ghost, which the residual's halo keeps
 // current in q) and refactors the block Jacobi solve from them in
 // place. A nil am is built first, collectively: the Matrix planned from
-// the mesh graph, and the assembly plan that addresses its values. ts
-// is scratch of length NumVertices.
-func stepOperator(c *mpi.Comm, rsd *Residual, part []int32, am *Matrix, q, ts []float64, cfl float64,
+// the mesh graph, and the assembly plan that addresses its values.
+func stepOperator(c *mpi.Comm, rsd *Residual, part []int32, am *Matrix, q []float64, cfl float64,
 	iluOpts ilu.Options, p *prof.Profiler, pool *par.Pool) (*Matrix, func(r, z []float64), error) {
 	if am == nil {
 		sp := p.Begin(prof.PhasePCSetup)
@@ -204,13 +202,8 @@ func stepOperator(c *mpi.Comm, rsd *Residual, part []int32, am *Matrix, q, ts []
 	}
 	jsp := p.Begin(prof.PhaseJacobian)
 	am.jac.Assemble(q, am.val)
-	am.jac.TimeScalesInto(q, ts)
-	// AddTimeDiagonal reads the scale of local row li at ts[li]; li never
-	// exceeds the row's global number, so the move down is safe in place.
-	for li, gr := range am.Owned {
-		ts[li] = ts[gr]
-	}
-	newton.AddTimeDiagonal(am.diag, ts, cfl)
+	am.jac.TimeScalesInto(q, am.ts)
+	newton.AddTimeDiagonal(am.diag, am.ts, cfl)
 	jsp.End(am.jac.Flops(), am.jac.Bytes())
 	sp := p.Begin(prof.PhasePCSetup)
 	pcSolve, err := am.BlockJacobi(iluOpts)
@@ -219,17 +212,24 @@ func stepOperator(c *mpi.Comm, rsd *Residual, part []int32, am *Matrix, q, ts []
 }
 
 // planOperator builds the Matrix NewtonSolve assembles into: structure
-// and halo plan from the mesh graph, the assembly plan over its value
-// array, and the local right-hand side and correction.
+// and halo plan from the mesh graph, then what the steps need on top.
 func planOperator(c *mpi.Comm, rsd *Residual, part []int32) (*Matrix, error) {
 	d := rsd.D
 	am, _, err := planMatrix(c, sparse.Graph{NV: d.M.NumVertices(), XAdj: d.M.XAdj, Adj: d.M.Adj}, true, d.Sys.B(), part)
 	if err != nil {
 		return nil, err
 	}
-	if am.jac, err = d.PlanLocalJacobian(rsd.ownedMask, am.block, am.sink()); err != nil {
-		return nil, err
+	return am, am.planAssembly(d)
+}
+
+// planAssembly gives m what a Newton step needs beyond the operator: the
+// assembly plan over its value array, and the local right-hand side,
+// correction and pseudo-time scales (one per local row, then the sink's).
+func (m *Matrix) planAssembly(d *euler.Discretization) (err error) {
+	if m.jac, err = d.PlanLocalJacobian(m.Owned, m.block, m.sink()); err != nil {
+		return err
 	}
-	am.lb, am.lx = make([]float64, am.LocalN()), make([]float64, am.LocalN())
-	return am, nil
+	m.lb, m.lx = make([]float64, m.LocalN()), make([]float64, m.LocalN())
+	m.ts = make([]float64, len(m.Owned)+1)
+	return nil
 }

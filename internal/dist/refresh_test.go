@@ -93,7 +93,7 @@ func secondState(q []float64) []float64 {
 // assembleAt runs one step's operator build on this rank: am (planned
 // when nil) assembled in place at q and its block Jacobi refactored.
 func assembleAt(c *mpi.Comm, rsd *Residual, part []int32, am *Matrix, q []float64, opts ilu.Options) (*Matrix, error) {
-	am, _, err := stepOperator(c, rsd, part, am, q, make([]float64, rsd.D.M.NumVertices()), refreshCFL, opts, nil, nil)
+	am, _, err := stepOperator(c, rsd, part, am, q, refreshCFL, opts, nil, nil)
 	return am, err
 }
 
@@ -136,7 +136,7 @@ func TestMatrixRefreshBitwise(t *testing.T) {
 					return fmt.Errorf("the second assembly replaced the halo plan or the retained factorization")
 				}
 				loaded := append([]float64(nil), fresh.val[:int(fresh.sink())*16]...)
-				if fresh.jac, err = d.PlanLocalJacobian(rsd.ownedMask, fresh.block, fresh.sink()); err != nil {
+				if err = fresh.planAssembly(d); err != nil {
 					return err
 				}
 				if _, err := assembleAt(c, rsd, p.Part, fresh, q2, opts); err != nil {
@@ -215,17 +215,13 @@ func TestMatrixRefreshRejectsOtherPattern(t *testing.T) {
 	moved := &sparse.BCSR{NB: a.NB, B: a.B, RowPtr: a.RowPtr, ColIdx: append([]int32(nil), a.ColIdx...), Val: a.Val}
 	moved.ColIdx[moved.RowPtr[2]-1]++
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		rsd, err := NewResidual(c, d, p.Part)
-		if err != nil {
-			return err
-		}
 		m, err := NewMatrix(c, moved, p.Part)
 		if err != nil {
 			return err
 		}
-		_, err = d.PlanLocalJacobian(rsd.ownedMask, m.block, m.sink())
+		err = m.planAssembly(d)
 		if owner := int(p.Part[1]) == c.Rank(); owner {
-			if err == nil || !strings.Contains(err.Error(), "missing from the rank's matrix") {
+			if err == nil || !strings.Contains(err.Error(), "missing from the matrix") {
 				return fmt.Errorf("one column moved: plan returned %v, want a missing-block error", err)
 			}
 		} else if err != nil {
@@ -249,14 +245,13 @@ func TestMatrixRefreshSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ts := make([]float64, d.M.NumVertices())
-		m, _, err := stepOperator(c, rsd, p.Part, nil, q, ts, refreshCFL, ilu.Options{}, nil, nil)
+		m, _, err := stepOperator(c, rsd, p.Part, nil, q, refreshCFL, ilu.Options{}, nil, nil)
 		if err != nil {
 			return err
 		}
 		var stepErr error
 		avg := testing.AllocsPerRun(10, func() {
-			if _, _, err := stepOperator(c, rsd, p.Part, m, q, ts, refreshCFL, ilu.Options{}, nil, nil); err != nil {
+			if _, _, err := stepOperator(c, rsd, p.Part, m, q, refreshCFL, ilu.Options{}, nil, nil); err != nil {
 				stepErr = err
 			}
 		})

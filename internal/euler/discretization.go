@@ -137,7 +137,8 @@ func NewDiscretization(m *mesh.Mesh, geo *Geometry, sys System, opts Options) (*
 		e := m.Edges[oi]
 		d.edges[i] = edgeData{a: e.A, b: e.B, n: geo.Normals[oi]}
 	}
-	d.jac = planJacobian(m, d.edges)
+	d.jac = planJacobian(m, d.edges, nil, patternBlock(m), -1)
+	d.jac.nnzb = len(m.Adj) + m.NumVertices()
 	b := sys.B()
 	if opts.Order == 2 {
 		d.grad = make([]float64, m.NumVertices()*b*3)
@@ -287,7 +288,7 @@ func (d *Discretization) TimeScales(q []float64) []float64 {
 // TimeScalesInto is TimeScales into out, which must have length
 // NumVertices; it is overwritten.
 func (d *Discretization) TimeScalesInto(q, out []float64) {
-	d.timeScales(&d.jac, q, out)
+	d.timeScales(&d.jac, q, out[:d.M.NumVertices()])
 	// Viscous stiffness: the diffusion operator's diagonal weight joins
 	// the pseudo-timestep scale so the continuation stays robust when
 	// diffusion dominates convection.
@@ -306,25 +307,18 @@ func (d *Discretization) TimeScalesInto(q, out []float64) {
 	}
 }
 
-// timeScales overwrites out (length NumVertices) with the spectral-radius
-// sums of the plan's edges and of the boundary faces of the plan's rows.
-// A row outside the plan is left with the partial sum of the swept edges
-// that touch it.
+// timeScales overwrites out — one entry per time-scale row of the plan —
+// with the spectral-radius sums of the plan's edges and of the boundary
+// faces of the plan's rows.
 func (d *Discretization) timeScales(p *jacobianPlan, q, out []float64) {
-	bk := d.M.BKind
-	out = out[:len(bk)]                // bce: ties len(out) to len(bk); the vertex index serves both unchecked
-	ba := d.Geo.BoundaryArea[:len(bk)] // bce: ties len(ba) to len(bk) the same way
-	diag := p.diag[:len(bk)]           // bce: and len(diag)
 	clear(out)
-	d.timeScaleEdges(p.idx, q, out)
+	d.timeScaleEdges(p, q, out)
 	ws := d.getWS()
 	qa := ws.qa[:d.Sys.B()]
-	for v, kind := range bk {
-		if kind == mesh.BNone || diag[v] == p.sink {
-			continue
-		}
-		d.gather(q, int32(v), qa) //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
-		out[v] += d.Sys.SpectralRadius(qa, ba[v])
+	rows := p.bndRow[:len(p.bnd)] // bce: the boundary index serves both lists unchecked
+	for i, v := range p.bnd {
+		d.gather(q, v, qa)                                              //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
+		out[rows[i]] += d.Sys.SpectralRadius(qa, d.Geo.BoundaryArea[v]) //lint:bce-ok the boundary vertex and its time-scale row come from the plan's lists; both are data-dependent
 	}
 	d.putWS(ws)
 }

@@ -100,55 +100,32 @@ func (d *Discretization) BoundaryResidualMasked(q, r []float64, owned []bool) {
 type LocalJacobian struct {
 	d    *Discretization
 	plan jacobianPlan
+	rows int
 }
 
-// PlanLocalJacobian plans the rows marked in owned (length NumVertices).
-// block(i, j) is the block of the caller's value array that holds entry
-// (i, j) of an owned row i — j is i or a mesh neighbor of i — and false
-// when the array has none; sink is the block set aside for every other
-// row. Inviscid interlaced discretizations only, like the
-// distributed residual.
-func (d *Discretization) PlanLocalJacobian(owned []bool, block func(i, j int32) (int32, bool), sink int32) (*LocalJacobian, error) {
+// PlanLocalJacobian plans the rows listed in owned, ascending: local row
+// li is vertex owned[li]. block(i, j) is the block of the caller's value
+// array that holds entry (i, j) of an owned row i — j is i or a mesh
+// neighbor of i — and false when the array has none; sink is the block
+// set aside for every other row. Inviscid interlaced discretizations
+// only, like the distributed residual.
+func (d *Discretization) PlanLocalJacobian(owned []int32, block func(i, j int32) (int32, bool), sink int32) (*LocalJacobian, error) {
 	if d.Opts.Layout != sparse.Interlaced || d.Opts.Viscosity != 0 {
 		return nil, fmt.Errorf("euler: rank-local Jacobian assembly requires the inviscid interlaced discretization")
 	}
-	nv := d.M.NumVertices()
-	if len(owned) != nv {
-		return nil, fmt.Errorf("euler: ownership mask length %d for %d vertices", len(owned), nv)
-	}
-	var missing error
-	at := func(i, j int32) int32 {
-		if !owned[i] {
-			return sink
-		}
-		k, ok := block(i, j)
-		if !ok && missing == nil {
-			missing = fmt.Errorf("euler: Jacobian block (%d,%d) missing from the rank's matrix", i, j)
-		}
-		return k
-	}
-	n := 0
-	for ei := range d.edges {
-		if e := &d.edges[ei]; owned[e.a] || owned[e.b] {
-			n++
+	for li, v := range owned {
+		if v < 0 || int(v) >= d.M.NumVertices() || (li > 0 && owned[li-1] >= v) {
+			return nil, fmt.Errorf("euler: owned rows must be ascending vertices below %d, got %d at %d", d.M.NumVertices(), v, li)
 		}
 	}
-	p := jacobianPlan{idx: make([]int32, 0, n), ab: make([]int32, 0, n), ba: make([]int32, 0, n),
-		diag: make([]int32, nv), sink: sink}
-	for v := range p.diag {
-		p.diag[v] = at(int32(v), int32(v))
+	if owned == nil {
+		owned = []int32{} // to the plan a nil list means every row; here it means none
 	}
-	for ei := range d.edges {
-		if e := &d.edges[ei]; owned[e.a] || owned[e.b] {
-			p.idx = append(p.idx, int32(ei))  //lint:alloc-ok appends into capacity preallocated to the exact edge count
-			p.ab = append(p.ab, at(e.a, e.b)) //lint:alloc-ok appends into capacity preallocated to the exact edge count
-			p.ba = append(p.ba, at(e.b, e.a)) //lint:alloc-ok appends into capacity preallocated to the exact edge count
-		}
+	p := planJacobian(d.M, d.edges, owned, block, sink)
+	if p.err != nil {
+		return nil, p.err
 	}
-	if missing != nil {
-		return nil, missing
-	}
-	return &LocalJacobian{d: d, plan: p}, nil
+	return &LocalJacobian{d: d, plan: p, rows: len(owned)}, nil
 }
 
 // Assemble overwrites val — the whole array the plan addresses, sink
@@ -156,7 +133,9 @@ func (d *Discretization) PlanLocalJacobian(owned []bool, block func(i, j int32) 
 // entries current).
 func (p *LocalJacobian) Assemble(q, val []float64) { p.d.assemble(&p.plan, q, val) }
 
-// TimeScalesInto is Discretization.TimeScalesInto for the owned
-// vertices: out (length NumVertices) is overwritten, and only its owned
-// entries mean anything afterwards.
-func (p *LocalJacobian) TimeScalesInto(q, out []float64) { p.d.timeScales(&p.plan, q, out) }
+// TimeScalesInto is Discretization.TimeScalesInto for the owned rows:
+// out has one entry per local row and one more, the sink's, which means
+// nothing afterwards; all of it is overwritten.
+func (p *LocalJacobian) TimeScalesInto(q, out []float64) {
+	p.d.timeScales(&p.plan, q, out[:p.rows+1])
+}

@@ -18,51 +18,113 @@ func (d *Discretization) JacobianPattern() *sparse.BCSR {
 
 // jacobianPlan holds where each swept edge's and each vertex's blocks
 // sit in a value array, as block indices, so assembly needs no search
-// per edge. The plan of the whole matrix (planJacobian, built once by
-// NewDiscretization) sweeps every edge into JacobianPattern's array:
-// row v of the pattern is the sorted neighbors of v with v itself
-// inserted, and starts at block XAdj[v]+v. A rank's plan
-// (PlanLocalJacobian) sweeps the edges that touch a row it owns into
-// the caller's array, every block of a row it does not own landing in
-// one sink block, so the edge loop is the same branch-free loop.
+// per edge, and which row of a time-scale array each of them feeds. The
+// plan of the whole matrix (built once by NewDiscretization) sweeps
+// every edge into JacobianPattern's array and row v is vertex v; a
+// rank's plan (PlanLocalJacobian) sweeps the edges that touch a row it
+// owns into the caller's array, every block and time scale of a row it
+// does not own landing in one sink block and one sink row, so the edge
+// loops are the same branch-free loops.
 type jacobianPlan struct {
 	idx    []int32 // swept flux edges, ascending; nil: every edge
 	ab, ba []int32 // per swept edge: blocks (a,b) and (b,a)
+	ra, rb []int32 // per swept edge: time-scale rows of a and b; nil with idx
 	diag   []int32 // per vertex: block (v,v)
-	sink   int32   // where rows outside the plan land; -1 when it covers every row
-	nnzb   int
-	err    error // set when an edge's endpoints are not adjacent in the mesh graph
+	bnd    []int32 // boundary vertices among the plan's rows, ascending
+	bndRow []int32 // their time-scale rows (bnd itself in the whole-matrix plan)
+	nnzb   int     // blocks of JacobianPattern (whole-matrix plan only)
+	err    error   // set when the array lacks a block the sweep writes
 }
 
-func planJacobian(m *mesh.Mesh, edges []edgeData) jacobianPlan {
-	nv := m.NumVertices()
-	p := jacobianPlan{
-		ab:   make([]int32, len(edges)),
-		ba:   make([]int32, len(edges)),
-		diag: make([]int32, nv),
-		sink: -1,
-		nnzb: len(m.Adj) + nv,
-	}
-	for v := 0; v < nv; v++ {
-		below, _ := slices.BinarySearch(m.Neighbors(v), int32(v))
-		p.diag[v] = m.XAdj[v] + int32(v+below)
-	}
-	// block returns the position of (i, j), j a neighbor of i: its rank
-	// among i's neighbors, shifted past the diagonal when j > i.
-	block := func(i, j int32) (int32, bool) {
-		k, ok := slices.BinarySearch(m.Neighbors(int(i)), j)
+// patternBlock is block for JacobianPattern's array: row i is the sorted
+// neighbors of i with i itself inserted and starts at block XAdj[i]+i,
+// so (i, j) is at j's rank among the neighbors, shifted past the
+// diagonal when j > i.
+func patternBlock(m *mesh.Mesh) func(i, j int32) (int32, bool) {
+	return func(i, j int32) (int32, bool) {
+		k, ok := slices.BinarySearch(m.Adj[m.XAdj[i]:m.XAdj[i+1]], j)
 		if j > i {
 			k++
 		}
-		return m.XAdj[i] + i + int32(k), ok
+		return m.XAdj[i] + i + int32(k), ok || i == j
 	}
-	for ei, e := range edges {
-		var okAB, okBA bool
-		p.ab[ei], okAB = block(e.a, e.b)
-		p.ba[ei], okBA = block(e.b, e.a)
-		if !(okAB && okBA) && p.err == nil {
-			p.err = fmt.Errorf("euler: Jacobian block (%d,%d) missing from pattern", e.a, e.b)
+}
+
+// planJacobian plans the rows listed in owned — ascending vertices, row
+// li of the time-scale array being owned[li]; nil plans every row, row v
+// being vertex v. block(i, j) is the block of the value array that holds
+// entry (i, j) of a planned row i (j is i or a mesh neighbor of i), and
+// false when the array has none; sink is the block, and len(owned) the
+// time-scale row, that everything belonging to an unplanned row lands in.
+func planJacobian(m *mesh.Mesh, edges []edgeData, owned []int32, block func(i, j int32) (int32, bool), sink int32) jacobianPlan {
+	nv := m.NumVertices()
+	// rowOf (plan time only) is the time-scale row of each vertex, the
+	// sink row for an unplanned one; nil when every row is planned.
+	var rowOf []int32
+	sinkRow := int32(len(owned))
+	if owned != nil {
+		rowOf = make([]int32, nv)
+		for v := range rowOf {
+			rowOf[v] = sinkRow
 		}
+		for li, v := range owned {
+			rowOf[v] = int32(li)
+		}
+	}
+	planned := func(v int32) bool { return rowOf == nil || rowOf[v] < sinkRow }
+	n, nb := len(edges), 0
+	if owned != nil {
+		n = 0
+		for ei := range edges {
+			if e := &edges[ei]; planned(e.a) || planned(e.b) {
+				n++
+			}
+		}
+	}
+	for v, kind := range m.BKind {
+		if kind != mesh.BNone && planned(int32(v)) {
+			nb++
+		}
+	}
+	p := jacobianPlan{ab: make([]int32, n), ba: make([]int32, n), diag: make([]int32, nv), bnd: make([]int32, nb)}
+	p.bndRow = p.bnd
+	if owned != nil {
+		p.idx, p.ra, p.rb, p.bndRow = make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, nb)
+	}
+	// at is where entry (i, j) goes: its block in a planned row, else the sink.
+	at := func(i, j int32) int32 {
+		if !planned(i) {
+			return sink
+		}
+		k, ok := block(i, j)
+		if !ok && p.err == nil {
+			p.err = fmt.Errorf("euler: Jacobian block (%d,%d) missing from the matrix", i, j)
+		}
+		return k
+	}
+	k := 0
+	for v, kind := range m.BKind {
+		p.diag[v] = at(int32(v), int32(v))
+		if kind == mesh.BNone || !planned(int32(v)) {
+			continue
+		}
+		p.bnd[k] = int32(v)
+		if owned != nil {
+			p.bndRow[k] = rowOf[v]
+		}
+		k++
+	}
+	k = 0
+	for ei := range edges {
+		e := &edges[ei]
+		if !(planned(e.a) || planned(e.b)) {
+			continue
+		}
+		p.ab[k], p.ba[k] = at(e.a, e.b), at(e.b, e.a)
+		if owned != nil {
+			p.idx[k], p.ra[k], p.rb[k] = int32(ei), rowOf[e.a], rowOf[e.b]
+		}
+		k++
 	}
 	return p
 }
@@ -124,17 +186,15 @@ func (d *Discretization) assemble(p *jacobianPlan, q, val []float64) {
 	case *Compressible:
 		jacEdges5(sys, d.edges, p.idx, p.ab, p.ba, p.diag, q, val)
 	}
-	// Boundary fluxes, through the interface like the residual's closure.
+	// Boundary fluxes of the plan's rows, through the interface like the
+	// residual's closure.
 	ws := d.getWS()
 	qa, jl := ws.qa[:b], ws.jac[:bb]
-	for v, kind := range d.M.BKind {
-		if kind == mesh.BNone || p.diag[v] == p.sink {
-			continue
-		}
+	for _, v := range p.bnd {
 		s := d.Geo.BoundaryArea[v]
-		d.gather(q, int32(v), qa)
+		d.gather(q, v, qa)
 		dst := val[int(p.diag[v])*bb:][:bb]
-		switch kind {
+		switch d.M.BKind[v] {
 		case mesh.BInflow, mesh.BOutflow:
 			lam := d.Sys.SpectralRadius(qa, s)
 			if l2 := d.Sys.SpectralRadius(d.infState, s); l2 > lam {

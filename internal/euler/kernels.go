@@ -154,15 +154,15 @@ func fluxEdges5(gamma float64, edges []edgeData, idx []int32, q, r []float64, sv
 	}
 }
 
-// timeScaleEdges adds each selected edge's larger spectral radius to
-// both of its endpoints in out.
-func (d *Discretization) timeScaleEdges(idx []int32, q, out []float64) {
+// timeScaleEdges adds each of the plan's edges' larger spectral radius
+// to the time-scale rows of both of its endpoints in out.
+func (d *Discretization) timeScaleEdges(p *jacobianPlan, q, out []float64) {
 	sv, sc := d.strides()
 	switch sys := d.Sys.(type) {
 	case *Incompressible:
-		timeScaleEdges4(sys, d.edges, idx, q, out, sv, sc)
+		timeScaleEdges4(sys, d.edges, p.idx, p.ra, p.rb, q, out, sv, sc)
 	case *Compressible:
-		timeScaleEdges5(sys, d.edges, idx, q, out, sv, sc)
+		timeScaleEdges5(sys, d.edges, p.idx, p.ra, p.rb, q, out, sv, sc)
 	default:
 		//lint:panic-ok internal invariant: NewDiscretization rejects systems without an edge kernel
 		panic("euler: timeScaleEdges: unknown system")
@@ -171,19 +171,25 @@ func (d *Discretization) timeScaleEdges(idx []int32, q, out []float64) {
 
 // timeScaleEdges4 and timeScaleEdges5 call the system's own
 // SpectralRadius on its concrete type — a static call on stack states,
-// the same arithmetic the flux kernels write out.
-func timeScaleEdges4(sys *Incompressible, edges []edgeData, idx []int32, q, out []float64, sv, sc int) {
+// the same arithmetic the flux kernels write out. idx as in the flux
+// kernels (nil sweeps every edge into the rows of its endpoints); with
+// idx, swept edge k feeds rows ra[k] and rb[k].
+func timeScaleEdges4(sys *Incompressible, edges []edgeData, idx, ra, rb []int32, q, out []float64, sv, sc int) {
 	var qa, qb [4]float64
 	n := len(edges)
 	if idx != nil {
 		n = len(idx)
 	}
 	for k := 0; k < n; k++ {
-		ei := k
-		if idx != nil {
-			ei = int(idx[k])
+		var e *edgeData
+		var oa, ob int
+		if idx == nil {
+			e = &edges[k]
+			oa, ob = int(e.a), int(e.b)
+		} else {
+			e = &edges[idx[k]]
+			oa, ob = int(ra[k]), int(rb[k])
 		}
-		e := &edges[ei]
 		ia, ib := int(e.a)*sv, int(e.b)*sv
 		for c := range qa {
 			qa[c], qb[c] = q[ia+c*sc], q[ib+c*sc] //lint:bce-ok gather through the edge endpoint and the layout strides is data-dependent
@@ -192,23 +198,27 @@ func timeScaleEdges4(sys *Incompressible, edges []edgeData, idx []int32, q, out 
 		if l2 := sys.SpectralRadius(qb[:], e.n); l2 > lam {
 			lam = l2
 		}
-		out[e.a] += lam
-		out[e.b] += lam
+		out[oa] += lam
+		out[ob] += lam
 	}
 }
 
-func timeScaleEdges5(sys *Compressible, edges []edgeData, idx []int32, q, out []float64, sv, sc int) {
+func timeScaleEdges5(sys *Compressible, edges []edgeData, idx, ra, rb []int32, q, out []float64, sv, sc int) {
 	var qa, qb [5]float64
 	n := len(edges)
 	if idx != nil {
 		n = len(idx)
 	}
 	for k := 0; k < n; k++ {
-		ei := k
-		if idx != nil {
-			ei = int(idx[k])
+		var e *edgeData
+		var oa, ob int
+		if idx == nil {
+			e = &edges[k]
+			oa, ob = int(e.a), int(e.b)
+		} else {
+			e = &edges[idx[k]]
+			oa, ob = int(ra[k]), int(rb[k])
 		}
-		e := &edges[ei]
 		ia, ib := int(e.a)*sv, int(e.b)*sv
 		for c := range qa {
 			qa[c], qb[c] = q[ia+c*sc], q[ib+c*sc] //lint:bce-ok gather through the edge endpoint and the layout strides is data-dependent
@@ -217,7 +227,7 @@ func timeScaleEdges5(sys *Compressible, edges []edgeData, idx []int32, q, out []
 		if l2 := sys.SpectralRadius(qb[:], e.n); l2 > lam {
 			lam = l2
 		}
-		out[e.a] += lam
-		out[e.b] += lam
+		out[oa] += lam
+		out[ob] += lam
 	}
 }

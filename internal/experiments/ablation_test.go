@@ -22,9 +22,7 @@ func TestAblationShape(t *testing.T) {
 	seen := map[string]bool{}
 	for _, r := range res.Rows {
 		seen[r.Parameter] = true
-		// The second-order continuation stalls on the user path (ROADMAP
-		// 8(a); until PR 21 this row never switched and ran the baseline).
-		if !r.Converged && r.Parameter != "order-continuation" {
+		if !r.Converged {
 			t.Errorf("%s=%s did not converge", r.Parameter, r.Value)
 		}
 		if r.LinearIts <= 0 || r.FluxEvals <= 0 {
