@@ -5,7 +5,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid dist-grid allocs fuzz
+.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid ilu-grid dist-grid allocs fuzz
 
 # named_gate runs the tests of packages $(2) that match the regex $(1)
 # with the go test flags $(3) (-race, except where noted) — after
@@ -88,6 +88,16 @@ threads: threads-grid
 # under the race detector (CI runs it by name).
 kernels-grid:
 	$(call named_gate,'KernelsMatch|EdgeFlux|SharedDiscretization|OperandOrders',./internal/euler,-race)
+
+# Factor-storage gate: float32 factors are the float64 factorization
+# rounded once, bit for bit, eliminated in a window whose plan never
+# overwrites a segment still to be read (block sizes × fill levels ×
+# orderings, after Factor and after a Refactor that follows a failed
+# refresh); a refresh is bitwise a fresh factorization and allocates
+# nothing, in ilu, across the Schwarz subdomains × workers and in each
+# rank's block Jacobi — under the race detector (CI runs it by name).
+ilu-grid:
+	$(call named_gate,'SinglePrecisionIsRoundedDouble|RefactorBitwiseGrid|SubdomainParallelBitwiseGrid|Refresh',./internal/ilu ./internal/schwarz ./internal/dist,-race)
 
 # Rank-ownership gate: a rank assembles and multiplies only what it
 # owns, with the bits of the global path — every rank's in-place

@@ -11,6 +11,7 @@ import (
 	"petscfun3d/internal/newton"
 	"petscfun3d/internal/prof"
 	"petscfun3d/internal/schwarz"
+	"petscfun3d/internal/sparse"
 )
 
 // residentBytes is the heap a structure keeps alive: the capacity of
@@ -115,11 +116,15 @@ func TestAllocationLedger(t *testing.T) {
 	got = allocated(func() { jac = p.Disc.JacobianPattern() })
 	rows = append(rows, row{"jacobian", got, residentBytes(jac, seen)})
 
-	q := p.Disc.FreestreamVector()
-	fail(p.Disc.AssembleJacobian(q, jac))
-	ts := make([]float64, m.NumVertices())
-	p.Disc.TimeScalesInto(q, ts)
-	newton.AddTimeDiagonal(jac, ts, cfg.Newton.CFL0)
+	// fill gives a Jacobian the values of the first step's operator.
+	fill := func(p *Problem, jac *sparse.BCSR) {
+		q := p.Disc.FreestreamVector()
+		fail(p.Disc.AssembleJacobian(q, jac))
+		ts := make([]float64, p.Mesh.NumVertices())
+		p.Disc.TimeScalesInto(q, ts)
+		newton.AddTimeDiagonal(jac, ts, p.Cfg.Newton.CFL0)
+	}
+	fill(p, jac)
 	var pc *schwarz.Preconditioner
 	got = allocated(func() {
 		var err error
@@ -130,7 +135,7 @@ func TestAllocationLedger(t *testing.T) {
 
 	n := int64(p.Disc.N())
 	workspace := int64(cfg.Newton.Krylov.Restart+4) * n * 8
-	vectors := 5*n*8 + int64(8*len(ts)) // q, r, rhs, dq, qTrial; ts
+	vectors := 5*n*8 + int64(8*m.NumVertices()) // q, r, rhs, dq, qTrial; ts
 	rows = append(rows, row{"krylov workspace, (Restart+4)·n·8", workspace, workspace},
 		row{"newton vectors, 5·n·8 + nv·8", vectors, vectors})
 
@@ -151,6 +156,41 @@ func TestAllocationLedger(t *testing.T) {
 	if float64(total) > 1.25*float64(floor) {
 		t.Errorf("Build + solve allocates %d B, %.2f × the %d B floor of its resident structures; want at most 1.25 ×",
 			total, float64(total)/float64(floor), floor)
+	}
+
+	// The altpath configuration's preconditioner — four overlapping
+	// subdomains, b = 5, ILU(1), float32 factors — against a floor written
+	// out, not measured from the structure: 4 bytes a factor scalar and no
+	// float64 copy of them, each subdomain's elimination window, the
+	// layout indices, and the extracted local matrices with their copy
+	// index. What New allocates beyond it is the symbolic analysis.
+	pa, err := Build(altpathConfig())
+	fail(err)
+	defer pa.Close()
+	ajac := pa.Disc.JacobianPattern()
+	fill(pa, ajac)
+	var apc *schwarz.Preconditioner
+	got = allocated(func() {
+		var err error
+		apc, err = schwarz.New(ajac, pa.Part.Part, pa.Part.NParts, pa.schwarzOptions())
+		fail(err)
+	})
+	var afloor int64
+	for _, sub := range apc.Subs {
+		f, l := sub.Factor, sub.Local
+		scalars := int64(f.NNZBlocks() * f.B * f.B)
+		window := f.StorageBytes() - 4*scalars
+		if window < 0 || window > 4*scalars {
+			t.Errorf("altpath: a subdomain keeps %d B for %d factor scalars: not 4 B each plus a window", f.StorageBytes(), scalars)
+		}
+		afloor += 4*scalars + window +
+			4*int64(len(f.Col)+len(f.LPtr)+len(f.UPtr)) +
+			8*int64(len(l.Val)) + 4*int64(2*len(l.ColIdx)+len(l.RowPtr)) // Local and its copy index
+	}
+	t.Logf("%-42s %12d %12d %8.2f", "altpath: preconditioner (4 parts, float32)", got, afloor, float64(got)/float64(afloor))
+	if float64(got) > 1.15*float64(afloor) {
+		t.Errorf("altpath: schwarz.New allocates %d B, %.2f × the %d B floor of float32 factors, windows, indices and local matrices; want at most 1.15 ×",
+			got, float64(got)/float64(afloor), afloor)
 	}
 
 	// Two ranks through dist.NewtonSolve: each rank's floor is what it

@@ -28,6 +28,9 @@ type ParallelResult struct {
 	// LinearSolveSeconds is the mean per-rank modeled time spent in the
 	// Krylov solve phases (Table 2's "Linear Solve" column).
 	LinearSolveSeconds float64
+	// FactorStorageBytes is what the subdomain factorizations keep for
+	// values, all ranks (Table 2's memory column).
+	FactorStorageBytes int64
 }
 
 // rankLoads precomputes per-rank workload for the cost model.
@@ -245,11 +248,18 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 			max = s
 		}
 	}
+	var factorBytes int64
+	if lastPC != nil {
+		for _, sub := range lastPC.Subs {
+			factorBytes += sub.Factor.StorageBytes()
+		}
+	}
 	return &ParallelResult{
 		Problem:              p,
 		Newton:               res,
 		Report:               mach.Report(),
 		LinearSolveSeconds:   mach.TagSeconds("linear"),
+		FactorStorageBytes:   factorBytes,
 		HaloBytesPerExchange: loads.haloTotal,
 		MaxVerticesPerRank:   max,
 		MinVerticesPerRank:   min,

@@ -146,7 +146,7 @@ func (r *Residual) Eval(q, res []float64) error {
 // global-length vector, summing only owned entries on each rank (ghost
 // and far entries are other ranks' responsibility — counting them would
 // double-count). A collective: the local sums meet in one reduction,
-// charged to the reduce phase as one inner product, like GMRES's.
+// charged to the reduce phase as one inner product.
 func (r *Residual) OwnedNorm2(x []float64) float64 {
 	b := r.D.Sys.B()
 	sp := r.Prof.Begin(prof.PhaseReduce)

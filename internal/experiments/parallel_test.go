@@ -27,6 +27,12 @@ func TestTable2Shape(t *testing.T) {
 			t.Errorf("procs=%d: overall single %g not faster than double %g",
 				r.Procs, r.TotalSingle, r.TotalDouble)
 		}
+		// The paper's point is bytes: float32 factors are half the
+		// float64 ones, plus a cache-sized window per rank.
+		if 2*r.BytesSingle <= r.BytesDouble || 4*r.BytesSingle >= 3*r.BytesDouble {
+			t.Errorf("procs=%d: float32 factors keep %d B, float64 %d B; want between 1/2 and 3/4",
+				r.Procs, r.BytesSingle, r.BytesDouble)
+		}
 		// And the linear solve is a fraction of the total.
 		if r.LinearDouble >= r.TotalDouble {
 			t.Errorf("procs=%d: linear time exceeds total", r.Procs)

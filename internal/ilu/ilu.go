@@ -37,24 +37,30 @@ type Factorization struct {
 	Level int
 	Layout
 
-	// val64 is the elimination array, always float64. With single-
-	// precision storage it stays behind as Refactor's work array and the
-	// solves read val32, its element-wise rounding (non-nil exactly then).
+	// The stored factors: val64 under float64 storage, val32 under float32
+	// (exactly one is non-nil).
 	val64 []float64
 	val32 []float32
 
-	// Numeric-refresh state, built once by Factor from the pattern it
-	// analysed: aSlot[k] is the factor block that A's block k is copied
-	// into, fillSlots the factor blocks A does not cover (zeroed before
-	// each elimination). slot is the dense per-row work array of the IKJ
-	// elimination — slot[j] is the block of column j in the row being
-	// eliminated, -1 elsewhere, and all -1 between calls — and aug the
-	// augmented block of the pivot inversion.
-	pattern   sparse.Pattern
-	aSlot     []int32
-	fillSlots []int32
-	slot      []int32
-	aug       []float64
+	// elim is the float64 array rows are eliminated in: row i's U blocks
+	// (pivot last) sit at block uOff[i], where later rows read them, its
+	// L blocks at block lPtr[i] — or, under float32 storage, at lBuf.
+	// Float64 storage eliminates in place: elim is val64 and uOff is
+	// UPtr[1:]. Float32 storage eliminates in a window planWindow sizes
+	// from the pattern — a ring of the U segments later rows still read,
+	// then one row's L blocks — and rounds each finished row into val32.
+	elim []float64
+	uOff []int32
+	lBuf int32
+
+	// Numeric-refresh state: the pattern Factor analysed; slot, the dense
+	// per-row work array of the IKJ elimination — slot[j] is the block of
+	// elim holding column j of the row being eliminated, -1 elsewhere, and
+	// all -1 between calls — and aug, the augmented block of the pivot
+	// inversion.
+	pattern sparse.Pattern
+	slot    []int32
+	aug     []float64
 
 	// Level-set schedule of the triangular solves (levels.go): block
 	// rows grouped by dependency depth in the L (forward) and U
@@ -91,6 +97,15 @@ func (f *Factorization) BytesPerValue() int {
 	return 8
 }
 
+// StorageBytes returns the bytes the factorization keeps for values: the
+// stored factors and, under float32 storage, the elimination window.
+func (f *Factorization) StorageBytes() int64 {
+	if f.val32 != nil {
+		return 4*int64(len(f.val32)) + 8*int64(len(f.elim))
+	}
+	return 8 * int64(len(f.val64))
+}
+
 // FactorFlopsFor estimates the floating-point work of factoring nnzb
 // stored blocks of size b: each block participates in O(1) block-block
 // multiplies of 2b³ flops. Shared between the measured profiler and the
@@ -116,9 +131,9 @@ func (f *Factorization) FactorBytes() int64 {
 }
 
 // Factor computes the block ILU(k) factorization of a: the symbolic
-// analysis (fill pattern, level-set schedule, A→factor copy index) and
-// one numeric pass. When a's values change on the same pattern, Refactor
-// repeats the numeric pass alone.
+// analysis (fill pattern, level-set schedule and, under float32 storage,
+// the elimination window) and one numeric pass. When a's values change
+// on the same pattern, Refactor repeats the numeric pass alone.
 func Factor(a *sparse.BCSR, opts Options) (*Factorization, error) {
 	sp := prof.Begin(prof.PhaseILUFactor)
 	f, err := FactorNoSpan(a, opts)
@@ -144,12 +159,20 @@ func FactorNoSpan(a *sparse.BCSR, opts Options) (*Factorization, error) {
 		return nil, err
 	}
 	f.buildLevels()
-	if err := f.indexValues(a); err != nil {
-		return nil, err
+	f.pattern = sparse.PatternOf(a)
+	f.slot = make([]int32, f.NB)
+	for i := range f.slot {
+		f.slot[i] = -1
 	}
-	f.val64 = make([]float64, len(f.Col)*a.B*a.B)
+	f.aug = make([]float64, 2*f.B*f.B)
+	f.tmp = make([]float64, f.B)
+	n := len(f.Col) * a.B * a.B
 	if opts.SinglePrecision {
-		f.val32 = make([]float32, len(f.val64))
+		f.val32 = make([]float32, n)
+		f.planWindow()
+	} else {
+		f.val64 = make([]float64, n)
+		f.elim, f.uOff = f.val64, f.UPtr[1:]
 	}
 	if err := f.numeric(a); err != nil {
 		return nil, err
@@ -160,11 +183,11 @@ func FactorNoSpan(a *sparse.BCSR, opts Options) (*Factorization, error) {
 // Refactor recomputes the factors from a, which must have exactly the
 // sparsity pattern Factor analysed (anything else is an error and
 // leaves the factors untouched). Every stored value is overwritten —
-// fill blocks zeroed, A copied in, then eliminated — so the result is
-// bitwise the one a fresh Factor(a) computes, whatever the previous
-// call left behind; nothing is allocated. After an error (a singular
-// pivot block) the factors are undefined until a later Refactor
-// succeeds.
+// row by row: fill blocks zeroed, A copied in, then eliminated — so the
+// result is bitwise the one a fresh Factor(a) computes, whatever the
+// previous call left behind; nothing is allocated. After an error (a
+// singular pivot block) the factors are undefined until a later
+// Refactor succeeds.
 func (f *Factorization) Refactor(a *sparse.BCSR) error {
 	sp := prof.Begin(prof.PhaseILUFactor)
 	defer sp.End(f.FactorFlops(), f.FactorBytes())
@@ -185,21 +208,27 @@ func (f *Factorization) RefactorNoSpan(a *sparse.BCSR) error {
 // earlier (already-final) rows drive fill in later ones.
 func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 	nb := a.NB
-	rowCols := make([][]int32, nb)
-	rowLevs := make([][]int32, nb)
+	// Row i's columns, ascending, are cols[ptr[i]:ptr[i+1]], their fill
+	// levels the same range of levs: two arenas that grow with the fill,
+	// from room for A and its diagonal once per level (exact at level 0).
+	ptr := make([]int32, nb+1)
+	room := min((level+1)*len(a.ColIdx)+nb, nb*nb)
+	cols := make([]int32, 0, room)
+	levs := make([]int32, 0, room)
+	var lower []int32 // the current row's pending pivots, reused
 	// Dense workspace for the current row.
 	lev := make([]int32, nb)
 	inRow := make([]bool, nb)
 	for i := 0; i < nb; i++ {
 		// Seed with A's row i (level 0) plus the diagonal.
-		cols := make([]int32, 0, int(a.RowPtr[i+1]-a.RowPtr[i])+1) //lint:alloc-ok per-factorization symbolic analysis; the fill pattern is being discovered
+		start := len(cols)
 		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
-			cols = append(cols, j) //lint:alloc-ok per-factorization symbolic fill discovery
+			cols = append(cols, j) //lint:alloc-ok per-factorization symbolic fill discovery, into an arena
 			lev[j] = 0
 			inRow[j] = true
 		}
 		if !inRow[i] {
-			cols = append(cols, int32(i)) //lint:alloc-ok per-factorization symbolic fill discovery
+			cols = append(cols, int32(i)) //lint:alloc-ok per-factorization symbolic fill discovery, into an arena
 			lev[i] = 0
 			inRow[i] = true
 		}
@@ -208,28 +237,29 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 		// columns discovered during processing that are still below the
 		// diagonal are inserted into the pending list in order, so every
 		// pivot is processed exactly once, ascending.
-		lower := make([]int32, 0, len(cols)) //lint:alloc-ok per-factorization symbolic pivot list
-		for _, j := range cols {
+		lower = lower[:0]
+		for _, j := range cols[start:] {
 			if j < int32(i) {
-				lower = append(lower, j) //lint:alloc-ok per-factorization symbolic pivot list
+				lower = append(lower, j) //lint:alloc-ok per-factorization symbolic pivot list, reused across rows
 			}
 		}
 		sortInt32(lower)
 		for li := 0; li < len(lower); li++ {
 			p := lower[li]
 			levIP := lev[p]
-			for t, j := range rowCols[p] {
+			for t := ptr[p]; t < ptr[p+1]; t++ {
+				j := cols[t]
 				if j <= p {
 					continue
 				}
-				through := levIP + rowLevs[p][t] + 1
+				through := levIP + levs[t] + 1
 				if through > int32(level) {
 					continue
 				}
 				if !inRow[j] {
 					inRow[j] = true
 					lev[j] = through
-					cols = append(cols, j) //lint:alloc-ok per-factorization symbolic fill discovery
+					cols = append(cols, j) //lint:alloc-ok per-factorization symbolic fill discovery, into an arena
 					if j < int32(i) {
 						// Insert into the pending pivot list, keeping order.
 						lower = insertSorted(lower, li+1, j)
@@ -239,14 +269,12 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 				}
 			}
 		}
-		sortInt32(cols)
-		levs := make([]int32, len(cols)) //lint:alloc-ok per-factorization symbolic row levels
-		for t, j := range cols {
-			levs[t] = lev[j]
+		sortInt32(cols[start:])
+		for _, j := range cols[start:] {
+			levs = append(levs, lev[j]) //lint:alloc-ok per-factorization symbolic row levels, into an arena
 			inRow[j] = false
 		}
-		rowCols[i] = cols
-		rowLevs[i] = levs
+		ptr[i+1] = int32(len(cols))
 	}
 	// Assemble the solve-order layout: row i's lower columns into the L
 	// stream at its ascending position, its upper columns and then the
@@ -254,24 +282,26 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 	f.LPtr = make([]int32, nb+1)
 	f.UPtr = make([]int32, nb+1)
 	for i := 0; i < nb; i++ {
+		row := cols[ptr[i]:ptr[i+1]]
 		t := 0
-		for t < len(rowCols[i]) && rowCols[i][t] < int32(i) {
+		for t < len(row) && row[t] < int32(i) {
 			t++
 		}
-		if t == len(rowCols[i]) || rowCols[i][t] != int32(i) {
+		if t == len(row) || row[t] != int32(i) {
 			return fmt.Errorf("ilu: row %d lost its diagonal", i)
 		}
 		f.LPtr[i+1] = f.LPtr[i] + int32(t)
 	}
 	f.UPtr[nb] = f.LPtr[nb]
 	for i := nb - 1; i >= 0; i-- {
-		f.UPtr[i] = f.UPtr[i+1] + int32(len(rowCols[i])) - (f.LPtr[i+1] - f.LPtr[i])
+		f.UPtr[i] = f.UPtr[i+1] + (ptr[i+1] - ptr[i]) - (f.LPtr[i+1] - f.LPtr[i])
 	}
 	f.Col = make([]int32, f.UPtr[0])
 	for i := 0; i < nb; i++ {
-		t := f.LPtr[i+1] - f.LPtr[i] // position of the diagonal in rowCols[i]
-		copy(f.Col[f.LPtr[i]:], rowCols[i][:t])
-		copy(f.Col[f.UPtr[i+1]:], rowCols[i][t+1:])
+		row := cols[ptr[i]:ptr[i+1]]
+		t := f.LPtr[i+1] - f.LPtr[i] // position of the diagonal in row
+		copy(f.Col[f.LPtr[i]:], row[:t])
+		copy(f.Col[f.UPtr[i+1]:], row[t+1:])
 		f.Col[f.UPtr[i]-1] = int32(i)
 	}
 	return nil
@@ -297,89 +327,103 @@ func insertSorted(s []int32, from int, v int32) []int32 {
 	return s
 }
 
-// rowSegments returns row i's blocks as three block ranges in ascending
-// column order: its L blocks, its diagonal, its U blocks.
-func (f *Factorization) rowSegments(i int) [3][2]int32 {
-	kd := f.UPtr[i] - 1
-	return [3][2]int32{{f.LPtr[i], f.LPtr[i+1]}, {kd, kd + 1}, {f.UPtr[i+1], kd}}
+// planWindow sizes and lays out the window float32 storage eliminates
+// in, from the pattern alone. Row i reads the U segments of its lower
+// columns, so while it is eliminated — in place, in the slot later rows
+// will read it from — rows need(i)…i-1 must be intact, need(i) being the
+// least first lower column of rows i…NB-1. Segments go into the ring
+// one after another, each contiguous, starting over at block 0 when the
+// next does not fit. A capacity of the largest live set (rows need(i)…i)
+// plus the longest segment keeps that from reaching a live row: the
+// segments since a restart are live and fill the ring up to the gap the
+// next restart leaves, which is shorter than the segment that did not
+// fit, so a second restart inside one live set would make it larger
+// than the capacity. Under RCM that is a few hundred rows; for an
+// ordering with no locality it is capped at every U block, where nothing
+// ever starts over. The longest row's L blocks follow the ring.
+func (f *Factorization) planWindow() {
+	nb := f.NB
+	uPtr := f.UPtr
+	var live, maxSeg, maxL int32
+	need := int32(nb)
+	for i := nb - 1; i >= 0; i-- {
+		need = min(need, int32(i))
+		if f.LPtr[i] < f.LPtr[i+1] {
+			need = min(need, f.Col[f.LPtr[i]])
+		}
+		live = max(live, uPtr[need]-uPtr[i+1])
+		maxSeg = max(maxSeg, uPtr[i]-uPtr[i+1])
+		maxL = max(maxL, f.LPtr[i+1]-f.LPtr[i])
+	}
+	ring := min(live+maxSeg, uPtr[0]-uPtr[nb])
+	f.uOff = make([]int32, nb)
+	var pos int32
+	for i := range f.uOff {
+		n := uPtr[i] - uPtr[i+1]
+		if pos+n > ring {
+			pos = 0
+		}
+		f.uOff[i] = pos
+		pos += n
+	}
+	f.lBuf = ring
+	f.elim = make([]float64, int(ring+maxL)*f.B*f.B)
 }
 
-// indexValues builds the numeric pass's copy index by walking each
-// factor row against A's row (both ascending): a factor block either
-// receives an A block or is fill.
-func (f *Factorization) indexValues(a *sparse.BCSR) error {
-	if len(a.ColIdx) > len(f.Col) {
-		return fmt.Errorf("ilu: matrix stores %d blocks, its fill pattern only %d", len(a.ColIdx), len(f.Col))
-	}
-	f.pattern = sparse.PatternOf(a)
-	f.aSlot = make([]int32, len(a.ColIdx))
-	f.fillSlots = make([]int32, 0, len(f.Col)-len(a.ColIdx))
-	for i := 0; i < f.NB; i++ {
-		ka, aEnd := a.RowPtr[i], a.RowPtr[i+1]
-		for _, seg := range f.rowSegments(i) {
-			for k := seg[0]; k < seg[1]; k++ {
-				if ka < aEnd && a.ColIdx[ka] == f.Col[k] {
-					f.aSlot[ka] = k
-					ka++
-				} else {
-					f.fillSlots = append(f.fillSlots, k) //lint:alloc-ok appends into capacity preallocated to the exact fill count
-				}
-			}
-		}
-		if ka != aEnd {
-			return fmt.Errorf("ilu: pattern lost entry (%d,%d)", i, a.ColIdx[ka])
-		}
-	}
-	f.slot = make([]int32, f.NB)
-	for i := range f.slot {
-		f.slot[i] = -1
-	}
-	f.aug = make([]float64, 2*f.B*f.B)
-	f.tmp = make([]float64, f.B)
-	return nil
-}
-
-// numeric loads a's values into the fill pattern and performs the block
-// IKJ elimination in place, directly in the solve-order storage — the
-// one numeric path behind both Factor and Refactor.
+// numeric performs the block IKJ elimination of a's values on the fill
+// pattern, a row at a time in elim — the one numeric path behind Factor
+// and Refactor in both storage precisions: the same kernels on the same
+// float64 operands in the same order wherever elim puts them.
 func (f *Factorization) numeric(a *sparse.BCSR) error {
 	b := f.B
 	bb := b * b
-	val, slot := f.val64, f.slot
-	col, lPtr, uPtr := f.Col, f.LPtr, f.UPtr
-	for _, k := range f.fillSlots {
-		clear(val[int(k)*bb : int(k)*bb+bb]) //lint:bce-ok fill block offset comes from the precomputed index list
-	}
-	for k, dst := range f.aSlot {
-		copy(val[int(dst)*bb:int(dst)*bb+bb], a.Val[k*bb:k*bb+bb]) //lint:bce-ok scatter through the precomputed A→factor copy index
-	}
+	val, slot, v32 := f.elim, f.slot, f.val32
+	col, lPtr, uPtr, uOff := f.Col, f.LPtr, f.UPtr, f.uOff
 	for i := 0; i < f.NB; i++ {
 		lower := col[lPtr[i]:lPtr[i+1]]
 		upper := col[uPtr[i+1]:uPtr[i]] // the U blocks, then the diagonal
-		kd := int(uPtr[i]) - 1
+		lo, uo := int(lPtr[i]), int(uOff[i])
+		if v32 != nil {
+			lo = int(f.lBuf)
+		}
+		kd := uo + len(upper) - 1
 		for t, j := range lower {
-			slot[j] = lPtr[i] + int32(t) //lint:bce-ok dense work array indexed by block column
+			slot[j] = int32(lo + t) //lint:bce-ok dense work array indexed by block column
 		}
 		for t, j := range upper {
-			slot[j] = uPtr[i+1] + int32(t) //lint:bce-ok dense work array indexed by block column
+			slot[j] = int32(uo + t) //lint:bce-ok dense work array indexed by block column
+		}
+		// Load A's row; a row with fill starts from zero blocks.
+		aLo, aHi := int(a.RowPtr[i]), int(a.RowPtr[i+1])
+		if len(lower)+len(upper) > aHi-aLo {
+			clear(val[lo*bb : (lo+len(lower))*bb])
+			clear(val[uo*bb : (kd+1)*bb])
+		}
+		aCols := a.ColIdx[aLo:aHi]
+		for k, j := range aCols {
+			dst, src := int(slot[j]), (aLo+k)*bb           //lint:bce-ok dense work array indexed by block column
+			copy(val[dst*bb:dst*bb+bb], a.Val[src:src+bb]) //lint:bce-ok block offsets are data-dependent through the pattern
 		}
 		for t, pc := range lower {
-			p, kip := int(pc), int(lPtr[i])+t
+			p, kip := int(pc), lo+t
 			// A_ip *= invU_pp, in place; row p's inverse sits after its U
 			// blocks. (aug is free until the pivot inversion below.)
-			uLo, pd := int(uPtr[p+1]), int(uPtr[p])-1
+			pCols := col[uPtr[p+1] : uPtr[p]-1]
+			uLo := int(uOff[p])
+			pd := uLo + len(pCols)
 			factor := val[kip*bb : kip*bb+bb]
 			mulRight(factor, val[pd*bb:pd*bb+bb], f.aug, b)
 			// Row update: A_ij -= A_ip * U_pj for j > p in row p.
-			for kp := uLo; kp < pd; kp++ {
-				dst := int(slot[col[kp]]) //lint:bce-ok dense work array indexed by block column
+			for kp, j := range pCols {
+				dst := int(slot[j]) //lint:bce-ok dense work array indexed by block column
 				if dst < 0 {
 					continue // fill dropped by the level rule
 				}
-				mulSub(val[dst*bb:dst*bb+bb], factor, val[kp*bb:kp*bb+bb], b) //lint:bce-ok block offsets are data-dependent through the pattern
+				src := (uLo + kp) * bb
+				mulSub(val[dst*bb:dst*bb+bb], factor, val[src:src+bb], b) //lint:bce-ok block offsets are data-dependent through the pattern
 			}
 		}
-		// The pivot block is inverted where the backward sweep reads it.
+		// The pivot block is inverted in place, last of the row's U segment.
 		diag := val[kd*bb : kd*bb+bb]
 		err := invertBlock(diag, diag, b, f.aug)
 		for _, j := range lower {
@@ -391,14 +435,20 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 		if err != nil {
 			return fmt.Errorf("ilu: singular pivot block at row %d: %w", i, err) //lint:escape-ok cold error exit: the row index is boxed only when the factorization fails
 		}
-	}
-	if f.val32 != nil {
-		v32 := f.val32[:len(val)]
-		for i, v := range val {
-			v32[i] = float32(v)
+		if v32 != nil {
+			round32(v32[int(lPtr[i])*bb:int(lPtr[i+1])*bb], val[lo*bb:])
+			round32(v32[int(uPtr[i+1])*bb:int(uPtr[i])*bb], val[uo*bb:])
 		}
 	}
 	return nil
+}
+
+// round32 stores src's leading len(dst) values rounded to float32.
+func round32(dst []float32, src []float64) {
+	src = src[:len(dst)]
+	for k, v := range src {
+		dst[k] = float32(v)
+	}
 }
 
 // mulSub computes c -= a*b for row-major n×n blocks. Each entry's

@@ -209,3 +209,10 @@ func TestSolveParSteadyStateAllocs(t *testing.T) {
 		p.Close()
 	}
 }
+
+// rowSegments returns row i's blocks as three block ranges in ascending
+// column order: its L blocks, its diagonal, its U blocks.
+func (f *Factorization) rowSegments(i int) [3][2]int32 {
+	kd := f.UPtr[i] - 1
+	return [3][2]int32{{f.LPtr[i], f.LPtr[i+1]}, {kd, kd + 1}, {f.UPtr[i+1], kd}}
+}

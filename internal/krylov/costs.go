@@ -16,6 +16,9 @@ func dotsBytes(k, extra, n int) int64 {
 	return par.MDotBytes(k, n) + int64(extra)*par.MDotBytes(1, n)
 }
 
+// sumBytes: the k scalars an address space contributes to one Sum round.
+func sumBytes(k int) int64 { return 8 * int64(k) }
+
 // scaleFlops and scaleBytes: the basis normalization, one multiply per
 // element, one vector read and one written.
 func scaleFlops(n int) int64 { return int64(n) }

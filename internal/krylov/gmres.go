@@ -207,6 +207,10 @@ func (ws *Workspace) fit(n, mr int, pool *par.Pool) {
 	ws.batch = make([][]float64, mr+2)
 }
 
+// Reserve sizes the workspace for the solves opts describes on
+// n-vectors, so that a caller can place the allocation.
+func (ws *Workspace) Reserve(n int, opts Options) { ws.fit(n, opts.Restart, opts.Pool) }
+
 // Solve is SolveOn in one address space: a's products run inside a
 // matvec span of the process-wide profiler, m (nil: none) preconditions.
 func (ws *Workspace) Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, error) {
@@ -243,10 +247,7 @@ func (ws *Workspace) SolveOn(sp Space, apply func(x, y []float64) error, pc func
 	ws.fit(n, mr, opts.Pool)
 
 	s := &ws.gmres
-	s.sp, s.pool, s.apply, s.reduce, s.st = sp, opts.Pool, apply, nil, Stats{}
-	if sp.Sum != nil {
-		s.reduce = sp.Prof
-	}
+	s.sp, s.pool, s.apply, s.st = sp, opts.Pool, apply, Stats{}
 	z, r, w := ws.z, ws.r, ws.w
 	cs, sn, g, y, vnrm := ws.cs, ws.sn, ws.g, ws.y, s.vnrm
 	v, h := s.v, s.h
@@ -383,10 +384,7 @@ type gmres struct {
 	pool  *par.Pool
 	n     int
 	apply func(x, y []float64) error
-	// reduce is the profiler the reduce spans open on: sp.Prof when Sum
-	// is set, nil — inert spans, no reduce phase — on one address space.
-	reduce *prof.Profiler
-	st     Stats
+	st    Stats
 
 	v, h  [][]float64 // basis rows; Hessenberg h[i][j]
 	w     []float64   // the vector being orthogonalized
@@ -431,26 +429,23 @@ func scaleInto(dst, src []float64, a float64) {
 // par.Dot, ONE Sum round for the whole batch. Both halves are
 // deterministic (fixed-shape segmented local partials, rank-ordered
 // elementwise combine), so each entry is bitwise what a scalar reduction
-// of the same product gives. With Sum set the whole call is a reduce
-// span, local products included — they are a vanishing fraction of it
-// next to the wait for the last rank; on one address space the products
-// are the open orthogonalization span's work.
+// of the same product gives. The local products are the open
+// orthogonalization span's work at every rank count; the reduce span is
+// the Sum round alone — the wait for the last rank.
 func (s *gmres) dots(x []float64, vs [][]float64, u, out []float64) {
 	k, extra := len(vs), 0
-	rsp := s.reduce.Begin(prof.PhaseReduce)
-	s.reduce.NoteThreads(prof.PhaseReduce, s.pool.Workers())
 	par.MDot(s.pool, x, vs, out)
 	if u != nil {
 		extra = 1
 		out[k] = par.Dot(s.pool, u, u)
 	}
+	s.flops += dotsFlops(k, extra, s.n)
+	s.bytes += dotsBytes(k, extra, s.n)
 	if s.sp.Sum != nil {
+		rsp := s.sp.Prof.Begin(prof.PhaseReduce)
 		s.sp.Sum(out[:k+extra])
-	} else {
-		s.flops += dotsFlops(k, extra, s.n)
-		s.bytes += dotsBytes(k, extra, s.n)
+		rsp.End(0, sumBytes(k+extra))
 	}
-	rsp.End(dotsFlops(k, extra, s.n), dotsBytes(k, extra, s.n))
 }
 
 // dot returns the global x·y: a one-vector dots batch.

@@ -171,6 +171,14 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 	// not claimed by a nested phase.
 	nsp := prof.Begin(prof.PhaseNewton)
 	defer nsp.End(0, 0)
+	// The solve's one Krylov workspace, reserved before the Jacobian and
+	// not by the first linear solve: the collection the Jacobian's
+	// allocation forces then counts both live and sets a heap goal above
+	// everything the solve keeps, where one that first saw the workspace
+	// after the factors doubled the goal with all of it live (seq-22k:
+	// peak RSS 160 MB instead of 228–305, EXPERIMENTS.md).
+	var ws krylov.Workspace
+	ws.Reserve(d.N(), s.Opts.Krylov)
 	ts := make([]float64, d.M.NumVertices()) // pseudo-time scales, refilled every step attempt
 	jac := d.JacobianPattern()
 	var pc krylov.Preconditioner
@@ -181,10 +189,9 @@ func (s *Solver) Solve(q []float64) (*Result, error) {
 
 	// The operators are built once and read the attempt's buffers and cfl
 	// through c, and ‖q‖ (q is fixed while a step's Krylov solve runs)
-	// through qnorm; ws is the solve's one Krylov workspace.
+	// through qnorm.
 	var c *Correction
 	var qnorm float64
-	var ws krylov.Workspace
 	op := krylov.OperatorFunc(func(v, y []float64) {
 		// Matrix-free: Jv = (R(q+εv) − R(q))/ε + (V/Δt) v.
 		vn := sparse.Norm2(v)
