@@ -5,7 +5,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid ilu-grid dist-grid allocs fuzz
+.PHONY: verify fmt vet fallback lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid ilu-grid dist-grid allocs fuzz
 
 # named_gate runs the tests of packages $(2) that match the regex $(1)
 # with the go test flags $(3) (-race, except where noted) — after
@@ -20,7 +20,7 @@ define named_gate
 	go test $(3) -count=1 -run $(1) $(2)
 endef
 
-verify: fmt vet lint race
+verify: fmt vet fallback lint race
 
 fmt:
 	@out="$$(gofmt -l $(GOFILES))"; \
@@ -28,6 +28,13 @@ fmt:
 
 vet:
 	go vet ./...
+
+# The pure-Go fallback: internal/ilu's AVX2 kernels exist on amd64 only
+# (kernels_amd64.s), so an architecture without them must still build,
+# and vet the package whose Go kernels then run.
+fallback:
+	GOARCH=arm64 go build ./...
+	GOARCH=arm64 go vet ./internal/ilu
 
 # Wall-time guard on the static gate: the whole suite runs in a few
 # seconds, so a generous ceiling only trips if an analyzer has gotten
@@ -95,9 +102,13 @@ kernels-grid:
 # orderings, after Factor and after a Refactor that follows a failed
 # refresh); a refresh is bitwise a fresh factorization and allocates
 # nothing, in ilu, across the Schwarz subdomains × workers and in each
-# rank's block Jacobi — under the race detector (CI runs it by name).
+# rank's block Jacobi; every AVX2 block kernel is bitwise its Go kernel
+# (special values, level row lists, whole factorizations, Solve ≡
+# SolvePar) and the family follows CPUID — under the race detector, which
+# does not see the assembly's accesses, so the grids also run the Go
+# kernels (CI runs it by name).
 ilu-grid:
-	$(call named_gate,'SinglePrecisionIsRoundedDouble|RefactorBitwiseGrid|SubdomainParallelBitwiseGrid|Refresh',./internal/ilu ./internal/schwarz ./internal/dist,-race)
+	$(call named_gate,'SinglePrecisionIsRoundedDouble|RefactorBitwiseGrid|SubdomainParallelBitwiseGrid|Refresh|BlockKernelsMatchGo|DispatchFollowsCPUID',./internal/ilu ./internal/schwarz ./internal/dist,-race)
 
 # Rank-ownership gate: a rank assembles and multiplies only what it
 # owns, with the bits of the global path — every rank's in-place
@@ -122,6 +133,7 @@ allocs:
 # under the package's testdata/fuzz and then runs with plain go test.
 fuzz:
 	go test -run '^$$' -fuzz FuzzEdgeFlux -fuzztime 20s ./internal/euler
+	go test -run '^$$' -fuzz FuzzBlockKernels -fuzztime 20s ./internal/ilu
 
 # Ortho gate: the fused multi-vector kernel determinism grid — MDot/
 # MAxpy bitwise against the per-vector reference across worker counts,

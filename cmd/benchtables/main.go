@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchtables [-size small|medium|large] [-experiment all|table1|table2|table3|table3measured|chaos|table4|table5|threads|ortho|figure1|figure2|figure3|figure4|figure5|missmodel|ablation|spmvbound]
+//	benchtables [-size small|medium|large] [-experiment all|table1|table2|table2measured|table3|table3measured|chaos|table4|table5|threads|ortho|figure1|figure2|figure3|figure4|figure5|missmodel|ablation|spmvbound]
 package main
 
 import (
@@ -74,6 +74,13 @@ func main() {
 		},
 		"table2": func() (string, error) {
 			r, err := experiments.Table2(size)
+			if err != nil {
+				return "", err
+			}
+			return r.Render(), nil
+		},
+		"table2measured": func() (string, error) {
+			r, err := experiments.Table2Measured(size)
 			if err != nil {
 				return "", err
 			}
@@ -197,7 +204,7 @@ func main() {
 		},
 	}
 	order := []string{
-		"table1", "figure3", "missmodel", "spmvbound", "table2", "table3",
+		"table1", "figure3", "missmodel", "spmvbound", "table2measured", "table3",
 		"table3measured", "chaos", "figure2", "figure4", "figure5", "table4",
 		"table5", "threads", "ortho", "ablation",
 	}

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTable3MeasuredShape(t *testing.T) {
 	if raceDetectorEnabled {
@@ -45,5 +48,32 @@ func TestTable3MeasuredShape(t *testing.T) {
 	}
 	if out := res.Render(); len(out) == 0 {
 		t.Error("empty render")
+	}
+}
+
+// TestTable2MeasuredShape: the measured Table 2 at smoke scale has a row
+// per matrix and precision with positive timings, float32 factors smaller
+// than float64 ones, and names the kernel family and the host.
+func TestTable2MeasuredShape(t *testing.T) {
+	res, err := Table2MeasuredStudy([]Table2Matrix{{400, 4, 0}, {400, 5, 1}}, 7, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 4 || res.Kernels == "" || res.Host == "" || res.StreamBps <= 0 {
+		t.Fatalf("incomplete result: %d rows, kernels %q, host %q, STREAM %g", len(res.Rows), res.Kernels, res.Host, res.StreamBps)
+	}
+	for i, r := range res.Rows {
+		if r.Single != (i%2 == 1) || r.B != 4+i/2 || r.Level != i/2 {
+			t.Errorf("row %d is b=%d ILU(%d) single=%v", i, r.B, r.Level, r.Single)
+		}
+		if r.Refactor.Median <= 0 || r.Solve.Median <= 0 || r.Refactor.IQR < 0 || r.Solve.IQR < 0 || r.SolveFrac <= 0 || r.RefactorFrac <= 0 {
+			t.Errorf("row %d measured nothing: %+v", i, r)
+		}
+		if r.Single && r.FactorBytes >= res.Rows[i-1].FactorBytes {
+			t.Errorf("row %d: float32 factors take %d bytes, float64 %d", i, r.FactorBytes, res.Rows[i-1].FactorBytes)
+		}
+	}
+	if out := res.Render(); !strings.Contains(out, "(measured)") || !strings.Contains(out, res.Kernels) {
+		t.Errorf("render does not label the measurement or name the kernels:\n%s", out)
 	}
 }

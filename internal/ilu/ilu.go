@@ -23,7 +23,9 @@ import (
 // from the block count at row 0 to the L block count at row NB). The
 // forward sweep is one ascending pass over the first stream, the
 // backward sweep one over the second. Within a row blocks ascend by
-// column; Col[k] is block k's column (its own row for a diagonal).
+// column; Col[k] is block k's column (its own row for a diagonal). Each
+// block is stored column-major: entry (r, c) of block k is scalar
+// k·B² + c·B + r, so one block column is B consecutive scalars.
 type Layout struct {
 	LPtr, UPtr, Col []int32
 }
@@ -71,8 +73,8 @@ type Factorization struct {
 	fwdRows, bwdRows []int32
 	fwdPtr, bwdPtr   []int32
 
-	// tmp is backwardN's diagonal-multiply temporary, B scalars per pool
-	// worker (the sequential solve is worker 0).
+	// tmp is the fallback kernels' row sums, B scalars per pool worker
+	// (the sequential solve is worker 0).
 	tmp  []float64
 	task triTask
 }
@@ -393,7 +395,8 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 		for t, j := range upper {
 			slot[j] = int32(uo + t) //lint:bce-ok dense work array indexed by block column
 		}
-		// Load A's row; a row with fill starts from zero blocks.
+		// Load A's row, each row-major block transposed into the factors'
+		// column-major storage; a row with fill starts from zero blocks.
 		aLo, aHi := int(a.RowPtr[i]), int(a.RowPtr[i+1])
 		if len(lower)+len(upper) > aHi-aLo {
 			clear(val[lo*bb : (lo+len(lower))*bb])
@@ -401,8 +404,8 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 		}
 		aCols := a.ColIdx[aLo:aHi]
 		for k, j := range aCols {
-			dst, src := int(slot[j]), (aLo+k)*bb           //lint:bce-ok dense work array indexed by block column
-			copy(val[dst*bb:dst*bb+bb], a.Val[src:src+bb]) //lint:bce-ok block offsets are data-dependent through the pattern
+			dst, src := int(slot[j]), (aLo+k)*bb                   //lint:bce-ok dense work array indexed by block column
+			transpose(val[dst*bb:dst*bb+bb], a.Val[src:src+bb], b) //lint:bce-ok block offsets are data-dependent through the pattern
 		}
 		for t, pc := range lower {
 			p, kip := int(pc), lo+t
@@ -451,32 +454,39 @@ func round32(dst []float32, src []float64) {
 	}
 }
 
-// mulSub computes c -= a*b for row-major n×n blocks. Each entry's
-// product sum is accumulated from zero in ascending k and subtracted
-// once — exactly a matMul into a temporary followed by a subtraction,
-// without the temporary. Unrolled kernels handle the paper's block
-// sizes (4 incompressible, 5 compressible).
+// The block kernels of the elimination. Blocks are stored column-major:
+// entry (r, c) of an n×n block is element c·n + r. Each kernel computes
+// every entry of its product as a sum accumulated from +0 in ascending k
+// with the operands in the order written, so a kernel's result does not
+// depend on the order it visits entries in — which is what lets the
+// assembly twins (kernels_amd64.s) vectorise across a block's rows.
+
+// mulSub computes c -= a*b. Each entry's product sum is accumulated from
+// zero in ascending k and subtracted once — exactly a matMul into a
+// temporary followed by a subtraction, without the temporary. Unrolled
+// kernels handle the paper's block sizes (4 incompressible, 5
+// compressible).
 func mulSub(c, a, b []float64, n int) {
 	switch n {
 	case 4:
-		mulSub4(c, a, b)
+		kern.mulSub4(c, a, b)
 	case 5:
-		mulSub5(c, a, b)
+		kern.mulSub5(c, a, b)
 	default:
 		mulSubGeneric(c, a, b, n)
 	}
 }
 
 func mulSubGeneric(c, a, b []float64, n int) {
-	for i := 0; i < n; i++ {
-		ai := a[i*n : i*n+n]
-		ci := c[i*n : i*n+n]
-		for j := range ci {
+	for j := 0; j < n; j++ {
+		bj := b[j*n : j*n+n]
+		cj := c[j*n : j*n+n]
+		for i := range cj {
 			var s float64
-			for k, w := range ai {
-				s += w * b[k*n+j] //lint:bce-ok strided walk down column j of b; k*n+j < n*n relates three lengths the prover cannot carry
+			for k, w := range bj {
+				s += a[k*n+i] * w //lint:bce-ok strided walk along row i of a; k*n+i < n*n relates three lengths the prover cannot carry
 			}
-			ci[j] -= s
+			cj[i] -= s
 		}
 	}
 }
@@ -485,12 +495,12 @@ func mulSubGeneric(c, a, b []float64, n int) {
 // iteration, every sum still accumulated from zero in ascending k.
 func mulSub4(c, a, b []float64) {
 	c, a, b = c[:16:16], a[:16:16], b[:16:16]
-	b00, b01, b02, b03 := b[0], b[1], b[2], b[3]
-	b10, b11, b12, b13 := b[4], b[5], b[6], b[7]
-	b20, b21, b22, b23 := b[8], b[9], b[10], b[11]
-	b30, b31, b32, b33 := b[12], b[13], b[14], b[15]
-	for i := 0; i <= 12; i += 4 {
-		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
+	b00, b10, b20, b30 := b[0], b[1], b[2], b[3]
+	b01, b11, b21, b31 := b[4], b[5], b[6], b[7]
+	b02, b12, b22, b32 := b[8], b[9], b[10], b[11]
+	b03, b13, b23, b33 := b[12], b[13], b[14], b[15]
+	for i := 0; i < 4; i++ {
+		a0, a1, a2, a3 := a[i], a[i+4], a[i+8], a[i+12]
 		var s0, s1, s2, s3 float64
 		s0 += a0 * b00
 		s1 += a0 * b01
@@ -509,61 +519,61 @@ func mulSub4(c, a, b []float64) {
 		s2 += a3 * b32
 		s3 += a3 * b33
 		c[i] -= s0
-		c[i+1] -= s1
-		c[i+2] -= s2
-		c[i+3] -= s3
+		c[i+4] -= s1
+		c[i+8] -= s2
+		c[i+12] -= s3
 	}
 }
 
 func mulSub5(c, a, b []float64) {
 	c, a, b = c[:25:25], a[:25:25], b[:25:25]
-	for i := 0; i <= 20; i += 5 {
-		a0, a1, a2, a3, a4 := a[i], a[i+1], a[i+2], a[i+3], a[i+4]
+	for i := 0; i < 5; i++ {
+		a0, a1, a2, a3, a4 := a[i], a[i+5], a[i+10], a[i+15], a[i+20]
 		var s0, s1, s2, s3, s4 float64
 		s0 += a0 * b[0]
-		s1 += a0 * b[1]
-		s2 += a0 * b[2]
-		s3 += a0 * b[3]
-		s4 += a0 * b[4]
-		s0 += a1 * b[5]
+		s1 += a0 * b[5]
+		s2 += a0 * b[10]
+		s3 += a0 * b[15]
+		s4 += a0 * b[20]
+		s0 += a1 * b[1]
 		s1 += a1 * b[6]
-		s2 += a1 * b[7]
-		s3 += a1 * b[8]
-		s4 += a1 * b[9]
-		s0 += a2 * b[10]
-		s1 += a2 * b[11]
+		s2 += a1 * b[11]
+		s3 += a1 * b[16]
+		s4 += a1 * b[21]
+		s0 += a2 * b[2]
+		s1 += a2 * b[7]
 		s2 += a2 * b[12]
-		s3 += a2 * b[13]
-		s4 += a2 * b[14]
-		s0 += a3 * b[15]
-		s1 += a3 * b[16]
-		s2 += a3 * b[17]
+		s3 += a2 * b[17]
+		s4 += a2 * b[22]
+		s0 += a3 * b[3]
+		s1 += a3 * b[8]
+		s2 += a3 * b[13]
 		s3 += a3 * b[18]
-		s4 += a3 * b[19]
-		s0 += a4 * b[20]
-		s1 += a4 * b[21]
-		s2 += a4 * b[22]
-		s3 += a4 * b[23]
+		s4 += a3 * b[23]
+		s0 += a4 * b[4]
+		s1 += a4 * b[9]
+		s2 += a4 * b[14]
+		s3 += a4 * b[19]
 		s4 += a4 * b[24]
 		c[i] -= s0
-		c[i+1] -= s1
-		c[i+2] -= s2
-		c[i+3] -= s3
-		c[i+4] -= s4
+		c[i+5] -= s1
+		c[i+10] -= s2
+		c[i+15] -= s3
+		c[i+20] -= s4
 	}
 }
 
-// mulRight computes a = a*b in place for row-major n×n blocks, every
-// entry's product sum accumulated from +0 in ascending k — matMul's
-// order, so the result is bitwise matMul's. Row i of the product reads
-// row i of a only, which is what lets the written-out kernels overwrite
-// a row by row; other sizes go through matMul into scratch (n² scalars).
+// mulRight computes a = a*b in place, every entry's product sum
+// accumulated from +0 in ascending k — matMul's order, so the result is
+// bitwise matMul's. Row i of the product reads row i of a only, which is
+// what lets the written-out kernels overwrite a row at a time; other
+// sizes go through matMul into scratch (n² scalars).
 func mulRight(a, b, scratch []float64, n int) {
 	switch n {
 	case 4:
-		mulRight4(a, b)
+		kern.mulRight4(a, b)
 	case 5:
-		mulRight5(a, b)
+		kern.mulRight5(a, b)
 	default:
 		matMul(a, b, scratch, n)
 		copy(a, scratch[:n*n])
@@ -572,12 +582,12 @@ func mulRight(a, b, scratch []float64, n int) {
 
 func mulRight4(a, b []float64) {
 	a, b = a[:16:16], b[:16:16]
-	b00, b01, b02, b03 := b[0], b[1], b[2], b[3]
-	b10, b11, b12, b13 := b[4], b[5], b[6], b[7]
-	b20, b21, b22, b23 := b[8], b[9], b[10], b[11]
-	b30, b31, b32, b33 := b[12], b[13], b[14], b[15]
-	for i := 0; i <= 12; i += 4 {
-		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
+	b00, b10, b20, b30 := b[0], b[1], b[2], b[3]
+	b01, b11, b21, b31 := b[4], b[5], b[6], b[7]
+	b02, b12, b22, b32 := b[8], b[9], b[10], b[11]
+	b03, b13, b23, b33 := b[12], b[13], b[14], b[15]
+	for i := 0; i < 4; i++ {
+		a0, a1, a2, a3 := a[i], a[i+4], a[i+8], a[i+12]
 		var s0, s1, s2, s3 float64
 		s0 += a0 * b00
 		s1 += a0 * b01
@@ -595,65 +605,99 @@ func mulRight4(a, b []float64) {
 		s1 += a3 * b31
 		s2 += a3 * b32
 		s3 += a3 * b33
-		a[i], a[i+1], a[i+2], a[i+3] = s0, s1, s2, s3
+		a[i], a[i+4], a[i+8], a[i+12] = s0, s1, s2, s3
 	}
 }
 
 func mulRight5(a, b []float64) {
 	a, b = a[:25:25], b[:25:25]
-	for i := 0; i <= 20; i += 5 {
-		a0, a1, a2, a3, a4 := a[i], a[i+1], a[i+2], a[i+3], a[i+4]
+	for i := 0; i < 5; i++ {
+		a0, a1, a2, a3, a4 := a[i], a[i+5], a[i+10], a[i+15], a[i+20]
 		var s0, s1, s2, s3, s4 float64
 		s0 += a0 * b[0]
-		s1 += a0 * b[1]
-		s2 += a0 * b[2]
-		s3 += a0 * b[3]
-		s4 += a0 * b[4]
-		s0 += a1 * b[5]
+		s1 += a0 * b[5]
+		s2 += a0 * b[10]
+		s3 += a0 * b[15]
+		s4 += a0 * b[20]
+		s0 += a1 * b[1]
 		s1 += a1 * b[6]
-		s2 += a1 * b[7]
-		s3 += a1 * b[8]
-		s4 += a1 * b[9]
-		s0 += a2 * b[10]
-		s1 += a2 * b[11]
+		s2 += a1 * b[11]
+		s3 += a1 * b[16]
+		s4 += a1 * b[21]
+		s0 += a2 * b[2]
+		s1 += a2 * b[7]
 		s2 += a2 * b[12]
-		s3 += a2 * b[13]
-		s4 += a2 * b[14]
-		s0 += a3 * b[15]
-		s1 += a3 * b[16]
-		s2 += a3 * b[17]
+		s3 += a2 * b[17]
+		s4 += a2 * b[22]
+		s0 += a3 * b[3]
+		s1 += a3 * b[8]
+		s2 += a3 * b[13]
 		s3 += a3 * b[18]
-		s4 += a3 * b[19]
-		s0 += a4 * b[20]
-		s1 += a4 * b[21]
-		s2 += a4 * b[22]
-		s3 += a4 * b[23]
+		s4 += a3 * b[23]
+		s0 += a4 * b[4]
+		s1 += a4 * b[9]
+		s2 += a4 * b[14]
+		s3 += a4 * b[19]
 		s4 += a4 * b[24]
-		a[i], a[i+1], a[i+2], a[i+3], a[i+4] = s0, s1, s2, s3, s4
+		a[i], a[i+5], a[i+10], a[i+15], a[i+20] = s0, s1, s2, s3, s4
 	}
 }
 
-// matMul computes c = a*b for row-major b×b blocks.
+// matMul computes c = a*b.
 func matMul(a, b, c []float64, n int) {
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			var s float64
 			for k := 0; k < n; k++ {
-				s += a[i*n+k] * b[k*n+j]
+				s += a[k*n+i] * b[j*n+k]
 			}
-			c[i*n+j] = s
+			c[j*n+i] = s
 		}
 	}
 }
 
-// invertBlock inverts the row-major n×n block src into dst (which may
-// be src itself) using Gauss-Jordan with partial pivoting; aug is 2n²
-// scalars of scratch for the augmented block [A | I].
+// transpose stores the row-major n×n block src into dst column-major:
+// the load of A's blocks into the factors.
+func transpose(dst, src []float64, n int) {
+	switch n {
+	case 4:
+		transpose4(dst, src)
+	case 5:
+		transpose5(dst, src)
+	default:
+		for r := 0; r < n; r++ {
+			for c := 0; c < n; c++ {
+				dst[c*n+r] = src[r*n+c]
+			}
+		}
+	}
+}
+
+func transpose4(dst, src []float64) {
+	dst, src = dst[:16:16], src[:16:16]
+	dst[0], dst[1], dst[2], dst[3] = src[0], src[4], src[8], src[12]
+	dst[4], dst[5], dst[6], dst[7] = src[1], src[5], src[9], src[13]
+	dst[8], dst[9], dst[10], dst[11] = src[2], src[6], src[10], src[14]
+	dst[12], dst[13], dst[14], dst[15] = src[3], src[7], src[11], src[15]
+}
+
+func transpose5(dst, src []float64) {
+	dst, src = dst[:25:25], src[:25:25]
+	dst[0], dst[1], dst[2], dst[3], dst[4] = src[0], src[5], src[10], src[15], src[20]
+	dst[5], dst[6], dst[7], dst[8], dst[9] = src[1], src[6], src[11], src[16], src[21]
+	dst[10], dst[11], dst[12], dst[13], dst[14] = src[2], src[7], src[12], src[17], src[22]
+	dst[15], dst[16], dst[17], dst[18], dst[19] = src[3], src[8], src[13], src[18], src[23]
+	dst[20], dst[21], dst[22], dst[23], dst[24] = src[4], src[9], src[14], src[19], src[24]
+}
+
+// invertBlock inverts the n×n block src into dst (which may be src
+// itself) using Gauss-Jordan with partial pivoting; aug is 2n² scalars of
+// scratch for the augmented block [A | I], kept row-major.
 func invertBlock(src, dst []float64, n int, aug []float64) error {
 	w := 2 * n
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			aug[i*w+j] = src[i*n+j]
+			aug[i*w+j] = src[j*n+i]
 			aug[i*w+n+j] = 0
 		}
 		aug[i*w+n+i] = 1
@@ -693,7 +737,7 @@ func invertBlock(src, dst []float64, n int, aug []float64) error {
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			dst[i*n+j] = aug[i*w+n+j]
+			dst[j*n+i] = aug[i*w+n+j]
 		}
 	}
 	return nil

@@ -140,7 +140,8 @@ func (f *Factorization) SolvePar(p *par.Pool, b, x []float64) {
 		f.tmp = make([]float64, nw*f.B)
 	}
 	t := &f.task
-	t.f, t.b, t.x = f, b, x
+	t.f = f
+	t.b, t.x = f.vectors(b, x)
 	t.backward = false
 	for l := 0; l+1 < len(f.fwdPtr); l++ {
 		t.rows = f.fwdRows[f.fwdPtr[l]:f.fwdPtr[l+1]]
@@ -178,9 +179,10 @@ type triTask struct {
 func (t *triTask) RunShard(w, nw int) {
 	lo, hi := len(t.rows)*w/nw, len(t.rows)*(w+1)/nw
 	f := t.f
+	tmp := f.tmp[w*f.B : w*f.B+f.B]
 	if t.backward {
-		f.backward(t.rows, lo, hi, t.x, f.tmp[w*f.B:w*f.B+f.B])
+		f.backward(t.rows, lo, hi, t.x, tmp)
 	} else {
-		f.forward(t.rows, lo, hi, t.b, t.x)
+		f.forward(t.rows, lo, hi, t.b, t.x, tmp)
 	}
 }

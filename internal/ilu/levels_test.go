@@ -1,6 +1,7 @@
 package ilu
 
 import (
+	"math"
 	"testing"
 
 	"petscfun3d/internal/par"
@@ -20,7 +21,8 @@ func levelFixture(t testing.TB, b, level int, single bool) *Factorization {
 // TestLayoutInvariants: the solve-order storage holds every logical
 // block of the fill pattern exactly once — L stream ascending by row, U
 // stream descending by row, each row's diagonal last in its U range —
-// and the level schedule is a valid one for the dependencies it stores.
+// every block column-major, and the level schedule is a valid one for
+// the dependencies it stores.
 func TestLayoutInvariants(t *testing.T) {
 	for _, level := range []int{0, 1, 2} {
 		a := wingBlockMatrix(t, 8, 5, 4, 4, 42)
@@ -81,6 +83,36 @@ func TestLayoutInvariants(t *testing.T) {
 		}
 		if level == 0 && int(nnzb) != a.NNZBlocks() {
 			t.Fatalf("ILU(0) stores %d blocks, A %d", nnzb, a.NNZBlocks())
+		}
+		// Blocks are column-major: row 0 has no pivots, so its U blocks are
+		// A's, entry (r, c) at scalar c·B + r, and its pivot times A's
+		// diagonal block is the identity.
+		b, bb := f.B, f.B*f.B
+		for k := f.UPtr[1]; k < f.UPtr[0]; k++ {
+			ab, ok := a.BlockAt(0, int(f.Col[k]))
+			if !ok {
+				t.Fatalf("level=%d: row 0 stores column %d, A does not", level, f.Col[k])
+			}
+			got := f.val64[int(k)*bb : int(k+1)*bb]
+			for r := 0; r < b; r++ {
+				for c := 0; c < b; c++ {
+					if k == f.UPtr[0]-1 {
+						var s float64
+						for m := 0; m < b; m++ {
+							s += ab[r*b+m] * got[c*b+m]
+						}
+						want := 0.0
+						if r == c {
+							want = 1
+						}
+						if math.Abs(s-want) > 1e-12 {
+							t.Fatalf("level=%d: (A_00 · stored pivot)(%d,%d) = %g, want %g", level, r, c, s, want)
+						}
+					} else if math.Float64bits(got[c*b+r]) != math.Float64bits(ab[r*b+c]) {
+						t.Fatalf("level=%d: block (0,%d) entry (%d,%d) stored at %d is %g, A has %g", level, f.Col[k], r, c, c*b+r, got[c*b+r], ab[r*b+c])
+					}
+				}
+			}
 		}
 		for dir, sched := range map[string]struct{ rows, ptr []int32 }{
 			"fwd": {f.fwdRows, f.fwdPtr},

@@ -197,8 +197,16 @@ func TestRefactorSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMulSubMatchesMatMulThenSubtract pins the fused row-update kernel
-// to the two-step form it replaced, bit for bit, signed zeros included.
+// of every kernel family to the two-step form it replaced, bit for bit,
+// signed zeros included.
 func TestMulSubMatchesMatMulThenSubtract(t *testing.T) {
+	for _, fam := range families() {
+		useKernels(t, fam)
+		mulSubMatchesMatMul(t, fam.name)
+	}
+}
+
+func mulSubMatchesMatMul(t *testing.T, family string) {
 	negZero := math.Copysign(0, -1)
 	for _, n := range []int{1, 2, 4, 5, 7} {
 		nn := n * n
@@ -215,11 +223,12 @@ func TestMulSubMatchesMatMulThenSubtract(t *testing.T) {
 			// A row of negative zeros in a against a positive b and a
 			// negative-zero row of c separates a sum accumulated from
 			// zero (+0, so c stays -0) from one seeded with its first
-			// product (-0, so c flips to +0).
+			// product (-0, so c flips to +0). Row 0 of a column-major
+			// block is every n-th scalar.
 			a[nn-1] = 0
 			if trial%2 == 1 {
 				for i := 0; i < n; i++ {
-					a[i], c[i] = negZero, negZero
+					a[i*n], c[i*n] = negZero, negZero
 				}
 				for i := range b {
 					b[i] = math.Abs(b[i])
@@ -233,7 +242,7 @@ func TestMulSubMatchesMatMulThenSubtract(t *testing.T) {
 			mulSub(c, a, b, n)
 			for i := range want {
 				if math.Float64bits(c[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d trial %d entry %d: %x, want %x", n, trial, i, math.Float64bits(c[i]), math.Float64bits(want[i]))
+					t.Fatalf("%s: n=%d trial %d entry %d: %x, want %x", family, n, trial, i, math.Float64bits(c[i]), math.Float64bits(want[i]))
 				}
 			}
 		}
@@ -241,12 +250,20 @@ func TestMulSubMatchesMatMulThenSubtract(t *testing.T) {
 }
 
 // TestMulRightMatchesMatMulThenCopy pins the in-place L-block multiply
-// (A_ip ← A_ip·invU_pp) to the matMul-into-scratch-and-copy form it
-// replaced, bit for bit: random blocks, signed zeros (a row of -0 against
-// a positive b gives -0 products, so a sum seeded with its first product
+// (A_ip ← A_ip·invU_pp) of every kernel family to the
+// matMul-into-scratch-and-copy form it replaced, bit for bit, on
+// column-major blocks: random blocks, signed zeros (a row of -0 against a
+// positive b gives -0 products, so a sum seeded with its first product
 // instead of +0 would come out -0), and denormals (whose products
 // underflow and whose sums round differently in any other order).
 func TestMulRightMatchesMatMulThenCopy(t *testing.T) {
+	for _, fam := range families() {
+		useKernels(t, fam)
+		mulRightMatchesMatMul(t, fam.name)
+	}
+}
+
+func mulRightMatchesMatMul(t *testing.T, family string) {
 	negZero := math.Copysign(0, -1)
 	denormal := math.Float64frombits(0x000f_0000_0000_0001)
 	for _, n := range []int{1, 2, 4, 5, 7} {
@@ -264,7 +281,7 @@ func TestMulRightMatchesMatMulThenCopy(t *testing.T) {
 			switch trial % 3 {
 			case 1:
 				for i := 0; i < n; i++ {
-					a[i] = negZero
+					a[i*n] = negZero // row 0
 				}
 				a[nn-1] = 0
 				for i := range b {
@@ -280,7 +297,7 @@ func TestMulRightMatchesMatMulThenCopy(t *testing.T) {
 			mulRight(a, b, scratch, n)
 			for i := range want {
 				if math.Float64bits(a[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("n=%d trial %d entry %d: %x, want %x", n, trial, i, math.Float64bits(a[i]), math.Float64bits(want[i]))
+					t.Fatalf("%s: n=%d trial %d entry %d: %x, want %x", family, n, trial, i, math.Float64bits(a[i]), math.Float64bits(want[i]))
 				}
 			}
 		}

@@ -12,7 +12,8 @@ import (
 
 // logicalFactors is a factorization re-read as the combined-row CSR
 // pattern it stands for: every row's blocks in ascending column order,
-// the position of its diagonal, and the values widened to float64.
+// the position of its diagonal, and the values widened to float64 — each
+// block still column-major, as stored.
 type logicalFactors struct {
 	rowPtr, colIdx, diagK []int32
 	val                   []float64
@@ -68,7 +69,7 @@ func referenceBackward(lf logicalFactors, n int, x []float64) {
 		for r := 0; r < n; r++ {
 			var s float64
 			for c := 0; c < n; c++ {
-				s += inv[r*n+c] * xi[c]
+				s += inv[c*n+r] * xi[c]
 			}
 			tmp[r] = s
 		}
@@ -76,14 +77,15 @@ func referenceBackward(lf logicalFactors, n int, x []float64) {
 	}
 }
 
-// subtract is xi -= (block k)·x_j, each dot product summed from zero.
+// subtract is xi -= (block k)·x_j, each dot product summed from zero;
+// entry (r, c) of a block is its scalar c·n + r.
 func (lf logicalFactors) subtract(n int, xi, x []float64, k int) {
 	xs := x[int(lf.colIdx[k])*n:][:n]
 	blk := lf.val[k*n*n:][:n*n]
 	for r := 0; r < n; r++ {
 		var s float64
 		for c := 0; c < n; c++ {
-			s += blk[r*n+c] * xs[c]
+			s += blk[c*n+r] * xs[c]
 		}
 		xi[r] -= s
 	}
@@ -148,9 +150,11 @@ func sameSolution(t *testing.T, who string, got, want []float64) {
 // TestKernelsBitwiseGrid: each sweep of the row kernels, Solve, and
 // SolvePar at every worker count are bit-equal to the reference
 // substitution at every fill level, block size (the unrolled 4 and 5 and
-// the fallback) and storage precision. The forward sweep is compared on
-// its own because the diagonal multiply that ends the backward one
-// erases the sign of a zero.
+// the fallback) and storage precision, in the kernel family the host
+// runs — and where that is the assembly one, again in the Go family
+// ("Go/…"), so that under the race detector the threaded solve also runs
+// code it can see. The forward sweep is compared on its own because the
+// diagonal multiply that ends the backward one erases the sign of a zero.
 func TestKernelsBitwiseGrid(t *testing.T) {
 	pools := map[int]*par.Pool{}
 	for _, nw := range []int{1, 2, 4} {
@@ -158,34 +162,44 @@ func TestKernelsBitwiseGrid(t *testing.T) {
 		defer pools[nw].Close()
 	}
 	for _, b := range []int{1, 3, 4, 5, 7} {
-		a := wingBlockMatrix(t, 8, 5, 4, b, 42)
-		for level := 0; level <= 2; level++ {
-			for _, single := range []bool{false, true} {
-				f, err := Factor(a, Options{Level: level, SinglePrecision: single})
-				if err != nil {
-					t.Fatal(err)
-				}
-				lf := logical(f)
-				n := f.NB * f.B
-				want, got := make([]float64, n), make([]float64, n)
-				for name, rhs := range kernelRHS(n) {
-					t.Run(fmt.Sprintf("B%d/level%d/single=%v/%s", b, level, single, name), func(t *testing.T) {
-						referenceForward(lf, f.B, rhs, want)
-						f.forward(nil, 0, f.NB, rhs, got)
-						sameSolution(t, "forward sweep", got, want)
-						referenceBackward(lf, f.B, want)
-						f.backward(nil, 0, f.NB, got, f.tmp)
-						sameSolution(t, "backward sweep", got, want)
+		kernelsGridB(t, "", b, pools)
+	}
+	if kern != &goKernels {
+		useKernels(t, &goKernels)
+		for _, b := range []int{4, 5} {
+			kernelsGridB(t, "Go/", b, pools)
+		}
+	}
+}
+
+func kernelsGridB(t *testing.T, prefix string, b int, pools map[int]*par.Pool) {
+	a := wingBlockMatrix(t, 8, 5, 4, b, 42)
+	for level := 0; level <= 2; level++ {
+		for _, single := range []bool{false, true} {
+			f, err := Factor(a, Options{Level: level, SinglePrecision: single})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lf := logical(f)
+			n := f.NB * f.B
+			want, got := make([]float64, n), make([]float64, n)
+			for name, rhs := range kernelRHS(n) {
+				t.Run(fmt.Sprintf("%sB%d/level%d/single=%v/%s", prefix, b, level, single, name), func(t *testing.T) {
+					referenceForward(lf, f.B, rhs, want)
+					f.forward(nil, 0, f.NB, rhs, got, f.tmp)
+					sameSolution(t, "forward sweep", got, want)
+					referenceBackward(lf, f.B, want)
+					f.backward(nil, 0, f.NB, got, f.tmp)
+					sameSolution(t, "backward sweep", got, want)
+					clear(got)
+					f.Solve(rhs, got)
+					sameSolution(t, "Solve", got, want)
+					for nw, p := range pools {
 						clear(got)
-						f.Solve(rhs, got)
-						sameSolution(t, "Solve", got, want)
-						for nw, p := range pools {
-							clear(got)
-							f.SolvePar(p, rhs, got)
-							sameSolution(t, fmt.Sprintf("SolvePar, %d workers", nw), got, want)
-						}
-					})
-				}
+						f.SolvePar(p, rhs, got)
+						sameSolution(t, fmt.Sprintf("SolvePar, %d workers", nw), got, want)
+					}
+				})
 			}
 		}
 	}

@@ -333,18 +333,41 @@ func (p *Preconditioner) refreshBytes() int64 {
 	return sparse.GatherBlocksBytes(nnzb, p.B)
 }
 
+// whole returns the one subdomain when it is the whole matrix — a single
+// part owns every row, so restriction and prolongation are the identity
+// — and nil otherwise.
+func (p *Preconditioner) whole() *Subdomain {
+	if len(p.Subs) == 1 && len(p.Subs[0].Owned) == p.NB {
+		return p.Subs[0]
+	}
+	return nil
+}
+
 // applyCopyBytes is the restrict/prolong copy traffic of one
 // preconditioner application: 32 bytes per owned scalar (zero-fill and
-// accumulate of z, gather of r into the subdomain workspaces).
-func (p *Preconditioner) applyCopyBytes() int64 { return int64(32 * p.NB * p.B) }
+// accumulate of z, gather of r into the subdomain workspaces); none when
+// the one subdomain is the whole matrix and r is solved straight into z.
+func (p *Preconditioner) applyCopyBytes() int64 {
+	if p.whole() != nil {
+		return 0
+	}
+	return int64(32 * p.NB * p.B)
+}
 
 // Apply implements krylov.Preconditioner: z = M⁻¹ r via independent
-// subdomain solves, restricted prolongation (owned unknowns only).
+// subdomain solves, restricted prolongation (owned unknowns only). r and
+// z may not alias.
 func (p *Preconditioner) Apply(r, z []float64) {
 	sp := prof.Begin(prof.PhasePCApply)
 	// Restrict/prolong copy traffic; the triangular solves report their
 	// own flops and bytes.
 	defer sp.End(0, p.applyCopyBytes())
+	if s := p.whole(); s != nil {
+		// The restriction of r is r and the solve's every row is owned:
+		// the same solve, without the copies around it.
+		s.Factor.SolvePar(p.Opts.Pool, r, z)
+		return
+	}
 	zs := z[:p.NB*p.B]
 	for i := range zs {
 		zs[i] = 0

@@ -649,7 +649,8 @@ func TestPooledSpansStayOnTheCaller(t *testing.T) {
 // copying path gave — kept here as its closed form: with Extended = all
 // rows in ascending order the extracted matrix is a verbatim copy, every
 // subdomain factors the same matrix, and restricted prolongation
-// assembles exactly one global ILU solve.
+// assembles exactly one global ILU solve — which a one-part Apply runs
+// on r and z themselves, with no copy around it.
 func TestWholeMatrixSubdomainSharesIt(t *testing.T) {
 	for _, c := range []struct{ nparts, overlap int }{{1, 0}, {1, 2}, {2, 64}} {
 		pr := buildProblem(t, 6, 5, 4, 4, c.nparts)
@@ -679,8 +680,19 @@ func TestWholeMatrixSubdomainSharesIt(t *testing.T) {
 			if b := pc.refreshBytes(); b != 0 {
 				t.Fatalf("%d parts, overlap %d: refresh charged %d gathered bytes, want 0", c.nparts, c.overlap, b)
 			}
+			// One part solves r straight into z: every entry of a stale z is
+			// overwritten, nothing is copied or allocated.
+			for i := range got {
+				got[i] = math.NaN()
+			}
 			pc.Apply(pr.rhs, got)
 			sameBits(t, "Apply", got, want)
+			if inPlace := pc.whole() != nil; inPlace != (c.nparts == 1) || inPlace != (pc.applyCopyBytes() == 0) {
+				t.Fatalf("%d parts, overlap %d: solved in place = %v, Apply charged %d copy bytes", c.nparts, c.overlap, inPlace, pc.applyCopyBytes())
+			}
+			if avg := testing.AllocsPerRun(5, func() { pc.Apply(pr.rhs, got) }); avg != 0 {
+				t.Fatalf("%d parts, overlap %d: Apply allocates %.1f objects per call", c.nparts, c.overlap, avg)
+			}
 		}
 		check(pr.a)
 		if err := pc.Refresh(a2); err != nil {
