@@ -5,7 +5,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet fallback lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid ilu-grid dist-grid allocs fuzz
+.PHONY: verify fmt vet fallback lint test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid ilu-grid dist-grid allocs fuzz mutants
 
 # named_gate runs the tests of packages $(2) that match the regex $(1)
 # with the go test flags $(3) (-race, except where noted) — after
@@ -102,7 +102,9 @@ kernels-grid:
 # orderings, after Factor and after a Refactor that follows a failed
 # refresh); a refresh is bitwise a fresh factorization and allocates
 # nothing, in ilu, across the Schwarz subdomains × workers and in each
-# rank's block Jacobi; every AVX2 block kernel is bitwise its Go kernel
+# rank's block Jacobi (that count skips under -race, where sync.Pool
+# drops the assembly's workspaces; plain go test runs it); every AVX2
+# block kernel is bitwise its Go kernel
 # (special values, level row lists, whole factorizations, Solve ≡
 # SolvePar) and the family follows CPUID — under the race detector, which
 # does not see the assembly's accesses, so the grids also run the Go
@@ -129,11 +131,22 @@ dist-grid:
 allocs:
 	$(call named_gate,'StepAllocates|AllocationLedger',./internal/core,-v)
 
-# The tree's native fuzz targets, 20 s each. A failing input is written
-# under the package's testdata/fuzz and then runs with plain go test.
+# The tree's native fuzz targets, 20 s each: two kernel equivalences and
+# the mesh-file input boundary. A failing input is written under the
+# package's testdata/fuzz and then runs with plain go test.
 fuzz:
 	go test -run '^$$' -fuzz FuzzEdgeFlux -fuzztime 20s ./internal/euler
 	go test -run '^$$' -fuzz FuzzBlockKernels -fuzztime 20s ./internal/ilu
+	go test -run '^$$' -fuzz FuzzRead -fuzztime 20s ./internal/mesh
+
+# Mutation scoreboard (minutes; not part of verify): every row of the
+# mutant table in internal/lint/mutants_test.go — one seeded defect per
+# rule of the retired protocol and pool analyzers and of overlapregion —
+# is applied through `go test -overlay` (the tree is never written) and
+# its packages' tests run under the race detector. Prints one markdown
+# row per mutant; fails if a retired analyzer's row is missed.
+mutants:
+	go test -tags mutants -run '^TestMutants$$' -count=1 -timeout 2h -v ./internal/lint
 
 # Ortho gate: the fused multi-vector kernel determinism grid — MDot/
 # MAxpy bitwise against the per-vector reference across worker counts,

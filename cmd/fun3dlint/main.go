@@ -2,15 +2,11 @@
 // suite (internal/lint): hot-path allocation discipline, profiler
 // Begin/End span pairing against the canonical phase taxonomy, cost
 // formula provenance for the roofline accounting, dropped errors and
-// library panics, map-ordered floating-point reductions, and the
-// commcheck family guarding the overlap path — request/Wait pairing,
-// tag registry discipline, overlap-window purity, and the flop-count
-// cross-checker — plus the codegen conformance budget (the compiler's
-// own escape/inline/bounds-check diagnostics held to
-// codegen.budget.json) and the parcheck family guarding the worker-pool
-// runtime's determinism contract (owner-computes writes, fixed-shape
-// reductions, pool lifecycle). It is part of `make verify`; any finding
-// fails the build.
+// library panics, map-ordered floating-point reductions, overlap-window
+// purity, and the flop-count cross-checker — plus the codegen
+// conformance budget (the compiler's own escape/inline/bounds-check
+// diagnostics held to codegen.budget.json). It is part of `make
+// verify`; any finding fails the build.
 //
 // Usage:
 //

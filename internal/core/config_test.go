@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -28,10 +29,19 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"partial lattice", func(c *Config) { c.NX = 5; c.NY = 0; c.NZ = 4 }, "lattice"},
 		{"orthogonalization typo", func(c *Config) { c.Newton.Krylov.Orthogonalization = "cgz" }, "Newton.Krylov: krylov: unknown Orthogonalization"},
 		{"zero restart", func(c *Config) { c.Newton.Krylov.Restart = 0 }, "Newton.Krylov: krylov: need positive Restart"},
-		{"zero CFL0", func(c *Config) { c.Newton.CFL0 = 0 }, "Newton.CFL0"},
-		{"negative CFL0", func(c *Config) { c.Newton.CFL0 = -10 }, "Newton.CFL0"},
-		{"zero max steps", func(c *Config) { c.Newton.MaxSteps = 0 }, "Newton.MaxSteps"},
-		{"negative step retries", func(c *Config) { c.Newton.StepRetries = -1 }, "Newton.StepRetries"},
+		{"zero CFL0", func(c *Config) { c.Newton.CFL0 = 0 }, "Newton: newton: CFL0"},
+		{"negative CFL0", func(c *Config) { c.Newton.CFL0 = -10 }, "Newton: newton: CFL0"},
+		{"zero max steps", func(c *Config) { c.Newton.MaxSteps = 0 }, "Newton: newton: MaxSteps"},
+		{"negative step retries", func(c *Config) { c.Newton.StepRetries = -1 }, "Newton: newton: StepRetries"},
+		{"zero CFLMax", func(c *Config) { c.Newton.CFLMax = 0 }, "Newton: newton: CFLMax"},
+		{"NaN CFLMax", func(c *Config) { c.Newton.CFLMax = math.NaN() }, "Newton: newton: CFLMax"},
+		{"NaN RelTol", func(c *Config) { c.Newton.RelTol = math.NaN() }, "Newton: newton: RelTol"},
+		{"negative RelTol", func(c *Config) { c.Newton.RelTol = -1 }, "Newton: newton: RelTol"},
+		{"NaN SER exponent", func(c *Config) { c.Newton.SERExponent = math.NaN() }, "Newton: newton: SERExponent"},
+		{"negative Jacobian lag", func(c *Config) { c.Newton.JacobianLag = -3 }, "Newton: newton: JacobianLag"},
+		{"NaN Newton switch", func(c *Config) { c.Newton.SwitchOrderAt = math.NaN() }, "Newton: newton: SwitchOrderAt"},
+		{"NaN switch", func(c *Config) { c.SwitchOrderAt = math.NaN() }, "core: SwitchOrderAt"},
+		{"negative switch", func(c *Config) { c.SwitchOrderAt = -1e-2 }, "core: SwitchOrderAt"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,6 +75,7 @@ func TestConfigValidateAccepts(t *testing.T) {
 		{"lattice dims without target", func(c *Config) { c.NX, c.NY, c.NZ = 5, 4, 3; c.TargetVertices = 0 }},
 		{"mesh file without target", func(c *Config) { c.MeshFile = "wing.mesh"; c.TargetVertices = 0 }},
 		{"single-round orthogonalization", func(c *Config) { c.Newton.Krylov.Orthogonalization = "cgs1" }},
+		{"zero Jacobian lag builds the preconditioner once", func(c *Config) { c.Newton.JacobianLag = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

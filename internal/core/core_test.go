@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"petscfun3d/internal/perfmodel"
@@ -25,6 +26,11 @@ func TestBuildValidation(t *testing.T) {
 	cfg.Partitioner = "metis"
 	if _, err := Build(cfg); err == nil {
 		t.Error("unknown partitioner accepted")
+	}
+	cfg = smallConfig()
+	cfg.Viscosity = math.NaN()
+	if _, err := Build(cfg); err == nil {
+		t.Error("NaN viscosity accepted")
 	}
 }
 

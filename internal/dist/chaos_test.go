@@ -278,6 +278,59 @@ func TestNegotiateHaloZeroNeighbors(t *testing.T) {
 	}
 }
 
+// TestReceiveErrorLeavesNoSendInFlight: when a receive fails — here on a
+// stray message with the other registry tag, which rank 1 sends first —
+// the exchange reports the error, and every send it posted has still
+// been waited: rank 0 absorbs the error and returns nil, so Run fails
+// if it left a send in flight. One subtest per message protocol of
+// halo.go: plan negotiation, the overlapped halo, the blocking one.
+func TestReceiveErrorLeavesNoSendInFlight(t *testing.T) {
+	exchanges := []struct {
+		name  string
+		stray mpi.Tag
+		run   func(c *mpi.Comm) error
+	}{
+		{"negotiate", mpi.TagHalo, func(c *mpi.Comm) error {
+			_, err := negotiateHalo(c, map[int][]int32{1 - c.Rank(): {int32(c.Rank())}})
+			return err
+		}},
+		{"overlapped", mpi.TagPlan, func(c *mpi.Comm) error {
+			h, x := strayHalo(c)
+			if err := h.Start(nil, x); err != nil {
+				return err
+			}
+			return h.Finish(nil, x)
+		}},
+		{"blocking", mpi.TagPlan, func(c *mpi.Comm) error {
+			h, x := strayHalo(c)
+			return h.Exchange(nil, x)
+		}},
+	}
+	for _, ex := range exchanges {
+		t.Run(ex.name, func(t *testing.T) {
+			err := mpi.Run(2, func(c *mpi.Comm) error {
+				if c.Rank() == 1 {
+					c.Send(0, ex.stray, []float64{-1})
+					return ex.run(c)
+				}
+				if err := ex.run(c); err == nil || !strings.Contains(err.Error(), "expected tag") {
+					return fmt.Errorf("rank 0 exchange returned %v, want the tag mismatch", err)
+				}
+				return nil
+			}, mpi.Options{WatchdogTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// strayHalo is a two-rank halo plan exchanging one value each way.
+func strayHalo(c *mpi.Comm) (*Halo, []float64) {
+	peer := map[int][]int32{1 - c.Rank(): {0}}
+	return newHalo(c, 1, mpi.TagHalo, peer, peer), []float64{float64(c.Rank())}
+}
+
 // TestNegotiateHaloRejectsInvalidPeer: a need-list keyed by an invalid
 // rank must fail before any communication (every rank fails locally, so
 // no peer is left blocked mid-handshake).

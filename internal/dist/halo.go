@@ -77,7 +77,7 @@ func newHalo(c *mpi.Comm, b int, tag mpi.Tag, sendTo, recvFrom map[int][]int32) 
 // boundary neighbors (a disconnected partition component) posts no
 // sends at all, rather than spraying zero-length TagPlan messages at
 // every other rank — messages the watchdog would count as fabric
-// traffic and the tag-symmetry audit would have to special-case.
+// traffic.
 func negotiateHalo(c *mpi.Comm, needFrom map[int][]int32) (map[int][]int32, error) {
 	counts := make([]float64, c.Size())
 	for q, req := range needFrom {

@@ -149,7 +149,9 @@ func TestViscositySmoothsSolution(t *testing.T) {
 
 func TestNegativeViscosityRejected(t *testing.T) {
 	m := testMesh(t, 4, 3, 3)
-	if _, err := NewDiscretization(m, nil, NewIncompressible(), Options{Order: 1, Viscosity: -1}); err == nil {
-		t.Error("negative viscosity accepted")
+	for _, mu := range []float64{-1, math.NaN()} {
+		if _, err := NewDiscretization(m, nil, NewIncompressible(), Options{Order: 1, Viscosity: mu}); err == nil {
+			t.Errorf("viscosity %g accepted", mu)
+		}
 	}
 }

@@ -147,8 +147,8 @@ func NewDiscretization(m *mesh.Mesh, geo *Geometry, sys System, opts Options) (*
 			return nil, err
 		}
 	}
-	if opts.Viscosity < 0 {
-		return nil, fmt.Errorf("euler: negative viscosity %g", opts.Viscosity)
+	if !(opts.Viscosity >= 0) { // rejects NaN too
+		return nil, fmt.Errorf("euler: viscosity %g, want >= 0", opts.Viscosity)
 	}
 	if opts.Viscosity > 0 {
 		if err := d.buildDiffusionWeights(); err != nil {

@@ -76,14 +76,9 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"costconst", false},
 		{"errcheck", false},
 		{"detorder", false},
-		{"reqwait", false},
-		{"tagconst", false},
 		{"overlapregion", false},
 		{"costsync", false},
 		{"codegen", false},
-		{"ownwrite", false},
-		{"fixedreduce", false},
-		{"poollife", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

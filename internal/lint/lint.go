@@ -12,14 +12,11 @@
 // iteration order, which would break bit-for-bit parallel-vs-serial
 // validation (detorder).
 //
-// The commcheck family guards the communication protocol and the
-// overlap path specifically: every nonblocking mpi request must reach a
-// Wait on all paths (reqwait), message tags must come from the mpi tag
-// registry and be used symmetrically (tagconst), the window between
-// posting an exchange and waiting on it must stay free of blocking
-// operations and posted-buffer writes (overlapregion), and the cost
-// formulas the profiler charges must match the kernel loops they model,
-// coefficient by coefficient (costsync).
+// The window between posting a halo exchange and waiting on it must
+// stay free of blocking operations and posted-buffer writes
+// (overlapregion), and the cost formulas the profiler charges must
+// match the kernel loops they model, coefficient by coefficient
+// (costsync).
 //
 // The codegen analyzer closes the last gap between the model and the
 // machine: it replays the compiler's own escape-analysis, inlining, and
@@ -28,29 +25,21 @@
 // no heap escapes, no bounds checks surviving in innermost loops, and
 // the small per-edge/per-row helpers must inline.
 //
-// The parcheck family makes the worker-pool runtime's determinism
-// contract (internal/par, Table 5's threading axis) a compile-time
-// guarantee: pool-task writes to shared storage must stay inside the
-// shard's owned index domain (ownwrite), floating-point accumulation in
-// tasks must flow through fixed-shape reduction primitives so the bits
-// cannot depend on the worker count (fixedreduce), and pool lifecycle
-// and scheduling stay structured — no use after Close, no barrier
-// re-entry, no blocking or spawning inside tasks, no stale iteration
-// state in reused tasks (poollife).
+// The message protocol (every request waited, tags matched) and the
+// worker pool's owner-computes determinism are enforced at run time
+// instead — by mpi.Run's in-flight check and tag matching, par's named
+// panics, the bitwise worker-count grids and the race detector — and
+// the mutation scoreboard in mutants_test.go shows a test failing on a
+// seeded defect of each kind.
 //
 // Findings can be suppressed by a pragma comment on the offending line
 // or the line directly above:
 //
 //	//lint:alloc-ok <reason>     (hotalloc)
 //	//lint:panic-ok <reason>     (errcheck's panic rule)
-//	//lint:wait-ok <reason>      (reqwait)
-//	//lint:tag-ok <reason>       (tagconst)
 //	//lint:overlap-ok <reason>   (overlapregion)
 //	//lint:escape-ok <reason>    (codegen's escape rules)
 //	//lint:bce-ok <reason>       (codegen's bounds-check rule)
-//	//lint:own-ok <reason>       (ownwrite)
-//	//lint:reduce-ok <reason>    (fixedreduce)
-//	//lint:pool-ok <reason>      (poollife)
 //
 // The reason is mandatory, and a pragma that suppresses nothing is
 // itself a finding, so escape hatches cannot rot silently.
@@ -134,14 +123,9 @@ func Analyzers() []*Analyzer {
 		CostConst,
 		ErrCheck,
 		DetOrder,
-		ReqWait,
-		TagConst,
 		OverlapRegion,
 		CostSync,
 		Codegen,
-		OwnWrite,
-		FixedReduce,
-		PoolLife,
 	}
 }
 
@@ -226,14 +210,9 @@ var pragmaRe = regexp.MustCompile(`^//lint:([a-z-]+)(?:\s+(.*))?$`)
 var knownPragmaKeys = map[string]bool{
 	"alloc-ok":   true,
 	"panic-ok":   true,
-	"wait-ok":    true,
-	"tag-ok":     true,
 	"overlap-ok": true,
 	"escape-ok":  true,
 	"bce-ok":     true,
-	"own-ok":     true,
-	"reduce-ok":  true,
-	"pool-ok":    true,
 }
 
 func collectPragmas(fset *token.FileSet, files []*ast.File) []*pragma {

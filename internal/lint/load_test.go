@@ -64,15 +64,13 @@ func TestLoaderGenericsAndAtomics(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSuite pins the suite roster: the commcheck family joined
-// the original five, then codegen, then the parcheck family over the
-// worker-pool runtime — and the pragma keys cover every suppressible
-// analyzer.
+// TestAnalyzerSuite pins the suite roster — the original five, then
+// overlapregion, costsync and codegen — and that the pragma keys are
+// exactly those of the suppressible analyzers.
 func TestAnalyzerSuite(t *testing.T) {
 	want := []string{
 		"hotalloc", "profspan", "costconst", "errcheck", "detorder",
-		"reqwait", "tagconst", "overlapregion", "costsync", "codegen",
-		"ownwrite", "fixedreduce", "poollife",
+		"overlapregion", "costsync", "codegen",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {
@@ -83,7 +81,11 @@ func TestAnalyzerSuite(t *testing.T) {
 			t.Errorf("analyzer %d = %s, want %s", i, a.Name, want[i])
 		}
 	}
-	for _, key := range []string{"alloc-ok", "panic-ok", "wait-ok", "tag-ok", "overlap-ok", "escape-ok", "bce-ok", "own-ok", "reduce-ok", "pool-ok"} {
+	keys := []string{"alloc-ok", "panic-ok", "overlap-ok", "escape-ok", "bce-ok"}
+	if len(knownPragmaKeys) != len(keys) {
+		t.Errorf("%d pragma keys registered, want %d", len(knownPragmaKeys), len(keys))
+	}
+	for _, key := range keys {
 		if !knownPragmaKeys[key] {
 			t.Errorf("pragma key %s not registered", key)
 		}

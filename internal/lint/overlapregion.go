@@ -6,7 +6,10 @@ import (
 	"go/types"
 )
 
-const distPath = "petscfun3d/internal/dist"
+const (
+	mpiPath  = "petscfun3d/internal/mpi"
+	distPath = "petscfun3d/internal/dist"
+)
 
 // OverlapRegion protects the communication/computation overlap window —
 // the span between posting a nonblocking exchange and waiting on it,
@@ -32,6 +35,11 @@ const distPath = "petscfun3d/internal/dist"
 // whose wait lives in another function (the persistent-plan field
 // idiom) opens a window to the end of the body. Deliberate exceptions
 // carry //lint:overlap-ok <reason>.
+//
+// This is the one protocol rule with no runtime twin: a collective or a
+// blocking exchange inside the window changes timing, not values or
+// completion, so no test fails on it (EXPERIMENTS.md "What the tests
+// already enforce" records the seeded defects it alone catches).
 var OverlapRegion = &Analyzer{
 	Name:      "overlapregion",
 	Doc:       "no blocking ops or posted-buffer writes inside nonblocking overlap windows",
@@ -58,6 +66,56 @@ func runOverlapRegion(pass *Pass) {
 	}
 }
 
+// isPostCall reports whether call posts a nonblocking operation.
+func isPostCall(info *types.Info, call *ast.CallExpr) bool {
+	return isMethodOn(info, call, mpiPath, "Comm", "ISend") ||
+		isMethodOn(info, call, mpiPath, "Comm", "IRecv")
+}
+
+// isWaitCall reports whether call is mpi.(*Request).Wait.
+func isWaitCall(info *types.Info, call *ast.CallExpr) bool {
+	return isMethodOn(info, call, mpiPath, "Request", "Wait")
+}
+
+// waitReceiverMatches reports whether call is a Wait whose receiver
+// resolves (through indexing) to one of the objects in objs.
+func waitReceiverMatches(info *types.Info, call *ast.CallExpr, objs map[types.Object]bool) bool {
+	if !isWaitCall(info, call) {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	obj := lvalueBase(info, sel.X)
+	return obj != nil && objs[obj]
+}
+
+// lvalueBase unwraps index, slice, and star expressions down to the
+// identifier or selector that names the storage, returning its object
+// (a local/package variable or a struct field).
+func lvalueBase(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.Ident:
+			if obj := info.Uses[x]; obj != nil {
+				return obj
+			}
+			return info.Defs[x]
+		case *ast.SelectorExpr:
+			return info.Uses[x.Sel]
+		default:
+			return nil
+		}
+	}
+}
+
 // haloCall reports whether call invokes the named method on dist.Halo
 // and returns the receiver's base object.
 func haloCall(info *types.Info, call *ast.CallExpr, method string) (types.Object, bool) {
@@ -68,7 +126,7 @@ func haloCall(info *types.Info, call *ast.CallExpr, method string) (types.Object
 	if !ok {
 		return nil, false
 	}
-	obj, _ := lvalueBase(info, sel.X)
+	obj := lvalueBase(info, sel.X)
 	return obj, obj != nil
 }
 
@@ -86,7 +144,7 @@ func checkOverlapBody(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 			return true
 		}
 		w := window{lo: call.End(), hi: body.End(), openPos: call.Pos(), bufs: map[types.Object]bool{}}
-		if obj, _ := lvalueBase(info, call.Args[1]); obj != nil {
+		if obj := lvalueBase(info, call.Args[1]); obj != nil {
 			w.bufs[obj] = true
 		}
 		shallowInspect(body, func(m ast.Node) bool {
@@ -116,7 +174,7 @@ func checkOverlapBody(pass *Pass, info *types.Info, body *ast.BlockStmt) {
 		w := window{lo: call.End(), hi: body.End(), openPos: call.Pos(), bufs: map[types.Object]bool{}}
 		// ISend(to, tag, data): the posted buffer is arg 2.
 		if len(call.Args) == 3 {
-			if obj, _ := lvalueBase(info, call.Args[2]); obj != nil {
+			if obj := lvalueBase(info, call.Args[2]); obj != nil {
 				w.bufs[obj] = true
 			}
 		}
@@ -203,14 +261,14 @@ func flagWindowViolations(pass *Pass, info *types.Info, body *ast.BlockStmt, w w
 				pass.ReportSuppressiblef(n.Pos(), "overlap-ok",
 					"blocking Halo.Exchange inside the overlap window opened at line %d", openLine)
 			case isBuiltinCall(info, n, "copy"):
-				if obj, _ := lvalueBase(info, n.Args[0]); obj != nil && w.bufs[obj] {
+				if obj := lvalueBase(info, n.Args[0]); obj != nil && w.bufs[obj] {
 					pass.ReportSuppressiblef(n.Pos(), "overlap-ok",
 						"copy into buffer posted at line %d while the exchange is in flight; MPI_Isend buffers are off-limits until Wait", openLine)
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if obj, _ := lvalueBase(info, lhs); obj != nil && w.bufs[obj] {
+				if obj := lvalueBase(info, lhs); obj != nil && w.bufs[obj] {
 					pass.ReportSuppressiblef(n.Pos(), "overlap-ok",
 						"write to buffer posted at line %d while the exchange is in flight; MPI_Isend buffers are off-limits until Wait", openLine)
 				}
@@ -249,13 +307,13 @@ func checkLoopStaging(pass *Pass, info *types.Info, body *ast.BlockStmt, post *a
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if o, _ := lvalueBase(info, lhs); o == obj {
+					if o := lvalueBase(info, lhs); o == obj {
 						written = true
 					}
 				}
 			case *ast.CallExpr:
 				if isBuiltinCall(info, n, "copy") {
-					if o, _ := lvalueBase(info, n.Args[0]); o == obj {
+					if o := lvalueBase(info, n.Args[0]); o == obj {
 						written = true
 					}
 				}

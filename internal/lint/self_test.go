@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"petscfun3d/internal/codegen"
 )
@@ -31,6 +32,31 @@ func TestRepositoryLintsClean(t *testing.T) {
 			sb.WriteString("\n")
 		}
 		t.Fatalf("repository does not lint clean (%d findings):\n%s", len(findings), sb.String())
+	}
+}
+
+// lintWallBudget is the generous ceiling on one whole-suite source
+// analysis of the repository (codegen's compiler replay excluded — it
+// is budgeted by its own CI job). The suite currently runs in a few
+// seconds; the ceiling exists so analyzer growth cannot quietly bloat
+// the verify gate.
+const lintWallBudget = 120 * time.Second
+
+// TestLintSuiteWallTime is the wall-time guard on the static gate.
+func TestLintSuiteWallTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times a whole-repository analysis; skipped in -short")
+	}
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := RunPatterns(root, []string{"./..."}); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > lintWallBudget {
+		t.Fatalf("whole-suite lint took %v, over the %v budget; an analyzer has gotten pathologically slow", d, lintWallBudget)
 	}
 }
 

@@ -47,7 +47,10 @@ func (m *Mesh) Write(w io.Writer) error {
 
 // Read parses a mesh written by Write, rebuilding connectivity and
 // estimating boundary normals from the boundary closure (see
-// RebuildBoundaryNormals).
+// RebuildBoundaryNormals). The header counts are not trusted for
+// allocation: storage grows with the lines actually read, so a count
+// the input does not back fails on a missing line instead of
+// allocating for it. Coordinates must be finite.
 func Read(r io.Reader) (*Mesh, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -78,12 +81,7 @@ func Read(r io.Reader) (*Mesh, error) {
 	if _, err := fmt.Sscanf(line, "vertices %d", &nv); err != nil || nv < 1 {
 		return nil, fmt.Errorf("mesh: bad vertices line %q", line)
 	}
-	m := &Mesh{
-		Coords:   make([]Vec3, nv),
-		Boundary: make([]bool, nv),
-		BKind:    make([]BoundaryKind, nv),
-		BNormal:  make([]Vec3, nv),
-	}
+	m := &Mesh{}
 	for v := 0; v < nv; v++ {
 		line, err := next()
 		if err != nil {
@@ -103,13 +101,16 @@ func Read(r io.Reader) (*Mesh, error) {
 		if c.Z, err = strconv.ParseFloat(f[2], 64); err != nil {
 			return nil, fmt.Errorf("mesh: vertex %d: %w", v, err)
 		}
+		if !finite(c.X) || !finite(c.Y) || !finite(c.Z) {
+			return nil, fmt.Errorf("mesh: vertex %d: non-finite coordinate in %q", v, line)
+		}
 		kind, err := strconv.Atoi(f[3])
 		if err != nil || kind < 0 || kind > int(BWall) {
 			return nil, fmt.Errorf("mesh: vertex %d: bad boundary kind %q", v, f[3])
 		}
-		m.Coords[v] = c
-		m.BKind[v] = BoundaryKind(kind)
-		m.Boundary[v] = kind != 0
+		m.Coords = append(m.Coords, c)
+		m.BKind = append(m.BKind, BoundaryKind(kind))
+		m.Boundary = append(m.Boundary, kind != 0)
 	}
 	line, err = next()
 	if err != nil {
@@ -119,7 +120,6 @@ func Read(r io.Reader) (*Mesh, error) {
 	if _, err := fmt.Sscanf(line, "tets %d", &nt); err != nil || nt < 1 {
 		return nil, fmt.Errorf("mesh: bad tets line %q", line)
 	}
-	m.Tets = make([][4]int32, nt)
 	for ti := 0; ti < nt; ti++ {
 		line, err := next()
 		if err != nil {
@@ -129,13 +129,15 @@ func Read(r io.Reader) (*Mesh, error) {
 		if len(f) != 4 {
 			return nil, fmt.Errorf("mesh: tet %d: want 4 fields, got %q", ti, line)
 		}
+		var t [4]int32
 		for c := 0; c < 4; c++ {
 			x, err := strconv.Atoi(f[c])
 			if err != nil || x < 0 || x >= nv {
 				return nil, fmt.Errorf("mesh: tet %d: bad vertex %q", ti, f[c])
 			}
-			m.Tets[ti][c] = int32(x)
+			t[c] = int32(x)
 		}
+		m.Tets = append(m.Tets, t)
 	}
 	m.buildConnectivity()
 	m.RebuildBoundaryNormals()
@@ -144,6 +146,9 @@ func Read(r io.Reader) (*Mesh, error) {
 	}
 	return m, nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // RebuildBoundaryNormals estimates the outward unit normal of every
 // boundary vertex from the mesh's boundary faces: a face belongs to the

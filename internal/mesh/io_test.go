@@ -3,6 +3,7 @@ package mesh
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,6 +59,10 @@ func TestReadRejectsGarbage(t *testing.T) {
 		"fun3dmesh 1\nvertices 1\n0 0 0 9\ntets 1\n0 0 0 0\n",
 		"fun3dmesh 1\nvertices 2\n0 0 0 0\n1 0 0 0\ntets 1\n0 1 2 3\n",
 		"fun3dmesh 1\nvertices 1\n0 0 zebra 0\ntets 1\n0 0 0 0\n",
+		hugeCountMesh,
+		nanVertexMesh,
+		strings.Replace(nanVertexMesh, "NaN", "-Inf", 1),
+		repeatedVertexMesh,
 	}
 	for i, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
@@ -78,4 +83,50 @@ func TestRebuildBoundaryNormalsUnitLength(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Inputs at the mesh-file boundary: a header count no line backs (it
+// once sized four arrays before any vertex was read, and panicked when
+// out of int range), a non-finite coordinate, and a degenerate tet.
+const (
+	hugeCountMesh      = "fun3dmesh 1\nvertices 9000000000000000000\n"
+	nanVertexMesh      = "fun3dmesh 1\nvertices 4\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 0 NaN 0\ntets 1\n0 1 2 3\n"
+	repeatedVertexMesh = "fun3dmesh 1\nvertices 4\n0 0 0 0\n1 0 0 0\n0 1 0 0\n0 0 1 0\ntets 1\n0 1 1 3\n"
+)
+
+// FuzzRead: Read never panics, and a mesh it accepts passes Validate and
+// survives Write → Read with the same coordinates, boundary kinds and
+// tets.
+func FuzzRead(f *testing.F) {
+	m, err := GenerateWingN(40)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{buf.String(), hugeCountMesh, nanVertexMesh, repeatedVertexMesh} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		m, err := Read(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("Read accepted a mesh Validate rejects: %v", err)
+		}
+		var out bytes.Buffer
+		if err := m.Write(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&out)
+		if err != nil {
+			t.Fatalf("an accepted mesh does not read back: %v", err)
+		}
+		if !slices.Equal(back.Coords, m.Coords) || !slices.Equal(back.BKind, m.BKind) || !slices.Equal(back.Tets, m.Tets) {
+			t.Fatal("Write → Read changed the coordinates, boundary kinds or tets")
+		}
+	})
 }

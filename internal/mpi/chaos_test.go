@@ -138,6 +138,28 @@ func TestEarlyReturnWithInflightRequests(t *testing.T) {
 	}
 }
 
+// TestEarlyReturnWithUnwaitedEagerSend: a send the fabric delivered
+// inline has completed, but it stays in flight until its first Wait, so
+// a rank that returns nil without waiting it is still blamed — the
+// receiver got its message, and the missing Wait is the whole defect.
+func TestEarlyReturnWithUnwaitedEagerSend(t *testing.T) {
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.ISend(1, TagHalo, []float64{1}) // the pair is idle: delivered inline
+			return nil
+		}
+		_, err := c.Recv(0, TagHalo)
+		return err
+	}, Options{WatchdogTimeout: 5 * time.Second})
+	var we *WorldError
+	if !errors.As(err, &we) {
+		t.Fatalf("want *WorldError, got %v", err)
+	}
+	if we.Rank != 0 || !strings.Contains(err.Error(), "never waited") {
+		t.Errorf("blamed rank %d with %q, want rank 0 and the unwaited request", we.Rank, err)
+	}
+}
+
 // TestRankErrorCancelsWorld: a rank returning an error must cancel the
 // world so a peer blocked on it unwinds, and Run must still report the
 // original error verbatim rather than the peer's secondary abort.

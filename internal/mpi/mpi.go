@@ -104,7 +104,7 @@ func (o rankOp) String() string {
 type RankState struct {
 	Rank     int
 	Op       string // last recorded operation ("recv<-1 tag 2", "done", ...)
-	InFlight int    // nonblocking requests posted but not completed
+	InFlight int    // nonblocking requests posted and not yet waited
 }
 
 // WorldError is the structured failure of a world: the watchdog firing,
@@ -152,7 +152,7 @@ type world struct {
 
 	// Failure machinery: stop closes exactly once with cause set first;
 	// progress counts completed operations (the watchdog's liveness
-	// signal); inflight counts each rank's posted-but-incomplete
+	// signal); inflight counts each rank's posted-but-unwaited
 	// requests; stat records each rank's last blocking operation.
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -303,9 +303,10 @@ func Run(size int, f func(c *Comm) error, opts ...Options) error {
 			err := f(&Comm{rank: rank, size: size, w: w})
 			if n := w.inflight[rank].Load(); n > 0 && err == nil {
 				// A silently leaked request blocks the peer forever on
-				// the pair's ticket chain; fail loudly instead.
+				// the pair's ticket chain, or (an eager send) hides a
+				// missing Wait until the fabric is full; fail loudly.
 				err = &WorldError{
-					Reason: fmt.Sprintf("rank %d returned with %d nonblocking requests still in flight; Wait on every Request before returning", rank, n),
+					Reason: fmt.Sprintf("rank %d returned with %d nonblocking requests still in flight (never waited); Wait on every Request before returning", rank, n),
 					Rank:   rank,
 				}
 			}
@@ -550,14 +551,18 @@ func (p *pairState) takeRecvSlot() (prev, done chan struct{}) {
 // Request is an outstanding nonblocking operation (ISend or IRecv).
 // Wait blocks until the operation completes; for a receive it returns
 // the payload. Wait may be called more than once (later calls return
-// the same result) and from the posting rank's goroutine only.
+// the same result) and from the posting rank's goroutine only. A
+// request counts as in flight from its post until its first Wait
+// returns — not until the operation completes — so a rank that returns
+// without waiting an eagerly delivered send fails Run as well.
 type Request struct {
-	w    *world
-	rank int
-	op   rankOp // the posted operation, for the watchdog report
-	done chan struct{}
-	data []float64 // receive payload (nil for sends)
-	err  error
+	w      *world
+	rank   int
+	op     rankOp // the posted operation, for the watchdog report
+	done   chan struct{}
+	data   []float64 // receive payload (nil for sends)
+	err    error
+	waited bool // a Wait has returned; touched by the posting rank only
 
 	// Deferred operations race a helper goroutine (progress when Wait
 	// comes late or never) against Wait itself (no scheduling handoff
@@ -571,9 +576,16 @@ type Request struct {
 func (r *Request) claim() bool { return atomic.CompareAndSwapInt32(&r.claimed, 0, 1) }
 
 // complete marks the operation finished and releases the ticket chain.
-func (r *Request) complete() {
-	r.w.inflight[r.rank].Add(-1)
-	close(r.done)
+func (r *Request) complete() { close(r.done) }
+
+// retire ends the request's in-flight count on its first Wait and
+// passes that Wait's result through.
+func (r *Request) retire(data []float64, err error) ([]float64, error) {
+	if !r.waited {
+		r.waited = true
+		r.w.inflight[r.rank].Add(-1)
+	}
+	return data, err
 }
 
 // fail records err and completes the request.
@@ -594,17 +606,17 @@ func (r *Request) Wait() ([]float64, error) {
 	}
 	select {
 	case <-r.done:
-		return r.data, r.err
+		return r.retire(r.data, r.err)
 	default:
 	}
 	r.w.setOp(r.rank, r.op)
 	select {
 	case <-r.done:
 		r.w.setOp(r.rank, rankOp{kind: opIdle})
-		return r.data, r.err
+		return r.retire(r.data, r.err)
 	case <-r.w.stop:
 		r.w.setOp(r.rank, rankOp{kind: opIdle})
-		return nil, r.w.abortErr()
+		return r.retire(nil, r.w.abortErr())
 	}
 }
 

@@ -2,18 +2,16 @@ package mpi
 
 // Tag classifies point-to-point messages. Tags are a protocol contract,
 // not free-form integers: a send posted with one tag and matched by a
-// receive expecting another poisons the pair's ordered stream (see
-// Recv), so every tag in the repository lives in the registry below and
-// the tagconst analyzer (internal/lint) rejects ad-hoc literals and
-// runtime-computed tags outside it. Constructing a Tag anywhere but
-// this file is a lint finding; tests may convert freely.
+// receive expecting another fails that receive with a tag-mismatch
+// error and poisons the pair's ordered stream (see Recv), so every tag
+// in the repository lives in the registry below; tests may convert
+// freely.
 type Tag int
 
-// The tag registry: one constant per wire protocol. Each tag must be
-// used by at least one send site and one receive site (or flow into a
-// plan constructor that posts both sides) — tagconst reports
-// asymmetric use, since a one-sided tag is how communicator pairs get
-// poisoned.
+// The tag registry: one constant per wire protocol. Each tag is used by
+// at least one send site and one receive site (or flows into a plan
+// constructor that posts both sides), since a one-sided tag is how
+// communicator pairs get poisoned.
 const (
 	// TagPlan carries halo plan negotiation: the need-lists ranks
 	// exchange at partition setup (dist.negotiateHalo).

@@ -44,8 +44,8 @@ type Correction struct {
 // (retries exhausted, a Fatal error, divergence) the partial Result —
 // the steps completed so far — is returned alongside the error.
 func Iterate(sys System, q []float64, opts Options) (*Result, error) {
-	if !(opts.CFL0 > 0) || opts.MaxSteps < 1 || opts.StepRetries < 0 {
-		return nil, fmt.Errorf("newton: CFL0 %g, MaxSteps %d, StepRetries %d; want > 0, >= 1, >= 0", opts.CFL0, opts.MaxSteps, opts.StepRetries)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	n := len(q)
 	c := &Correction{Q: q, R: make([]float64, n), RHS: make([]float64, n), DQ: make([]float64, n), Trial: make([]float64, n)}

@@ -266,10 +266,21 @@ func TestIterate(t *testing.T) {
 func TestIterateRejectsAndShortCircuits(t *testing.T) {
 	ok := Options{CFL0: 10, SERExponent: 1, CFLMax: 1e5, MaxSteps: 4, RelTol: 1e-8}
 	for name, mutate := range map[string]func(o *Options){
-		"zero CFL0":            func(o *Options) { o.CFL0 = 0 },
-		"NaN CFL0":             func(o *Options) { o.CFL0 = math.NaN() },
-		"zero MaxSteps":        func(o *Options) { o.MaxSteps = 0 },
-		"negative StepRetries": func(o *Options) { o.StepRetries = -1 },
+		"zero CFL0":              func(o *Options) { o.CFL0 = 0 },
+		"NaN CFL0":               func(o *Options) { o.CFL0 = math.NaN() },
+		"zero MaxSteps":          func(o *Options) { o.MaxSteps = 0 },
+		"negative StepRetries":   func(o *Options) { o.StepRetries = -1 },
+		"zero CFLMax":            func(o *Options) { o.CFLMax = 0 },
+		"CFLMax below CFL0":      func(o *Options) { o.CFLMax = 5 },
+		"NaN CFLMax":             func(o *Options) { o.CFLMax = math.NaN() },
+		"NaN RelTol":             func(o *Options) { o.RelTol = math.NaN() },
+		"negative RelTol":        func(o *Options) { o.RelTol = -1 },
+		"zero RelTol":            func(o *Options) { o.RelTol = 0 },
+		"NaN SERExponent":        func(o *Options) { o.SERExponent = math.NaN() },
+		"infinite SERExponent":   func(o *Options) { o.SERExponent = math.Inf(1) },
+		"negative JacobianLag":   func(o *Options) { o.JacobianLag = -3 },
+		"NaN SwitchOrderAt":      func(o *Options) { o.SwitchOrderAt = math.NaN() },
+		"negative SwitchOrderAt": func(o *Options) { o.SwitchOrderAt = -1 },
 	} {
 		opts := ok
 		mutate(&opts)

@@ -11,6 +11,7 @@ package newton
 
 import (
 	"fmt"
+	"math"
 
 	"petscfun3d/internal/euler"
 	"petscfun3d/internal/krylov"
@@ -70,6 +71,31 @@ func DefaultOptions() Options {
 		JacobianLag: 1,
 		LineSearch:  true,
 	}
+}
+
+// Validate rejects settings no solve can honor, naming the field. The
+// Krylov options are validated where they are used (krylov.Solve), and
+// JacobianLag 0 is valid: the preconditioner is then built once.
+func (o Options) Validate() error {
+	switch {
+	case !(o.CFL0 > 0): // rejects NaN too
+		return fmt.Errorf("newton: CFL0 %g, want > 0", o.CFL0)
+	case !(o.CFLMax >= o.CFL0):
+		return fmt.Errorf("newton: CFLMax %g, want >= CFL0 %g", o.CFLMax, o.CFL0)
+	case math.IsNaN(o.SERExponent) || math.IsInf(o.SERExponent, 0):
+		return fmt.Errorf("newton: SERExponent %g, want finite", o.SERExponent)
+	case o.MaxSteps < 1:
+		return fmt.Errorf("newton: MaxSteps %d, want >= 1", o.MaxSteps)
+	case !(o.RelTol > 0):
+		return fmt.Errorf("newton: RelTol %g, want > 0", o.RelTol)
+	case o.JacobianLag < 0:
+		return fmt.Errorf("newton: JacobianLag %d, want >= 0", o.JacobianLag)
+	case !(o.SwitchOrderAt >= 0):
+		return fmt.Errorf("newton: SwitchOrderAt %g, want >= 0", o.SwitchOrderAt)
+	case o.StepRetries < 0:
+		return fmt.Errorf("newton: StepRetries %d, want >= 0", o.StepRetries)
+	}
+	return nil
 }
 
 // PCFactory builds a preconditioner from the (time-augmented) Jacobian.

@@ -36,8 +36,7 @@ type Task interface {
 	RunShard(worker, nworkers int)
 }
 
-// Pool misuse panics with one of these named messages, so tests (and
-// the static poollife analyzer, which quotes them in its findings) can
+// Pool misuse panics with one of these named messages, so tests can
 // assert the exact failure instead of a hang: running a task on a
 // closed pool, re-entering Run from inside a task of the same pool
 // (the nested barrier can never complete — worker goroutines are

@@ -263,8 +263,8 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 }
 
 // mustPanicWith runs f and asserts it panics with exactly msg — the
-// named misuse messages are part of the package contract (the poollife
-// static analyzer quotes them), so the assertion is verbatim.
+// named misuse messages are part of the package contract, so the
+// assertion is verbatim.
 func mustPanicWith(t *testing.T, msg string, f func()) {
 	t.Helper()
 	defer func() {
@@ -292,8 +292,8 @@ func TestRunOnClosedPoolPanics(t *testing.T) {
 }
 
 // nestedTask re-enters Run on its own pool from inside a shard — the
-// barrier deadlock poollife forbids statically. The dynamic check must
-// convert it into the named panic instead of hanging.
+// barrier deadlock. The dynamic check must convert it into the named
+// panic instead of hanging.
 type nestedTask struct {
 	p     *Pool
 	inner countTask

@@ -205,120 +205,6 @@ func BenchmarkApplyRASM1(b *testing.B) {
 	}
 }
 
-func solveItsWith(t testing.TB, pr *problem, pc krylov.Preconditioner) int {
-	t.Helper()
-	x := make([]float64, pr.a.N())
-	st, err := krylov.Solve(krylov.OperatorFunc(pr.a.MulVec), pc, pr.rhs, x,
-		krylov.Options{Restart: 30, MaxIters: 800, RelTol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatal("solve did not converge")
-	}
-	return st.Iterations
-}
-
-// laplacianProblem builds a graph-Laplacian system (diag = degree + ε,
-// off-diagonal = -1): barely diagonally dominant, with the slowly
-// decaying global error modes that make one-level Schwarz degrade with
-// subdomain count — exactly the regime the coarse space exists for.
-func laplacianProblem(t testing.TB, nx, ny, nz, nparts int) *problem {
-	t.Helper()
-	m, err := mesh.GenerateWing(mesh.DefaultWingSpec(nx, ny, nz))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sparse.Graph{NV: m.NumVertices(), XAdj: m.XAdj, Adj: m.Adj}
-	a := sparse.BlockPattern(g, 1)
-	for i := 0; i < a.NB; i++ {
-		deg := 0
-		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
-			if int(j) != i {
-				blk, _ := a.BlockAt(i, int(j))
-				blk[0] = -1
-				deg++
-			}
-		}
-		diag, _ := a.BlockAt(i, i)
-		diag[0] = float64(deg) + 0.05
-	}
-	p, err := partition.KWay(g, nparts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := make([]float64, a.N())
-	for i := range rhs {
-		rhs[i] = math.Sin(float64(i) * 0.17)
-	}
-	return &problem{a: a, g: g, rhs: rhs, part: p}
-}
-
-func TestCoarseLevelReducesIterationGrowth(t *testing.T) {
-	// The coarse space damps the block-count dependence of convergence:
-	// on a Laplacian with many subdomains, two-level Schwarz needs far
-	// fewer iterations than single-level.
-	pr := laplacianProblem(t, 10, 9, 7, 48)
-	one, err := New(pr.a, pr.part.Part, 48, Options{ILU: ilu.Options{Level: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := NewTwoLevel(pr.a, pr.part.Part, 48, Options{ILU: ilu.Options{Level: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	itsOne := solveItsWith(t, pr, one)
-	itsTwo := solveItsWith(t, pr, two)
-	if itsTwo >= itsOne {
-		t.Errorf("coarse level did not help: %d (two-level) vs %d (one-level)", itsTwo, itsOne)
-	}
-}
-
-func TestCoarseLevelExactOnCoarseSpace(t *testing.T) {
-	// For a residual constant within each subdomain (in the range of the
-	// coarse space), the coarse correction solves the Galerkin system
-	// exactly: A_c zc = rc reproduces rc when re-restricted.
-	pr := buildProblem(t, 6, 5, 4, 2, 4)
-	c, err := NewCoarseLevel(pr.a, pr.part.Part, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := 2
-	r := make([]float64, pr.a.N())
-	for i := 0; i < pr.a.NB; i++ {
-		for comp := 0; comp < b; comp++ {
-			r[i*b+comp] = float64(pr.part.Part[i]+1) * (1 + 0.5*float64(comp))
-		}
-	}
-	z := make([]float64, pr.a.N())
-	c.Apply(r, z)
-	// z restricted through A must reproduce r's aggregate sums:
-	// R A z = R r since z = R^T A_c^{-1} R r and A_c = R A R^T.
-	az := make([]float64, pr.a.N())
-	pr.a.MulVec(z, az)
-	sums := make([]float64, 4*b)
-	want := make([]float64, 4*b)
-	for i := 0; i < pr.a.NB; i++ {
-		p := pr.part.Part[i]
-		for comp := 0; comp < b; comp++ {
-			sums[int(p)*b+comp] += az[i*b+comp]
-			want[int(p)*b+comp] += r[i*b+comp]
-		}
-	}
-	for i := range sums {
-		if math.Abs(sums[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-			t.Fatalf("coarse Galerkin identity violated at %d: %g vs %g", i, sums[i], want[i])
-		}
-	}
-}
-
-func TestCoarseLevelValidation(t *testing.T) {
-	pr := buildProblem(t, 4, 3, 3, 2, 2)
-	if _, err := NewCoarseLevel(pr.a, pr.part.Part[:3], 2); err == nil {
-		t.Error("short partition accepted")
-	}
-}
-
 // sameBits fails unless two vectors are bit-equal.
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()

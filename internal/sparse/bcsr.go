@@ -309,51 +309,6 @@ func (a *CSR) ToBCSR1() *BCSR {
 	return &BCSR{NB: a.N, B: 1, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val}
 }
 
-// BCSR32 is BCSR with single-precision value storage.
-type BCSR32 struct {
-	NB     int
-	B      int
-	RowPtr []int32
-	ColIdx []int32
-	Val    []float32
-}
-
-// ToFloat32 converts the matrix values to single-precision storage.
-func (a *BCSR) ToFloat32() *BCSR32 {
-	v := make([]float32, len(a.Val))
-	for i, x := range a.Val {
-		v[i] = float32(x)
-	}
-	return &BCSR32{NB: a.NB, B: a.B, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: v}
-}
-
-// MulVec computes y = A x, promoting stored values to float64.
-func (a *BCSR32) MulVec(x, y []float64) {
-	b := a.B
-	bb := b * b
-	for i := 0; i < a.NB; i++ {
-		ys := y[i*b : i*b+b]
-		for c := range ys {
-			ys[c] = 0
-		}
-		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1])
-		for k := start; k < end; k++ {
-			j := int(a.ColIdx[k]) * b
-			blk := a.Val[k*bb : k*bb+bb]
-			xs := x[j : j+b]
-			for r := 0; r < b; r++ {
-				row := blk[r*b:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var sum float64
-				for c, w := range row {
-					sum += float64(w) * xs[c]
-				}
-				ys[r] += sum
-			}
-		}
-	}
-}
-
 // NewBCSRPattern allocates a BCSR matrix with the given block sparsity:
 // rows[i] lists the block columns of block row i (need not be sorted; a
 // sorted copy is made). Values are zero.

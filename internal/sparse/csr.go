@@ -106,41 +106,6 @@ func (a *CSR) Validate() error {
 	return nil
 }
 
-// CSR32 stores the same structure as CSR with float32 values. The paper
-// stores the ILU preconditioner in single precision to halve the memory
-// traffic of the bandwidth-bound triangular solves; all arithmetic is
-// still performed in float64.
-type CSR32 struct {
-	N      int
-	RowPtr []int32
-	ColIdx []int32
-	Val    []float32
-}
-
-// ToFloat32 converts the matrix values to single-precision storage.
-func (a *CSR) ToFloat32() *CSR32 {
-	v := make([]float32, len(a.Val))
-	for i, x := range a.Val {
-		v[i] = float32(x)
-	}
-	return &CSR32{N: a.N, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: v}
-}
-
-// MulVec computes y = A x, promoting each stored value to float64.
-func (a *CSR32) MulVec(x, y []float64) {
-	for i := 0; i < a.N; i++ {
-		start, end := a.RowPtr[i], a.RowPtr[i+1]
-		vals := a.Val[start:end]
-		cols := a.ColIdx[start:end]
-		cols = cols[:len(vals)] // bce: ties len(cols) to len(vals); one range check serves both row slices
-		var sum float64
-		for k, v := range vals {
-			sum += float64(v) * x[cols[k]] //lint:bce-ok gather through the column index is data-dependent; no slice-length relation is provable
-		}
-		y[i] = sum
-	}
-}
-
 // Builder accumulates entries and produces a CSR with sorted rows.
 type Builder struct {
 	n    int

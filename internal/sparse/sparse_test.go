@@ -106,30 +106,6 @@ func TestBCSRMulVecMatchesCSR(t *testing.T) {
 	}
 }
 
-func TestFloat32StorageClose(t *testing.T) {
-	g := ringGraph(19)
-	blk := BlockPattern(g, 4)
-	blk.FillDeterministic(13)
-	x := testVector(blk.N(), 9)
-	y64 := make([]float64, blk.N())
-	y32 := make([]float64, blk.N())
-	blk.MulVec(x, y64)
-	blk.ToFloat32().MulVec(x, y32)
-	// Single-precision storage: relative error around 1e-7, not 1e-15.
-	if d := maxAbsDiff(y64, y32); d > 1e-4 {
-		t.Errorf("float32 BCSR too far from float64: %g", d)
-	}
-	if d := maxAbsDiff(y64, y32); d == 0 {
-		t.Log("float32 result exactly equal (unlikely but not wrong)")
-	}
-	c64 := blk.ToCSR()
-	yc := make([]float64, blk.N())
-	c64.ToFloat32().MulVec(x, yc)
-	if d := maxAbsDiff(y64, yc); d > 1e-4 {
-		t.Errorf("float32 CSR too far from float64: %g", d)
-	}
-}
-
 func TestLayoutBandwidthContrast(t *testing.T) {
 	// The central claim behind equations (1) and (2): interlacing keeps
 	// matrix bandwidth ~ b*beta while noninterlacing pushes it to ~ N.
@@ -271,19 +247,6 @@ func TestVecKernels(t *testing.T) {
 	}
 	if got := Norm2([]float64{3, 4}); got != 5 {
 		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	w := make([]float64, 3)
-	Waxpy(2, x, y, w)
-	if w[0] != 6 || w[1] != 9 || w[2] != 12 {
-		t.Errorf("Waxpy = %v", w)
-	}
-	Axpy(-1, x, y)
-	if y[0] != 3 || y[1] != 3 || y[2] != 3 {
-		t.Errorf("Axpy = %v", y)
-	}
-	Scale(2, x)
-	if x[0] != 2 || x[1] != 4 || x[2] != 6 {
-		t.Errorf("Scale = %v", x)
 	}
 }
 

@@ -17,30 +17,6 @@ func Dot(x, y []float64) float64 {
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 
-// Axpy computes y += a*x.
-func Axpy(a float64, x, y []float64) {
-	y = y[:len(x)] // bce: ties len(y) to len(x); the range index serves both streams unchecked
-	for i, v := range x {
-		y[i] += a * v
-	}
-}
-
-// Scale computes x *= a.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// Waxpy computes w = y + a*x.
-func Waxpy(a float64, x, y, w []float64) {
-	x = x[:len(w)] // bce: ties len(x) and len(y) to len(w); the range index serves all three streams unchecked
-	y = y[:len(w)]
-	for i := range w {
-		w[i] = y[i] + a*x[i]
-	}
-}
-
 // Permute returns the matrix PAPᵀ for the permutation perm, where
 // perm[old] = new: entry (i, j) of a moves to (perm[i], perm[j]). Rows of
 // the result are sorted.
