@@ -103,7 +103,7 @@ kernels-grid:
 # refresh); a refresh is bitwise a fresh factorization and allocates
 # nothing, in ilu, across the Schwarz subdomains × workers and in each
 # rank's block Jacobi (that count skips under -race, where sync.Pool
-# drops the assembly's workspaces; plain go test runs it); every AVX2
+# drops the assembly's workspaces; make allocs runs it); every AVX2
 # block kernel is bitwise its Go kernel
 # (special values, level row lists, whole factorizations, Solve ≡
 # SolvePar) and the family follows CPUID — under the race detector, which
@@ -124,12 +124,14 @@ dist-grid:
 	$(call named_gate,'LocalJacobian|MulVecAddRows|SplitMatVec|MatrixRefresh|StepOperator',./internal/euler ./internal/sparse ./internal/dist,-race)
 
 # Allocation gates: one more Newton step allocates (next to) nothing —
-# default path, altpath configuration, 2 ranks — and Build + solve stays
-# within 1.25 × the floor of its resident structures; -v prints the
+# default path, altpath configuration, 2 ranks — a rank's later operator
+# build allocates only its preconditioner closure, and Build + solve
+# stays within 1.25 × the floor of its resident structures; -v prints the
 # per-step numbers and the ledger table EXPERIMENTS.md records. WITHOUT
-# the race detector: it allocates on its own, and the tests skip under it.
+# the race detector: it allocates on its own and drops sync.Pool items,
+# and the tests skip under it.
 allocs:
-	$(call named_gate,'StepAllocates|AllocationLedger',./internal/core,-v)
+	$(call named_gate,'StepAllocates|AllocationLedger|MatrixRefreshSteadyStateAllocs',./internal/core ./internal/dist,-v)
 
 # The tree's native fuzz targets, 20 s each: two kernel equivalences and
 # the mesh-file input boundary. A failing input is written under the
@@ -143,8 +145,11 @@ fuzz:
 # mutant table in internal/lint/mutants_test.go — one seeded defect per
 # rule of the retired protocol and pool analyzers and of overlapregion —
 # is applied through `go test -overlay` (the tree is never written) and
-# its packages' tests run under the race detector. Prints one markdown
-# row per mutant; fails if a retired analyzer's row is missed.
+# its packages' tests run under the race detector, after a control run
+# of the same tests on the unmutated tree that must pass. Prints one
+# markdown row per mutant; fails if a retired analyzer's row is not
+# caught by a named failing test or runtime check. CI runs it in its own
+# workflow (mutants.yml) when the code it seeds changes, and weekly.
 mutants:
 	go test -tags mutants -run '^TestMutants$$' -count=1 -timeout 2h -v ./internal/lint
 

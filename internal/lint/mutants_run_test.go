@@ -25,17 +25,31 @@ var runtimeChecks = []struct{ signature, name string }{
 	{"needed rows but asked for", "plan length check"},
 }
 
-// TestMutants runs the mutation scoreboard (`make mutants`): each row of
-// the mutant table is applied through `go test -overlay` — the tree is
-// never written — and its packages' tests run under the race detector.
-// It prints one markdown row per mutant and fails when a row's text
-// does not apply, a mutant does not build, or a row of a retired
-// analyzer is missed. overlapregion's rows are recorded as they come
-// out.
+// TestMutants runs the mutation scoreboard (`make mutants`). It first
+// runs each distinct package set and -run regex of the table on the
+// unmutated tree, and stops if one fails: a failure the tree has
+// without a mutant is no evidence against a mutant. Then each row is
+// applied through `go test -overlay` — the tree is never written — and
+// its packages' tests run under the race detector. It prints one
+// markdown row per mutant and fails when a row's text does not apply, a
+// mutant does not build, or a row of a retired analyzer is not caught.
+// overlapregion's rows are recorded as they come out.
 func TestMutants(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
+	}
+	control := map[string]string{} // (Pkgs, Run) key → the unmutated run's output
+	for _, m := range mutants {
+		key := m.controlKey()
+		if _, done := control[key]; done {
+			continue
+		}
+		out, err := goTest(root, "", m)
+		if err != nil {
+			t.Fatalf("control: -run %s %s fails without a mutant:\n%s", m.Run, strings.Join(m.Pkgs, " "), out)
+		}
+		control[key] = out
 	}
 	dir := t.TempDir()
 	fmt.Println("| analyzer | rule | site | verdict | evidence |")
@@ -59,25 +73,45 @@ func TestMutants(t *testing.T) {
 		if err := os.WriteFile(overlayFile, overlay, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		args := append([]string{"test", "-overlay", overlayFile, "-race", "-count=1", "-timeout", "5m", "-run", m.Run}, m.Pkgs...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = root
-		out, runErr := cmd.CombinedOutput()
-		verdict, evidence := judge(string(out), runErr)
+		out, runErr := goTest(root, overlayFile, m)
+		verdict, evidence := judge(out, control[m.controlKey()], runErr)
 		switch {
 		case verdict == "build failed":
 			t.Errorf("%s %q at %s does not build:\n%s", m.Analyzer, m.Rule, m.where(), out)
-		case verdict == "missed" && m.Analyzer != "overlapregion":
-			t.Errorf("%s %q at %s is missed: no test fails on it; add the test that catches it", m.Analyzer, m.Rule, m.where())
+		case verdict != "caught" && m.Analyzer != "overlapregion":
+			t.Errorf("%s %q at %s is %s: add the test that catches it\n%s", m.Analyzer, m.Rule, m.where(), verdict, out)
 		}
 		fmt.Printf("| %s | %s | %s | %s | %s |\n", m.Analyzer, m.Rule, m.where(), verdict, evidence)
 	}
 }
 
-// judge reads one mutant's `go test` output: "caught" with the failing
-// top-level tests and the runtime checks that fired, "missed" when the
-// tests pass, "build failed" when the mutant does not compile.
-func judge(out string, runErr error) (verdict, evidence string) {
+// controlKey identifies the unmutated run a row is judged against.
+func (m mutant) controlKey() string {
+	return m.Run + "\x00" + strings.Join(m.Pkgs, "\x00")
+}
+
+// goTest runs m's packages and -run regex under the race detector, with
+// the overlay file when one is given, and returns the combined output.
+func goTest(root, overlayFile string, m mutant) (string, error) {
+	args := []string{"test"}
+	if overlayFile != "" {
+		args = append(args, "-overlay", overlayFile)
+	}
+	args = append(args, "-race", "-count=1", "-timeout", "5m", "-run", m.Run)
+	cmd := exec.Command("go", append(args, m.Pkgs...)...)
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// judge reads one mutant's `go test` output against the passing control
+// run's: "caught" with the failing top-level tests and the runtime checks
+// that fired (a check counts only when the control run shows no trace of
+// it), "missed" when the tests pass, "build failed" when the mutant does
+// not compile, and "unattributed" when the run fails without naming a
+// failing test or a runtime check — a timeout or a crash outside a test,
+// which a flake can produce as easily as the mutant.
+func judge(out, control string, runErr error) (verdict, evidence string) {
 	if runErr == nil {
 		return "missed", ""
 	}
@@ -86,7 +120,7 @@ func judge(out string, runErr error) (verdict, evidence string) {
 	}
 	var notes, failed []string
 	for _, c := range runtimeChecks {
-		if strings.Contains(out, c.signature) {
+		if strings.Contains(out, c.signature) && !strings.Contains(control, c.signature) {
 			notes = append(notes, c.name)
 		}
 	}
@@ -95,11 +129,14 @@ func judge(out string, runErr error) (verdict, evidence string) {
 			failed = append(failed, "`"+strings.Fields(name)[0]+"`")
 		}
 	}
+	if len(notes) == 0 && len(failed) == 0 {
+		return "unattributed", "the test binary exits without naming a test"
+	}
 	if len(failed) > 4 {
 		failed = append(failed[:4], fmt.Sprintf("+%d more", len(failed)-4))
 	}
-	if len(failed) == 0 {
-		failed = []string{"the test binary exits (panic or timeout)"}
+	if len(failed) > 0 {
+		notes = append(notes, strings.Join(failed, ", "))
 	}
-	return "caught", strings.Join(append(notes, strings.Join(failed, ", ")), "; ")
+	return "caught", strings.Join(notes, "; ")
 }
