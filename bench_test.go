@@ -1,10 +1,10 @@
 package petscfun3d
 
-// One testing.B benchmark per table and figure of the paper's
-// evaluation, driving the same generators as cmd/benchtables at the
-// smoke-test scale (run the binary with -size medium for the scale
-// recorded in EXPERIMENTS.md). Kernel-level companions measure the
-// specific effects (layout, blocking, precision) with real wall time.
+// BenchmarkExperiments runs every table and figure of the paper's
+// evaluation through the registry cmd/benchtables drives, at its small
+// scale (run the binary with -size medium for the scale recorded in
+// EXPERIMENTS.md). Kernel-level companions measure the specific effects
+// (layout, blocking, precision) with real wall time.
 
 import (
 	"sync"
@@ -96,83 +96,17 @@ func TestPhaseProfileBaseline(t *testing.T) {
 	}
 }
 
-func BenchmarkTable1LayoutSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(experiments.Small, "incompressible"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2PrecisionSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable3ScalingStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table3(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4SchwarzSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table4(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5HybridSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table5(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure2MachineSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure2(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3MissCounters(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure4PartitionerSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure4(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5CFLSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMissModelSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MissModel(experiments.Small); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments runs every study of the benchtables registry
+// once per iteration at the CLI's small scale.
+func BenchmarkExperiments(b *testing.B) {
+	for _, st := range experiments.Studies {
+		b.Run(st.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Run(experiments.Small); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,20 +1,24 @@
 // Command benchtables regenerates every table and figure of the paper's
-// evaluation section. Each experiment prints the same rows/series the
-// paper reports; EXPERIMENTS.md records the comparison against the
-// published values.
+// evaluation. Each experiment prints the same rows/series the paper
+// reports; EXPERIMENTS.md records the comparison against the published
+// values.
 //
 // Usage:
 //
-//	benchtables [-size small|medium|large] [-experiment all|table1|table2|table2measured|table3|table3measured|chaos|table4|table5|threads|ortho|figure1|figure2|figure3|figure4|figure5|missmodel|ablation|spmvbound]
+//	benchtables [-size small|medium|large] [-experiment all|table1|figure3|missmodel|spmvbound|table2measured|table3|table3measured|chaos|figure2|figure4|figure5|table4|table5|threads|ortho|ablation] [-csv dir] [-profile-json file]
+//
+// -csv writes one CSV file per table: a header of column names and
+// units, then one line per row.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"petscfun3d/internal/experiments"
@@ -38,191 +42,33 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	writeCSV := func(name string, wr func(w io.Writer) error) {
-		if *csvDir == "" {
-			return
-		}
-		f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := wr(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	size, err := experiments.ParseSize(*sizeFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
-	runners := map[string]func() (string, error){
-		"table1": func() (string, error) {
-			inc, err := experiments.Table1(size, "incompressible")
-			if err != nil {
-				return "", err
-			}
-			cmp, err := experiments.Table1(size, "compressible")
-			if err != nil {
-				return "", err
-			}
-			writeCSV("table1_incompressible", inc.WriteCSV)
-			writeCSV("table1_compressible", cmp.WriteCSV)
-			return inc.Render() + "\n" + cmp.Render(), nil
-		},
-		"table2": func() (string, error) {
-			r, err := experiments.Table2(size)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		},
-		"table2measured": func() (string, error) {
-			r, err := experiments.Table2Measured(size)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		},
-		"table3": func() (string, error) {
-			r, err := experiments.Table3(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("table3", r.WriteCSV)
-			// Figure 1 is the per-step view of the same run; emit both
-			// rather than solving twice.
-			return r.Render() + "\n" + r.Figure1Render(), nil
-		},
-		"table3measured": func() (string, error) {
-			r, err := experiments.Table3Measured(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("table3measured", r.WriteCSV)
-			return r.Render(), nil
-		},
-		"chaos": func() (string, error) {
-			r, err := experiments.ChaosSweep(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("chaos", r.WriteCSV)
-			return r.Render(), nil
-		},
-		"table4": func() (string, error) {
-			r, err := experiments.Table4(size)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		},
-		"table5": func() (string, error) {
-			r, err := experiments.Table5(size)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		},
-		"threads": func() (string, error) {
-			r, err := experiments.Threads(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("threads", r.WriteCSV)
-			return r.Render(), nil
-		},
-		"ortho": func() (string, error) {
-			r, err := experiments.Ortho(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("ortho", r.WriteCSV)
-			return r.Render(), nil
-		},
-		"figure1": func() (string, error) {
-			r, err := experiments.Table3(size)
-			if err != nil {
-				return "", err
-			}
-			return r.Figure1Render(), nil
-		},
-		"figure2": func() (string, error) {
-			r, err := experiments.Figure2(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("figure2", r.WriteCSV)
-			return r.Render(), nil
-		},
-		"figure3": func() (string, error) {
-			r, err := experiments.Figure3(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("figure3", r.WriteCSV)
-			return r.Render(), nil
-		},
-		"figure4": func() (string, error) {
-			r, err := experiments.Figure4(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("figure4", r.WriteCSV)
-			return r.Render(), nil
-		},
-		"figure5": func() (string, error) {
-			r, err := experiments.Figure5(size)
-			if err != nil {
-				return "", err
-			}
-			writeCSV("figure5", r.WriteCSV)
-			return r.Render(), nil
-		},
-		"missmodel": func() (string, error) {
-			r, err := experiments.MissModel(size)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		},
-		"ablation": func() (string, error) {
-			r, err := experiments.Ablation(size)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		},
-		"spmvbound": func() (string, error) {
-			r, err := experiments.SpMVBounds(size)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		},
+	var names []string
+	for _, st := range experiments.Studies {
+		names = append(names, st.Name)
 	}
-	order := []string{
-		"table1", "figure3", "missmodel", "spmvbound", "table2measured", "table3",
-		"table3measured", "chaos", "figure2", "figure4", "figure5", "table4",
-		"table5", "threads", "ortho", "ablation",
+	if *expFlag != "all" && !slices.Contains(names, *expFlag) {
+		log.Fatalf("unknown experiment %q (want all|%s)", *expFlag, strings.Join(names, "|"))
 	}
-	names := order
-	if *expFlag != "all" {
-		if _, ok := runners[*expFlag]; !ok {
-			log.Fatalf("unknown experiment %q", *expFlag)
+	for _, st := range experiments.Studies {
+		if *expFlag != "all" && *expFlag != st.Name {
+			continue
 		}
-		names = []string{*expFlag}
-	}
-	for _, name := range names {
 		start := time.Now()
-		out, err := runners[name]()
+		tabs, err := st.Run(size)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", st.Name, err)
 		}
-		fmt.Println(out)
-		_, _ = fmt.Fprintf(os.Stderr, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Println(experiments.Text(tabs...))
+		for _, t := range tabs {
+			if *csvDir != "" {
+				writeCSV(filepath.Join(*csvDir, t.Name+".csv"), t)
+			}
+		}
+		_, _ = fmt.Fprintf(os.Stderr, "[%s completed in %v]\n\n", st.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if *profileJSON != "" {
 		prof.Default.Disable()
@@ -240,5 +86,19 @@ func main() {
 		rep := prof.Default.Report(bw)
 		_, _ = fmt.Fprintf(os.Stderr, "[phase profile: %.2fs in %d phases -> %s]\n",
 			rep.TotalSeconds, len(rep.Phases), *profileJSON)
+	}
+}
+
+// writeCSV writes one table to path.
+func writeCSV(path string, t experiments.Table) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := experiments.WriteCSV(f, t); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -139,7 +139,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				fmt.Printf("\n%s", sweep.Render())
+				fmt.Printf("\n%s", experiments.Text(sweep.Tables()...))
 				eff = sweep.Rows
 				// Fold the sweep's measured scatter_pack / scatter_wait /
 				// interior / boundary phases into the written report.
@@ -203,7 +203,7 @@ func chaosSweep(cfg core.Config, seed int64, profile string, nseeds int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(res.Render())
+	fmt.Print(experiments.Text(res.Tables()...))
 	return nil
 }
 

@@ -2,19 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"petscfun3d/internal/core"
 )
 
 // AblationRow is one parameter setting of the ψNKS tuning sweep.
 type AblationRow struct {
-	Parameter string
-	Value     string
-	Steps     int
-	LinearIts int
-	FluxEvals int
-	Converged bool
+	Parameter string `col:"parameter"`
+	Value     string `col:"value"`
+	Steps     int    `col:"steps"`
+	LinearIts int    `col:"lin its"`
+	FluxEvals int    `col:"flux evals"`
+	Converged bool   `col:"converged"`
 }
 
 // AblationResult sweeps the section 2.4 algorithmic parameters the
@@ -24,14 +23,21 @@ type AblationRow struct {
 // baseline; the cost currency is the paper's own (pseudo-timesteps,
 // linear iterations, and fine-grid flux evaluations).
 type AblationResult struct {
-	Vertices int
+	Vertices int `col:"vertices"`
 	Baseline AblationRow
 	Rows     []AblationRow
 }
 
-// Ablation runs the single-parameter sweeps on the incompressible wing.
-func Ablation(size Size) (*AblationResult, error) {
-	nv := pick(size, 2500, 22677, 22677)
+// Tables prints the sweep, the baseline first.
+func (a *AblationResult) Tables() []Table {
+	return []Table{{Name: "ablation", Title: "ψNKS parameter ablation (section 2.4), incompressible", Measured: true,
+		Params: a, Rows: append([]AblationRow{a.Baseline}, a.Rows...)}}
+}
+
+// AblationStudy runs the single-parameter sweeps on the incompressible
+// wing of about nv vertices.
+func AblationStudy(nv int) (*AblationResult, error) {
+	res := &AblationResult{}
 	run := func(mutate func(*core.Config), param, value string) (AblationRow, error) {
 		cfg := core.DefaultConfig()
 		cfg.TargetVertices = nv
@@ -44,6 +50,7 @@ func Ablation(size Size) (*AblationResult, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
+		res.Vertices = out.Problem.Mesh.NumVertices()
 		return AblationRow{
 			Parameter: param, Value: value,
 			Steps:     len(out.Newton.Steps),
@@ -52,26 +59,15 @@ func Ablation(size Size) (*AblationResult, error) {
 			Converged: out.Newton.Converged,
 		}, nil
 	}
-	res := &AblationResult{}
 	base, err := run(nil, "baseline", "restart=20 rtol=1e-2 p=1.0 lag=1")
 	if err != nil {
 		return nil, err
 	}
 	res.Baseline = base
-	bcfg := core.DefaultConfig()
-	bcfg.TargetVertices = nv
-	p, err := core.Build(bcfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Vertices = p.Mesh.NumVertices()
-
-	type knob struct {
-		param  string
-		value  string
-		mutate func(*core.Config)
-	}
-	knobs := []knob{
+	knobs := []struct {
+		param, value string
+		mutate       func(*core.Config)
+	}{
 		{"gmres-restart", "10", func(c *core.Config) { c.Newton.Krylov.Restart = 10 }},
 		{"gmres-restart", "30", func(c *core.Config) { c.Newton.Krylov.Restart = 30 }},
 		{"inner-rtol", "1e-3", func(c *core.Config) { c.Newton.Krylov.RelTol = 1e-3 }},
@@ -93,21 +89,4 @@ func Ablation(size Size) (*AblationResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// Render formats the sweep.
-func (a *AblationResult) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "ψNKS parameter ablation (section 2.4), %d vertices, incompressible\n", a.Vertices)
-	fmt.Fprintf(&sb, "%-18s %-14s | %6s %8s %8s %s\n", "parameter", "value", "steps", "lin its", "flux ev", "conv")
-	rows := append([]AblationRow{a.Baseline}, a.Rows...)
-	for _, r := range rows {
-		conv := "yes"
-		if !r.Converged {
-			conv = "NO"
-		}
-		fmt.Fprintf(&sb, "%-18s %-14s | %6d %8d %8d %s\n",
-			r.Parameter, r.Value, r.Steps, r.LinearIts, r.FluxEvals, conv)
-	}
-	return sb.String()
 }

@@ -6,10 +6,7 @@ import (
 )
 
 func TestAblationShape(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("serial experiment driver; too slow under -race (see race_off_test.go)")
-	}
-	res, err := Ablation(Small)
+	res, err := AblationStudy(smokeVertices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +34,7 @@ func TestAblationShape(t *testing.T) {
 	// Tighter inner tolerance must not increase Newton steps, and looser
 	// must not decrease linear iterations below... (effects are problem
 	// dependent; assert only internal consistency here).
-	if !strings.Contains(res.Render(), "ablation") {
+	if !strings.Contains(Text(res.Tables()...), "ablation") {
 		t.Error("render missing header")
 	}
 }

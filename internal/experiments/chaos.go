@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"strings"
 
 	"petscfun3d/internal/faults"
-	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/partition"
 	"petscfun3d/internal/sparse"
@@ -25,29 +22,42 @@ import (
 // injected virtual-clock skew surfacing as implicit-synchronization
 // wait, the paper's Table 3 mechanism made measurable on demand.
 type ChaosSweepResult struct {
-	Vertices int
-	B        int
-	Procs    int
-	Profile  faults.Profile
+	Vertices int            `col:"vertices"`
+	B        int            `col:"b"`
+	Procs    int            `col:"procs"`
+	Profile  faults.Profile `col:"profile"`
 	// CleanSeconds is the fault-free slowest-rank total (best of
 	// measureReps); CleanIts its linear iteration count; CleanWaitMaxSec
-	// its slowest-rank scatter_wait.
+	// and CleanWaitAvgSec its slowest-rank and mean scatter_wait.
 	CleanSeconds    float64
 	CleanIts        int
 	CleanWaitMaxSec float64
+	CleanWaitAvgSec float64
 	Rows            []ChaosRow
 }
 
 // ChaosRow is one seed's run.
 type ChaosRow struct {
-	Seed       int64   `json:"seed"`
-	SkewMaxSec float64 `json:"skew_max_sec"` // slowest rank's injected sleep total
-	SkewSumSec float64 `json:"skew_sum_sec"` // injected sleep summed over ranks
-	Seconds    float64 `json:"seconds"`      // slowest rank's total phase time
-	EtaImpl    float64 `json:"eta_impl"`     // CleanSeconds / Seconds
-	LinearIts  int     `json:"linear_its"`   // must equal the clean run's
-	WaitMaxSec float64 `json:"wait_max_sec"` // max over ranks of scatter_wait
-	WaitAvgSec float64 `json:"wait_avg_sec"` // mean over ranks of scatter_wait
+	Plan       string  `json:"plan" col:"plan"` // the fault profile, or fault-free
+	Seed       int64   `json:"seed" col:"seed"`
+	LinearIts  int     `json:"linear_its" col:"its"`               // must equal the clean run's
+	Seconds    float64 `json:"seconds" col:"time,%.4f,s"`          // slowest rank's total phase time
+	EtaImpl    float64 `json:"eta_impl" col:"η_impl,%.2f"`         // CleanSeconds / Seconds
+	SkewMaxSec float64 `json:"skew_max_sec" col:"skew max,%.4f,s"` // slowest rank's injected sleep total
+	SkewSumSec float64 `json:"skew_sum_sec" col:"skew sum,%.4f,s"` // injected sleep summed over ranks
+	WaitMaxSec float64 `json:"wait_max_sec" col:"wait max,%.4f,s"` // max over ranks of scatter_wait
+	WaitAvgSec float64 `json:"wait_avg_sec" col:"wait avg,%.4f,s"` // mean over ranks of scatter_wait
+}
+
+// Tables prints the sweep, the fault-free run first.
+func (r *ChaosSweepResult) Tables() []Table {
+	clean := ChaosRow{Plan: "fault-free", LinearIts: r.CleanIts, Seconds: r.CleanSeconds, EtaImpl: 1,
+		WaitMaxSec: r.CleanWaitMaxSec, WaitAvgSec: r.CleanWaitAvgSec}
+	return []Table{{Name: "chaos", Title: "Chaos sweep — η_impl vs injected skew", Measured: true,
+		Params: r, Rows: append([]ChaosRow{clean}, r.Rows...),
+		Notes: "Every row converges in the fault-free iteration count (asserted): faults perturb timing, never\n" +
+			"numerics, so η_alg ≡ 1 and the efficiency lost is pure implementation — injected clock skew\n" +
+			"absorbed by the implicit-synchronization wait, the paper's Table 3 mechanism on demand.\n"}}
 }
 
 // chaosReps runs each seed a few times and keeps the median-free best
@@ -56,32 +66,15 @@ type ChaosRow struct {
 // scheduler noise the same way measureReps does for the clean runs.
 const chaosReps = 3
 
-// ChaosSweep runs the canonical chaos sweep: the measured distributed
-// GMRES at 4 ranks under the mixed fault profile across a small seed
-// grid.
-func ChaosSweep(size Size) (*ChaosSweepResult, error) {
-	nv := pick(size, 1500, 45000, 180000)
-	return ChaosSweepStudy(nv, 4, faults.ProfileMixed, []int64{1, 2, 3, 4})
-}
-
 // ChaosSweepStudy builds the deterministic wing-mesh system (the same
 // construction as Table3MeasuredStudy) and sweeps the fault seeds at
 // one rank count.
 func ChaosSweepStudy(nv, procs int, profile faults.Profile, seeds []int64) (*ChaosSweepResult, error) {
-	m, err := mesh.GenerateWingN(nv)
+	w, err := wingSystem(nv, 4, 101)
 	if err != nil {
 		return nil, err
 	}
-	m = m.Renumber(mesh.RCM(m))
-	const b = 4
-	g := sparse.Graph{NV: m.NumVertices(), XAdj: m.XAdj, Adj: m.Adj}
-	a := sparse.BlockPattern(g, b)
-	a.FillDeterministic(101)
-	rhs := make([]float64, a.N())
-	for i := range rhs {
-		rhs[i] = math.Sin(float64(i) * 0.19)
-	}
-	return ChaosEfficiency(a, g, rhs, procs, profile, seeds)
+	return ChaosEfficiency(w.a, w.g, w.rhs, procs, profile, seeds)
 }
 
 // ChaosEfficiency is the matrix-level entry point (fun3d's -chaos-seed
@@ -108,19 +101,12 @@ func ChaosEfficiency(a *sparse.BCSR, g sparse.Graph, rhs []float64, procs int, p
 		return nil, err
 	}
 	res.CleanIts = cleanIts
-	for _, r := range cleanRanks {
-		if t := r.Seconds(); t > res.CleanSeconds {
-			res.CleanSeconds = t
-		}
-		if w := r["scatter_wait"]; w > res.CleanWaitMaxSec {
-			res.CleanWaitMaxSec = w
-		}
-	}
+	res.CleanSeconds, res.CleanWaitMaxSec, res.CleanWaitAvgSec = rankStats(cleanRanks, "scatter_wait")
 	if res.CleanSeconds <= 0 {
 		return nil, fmt.Errorf("experiments: clean run measured no time")
 	}
 	for _, seed := range seeds {
-		row := ChaosRow{Seed: seed, Seconds: math.Inf(1)}
+		row := ChaosRow{Plan: string(profile), Seed: seed, Seconds: math.Inf(1)}
 		for rep := 0; rep < chaosReps; rep++ {
 			plan := faults.NewPlan(seed, profile)
 			ranks, its, _, err := solveOnce(a, part.Part, rhs, procs, false, mpi.Options{Faults: plan})
@@ -130,74 +116,19 @@ func ChaosEfficiency(a *sparse.BCSR, g sparse.Graph, rhs []float64, procs int, p
 			if its != cleanIts {
 				return nil, fmt.Errorf("experiments: seed %d converged in %d iterations vs fault-free %d — injected faults changed numerics", seed, its, cleanIts)
 			}
-			var maxT, waitMax, waitSum float64
-			for _, r := range ranks {
-				if t := r.Seconds(); t > maxT {
-					maxT = t
-				}
-				w := r["scatter_wait"]
-				waitSum += w
-				if w > waitMax {
-					waitMax = w
-				}
-			}
+			maxT, waitMax, waitAvg := rankStats(ranks, "scatter_wait")
 			if maxT >= row.Seconds {
 				continue
 			}
-			row.Seconds = maxT
-			row.LinearIts = its
-			row.WaitMaxSec = waitMax
-			row.WaitAvgSec = waitSum / float64(procs)
-			var skewMax, skewSum float64
+			row.Seconds, row.LinearIts, row.WaitMaxSec, row.WaitAvgSec = maxT, its, waitMax, waitAvg
+			row.SkewMaxSec, row.SkewSumSec = 0, 0
 			for _, s := range plan.SkewSeconds() {
-				skewSum += s
-				if s > skewMax {
-					skewMax = s
-				}
+				row.SkewMaxSec = math.Max(row.SkewMaxSec, s)
+				row.SkewSumSec += s
 			}
-			row.SkewMaxSec = skewMax
-			row.SkewSumSec = skewSum
 		}
 		row.EtaImpl = res.CleanSeconds / row.Seconds
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// Render formats the chaos sweep table.
-func (r *ChaosSweepResult) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Chaos sweep — measured η_impl vs injected skew, %d vertices, b=%d, %d ranks, profile %s\n",
-		r.Vertices, r.B, r.Procs, r.Profile)
-	fmt.Fprintf(&sb, "fault-free: %.4fs, %d linear its, wait max %.4fs\n", r.CleanSeconds, r.CleanIts, r.CleanWaitMaxSec)
-	fmt.Fprintf(&sb, "%6s %6s %10s %8s | %10s %10s | %10s %10s\n",
-		"Seed", "Its", "Time", "η_impl", "skew max", "skew sum", "wait max", "wait avg")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%6d %6d %9.4fs %8.2f | %9.4fs %9.4fs | %9.4fs %9.4fs\n",
-			row.Seed, row.LinearIts, row.Seconds, row.EtaImpl,
-			row.SkewMaxSec, row.SkewSumSec, row.WaitMaxSec, row.WaitAvgSec)
-	}
-	sb.WriteString("Every row converges in the fault-free iteration count (asserted): faults perturb timing, never\n" +
-		"numerics, so η_alg ≡ 1 and the efficiency lost is pure implementation — injected clock skew\n" +
-		"absorbed by the implicit-synchronization wait, the paper's Table 3 mechanism on demand.\n")
-	return sb.String()
-}
-
-// WriteCSV writes the sweep as plot-ready CSV.
-func (r *ChaosSweepResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# clean: procs=%d seconds=%g its=%d wait_max_sec=%g profile=%s\n",
-		r.Procs, r.CleanSeconds, r.CleanIts, r.CleanWaitMaxSec, r.Profile); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "seed,its,seconds,eta_impl,skew_max_sec,skew_sum_sec,wait_max_sec,wait_avg_sec"); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%d,%d,%g,%g,%g,%g,%g,%g\n",
-			row.Seed, row.LinearIts, row.Seconds, row.EtaImpl,
-			row.SkewMaxSec, row.SkewSumSec, row.WaitMaxSec, row.WaitAvgSec); err != nil {
-			return err
-		}
-	}
-	return nil
 }

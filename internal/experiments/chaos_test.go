@@ -8,9 +8,6 @@ import (
 )
 
 func TestChaosSweepShape(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("chaos sweep study is too slow under the race detector")
-	}
 	seeds := []int64{1, 2}
 	res, err := ChaosSweepStudy(1200, 2, faults.ProfileMixed, seeds)
 	if err != nil {
@@ -43,11 +40,11 @@ func TestChaosSweepShape(t *testing.T) {
 			t.Errorf("row %d wait accounting inconsistent: max %g avg %g", i, row.WaitMaxSec, row.WaitAvgSec)
 		}
 	}
-	if out := res.Render(); !strings.Contains(out, "η_impl") {
+	if out := Text(res.Tables()...); !strings.Contains(out, "η_impl") {
 		t.Errorf("render missing header: %q", out)
 	}
 	var sb strings.Builder
-	if err := res.WriteCSV(&sb); err != nil {
+	if err := WriteCSV(&sb, res.Tables()[0]); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(sb.String(), "\n"); lines != len(seeds)+2 {

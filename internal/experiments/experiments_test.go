@@ -3,7 +3,50 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
+
+	"petscfun3d/internal/cachesim"
+)
+
+// smokeVertices is the wing the shape tests solve: small enough that
+// the package's tests run in seconds, also under -race.
+const smokeVertices = 500
+
+// smokeHierarchy is the simulated cache and TLB of Table 1 and Figure 3
+// scaled to the smoke wing, as scaledHierarchy scales them to the
+// study's sizes.
+func smokeHierarchy() *cachesim.Hierarchy {
+	return &cachesim.Hierarchy{
+		L1:  cachesim.MustCache("L1", 4<<10, 32, 2),
+		L2:  cachesim.MustCache("L2", 32<<10, 128, 2),
+		TLB: cachesim.MustCache("TLB", 8*4<<10, 4<<10, 8),
+	}
+}
+
+// sweeps splits a scaling result into its sweeps, one per machine and
+// partitioner, in run order.
+func sweeps(res *Table3Result) [][]Table3Row {
+	var out [][]Table3Row
+	for i, r := range res.Rows {
+		if i == 0 || r.Machine != res.Rows[i-1].Machine || r.Partitioner != res.Rows[i-1].Partitioner {
+			out = append(out, nil)
+		}
+		out[len(out)-1] = append(out[len(out)-1], r)
+	}
+	return out
+}
+
+// The shape tests and TestCSVWriters share one smoke run of each study
+// they both read.
+var (
+	smokeTable1 = sync.OnceValues(func() (*Table1Result, error) {
+		return Table1Study("incompressible", smokeVertices, 3, 1, 3, smokeHierarchy())
+	})
+	smokeFigure3 = sync.OnceValues(func() (*Figure3Result, error) { return Figure3Study(smokeVertices, smokeHierarchy()) })
+	smokeFigure5 = sync.OnceValues(func() (*Figure5Result, error) {
+		return Figure5Study(smokeVertices, 120, []float64{1, 10, 50})
+	})
 )
 
 func TestParseSize(t *testing.T) {
@@ -19,7 +62,7 @@ func TestParseSize(t *testing.T) {
 }
 
 func TestTable1ShapeIncompressible(t *testing.T) {
-	res, err := Table1(Small, "incompressible")
+	res, err := smokeTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,19 +80,19 @@ func TestTable1ShapeIncompressible(t *testing.T) {
 	if last.Ratio <= 1 {
 		t.Errorf("full enhancements ratio %.2f not > 1", last.Ratio)
 	}
-	if !strings.Contains(res.Render(), "Table 1") {
+	if !strings.Contains(Text(res.Tables()...), "Table 1") {
 		t.Error("render missing header")
 	}
 }
 
 func TestTable1RejectsUnknownSystem(t *testing.T) {
-	if _, err := Table1(Small, "plasma"); err == nil {
+	if _, err := Table1Study("plasma", smokeVertices, 3, 1, 3, smokeHierarchy()); err == nil {
 		t.Error("unknown system accepted")
 	}
 }
 
 func TestFigure3Shape(t *testing.T) {
-	res, err := Figure3(Small)
+	res, err := smokeFigure3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,43 +128,40 @@ func TestFigure3Shape(t *testing.T) {
 			t.Errorf("fully enhanced beaten by %s on both counters", r.Label)
 		}
 	}
-	if !strings.Contains(res.Render(), "Figure 3") {
+	if !strings.Contains(Text(res.Tables()...), "Figure 3") {
 		t.Error("render missing header")
 	}
 }
 
 func TestCSVWriters(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("serial experiment driver; too slow under -race (see race_off_test.go)")
-	}
 	var buf bytes.Buffer
-	t1, err := Table1(Small, "incompressible")
+	t1, err := smokeTable1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := t1.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, t1.Tables()[0]); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 7 {
 		t.Errorf("table1 csv has %d lines, want 7", lines)
 	}
-	f3, err := Figure3(Small)
+	f3, err := smokeFigure3()
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := f3.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, f3.Tables()[0]); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "variant,tlb_misses,l2_misses") {
 		t.Error("figure3 csv header wrong")
 	}
-	f5, err := Figure5(Small)
+	f5, err := smokeFigure5()
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := f5.WriteCSV(&buf); err != nil {
+	if err := WriteCSV(&buf, f5.Tables()[1]); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "cfl_") {

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"petscfun3d/internal/cachesim"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/sparse"
@@ -12,63 +9,50 @@ import (
 // Figure3Row is one bar group of the paper's Figure 3: simulated TLB and
 // secondary-cache misses for a layout combination.
 type Figure3Row struct {
-	Label       string
-	Interlacing bool
-	Blocking    bool
-	Reordering  bool
-	TLBMisses   uint64
-	L2Misses    uint64
+	Label     string `col:"variant"`
+	TLBMisses uint64 `col:"TLB misses"`
+	L2Misses  uint64 `col:"L2 misses"`
 }
 
 // Figure3Result reproduces Figure 3 with the trace-driven cache/TLB
 // simulator standing in for the R10000 hardware counters: one flux sweep
 // plus one Jacobian SpMV per combination.
 type Figure3Result struct {
-	Vertices int
+	Vertices int `col:"vertices"`
 	Rows     []Figure3Row
 }
 
-// Figure3 runs the miss-count sweep for the incompressible system (b=4,
-// as in the paper's 22,677-vertex incompressible case).
+// Tables prints the simulated miss counts.
+func (f *Figure3Result) Tables() []Table {
+	return []Table{{Name: "figure3", Title: "Figure 3 — simulated TLB and L2 misses, four flux sweeps + one SpMV",
+		Params: f, Rows: f.Rows}}
+}
+
+// Figure3Study runs the miss-count sweep through h for the
+// incompressible system (b=4, as in the paper's 22,677-vertex
+// incompressible case) on the wing of about nv vertices.
 //
 // The simulated hierarchy's capacities are chosen so the ratio of cache
 // (and TLB) capacity to the flux kernel's working set matches the
 // paper's platform: FUN3D carries ~45 auxiliary doubles per vertex
 // against our lean 11, so the R10000's 4 MB L2 / 64-entry TLB are scaled
 // to 1 MB / 64 entries at the 22,677-vertex size (and proportionally at
-// the smoke-test size). One step traces four flux sweeps per Jacobian
+// the small size). One step traces four flux sweeps per Jacobian
 // SpMV — in the matrix-free solver the flux phase runs once per matvec
 // and dominates, as it does in the paper's profile.
-func Figure3(size Size) (*Figure3Result, error) {
-	nv := pick(size, 2500, 22677, 22677)
+func Figure3Study(nv int, h *cachesim.Hierarchy) (*Figure3Result, error) {
 	m, err := mesh.GenerateWingN(nv)
 	if err != nil {
 		return nil, err
-	}
-	h := &cachesim.Hierarchy{
-		L1:  cachesim.MustCache("L1", pick(size, 8<<10, 32<<10, 32<<10), 32, 2),
-		L2:  cachesim.MustCache("L2", pick(size, 96<<10, 1<<20, 1<<20), 128, 2),
-		TLB: cachesim.MustCache("TLB", pick(size, 8, 64, 64)*16<<10, 16<<10, pick(size, 8, 64, 64)),
 	}
 	const fluxSweeps = 4
 	m = m.Renumber(mesh.RCM(m))
 	b := 4
 	g := sparse.Graph{NV: m.NumVertices(), XAdj: m.XAdj, Adj: m.Adj}
 	res := &Figure3Result{Vertices: m.NumVertices()}
-	combos := []struct {
-		label                 string
-		inter, block, reorder bool
-	}{
-		{"NOER/noninterlaced", false, false, false},
-		{"NOER/interlaced", true, false, false},
-		{"NOER/interlaced+blocked", true, true, false},
-		{"reordered/noninterlaced", false, false, true},
-		{"reordered/interlaced", true, false, true},
-		{"reordered/interlaced+blocked", true, true, true},
-	}
 	sorted := mesh.SortEdges(m.Edges)
 	colored, _ := mesh.ColorEdges(mesh.ScrambleEdges(m.Edges, 12345), m.NumVertices())
-	for _, c := range combos {
+	for _, c := range layouts {
 		h.Reset()
 		as := cachesim.NewAddressSpace()
 		layout := sparse.NonInterlaced
@@ -91,21 +75,7 @@ func Figure3(size Size) (*Figure3Result, error) {
 			cachesim.TraceCSRSpMV(h, a, cachesim.PlaceCSR(as, a))
 		}
 		cnt := h.Counters()
-		res.Rows = append(res.Rows, Figure3Row{
-			Label: c.label, Interlacing: c.inter, Blocking: c.block, Reordering: c.reorder,
-			TLBMisses: cnt.TLBMisses, L2Misses: cnt.L2Misses,
-		})
+		res.Rows = append(res.Rows, Figure3Row{Label: c.label, TLBMisses: cnt.TLBMisses, L2Misses: cnt.L2Misses})
 	}
 	return res, nil
-}
-
-// Render formats the simulated miss counts.
-func (f *Figure3Result) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 3 — simulated TLB and L2 misses, %d vertices (four flux sweeps + one SpMV)\n", f.Vertices)
-	fmt.Fprintf(&sb, "%-30s %15s %15s\n", "variant", "TLB misses", "L2 misses")
-	for _, r := range f.Rows {
-		fmt.Fprintf(&sb, "%-30s %15d %15d\n", r.Label, r.TLBMisses, r.L2Misses)
-	}
-	return sb.String()
 }

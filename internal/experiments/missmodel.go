@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"petscfun3d/internal/cachesim"
 	"petscfun3d/internal/perfmodel"
 )
@@ -11,10 +8,10 @@ import (
 // MissModelRow compares the paper's conflict-miss bound (equations (1)
 // and (2)) against trace-driven simulation for one matrix bandwidth.
 type MissModelRow struct {
-	N         int
-	Span      int // matrix bandwidth β (or N for the noninterlaced read)
-	Bound     float64
-	Simulated uint64
+	N         int     `col:"N"`
+	Span      int     `col:"span β"` // matrix bandwidth β (or N for the noninterlaced read)
+	Bound     float64 `col:"bound,%.0f"`
+	Simulated uint64  `col:"simulated"`
 }
 
 // MissModelResult validates the analytical model: for banded matrices of
@@ -23,38 +20,36 @@ type MissModelRow struct {
 // and (c) upper-bound (within its resolution) the simulated non-
 // compulsory misses on the vector x.
 type MissModelResult struct {
-	CacheDoubleWords int
-	LineDoubleWords  int
+	CacheDoubleWords int `col:"cache doublewords"`
+	LineDoubleWords  int `col:"line doublewords"`
 	Rows             []MissModelRow
 }
 
-// MissModel sweeps bandwidth β for an N-row banded scalar matrix against
-// a direct-mapped cache (the model's worst-case conflict assumption).
-func MissModel(size Size) (*MissModelResult, error) {
-	n := pick(size, 16384, 65536, 131072)
-	cacheBytes := pick(size, 16<<10, 64<<10, 128<<10)
+// Tables prints the model-vs-simulation comparison.
+func (m *MissModelResult) Tables() []Table {
+	return []Table{{Name: "missmodel",
+		Title:  "Equations (1)/(2) — conflict-miss bound vs simulated x-vector misses, direct-mapped cache",
+		Params: m, Rows: m.Rows}}
+}
+
+// MissModelStudy sweeps bandwidth β for an n-row banded scalar matrix
+// against a direct-mapped cache of cacheBytes with 128-byte lines (the
+// model's worst-case conflict assumption).
+func MissModelStudy(n, cacheBytes int) (*MissModelResult, error) {
 	lineBytes := 128
 	res := &MissModelResult{
 		CacheDoubleWords: cacheBytes / 8,
 		LineDoubleWords:  lineBytes / 8,
 	}
-	spans := []int{
-		res.CacheDoubleWords / 4,
-		res.CacheDoubleWords / 2,
-		res.CacheDoubleWords,
-		res.CacheDoubleWords * 3 / 2,
-		res.CacheDoubleWords * 2,
-		res.CacheDoubleWords * 3,
-	}
-	for _, span := range spans {
+	// Bandwidths from a quarter of the cache to three times it.
+	for _, quarters := range []int{1, 2, 4, 6, 8, 12} {
+		span := res.CacheDoubleWords * quarters / 4
 		if span >= n {
 			continue
 		}
 		bound := perfmodel.ConflictMissBound(n, span, res.CacheDoubleWords, res.LineDoubleWords)
 		sim := simulateBandedSpMVXMisses(n, span, cacheBytes, lineBytes)
-		res.Rows = append(res.Rows, MissModelRow{
-			N: n, Span: span, Bound: bound, Simulated: sim,
-		})
+		res.Rows = append(res.Rows, MissModelRow{N: n, Span: span, Bound: bound, Simulated: sim})
 	}
 	return res, nil
 }
@@ -87,17 +82,4 @@ func simulateBandedSpMVXMisses(n, span, cacheBytes, lineBytes int) uint64 {
 		return 0
 	}
 	return c.Misses - compulsory
-}
-
-// Render formats the model-vs-simulation comparison.
-func (m *MissModelResult) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Equations (1)/(2) — conflict-miss bound vs simulated x-vector misses\n")
-	fmt.Fprintf(&sb, "cache %d doublewords, line %d doublewords, direct-mapped\n",
-		m.CacheDoubleWords, m.LineDoubleWords)
-	fmt.Fprintf(&sb, "%8s %10s | %14s %14s\n", "N", "span β", "bound", "simulated")
-	for _, r := range m.Rows {
-		fmt.Fprintf(&sb, "%8d %10d | %14.0f %14d\n", r.N, r.Span, r.Bound, r.Simulated)
-	}
-	return sb.String()
 }

@@ -44,12 +44,12 @@ func TestOrthoShape(t *testing.T) {
 	if cgs.BytesPerIt >= mgs.BytesPerIt {
 		t.Fatalf("cgs ortho bytes/it %.0f not below mgs %.0f", cgs.BytesPerIt, mgs.BytesPerIt)
 	}
-	out := r.Render()
+	out := Text(r.Tables()...)
 	if !strings.Contains(out, "One-pass orthogonalization") || !strings.Contains(out, "restart=6") {
 		t.Fatalf("render missing headers:\n%s", out)
 	}
 	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
+	if err := WriteCSV(&sb, r.Tables()[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(sb.String(), "\n"); got != 13 {

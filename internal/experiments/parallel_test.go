@@ -6,7 +6,7 @@ import (
 )
 
 func TestTable2Shape(t *testing.T) {
-	res, err := Table2(Small)
+	res, err := Table2Study(smokeVertices, []int{2, 4}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +38,13 @@ func TestTable2Shape(t *testing.T) {
 			t.Errorf("procs=%d: linear time exceeds total", r.Procs)
 		}
 	}
-	if !strings.Contains(res.Render(), "Table 2") {
+	if !strings.Contains(Text(res.Tables()...), "Table 2") {
 		t.Error("render missing header")
 	}
 }
 
 func TestTable3Shape(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("serial experiment driver; too slow under -race (see race_off_test.go)")
-	}
-	res, err := Table3(Small)
+	res, err := Table3Study(smokeVertices, 40, []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,70 +72,67 @@ func TestTable3Shape(t *testing.T) {
 	if last.DataPerItGB <= first.DataPerItGB {
 		t.Errorf("halo volume did not grow: %g -> %g", first.DataPerItGB, last.DataPerItGB)
 	}
-	out := res.Render()
+	out := Text(res.Tables()...)
 	if !strings.Contains(out, "Table 3") || !strings.Contains(out, "η_overall") {
 		t.Error("render incomplete")
 	}
-	if !strings.Contains(res.Figure1Render(), "Figure 1") {
+	if !strings.Contains(out, "Figure 1") {
 		t.Error("figure 1 render missing")
 	}
 }
 
 func TestFigure2Shape(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("serial experiment driver; too slow under -race (see race_off_test.go)")
-	}
-	res, err := Figure2(Small)
+	res, err := Figure2Study(smokeVertices, 40, []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Studies) != 3 {
-		t.Fatalf("got %d studies", len(res.Studies))
+	studies := sweeps(res)
+	if len(studies) != 3 {
+		t.Fatalf("got %d studies", len(studies))
 	}
 	names := map[string]bool{}
-	for _, st := range res.Studies {
-		names[st.Profile] = true
-		for _, r := range st.Rows {
+	for _, st := range studies {
+		names[st[0].Machine] = true
+		for _, r := range st {
 			if r.Gflops <= 0 || r.Seconds <= 0 {
-				t.Errorf("%s ranks=%d: nonpositive metrics", st.Profile, r.Procs)
+				t.Errorf("%s ranks=%d: nonpositive metrics", r.Machine, r.Procs)
 			}
 		}
 	}
 	if !names["ASCI Red"] || !names["Cray T3E"] || !names["Blue Pacific"] {
 		t.Error("missing a machine")
 	}
-	if !strings.Contains(res.Render(), "Figure 2") {
+	if !strings.Contains(Text(res.Tables()...), "Figure 2") {
 		t.Error("render missing header")
 	}
 }
 
 func TestFigure4KWayWinsAtScale(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("serial experiment driver; too slow under -race (see race_off_test.go)")
-	}
-	res, err := Figure4(Small)
+	res, err := Figure4Study(smokeVertices, 40, []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(res.KWay.Rows)
-	if n == 0 || len(res.PWay.Rows) != n {
+	studies := sweeps(res)
+	kway, pway := studies[0], studies[len(studies)-1]
+	n := len(kway)
+	if n == 0 || len(pway) != n || kway[0].Partitioner != "kway" || pway[0].Partitioner != "pway" {
 		t.Fatal("mismatched studies")
 	}
 	// At the largest rank count, k-way should not be slower than p-way
 	// (the paper's effect: fragmented perfectly-balanced partitions
 	// converge slower).
-	k, p := res.KWay.Rows[n-1], res.PWay.Rows[n-1]
+	k, p := kway[n-1], pway[n-1]
 	if k.LinearIts > p.LinearIts {
 		t.Logf("note: kway its %d > pway its %d at %d ranks (can happen at smoke scale)",
 			k.LinearIts, p.LinearIts, k.Procs)
 	}
-	if !strings.Contains(res.Render(), "Figure 4") {
+	if !strings.Contains(Text(res.Tables()...), "Figure 4") {
 		t.Error("render missing header")
 	}
 }
 
 func TestFigure5Shape(t *testing.T) {
-	res, err := Figure5(Small)
+	res, err := smokeFigure5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,23 +160,20 @@ func TestFigure5Shape(t *testing.T) {
 		t.Errorf("CFL0=%g took %d steps, CFL0=%g took %d; aggressive CFL should win",
 			last.CFL0, last.Steps, first.CFL0, first.Steps)
 	}
-	if !strings.Contains(res.Render(), "Figure 5") {
+	if !strings.Contains(Text(res.Tables()...), "Figure 5") {
 		t.Error("render missing header")
 	}
 }
 
 func TestTable4Shape(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("serial experiment driver; too slow under -race (see race_off_test.go)")
-	}
-	res, err := Table4(Small)
+	res, err := Table4Study(smokeVertices, 40, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Cells) != 2*3*3 {
 		t.Fatalf("got %d cells, want 18", len(res.Cells))
 	}
-	for _, procs := range []int{4, 8} {
+	for _, procs := range []int{2, 4} {
 		c00 := res.Cell(procs, 0, 0)
 		c01 := res.Cell(procs, 0, 1)
 		c10 := res.Cell(procs, 1, 0)
@@ -199,13 +190,13 @@ func TestTable4Shape(t *testing.T) {
 				procs, c00.LinearIts, c10.LinearIts)
 		}
 	}
-	if !strings.Contains(res.Render(), "Table 4") {
+	if !strings.Contains(Text(res.Tables()...), "Table 4") {
 		t.Error("render missing header")
 	}
 }
 
 func TestTable5Shape(t *testing.T) {
-	res, err := Table5(Small)
+	res, err := Table5Study(smokeVertices, 20, []int{2, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +219,13 @@ func TestTable5Shape(t *testing.T) {
 		t.Errorf("nodes=%d: threads %g slower than MPI-2 %g at scale",
 			last.Nodes, last.Threads2, last.MPI2)
 	}
-	if !strings.Contains(res.Render(), "Table 5") {
+	if !strings.Contains(Text(res.Tables()...), "Table 5") {
 		t.Error("render missing header")
 	}
 }
 
 func TestMissModelShape(t *testing.T) {
-	res, err := MissModel(Small)
+	res, err := MissModelStudy(16384, 16<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +260,7 @@ func TestMissModelShape(t *testing.T) {
 			t.Errorf("span %d: bound %g but no simulated misses", r.Span, r.Bound)
 		}
 	}
-	if !strings.Contains(res.Render(), "Equations") {
+	if !strings.Contains(Text(res.Tables()...), "Equations") {
 		t.Error("render missing header")
 	}
 }

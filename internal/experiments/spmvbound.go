@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/perfmodel"
 	"petscfun3d/internal/sparse"
@@ -12,11 +9,11 @@ import (
 // SpMVBoundRow compares the reference-[10] achievable bounds for one
 // format/precision on one machine.
 type SpMVBoundRow struct {
-	Machine      string
-	Format       string
-	BWBoundMF    float64 // Mflop/s permitted by memory bandwidth
-	InstrBoundMF float64 // Mflop/s permitted by instruction issue
-	MemoryBound  bool
+	Machine      string  `col:"machine"`
+	Format       string  `col:"format"`
+	BWBoundMF    float64 `col:"BW bound,%.0f,Mflop/s"`    // Mflop/s permitted by memory bandwidth
+	InstrBoundMF float64 `col:"instr bound,%.0f,Mflop/s"` // Mflop/s permitted by instruction issue
+	MemoryBound  bool    `col:"memory bound"`
 }
 
 // SpMVBoundResult reproduces the companion paper's analysis the text
@@ -24,14 +21,20 @@ type SpMVBoundRow struct {
 // every platform, and structural blocking / reduced precision raise the
 // bound. (These are the analytical underpinnings of Tables 1 and 2.)
 type SpMVBoundResult struct {
-	Vertices int
+	Vertices int `col:"vertices"`
 	Rows     []SpMVBoundRow
 }
 
-// SpMVBounds evaluates the bounds for the Jacobian of the incompressible
-// system on the experiment mesh across the era machine profiles.
-func SpMVBounds(size Size) (*SpMVBoundResult, error) {
-	nv := pick(size, 2500, 22677, 22677)
+// Tables prints the bounds table.
+func (r *SpMVBoundResult) Tables() []Table {
+	return []Table{{Name: "spmvbound", Title: "SpMV achievable bounds (ref. [10] analysis), b=4 Jacobian",
+		Params: r, Rows: r.Rows}}
+}
+
+// SpMVBoundsStudy evaluates the bounds for the Jacobian of the
+// incompressible system on the wing of about nv vertices across the era
+// machine profiles.
+func SpMVBoundsStudy(nv int) (*SpMVBoundResult, error) {
 	m, err := mesh.GenerateWingN(nv)
 	if err != nil {
 		return nil, err
@@ -61,20 +64,4 @@ func SpMVBounds(size Size) (*SpMVBoundResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Render formats the bounds table.
-func (r *SpMVBoundResult) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "SpMV achievable bounds (ref. [10] analysis), %d vertices, b=4 Jacobian\n", r.Vertices)
-	fmt.Fprintf(&sb, "%-14s %-10s | %14s %16s %s\n", "machine", "format", "BW bound MF/s", "instr bound MF/s", "binding")
-	for _, row := range r.Rows {
-		binding := "instruction"
-		if row.MemoryBound {
-			binding = "memory"
-		}
-		fmt.Fprintf(&sb, "%-14s %-10s | %14.0f %16.0f %s\n",
-			row.Machine, row.Format, row.BWBoundMF, row.InstrBoundMF, binding)
-	}
-	return sb.String()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"petscfun3d/internal/cachesim"
@@ -14,20 +13,20 @@ import (
 
 // Table1Row is one layout-enhancement combination of the paper's Table 1.
 type Table1Row struct {
-	Interlacing bool
-	Blocking    bool
-	Reordering  bool
+	Interlacing bool `col:"interlacing"`
+	Blocking    bool `col:"blocking"`
+	Reordering  bool `col:"reordering"`
 	// PerStep is the measured wall-clock time of one representative
 	// pseudo-timestep of kernel work on the host.
-	PerStep time.Duration
-	Ratio   float64 // baseline measured time / this measured time
+	PerStep time.Duration `col:"measured,%.3f,ms,1e6"`
+	Ratio   float64       `col:"ratio,%.2f"` // baseline measured time / this measured time
 	// Modeled is the same step's time on the paper's 250 MHz R10000,
 	// from the trace-driven simulator and per-miss penalties — the
 	// paper's memory-centric model. Modern hosts hide part of the
 	// locality effects behind large caches; the modeled column restores
 	// the era's balance.
-	Modeled      float64
-	ModeledRatio float64
+	Modeled      float64 `col:"R10000 model,%.3f,s"`
+	ModeledRatio float64 `col:"model ratio,%.2f"`
 }
 
 // Table1Result reproduces Table 1 for one flow system: one flux
@@ -36,9 +35,30 @@ type Table1Row struct {
 // interlacing, structural blocking, and edge reordering — measured on
 // the host and modeled on the R10000.
 type Table1Result struct {
-	System   string
-	Vertices int
+	System   string `col:"system"`
+	Vertices int    `col:"vertices"`
 	Rows     []Table1Row
+}
+
+// Tables prints the sweep with both the host-measured and the
+// R10000-modeled columns.
+func (t *Table1Result) Tables() []Table {
+	return []Table{{Name: "table1_" + t.System, Title: "Table 1 — layout enhancements, 1 CPU",
+		Measured: true, Params: t, Rows: t.Rows}}
+}
+
+// layouts are the six enhancement combinations of Table 1 and Figure 3,
+// in the paper's order: baseline; I; I+B; R; I+R; I+B+R.
+var layouts = []struct {
+	label                 string
+	inter, block, reorder bool
+}{
+	{"NOER/noninterlaced", false, false, false},
+	{"NOER/interlaced", true, false, false},
+	{"NOER/interlaced+blocked", true, true, false},
+	{"reordered/noninterlaced", false, false, true},
+	{"reordered/interlaced", true, false, true},
+	{"reordered/interlaced+blocked", true, true, true},
 }
 
 // layoutVariant bundles the kernels of one enhancement combination.
@@ -49,21 +69,10 @@ type layoutVariant struct {
 	trace   func(h *cachesim.Hierarchy, fluxEvals, sweeps int)
 }
 
-// Table1 measures the layout-enhancement sweep. The paper's six rows are
-// reported in its order: baseline; I; I+B; R; I+R; I+B+R.
-func Table1(size Size, system string) (*Table1Result, error) {
-	nv := pick(size, 2000, 22677, 90000)
-	// The paper's profile: the flux phase is ~60% of runtime, the solve
-	// kernels the rest. One representative step is therefore several
-	// flux sweeps plus a couple of SpMV+triangular-solve pairs.
-	fluxEvals := pick(size, 3, 8, 8)
-	sweeps := pick(size, 1, 2, 2) // SpMV+solve pairs per step
-	reps := pick(size, 2, 7, 7)
-	m, err := mesh.GenerateWingN(nv)
-	if err != nil {
-		return nil, err
-	}
-	m = m.Renumber(mesh.RCM(m))
+// Table1Study times, best of reps, one step of fluxEvals flux sweeps and
+// sweeps SpMV+triangular-solve pairs on the RCM-ordered wing of about nv
+// vertices, and traces the same step through h, for each of the layouts.
+func Table1Study(system string, nv, fluxEvals, sweeps, reps int, h *cachesim.Hierarchy) (*Table1Result, error) {
 	var sys euler.System
 	switch system {
 	case "incompressible":
@@ -73,18 +82,14 @@ func Table1(size Size, system string) (*Table1Result, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown system %q", system)
 	}
-	res := &Table1Result{System: system, Vertices: m.NumVertices()}
-	combos := []struct{ inter, block, reorder bool }{
-		{false, false, false},
-		{true, false, false},
-		{true, true, false},
-		{false, false, true},
-		{true, false, true},
-		{true, true, true},
+	m, err := mesh.GenerateWingN(nv)
+	if err != nil {
+		return nil, err
 	}
-	h := table1Hierarchy(size)
+	m = m.Renumber(mesh.RCM(m))
+	res := &Table1Result{System: system, Vertices: m.NumVertices()}
 	pen := cachesim.R10000Penalties()
-	for _, c := range combos {
+	for _, c := range layouts {
 		v, err := buildVariant(m, sys, c.inter, c.block, c.reorder)
 		if err != nil {
 			return nil, err
@@ -118,9 +123,10 @@ func Table1(size Size, system string) (*Table1Result, error) {
 	return res, nil
 }
 
-// table1Hierarchy matches Figure 3's scaling rationale: capacities sized
-// so capacity-to-working-set ratios track the paper's platform.
-func table1Hierarchy(size Size) *cachesim.Hierarchy {
+// scaledHierarchy is the simulated cache and TLB of Table 1 and Figure 3
+// at a size: capacities sized so capacity-to-working-set ratios track
+// the paper's platform (see Figure3).
+func scaledHierarchy(size Size) *cachesim.Hierarchy {
 	tlb := pick(size, 8, 64, 64)
 	return &cachesim.Hierarchy{
 		L1:  cachesim.MustCache("L1", pick(size, 8<<10, 32<<10, 32<<10), 32, 2),
@@ -161,80 +167,50 @@ func buildVariant(m *mesh.Mesh, sys euler.System, inter, block, reorder bool) (*
 	for i := range x {
 		x[i] = 1 + float64(i%7)
 	}
-	var spmvA *sparse.BCSR // blocked path
-	var spmvC *sparse.CSR  // scalar path
-	var fact *ilu.Factorization
-	switch {
-	case block:
+	blk := sparse.BlockPattern(g, b)
+	blk.FillDeterministic(7)
+	factored := blk // what ILU factors: the blocked matrix or its scalar view
+	// placeSpMV lays the SpMV's matrix out in the trace's address space
+	// and returns its traced product.
+	var placeSpMV func(as *cachesim.AddressSpace) func(h *cachesim.Hierarchy)
+	if block {
 		if !inter {
 			return nil, fmt.Errorf("experiments: blocking requires interlacing")
 		}
-		a := sparse.BlockPattern(g, b)
-		a.FillDeterministic(7)
-		f, err := ilu.Factor(a, ilu.Options{Level: 0})
-		if err != nil {
-			return nil, err
+		v.spmv = func() { blk.MulVec(x, y) }
+		placeSpMV = func(as *cachesim.AddressSpace) func(h *cachesim.Hierarchy) {
+			loc := cachesim.PlaceBCSR(as, blk, false)
+			return func(h *cachesim.Hierarchy) { cachesim.TraceBCSRSpMV(h, blk, loc) }
 		}
-		spmvA, fact = a, f
-		v.spmv = func() { a.MulVec(x, y) }
-		v.trisolv = func() { f.Solve(x, y) }
-	default:
-		blk := sparse.BlockPattern(g, b)
-		blk.FillDeterministic(7)
+	} else {
 		a := blk.ToCSR()
 		if !inter {
 			a = sparse.Permute(a, sparse.LayoutPerm(g.NV, b, sparse.NonInterlaced))
 		}
-		f, err := ilu.Factor(a.ToBCSR1(), ilu.Options{Level: 0})
-		if err != nil {
-			return nil, err
-		}
-		spmvC, fact = a, f
+		factored = a.ToBCSR1()
 		v.spmv = func() { a.MulVec(x, y) }
-		v.trisolv = func() { f.Solve(x, y) }
+		placeSpMV = func(as *cachesim.AddressSpace) func(h *cachesim.Hierarchy) {
+			loc := cachesim.PlaceCSR(as, a)
+			return func(h *cachesim.Hierarchy) { cachesim.TraceCSRSpMV(h, a, loc) }
+		}
 	}
+	f, err := ilu.Factor(factored, ilu.Options{Level: 0})
+	if err != nil {
+		return nil, err
+	}
+	v.trisolv = func() { f.Solve(x, y) }
 	v.trace = func(h *cachesim.Hierarchy, fluxEvals, sweeps int) {
 		as := cachesim.NewAddressSpace()
 		floc := cachesim.PlaceFlux(as, m.NumVertices(), b, layout)
-		for f := 0; f < fluxEvals; f++ {
+		for e := 0; e < fluxEvals; e++ {
 			cachesim.TraceFlux(h, traceEdges, floc)
 		}
-		if spmvA != nil {
-			mloc := cachesim.PlaceBCSR(as, spmvA, false)
-			iloc := cachesim.PlaceILU(as, fact.NB, fact.B, fact.NNZBlocks(), fact.BytesPerValue())
-			for s := 0; s < sweeps; s++ {
-				cachesim.TraceBCSRSpMV(h, spmvA, mloc)
-				cachesim.TraceILUSolve(h, fact.Layout, fact.B, iloc)
-			}
-		} else {
-			mloc := cachesim.PlaceCSR(as, spmvC)
-			iloc := cachesim.PlaceILU(as, fact.NB, fact.B, fact.NNZBlocks(), fact.BytesPerValue())
-			for s := 0; s < sweeps; s++ {
-				cachesim.TraceCSRSpMV(h, spmvC, mloc)
-				cachesim.TraceILUSolve(h, fact.Layout, fact.B, iloc)
-			}
+		spmv := placeSpMV(as)
+		iloc := cachesim.PlaceILU(as, f.NB, f.B, f.NNZBlocks(), f.BytesPerValue())
+		for s := 0; s < sweeps; s++ {
+			spmv(h)
+			cachesim.TraceILUSolve(h, f.Layout, f.B, iloc)
 		}
 	}
 	return v, nil
-}
-
-// Render formats the result like the paper's Table 1, with both the
-// host-measured and the R10000-modeled columns.
-func (t *Table1Result) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 1 — layout enhancements, %s, %d vertices (1 CPU)\n", t.System, t.Vertices)
-	fmt.Fprintf(&sb, "%-12s %-9s %-10s | %12s %7s | %13s %7s\n",
-		"Interlacing", "Blocking", "Reordering", "measured", "ratio", "R10000 model", "ratio")
-	mark := func(b bool) string {
-		if b {
-			return "x"
-		}
-		return ""
-	}
-	for _, r := range t.Rows {
-		fmt.Fprintf(&sb, "%-12s %-9s %-10s | %12v %7.2f | %12.3fs %7.2f\n",
-			mark(r.Interlacing), mark(r.Blocking), mark(r.Reordering),
-			r.PerStep.Round(time.Microsecond), r.Ratio, r.Modeled, r.ModeledRatio)
-	}
-	return sb.String()
 }

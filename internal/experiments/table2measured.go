@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -10,8 +9,6 @@ import (
 	"time"
 
 	"petscfun3d/internal/ilu"
-	"petscfun3d/internal/mesh"
-	"petscfun3d/internal/sparse"
 	"petscfun3d/internal/stream"
 )
 
@@ -21,60 +18,54 @@ type Table2Matrix struct {
 	Vertices, B, Level int
 }
 
-// Timing is the median and inter-quartile range of a kernel's seconds per
-// call over the repetitions of a study.
-type Timing struct {
-	Median, IQR float64
-}
-
-// Table2MeasuredRow is one matrix in one factor storage precision.
+// Table2MeasuredRow is one matrix in one factor storage precision. The
+// kernel times are the median and inter-quartile range of the seconds
+// per call over the study's repetitions.
 type Table2MeasuredRow struct {
-	Vertices, B, Level int
-	Single             bool
+	Vertices int  `col:"vertices"`
+	B        int  `col:"b"`
+	Level    int  `col:"ILU level"`
+	Single   bool `col:"f32"`
 	// FactorBytes is what the factorization keeps for values: the stored
 	// factors and, under float32 storage, the elimination window.
-	FactorBytes int64
-	Refactor    Timing
-	Solve       Timing
+	FactorBytes int64   `col:"factors,%.2f,MB,1e6"`
+	RefactorSec float64 `col:"refactor,%.3f,ms,1e-3"`
+	RefactorIQR float64 `col:"refactor IQR,%.3f,ms,1e-3"`
 	// RefactorFrac and SolveFrac are bytes/s over the run's STREAM Triad:
 	// SolveBytes (every stored block read once) and the FactorBytes
 	// estimate (each stored block read and written about three times),
 	// each over the median time.
-	RefactorFrac, SolveFrac float64
+	RefactorFrac float64 `col:"refactor/STREAM,%.2f"`
+	SolveSec     float64 `col:"solve,%.3f,ms,1e-3"`
+	SolveIQR     float64 `col:"solve IQR,%.3f,ms,1e-3"`
+	SolveFrac    float64 `col:"solve/STREAM,%.2f"`
+	// SolveRatio is this row's Solve median over the float64 one of the
+	// same matrix — the paper's Table 2 claim in time.
+	SolveRatio float64 `col:"vs f64,%.2f"`
 }
 
 // Table2MeasuredResult is the measured sibling of the modeled Table 2:
 // the two factor phases timed in both storage precisions on this host.
-// The modeled table rides along, labelled as such.
 type Table2MeasuredResult struct {
-	Reps, Calls int
+	Reps  int `col:"repetitions"`
+	Calls int `col:"calls"`
 	// StreamBps is this run's STREAM Triad over three arrays of StreamMB
 	// megabytes each — sized past the caches the factors might sit in,
 	// as the benchmark's own STREAM is.
-	StreamBps float64
-	StreamMB  int
-	Kernels   string // the block-kernel family that ran (ilu.KernelFamily)
-	Host      string
+	StreamBps float64 `col:"STREAM Triad,%.0f,MB/s,1e6"`
+	StreamMB  int     `col:"STREAM arrays,3 × %d,MB"`
+	Kernels   string  `col:"block kernels"` // the block-kernel family that ran (ilu.KernelFamily)
+	Host      string  `col:"host"`
 	Rows      []Table2MeasuredRow
-	Modeled   *Table2Result
 }
 
-// Table2Measured times Refactor and Solve on the benchmark's two factor
-// shapes — the 22k b = 4 ILU(0) and the 10k b = 5 ILU(1) wing matrices —
-// in float64 and float32 storage, and runs the modeled Table 2 beside it.
-func Table2Measured(size Size) (*Table2MeasuredResult, error) {
-	mats := pick(size,
-		[]Table2Matrix{{2000, 4, 0}, {2000, 5, 1}},
-		[]Table2Matrix{{22677, 4, 0}, {10000, 5, 1}},
-		[]Table2Matrix{{22677, 4, 0}, {10000, 5, 1}})
-	res, err := Table2MeasuredStudy(mats, pick(size, 7, 11, 11), pick(size, 5, 10, 10), pick(size, 16, 128, 128))
-	if err != nil {
-		return nil, err
-	}
-	if res.Modeled, err = Table2(size); err != nil {
-		return nil, err
-	}
-	return res, nil
+// Tables prints the measured Table 2.
+func (t *Table2MeasuredResult) Tables() []Table {
+	return []Table{{Name: "table2measured", Title: "Table 2 — factor storage precision in time",
+		Measured: true, Params: t, Rows: t.Rows,
+		Notes: "median (IQR) of the alternated repetitions. factors: values kept (float32: 4 B a scalar plus the\n" +
+			"float64 elimination window). /STREAM: Solve reads every stored block once (SolveBytes); Refactor's\n" +
+			"bytes are the FactorBytes estimate. vs f64: the Solve median over the float64 one of the same matrix.\n"}}
 }
 
 // Table2MeasuredStudy factors each matrix in both precisions and times,
@@ -93,17 +84,11 @@ func Table2MeasuredStudy(mats []Table2Matrix, reps, calls, streamMB int) (*Table
 	res := &Table2MeasuredResult{Reps: reps, Calls: calls, StreamBps: kernels[len(kernels)-1].Bandwidth, StreamMB: streamMB,
 		Kernels: ilu.KernelFamily(), Host: hostFingerprint()}
 	for _, mt := range mats {
-		m, err := mesh.GenerateWingN(mt.Vertices)
+		w, err := wingSystem(mt.Vertices, mt.B, 17)
 		if err != nil {
 			return nil, err
 		}
-		m = m.Renumber(mesh.RCM(m))
-		a := sparse.BlockPattern(sparse.Graph{NV: m.NumVertices(), XAdj: m.XAdj, Adj: m.Adj}, mt.B)
-		a.FillDeterministic(17)
-		rhs, x := make([]float64, a.N()), make([]float64, a.N())
-		for i := range rhs {
-			rhs[i] = math.Sin(float64(i) * 0.19)
-		}
+		a, rhs, x := w.a, w.rhs, make([]float64, w.a.N())
 		var fs [2]*ilu.Factorization
 		var refactor, solve [2][]float64
 		for p := range fs {
@@ -127,12 +112,16 @@ func Table2MeasuredStudy(mats []Table2Matrix, reps, calls, streamMB int) (*Table
 				solve[p] = append(solve[p], perCall(calls, func() { f.Solve(rhs, x) }))
 			}
 		}
+		f64Solve, _ := timing(solve[0])
 		for p, f := range fs {
-			row := Table2MeasuredRow{Vertices: m.NumVertices(), B: mt.B, Level: mt.Level, Single: p == 1,
-				FactorBytes: f.StorageBytes(), Refactor: timing(refactor[p]), Solve: timing(solve[p])}
+			row := Table2MeasuredRow{Vertices: w.m.NumVertices(), B: mt.B, Level: mt.Level, Single: p == 1,
+				FactorBytes: f.StorageBytes()}
+			row.RefactorSec, row.RefactorIQR = timing(refactor[p])
+			row.SolveSec, row.SolveIQR = timing(solve[p])
+			row.SolveRatio = row.SolveSec / f64Solve
 			if res.StreamBps > 0 {
-				row.RefactorFrac = float64(f.FactorBytes()) / row.Refactor.Median / res.StreamBps
-				row.SolveFrac = float64(f.SolveBytes()) / row.Solve.Median / res.StreamBps
+				row.RefactorFrac = float64(f.FactorBytes()) / row.RefactorSec / res.StreamBps
+				row.SolveFrac = float64(f.SolveBytes()) / row.SolveSec / res.StreamBps
 			}
 			res.Rows = append(res.Rows, row)
 		}
@@ -151,7 +140,7 @@ func perCall(calls int, fn func()) float64 {
 
 // timing is the median and inter-quartile range of xs (linear
 // interpolation between order statistics).
-func timing(xs []float64) Timing {
+func timing(xs []float64) (median, iqr float64) {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	q := func(p float64) float64 {
@@ -162,7 +151,7 @@ func timing(xs []float64) Timing {
 		}
 		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
 	}
-	return Timing{Median: q(0.5), IQR: q(0.75) - q(0.25)}
+	return q(0.5), q(0.75) - q(0.25)
 }
 
 // hostFingerprint names the machine a measurement was taken on: CPU model
@@ -180,36 +169,4 @@ func hostFingerprint() string {
 	}
 	return fmt.Sprintf("%s, %d cores, GOMAXPROCS %d, %s %s/%s", model, runtime.NumCPU(), runtime.GOMAXPROCS(0),
 		runtime.Version(), runtime.GOOS, runtime.GOARCH)
-}
-
-// Render formats the measured Table 2 and, after it, the modeled one.
-func (t *Table2MeasuredResult) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 2 (measured) — factor storage precision in time: median (IQR) of %d alternated repetitions of %d calls\n", t.Reps, t.Calls)
-	fmt.Fprintf(&sb, "block kernels %s; STREAM Triad %.0f MB/s (this run, 3 × %d MB arrays); host: %s\n", t.Kernels, t.StreamBps/1e6, t.StreamMB, t.Host)
-	fmt.Fprintf(&sb, "%-22s %4s | %10s | %20s %8s | %20s %8s | %7s\n",
-		"matrix", "prec", "factors", "Refactor", "/STREAM", "Solve", "/STREAM", "f32/f64")
-	for i, r := range t.Rows {
-		name, prec, ratio := "", "f64", ""
-		if !r.Single {
-			name = fmt.Sprintf("%d v, b=%d, ILU(%d)", r.Vertices, r.B, r.Level)
-		} else {
-			prec = "f32"
-			if i > 0 && !t.Rows[i-1].Single {
-				ratio = fmt.Sprintf("%7.2f", r.Solve.Median/t.Rows[i-1].Solve.Median)
-			}
-		}
-		fmt.Fprintf(&sb, "%-22s %4s | %7.2f MB | %8.3f ms (%6.3f) %8.2f | %8.3f ms (%6.3f) %8.2f | %7s\n",
-			name, prec, float64(r.FactorBytes)/1e6,
-			1e3*r.Refactor.Median, 1e3*r.Refactor.IQR, r.RefactorFrac,
-			1e3*r.Solve.Median, 1e3*r.Solve.IQR, r.SolveFrac, ratio)
-	}
-	sb.WriteString("factors: values kept (float32: 4 B a scalar plus the float64 elimination window). /STREAM: Solve\n" +
-		"reads every stored block once (SolveBytes); Refactor's bytes are the FactorBytes estimate.\n" +
-		"f32/f64: the float32 Solve's median over the float64 one — the paper's Table 2 claim in time.\n")
-	if t.Modeled != nil {
-		sb.WriteString("\n")
-		sb.WriteString(t.Modeled.Render())
-	}
-	return sb.String()
 }

@@ -1,201 +1,124 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"petscfun3d/internal/core"
 	"petscfun3d/internal/perfmodel"
 )
 
-// Table3Row is one rank count of the paper's Table 3 (plus the Figure 1
-// per-step metrics derived from the same run).
+// Table3Row is one rank count of a fixed-size scaling sweep on one
+// machine profile with one partitioner: the paper's Table 3 columns and
+// the Figure 1 per-step metrics of the same run.
 type Table3Row struct {
-	Procs           int
-	VerticesPerProc int
-	LinearIts       int
-	Seconds         float64 // modeled execution time
-	Speedup         float64
-	EffOverall      float64
-	EffAlg          float64
-	EffImpl         float64
-	PctReductions   float64
-	PctImplicitSync float64
-	PctScatters     float64
-	DataPerItGB     float64 // halo bytes per matvec, all ranks
-	EffBWPerNodeMBs float64
-	Gflops          float64
-	Steps           int
+	Machine         string  `col:"machine"`
+	Partitioner     string  `col:"partitioner"`
+	Procs           int     `col:"procs"`
+	VerticesPerProc int     `col:"verts/proc"`
+	LinearIts       int     `col:"its"`
+	Steps           int     `col:"steps"`
+	Seconds         float64 `col:"time,%.1f,s"` // modeled execution time
+	SecondsPerStep  float64 `col:"time/step,%.2f,s"`
+	Speedup         float64 `col:"speedup,%.2f"`
+	EffOverall      float64 `col:"η_overall,%.2f"`
+	EffAlg          float64 `col:"η_alg,%.2f"`
+	EffImpl         float64 `col:"η_impl,%.2f"`
+	PctReductions   float64 `col:"%reduc,%.1f"`
+	PctImplicitSync float64 `col:"%sync,%.1f"`
+	PctScatters     float64 `col:"%scatter,%.1f"`
+	DataPerItGB     float64 `col:"data/it,%.4f,GB"` // halo bytes per matvec, all ranks
+	EffBWPerNodeMBs float64 `col:"eff BW/node,%.2f,MB/s"`
+	Gflops          float64 `col:"Gflop/s,%.2f"`
 }
 
-// Table3Result reproduces Table 3's scalability-bottleneck study: a
-// fixed-size mesh solved at increasing rank counts on the ASCI Red
-// profile, block Jacobi + ILU(1), with the efficiency decomposition
-// η_overall = η_alg · η_impl. Real iteration counts drive η_alg; the
-// machine model's wait/scatter/reduce accounting drives η_impl.
+// Table3Result holds fixed-size scaling sweeps — one machine profile and
+// partitioner per sweep — with the efficiency decomposition
+// η_overall = η_alg · η_impl relative to each sweep's first rank count.
+// Real iteration counts drive η_alg; the machine model's
+// wait/scatter/reduce accounting drives η_impl. Table 3, Figure 2 and
+// Figure 4 are all Table3Results.
 type Table3Result struct {
-	Vertices int
-	Profile  string
-	Rows     []Table3Row
+	Name, Title string
+	Vertices    int `col:"vertices"`
+	Rows        []Table3Row
 }
 
-// ScalingStudy runs the fixed-size scaling sweep on one machine profile
-// with the given partitioner; it underlies Table 3, Figure 1, Figure 2,
-// and Figure 4.
-func ScalingStudy(size Size, prof perfmodel.Profile, partitioner string, ranks []int) (*Table3Result, error) {
-	nv := pick(size, 4000, 45000, 180000)
-	res := &Table3Result{Profile: prof.Name}
-	for _, p := range ranks {
-		cfg := core.DefaultConfig()
-		cfg.TargetVertices = nv
-		cfg.Ranks = p
-		cfg.Profile = prof
-		cfg.Partitioner = partitioner
-		cfg.FillLevel = 1
-		cfg.Overlap = 0
-		cfg.Newton.RelTol = 1e-6
-		cfg.Newton.MaxSteps = pick(size, 40, 60, 60)
-		out, err := core.RunParallel(cfg)
-		if err != nil {
-			return nil, err
+// Tables prints the sweeps, grouped by machine and partitioner.
+func (t *Table3Result) Tables() []Table {
+	return []Table{{Name: t.Name, Title: t.Title, Params: t, Rows: t.Rows, Group: 2}}
+}
+
+// scalingStudy runs the fixed-size scaling sweep of the wing of about nv
+// vertices on each machine profile with each partitioner: block Jacobi +
+// ILU(1), at most maxSteps Newton steps at each rank count.
+func scalingStudy(name, title string, nv, maxSteps int, ranks []int, profs []perfmodel.Profile, partitioners []string) (*Table3Result, error) {
+	res := &Table3Result{Name: name, Title: title}
+	for _, prof := range profs {
+		for _, partitioner := range partitioners {
+			sweep := len(res.Rows)
+			for _, p := range ranks {
+				cfg := core.DefaultConfig()
+				cfg.TargetVertices = nv
+				cfg.Ranks = p
+				cfg.Profile = prof
+				cfg.Partitioner = partitioner
+				cfg.FillLevel = 1
+				cfg.Overlap = 0
+				cfg.Newton.RelTol = 1e-6
+				cfg.Newton.MaxSteps = maxSteps
+				out, err := core.RunParallel(cfg)
+				if err != nil {
+					return nil, err
+				}
+				res.Vertices = out.Problem.Mesh.NumVertices()
+				rep := out.Report
+				res.Rows = append(res.Rows, Table3Row{
+					Machine:         prof.Name,
+					Partitioner:     partitioner,
+					Procs:           p,
+					VerticesPerProc: res.Vertices / p,
+					LinearIts:       out.Newton.TotalLinearIts,
+					Steps:           len(out.Newton.Steps),
+					Seconds:         rep.Elapsed,
+					SecondsPerStep:  rep.Elapsed / float64(max(1, len(out.Newton.Steps))),
+					PctReductions:   rep.PctReduce,
+					PctImplicitSync: rep.PctWait,
+					PctScatters:     rep.PctScatter,
+					DataPerItGB:     float64(out.HaloBytesPerExchange) / 1e9,
+					EffBWPerNodeMBs: rep.EffectiveBandwidth / float64(p) / 1e6,
+					Gflops:          rep.Gflops,
+				})
+			}
+			// Efficiency decomposition relative to the sweep's first rank count.
+			base := res.Rows[sweep]
+			for i := sweep; i < len(res.Rows); i++ {
+				r := &res.Rows[i]
+				r.Speedup = base.Seconds / r.Seconds
+				r.EffOverall = r.Speedup / (float64(r.Procs) / float64(base.Procs))
+				r.EffAlg = float64(base.LinearIts) / float64(r.LinearIts)
+				r.EffImpl = r.EffOverall / r.EffAlg
+			}
 		}
-		res.Vertices = out.Problem.Mesh.NumVertices()
-		rep := out.Report
-		res.Rows = append(res.Rows, Table3Row{
-			Procs:           p,
-			VerticesPerProc: res.Vertices / p,
-			LinearIts:       out.Newton.TotalLinearIts,
-			Seconds:         rep.Elapsed,
-			PctReductions:   rep.PctReduce,
-			PctImplicitSync: rep.PctWait,
-			PctScatters:     rep.PctScatter,
-			DataPerItGB:     float64(out.HaloBytesPerExchange) / 1e9,
-			EffBWPerNodeMBs: rep.EffectiveBandwidth / float64(p) / 1e6,
-			Gflops:          rep.Gflops,
-			Steps:           len(out.Newton.Steps),
-		})
-	}
-	// Efficiency decomposition relative to the first rank count.
-	base := res.Rows[0]
-	for i := range res.Rows {
-		r := &res.Rows[i]
-		r.Speedup = base.Seconds / r.Seconds
-		r.EffOverall = r.Speedup / (float64(r.Procs) / float64(base.Procs))
-		r.EffAlg = float64(base.LinearIts) / float64(r.LinearIts)
-		r.EffImpl = r.EffOverall / r.EffAlg
 	}
 	return res, nil
 }
 
-// Table3 runs the canonical Table 3 configuration.
-func Table3(size Size) (*Table3Result, error) {
-	ranks := pick(size, []int{4, 8, 16}, []int{32, 64, 128, 192, 256}, []int{128, 256, 512, 768, 1024})
-	return ScalingStudy(size, perfmodel.ASCIRed, "kway", ranks)
+// Table3Study is Table 3 and Figure 1: the scaling sweep on the ASCI Red
+// profile with k-way partitions.
+func Table3Study(nv, maxSteps int, ranks []int) (*Table3Result, error) {
+	return scalingStudy("table3", "Table 3 / Figure 1 — scalability bottlenecks, fixed-size scaling, BJacobi+ILU(1)",
+		nv, maxSteps, ranks, []perfmodel.Profile{perfmodel.ASCIRed}, []string{"kway"})
 }
 
-// Render formats both panels of the paper's Table 3.
-func (t *Table3Result) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 3 — scalability bottlenecks, %d vertices, %s profile, BJacobi+ILU(1) (modeled)\n",
-		t.Vertices, t.Profile)
-	fmt.Fprintf(&sb, "%6s %6s %9s %8s | %9s %7s %7s\n",
-		"Procs", "Its", "Time", "Speedup", "η_overall", "η_alg", "η_impl")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&sb, "%6d %6d %8.1fs %8.2f | %9.2f %7.2f %7.2f\n",
-			r.Procs, r.LinearIts, r.Seconds, r.Speedup, r.EffOverall, r.EffAlg, r.EffImpl)
-	}
-	fmt.Fprintf(&sb, "\n%6s | %8s %8s %8s | %10s %12s\n",
-		"Procs", "%reduc", "%sync", "%scatter", "GB/it", "eff MB/s/node")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&sb, "%6d | %8.1f %8.1f %8.1f | %10.4f %12.2f\n",
-			r.Procs, r.PctReductions, r.PctImplicitSync, r.PctScatters, r.DataPerItGB, r.EffBWPerNodeMBs)
-	}
-	return sb.String()
-}
-
-// Figure1Render renders the Figure 1 view of a scaling study: the five
-// parallel metrics per node count.
-func (t *Table3Result) Figure1Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 1 — fixed-size scaling, %d vertices, %s profile (modeled)\n", t.Vertices, t.Profile)
-	fmt.Fprintf(&sb, "%6s %10s %10s %10s %10s %10s %8s\n",
-		"Nodes", "verts/node", "time", "time/step", "Gflop/s", "speedup", "η_impl")
-	for _, r := range t.Rows {
-		perStep := r.Seconds
-		if r.Steps > 0 {
-			perStep = r.Seconds / float64(r.Steps)
-		}
-		fmt.Fprintf(&sb, "%6d %10d %9.1fs %9.2fs %10.2f %10.2f %8.2f\n",
-			r.Procs, r.VerticesPerProc, r.Seconds, perStep, r.Gflops, r.Speedup, r.EffImpl)
-	}
-	return sb.String()
-}
-
-// Figure2Result holds the three-machine comparison of Figure 2.
-type Figure2Result struct {
-	Studies []*Table3Result
-}
-
-// Figure2 runs the scaling sweep on the ASCI Red, Blue Pacific, and
+// Figure2Study runs the scaling sweep on the ASCI Red, Blue Pacific and
 // Cray T3E profiles.
-func Figure2(size Size) (*Figure2Result, error) {
-	ranks := pick(size, []int{4, 8, 16}, []int{32, 64, 128, 256}, []int{128, 256, 512, 1024})
-	out := &Figure2Result{}
-	for _, prof := range []perfmodel.Profile{perfmodel.ASCIRed, perfmodel.BluePacific, perfmodel.CrayT3E} {
-		st, err := ScalingStudy(size, prof, "kway", ranks)
-		if err != nil {
-			return nil, err
-		}
-		out.Studies = append(out.Studies, st)
-	}
-	return out, nil
+func Figure2Study(nv, maxSteps int, ranks []int) (*Table3Result, error) {
+	return scalingStudy("figure2", "Figure 2 — Gflop/s and execution time across machines", nv, maxSteps, ranks,
+		[]perfmodel.Profile{perfmodel.ASCIRed, perfmodel.BluePacific, perfmodel.CrayT3E}, []string{"kway"})
 }
 
-// Render formats Gflop/s and execution time per machine.
-func (f *Figure2Result) Render() string {
-	var sb strings.Builder
-	sb.WriteString("Figure 2 — Gflop/s and execution time across machines (modeled)\n")
-	for _, st := range f.Studies {
-		fmt.Fprintf(&sb, "  %s:\n", st.Profile)
-		fmt.Fprintf(&sb, "    %6s %10s %10s\n", "Nodes", "Gflop/s", "time")
-		for _, r := range st.Rows {
-			fmt.Fprintf(&sb, "    %6d %10.2f %9.1fs\n", r.Procs, r.Gflops, r.Seconds)
-		}
-	}
-	return sb.String()
-}
-
-// Figure4Result holds the partitioner comparison of Figure 4.
-type Figure4Result struct {
-	KWay *Table3Result
-	PWay *Table3Result
-}
-
-// Figure4 compares k-way (connected, mildly imbalanced) and p-way
+// Figure4Study compares k-way (connected, mildly imbalanced) and p-way
 // (perfectly balanced, possibly fragmented) partitions on the Cray T3E
 // profile.
-func Figure4(size Size) (*Figure4Result, error) {
-	ranks := pick(size, []int{4, 8, 16, 32}, []int{32, 64, 128, 256}, []int{128, 256, 512, 1024})
-	k, err := ScalingStudy(size, perfmodel.CrayT3E, "kway", ranks)
-	if err != nil {
-		return nil, err
-	}
-	p, err := ScalingStudy(size, perfmodel.CrayT3E, "pway", ranks)
-	if err != nil {
-		return nil, err
-	}
-	return &Figure4Result{KWay: k, PWay: p}, nil
-}
-
-// Render formats relative speedups of the two partitioners.
-func (f *Figure4Result) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 4 — partitioner comparison, %d vertices, Cray T3E profile (modeled)\n", f.KWay.Vertices)
-	fmt.Fprintf(&sb, "%6s | %10s %8s | %10s %8s\n", "Procs", "kway time", "speedup", "pway time", "speedup")
-	for i := range f.KWay.Rows {
-		k, p := f.KWay.Rows[i], f.PWay.Rows[i]
-		fmt.Fprintf(&sb, "%6d | %9.1fs %8.2f | %9.1fs %8.2f\n",
-			k.Procs, k.Seconds, k.Speedup, p.Seconds, p.Speedup)
-	}
-	return sb.String()
+func Figure4Study(nv, maxSteps int, ranks []int) (*Table3Result, error) {
+	return scalingStudy("figure4", "Figure 4 — partitioner comparison", nv, maxSteps, ranks,
+		[]perfmodel.Profile{perfmodel.CrayT3E}, []string{"kway", "pway"})
 }

@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"strings"
-	"sync"
 
 	"petscfun3d/internal/dist"
 	"petscfun3d/internal/ilu"
-	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/partition"
 	"petscfun3d/internal/perfmodel"
@@ -26,8 +22,8 @@ import (
 // the measured scatter-wait shrinking strictly below the old blocking
 // scatter total.
 type Table3MeasuredResult struct {
-	Vertices int
-	B        int
+	Vertices int `col:"vertices"`
+	B        int `col:"b"`
 	Rows     []perfmodel.EfficiencyRow
 	// BlockingScatterMaxSec[i] is the blocking baseline's slowest-rank
 	// scatter total (pack + wire + implicit-synchronization wait folded
@@ -51,31 +47,49 @@ type Table3MeasuredResult struct {
 	Prof *prof.Profiler
 }
 
-// Table3Measured runs the measured efficiency decomposition at the
-// canonical rank counts.
-func Table3Measured(size Size) (*Table3MeasuredResult, error) {
-	nv := pick(size, 1500, 45000, 180000)
-	return Table3MeasuredStudy(nv, []int{2, 4, 8})
+// table3MeasuredRow is one printed row of the measured Table 3.
+type table3MeasuredRow struct {
+	Procs      int     `col:"procs"`
+	LinearIts  int     `col:"its"`
+	Seconds    float64 `col:"time,%.4f,s"`
+	Speedup    float64 `col:"speedup,%.2f"`
+	EffOverall float64 `col:"η_overall,%.2f"`
+	EffAlg     float64 `col:"η_alg,%.2f"`
+	EffImpl    float64 `col:"η_impl,%.2f"`
+	WaitMax    float64 `col:"wait max,%.4f,s"`
+	WaitAvg    float64 `col:"wait avg,%.4f,s"`
+	PackMax    float64 `col:"pack max,%.4f,s"`
+	WaitFloor  float64 `col:"wait flr,%.4f,s"`
+	BlockMax   float64 `col:"blk max,%.4f,s"`
+	BlockAvg   float64 `col:"blk avg,%.4f,s"`
+	BlockFloor float64 `col:"blk flr,%.4f,s"`
+	Imbalance  float64 `col:"imbal,%.2f"`
+}
+
+// Tables prints the measured Table 3.
+func (t *Table3MeasuredResult) Tables() []Table {
+	rows := make([]table3MeasuredRow, len(t.Rows))
+	for i, r := range t.Rows {
+		rows[i] = table3MeasuredRow{r.Procs, r.LinearIts, r.Seconds, r.Speedup, r.EffOverall, r.EffAlg, r.EffImpl,
+			r.WaitMaxSec, r.WaitAvgSec, r.PackMaxSec, t.WaitMaxFloorSec[i],
+			t.BlockingScatterMaxSec[i], t.BlockingScatterAvgSec[i], t.BlockingScatterMaxFloorSec[i], r.Imbalance}
+	}
+	return []Table{{Name: "table3measured", Measured: true, Params: t, Rows: rows,
+		Title: "Table 3 — efficiency decomposition, BJacobi+ILU(0), overlapped halo exchange",
+		Notes: "wait = scatter_wait (the paper's implicit-synchronization sink). flr = min over reps of the\n" +
+			"slowest rank's phase cost (scheduler-noise floor); blk is the blocking baseline's whole scatter\n" +
+			"at the same rank count, whose floor the overlapped wait floor undercuts.\n"}}
 }
 
 // Table3MeasuredStudy solves one deterministic wing-mesh system (BCSR,
 // b=4, block Jacobi ILU(0), k-way partitions) at each rank count and
 // reduces the per-rank phase timings into the Table 3 columns.
 func Table3MeasuredStudy(nv int, ranks []int) (*Table3MeasuredResult, error) {
-	m, err := mesh.GenerateWingN(nv)
+	w, err := wingSystem(nv, 4, 101)
 	if err != nil {
 		return nil, err
 	}
-	m = m.Renumber(mesh.RCM(m))
-	const b = 4
-	g := sparse.Graph{NV: m.NumVertices(), XAdj: m.XAdj, Adj: m.Adj}
-	a := sparse.BlockPattern(g, b)
-	a.FillDeterministic(101)
-	rhs := make([]float64, a.N())
-	for i := range rhs {
-		rhs[i] = math.Sin(float64(i) * 0.19)
-	}
-	return MeasuredEfficiency(a, g, rhs, ranks)
+	return MeasuredEfficiency(w.a, w.g, w.rhs, ranks)
 }
 
 // MeasuredEfficiency is the matrix-level entry point of the measured
@@ -104,15 +118,9 @@ func MeasuredEfficiency(a *sparse.BCSR, g sparse.Graph, rhs []float64, ranks []i
 		if err != nil {
 			return nil, err
 		}
-		var maxScatter, sumScatter float64
-		for _, r := range block {
-			sumScatter += r["scatter"]
-			if r["scatter"] > maxScatter {
-				maxScatter = r["scatter"]
-			}
-		}
+		_, maxScatter, avgScatter := rankStats(block, "scatter")
 		res.BlockingScatterMaxSec = append(res.BlockingScatterMaxSec, maxScatter)
-		res.BlockingScatterAvgSec = append(res.BlockingScatterAvgSec, sumScatter/float64(p))
+		res.BlockingScatterAvgSec = append(res.BlockingScatterAvgSec, avgScatter)
 		res.BlockingScatterMaxFloorSec = append(res.BlockingScatterMaxFloorSec, blockFloor["scatter"])
 	}
 	res.Rows, err = perfmodel.DecomposeEfficiency(runs)
@@ -120,6 +128,17 @@ func MeasuredEfficiency(a *sparse.BCSR, g sparse.Graph, rhs []float64, ranks []i
 		return nil, err
 	}
 	return res, nil
+}
+
+// rankStats returns the slowest rank's total phase time and the max and
+// mean over ranks of one phase's.
+func rankStats(ranks []perfmodel.RankPhases, phase string) (slowest, peak, mean float64) {
+	for _, r := range ranks {
+		slowest = math.Max(slowest, r.Seconds())
+		peak = math.Max(peak, r[phase])
+		mean += r[phase] / float64(len(ranks))
+	}
+	return slowest, peak, mean
 }
 
 // measureReps is how many times each configuration is solved; the rep
@@ -179,8 +198,7 @@ func solveOnce(a *sparse.BCSR, part []int32, rhs []float64, nranks int, noOverla
 		profs[i] = prof.New()
 		profs[i].Enable()
 	}
-	var its int
-	var itsMu sync.Mutex
+	var its int // rank 0's: every rank runs the same iterations
 	b := a.B
 	err := mpi.Run(nranks, func(c *mpi.Comm) error {
 		dm, err := dist.NewMatrix(c, a, part)
@@ -205,9 +223,9 @@ func solveOnce(a *sparse.BCSR, part []int32, rhs []float64, nranks int, noOverla
 		if !st.Converged {
 			return fmt.Errorf("experiments: distributed GMRES did not converge at %d ranks (res %g)", nranks, st.ResidualNorm)
 		}
-		itsMu.Lock()
-		its = st.Iterations
-		itsMu.Unlock()
+		if c.Rank() == 0 {
+			its = st.Iterations
+		}
 		return nil
 	}, mopts)
 	if err != nil {
@@ -224,41 +242,4 @@ func solveOnce(a *sparse.BCSR, part []int32, rhs []float64, nranks int, noOverla
 		out[i] = ph
 	}
 	return out, its, merged, nil
-}
-
-// Render formats the measured Table 3.
-func (t *Table3MeasuredResult) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 3 (measured) — efficiency decomposition, %d vertices, b=%d, BJacobi+ILU(0), overlapped halo exchange\n",
-		t.Vertices, t.B)
-	fmt.Fprintf(&sb, "%6s %6s %10s %8s | %9s %7s %7s | %9s %9s %9s | %9s %9s %7s\n",
-		"Procs", "Its", "Time", "Speedup", "η_overall", "η_alg", "η_impl",
-		"wait max", "wait avg", "pack max", "wait flr", "blk flr", "imbal")
-	for i, r := range t.Rows {
-		fmt.Fprintf(&sb, "%6d %6d %9.4fs %8.2f | %9.2f %7.2f %7.2f | %8.4fs %8.4fs %8.4fs | %8.4fs %8.4fs %7.2f\n",
-			r.Procs, r.LinearIts, r.Seconds, r.Speedup, r.EffOverall, r.EffAlg, r.EffImpl,
-			r.WaitMaxSec, r.WaitAvgSec, r.PackMaxSec,
-			t.WaitMaxFloorSec[i], t.BlockingScatterMaxFloorSec[i], r.Imbalance)
-	}
-	sb.WriteString("wait = scatter_wait (the paper's implicit-synchronization sink). flr = min over reps of the\n" +
-		"slowest rank's phase cost (scheduler-noise floor); blk flr is the blocking baseline's whole scatter\n" +
-		"at the same rank count, which the overlapped wait floor undercuts.\n")
-	return sb.String()
-}
-
-// WriteCSV writes the measured decomposition as plot-ready CSV.
-func (t *Table3MeasuredResult) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "procs,its,seconds,speedup,eff_overall,eff_alg,eff_impl,wait_max_sec,wait_avg_sec,pack_max_sec,wait_max_floor_sec,blocking_scatter_max_sec,blocking_scatter_avg_sec,blocking_scatter_max_floor_sec,imbalance"); err != nil {
-		return err
-	}
-	for i, r := range t.Rows {
-		if _, err := fmt.Fprintf(w, "%d,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g\n",
-			r.Procs, r.LinearIts, r.Seconds, r.Speedup, r.EffOverall, r.EffAlg, r.EffImpl,
-			r.WaitMaxSec, r.WaitAvgSec, r.PackMaxSec, t.WaitMaxFloorSec[i],
-			t.BlockingScatterMaxSec[i], t.BlockingScatterAvgSec[i],
-			t.BlockingScatterMaxFloorSec[i], r.Imbalance); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -6,9 +6,6 @@ import (
 )
 
 func TestTable3MeasuredShape(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("measured scaling study is too slow under the race detector")
-	}
 	res, err := Table3MeasuredStudy(1200, []int{2, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +43,7 @@ func TestTable3MeasuredShape(t *testing.T) {
 			t.Errorf("row %d blocking floor %g vs chosen-rep max %g", i, f, res.BlockingScatterMaxSec[i])
 		}
 	}
-	if out := res.Render(); len(out) == 0 {
+	if out := Text(res.Tables()...); len(out) == 0 {
 		t.Error("empty render")
 	}
 }
@@ -66,14 +63,14 @@ func TestTable2MeasuredShape(t *testing.T) {
 		if r.Single != (i%2 == 1) || r.B != 4+i/2 || r.Level != i/2 {
 			t.Errorf("row %d is b=%d ILU(%d) single=%v", i, r.B, r.Level, r.Single)
 		}
-		if r.Refactor.Median <= 0 || r.Solve.Median <= 0 || r.Refactor.IQR < 0 || r.Solve.IQR < 0 || r.SolveFrac <= 0 || r.RefactorFrac <= 0 {
+		if r.RefactorSec <= 0 || r.SolveSec <= 0 || r.RefactorIQR < 0 || r.SolveIQR < 0 || r.SolveFrac <= 0 || r.RefactorFrac <= 0 {
 			t.Errorf("row %d measured nothing: %+v", i, r)
 		}
 		if r.Single && r.FactorBytes >= res.Rows[i-1].FactorBytes {
 			t.Errorf("row %d: float32 factors take %d bytes, float64 %d", i, r.FactorBytes, res.Rows[i-1].FactorBytes)
 		}
 	}
-	if out := res.Render(); !strings.Contains(out, "(measured)") || !strings.Contains(out, res.Kernels) {
+	if out := Text(res.Tables()...); !strings.Contains(out, "(measured)") || !strings.Contains(out, res.Kernels) {
 		t.Errorf("render does not label the measurement or name the kernels:\n%s", out)
 	}
 }

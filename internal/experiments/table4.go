@@ -1,20 +1,17 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"petscfun3d/internal/core"
 	"petscfun3d/internal/perfmodel"
 )
 
-// Table4Cell is one (overlap, fill, procs) configuration.
+// Table4Cell is one (fill, procs, overlap) configuration.
 type Table4Cell struct {
-	Procs     int
-	Fill      int
-	Overlap   int
-	Seconds   float64 // modeled
-	LinearIts int
+	Fill      int     `col:"ILU fill"`
+	Procs     int     `col:"procs"`
+	Overlap   int     `col:"overlap"`
+	Seconds   float64 `col:"time,%.1f,s"` // modeled
+	LinearIts int     `col:"its"`
 }
 
 // Table4Result reproduces Table 4: the additive Schwarz design space —
@@ -23,14 +20,20 @@ type Table4Cell struct {
 // cost memory, communication, and per-iteration work; the paper finds
 // ILU(1) with zero overlap best at scale.
 type Table4Result struct {
-	Vertices int
+	Vertices int `col:"vertices"`
 	Cells    []Table4Cell
 }
 
-// Table4 runs the sweep on the ASCI Red profile.
-func Table4(size Size) (*Table4Result, error) {
-	nv := pick(size, 3000, 30000, 89000)
-	procs := pick(size, []int{4, 8}, []int{16, 32, 64}, []int{16, 32, 64})
+// Tables prints the sweep, one group of rows per fill level.
+func (t *Table4Result) Tables() []Table {
+	return []Table{{Name: "table4", Title: "Table 4 — ASM overlap × ILU fill, GMRES(20), ASCI Red profile",
+		Params: t, Rows: t.Cells, Group: 1}}
+}
+
+// Table4Study solves the wing of about nv vertices on the ASCI Red
+// profile for every fill level, rank count and overlap, at most maxSteps
+// Newton steps each.
+func Table4Study(nv, maxSteps int, procs []int) (*Table4Result, error) {
 	res := &Table4Result{}
 	for _, fill := range []int{0, 1, 2} {
 		for _, p := range procs {
@@ -43,17 +46,14 @@ func Table4(size Size) (*Table4Result, error) {
 				cfg.Overlap = ov
 				cfg.Newton.Krylov.Restart = 20
 				cfg.Newton.RelTol = 1e-6
-				cfg.Newton.MaxSteps = pick(size, 40, 60, 60)
+				cfg.Newton.MaxSteps = maxSteps
 				out, err := core.RunParallel(cfg)
 				if err != nil {
 					return nil, err
 				}
 				res.Vertices = out.Problem.Mesh.NumVertices()
-				res.Cells = append(res.Cells, Table4Cell{
-					Procs: p, Fill: fill, Overlap: ov,
-					Seconds:   out.Report.Elapsed,
-					LinearIts: out.Newton.TotalLinearIts,
-				})
+				res.Cells = append(res.Cells, Table4Cell{Fill: fill, Procs: p, Overlap: ov,
+					Seconds: out.Report.Elapsed, LinearIts: out.Newton.TotalLinearIts})
 			}
 		}
 	}
@@ -69,42 +69,4 @@ func (t *Table4Result) Cell(procs, fill, overlap int) *Table4Cell {
 		}
 	}
 	return nil
-}
-
-// Render formats the sweep in the paper's three-panel layout.
-func (t *Table4Result) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 4 — ASM overlap × ILU fill, %d vertices, GMRES(20), ASCI Red profile (modeled)\n", t.Vertices)
-	procsSeen := []int{}
-	for _, c := range t.Cells {
-		found := false
-		for _, p := range procsSeen {
-			if p == c.Procs {
-				found = true
-			}
-		}
-		if !found {
-			procsSeen = append(procsSeen, c.Procs)
-		}
-	}
-	for _, fill := range []int{0, 1, 2} {
-		fmt.Fprintf(&sb, "ILU(%d):\n", fill)
-		fmt.Fprintf(&sb, "  %6s", "Procs")
-		for _, ov := range []int{0, 1, 2} {
-			fmt.Fprintf(&sb, " | %10s %7s", fmt.Sprintf("ovl=%d time", ov), "its")
-		}
-		sb.WriteString("\n")
-		for _, p := range procsSeen {
-			fmt.Fprintf(&sb, "  %6d", p)
-			for _, ov := range []int{0, 1, 2} {
-				if c := t.Cell(p, fill, ov); c != nil {
-					fmt.Fprintf(&sb, " | %9.1fs %7d", c.Seconds, c.LinearIts)
-				} else {
-					fmt.Fprintf(&sb, " | %10s %7s", "—", "—")
-				}
-			}
-			sb.WriteString("\n")
-		}
-	}
-	return sb.String()
 }

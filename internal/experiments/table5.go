@@ -1,20 +1,17 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"petscfun3d/internal/core"
 	"petscfun3d/internal/perfmodel"
 )
 
 // Table5Row is one node count of the paper's Table 5.
 type Table5Row struct {
-	Nodes    int
-	Threads1 float64 // 1 thread/node (baseline), seconds
-	Threads2 float64 // 2 OpenMP-style threads/node
-	MPI1     float64 // 1 MPI rank/node (same as Threads1 baseline structure)
-	MPI2     float64 // 2 MPI ranks/node
+	Nodes    int     `col:"nodes"`
+	Threads1 float64 `col:"1 thr/node,%.3f,s"` // 1 thread/node (baseline), seconds
+	Threads2 float64 `col:"2 thr/node,%.3f,s"` // 2 OpenMP-style threads/node
+	MPI1     float64 `col:"1 MPI/node,%.3f,s"` // 1 MPI rank/node (same as Threads1 baseline structure)
+	MPI2     float64 `col:"2 MPI/node,%.3f,s"` // 2 MPI ranks/node
 }
 
 // Table5Result reproduces Table 5: function (flux) evaluations only,
@@ -24,23 +21,30 @@ type Table5Row struct {
 // counts threads win because doubling the rank count inflates redundant
 // surface work and message counts.
 type Table5Result struct {
-	Vertices int
-	Evals    int
+	Vertices int `col:"vertices"`
+	Evals    int `col:"flux evals"`
 	Rows     []Table5Row
 }
 
-// Table5 runs the hybrid-programming-model comparison.
-func Table5(size Size) (*Table5Result, error) {
-	nv := pick(size, 4000, 45000, 180000)
-	nodes := pick(size, []int{8, 32}, []int{64, 256, 512}, []int{256, 2560, 3072})
-	evals := pick(size, 20, 100, 100)
-	res := &Table5Result{Evals: evals}
+// Tables prints the comparison like the paper's Table 5.
+func (t *Table5Result) Tables() []Table {
+	return []Table{{Name: "table5", Title: "Table 5 — flux phase only, MPI/OpenMP threads vs MPI processes per node, ASCI Red profile",
+		Params: t, Rows: t.Rows}}
+}
+
+// Table5Study models evals flux evaluations on the wing of about nv
+// vertices at each node count, with one or two threads or ranks a node.
+func Table5Study(nv, evals int, nodes []int) (*Table5Result, error) {
+	cfg := core.DefaultConfig()
+	cfg.TargetVertices = nv
+	cfg.Profile = perfmodel.ASCIRed
+	p, err := core.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &Table5Result{Vertices: p.Mesh.NumVertices(), Evals: evals}
 	for _, n := range nodes {
-		cfg := core.DefaultConfig()
-		cfg.TargetVertices = nv
-		cfg.Profile = perfmodel.ASCIRed
 		row := Table5Row{Nodes: n}
-		var err error
 		if row.Threads1, err = core.FluxPhaseTime(cfg, n, 1, 1, evals); err != nil {
 			return nil, err
 		}
@@ -51,26 +55,7 @@ func Table5(size Size) (*Table5Result, error) {
 		if row.MPI2, err = core.FluxPhaseTime(cfg, n, 2, 1, evals); err != nil {
 			return nil, err
 		}
-		p, err := core.Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Vertices = p.Mesh.NumVertices()
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// Render formats the result like the paper's Table 5.
-func (t *Table5Result) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 5 — flux phase only (%d evals), %d vertices, ASCI Red profile (modeled)\n",
-		t.Evals, t.Vertices)
-	fmt.Fprintf(&sb, "%6s | %22s | %22s\n", "", "MPI/OpenMP thr/node", "MPI procs/node")
-	fmt.Fprintf(&sb, "%6s | %10s %10s | %10s %10s\n", "Nodes", "1", "2", "1", "2")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&sb, "%6d | %9.3fs %9.3fs | %9.3fs %9.3fs\n",
-			r.Nodes, r.Threads1, r.Threads2, r.MPI1, r.MPI2)
-	}
-	return sb.String()
 }

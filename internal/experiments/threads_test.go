@@ -28,12 +28,12 @@ func TestThreadsShape(t *testing.T) {
 	if st.Rows != r.Vertices || st.FwdLevels < 1 || st.BwdLevels < 1 || st.MaxWidth < 1 {
 		t.Fatalf("level stats malformed: %+v", st)
 	}
-	out := r.Render()
+	out := Text(r.Tables()...)
 	if !strings.Contains(out, "thread scaling") || !strings.Contains(out, "level schedule") {
 		t.Fatalf("render missing headers:\n%s", out)
 	}
 	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
+	if err := WriteCSV(&sb, r.Tables()[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(sb.String(), "\n"); got != 4 {
