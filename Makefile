@@ -29,12 +29,14 @@ fmt:
 vet:
 	go vet ./...
 
-# The pure-Go fallback: internal/ilu's AVX2 kernels exist on amd64 only
-# (kernels_amd64.s), so an architecture without them must still build,
-# and vet the package whose Go kernels then run.
+# The pure-Go fallback: the AVX2 kernels of internal/ilu and
+# internal/euler, and the CPUID probe that chooses them (internal/cpuid),
+# exist on amd64 only (*_amd64.s), so an architecture without them must
+# still build, and vet the packages whose Go kernels and probe-less
+# defaults then run.
 fallback:
 	GOARCH=arm64 go build ./...
-	GOARCH=arm64 go vet ./internal/ilu
+	GOARCH=arm64 go vet ./internal/ilu ./internal/euler ./internal/cpuid
 
 # Wall-time guard on the static gate: the whole suite runs in a few
 # seconds, so a generous ceiling only trips if an analyzer has gotten

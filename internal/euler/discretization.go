@@ -135,6 +135,9 @@ func NewDiscretization(m *mesh.Mesh, geo *Geometry, sys System, opts Options) (*
 	d.edges = make([]edgeData, m.NumEdges())
 	for i, oi := range order {
 		e := m.Edges[oi]
+		if uint32(e.A) >= uint32(m.NumVertices()) || uint32(e.B) >= uint32(m.NumVertices()) {
+			return nil, fmt.Errorf("euler: edge %d joins %d and %d, outside the %d vertices", oi, e.A, e.B, m.NumVertices())
+		}
 		d.edges[i] = edgeData{a: e.A, b: e.B, n: geo.Normals[oi]}
 	}
 	d.jac = planJacobian(m, d.edges, nil, patternBlock(m), -1)

@@ -380,6 +380,20 @@ func TestNewDiscretizationRejectsBadOptions(t *testing.T) {
 	if _, err := NewDiscretization(m, nil, NewIncompressible(), Options{Order: 1, EdgeOrdering: "zigzag"}); err == nil {
 		t.Error("unknown edge ordering accepted")
 	}
+	// An edge to a vertex the mesh does not have: the vector kernel reads
+	// the state through the endpoints unchecked, so it must not get one.
+	geo, err := BuildGeometry(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int32{-1, int32(m.NumVertices())} {
+		bad := *m
+		bad.Edges = append([]mesh.Edge(nil), m.Edges...)
+		bad.Edges[len(bad.Edges)-1].B = v
+		if _, err := NewDiscretization(&bad, geo, NewIncompressible(), Options{Order: 1}); err == nil {
+			t.Errorf("an edge to vertex %d accepted", v)
+		}
+	}
 }
 
 func TestAssembleJacobianRejectsMismatch(t *testing.T) {

@@ -35,11 +35,16 @@ func (d *Discretization) strides() (sv, sc int) {
 
 // fluxEdges accumulates the first-order numerical flux of the selected
 // edges into r (+ at the edge's a endpoint, − at b) without zeroing it.
+// q and r are cut to N() scalars first: a vector kernel indexes them
+// through the edge endpoints unchecked, and NewDiscretization has
+// checked that every endpoint is a vertex.
 func (d *Discretization) fluxEdges(edges []edgeData, idx []int32, q, r []float64) {
 	sv, sc := d.strides()
+	n := d.N()
+	q, r = q[:n], r[:n]
 	switch sys := d.Sys.(type) {
 	case *Incompressible:
-		fluxEdges4(sys.Beta, edges, idx, q, r, sv, sc)
+		kern.sweepFlux4(sys.Beta, edges, idx, q, r, sv, sc)
 	case *Compressible:
 		fluxEdges5(sys.Gamma, edges, idx, q, r, sv, sc)
 	default:
@@ -55,6 +60,66 @@ func checkSystem(sys System) error {
 		return nil
 	}
 	return fmt.Errorf("euler: no edge kernels for system %T", sys)
+}
+
+// edgeKernels is one family of flux kernels. The Go family is the
+// kernels of this file; an assembly family adds a vector kernel for the
+// interlaced b = 4 sweep that computes the same bits — the same
+// expressions in the same operand order, every vertex receiving its
+// edges' contributions in edge order — so which family runs is a
+// property of the host, not of the result (DESIGN.md §10).
+type edgeKernels struct {
+	name string
+	// flux4 sweeps the selected edges of the interlaced (sv, sc) = (4, 1)
+	// b = 4 flux four at a time, as fluxEdges4 would, and returns how
+	// many it swept: the largest multiple of four, or fewer when it
+	// stops before a group holding a position outside edges. nil in the
+	// Go family.
+	flux4 func(beta float64, edges []edgeData, idx []int32, q, r []float64) int
+}
+
+// goKernels is the Go family: the oracle, and what runs on every
+// architecture and host without an assembly family.
+var goKernels = edgeKernels{name: "Go"}
+
+// kern is the family the sweeps run, and avx2Kernels the assembly family
+// the host supports (nil without one). Both are set once, at package
+// init, from CPUID (kernels_amd64.go) and never change.
+var (
+	kern        = &goKernels
+	avx2Kernels *edgeKernels
+)
+
+// KernelFamily names the family of flux kernels this process runs: "AVX2"
+// on amd64 hosts that report it, "Go" everywhere else. The AVX2 family's
+// vector kernel serves the interlaced incompressible sweep only; see
+// Discretization.FluxKernelFamily.
+func KernelFamily() string { return kern.name }
+
+// FluxKernelFamily names the family whose kernel sweeps d's first-order
+// edges: the process's family where it has a kernel for d's system and
+// layout, "Go" otherwise.
+func (d *Discretization) FluxKernelFamily() string {
+	if sv, sc := d.strides(); kern.flux4 != nil && d.Sys.B() == 4 && sv == 4 && sc == 1 {
+		return kern.name
+	}
+	return goKernels.name
+}
+
+// sweepFlux4 is the b = 4 flux sweep of family k: its vector kernel over
+// the leading edges where it has one for the layout, then fluxEdges4
+// over the 0–3 edges left, after them, so every vertex still receives
+// its contributions in edge order.
+func (k *edgeKernels) sweepFlux4(beta float64, edges []edgeData, idx []int32, q, r []float64, sv, sc int) {
+	if k.flux4 != nil && sv == 4 && sc == 1 {
+		n := k.flux4(beta, edges, idx, q, r)
+		if idx == nil {
+			edges = edges[n:]
+		} else {
+			idx = idx[n:]
+		}
+	}
+	fluxEdges4(beta, edges, idx, q, r, sv, sc)
 }
 
 // fluxEdges4 is the incompressible (p, u, v, w) flux kernel.

@@ -7,7 +7,9 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"petscfun3d/internal/cpuid"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/par"
 	"petscfun3d/internal/sparse"
@@ -199,6 +201,47 @@ func roughState(d *Discretization) []float64 {
 	return q
 }
 
+// families returns the flux-kernel families this host runs: the Go
+// kernels, and the assembly ones where the host has them.
+func families() []*edgeKernels {
+	fams := []*edgeKernels{&goKernels}
+	if avx2Kernels != nil {
+		fams = append(fams, avx2Kernels)
+	}
+	return fams
+}
+
+// useKernels makes fam the family the sweeps run until the test ends.
+func useKernels(t testing.TB, fam *edgeKernels) {
+	prev := kern
+	kern = fam
+	t.Cleanup(func() { kern = prev })
+}
+
+// refStriped is the generic sweep cut as ResidualParallel cuts it: stripe
+// w of nw into its own array, the arrays summed into stripe 0's in
+// worker order, then the boundary closure.
+func refStriped(d *Discretization, q []float64, nw int) []float64 {
+	ne := len(d.edges)
+	stripe := func(w int) []float64 {
+		idx := make([]int32, 0, ne/nw+1)
+		for ei := ne * w / nw; ei < ne*(w+1)/nw; ei++ {
+			idx = append(idx, int32(ei))
+		}
+		r := make([]float64, d.N())
+		refEdges(d, q, r, idx)
+		return r
+	}
+	r := stripe(0)
+	for w := 1; w < nw; w++ {
+		for i, v := range stripe(w) {
+			r[i] += v
+		}
+	}
+	d.boundaryResidual(q, r)
+	return r
+}
+
 // kernelSystems are the two systems with parameters that are not powers
 // of two: scaling by β = 4 is exact, so the customary value would let a
 // reassociation such as β(θa+θb) for βθa+βθb pass unnoticed.
@@ -206,75 +249,106 @@ func kernelSystems() []System {
 	return []System{&Incompressible{Beta: 3.7, U0: 1}, NewCompressible()}
 }
 
+// TestKernelsMatchGenericSweepBitwise: every first-order entry point,
+// under every family the host runs, against the generic sweep. The edge
+// lists of length 0–9 and the worker stripes put every tail length of a
+// four-edge vector kernel behind it, from either form of idx.
 func TestKernelsMatchGenericSweepBitwise(t *testing.T) {
 	m := testMesh(t, 7, 6, 5)
-	nv := m.NumVertices()
 	for _, sys := range kernelSystems() {
 		for _, layout := range []sparse.Layout{sparse.Interlaced, sparse.NonInterlaced} {
 			for _, ordering := range []string{"sorted", "colored"} {
-				name := fmt.Sprintf("%s/%v/%s", sys.Name(), layout, ordering)
-				t.Run(name, func(t *testing.T) {
-					d := newDisc(t, m, sys, Options{Order: 1, Layout: layout, EdgeOrdering: ordering})
-					q := roughState(d)
-					want := refResidual(d, q)
-
-					r := make([]float64, d.N())
-					for i := range r {
-						r[i] = math.NaN() // Residual must overwrite, not accumulate
+				t.Run(fmt.Sprintf("%s/%v/%s", sys.Name(), layout, ordering), func(t *testing.T) {
+					for _, fam := range families() {
+						t.Run(fam.name, func(t *testing.T) {
+							useKernels(t, fam)
+							matchGenericSweep(t, m, sys, layout, ordering)
+						})
 					}
-					d.Residual(q, r)
-					requireSame(t, "Residual", r, want)
-
-					// The split sweep: interior then frontier, no zeroing
-					// in between, against the generic sweep of the same
-					// lists. Owned rows are complete; ghost rows hold the
-					// same partial sums on both sides.
-					owned := func(v int32) bool { return v%3 != 0 }
-					interior, frontier := d.SplitEdges(owned)
-					if len(interior) == 0 || len(frontier) == 0 {
-						t.Fatal("split has an empty side; the test would not cover ResidualEdges")
-					}
-					got, ref := make([]float64, d.N()), make([]float64, d.N())
-					d.ResidualEdges(q, got, interior)
-					d.ResidualEdges(q, got, frontier)
-					d.ResidualEdges(q, got, nil) // no edge, not every edge
-					refEdges(d, q, ref, interior)
-					refEdges(d, q, ref, frontier)
-					requireSame(t, "ResidualEdges", got, ref)
-
-					for _, p := range []*par.Pool{nil, par.New(1)} {
-						rp := make([]float64, d.N())
-						if err := d.ResidualParallel(q, rp, p); err != nil {
-							t.Fatal(err)
-						}
-						p.Close()
-						requireSame(t, fmt.Sprintf("ResidualParallel(%d workers)", p.Workers()), rp, want)
-					}
-
-					wantTS := refTimeScales(d, q)
-					requireSame(t, "TimeScales", d.TimeScales(q), wantTS)
-					ts := make([]float64, nv)
-					for i := range ts {
-						ts[i] = math.NaN() // TimeScalesInto must overwrite
-					}
-					d.TimeScalesInto(q, ts)
-					requireSame(t, "TimeScalesInto", ts, wantTS)
-
-					if layout != sparse.Interlaced {
-						return // blocks exist in the interlaced layout only
-					}
-					a := d.JacobianPattern()
-					for i := range a.Val {
-						a.Val[i] = math.NaN() // AssembleJacobian must zero-fill
-					}
-					if err := d.AssembleJacobian(q, a); err != nil {
-						t.Fatal(err)
-					}
-					requireSame(t, "AssembleJacobian", a.Val, refAssembleJacobian(t, d, q).Val)
 				})
 			}
 		}
 	}
+}
+
+func matchGenericSweep(t *testing.T, m *mesh.Mesh, sys System, layout sparse.Layout, ordering string) {
+	d := newDisc(t, m, sys, Options{Order: 1, Layout: layout, EdgeOrdering: ordering})
+	q := roughState(d)
+	want := refResidual(d, q)
+
+	r := make([]float64, d.N())
+	for i := range r {
+		r[i] = math.NaN() // Residual must overwrite, not accumulate
+	}
+	d.Residual(q, r)
+	requireSame(t, "Residual", r, want)
+
+	// The split sweep: interior then frontier, no zeroing in between,
+	// against the generic sweep of the same lists. Owned rows are
+	// complete; ghost rows hold the same partial sums on both sides.
+	owned := func(v int32) bool { return v%3 != 0 }
+	interior, frontier := d.SplitEdges(owned)
+	if len(interior) < 9 || len(frontier) < 9 {
+		t.Fatal("split has a side under nine edges; the test would not cover ResidualEdges' tails")
+	}
+	got, ref := make([]float64, d.N()), make([]float64, d.N())
+	d.ResidualEdges(q, got, interior)
+	d.ResidualEdges(q, got, frontier)
+	d.ResidualEdges(q, got, nil) // no edge, not every edge
+	refEdges(d, q, ref, interior)
+	refEdges(d, q, ref, frontier)
+	requireSame(t, "ResidualEdges", got, ref)
+
+	// Short sweeps, both forms of idx: the first n edges in order, and n
+	// listed positions from the far end of the frontier backwards.
+	for n := 0; n <= 9; n++ {
+		inOrder := make([]int32, n)
+		for i := range inOrder {
+			inOrder[i] = int32(i)
+		}
+		got, ref := make([]float64, d.N()), make([]float64, d.N())
+		d.fluxEdges(d.edges[:n], nil, q, got)
+		refEdges(d, q, ref, inOrder)
+		requireSame(t, fmt.Sprintf("the first %d edges", n), got, ref)
+
+		listed := slices.Clone(frontier[len(frontier)-n:])
+		slices.Reverse(listed)
+		clear(got)
+		clear(ref)
+		d.ResidualEdges(q, got, listed)
+		refEdges(d, q, ref, listed)
+		requireSame(t, fmt.Sprintf("ResidualEdges over %d listed edges", n), got, ref)
+	}
+
+	for _, p := range []*par.Pool{nil, par.New(1), par.New(2), par.New(3)} {
+		rp := make([]float64, d.N())
+		if err := d.ResidualParallel(q, rp, p); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		requireSame(t, fmt.Sprintf("ResidualParallel(%d workers)", p.Workers()), rp, refStriped(d, q, p.Workers()))
+	}
+
+	wantTS := refTimeScales(d, q)
+	requireSame(t, "TimeScales", d.TimeScales(q), wantTS)
+	ts := make([]float64, m.NumVertices())
+	for i := range ts {
+		ts[i] = math.NaN() // TimeScalesInto must overwrite
+	}
+	d.TimeScalesInto(q, ts)
+	requireSame(t, "TimeScalesInto", ts, wantTS)
+
+	if layout != sparse.Interlaced {
+		return // blocks exist in the interlaced layout only
+	}
+	a := d.JacobianPattern()
+	for i := range a.Val {
+		a.Val[i] = math.NaN() // AssembleJacobian must zero-fill
+	}
+	if err := d.AssembleJacobian(q, a); err != nil {
+		t.Fatal(err)
+	}
+	requireSame(t, "AssembleJacobian", a.Val, refAssembleJacobian(t, d, q).Val)
 }
 
 // TestKernelTestDataDistinguishesOperandOrders: the bitwise test only
@@ -412,10 +486,15 @@ func TestAssembleJacobianRejectsForeignPattern(t *testing.T) {
 	}
 }
 
-// FuzzEdgeFlux checks one edge of either flux kernel against NumFlux,
-// bitwise (see bitwiseArch), in both layouts' strides, and that the
-// edge's contribution is antisymmetric: what it adds to a it subtracts
-// from b. The seed corpus runs under plain go test.
+// FuzzEdgeFlux checks a group of five edges over four vertices — (0,1),
+// (1,2), (0,2), (2,3), (3,0): the first four share vertices across the
+// lanes of a vector kernel, the fifth is its Go tail — under every
+// family, both forms of idx and both layouts' strides, against NumFlux +
+// scatterAdd in edge order, bitwise (see bitwiseArch). It also checks
+// that the first edge alone is antisymmetric: what it adds to a it
+// subtracts from b. The fuzzed inputs are two states and a normal; the
+// other states and normals are exact permutations and sign flips of
+// them, so the lanes differ. The seed corpus runs under plain go test.
 func FuzzEdgeFlux(f *testing.F) {
 	inc, com := NewIncompressible().Freestream(), NewCompressible().Freestream()
 	// Freestream on both sides.
@@ -429,6 +508,9 @@ func FuzzEdgeFlux(f *testing.F) {
 	// Negative pressure (energy below the kinetic energy): the clamp.
 	f.Add(true, 1.0, 2.0, 1.0, 0.5, 0.1, 1.0, 0.5, 0.0, 0.0, 2.0, -0.4, 0.1, 0.2)
 	f.Add(true, 1.0, 0.5, 0.0, 0.0, 2.0, 0.9, 3.0, 0.0, 1.0, 0.0, 0.2, 0.2, -0.1)
+	// An incompressible group with no symmetry, and one whose θ overflows.
+	f.Add(false, 0.13, 0.9, -0.31, 0.07, 0.0, -0.2, 1.1, 0.05, -0.4, 0.0, 0.31, -0.17, 0.53)
+	f.Add(false, 1e200, 1e160, -1e170, 3.0, 0.0, -2.0, 1e155, 1e150, 1.0, 0.0, 1e160, 1e150, -1e145)
 	f.Fuzz(func(t *testing.T, compressible bool,
 		a0, a1, a2, a3, a4, b0, b1, b2, b3, b4, nx, ny, nz float64) {
 		in := []float64{a0, a1, a2, a3, a4, b0, b1, b2, b3, b4, nx, ny, nz}
@@ -443,49 +525,204 @@ func FuzzEdgeFlux(f *testing.F) {
 		}
 		b := sys.B()
 		qa, qb := in[0:b], in[5:5+b]
-		n := mesh.Vec3{X: nx, Y: ny, Z: nz}
+		states := [4][]float64{qa, qb, make([]float64, b), make([]float64, b)}
+		for c := 0; c < b; c++ {
+			states[2][c] = qb[(c+1)%b]
+			states[3][c] = -qa[b-1-c]
+		}
+		edges := []edgeData{
+			{a: 0, b: 1, n: mesh.Vec3{X: nx, Y: ny, Z: nz}},
+			{a: 1, b: 2, n: mesh.Vec3{X: ny, Y: nz, Z: nx}},
+			{a: 0, b: 2, n: mesh.Vec3{X: -nz, Y: nx, Z: ny}},
+			{a: 2, b: 3, n: mesh.Vec3{X: nx, Y: -nz, Z: -ny}},
+			{a: 3, b: 0, n: mesh.Vec3{X: -ny, Y: -nx, Z: nz}},
+		}
+		// want[v*b+c]: NumFlux and scatterAdd, edge by edge, from zero.
 		flux, scratch := make([]float64, b), make([]float64, b)
-		NumFlux(sys, qa, qb, n, flux, scratch)
-		want := make([]float64, 2*b)
-		for c, fc := range flux { // as scatterAdd accumulates into a zeroed residual
-			want[c] += +1 * fc
-			want[b+c] += -1 * fc
-		}
-		edges := []edgeData{{a: 0, b: 1, n: n}}
-		run := func(q, r []float64, sv, sc int) {
-			switch s := sys.(type) {
-			case *Incompressible:
-				fluxEdges4(s.Beta, edges, nil, q, r, sv, sc)
-			case *Compressible:
-				fluxEdges5(s.Gamma, edges, nil, q, r, sv, sc)
+		want := make([]float64, 4*b)
+		for _, e := range edges {
+			NumFlux(sys, states[e.a], states[e.b], e.n, flux, scratch)
+			for c, fc := range flux {
+				want[int(e.a)*b+c] += +1 * fc
+				want[int(e.b)*b+c] += -1 * fc
 			}
 		}
-		// Interlaced: (b, 1).
-		q := append(append([]float64(nil), qa...), qb...)
-		r := make([]float64, 2*b)
-		run(q, r, b, 1)
-		// Non-interlaced over two vertices: (1, 2).
-		qn, rn := make([]float64, 2*b), make([]float64, 2*b)
-		for c := 0; c < b; c++ {
-			qn[2*c], qn[2*c+1] = qa[c], qb[c]
+		// Interlaced (b, 1) and non-interlaced over four vertices (1, 4).
+		q, qn := make([]float64, 4*b), make([]float64, 4*b)
+		for v, st := range states {
+			for c, x := range st {
+				q[v*b+c], qn[c*4+v] = x, x
+			}
 		}
-		run(qn, rn, 1, 2)
-		for c := 0; c < b; c++ {
-			for v := 0; v < 2; v++ {
-				if !sameFloat(r[v*b+c], want[v*b+c]) {
-					t.Fatalf("%s component %d vertex %d: kernel %v (%#x), NumFlux %v (%#x)", sys.Name(), c, v,
-						r[v*b+c], math.Float64bits(r[v*b+c]), want[v*b+c], math.Float64bits(want[v*b+c]))
-				}
-				if !sameFloat(rn[2*c+v], want[v*b+c]) {
-					t.Fatalf("%s component %d vertex %d: strided kernel %v, NumFlux %v", sys.Name(), c, v,
-						rn[2*c+v], want[v*b+c])
+		for _, fam := range families() {
+			run := func(edges []edgeData, idx []int32, q, r []float64, sv, sc int) {
+				switch s := sys.(type) {
+				case *Incompressible:
+					fam.sweepFlux4(s.Beta, edges, idx, q, r, sv, sc)
+				case *Compressible:
+					fluxEdges5(s.Gamma, edges, idx, q, r, sv, sc)
 				}
 			}
-			if !(r[c] == -r[b+c]) && !(math.IsNaN(r[c]) && math.IsNaN(r[b+c])) {
-				t.Fatalf("%s component %d: edge adds %v to a and %v to b", sys.Name(), c, r[c], r[b+c])
+			for _, idx := range [][]int32{nil, {0, 1, 2, 3, 4}} {
+				r, rn := make([]float64, 4*b), make([]float64, 4*b)
+				run(edges, idx, q, r, b, 1)
+				run(edges, idx, qn, rn, 1, 4)
+				for v := 0; v < 4; v++ {
+					for c := 0; c < b; c++ {
+						w := want[v*b+c]
+						if !sameFloat(r[v*b+c], w) {
+							t.Fatalf("%s %s idx %v: vertex %d component %d: kernel %v (%#x), NumFlux %v (%#x)", fam.name, sys.Name(), idx,
+								v, c, r[v*b+c], math.Float64bits(r[v*b+c]), w, math.Float64bits(w))
+						}
+						if !sameFloat(rn[c*4+v], w) {
+							t.Fatalf("%s %s idx %v: vertex %d component %d: strided kernel %v, NumFlux %v", fam.name, sys.Name(), idx,
+								v, c, rn[c*4+v], w)
+						}
+					}
+				}
+			}
+			r := make([]float64, 4*b)
+			run(edges[:1], nil, q, r, b, 1)
+			for c := 0; c < b; c++ {
+				if !(r[c] == -r[b+c]) && !(math.IsNaN(r[c]) && math.IsNaN(r[b+c])) {
+					t.Fatalf("%s %s component %d: edge adds %v to a and %v to b", fam.name, sys.Name(), c, r[c], r[b+c])
+				}
 			}
 		}
 	})
+}
+
+// TestEdgeFluxNonFiniteState: a NaN or an infinity in one component of
+// one vertex's state gives the same residual from every family and the
+// generic sweep — bits, any NaN matching any NaN. The fuzz target skips
+// non-finite inputs.
+//
+// At β > 0 a NaN spectral radius comes only from a NaN θ, which reaches
+// every flux component anyway, so `if l2 > lam { lam = l2 }` and a max
+// instruction cannot be told apart there. A β < 0 makes θ² + β|S|²
+// negative on an edge side with a small θ: the second half puts a NaN
+// radius on one side of four vertex-disjoint edges, on the a side in
+// even lanes and the b side in odd ones, with the other side finite.
+func TestEdgeFluxNonFiniteState(t *testing.T) {
+	m := testMesh(t, 5, 4, 4)
+	d := newDisc(t, m, &Incompressible{Beta: 3.7, U0: 1}, Options{Order: 1})
+	v := int32(m.NumVertices() / 2)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for c := 0; c < 4; c++ {
+			q := roughState(d)
+			q[d.idx(v, c)] = bad
+			want := refResidual(d, q)
+			for _, fam := range families() {
+				t.Run(fmt.Sprintf("%v/component %d/%s", bad, c, fam.name), func(t *testing.T) {
+					useKernels(t, fam)
+					r := make([]float64, d.N())
+					d.Residual(q, r)
+					requireSame(t, "Residual", r, want)
+				})
+			}
+		}
+	}
+
+	sys := &Incompressible{Beta: -1, U0: 1}
+	n := mesh.Vec3{X: 1}
+	var edges []edgeData
+	q := make([]float64, 8*4)
+	for k := int32(0); k < 4; k++ {
+		edges = append(edges, edgeData{a: 2 * k, b: 2*k + 1, n: n})
+		small, large := 2*k, 2*k+1 // θ = u: 0.5² − 1 < 0, 2² − 1 > 0
+		if k%2 == 1 {
+			small, large = large, small
+		}
+		copy(q[4*small:], []float64{0.3, 0.5, 0.1, -0.2})
+		copy(q[4*large:], []float64{-0.1, 2, 0.2, 0.4})
+	}
+	want := make([]float64, len(q))
+	flux, scratch := make([]float64, 4), make([]float64, 4)
+	for _, e := range edges {
+		NumFlux(sys, q[4*e.a:4*e.a+4], q[4*e.b:4*e.b+4], e.n, flux, scratch)
+		for c, fc := range flux {
+			want[4*int(e.a)+c] += +1 * fc
+			want[4*int(e.b)+c] += -1 * fc
+		}
+	}
+	// A NaN lam stays (lane 0's vertices get NaN); a NaN l2 loses the
+	// comparison (lane 1's stay finite).
+	if !math.IsNaN(want[0]) || math.IsNaN(want[4*2]) {
+		t.Fatal("the one-sided NaN spectral radii do not reach the residual as `if l2 > lam` says; the case tests nothing")
+	}
+	for _, fam := range families() {
+		r := make([]float64, len(q))
+		fam.sweepFlux4(sys.Beta, edges, nil, q, r, 4, 1)
+		requireSame(t, fam.name+" with a one-sided NaN spectral radius", r, want)
+	}
+}
+
+// TestEdgeFluxListedPositionOutOfRange: a listed position outside the
+// edges panics in every family, as an index out of range, after the
+// edges listed before it — the vector kernel stops short of the group
+// that holds it and leaves it to the Go kernel.
+func TestEdgeFluxListedPositionOutOfRange(t *testing.T) {
+	m := testMesh(t, 4, 3, 3)
+	d := newDisc(t, m, &Incompressible{Beta: 3.7, U0: 1}, Options{Order: 1})
+	q := roughState(d)
+	for _, bad := range []int32{int32(len(d.edges)), -1} {
+		list := []int32{0, 1, 2, 3, 4, 5, bad, 7, 8}
+		want := make([]float64, d.N())
+		refEdges(d, q, want, list[:6])
+		for _, fam := range families() {
+			t.Run(fmt.Sprintf("%d/%s", bad, fam.name), func(t *testing.T) {
+				useKernels(t, fam)
+				r := make([]float64, d.N())
+				func() {
+					defer func() {
+						if _, ok := recover().(runtime.Error); !ok {
+							t.Fatal("no index-out-of-range panic")
+						}
+					}()
+					d.ResidualEdges(q, r, list)
+				}()
+				requireSame(t, "the edges before the bad position", r, want)
+			})
+		}
+	}
+}
+
+// TestEdgeFluxDispatchFollowsCPUID: the sweeps run the AVX2 family
+// exactly where CPUID reports AVX2 and the OS saves its registers, and
+// the Go family everywhere else; a discretization names the family its
+// first-order sweep runs.
+func TestEdgeFluxDispatchFollowsCPUID(t *testing.T) {
+	m := testMesh(t, 3, 3, 3)
+	inter := newDisc(t, m, NewIncompressible(), Options{Order: 1})
+	for _, d := range []*Discretization{
+		newDisc(t, m, NewIncompressible(), Options{Order: 1, Layout: sparse.NonInterlaced}),
+		newDisc(t, m, NewCompressible(), Options{Order: 1}),
+	} {
+		if got := d.FluxKernelFamily(); got != "Go" {
+			t.Errorf("%s %v: flux family %s, want Go", d.Sys.Name(), d.Opts.Layout, got)
+		}
+	}
+	if !cpuid.AVX2 {
+		if kern != &goKernels || avx2Kernels != nil || KernelFamily() != "Go" || inter.FluxKernelFamily() != "Go" {
+			t.Fatalf("no AVX2 on this host, but the %s family is chosen", kern.name)
+		}
+		t.Skip("CPUID reports no AVX2: the Go kernels run, and the assembly half is not exercised on this host")
+	}
+	if avx2Kernels == nil || kern != avx2Kernels || KernelFamily() != "AVX2" || inter.FluxKernelFamily() != "AVX2" {
+		t.Fatalf("the host has AVX2, but the %s family is chosen", kern.name)
+	}
+}
+
+// TestEdgeFluxRecordLayout: the assembly kernel reads an edge record at
+// fixed offsets — a and b at 0 and 4, the normal at 8, 16 and 24, 32
+// bytes a record.
+func TestEdgeFluxRecordLayout(t *testing.T) {
+	var e edgeData
+	got := [...]uintptr{unsafe.Sizeof(e), unsafe.Offsetof(e.a), unsafe.Offsetof(e.b),
+		unsafe.Offsetof(e.n) + unsafe.Offsetof(e.n.X), unsafe.Offsetof(e.n) + unsafe.Offsetof(e.n.Y), unsafe.Offsetof(e.n) + unsafe.Offsetof(e.n.Z)}
+	if want := [...]uintptr{32, 0, 4, 8, 16, 24}; got != want {
+		t.Fatalf("edgeData size and offsets %v, the assembly assumes %v", got, want)
+	}
 }
 
 // BenchmarkFluxSweep times one first-order interior sweep on the

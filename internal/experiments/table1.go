@@ -16,6 +16,11 @@ type Table1Row struct {
 	Interlacing bool `col:"interlacing"`
 	Blocking    bool `col:"blocking"`
 	Reordering  bool `col:"reordering"`
+	// FluxKernels is the kernel family of the row's flux sweep
+	// (Discretization.FluxKernelFamily): "AVX2" where the host has the
+	// vector kernel for the layout, so an interlaced row's ratio is the
+	// layout's and the vector form's together.
+	FluxKernels string `col:"flux kernels"`
 	// PerStep is the measured wall-clock time of one representative
 	// pseudo-timestep of kernel work on the host.
 	PerStep time.Duration `col:"measured,%.3f,ms,1e6"`
@@ -63,10 +68,11 @@ var layouts = []struct {
 
 // layoutVariant bundles the kernels of one enhancement combination.
 type layoutVariant struct {
-	flux    func()
-	spmv    func()
-	trisolv func()
-	trace   func(h *cachesim.Hierarchy, fluxEvals, sweeps int)
+	flux        func()
+	fluxKernels string // the family the flux sweep runs
+	spmv        func()
+	trisolv     func()
+	trace       func(h *cachesim.Hierarchy, fluxEvals, sweeps int)
 }
 
 // Table1Study times, best of reps, one step of fluxEvals flux sweeps and
@@ -111,7 +117,7 @@ func Table1Study(system string, nv, fluxEvals, sweeps, reps int, h *cachesim.Hie
 		h.Reset()
 		v.trace(h, fluxEvals, sweeps)
 		res.Rows = append(res.Rows, Table1Row{
-			Interlacing: c.inter, Blocking: c.block, Reordering: c.reorder,
+			Interlacing: c.inter, Blocking: c.block, Reordering: c.reorder, FluxKernels: v.fluxKernels,
 			PerStep: best,
 			Modeled: pen.Seconds(h.Counters()),
 		})
@@ -153,7 +159,7 @@ func buildVariant(m *mesh.Mesh, sys euler.System, inter, block, reorder bool) (*
 	}
 	q := d.FreestreamVector()
 	r := make([]float64, d.N())
-	v := &layoutVariant{flux: func() { d.Residual(q, r) }}
+	v := &layoutVariant{flux: func() { d.Residual(q, r) }, fluxKernels: d.FluxKernelFamily()}
 
 	// Edge stream for the trace, mirroring the discretization's order.
 	traceEdges := mesh.SortEdges(m.Edges)

@@ -1,5 +1,7 @@
 package ilu
 
+import "petscfun3d/internal/cpuid"
+
 // The AVX2 family (kernels_amd64.s): the unrolled kernels vectorised
 // across the rows of a column-major block. The solve kernels take the Go
 // kernels' arguments, row-list contract included, but index without
@@ -42,32 +44,8 @@ func forward5F32AVX2(val []float32, col, lPtr, rows []int32, lo, hi int, b, x []
 //go:noescape
 func backward5F32AVX2(val []float32, col, uPtr, rows []int32, lo, hi int, x []float64)
 
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers across context switches (OSXSAVE, and XCR0 enabling the SSE
-// and AVX state).
-func hasAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
 func init() {
-	if !hasAVX2() {
+	if !cpuid.AVX2 {
 		return
 	}
 	avx2Kernels = &blockKernels{

@@ -1,12 +1,16 @@
 package ilu
 
-import "testing"
+import (
+	"testing"
+
+	"petscfun3d/internal/cpuid"
+)
 
 // TestDispatchFollowsCPUID: the factorizations run the AVX2 family exactly
 // where CPUID reports AVX2 and the OS saves its registers, and the Go
 // family everywhere else.
 func TestDispatchFollowsCPUID(t *testing.T) {
-	if !hasAVX2() {
+	if !cpuid.AVX2 {
 		if kern != &goKernels || avx2Kernels != nil || KernelFamily() != "Go" {
 			t.Fatalf("no AVX2 on this host, but the %s family is chosen", kern.name)
 		}
