@@ -28,32 +28,38 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fun3d: ")
-	var cfg = core.DefaultConfig()
-	vertices := flag.Int("vertices", 22677, "target mesh vertex count")
-	meshFile := flag.String("mesh", "", "read the mesh from this file instead of generating one")
+	// Every solver flag is bound to its cfg field with
+	// core.DefaultConfig()'s value as the default; only the mesh size
+	// differs: the paper's smallest M6 mesh.
+	cfg := core.DefaultConfig()
+	cfg.TargetVertices = 22677
+	flag.IntVar(&cfg.TargetVertices, "vertices", cfg.TargetVertices, "target mesh vertex count")
+	flag.StringVar(&cfg.MeshFile, "mesh", cfg.MeshFile, "read the mesh from this file instead of generating one")
 	writeMesh := flag.String("write-mesh", "", "write the (possibly renumbered) mesh to this file and continue")
-	system := flag.String("system", "incompressible", "incompressible|compressible")
-	order := flag.Int("order", 1, "flux discretization order (1 or 2)")
-	limit := flag.Bool("limit", false, "apply the van Albada flux limiter (second-order only)")
-	viscosity := flag.Float64("viscosity", 0, "Galerkin momentum diffusion coefficient (0 = Euler)")
-	switchAt := flag.Float64("switch-order-at", 0, "residual reduction at which to switch 1st->2nd order (0=off)")
-	cfl0 := flag.Float64("cfl0", 10, "initial CFL number")
-	serP := flag.Float64("ser-exponent", 1.0, "SER power-law exponent")
-	reltol := flag.Float64("reltol", 1e-8, "residual reduction target")
-	maxSteps := flag.Int("max-steps", 100, "maximum pseudo-timesteps")
-	restart := flag.Int("gmres-restart", 20, "GMRES restart dimension")
-	maxIts := flag.Int("gmres-maxits", 40, "GMRES iteration cap per Newton step")
-	ktol := flag.Float64("gmres-rtol", 1e-2, "GMRES relative tolerance")
-	orthog := flag.String("orthogonalization", "mgs", "GMRES Gram-Schmidt variant: "+strings.Join(krylov.Orthogonalizations, "|")+" (all but mgs use the fused one-pass MDot/MAxpy kernels)")
-	fill := flag.Int("ilu-fill", 0, "ILU fill level k")
-	overlap := flag.Int("overlap", 0, "Schwarz subdomain overlap")
-	single := flag.Bool("single-precision-pc", false, "store preconditioner factors in float32")
-	ranks := flag.Int("ranks", 1, "virtual ranks (1 = sequential with real wall time)")
-	threads := flag.Int("threads", 1, "node-level worker threads for the threaded kernels (flux, tri-solve, SpMV, reductions)")
-	partitioner := flag.String("partitioner", "kway", "kway|pway")
-	profile := flag.String("profile", "ASCI Red", "machine profile for parallel cost model")
-	edgeOrdering := flag.String("edge-ordering", "sorted", "sorted|colored flux loop order")
-	rcm := flag.Bool("rcm", true, "renumber vertices with Reverse Cuthill-McKee")
+	flag.StringVar(&cfg.System, "system", cfg.System, "incompressible|compressible")
+	flag.IntVar(&cfg.Order, "order", cfg.Order, "flux discretization order (1 or 2)")
+	flag.BoolVar(&cfg.Limit, "limit", cfg.Limit, "apply the van Albada flux limiter (second-order only)")
+	flag.Float64Var(&cfg.Viscosity, "viscosity", cfg.Viscosity, "Galerkin momentum diffusion coefficient (0 = Euler)")
+	flag.Float64Var(&cfg.SwitchOrderAt, "switch-order-at", cfg.SwitchOrderAt, "residual reduction at which to switch 1st->2nd order (0=off)")
+	nopts := &cfg.Newton
+	flag.Float64Var(&nopts.CFL0, "cfl0", nopts.CFL0, "initial CFL number")
+	flag.Float64Var(&nopts.SERExponent, "ser-exponent", nopts.SERExponent, "SER power-law exponent")
+	flag.Float64Var(&nopts.RelTol, "reltol", nopts.RelTol, "residual reduction target")
+	flag.IntVar(&nopts.MaxSteps, "max-steps", nopts.MaxSteps, "maximum pseudo-timesteps")
+	flag.IntVar(&nopts.Krylov.Restart, "gmres-restart", nopts.Krylov.Restart, "GMRES restart dimension")
+	flag.IntVar(&nopts.Krylov.MaxIters, "gmres-maxits", nopts.Krylov.MaxIters, "GMRES iteration cap per Newton step")
+	flag.Float64Var(&nopts.Krylov.RelTol, "gmres-rtol", nopts.Krylov.RelTol, "GMRES relative tolerance")
+	flag.StringVar(&nopts.Krylov.Orthogonalization, "orthogonalization", nopts.Krylov.Mechanism(),
+		"GMRES Gram-Schmidt variant: "+strings.Join(krylov.Orthogonalizations, "|")+" (all but mgs use the fused one-pass MDot/MAxpy kernels)")
+	flag.IntVar(&cfg.FillLevel, "ilu-fill", cfg.FillLevel, "ILU fill level k")
+	flag.IntVar(&cfg.Overlap, "overlap", cfg.Overlap, "Schwarz subdomain overlap")
+	flag.BoolVar(&cfg.SinglePrecision, "single-precision-pc", cfg.SinglePrecision, "store preconditioner factors in float32 (=false stores float64)")
+	flag.IntVar(&cfg.Ranks, "ranks", cfg.Ranks, "virtual ranks (1 = sequential with real wall time)")
+	flag.IntVar(&cfg.Threads, "threads", cfg.Threads, "node-level worker threads for the threaded kernels (flux, tri-solve, SpMV, reductions)")
+	flag.StringVar(&cfg.Partitioner, "partitioner", cfg.Partitioner, "kway|pway")
+	profile := flag.String("profile", cfg.Profile.Name, "machine profile for parallel cost model")
+	flag.StringVar(&cfg.EdgeOrdering, "edge-ordering", cfg.EdgeOrdering, "sorted|colored flux loop order")
+	flag.BoolVar(&cfg.RCM, "rcm", cfg.RCM, "renumber vertices with Reverse Cuthill-McKee")
 	profileJSON := flag.String("profile-json", "", "measure per-phase wall time and write the profile report (JSON) to this file")
 	distRanks := flag.String("dist-ranks", "2,4,8", "with -profile-json and -ranks>1: rank counts for the measured overlapped-halo efficiency sweep (comma-separated, ascending; empty disables)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "run the chaos sweep (measured η_impl vs injected skew) starting at this fault seed instead of solving (0 = off)")
@@ -61,29 +67,6 @@ func main() {
 	chaosSeeds := flag.Int("chaos-seeds", 4, "number of consecutive fault seeds the chaos sweep covers")
 	flag.Parse()
 
-	cfg.TargetVertices = *vertices
-	cfg.MeshFile = *meshFile
-	cfg.System = *system
-	cfg.Order = *order
-	cfg.Limit = *limit
-	cfg.Viscosity = *viscosity
-	cfg.SwitchOrderAt = *switchAt
-	cfg.Newton.CFL0 = *cfl0
-	cfg.Newton.SERExponent = *serP
-	cfg.Newton.RelTol = *reltol
-	cfg.Newton.MaxSteps = *maxSteps
-	cfg.Newton.Krylov.Restart = *restart
-	cfg.Newton.Krylov.MaxIters = *maxIts
-	cfg.Newton.Krylov.RelTol = *ktol
-	cfg.Newton.Krylov.Orthogonalization = *orthog
-	cfg.FillLevel = *fill
-	cfg.Overlap = *overlap
-	cfg.SinglePrecision = *single
-	cfg.Ranks = *ranks
-	cfg.Threads = *threads
-	cfg.Partitioner = *partitioner
-	cfg.EdgeOrdering = *edgeOrdering
-	cfg.RCM = *rcm
 	machProf, err := perfmodel.ProfileByName(*profile)
 	if err != nil {
 		log.Fatal(err)

@@ -165,8 +165,9 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 		},
 		// One GMRES matvec: ghost update, matrix-free flux evaluation,
 		// the iteration's vector work, and the orthogonalization/norm
-		// reductions. The synchronization count follows the configured
-		// mechanism — krylov.Stats.Reductions draws the same distinction
+		// reductions. The synchronization count follows the mechanism the
+		// solve runs (krylov.Options.Mechanism, which resolves the
+		// default) — krylov.Stats.Reductions draws the same distinction
 		// in the real solve: per-vector mgs pays one single-word round
 		// per basis vector plus the norm (half the restart length on
 		// average), the fused cgs/cgs2 paths batch the whole projection
@@ -181,8 +182,8 @@ func RunParallel(cfg Config) (*ParallelResult, error) {
 				chargeFlux()
 				chargeVecOps(krylovVecSweeps)
 				meanCol := cfg.Newton.Krylov.Restart/2 + 1
-				switch cfg.Newton.Krylov.Orthogonalization {
-				case "", "mgs":
+				switch cfg.Newton.Krylov.Mechanism() {
+				case "mgs":
 					for i := 0; i < meanCol; i++ {
 						mach.AllReduce(1)
 					}

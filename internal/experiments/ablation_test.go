@@ -26,7 +26,7 @@ func TestAblationShape(t *testing.T) {
 			t.Errorf("%s=%s: empty counters", r.Parameter, r.Value)
 		}
 	}
-	for _, p := range []string{"gmres-restart", "inner-rtol", "ser-exponent", "jacobian-lag", "ilu-fill"} {
+	for _, p := range []string{"gmres-restart", "inner-rtol", "ser-exponent", "jacobian-lag", "ilu-fill", "orthogonalization", "factor-precision"} {
 		if !seen[p] {
 			t.Errorf("parameter %s missing from sweep", p)
 		}

@@ -47,8 +47,9 @@ type Identity struct{}
 func (Identity) Apply(r, z []float64) { copy(z, r) }
 
 // Orthogonalizations lists the accepted Options.Orthogonalization
-// names; the empty string selects the first.
-var Orthogonalizations = []string{"mgs", "cgs", "cgs2", "cgs1"}
+// names; the first is the default, which the empty string selects
+// (Options.Mechanism).
+var Orthogonalizations = []string{"cgs", "mgs", "cgs2", "cgs1"}
 
 // Options configures a GMRES solve.
 type Options struct {
@@ -64,18 +65,20 @@ type Options struct {
 	// AbsTol is the absolute residual tolerance.
 	AbsTol float64
 	// Orthogonalization selects the Gram-Schmidt variant, one of
-	// Orthogonalizations: "mgs" (modified, default — j+1 sequential
-	// inner products per iteration, j+2 reduction rounds), "cgs"
-	// (classical — all j+1 products from one fused par.MDot pass over w
-	// and all subtractions from one par.MAxpy sweep: 2 rounds and ~2.5×
-	// less memory traffic per iteration; slightly less stable), "cgs2"
-	// (classical with one selective DGKS reorthogonalization pass — the
-	// pre-projection ‖w‖² rides the same fused pass, and a second
-	// MDot/MAxpy round runs only when the projection cancelled more than
-	// half of w's mass; CGS speed with MGS-class orthogonality), or
-	// "cgs1" (classical with ONE round per iteration: the post-projection
-	// norm is derived from the batch instead of reduced again — what
-	// internal/dist runs, where a round is a global synchronization).
+	// Orthogonalizations ("" is the first, see Mechanism): "cgs"
+	// (classical, the default and PETSc's — all j+1 products from one
+	// fused par.MDot pass over w and all subtractions from one
+	// par.MAxpy sweep: 2 rounds and ~2.5× less memory traffic per
+	// iteration; slightly less stable), "mgs" (modified — j+1
+	// sequential inner products per iteration, j+2 reduction rounds),
+	// "cgs2" (classical with one selective DGKS reorthogonalization
+	// pass — the pre-projection ‖w‖² rides the same fused pass, and a
+	// second MDot/MAxpy round runs only when the projection cancelled
+	// more than half of w's mass; CGS speed with MGS-class
+	// orthogonality), or "cgs1" (classical with ONE round per
+	// iteration: the post-projection norm is derived from the batch
+	// instead of reduced again — what internal/dist runs, where a round
+	// is a global synchronization).
 	// The paper lists the orthogonalization mechanism among the Krylov
 	// tunables.
 	Orthogonalization string
@@ -89,6 +92,15 @@ type Options struct {
 // DefaultOptions mirror the paper's customary settings.
 func DefaultOptions() Options {
 	return Options{Restart: 20, MaxIters: 80, RelTol: 1e-2, AbsTol: 1e-30}
+}
+
+// Mechanism is the orthogonalization a solve with these options runs:
+// Orthogonalization, or the default Orthogonalizations[0] when it is "".
+func (o Options) Mechanism() string {
+	if o.Orthogonalization == "" {
+		return Orthogonalizations[0]
+	}
+	return o.Orthogonalization
 }
 
 // Validate rejects settings no solve can honor, naming the field.
@@ -243,7 +255,7 @@ func (ws *Workspace) SolveOn(sp Space, apply func(x, y []float64) error, pc func
 	}
 	ksp := sp.Prof.Begin(prof.PhaseKrylov)
 	defer ksp.End(0, 0)
-	mr := opts.Restart
+	mr, mech := opts.Restart, opts.Mechanism()
 	ws.fit(n, mr, opts.Pool)
 
 	s := &ws.gmres
@@ -289,7 +301,7 @@ func (ws *Workspace) SolveOn(sp Space, apply func(x, y []float64) error, pc func
 			osp := sp.Prof.Begin(prof.PhaseOrtho)
 			sp.Prof.NoteThreads(prof.PhaseOrtho, opts.Pool.Workers())
 			s.flops, s.bytes = 0, 0
-			hn := s.orthogonalize(opts.Orthogonalization, j)
+			hn := s.orthogonalize(mech, j)
 			if hn > 1e-300 {
 				scaleInto(v[j+1], w, 1/hn)
 			} else {
@@ -477,9 +489,10 @@ func (s *gmres) axpy(a float64, x, y []float64) {
 	s.maxpy(s.one[:], s.pair[:], y)
 }
 
-// orthogonalize projects w against v[0..j] by the named mechanism,
-// filling rows 0..j of Hessenberg column j, and returns the global ‖w‖
-// left after the projection (the column's row j+1).
+// orthogonalize projects w against v[0..j] by the named mechanism (one
+// of Orthogonalizations; Options.Mechanism resolves ""), filling rows
+// 0..j of Hessenberg column j, and returns the global ‖w‖ left after
+// the projection (the column's row j+1).
 func (s *gmres) orthogonalize(mech string, j int) float64 {
 	switch mech {
 	case "cgs":
@@ -509,18 +522,21 @@ func (s *gmres) orthogonalize(mech string, j int) float64 {
 		// by it (DESIGN.md §9). The clamp covers cancellation at
 		// breakdown; every address space derives the same value.
 		return math.Sqrt(max(s.fusedPass(j, true, s.v[j], false), 0))
+	case "mgs":
+		// Modified Gram-Schmidt: one round per basis vector, w streamed
+		// 2(j+1) times.
+		vs := s.v[:j+1]
+		for i, vi := range vs {
+			hij := s.dot(s.w, vi)
+			s.st.InnerProds++
+			s.st.Reductions++
+			s.h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
+			s.axpy(-hij, vi, s.w)
+		}
+		return s.norm(s.w)
 	}
-	// Modified Gram-Schmidt: one round per basis vector, w streamed
-	// 2(j+1) times.
-	vs := s.v[:j+1]
-	for i, vi := range vs {
-		hij := s.dot(s.w, vi)
-		s.st.InnerProds++
-		s.st.Reductions++
-		s.h[i][j] = hij //lint:bce-ok one O(1) Hessenberg store per O(n) projection sweep; the row lengths are not provable
-		s.axpy(-hij, vi, s.w)
-	}
-	return s.norm(s.w)
+	//lint:panic-ok invariant: SolveOn validated the options and Mechanism resolved "", so mech is one of Orthogonalizations
+	panic("krylov: unvalidated orthogonalization " + mech)
 }
 
 // fusedPass is one classical Gram-Schmidt pass on the fused kernels:

@@ -210,6 +210,40 @@ func TestGMRESInputValidation(t *testing.T) {
 	}
 }
 
+// TestEmptyOrthogonalizationIsFirst: an unset Orthogonalization runs
+// the default, Orthogonalizations[0] — the same Stats and bitwise the
+// same x — with and without a pool, and through Mechanism only: the
+// solver keeps no default of its own.
+func TestEmptyOrthogonalizationIsFirst(t *testing.T) {
+	a := wingMatrix(t, 6, 5, 4, 4, 21)
+	f, err := ilu.Factor(a, ilu.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, a.N())
+	for i := range b {
+		b[i] = math.Sin(float64(i)*0.31) + 0.1
+	}
+	if got := (Options{}).Mechanism(); got != Orthogonalizations[0] {
+		t.Fatalf(`Options{}.Mechanism() = %q, want Orthogonalizations[0] = %q`, got, Orthogonalizations[0])
+	}
+	pool := par.New(2)
+	defer pool.Close()
+	for _, p := range []*par.Pool{nil, pool} {
+		solve := func(mech string) (Stats, []float64, error) {
+			x := make([]float64, a.N())
+			st, err := Solve(OperatorFunc(a.MulVec), PrecondFunc(f.Solve), b, x,
+				Options{Restart: 8, MaxIters: 30, RelTol: 1e-10, Orthogonalization: mech, Pool: p})
+			return st, x, err
+		}
+		want, wantX, wantErr := solve(Orthogonalizations[0])
+		st, x, err := solve("")
+		if e := sameOutcome(st, want, err, wantErr, x, wantX); e != nil {
+			t.Errorf("%d workers: \"\" differs from %q: %v", p.Workers(), Orthogonalizations[0], e)
+		}
+	}
+}
+
 // TestNonFiniteOperatorStops: an operator that emits a NaN at its fifth
 // apply — with Restart 2 the first step of the second cycle (apply 1 is
 // the initial residual, 2-3 the first cycle, 4 the restart residual) —

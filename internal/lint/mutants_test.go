@@ -50,6 +50,8 @@ const (
 	ruleExchange    = "blocking Exchange in the window"
 
 	ruleWorkerSum   = "worker-shaped sum"
+	ruleFoldAssign  = "fold assigns a partial"
+	ruleFoldOrder   = "fold out of segment order"
 	ruleRunClosed   = "Run on a closed pool"
 	ruleNestedRun   = "nested Run from a task"
 	ruleCloseInRun  = "Close during Run"
@@ -154,6 +156,18 @@ var mutants = []mutant{
 				"\t\tfor s := s0; s < s1; s++ {\n\t\t\tt.parts[k*Segments+s] = 0\n\t\t}\n" +
 				"\t\tt.parts[k*Segments+s0] = sum\n" +
 				"\t}\n",
+		}},
+		Pkgs: parPkgs, Run: "."},
+
+	// fixedreduce: MDot's one-worker fold (no pool task, so no site)
+	// must be combine's — every partial added, in ascending segments.
+	{Analyzer: "fixedreduce", Rule: ruleFoldAssign,
+		File: "internal/par/mreduce.go", Edits: []edit{{Old: "\t\t\tout[k] += p0\n", New: "\t\t\tout[k] = p0\n"}},
+		Pkgs: parPkgs, Run: "."},
+	{Analyzer: "fixedreduce", Rule: ruleFoldOrder,
+		File: "internal/par/mreduce.go", Edits: []edit{{
+			Old: "\tfor s := 0; s < Segments; s++ {\n",
+			New: "\tfor s := Segments - 1; s >= 0; s-- {\n",
 		}},
 		Pkgs: parPkgs, Run: "."},
 

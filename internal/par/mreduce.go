@@ -24,44 +24,36 @@ package par
 // x, each product through the fixed-shape segmented reduction (bitwise
 // identical to Dot at any worker count, nil pool included). out must
 // hold at least len(vs) entries; every vector of vs must have x's
-// length. The pool's partial-sum scratch grows to the largest vs seen;
+// length. On one worker (a nil pool or a 1-worker one) the partials
+// are folded into out as they are produced and no scratch exists; a
+// threaded pool's partial-sum scratch grows to the largest vs seen, and
 // a caller that knows its largest batch reserves it once (ReserveMDot)
-// and then no MDot allocates.
+// so that no MDot allocates.
 func MDot(p *Pool, x []float64, vs [][]float64, out []float64) {
 	k := len(vs)
 	if k == 0 {
 		return
 	}
-	if p == nil {
-		// One worker, no pool scratch: the per-vector reference path
-		// (same partials, same combine — bitwise identical to the fused
-		// path, which exists to batch barriers and memory passes).
-		var parts [Segments]float64
-		for i, vi := range vs {
-			dotSegments(x, vi, 0, Segments, &parts)
-			out[i] = combine(&parts)
-		}
+	if p == nil || p.nw == 1 {
+		mdotFold(x, vs, out)
 		return
 	}
 	p.ReserveMDot(k)
 	parts := p.mdotParts[:k*Segments]
-	if p.nw == 1 {
-		mdotSegments(x, vs, 0, Segments, parts)
-	} else {
-		t := &p.mdotT
-		t.x, t.vs, t.parts = x, vs, parts
-		p.Run(t)
-		t.x, t.vs, t.parts = nil, nil, nil
-	}
+	t := &p.mdotT
+	t.x, t.vs, t.parts = x, vs, parts
+	p.Run(t)
+	t.x, t.vs, t.parts = nil, nil, nil
 	for i := range vs {
 		out[i] = combineSeg(parts[i*Segments:])
 	}
 }
 
-// ReserveMDot sizes the pool's partial-sum scratch for MDot batches of
-// up to k vectors (a no-op on a nil pool or one already that large).
+// ReserveMDot sizes a threaded pool's partial-sum scratch for MDot
+// batches of up to k vectors (a no-op on one worker, which needs none,
+// or on a pool already that large).
 func (p *Pool) ReserveMDot(k int) {
-	if p != nil && cap(p.mdotParts) < k*Segments {
+	if p != nil && p.nw > 1 && cap(p.mdotParts) < k*Segments {
 		p.mdotParts = make([]float64, k*Segments)
 	}
 }
@@ -116,6 +108,32 @@ func mdotSegments(x []float64, vs [][]float64, s0, s1 int, parts []float64) {
 		}
 		for ; k < len(vs); k++ {
 			parts[k*Segments+s] = mdotSeg1(xs, vs[k][lo:hi])
+		}
+	}
+}
+
+// mdotFold is MDot on one worker: it streams each segment of x once
+// across all vectors (four at a time) and adds each vector's segment
+// partial to out[i] as it is produced. The segments come in ascending
+// order onto out[i] = 0, so the fold is combine's, bit for bit, and the
+// partials need no scratch.
+func mdotFold(x []float64, vs [][]float64, out []float64) {
+	out = out[:len(vs)] // bce: ties len(out) to len(vs); the k index serves both unchecked
+	clear(out)
+	n := len(x)
+	for s := 0; s < Segments; s++ {
+		lo, hi := n*s/Segments, n*(s+1)/Segments
+		xs := x[lo:hi]
+		k := 0
+		for ; k+4 <= len(vs); k += 4 {
+			p0, p1, p2, p3 := mdotSeg4(xs, vs[k][lo:hi], vs[k+1][lo:hi], vs[k+2][lo:hi], vs[k+3][lo:hi])
+			out[k] += p0
+			out[k+1] += p1
+			out[k+2] += p2
+			out[k+3] += p3
+		}
+		for ; k < len(vs); k++ {
+			out[k] += mdotSeg1(xs, vs[k][lo:hi])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,37 +26,44 @@ func basisFor(seed int64, k, n int) (x []float64, vs [][]float64) {
 }
 
 // TestMDotBitwiseIdenticalToDot is the determinism grid of the fused
-// multi-dot: every out[i] must equal Dot(p, x, vs[i]) bitwise at every
-// worker count and every basis size (including the group-of-4 kernel's
-// remainder lanes), nil pool included.
+// multi-dot: every out[i] must equal Dot(p, x, vs[i]) bit for bit on
+// one worker (the nil pool and a 1-worker pool, which fold partials
+// into out as they come) and at every threaded worker count, for every
+// basis size mod 4 (the group-of-4 kernel's remainder lanes) and
+// lengths on both sides of the segment count. x carries a −0 and one
+// basis vector a NaN, so a fold that loses a sign or a NaN shows.
 func TestMDotBitwiseIdenticalToDot(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 63, 64, 65, 1000, 12345} {
-		for _, k := range []int{1, 2, 3, 4, 5, 8, 9} {
+	for _, n := range []int{0, 1, 5, 63, 64, 65, 1000, 4099, 12345} {
+		for k := 0; k <= 9; k++ {
 			x, vs := basisFor(int64(101*n+k), k, n)
+			if n > 0 {
+				x[n-1] = math.Copysign(0, -1)
+			}
+			if n > 0 && k > 2 {
+				vs[2][n/2] = math.NaN()
+			}
 			want := make([]float64, k)
 			for i, vi := range vs {
 				want[i] = Dot(nil, x, vi)
 			}
 			got := make([]float64, k)
-			MDot(nil, x, vs, got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("nil pool n=%d k=%d: out[%d]=%x, want %x", n, k, i, got[i], want[i])
-				}
-			}
-			for _, nw := range []int{1, 2, 4, 8} {
-				p := New(nw)
+			check := func(label string, p *Pool) {
 				for rep := 0; rep < 2; rep++ {
 					for i := range got {
-						got[i] = 0
+						got[i] = 1 // stale values the call must overwrite
 					}
 					MDot(p, x, vs, got)
 					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("n=%d k=%d nw=%d rep=%d: out[%d]=%x, want %x", n, k, nw, rep, i, got[i], want[i])
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s n=%d k=%d rep=%d: out[%d]=%x, want %x", label, n, k, rep, i, got[i], want[i])
 						}
 					}
 				}
+			}
+			check("nil pool", nil)
+			for _, nw := range []int{1, 2, 4, 8} {
+				p := New(nw)
+				check(fmt.Sprintf("nw=%d", nw), p)
 				p.Close()
 			}
 		}
@@ -146,10 +154,17 @@ func TestReserveMDotSizesScratchOnce(t *testing.T) {
 	}
 	var nilPool *Pool
 	nilPool.ReserveMDot(12) // a nil pool has no scratch: a no-op
+	one := New(1)
+	defer one.Close()
+	one.ReserveMDot(12)
+	MDot(one, x, vs, out)
+	if one.mdotParts != nil {
+		t.Fatalf("a 1-worker pool grew %d partials of scratch; its MDot folds without any", len(one.mdotParts))
+	}
 }
 
 // TestMReduceSteadyStateAllocs pins the zero-allocation contract of
-// both fused kernels on a warmed pool.
+// both fused kernels on the nil pool and on a warmed threaded pool.
 func TestMReduceSteadyStateAllocs(t *testing.T) {
 	p := New(4)
 	defer p.Close()
@@ -161,11 +176,13 @@ func TestMReduceSteadyStateAllocs(t *testing.T) {
 	out := make([]float64, 8)
 	MDot(p, x, vs, out) // warm the scratch
 	var sink float64
-	if avg := testing.AllocsPerRun(100, func() { MDot(p, x, vs, out); sink += out[0] }); avg > 0 {
-		t.Fatalf("MDot allocates %.1f objects per call", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() { MAxpy(p, alphas, vs, x) }); avg > 0 {
-		t.Fatalf("MAxpy allocates %.1f objects per call", avg)
+	for _, pool := range []*Pool{nil, p} {
+		if avg := testing.AllocsPerRun(100, func() { MDot(pool, x, vs, out); sink += out[0] }); avg > 0 {
+			t.Fatalf("MDot on %d workers allocates %.1f objects per call", pool.Workers(), avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { MAxpy(pool, alphas, vs, x) }); avg > 0 {
+			t.Fatalf("MAxpy on %d workers allocates %.1f objects per call", pool.Workers(), avg)
+		}
 	}
 	if math.IsNaN(sink) {
 		t.Fatal("unreachable")

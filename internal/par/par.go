@@ -62,8 +62,9 @@ type Pool struct {
 	// Reusable task values and partial-sum scratch for the reduction
 	// primitives in reduce.go and the fused multi-vector kernels in
 	// mreduce.go; kept on the pool so the hot path never allocates
-	// (mdotParts grows to the largest batch seen or reserved, then is
-	// reused). Their use is serialized by the pool's one-caller rule.
+	// (on a threaded pool mdotParts grows to the largest batch seen or
+	// reserved, then is reused; one worker needs none). Their use is
+	// serialized by the pool's one-caller rule.
 	dotT      dotTask
 	axpyT     axpyTask
 	mdotT     mdotTask
