@@ -29,14 +29,14 @@ fmt:
 vet:
 	go vet ./...
 
-# The pure-Go fallback: the AVX2 kernels of internal/ilu and
-# internal/euler, and the CPUID probe that chooses them (internal/cpuid),
-# exist on amd64 only (*_amd64.s), so an architecture without them must
-# still build, and vet the packages whose Go kernels and probe-less
-# defaults then run.
+# The pure-Go fallback: the AVX2 kernels of internal/ilu, internal/euler
+# and internal/sparse, and the CPUID probe that chooses them
+# (internal/cpuid), exist on amd64 only (*_amd64.s), so an architecture
+# without them must still build, and vet the packages whose Go kernels
+# and probe-less defaults then run.
 fallback:
 	GOARCH=arm64 go build ./...
-	GOARCH=arm64 go vet ./internal/ilu ./internal/euler ./internal/cpuid
+	GOARCH=arm64 go vet ./internal/ilu ./internal/euler ./internal/sparse ./internal/cpuid
 
 # Wall-time guard on the static gate: the whole suite runs in a few
 # seconds, so a generous ceiling only trips if an analyzer has gotten
@@ -94,9 +94,13 @@ threads: threads-grid
 # internal/euler against the generic sweep through the System interface
 # — bitwise over systems × layouts × edge orderings at every entry point,
 # the FuzzEdgeFlux seed corpus, and the shared-Discretization race test —
-# under the race detector (CI runs it by name).
+# and the AVX2 BCSR products of internal/sparse against their Go kernels
+# (MulVec, MulVecAddRows alone and on a column split, MulVecPar at 1-4
+# workers, special values, a malformed matrix, the FuzzMulVecKernels
+# seed corpus, the family following CPUID) — under the race detector
+# (CI runs it by name).
 kernels-grid:
-	$(call named_gate,'KernelsMatch|EdgeFlux|SharedDiscretization|OperandOrders',./internal/euler,-race)
+	$(call named_gate,'KernelsMatch|EdgeFlux|SharedDiscretization|OperandOrders|MulVecKernels|MulVecDispatch',./internal/euler ./internal/sparse,-race)
 
 # Factor-storage gate: float32 factors are the float64 factorization
 # rounded once, bit for bit, eliminated in a window whose plan never
@@ -135,12 +139,13 @@ dist-grid:
 allocs:
 	$(call named_gate,'StepAllocates|AllocationLedger|MatrixRefreshSteadyStateAllocs',./internal/core ./internal/dist,-v)
 
-# The tree's native fuzz targets, 20 s each: two kernel equivalences and
-# the mesh-file input boundary. A failing input is written under the
+# The tree's native fuzz targets, 20 s each: three kernel equivalences
+# and the mesh-file input boundary. A failing input is written under the
 # package's testdata/fuzz and then runs with plain go test.
 fuzz:
 	go test -run '^$$' -fuzz FuzzEdgeFlux -fuzztime 20s ./internal/euler
 	go test -run '^$$' -fuzz FuzzBlockKernels -fuzztime 20s ./internal/ilu
+	go test -run '^$$' -fuzz FuzzMulVecKernels -fuzztime 20s ./internal/sparse
 	go test -run '^$$' -fuzz FuzzRead -fuzztime 20s ./internal/mesh
 
 # Mutation scoreboard (minutes; not part of verify): every row of the

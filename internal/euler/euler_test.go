@@ -129,8 +129,8 @@ func TestPhysJacobianMatchesFiniteDifference(t *testing.T) {
 			sys.PhysFlux(qp, n, f1)
 			for r := 0; r < b; r++ {
 				fd := (f1[r] - f0[r]) / h
-				if math.Abs(fd-jac[r*b+c]) > 1e-5*(1+math.Abs(fd)) {
-					t.Errorf("%s: dF%d/dq%d analytic %g, fd %g", sys.Name(), r, c, jac[r*b+c], fd)
+				if math.Abs(fd-jac[c*b+r]) > 1e-5*(1+math.Abs(fd)) { // column-major
+					t.Errorf("%s: dF%d/dq%d analytic %g, fd %g", sys.Name(), r, c, jac[c*b+r], fd)
 				}
 			}
 		}

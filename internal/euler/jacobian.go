@@ -306,7 +306,8 @@ func jacEdges5(sys *Compressible, edges []edgeData, idx, ab, ba, diag []int32, q
 	}
 }
 
-// wallJacobian computes d(wallFlux)/dq into j (row-major b×b).
+// wallJacobian computes d(wallFlux)/dq into j (column-major b×b, as
+// PhysJacobian: entry (r, c) at j[c*b+r]).
 func (d *Discretization) wallJacobian(q []float64, s mesh.Vec3, j []float64) {
 	b := d.Sys.B()
 	for k := range j[:b*b] {
@@ -314,10 +315,10 @@ func (d *Discretization) wallJacobian(q []float64, s mesh.Vec3, j []float64) {
 	}
 	switch sys := d.Sys.(type) {
 	case *Incompressible:
-		// Momentum rows depend only on p (component 0).
-		j[1*b+0] = s.X
-		j[2*b+0] = s.Y
-		j[3*b+0] = s.Z
+		// Momentum rows depend only on p (component 0): column 0.
+		j[0*b+1] = s.X
+		j[0*b+2] = s.Y
+		j[0*b+3] = s.Z
 	case *Compressible:
 		g1 := sys.Gamma - 1
 		rho := q[0]
@@ -325,9 +326,9 @@ func (d *Discretization) wallJacobian(q []float64, s mesh.Vec3, j []float64) {
 		phi := 0.5 * g1 * (u*u + v*v + w*w)
 		dp := [5]float64{phi, -g1 * u, -g1 * v, -g1 * w, g1}
 		for c := 0; c < 5; c++ {
-			j[1*b+c] = s.X * dp[c]
-			j[2*b+c] = s.Y * dp[c]
-			j[3*b+c] = s.Z * dp[c]
+			j[c*b+1] = s.X * dp[c]
+			j[c*b+2] = s.Y * dp[c]
+			j[c*b+3] = s.Z * dp[c]
 		}
 	default:
 		//lint:panic-ok internal invariant: the system enum is validated when the problem is configured

@@ -16,7 +16,8 @@ type System interface {
 	// PhysFlux evaluates the physical flux through directed area S,
 	// F(q)·S, into out (length B).
 	PhysFlux(q []float64, s mesh.Vec3, out []float64)
-	// PhysJacobian evaluates d(F(q)·S)/dq into j (row-major B×B).
+	// PhysJacobian evaluates d(F(q)·S)/dq into j, column-major B×B as
+	// sparse.BCSR stores a block: d(F·S)_r/dq_c at j[c*B+r].
 	PhysJacobian(q []float64, s mesh.Vec3, j []float64)
 	// SpectralRadius returns the largest characteristic speed through S
 	// (scaled by |S|), used for upwind dissipation and timestep limits.
@@ -62,14 +63,14 @@ func (s *Incompressible) PhysFlux(q []float64, n mesh.Vec3, out []float64) {
 func (s *Incompressible) PhysJacobian(q []float64, n mesh.Vec3, j []float64) {
 	u, v, w := q[1], q[2], q[3]
 	theta := u*n.X + v*n.Y + w*n.Z
-	// Row 0: continuity.
-	j[0], j[1], j[2], j[3] = 0, s.Beta*n.X, s.Beta*n.Y, s.Beta*n.Z
-	// Row 1: x-momentum.
-	j[4], j[5], j[6], j[7] = n.X, theta+u*n.X, u*n.Y, u*n.Z
-	// Row 2: y-momentum.
-	j[8], j[9], j[10], j[11] = n.Y, v*n.X, theta+v*n.Y, v*n.Z
-	// Row 3: z-momentum.
-	j[12], j[13], j[14], j[15] = n.Z, w*n.X, w*n.Y, theta+w*n.Z
+	// Column 0: d/dp (rows continuity, x-, y-, z-momentum).
+	j[0], j[1], j[2], j[3] = 0, n.X, n.Y, n.Z
+	// Column 1: d/du.
+	j[4], j[5], j[6], j[7] = s.Beta*n.X, theta+u*n.X, v*n.X, w*n.X
+	// Column 2: d/dv.
+	j[8], j[9], j[10], j[11] = s.Beta*n.Y, u*n.Y, theta+v*n.Y, w*n.Y
+	// Column 3: d/dw.
+	j[12], j[13], j[14], j[15] = s.Beta*n.Z, u*n.Z, v*n.Z, theta+w*n.Z
 }
 
 // SpectralRadius implements System: |θ| + sqrt(θ² + β|S|²), the largest
@@ -141,31 +142,35 @@ func (s *Compressible) PhysJacobian(q []float64, n mesh.Vec3, j []float64) {
 	phi := 0.5 * g1 * (u*u + v*v + w*w)
 	p := s.Pressure(q)
 	h := (q[4] + p) / rho // total enthalpy
-	// Row 0.
-	j[0], j[1], j[2], j[3], j[4] = 0, n.X, n.Y, n.Z, 0
-	// Row 1.
-	j[5] = phi*n.X - u*vn
+	// Column 0: d/dρ.
+	j[0] = 0
+	j[1] = phi*n.X - u*vn
+	j[2] = phi*n.Y - v*vn
+	j[3] = phi*n.Z - w*vn
+	j[4] = (phi - h) * vn
+	// Column 1: d/d(ρu).
+	j[5] = n.X
 	j[6] = vn + (2-s.Gamma)*u*n.X
-	j[7] = u*n.Y - g1*v*n.X
-	j[8] = u*n.Z - g1*w*n.X
-	j[9] = g1 * n.X
-	// Row 2.
-	j[10] = phi*n.Y - v*vn
-	j[11] = v*n.X - g1*u*n.Y
+	j[7] = v*n.X - g1*u*n.Y
+	j[8] = w*n.X - g1*u*n.Z
+	j[9] = h*n.X - g1*u*vn
+	// Column 2: d/d(ρv).
+	j[10] = n.Y
+	j[11] = u*n.Y - g1*v*n.X
 	j[12] = vn + (2-s.Gamma)*v*n.Y
-	j[13] = v*n.Z - g1*w*n.Y
-	j[14] = g1 * n.Y
-	// Row 3.
-	j[15] = phi*n.Z - w*vn
-	j[16] = w*n.X - g1*u*n.Z
-	j[17] = w*n.Y - g1*v*n.Z
+	j[13] = w*n.Y - g1*v*n.Z
+	j[14] = h*n.Y - g1*v*vn
+	// Column 3: d/d(ρw).
+	j[15] = n.Z
+	j[16] = u*n.Z - g1*w*n.X
+	j[17] = v*n.Z - g1*w*n.Y
 	j[18] = vn + (2-s.Gamma)*w*n.Z
-	j[19] = g1 * n.Z
-	// Row 4.
-	j[20] = (phi - h) * vn
-	j[21] = h*n.X - g1*u*vn
-	j[22] = h*n.Y - g1*v*vn
-	j[23] = h*n.Z - g1*w*vn
+	j[19] = h*n.Z - g1*w*vn
+	// Column 4: d/dE.
+	j[20] = 0
+	j[21] = g1 * n.X
+	j[22] = g1 * n.Y
+	j[23] = g1 * n.Z
 	j[24] = s.Gamma * vn
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"petscfun3d/internal/cachesim"
+	"petscfun3d/internal/sparse"
 )
 
 // smokeVertices is the wing the shape tests solve: small enough that
@@ -79,6 +80,11 @@ func TestTable1ShapeIncompressible(t *testing.T) {
 	}
 	if last.Ratio <= 1 {
 		t.Errorf("full enhancements ratio %.2f not > 1", last.Ratio)
+	}
+	for _, r := range res.Rows {
+		if want := map[bool]string{true: sparse.KernelFamily(), false: "Go"}[r.Blocking]; r.SpMVKernels != want {
+			t.Errorf("blocking=%v row names the %q SpMV kernels, want %q", r.Blocking, r.SpMVKernels, want)
+		}
 	}
 	if !strings.Contains(Text(res.Tables()...), "Table 1") {
 		t.Error("render missing header")

@@ -21,6 +21,10 @@ type Table1Row struct {
 	// vector kernel for the layout, so an interlaced row's ratio is the
 	// layout's and the vector form's together.
 	FluxKernels string `col:"flux kernels"`
+	// SpMVKernels is the kernel family of the row's SpMV
+	// (sparse.KernelFamily for the blocked product; the scalar CSR
+	// product has only its Go kernel).
+	SpMVKernels string `col:"spmv kernels"`
 	// PerStep is the measured wall-clock time of one representative
 	// pseudo-timestep of kernel work on the host.
 	PerStep time.Duration `col:"measured,%.3f,ms,1e6"`
@@ -71,6 +75,7 @@ type layoutVariant struct {
 	flux        func()
 	fluxKernels string // the family the flux sweep runs
 	spmv        func()
+	spmvKernels string // the family the SpMV runs
 	trisolv     func()
 	trace       func(h *cachesim.Hierarchy, fluxEvals, sweeps int)
 }
@@ -117,7 +122,7 @@ func Table1Study(system string, nv, fluxEvals, sweeps, reps int, h *cachesim.Hie
 		h.Reset()
 		v.trace(h, fluxEvals, sweeps)
 		res.Rows = append(res.Rows, Table1Row{
-			Interlacing: c.inter, Blocking: c.block, Reordering: c.reorder, FluxKernels: v.fluxKernels,
+			Interlacing: c.inter, Blocking: c.block, Reordering: c.reorder, FluxKernels: v.fluxKernels, SpMVKernels: v.spmvKernels,
 			PerStep: best,
 			Modeled: pen.Seconds(h.Counters()),
 		})
@@ -183,7 +188,7 @@ func buildVariant(m *mesh.Mesh, sys euler.System, inter, block, reorder bool) (*
 		if !inter {
 			return nil, fmt.Errorf("experiments: blocking requires interlacing")
 		}
-		v.spmv = func() { blk.MulVec(x, y) }
+		v.spmv, v.spmvKernels = func() { blk.MulVec(x, y) }, sparse.KernelFamily()
 		placeSpMV = func(as *cachesim.AddressSpace) func(h *cachesim.Hierarchy) {
 			loc := cachesim.PlaceBCSR(as, blk, false)
 			return func(h *cachesim.Hierarchy) { cachesim.TraceBCSRSpMV(h, blk, loc) }
@@ -194,7 +199,7 @@ func buildVariant(m *mesh.Mesh, sys euler.System, inter, block, reorder bool) (*
 			a = sparse.Permute(a, sparse.LayoutPerm(g.NV, b, sparse.NonInterlaced))
 		}
 		factored = a.ToBCSR1()
-		v.spmv = func() { a.MulVec(x, y) }
+		v.spmv, v.spmvKernels = func() { a.MulVec(x, y) }, "Go"
 		placeSpMV = func(as *cachesim.AddressSpace) func(h *cachesim.Hierarchy) {
 			loc := cachesim.PlaceCSR(as, a)
 			return func(h *cachesim.Hierarchy) { cachesim.TraceCSRSpMV(h, a, loc) }

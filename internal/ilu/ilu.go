@@ -395,8 +395,8 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 		for t, j := range upper {
 			slot[j] = int32(uo + t) //lint:bce-ok dense work array indexed by block column
 		}
-		// Load A's row, each row-major block transposed into the factors'
-		// column-major storage; a row with fill starts from zero blocks.
+		// Load A's row: its blocks are column-major like the factors', so
+		// each is a plain copy; a row with fill starts from zero blocks.
 		aLo, aHi := int(a.RowPtr[i]), int(a.RowPtr[i+1])
 		if len(lower)+len(upper) > aHi-aLo {
 			clear(val[lo*bb : (lo+len(lower))*bb])
@@ -404,8 +404,8 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 		}
 		aCols := a.ColIdx[aLo:aHi]
 		for k, j := range aCols {
-			dst, src := int(slot[j]), (aLo+k)*bb                   //lint:bce-ok dense work array indexed by block column
-			transpose(val[dst*bb:dst*bb+bb], a.Val[src:src+bb], b) //lint:bce-ok block offsets are data-dependent through the pattern
+			dst, src := int(slot[j]), (aLo+k)*bb           //lint:bce-ok dense work array indexed by block column
+			copy(val[dst*bb:dst*bb+bb], a.Val[src:src+bb]) //lint:bce-ok block offsets are data-dependent through the pattern
 		}
 		for t, pc := range lower {
 			p, kip := int(pc), lo+t
@@ -654,40 +654,6 @@ func matMul(a, b, c []float64, n int) {
 			c[j*n+i] = s
 		}
 	}
-}
-
-// transpose stores the row-major n×n block src into dst column-major:
-// the load of A's blocks into the factors.
-func transpose(dst, src []float64, n int) {
-	switch n {
-	case 4:
-		transpose4(dst, src)
-	case 5:
-		transpose5(dst, src)
-	default:
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				dst[c*n+r] = src[r*n+c]
-			}
-		}
-	}
-}
-
-func transpose4(dst, src []float64) {
-	dst, src = dst[:16:16], src[:16:16]
-	dst[0], dst[1], dst[2], dst[3] = src[0], src[4], src[8], src[12]
-	dst[4], dst[5], dst[6], dst[7] = src[1], src[5], src[9], src[13]
-	dst[8], dst[9], dst[10], dst[11] = src[2], src[6], src[10], src[14]
-	dst[12], dst[13], dst[14], dst[15] = src[3], src[7], src[11], src[15]
-}
-
-func transpose5(dst, src []float64) {
-	dst, src = dst[:25:25], src[:25:25]
-	dst[0], dst[1], dst[2], dst[3], dst[4] = src[0], src[5], src[10], src[15], src[20]
-	dst[5], dst[6], dst[7], dst[8], dst[9] = src[1], src[6], src[11], src[16], src[21]
-	dst[10], dst[11], dst[12], dst[13], dst[14] = src[2], src[7], src[12], src[17], src[22]
-	dst[15], dst[16], dst[17], dst[18], dst[19] = src[3], src[8], src[13], src[18], src[23]
-	dst[20], dst[21], dst[22], dst[23], dst[24] = src[4], src[9], src[14], src[19], src[24]
 }
 
 // invertBlock inverts the n×n block src into dst (which may be src

@@ -139,7 +139,7 @@ func TestILUExactOnTriangularCases(t *testing.T) {
 	// For a (block) diagonal matrix, ILU(0) is exact: Solve(b) == A^{-1} b.
 	rows := [][]int32{{0}, {1}, {2}}
 	a := sparse.NewBCSRPattern(3, 2, rows)
-	vals := [][]float64{{2, 0, 0, 4}, {1, 1, 0, 3}, {5, 2, 1, 1}}
+	vals := [][]float64{{2, 0, 0, 4}, {1, 0, 1, 3}, {5, 1, 2, 1}} // column-major
 	for i := 0; i < 3; i++ {
 		blk, _ := a.BlockAt(i, i)
 		copy(blk, vals[i])

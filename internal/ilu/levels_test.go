@@ -84,9 +84,9 @@ func TestLayoutInvariants(t *testing.T) {
 		if level == 0 && int(nnzb) != a.NNZBlocks() {
 			t.Fatalf("ILU(0) stores %d blocks, A %d", nnzb, a.NNZBlocks())
 		}
-		// Blocks are column-major: row 0 has no pivots, so its U blocks are
-		// A's, entry (r, c) at scalar c·B + r, and its pivot times A's
-		// diagonal block is the identity.
+		// Blocks are column-major, in A and in the factors: row 0 has no
+		// pivots, so its U blocks are A's, entry (r, c) at scalar c·B + r,
+		// and its pivot times A's diagonal block is the identity.
 		b, bb := f.B, f.B*f.B
 		for k := f.UPtr[1]; k < f.UPtr[0]; k++ {
 			ab, ok := a.BlockAt(0, int(f.Col[k]))
@@ -99,7 +99,7 @@ func TestLayoutInvariants(t *testing.T) {
 					if k == f.UPtr[0]-1 {
 						var s float64
 						for m := 0; m < b; m++ {
-							s += ab[r*b+m] * got[c*b+m]
+							s += ab[m*b+r] * got[c*b+m]
 						}
 						want := 0.0
 						if r == c {
@@ -108,8 +108,8 @@ func TestLayoutInvariants(t *testing.T) {
 						if math.Abs(s-want) > 1e-12 {
 							t.Fatalf("level=%d: (A_00 · stored pivot)(%d,%d) = %g, want %g", level, r, c, s, want)
 						}
-					} else if math.Float64bits(got[c*b+r]) != math.Float64bits(ab[r*b+c]) {
-						t.Fatalf("level=%d: block (0,%d) entry (%d,%d) stored at %d is %g, A has %g", level, f.Col[k], r, c, c*b+r, got[c*b+r], ab[r*b+c])
+					} else if math.Float64bits(got[c*b+r]) != math.Float64bits(ab[c*b+r]) {
+						t.Fatalf("level=%d: block (0,%d) entry (%d,%d) stored at %d is %g, A has %g", level, f.Col[k], r, c, c*b+r, got[c*b+r], ab[c*b+r])
 					}
 				}
 			}

@@ -97,19 +97,15 @@ type equivCheck struct {
 var costChecks = []coefCheck{
 	// sparse: one multiply and one add per stored scalar. The unrolled
 	// B=4 kernel does 32 flops per stored block (innermost k-loop);
-	// MulVecFlops' marginal per ColIdx entry is 2*B*B.
+	// MulVecFlops' marginal per ColIdx entry is 2*B*B. The same kernels
+	// run MulVecAddRows' row lists, whose formula the equivalence below
+	// ties to this one.
 	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVec4", totalLoops: 1,
 		formula:  "BCSR.MulVecFlops",
 		countVar: "ColIdx", env: map[string]int64{"B": 4}},
 	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVec5", totalLoops: 1,
 		formula:  "BCSR.MulVecFlops",
 		countVar: "ColIdx", env: map[string]int64{"B": 5}},
-	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVecAddRows4", totalLoops: 1,
-		formula:  "MulVecRowsFlops",
-		countVar: "nnzBlocks", env: map[string]int64{"b": 4}},
-	{pkg: "petscfun3d/internal/sparse", kernel: "BCSR.mulVecAddRows5", totalLoops: 1,
-		formula:  "MulVecRowsFlops",
-		countVar: "nnzBlocks", env: map[string]int64{"b": 5}},
 
 	// ilu: the one family of triangular-solve row kernels behind Solve
 	// and SolvePar. Each unrolled kernel's innermost loop is the walk

@@ -123,7 +123,6 @@ const (
 var mutants = []mutant{
 	// ownwrite: a write every shard makes to an element one shard owns.
 	stripeWrite("internal/sparse/par.go", "bcsrMulTask", "t.y[0] += 0", []string{"./internal/sparse"}, "."),
-	stripeWrite("internal/sparse/par.go", "csrMulTask", "t.y[0] += 0", []string{"./internal/sparse"}, "."),
 	stripeWrite("internal/par/reduce.go", "dotTask", "t.parts[0] += 0", parPkgs, "."),
 	stripeWrite("internal/par/reduce.go", "axpyTask", "t.y[0] += 0", parPkgs, "."),
 	stripeWrite("internal/par/mreduce.go", "mdotTask", "t.parts[0] += 0", parPkgs, "."),

@@ -8,8 +8,12 @@ import (
 
 // BCSR is a block compressed-sparse-row matrix (PETSc's BAIJ): NB block
 // rows of B×B dense blocks. Block row i's blocks occupy
-// Val[RowPtr[i]*B*B : RowPtr[i+1]*B*B], each block stored row-major, with
-// block column indices ColIdx[RowPtr[i]:RowPtr[i+1]] sorted ascending.
+// Val[RowPtr[i]*B*B : RowPtr[i+1]*B*B], with block column indices
+// ColIdx[RowPtr[i]:RowPtr[i+1]] sorted ascending. Every block is stored
+// column-major — entry (r, c) of block k is Val[k*B*B + c*B + r] — the
+// layout of the ILU factors too, so the factorization loads A's blocks
+// with a plain copy and the vector kernels take a block column (the B
+// rows' coefficients of one x entry) in one load.
 //
 // This is the "structural blocking" of the paper (section 2.1.2): one
 // column index serves B*B values, cutting integer loads by a factor of
@@ -39,8 +43,8 @@ func (a *BCSR) NNZBlocks() int { return len(a.ColIdx) }
 // NNZ returns the number of stored scalar entries.
 func (a *BCSR) NNZ() int { return len(a.ColIdx) * a.B * a.B }
 
-// Block returns the storage of the k-th block (row-major B×B), aliasing
-// the matrix's value array.
+// Block returns the storage of the k-th block (column-major B×B: entry
+// (r, c) at c*B + r), aliasing the matrix's value array.
 func (a *BCSR) Block(k int) []float64 {
 	bb := a.B * a.B
 	return a.Val[k*bb : (k+1)*bb]
@@ -73,57 +77,14 @@ func (a *BCSR) MulVecBytes() int64 {
 
 // MulVec computes y = A x with x, y in interlaced layout (unknowns of a
 // mesh point adjacent). Specialized unrolled kernels handle the paper's
-// block sizes (4 incompressible, 5 compressible).
+// block sizes (4 incompressible, 5 compressible), in the family the host
+// runs (KernelFamily).
 func (a *BCSR) MulVec(x, y []float64) {
 	if len(x) < a.N() || len(y) < a.N() {
 		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
 		panic(fmt.Sprintf("sparse: BCSR MulVec dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N(), len(x), len(y)))
 	}
-	switch a.B {
-	case 4:
-		a.mulVec4(0, a.NB, x, y)
-	case 5:
-		a.mulVec5(0, a.NB, x, y)
-	default:
-		a.mulVecGeneric(0, a.NB, x, y)
-	}
-}
-
-func (a *BCSR) mulVec4(lo, hi int, x, y []float64) {
-	for i := lo; i < hi; i++ {
-		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1]) // bce: hoist the row extent; int arithmetic keeps prove in play below
-		var s0, s1, s2, s3 float64
-		for k := start; k < end; k++ {
-			j := int(a.ColIdx[k]) * 4                      //lint:bce-ok k is bounded by RowPtr contents, a relation no slice length expresses
-			x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3] //lint:bce-ok gather through the block column index is data-dependent
-			v := a.Val[k*16 : k*16+16 : k*16+16]           //lint:bce-ok block offset is data-dependent through RowPtr; the constant-length slice erases the 16 per-element checks below
-			s0 += v[0]*x0 + v[1]*x1 + v[2]*x2 + v[3]*x3
-			s1 += v[4]*x0 + v[5]*x1 + v[6]*x2 + v[7]*x3
-			s2 += v[8]*x0 + v[9]*x1 + v[10]*x2 + v[11]*x3
-			s3 += v[12]*x0 + v[13]*x1 + v[14]*x2 + v[15]*x3
-		}
-		o := i * 4
-		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
-	}
-}
-
-func (a *BCSR) mulVec5(lo, hi int, x, y []float64) {
-	for i := lo; i < hi; i++ {
-		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1]) // bce: hoist the row extent; int arithmetic keeps prove in play below
-		var s0, s1, s2, s3, s4 float64
-		for k := start; k < end; k++ {
-			j := int(a.ColIdx[k]) * 5                                  //lint:bce-ok k is bounded by RowPtr contents, a relation no slice length expresses
-			x0, x1, x2, x3, x4 := x[j], x[j+1], x[j+2], x[j+3], x[j+4] //lint:bce-ok gather through the block column index is data-dependent
-			v := a.Val[k*25 : k*25+25 : k*25+25]                       //lint:bce-ok block offset is data-dependent through RowPtr; the constant-length slice erases the 25 per-element checks below
-			s0 += v[0]*x0 + v[1]*x1 + v[2]*x2 + v[3]*x3 + v[4]*x4
-			s1 += v[5]*x0 + v[6]*x1 + v[7]*x2 + v[8]*x3 + v[9]*x4
-			s2 += v[10]*x0 + v[11]*x1 + v[12]*x2 + v[13]*x3 + v[14]*x4
-			s3 += v[15]*x0 + v[16]*x1 + v[17]*x2 + v[18]*x3 + v[19]*x4
-			s4 += v[20]*x0 + v[21]*x1 + v[22]*x2 + v[23]*x3 + v[24]*x4
-		}
-		o := i * 5
-		y[o], y[o+1], y[o+2], y[o+3], y[o+4] = s0, s1, s2, s3, s4
-	}
+	kern.mulVec(a, nil, 0, a.NB, false, x, y)
 }
 
 // MulVecAddRows computes y[i] += (A x)[i] for the listed block rows,
@@ -138,69 +99,87 @@ func (a *BCSR) MulVecAddRows(rows []int32, x, y []float64) {
 		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
 		panic(fmt.Sprintf("sparse: BCSR MulVecAddRows dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N(), len(x), len(y)))
 	}
-	switch a.B {
-	case 4:
-		a.mulVecAddRows4(rows, x, y)
-	case 5:
-		a.mulVecAddRows5(rows, x, y)
-	default:
-		a.mulVecAddRowsGeneric(rows, x, y)
-	}
+	kern.mulVec(a, rows, 0, len(rows), true, x, y)
 }
 
-func (a *BCSR) mulVecAddRows4(rows []int32, x, y []float64) {
-	for _, i := range rows {
+// The product kernels run the block rows rows[lo:hi] or, when rows is
+// nil, the rows lo…hi-1 themselves: MulVecPar's stripes, MulVec's whole
+// range and MulVecAddRows' list are calls of the same kernel. A row's
+// sums start from +0, or from y's row when add is set, and the row is
+// stored once, after its last block.
+
+func (a *BCSR) mulVec4(rows []int32, lo, hi int, add bool, x, y []float64) {
+	for p := lo; p < hi; p++ {
+		i := p
+		if rows != nil {
+			i = int(rows[p])
+		}
 		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1]) // bce: hoist the row extent; int arithmetic keeps prove in play below
-		o := int(i) * 4
-		s0, s1, s2, s3 := y[o], y[o+1], y[o+2], y[o+3]
+		o := i * 4
+		var s0, s1, s2, s3 float64
+		if add {
+			s0, s1, s2, s3 = y[o], y[o+1], y[o+2], y[o+3]
+		}
 		for k := start; k < end; k++ {
 			j := int(a.ColIdx[k]) * 4                      //lint:bce-ok k is bounded by RowPtr contents, a relation no slice length expresses
 			x0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3] //lint:bce-ok gather through the block column index is data-dependent
 			v := a.Val[k*16 : k*16+16 : k*16+16]           //lint:bce-ok block offset is data-dependent through RowPtr; the constant-length slice erases the 16 per-element checks below
-			s0 += v[0]*x0 + v[1]*x1 + v[2]*x2 + v[3]*x3
-			s1 += v[4]*x0 + v[5]*x1 + v[6]*x2 + v[7]*x3
-			s2 += v[8]*x0 + v[9]*x1 + v[10]*x2 + v[11]*x3
-			s3 += v[12]*x0 + v[13]*x1 + v[14]*x2 + v[15]*x3
+			s0 += v[0]*x0 + v[4]*x1 + v[8]*x2 + v[12]*x3
+			s1 += v[1]*x0 + v[5]*x1 + v[9]*x2 + v[13]*x3
+			s2 += v[2]*x0 + v[6]*x1 + v[10]*x2 + v[14]*x3
+			s3 += v[3]*x0 + v[7]*x1 + v[11]*x2 + v[15]*x3
 		}
 		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
 	}
 }
 
-func (a *BCSR) mulVecAddRows5(rows []int32, x, y []float64) {
-	for _, i := range rows {
+func (a *BCSR) mulVec5(rows []int32, lo, hi int, add bool, x, y []float64) {
+	for p := lo; p < hi; p++ {
+		i := p
+		if rows != nil {
+			i = int(rows[p])
+		}
 		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1]) // bce: hoist the row extent; int arithmetic keeps prove in play below
-		o := int(i) * 5
-		s0, s1, s2, s3, s4 := y[o], y[o+1], y[o+2], y[o+3], y[o+4]
+		o := i * 5
+		var s0, s1, s2, s3, s4 float64
+		if add {
+			s0, s1, s2, s3, s4 = y[o], y[o+1], y[o+2], y[o+3], y[o+4]
+		}
 		for k := start; k < end; k++ {
 			j := int(a.ColIdx[k]) * 5                                  //lint:bce-ok k is bounded by RowPtr contents, a relation no slice length expresses
 			x0, x1, x2, x3, x4 := x[j], x[j+1], x[j+2], x[j+3], x[j+4] //lint:bce-ok gather through the block column index is data-dependent
 			v := a.Val[k*25 : k*25+25 : k*25+25]                       //lint:bce-ok block offset is data-dependent through RowPtr; the constant-length slice erases the 25 per-element checks below
-			s0 += v[0]*x0 + v[1]*x1 + v[2]*x2 + v[3]*x3 + v[4]*x4
-			s1 += v[5]*x0 + v[6]*x1 + v[7]*x2 + v[8]*x3 + v[9]*x4
-			s2 += v[10]*x0 + v[11]*x1 + v[12]*x2 + v[13]*x3 + v[14]*x4
-			s3 += v[15]*x0 + v[16]*x1 + v[17]*x2 + v[18]*x3 + v[19]*x4
-			s4 += v[20]*x0 + v[21]*x1 + v[22]*x2 + v[23]*x3 + v[24]*x4
+			s0 += v[0]*x0 + v[5]*x1 + v[10]*x2 + v[15]*x3 + v[20]*x4
+			s1 += v[1]*x0 + v[6]*x1 + v[11]*x2 + v[16]*x3 + v[21]*x4
+			s2 += v[2]*x0 + v[7]*x1 + v[12]*x2 + v[17]*x3 + v[22]*x4
+			s3 += v[3]*x0 + v[8]*x1 + v[13]*x2 + v[18]*x3 + v[23]*x4
+			s4 += v[4]*x0 + v[9]*x1 + v[14]*x2 + v[19]*x3 + v[24]*x4
 		}
 		y[o], y[o+1], y[o+2], y[o+3], y[o+4] = s0, s1, s2, s3, s4
 	}
 }
 
-func (a *BCSR) mulVecAddRowsGeneric(rows []int32, x, y []float64) {
+func (a *BCSR) mulVecGeneric(rows []int32, lo, hi int, add bool, x, y []float64) {
 	b := a.B
 	bb := b * b
-	for _, i := range rows {
-		ys := y[int(i)*b : int(i)*b+b]
+	for p := lo; p < hi; p++ {
+		i := p
+		if rows != nil {
+			i = int(rows[p])
+		}
+		ys := y[i*b : i*b+b]
+		if !add {
+			clear(ys)
+		}
 		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1])
 		for k := start; k < end; k++ {
 			j := int(a.ColIdx[k]) * b
 			blk := a.Val[k*bb : k*bb+bb]
 			xs := x[j : j+b]
-			for r := 0; r < b; r++ {
-				row := blk[r*b:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
+			for r := range ys {
 				var sum float64
-				for c, w := range row {
-					sum += w * xs[c]
+				for c, xc := range xs {
+					sum += blk[c*b+r] * xc //lint:bce-ok strided walk along row r of a column-major block: c*b+r < b*b is a product relation prove cannot see
 				}
 				ys[r] += sum
 			}
@@ -222,32 +201,6 @@ func MulVecRowsFlops(nnzBlocks, b int) int64 {
 func MulVecRowsBytes(nnzBlocks, nRows, b int) int64 {
 	bb := int64(b) * int64(b)
 	return int64(nnzBlocks)*(bb*8+4+int64(b)*8) + int64(nRows)*int64(b)*16
-}
-
-func (a *BCSR) mulVecGeneric(lo, hi int, x, y []float64) {
-	b := a.B
-	bb := b * b
-	for i := lo; i < hi; i++ {
-		ys := y[i*b : i*b+b]
-		for c := range ys {
-			ys[c] = 0
-		}
-		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1])
-		for k := start; k < end; k++ {
-			j := int(a.ColIdx[k]) * b
-			blk := a.Val[k*bb : k*bb+bb]
-			xs := x[j : j+b]
-			for r := 0; r < b; r++ {
-				row := blk[r*b:]
-				row = row[:len(xs)] // bce: ties len(row) to len(xs); the c index needs one range check, not two
-				var sum float64
-				for c, w := range row {
-					sum += w * xs[c]
-				}
-				ys[r] += sum
-			}
-		}
-	}
 }
 
 // Validate checks the structural invariants of the format.
@@ -293,7 +246,7 @@ func (a *BCSR) ToCSR() *CSR {
 				blk := a.Block(int(k))
 				for c := 0; c < b; c++ {
 					out.ColIdx = append(out.ColIdx, int32(j+c)) //lint:alloc-ok appends into capacity preallocated to the exact nnz
-					out.Val = append(out.Val, blk[r*b+c])       //lint:alloc-ok appends into capacity preallocated to the exact nnz
+					out.Val = append(out.Val, blk[c*b+r])       //lint:alloc-ok appends into capacity preallocated to the exact nnz
 				}
 			}
 			out.RowPtr[i*b+r+1] = int32(len(out.ColIdx))

@@ -1,9 +1,10 @@
 // Package sparse implements the sparse-matrix storage formats and kernels
 // the paper studies: scalar compressed-sparse-row (CSR, PETSc's AIJ) and
-// block CSR (BCSR, PETSc's BAIJ) matrices, interlaced and noninterlaced
-// multicomponent vector layouts, sparse matrix-vector products for each
-// combination, and reduced-precision (float32) value storage for
-// bandwidth-limited preconditioner kernels.
+// block CSR (BCSR, PETSc's BAIJ, column-major blocks) matrices,
+// interlaced and noninterlaced multicomponent vector layouts, and the
+// sparse matrix-vector products on them — the blocked product's b = 4
+// and b = 5 kernels in two bitwise-equal families, Go and AVX2
+// (KernelFamily).
 package sparse
 
 import (
@@ -20,11 +21,6 @@ type CSR struct {
 	RowPtr []int32
 	ColIdx []int32
 	Val    []float64
-
-	// Worker-pool state of MulVecPar (see BCSR): nonzero-balanced row
-	// stripe boundaries and the reusable task.
-	parBounds []int32
-	parTask   csrMulTask
 }
 
 // NNZ returns the number of stored entries.
@@ -54,11 +50,7 @@ func (a *CSR) MulVec(x, y []float64) {
 		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N, len(x), len(y)))
 	}
-	a.mulVecRange(0, a.N, x, y)
-}
-
-func (a *CSR) mulVecRange(lo, hi int, x, y []float64) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.N; i++ {
 		start, end := a.RowPtr[i], a.RowPtr[i+1]
 		vals := a.Val[start:end]
 		cols := a.ColIdx[start:end]

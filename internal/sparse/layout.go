@@ -154,7 +154,8 @@ func (a *CSR) FillDeterministic(seed uint64) {
 }
 
 // FillDeterministic fills the block matrix values with a reproducible
-// pseudo-random block-diagonally dominant pattern.
+// pseudo-random block-diagonally dominant pattern: block entries drawn
+// row by row, each stored at its column-major position.
 func (a *BCSR) FillDeterministic(seed uint64) {
 	s := seed | 1
 	b := a.B
@@ -175,7 +176,7 @@ func (a *BCSR) FillDeterministic(seed uint64) {
 				for c := 0; c < b; c++ {
 					s = s*6364136223846793005 + 1442695040888963407
 					v := float64(int64(s>>20)%2000)/1000.0 - 1.0
-					blk[r*b+c] = v
+					blk[c*b+r] = v
 					if v < 0 {
 						rowSums[r] -= v
 					} else {

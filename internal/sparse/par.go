@@ -43,56 +43,8 @@ type bcsrMulTask struct {
 }
 
 // RunShard implements par.Task: one nonzero-balanced row stripe through
-// the block-size-specialized kernel.
+// MulVec's kernel.
 func (t *bcsrMulTask) RunShard(w, nw int) {
 	a := t.a
-	lo, hi := int(a.parBounds[w]), int(a.parBounds[w+1])
-	if lo >= hi {
-		return
-	}
-	switch a.B {
-	case 4:
-		a.mulVec4(lo, hi, t.x, t.y)
-	case 5:
-		a.mulVec5(lo, hi, t.x, t.y)
-	default:
-		a.mulVecGeneric(lo, hi, t.x, t.y)
-	}
-}
-
-// MulVecPar computes y = A x on the pool; bitwise identical to MulVec
-// at every worker count. Concurrent calls on the same matrix are not
-// allowed.
-func (a *CSR) MulVecPar(p *par.Pool, x, y []float64) {
-	nw := p.Workers()
-	if nw == 1 {
-		a.MulVec(x, y)
-		return
-	}
-	if len(x) < a.N || len(y) < a.N {
-		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
-		panic(fmt.Sprintf("sparse: CSR MulVecPar dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N, len(x), len(y)))
-	}
-	if len(a.parBounds) != nw+1 {
-		a.parBounds = make([]int32, nw+1)
-		par.Stripes(a.RowPtr, nw, a.parBounds)
-	}
-	t := &a.parTask
-	t.a, t.x, t.y = a, x, y
-	p.Run(t)
-	t.x, t.y = nil, nil
-}
-
-type csrMulTask struct {
-	a    *CSR
-	x, y []float64
-}
-
-// RunShard implements par.Task.
-func (t *csrMulTask) RunShard(w, nw int) {
-	a := t.a
-	lo, hi := int(a.parBounds[w]), int(a.parBounds[w+1])
-	if lo < hi {
-		a.mulVecRange(lo, hi, t.x, t.y)
-	}
+	kern.mulVec(a, nil, int(a.parBounds[w]), int(a.parBounds[w+1]), false, t.x, t.y)
 }

@@ -8,8 +8,17 @@ import (
 
 // TestBCSRMulVecParBitwiseIdentical: the striped product matches the
 // sequential MulVec bit for bit at every worker count, for every
-// block-size kernel specialization.
+// block-size kernel specialization, in every kernel family the host has
+// (the Go one also for the race detector, which does not see the
+// assembly's accesses).
 func TestBCSRMulVecParBitwiseIdentical(t *testing.T) {
+	for _, fam := range families() {
+		useKernels(t, fam)
+		testMulVecParBitwise(t)
+	}
+}
+
+func testMulVecParBitwise(t *testing.T) {
 	for _, b := range []int{1, 3, 4, 5} {
 		g := bandGraph(60)
 		a := BlockPattern(g, b)
@@ -28,40 +37,12 @@ func TestBCSRMulVecParBitwiseIdentical(t *testing.T) {
 				a.MulVecPar(p, x, got)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("b=%d nw=%d rep=%d: y[%d]=%x, want %x", b, nw, rep, i, got[i], want[i])
+						t.Fatalf("%s kernels, b=%d nw=%d rep=%d: y[%d]=%x, want %x", kern.name, b, nw, rep, i, got[i], want[i])
 					}
 				}
 			}
 			p.Close()
 		}
-	}
-}
-
-// TestCSRMulVecParBitwiseIdentical mirrors the BCSR test for the scalar
-// format.
-func TestCSRMulVecParBitwiseIdentical(t *testing.T) {
-	g := bandGraph(90)
-	a := ScalarPattern(g, 1, Interlaced)
-	a.FillDeterministic(23)
-	n := a.N
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1.0 / float64(i+2)
-	}
-	want := make([]float64, n)
-	a.MulVec(x, want)
-	for _, nw := range []int{1, 2, 4, 8} {
-		p := par.New(nw)
-		got := make([]float64, n)
-		for rep := 0; rep < 3; rep++ {
-			a.MulVecPar(p, x, got)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("nw=%d rep=%d: y[%d]=%x, want %x", nw, rep, i, got[i], want[i])
-				}
-			}
-		}
-		p.Close()
 	}
 }
 

@@ -213,9 +213,14 @@ func TestBlockAt(t *testing.T) {
 	if !ok {
 		t.Fatal("BlockAt(3,4) should exist")
 	}
+	// Column-major: entry (r, c) of the block is blk[c*2+r].
 	csr := a.ToCSR()
-	if blk[0*2+1] != csr.At(6, 9) {
-		t.Error("BlockAt disagrees with ToCSR")
+	for r := 0; r < 2; r++ {
+		for c := 0; c < 2; c++ {
+			if blk[c*2+r] != csr.At(6+r, 8+c) {
+				t.Errorf("BlockAt entry (%d,%d) disagrees with ToCSR", r, c)
+			}
+		}
 	}
 }
 
