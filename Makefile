@@ -148,15 +148,16 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzMulVecKernels -fuzztime 20s ./internal/sparse
 	go test -run '^$$' -fuzz FuzzRead -fuzztime 20s ./internal/mesh
 
-# Mutation scoreboard (minutes; not part of verify): every row of the
+# Mutation scoreboard (≈ 6 min; not part of verify): every row of the
 # mutant table in internal/lint/mutants_test.go — one seeded defect per
-# rule of the retired protocol and pool analyzers and of overlapregion —
-# is applied through `go test -overlay` (the tree is never written) and
-# its packages' tests run under the race detector, after a control run
-# of the same tests on the unmutated tree that must pass. Prints one
-# markdown row per mutant; fails if a retired analyzer's row is not
-# caught by a named failing test or runtime check. CI runs it in its own
-# workflow (mutants.yml) when the code it seeds changes, and weekly.
+# rule of every retired and every kept analyzer — is applied through
+# `go test -overlay` (the tree is never written) and its packages' tests
+# run under the race detector (without it where the catching test skips
+# under it), after a control run of the same tests on the unmutated tree
+# that must pass. Prints one markdown row per mutant. Retired analyzers'
+# rows must be caught, by a named failing test or runtime check; kept
+# analyzers' rows are recorded. CI runs it in its own workflow
+# (mutants.yml) when the code it seeds changes, and weekly.
 mutants:
 	go test -tags mutants -run '^TestMutants$$' -count=1 -timeout 2h -v ./internal/lint
 

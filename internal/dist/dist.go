@@ -156,7 +156,7 @@ func planMatrix(c *mpi.Comm, g sparse.Graph, self bool, b int, part []int32) (*M
 		ext[i] = unread
 		if q == me {
 			ext[i] = int32(len(m.Owned))
-			m.Owned = append(m.Owned, int32(i)) //lint:alloc-ok appends into capacity preallocated to the exact owned count
+			m.Owned = append(m.Owned, int32(i))
 		}
 	}
 	nOwned := int32(len(m.Owned))
@@ -181,7 +181,7 @@ func planMatrix(c *mpi.Comm, g sparse.Graph, self bool, b int, part []int32) (*M
 	for v, e := range ext {
 		if e == needed {
 			ext[v] = nOwned + int32(len(m.Ghosts))
-			m.Ghosts = append(m.Ghosts, int32(v)) //lint:alloc-ok appends into capacity preallocated to the exact ghost count
+			m.Ghosts = append(m.Ghosts, int32(v))
 		}
 	}
 	// A row's owned columns and its ghost columns are each ascending in
@@ -197,22 +197,22 @@ func planMatrix(c *mpi.Comm, g sparse.Graph, self bool, b int, part []int32) (*M
 		for _, j := range g.Adj[g.XAdj[gr]:g.XAdj[gr+1]] {
 			e := ext[j]
 			if e >= nOwned {
-				m.off.ColIdx = append(m.off.ColIdx, e) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+				m.off.ColIdx = append(m.off.ColIdx, e)
 				continue
 			}
 			if self && e > int32(li) {
-				m.diag.ColIdx = append(m.diag.ColIdx, int32(li)) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+				m.diag.ColIdx = append(m.diag.ColIdx, int32(li))
 				self = false
 			}
-			m.diag.ColIdx = append(m.diag.ColIdx, e) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+			m.diag.ColIdx = append(m.diag.ColIdx, e)
 		}
 		if self {
-			m.diag.ColIdx = append(m.diag.ColIdx, int32(li)) //lint:alloc-ok appends into exact preallocated capacity at plan construction
+			m.diag.ColIdx = append(m.diag.ColIdx, int32(li))
 		}
 		m.diag.RowPtr[li+1] = int32(len(m.diag.ColIdx))
 		m.off.RowPtr[li+1] = int32(len(m.off.ColIdx))
 		if m.off.RowPtr[li+1] > m.off.RowPtr[li] {
-			m.boundary = append(m.boundary, int32(li)) //lint:alloc-ok one-time plan construction at partition setup
+			m.boundary = append(m.boundary, int32(li))
 		}
 	}
 	m.extBuf = make([]float64, (len(m.Owned)+len(m.Ghosts))*b)
@@ -220,7 +220,7 @@ func planMatrix(c *mpi.Comm, g sparse.Graph, self bool, b int, part []int32) (*M
 	// then translate both directions into extended-local numbering.
 	needFrom := map[int][]int32{}
 	for _, v := range m.Ghosts {
-		needFrom[int(part[v])] = append(needFrom[int(part[v])], v) //lint:alloc-ok one-time plan negotiation at partition setup
+		needFrom[int(part[v])] = append(needFrom[int(part[v])], v)
 	}
 	asked, err := negotiateHalo(c, needFrom)
 	if err != nil {
@@ -228,7 +228,7 @@ func planMatrix(c *mpi.Comm, g sparse.Graph, self bool, b int, part []int32) (*M
 	}
 	sendTo := map[int][]int32{}
 	for q, rows := range asked {
-		locs := make([]int32, len(rows)) //lint:alloc-ok one-time plan negotiation at partition setup
+		locs := make([]int32, len(rows))
 		for i, gr := range rows {
 			if gr < 0 || int(gr) >= g.NV || part[gr] != me {
 				return nil, nil, fmt.Errorf("dist: rank %d asked rank %d for row %d it does not own", q, me, gr)
@@ -242,7 +242,7 @@ func planMatrix(c *mpi.Comm, g sparse.Graph, self bool, b int, part []int32) (*M
 		if len(rows) == 0 {
 			continue
 		}
-		locs := make([]int32, len(rows)) //lint:alloc-ok one-time plan negotiation at partition setup
+		locs := make([]int32, len(rows))
 		for i, gr := range rows {
 			locs[i] = ext[gr]
 		}

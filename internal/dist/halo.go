@@ -10,8 +10,8 @@ import (
 // Halo is the persistent exchange plan for one ghost scatter: for each
 // peer, the indices to pack from the source vector, the indices to fill
 // in the destination vector, and staging buffers allocated once at plan
-// time (the solver's innermost loop must not allocate — the hotalloc
-// analyzer enforces it for this package).
+// time (a Newton step allocates only its messages —
+// core.TestDistributedNewtonStepAllocatesItsMessages enforces it).
 //
 // Indices are block-row indices into whatever numbering the vectors
 // use: dist.Matrix builds a halo over extended-local numbering, the
@@ -55,10 +55,10 @@ func newHalo(c *mpi.Comm, b int, tag mpi.Tag, sendTo, recvFrom map[int][]int32) 
 		if !seen[q] {
 			continue
 		}
-		h.peers = append(h.peers, q)                                     //lint:alloc-ok one-time plan construction
-		h.sendIdx = append(h.sendIdx, sendTo[q])                         //lint:alloc-ok one-time plan construction
-		h.recvIdx = append(h.recvIdx, recvFrom[q])                       //lint:alloc-ok one-time plan construction
-		h.sendBuf = append(h.sendBuf, make([]float64, len(sendTo[q])*b)) //lint:alloc-ok persistent staging buffers allocated once at plan time
+		h.peers = append(h.peers, q)
+		h.sendIdx = append(h.sendIdx, sendTo[q])
+		h.recvIdx = append(h.recvIdx, recvFrom[q])
+		h.sendBuf = append(h.sendBuf, make([]float64, len(sendTo[q])*b))
 	}
 	h.sendReq = make([]*mpi.Request, len(h.peers))
 	h.recvReq = make([]*mpi.Request, len(h.peers))
@@ -92,7 +92,7 @@ func negotiateHalo(c *mpi.Comm, needFrom map[int][]int32) (map[int][]int32, erro
 		if len(req) == 0 {
 			continue
 		}
-		enc := make([]float64, len(req)) //lint:alloc-ok one-time plan negotiation
+		enc := make([]float64, len(req))
 		for i, g := range req {
 			enc[i] = float64(g)
 		}
@@ -114,7 +114,7 @@ func negotiateHalo(c *mpi.Comm, needFrom map[int][]int32) (map[int][]int32, erro
 		if len(enc) != want {
 			return nil, fmt.Errorf("dist: rank %d announced %d needed rows but asked for %d", q, want, len(enc))
 		}
-		rows := make([]int32, len(enc)) //lint:alloc-ok one-time plan negotiation
+		rows := make([]int32, len(enc))
 		for i, f := range enc {
 			rows[i] = int32(f)
 		}

@@ -93,7 +93,7 @@ func NewResidual(c *mpi.Comm, d *euler.Discretization, part []int32) (*Residual,
 	needFrom := map[int][]int32{}
 	for v := int32(0); v < int32(nv); v++ {
 		if ghost[v] {
-			needFrom[int(part[v])] = append(needFrom[int(part[v])], v) //lint:alloc-ok one-time plan negotiation at partition setup
+			needFrom[int(part[v])] = append(needFrom[int(part[v])], v)
 		}
 	}
 	asked, err := negotiateHalo(c, needFrom)

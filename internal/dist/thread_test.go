@@ -1,17 +1,20 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"petscfun3d/internal/faults"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/par"
+	"petscfun3d/internal/prof"
 )
 
 // TestMatVecThreadedBitwiseIdentical: the striped rank-local SpMV
 // matches the sequential rank-local SpMV bit for bit at every worker
-// count, including the overlapped interior/boundary split.
+// count, including the overlapped interior/boundary split, and charges
+// the same spans: the workers open none and send nothing.
 func TestMatVecThreadedBitwiseIdentical(t *testing.T) {
 	pr := buildTestProblem(t, 7, 6, 5, 4, 4)
 	const nranks = 4
@@ -24,8 +27,21 @@ func TestMatVecThreadedBitwiseIdentical(t *testing.T) {
 		for li := range lx {
 			lx[li] = float64((li%17)-8) / 3.0
 		}
+		// spans profiles one product: each phase's calls, flops and bytes.
+		spans := func(y []float64) (string, error) {
+			dm.Prof = prof.New()
+			dm.Prof.Enable()
+			err := dm.MulVec(lx, y)
+			var phases []string
+			for _, st := range dm.Prof.Report(0).Phases {
+				phases = append(phases, fmt.Sprintf("%s %d %d %d", st.Phase, st.Calls, st.Flops, st.Bytes))
+			}
+			dm.Prof = nil
+			return fmt.Sprint(phases), err
+		}
 		want := make([]float64, dm.LocalN())
-		if err := dm.MulVec(lx, want); err != nil {
+		wantSpans, err := spans(want)
+		if err != nil {
 			return err
 		}
 		for _, nw := range []int{2, 4, 8} {
@@ -33,9 +49,15 @@ func TestMatVecThreadedBitwiseIdentical(t *testing.T) {
 			dm.SetPool(p)
 			got := make([]float64, dm.LocalN())
 			for rep := 0; rep < 2; rep++ {
-				if err := dm.MulVec(lx, got); err != nil {
+				gotSpans, err := spans(got)
+				if err != nil {
 					p.Close()
 					return err
+				}
+				if gotSpans != wantSpans {
+					t.Errorf("rank %d nw=%d rep=%d: spans %s, want %s", c.Rank(), nw, rep, gotSpans, wantSpans)
+					p.Close()
+					return nil
 				}
 				for i := range got {
 					if got[i] != want[i] {

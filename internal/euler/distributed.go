@@ -26,9 +26,9 @@ func (d *Discretization) SplitEdges(owned func(int32) bool) (interior, frontier 
 		oa, ob := owned(e.a), owned(e.b)
 		switch {
 		case oa && ob:
-			interior = append(interior, int32(ei)) //lint:alloc-ok one-time plan construction at partition setup
+			interior = append(interior, int32(ei))
 		case oa || ob:
-			frontier = append(frontier, int32(ei)) //lint:alloc-ok one-time plan construction at partition setup
+			frontier = append(frontier, int32(ei))
 		}
 	}
 	return interior, frontier

@@ -320,7 +320,9 @@ func matchGenericSweep(t *testing.T, m *mesh.Mesh, sys System, layout sparse.Lay
 		requireSame(t, fmt.Sprintf("ResidualEdges over %d listed edges", n), got, ref)
 	}
 
-	for _, p := range []*par.Pool{nil, par.New(1), par.New(2), par.New(3)} {
+	// From three workers on, private arrays are folded into the shared
+	// residual; four give the fold three of them to keep in worker order.
+	for _, p := range []*par.Pool{nil, par.New(1), par.New(2), par.New(3), par.New(4)} {
 		rp := make([]float64, d.N())
 		if err := d.ResidualParallel(q, rp, p); err != nil {
 			t.Fatal(err)

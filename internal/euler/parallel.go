@@ -40,7 +40,7 @@ func (d *Discretization) ResidualParallel(q, r []float64, p *par.Pool) error {
 	// calls, grown lazily; each worker zeroes its own buffer so the
 	// clearing cost is parallelized along with the flux work.
 	for len(d.privRes) < nw-1 {
-		d.privRes = append(d.privRes, make([]float64, n)) //lint:alloc-ok grown once to the worker count, then reused across residual sweeps
+		d.privRes = append(d.privRes, make([]float64, n))
 	}
 	t := &d.fluxT
 	t.d, t.q, t.r = d, q, r

@@ -225,12 +225,12 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 		// Seed with A's row i (level 0) plus the diagonal.
 		start := len(cols)
 		for _, j := range a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]] {
-			cols = append(cols, j) //lint:alloc-ok per-factorization symbolic fill discovery, into an arena
+			cols = append(cols, j)
 			lev[j] = 0
 			inRow[j] = true
 		}
 		if !inRow[i] {
-			cols = append(cols, int32(i)) //lint:alloc-ok per-factorization symbolic fill discovery, into an arena
+			cols = append(cols, int32(i))
 			lev[i] = 0
 			inRow[i] = true
 		}
@@ -242,7 +242,7 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 		lower = lower[:0]
 		for _, j := range cols[start:] {
 			if j < int32(i) {
-				lower = append(lower, j) //lint:alloc-ok per-factorization symbolic pivot list, reused across rows
+				lower = append(lower, j)
 			}
 		}
 		sortInt32(lower)
@@ -261,7 +261,7 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 				if !inRow[j] {
 					inRow[j] = true
 					lev[j] = through
-					cols = append(cols, j) //lint:alloc-ok per-factorization symbolic fill discovery, into an arena
+					cols = append(cols, j)
 					if j < int32(i) {
 						// Insert into the pending pivot list, keeping order.
 						lower = insertSorted(lower, li+1, j)
@@ -273,7 +273,7 @@ func (f *Factorization) symbolic(a *sparse.BCSR, level int) error {
 		}
 		sortInt32(cols[start:])
 		for _, j := range cols[start:] {
-			levs = append(levs, lev[j]) //lint:alloc-ok per-factorization symbolic row levels, into an arena
+			levs = append(levs, lev[j])
 			inRow[j] = false
 		}
 		ptr[i+1] = int32(len(cols))

@@ -223,22 +223,26 @@ func TestLevelStats(t *testing.T) {
 
 // TestSolveParSteadyStateAllocs: after a warm-up solve sizes the
 // per-worker scratch (which only the fallback kernels of B = 7 use),
-// repeated threaded solves do not allocate.
+// repeated threaded solves do not allocate, in every kernel family the
+// host runs — the Go kernels are what a host without AVX2 runs.
 func TestSolveParSteadyStateAllocs(t *testing.T) {
-	for _, b := range []int{4, 7} {
-		f := levelFixture(t, b, 1, false)
-		n := f.NB * f.B
-		rhs := make([]float64, n)
-		x := make([]float64, n)
-		for i := range rhs {
-			rhs[i] = float64(i % 7)
+	for _, fam := range families() {
+		useKernels(t, fam)
+		for _, b := range []int{4, 7} {
+			f := levelFixture(t, b, 1, false)
+			n := f.NB * f.B
+			rhs := make([]float64, n)
+			x := make([]float64, n)
+			for i := range rhs {
+				rhs[i] = float64(i % 7)
+			}
+			p := par.New(4)
+			f.SolvePar(p, rhs, x) // warm up scratch
+			if avg := testing.AllocsPerRun(20, func() { f.SolvePar(p, rhs, x) }); avg > 0 {
+				t.Fatalf("%s kernels, B=%d: SolvePar allocates %.1f objects per solve", fam.name, b, avg)
+			}
+			p.Close()
 		}
-		p := par.New(4)
-		f.SolvePar(p, rhs, x) // warm up scratch
-		if avg := testing.AllocsPerRun(20, func() { f.SolvePar(p, rhs, x) }); avg > 0 {
-			t.Fatalf("B=%d: SolvePar allocates %.1f objects per solve", b, avg)
-		}
-		p.Close()
 	}
 }
 

@@ -44,7 +44,7 @@ func fixtureWants(t *testing.T, dir string) map[wantKey][]string {
 	return wants
 }
 
-func runFixture(t *testing.T, name string, hot bool) []Finding {
+func runFixture(t *testing.T, name string) []Finding {
 	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -59,31 +59,14 @@ func runFixture(t *testing.T, name string, hot bool) []Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{}
-	if hot {
-		cfg.HotPackages = []string{path}
-	}
-	return Run(l.Fset, pkg, cfg, Analyzers())
+	return Run(l.Fset, pkg, Config{}, Analyzers())
 }
 
 func TestAnalyzerFixtures(t *testing.T) {
-	cases := []struct {
-		name string
-		hot  bool
-	}{
-		{"hotalloc", true},
-		{"profspan", false},
-		{"costconst", false},
-		{"errcheck", false},
-		{"detorder", false},
-		{"overlapregion", false},
-		{"costsync", false},
-		{"codegen", false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			findings := runFixture(t, c.name, c.hot)
-			wants := fixtureWants(t, filepath.Join("testdata", "src", c.name))
+	for _, a := range Analyzers() {
+		t.Run(a.Name, func(t *testing.T) {
+			findings := runFixture(t, a.Name)
+			wants := fixtureWants(t, filepath.Join("testdata", "src", a.Name))
 			for _, f := range findings {
 				k := wantKey{file: filepath.Base(f.File), line: f.Line}
 				matched := false
@@ -111,7 +94,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 // missing reasons, and pragmas that suppress nothing are all findings,
 // so the escape hatches cannot rot silently.
 func TestPragmaHygiene(t *testing.T) {
-	findings := runFixture(t, "pragmahygiene", false)
+	findings := runFixture(t, "pragmahygiene")
 	expect := []struct {
 		line     int
 		analyzer string
@@ -120,7 +103,7 @@ func TestPragmaHygiene(t *testing.T) {
 		{5, "pragma", "unknown pragma //lint:frobnicate"},
 		{10, "pragma", "needs a reason"},
 		{11, "errcheck", "panic in library code"},
-		{15, "pragma", "unused pragma //lint:alloc-ok"},
+		{15, "pragma", "unused pragma //lint:overlap-ok"},
 	}
 	if len(findings) != len(expect) {
 		t.Fatalf("got %d findings, want %d:\n%v", len(findings), len(expect), findings)

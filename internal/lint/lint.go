@@ -1,16 +1,13 @@
 // Package lint is a domain-aware static-analysis suite for this
 // repository, built on the stdlib go/parser + go/types toolchain (the
 // module is offline; no analysis framework dependency). The analyzers
-// enforce the invariants the paper's performance argument rests on:
-// kernels at the STREAM limit must not allocate in hot loops
-// (hotalloc), every profiler span must close on all paths so the
+// enforce the invariants the paper's performance argument rests on
+// where a defect changes what a run measures, not the values a test
+// observes: every profiler span must close on all paths so the
 // measured phase profile stays balanced (profspan), flop/byte counts
 // fed to the profiler must come from the shared cost formulas so the
-// roofline tables cannot drift from the model (costconst), errors must
-// not be dropped and library code must not panic (errcheck), and
-// floating-point reductions must not depend on Go's randomized map
-// iteration order, which would break bit-for-bit parallel-vs-serial
-// validation (detorder).
+// roofline tables cannot drift from the model (costconst), and errors
+// must not be dropped and library code must not panic (errcheck).
 //
 // The window between posting a halo exchange and waiting on it must
 // stay free of blocking operations and posted-buffer writes
@@ -25,17 +22,17 @@
 // no heap escapes, no bounds checks surviving in innermost loops, and
 // the small per-edge/per-row helpers must inline.
 //
-// The message protocol (every request waited, tags matched) and the
-// worker pool's owner-computes determinism are enforced at run time
+// The message protocol (every request waited, tags matched), the
+// worker pool's owner-computes determinism, allocation-free steady
+// states and map-order-free reductions are enforced at run time
 // instead — by mpi.Run's in-flight check and tag matching, par's named
-// panics, the bitwise worker-count grids and the race detector — and
-// the mutation scoreboard in mutants_test.go shows a test failing on a
-// seeded defect of each kind.
+// panics, the bitwise worker-count grids, the race detector and the
+// AllocsPerRun gates — and the mutation scoreboard in mutants_test.go
+// shows a test failing on a seeded defect of each kind.
 //
 // Findings can be suppressed by a pragma comment on the offending line
 // or the line directly above:
 //
-//	//lint:alloc-ok <reason>     (hotalloc)
 //	//lint:panic-ok <reason>     (errcheck's panic rule)
 //	//lint:overlap-ok <reason>   (overlapregion)
 //	//lint:escape-ok <reason>    (codegen's escape rules)
@@ -63,7 +60,7 @@ type Finding struct {
 	Analyzer string         `json:"analyzer"`
 	Message  string         `json:"message"`
 
-	// suppressKey names the pragma kind ("alloc-ok", "panic-ok") that
+	// suppressKey names the pragma kind ("panic-ok", "bce-ok") that
 	// may suppress this finding; empty means not suppressible.
 	suppressKey string
 }
@@ -72,12 +69,8 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
-// Config selects which packages are subject to the allocation
-// discipline.
+// Config selects the packages where panic is tolerated.
 type Config struct {
-	// HotPackages are the import paths whose loop bodies must not
-	// allocate (the paper's bandwidth-limited kernels live here).
-	HotPackages []string
 	// NoPanicExemptPrefixes are import-path prefixes where panic is
 	// tolerated (command mains; tests are exempt because test files are
 	// never loaded).
@@ -87,16 +80,6 @@ type Config struct {
 // DefaultConfig returns the repository's lint policy.
 func DefaultConfig() Config {
 	return Config{
-		HotPackages: []string{
-			"petscfun3d/internal/dist",
-			"petscfun3d/internal/euler",
-			"petscfun3d/internal/ilu",
-			"petscfun3d/internal/krylov",
-			"petscfun3d/internal/mpi",
-			"petscfun3d/internal/par",
-			"petscfun3d/internal/sparse",
-			"petscfun3d/internal/schwarz",
-		},
 		NoPanicExemptPrefixes: []string{
 			"petscfun3d/cmd/",
 			"petscfun3d/examples/",
@@ -118,11 +101,9 @@ type Analyzer struct {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		HotAlloc,
 		ProfSpan,
 		CostConst,
 		ErrCheck,
-		DetOrder,
 		OverlapRegion,
 		CostSync,
 		Codegen,
@@ -137,17 +118,6 @@ type Pass struct {
 
 	analyzer *Analyzer
 	findings *[]Finding
-}
-
-// Hot reports whether the package is subject to hot-loop allocation
-// discipline.
-func (p *Pass) Hot() bool {
-	for _, h := range p.Cfg.HotPackages {
-		if p.Pkg.Path == h {
-			return true
-		}
-	}
-	return false
 }
 
 // PanicExempt reports whether panic is tolerated in this package.
@@ -208,7 +178,6 @@ var pragmaRe = regexp.MustCompile(`^//lint:([a-z-]+)(?:\s+(.*))?$`)
 
 // knownPragmaKeys are the escape hatches the suite honors.
 var knownPragmaKeys = map[string]bool{
-	"alloc-ok":   true,
 	"panic-ok":   true,
 	"overlap-ok": true,
 	"escape-ok":  true,

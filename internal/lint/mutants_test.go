@@ -14,16 +14,18 @@ import (
 	"testing"
 )
 
-// The mutation scoreboard. Five analyzers that guarded the message
-// protocol (reqwait, tagconst) and the worker pool (ownwrite,
-// fixedreduce, poollife) were retired because the tests already fail
-// on what they flagged. Each row below seeds one defect of one of their
-// rules, or of overlapregion's, into real solver code. `make mutants`
+// The mutation scoreboard. Seven analyzers were retired because the
+// tests already fail on what they flagged: the message protocol's
+// (reqwait, tagconst), the worker pool's (ownwrite, fixedreduce,
+// poollife), the hot-loop allocation rule (hotalloc) and the map-order
+// reduction rule (detorder). Each row below seeds one defect of one rule
+// of a retired or a kept analyzer into real solver code. `make mutants`
 // (mutants_run_test.go, build tag `mutants`) applies each row through
 // `go test -overlay`, so the tree is never written, and reports whether
 // a test, the race detector or a runtime check fails on it.
-// TestMutantTableCoversSites keeps the table complete: a pool task, a
-// message call site or an overlap window with no rows fails it.
+// TestMutantTableCoversSites keeps the table complete: an analyzer rule,
+// a pool task, a message call site or an overlap window with no rows
+// fails it.
 
 // mutant is one seeded defect.
 type mutant struct {
@@ -34,6 +36,7 @@ type mutant struct {
 	Edits    []edit   // applied in order; each Old must occur exactly once
 	Pkgs     []string // packages whose tests run against the mutant
 	Run      string   // their -run regex
+	NoRace   bool     // run without -race: the test that catches it skips under the race detector
 }
 
 // edit replaces the one occurrence of Old by New.
@@ -58,7 +61,46 @@ const (
 	ruleSpawn       = "goroutine or channel op in a task"
 	ruleBlockingMPI = "blocking mpi call in a task"
 	ruleStaleTask   = "stale state in a reused task"
+
+	ruleMakeInLoop    = "make in a hot loop"
+	ruleAppendInLoop  = "append growth in a hot loop"
+	ruleMapInLoop     = "map literal in a hot loop"
+	ruleClosureInLoop = "closure in a hot loop"
+	ruleMapOrderSum   = "float sum in map order"
+
+	ruleDroppedError = "dropped error return"
+	ruleLibraryPanic = "panic in library code"
+	ruleLiteralCost  = "literal count fed to a span"
+	ruleAdHocCost    = "count without a cost formula"
+	ruleUnboundSpan  = "span not bound to a variable"
+	ruleAdHocPhase   = "ad-hoc phase expression"
+	ruleUnclosedSpan = "span never closed"
+	ruleOpenReturn   = "return with the span open"
+	ruleFormulaTerm  = "off-by-one term in a formula"
+	ruleSplitFormula = "split formula disagrees with the whole"
+	ruleHeapEscape   = "escaping hot-kernel variable"
+	ruleBoundsCheck  = "bounds check in an innermost loop"
+	ruleLostInline   = "lost inline"
 )
+
+// analyzerRules lists the rules each scored analyzer, kept or retired,
+// has rows for; TestMutantTableCoversSites fails when an analyzer of the
+// suite is missing here or a listed rule has no row.
+var analyzerRules = map[string][]string{
+	"ownwrite":      {ruleOutOfStripe},
+	"fixedreduce":   {ruleWorkerSum, ruleFoldAssign, ruleFoldOrder},
+	"poollife":      poolRules,
+	"reqwait":       {ruleDroppedWait, ruleEarlyReturn},
+	"tagconst":      {ruleAsymTag},
+	"hotalloc":      {ruleMakeInLoop, ruleAppendInLoop, ruleMapInLoop, ruleClosureInLoop},
+	"detorder":      {ruleMapOrderSum},
+	"overlapregion": {ruleCollective, ruleExchange},
+	"errcheck":      {ruleDroppedError, ruleLibraryPanic},
+	"costconst":     {ruleLiteralCost, ruleAdHocCost},
+	"profspan":      {ruleUnboundSpan, ruleAdHocPhase, ruleUnclosedSpan, ruleOpenReturn},
+	"costsync":      {ruleFormulaTerm, ruleSplitFormula},
+	"codegen":       {ruleHeapEscape, ruleBoundsCheck, ruleLostInline},
+}
 
 // siteKind classifies an audited site.
 type siteKind int
@@ -103,9 +145,16 @@ func stripeWrite(file, task, stmt string, pkgs []string, run string) mutant {
 }
 
 var (
+	corePkgs    = []string{"./internal/core"}
 	distPkgs    = []string{"./internal/dist"}
+	eulerPkgs   = []string{"./internal/euler"}
+	iluPkgs     = []string{"./internal/ilu"}
+	meshPkgs    = []string{"./internal/mesh"}
+	mpiPkgs     = []string{"./internal/mpi"}
+	newtonPkgs  = []string{"./internal/newton"}
 	parPkgs     = []string{"./internal/par"}
 	schwarzPkgs = []string{"./internal/schwarz"}
+	sparsePkgs  = []string{"./internal/sparse"}
 )
 
 const haloGo = "internal/dist/halo.go"
@@ -286,6 +335,199 @@ var mutants = []mutant{
 			New: "\tr.D.ResidualEdges(q, res, r.interior)\n\tif err := r.halo.Exchange(r.Prof, q); err != nil {\n\t\treturn err\n\t}\n",
 		}},
 		Pkgs: distPkgs, Run: "."},
+
+	// hotalloc: one allocation per call on a steady-state path of each
+	// hot package (sparse's is its Go mulVec5 kernel), plus one in ilu's
+	// Go forward4. The Go kernels run where the host has no AVX2 family.
+	// Each allocates for real: a non-escaping closure, small map or
+	// constant-size make stays on the stack and costs nothing, so it
+	// would be no defect.
+	{Analyzer: "hotalloc", Rule: ruleMakeInLoop,
+		File: "internal/krylov/gmres.go", Edits: []edit{{
+			Old: "\t\thn[i] = -hij\n",
+			New: "\t\tscratch := make([]float64, len(hc)+1)\n\t\tscratch[0] = -hij\n\t\thn[i] = scratch[0]\n",
+		}},
+		Pkgs: corePkgs, Run: "^TestNewtonStepAllocatesNothing$", NoRace: true},
+	{Analyzer: "hotalloc", Rule: ruleMakeInLoop,
+		File: haloGo, Edits: []edit{{
+			Old: "\t\tbuf := h.sendBuf[pi]\n\t\tfor i, li := range idx {\n\t\t\tcopy(buf[i*b:(i+1)*b], x[int(li)*b:int(li)*b+b])\n\t\t}\n\t\th.sendReq[pi]",
+			New: "\t\tbuf := make([]float64, len(idx)*b)\n\t\tfor i, li := range idx {\n\t\t\tcopy(buf[i*b:(i+1)*b], x[int(li)*b:int(li)*b+b])\n\t\t}\n\t\th.sendReq[pi]",
+		}},
+		Pkgs: corePkgs, Run: "^TestDistributedNewtonStepAllocatesItsMessages$", NoRace: true},
+	{Analyzer: "hotalloc", Rule: ruleMakeInLoop,
+		File: "internal/euler/distributed.go", Edits: []edit{{
+			Old: "\t\td.scatterAdd(r, int32(v), flux, +1)\n",
+			New: "\t\tacc := make([]float64, b)\n\t\tcopy(acc, flux)\n\t\td.scatterAdd(r, int32(v), acc, +1)\n",
+		}},
+		Pkgs: eulerPkgs, Run: "SteadyStateAllocs", NoRace: true},
+	{Analyzer: "hotalloc", Rule: ruleMakeInLoop,
+		File: "internal/schwarz/schwarz.go", Edits: []edit{{
+			Old: "\t\tif p.bounds != nil {\n\t\t\ts.Factor.SolveNoSpan(s.rhs, s.sol)\n",
+			New: "\t\trhs := make([]float64, len(s.rhs))\n\t\tcopy(rhs, s.rhs)\n\t\tif p.bounds != nil {\n\t\t\ts.Factor.SolveNoSpan(rhs, s.sol)\n",
+		}},
+		Pkgs: schwarzPkgs, Run: "SteadyStateAllocs"},
+	{Analyzer: "hotalloc", Rule: ruleMakeInLoop,
+		File: "internal/mpi/mpi.go", Edits: []edit{{
+			Old: "\t\t\t\tvar s float64\n\t\t\t\tfor _, v := range w.vecVals {\n\t\t\t\t\ts += v[i]\n\t\t\t\t}\n",
+			New: "\t\t\t\tterms := make([]float64, len(w.vecVals))\n\t\t\t\tfor r, v := range w.vecVals {\n\t\t\t\t\tterms[r] = v[i]\n\t\t\t\t}\n" +
+				"\t\t\t\tvar s float64\n\t\t\t\tfor _, v := range terms {\n\t\t\t\t\ts += v\n\t\t\t\t}\n",
+		}},
+		Pkgs: mpiPkgs, Run: "SteadyStateAllocs"},
+	{Analyzer: "hotalloc", Rule: ruleAppendInLoop,
+		File: "internal/sparse/bcsr.go", Edits: []edit{{
+			Old: "\t\t\tx0, x1, x2, x3, x4 := x[j], x[j+1], x[j+2], x[j+3], x[j+4] //lint:bce-ok gather through the block column index is data-dependent\n",
+			New: "\t\t\txb := append([]float64(nil), x[j:j+5]...)\n\t\t\tx0, x1, x2, x3, x4 := xb[0], xb[1], xb[2], xb[3], xb[4]\n",
+		}},
+		Pkgs: sparsePkgs, Run: "SteadyStateAllocs"},
+	{Analyzer: "hotalloc", Rule: ruleAppendInLoop,
+		File: "internal/ilu/solve.go", Edits: []edit{{
+			Old: "lPtr contents, a relation no slice length expresses\n\t\t\tx0, x1, x2, x3 := x[j], x[j+1], x[j+2], x[j+3] //lint:bce-ok gather through the block column index is data-dependent\n",
+			New: "lPtr contents, a relation no slice length expresses\n\t\t\txb := append([]float64(nil), x[j:j+4]...)\n\t\t\tx0, x1, x2, x3 := xb[0], xb[1], xb[2], xb[3]\n",
+		}},
+		Pkgs: iluPkgs, Run: "SteadyStateAllocs"},
+	{Analyzer: "hotalloc", Rule: ruleMapInLoop,
+		File: "internal/ilu/ilu.go", Edits: []edit{{
+			Old: "\t\tfor t, j := range upper {\n\t\t\tslot[j] = int32(uo + t) //lint:bce-ok dense work array indexed by block column\n\t\t}\n",
+			New: "\t\tupos := map[int32]int32{}\n\t\tfor t, j := range upper {\n\t\t\tupos[j] = int32(uo + t)\n\t\t}\n\t\tfor j, at := range upos {\n\t\t\tslot[j] = at\n\t\t}\n",
+		}},
+		Pkgs: iluPkgs, Run: "SteadyStateAllocs"},
+	{Analyzer: "hotalloc", Rule: ruleClosureInLoop,
+		File: "internal/par/par.go", Edits: []edit{
+			{Old: "\t\tfor _, c := range p.wake {\n\t\t\tc <- t\n\t\t}\n", New: "\t\tfor _, c := range p.wake {\n\t\t\tc <- shardFunc(func(w, nw int) { t.RunShard(w, nw) })\n\t\t}\n"},
+			{Old: "// worker is the persistent loop", New: "type shardFunc func(w, nw int)\n\nfunc (f shardFunc) RunShard(w, nw int) { f(w, nw) }\n\n// worker is the persistent loop"},
+		},
+		Pkgs: parPkgs, Run: "SteadyStateAllocs"},
+
+	// detorder: a fold of at least three partials taken in map order.
+	// Reordering two terms is no defect (IEEE addition commutes).
+	{Analyzer: "detorder", Rule: ruleMapOrderSum,
+		File: "internal/par/reduce.go", Edits: []edit{{
+			Old: "\tvar s float64\n\tfor _, v := range parts {\n\t\ts += v\n\t}\n",
+			New: "\tbySegment := map[int]float64{}\n\tfor i, v := range parts {\n\t\tbySegment[i] = v\n\t}\n\tvar s float64\n\tfor _, v := range bySegment {\n\t\ts += v\n\t}\n",
+		}},
+		Pkgs: parPkgs, Run: "."},
+	{Analyzer: "detorder", Rule: ruleMapOrderSum,
+		File: "internal/par/mreduce.go", Edits: []edit{{
+			Old: "\tvar s float64\n\tfor _, v := range parts {\n\t\ts += v\n\t}\n",
+			New: "\tbySegment := map[int]float64{}\n\tfor i, v := range parts {\n\t\tbySegment[i] = v\n\t}\n\tvar s float64\n\tfor _, v := range bySegment {\n\t\ts += v\n\t}\n",
+		}},
+		Pkgs: parPkgs, Run: "."},
+	{Analyzer: "detorder", Rule: ruleMapOrderSum,
+		File: "internal/mpi/mpi.go", Edits: []edit{{
+			Old: "\t\tvar s float64\n\t\tfor _, v := range vals {\n\t\t\ts += v\n\t\t}\n",
+			New: "\t\tbyRank := map[int]float64{}\n\t\tfor r, v := range vals {\n\t\t\tbyRank[r] = v\n\t\t}\n\t\tvar s float64\n\t\tfor _, v := range byRank {\n\t\t\ts += v\n\t\t}\n",
+		}},
+		Pkgs: mpiPkgs, Run: "."},
+	{Analyzer: "detorder", Rule: ruleMapOrderSum,
+		File: "internal/euler/parallel.go", Edits: []edit{{
+			Old: "\tfor _, pt := range priv {\n",
+			New: "\tbyWorker := map[int][]float64{}\n\tfor w, pt := range priv {\n\t\tbyWorker[w] = pt\n\t}\n\tfor _, pt := range byWorker {\n",
+		}},
+		Pkgs: eulerPkgs, Run: "."},
+
+	// errcheck (kept): a dropped error on an input check and on an
+	// output flush; a panic for a rejected option and a rejected input.
+	{Analyzer: "errcheck", Rule: ruleDroppedError,
+		File: "internal/newton/iterate.go", Edits: []edit{{
+			Old: "\tif err := opts.Validate(); err != nil {\n\t\treturn nil, err\n\t}\n",
+			New: "\topts.Validate()\n",
+		}},
+		Pkgs: newtonPkgs, Run: "."},
+	{Analyzer: "errcheck", Rule: ruleDroppedError,
+		File: "internal/mesh/io.go", Edits: []edit{{
+			Old: "\treturn bw.Flush()\n",
+			New: "\tbw.Flush()\n\treturn nil\n",
+		}},
+		Pkgs: meshPkgs, Run: "."},
+	{Analyzer: "errcheck", Rule: ruleLibraryPanic,
+		File: "internal/newton/newton.go", Edits: []edit{{
+			Old: "\t\treturn fmt.Errorf(\"newton: CFL0 %g, want > 0\", o.CFL0)\n",
+			New: "\t\tpanic(fmt.Sprintf(\"newton: CFL0 %g, want > 0\", o.CFL0))\n",
+		}},
+		Pkgs: newtonPkgs, Run: "."},
+	{Analyzer: "errcheck", Rule: ruleLibraryPanic,
+		File: "internal/mesh/io.go", Edits: []edit{{
+			Old: "\t\treturn nil, fmt.Errorf(\"mesh: bad header %q\", header)\n",
+			New: "\t\tpanic(fmt.Sprintf(\"mesh: bad header %q\", header))\n",
+		}},
+		Pkgs: meshPkgs, Run: "."},
+
+	// costconst (kept): a literal and a hand-rolled count fed to a span.
+	{Analyzer: "costconst", Rule: ruleLiteralCost,
+		File: "internal/euler/discretization.go", Edits: []edit{{
+			Old: "\td.boundaryResidual(q, r)\n\tsp.End(d.SweepFlops(), d.SweepBytes())\n",
+			New: "\td.boundaryResidual(q, r)\n\tsp.End(100000, d.SweepBytes())\n",
+		}},
+		Pkgs: eulerPkgs, Run: "."},
+	{Analyzer: "costconst", Rule: ruleAdHocCost,
+		File: "internal/dist/dist.go", Edits: []edit{{
+			Old: "\tisp.End(m.diag.MulVecFlops(), m.diag.MulVecBytes())\n",
+			New: "\tisp.End(int64(2*len(m.diag.ColIdx)), m.diag.MulVecBytes())\n",
+		}},
+		Pkgs: distPkgs, Run: "."},
+
+	// profspan (kept): one row per rule.
+	{Analyzer: "profspan", Rule: ruleUnboundSpan,
+		File: "internal/dist/dist.go", Edits: []edit{
+			{Old: "\tbsp := m.Prof.Begin(prof.PhaseBoundary)\n", New: "\tm.Prof.Begin(prof.PhaseBoundary)\n"},
+			{Old: "\tbsp.End(sparse.MulVecRowsFlops(len(m.off.ColIdx), m.B), sparse.MulVecRowsBytes(len(m.off.ColIdx), len(m.boundary), m.B))\n", New: ""},
+		},
+		Pkgs: distPkgs, Run: "."},
+	{Analyzer: "profspan", Rule: ruleAdHocPhase,
+		File: "internal/euler/discretization.go", Edits: []edit{{
+			Old: "func (d *Discretization) Residual(q, r []float64) {\n\tsp := prof.Begin(prof.PhaseFlux)\n",
+			New: "func (d *Discretization) Residual(q, r []float64) {\n\tsp := prof.Begin(prof.PhaseFlux + 1)\n",
+		}},
+		Pkgs: eulerPkgs, Run: "."},
+	{Analyzer: "profspan", Rule: ruleUnclosedSpan,
+		File: "internal/schwarz/schwarz.go", Edits: []edit{{
+			Old: "\tdefer sp.End(0, p.applyCopyBytes())\n",
+			New: "\t_ = sp\n",
+		}},
+		Pkgs: schwarzPkgs, Run: "."},
+	{Analyzer: "profspan", Rule: ruleOpenReturn,
+		File: "internal/dist/dist.go", Edits: []edit{{
+			Old: "\tif err != nil {\n\t\tsp.End(0, 0)\n\t\treturn nil, err\n\t}\n",
+			New: "\tif err != nil {\n\t\treturn nil, err\n\t}\n",
+		}},
+		Pkgs: distPkgs, Run: "."},
+
+	// costsync (kept): a formula one term off its kernel, and a subset
+	// formula that no longer sums to the whole sweep's.
+	{Analyzer: "costsync", Rule: ruleFormulaTerm,
+		File: "internal/ilu/solve.go", Edits: []edit{{
+			Old: "\treturn int64(len(f.Col))*(2*b*b+b) - int64(f.NB)*b\n",
+			New: "\treturn int64(len(f.Col))*(2*b*b+b+1) - int64(f.NB)*b\n",
+		}},
+		Pkgs: []string{"./internal/ilu", "./internal/schwarz"}, Run: "."},
+	{Analyzer: "costsync", Rule: ruleSplitFormula,
+		File: "internal/sparse/bcsr.go", Edits: []edit{{
+			Old: "\treturn 2 * int64(nnzBlocks) * int64(b) * int64(b)\n",
+			New: "\treturn 2*int64(nnzBlocks)*int64(b)*int64(b) + int64(nnzBlocks)*int64(b)\n",
+		}},
+		Pkgs: []string{"./internal/sparse", "./internal/dist"}, Run: "."},
+
+	// codegen (kept): recorded as the baseline an object-code census of
+	// the built binary would have to match before replacing it.
+	{Analyzer: "codegen", Rule: ruleHeapEscape,
+		File: "internal/euler/discretization.go", Edits: []edit{
+			{Old: "func (d *Discretization) timeScales(p *jacobianPlan, q, out []float64) {\n\tclear(out)\n",
+				New: "func (d *Discretization) timeScales(p *jacobianPlan, q, out []float64) {\n\tvar acc [8]float64\n\tescapeSink = acc[:]\n\tclear(out)\n"},
+			{Old: "// timeScales overwrites out", New: "var escapeSink []float64\n\n// timeScales overwrites out"},
+		},
+		Pkgs: eulerPkgs, Run: "SteadyStateAllocs", NoRace: true},
+	{Analyzer: "codegen", Rule: ruleBoundsCheck,
+		File: "internal/par/mreduce.go", Edits: []edit{{
+			Old: "\ty = y[:len(x)] // bce: ties len(y) to len(x); the index serves both streams unchecked\n",
+			New: "",
+		}},
+		Pkgs: parPkgs, Run: "."},
+	{Analyzer: "codegen", Rule: ruleLostInline,
+		File: "internal/euler/discretization.go", Edits: []edit{{
+			Old: "func (d *Discretization) gather(",
+			New: "//go:noinline\nfunc (d *Discretization) gather(",
+		}},
+		Pkgs: eulerPkgs, Run: "."},
 }
 
 // exchangeTail is Halo.Exchange from its receive to its end; Finish
@@ -412,9 +654,11 @@ func funcName(fd *ast.FuncDecl) string {
 }
 
 // TestMutantTableCoversSites is the scoreboard's completeness gate: every
-// row applies to today's source, names only sites that exist, and every
-// audited site has the rows its kind requires — so a new pool task,
-// message call site or overlap window cannot join the tree unaudited.
+// row applies to today's source, names only sites that exist, every
+// audited site has the rows its kind requires, and every rule of every
+// analyzer in the suite or retired has a row — so a new analyzer, pool
+// task, message call site or overlap window cannot join the tree
+// unscored.
 func TestMutantTableCoversSites(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -458,9 +702,23 @@ func TestMutantTableCoversSites(t *testing.T) {
 			t.Errorf("%s has no fixedreduce row for %q", s, ruleWorkerSum)
 		}
 	}
-	for _, r := range poolRules {
-		if !rules[[2]string{"poollife", r}] {
-			t.Errorf("no poollife row for %q", r)
+	for _, a := range Analyzers() {
+		if _, ok := analyzerRules[a.Name]; !ok {
+			t.Errorf("analyzer %s has no rules in analyzerRules; score it with rows before it joins the suite", a.Name)
+		}
+	}
+	listed := map[[2]string]bool{}
+	for name, rs := range analyzerRules {
+		for _, r := range rs {
+			listed[[2]string{name, r}] = true
+			if !rules[[2]string{name, r}] {
+				t.Errorf("no %s row for %q", name, r)
+			}
+		}
+	}
+	for r := range rules {
+		if !listed[r] {
+			t.Errorf("rows seed %s %q, which analyzerRules does not list", r[0], r[1])
 		}
 	}
 }

@@ -12,5 +12,5 @@ func missingReason(n int) {
 	}
 }
 
-//lint:alloc-ok this pragma sits on a line that has no finding
+//lint:overlap-ok this pragma sits on a line that has no finding
 func unusedPragma() {}

@@ -269,7 +269,6 @@ func Run(size int, f func(c *Comm) error, opts ...Options) error {
 	closed := make(chan struct{})
 	close(closed)
 	for i := range w.pairs {
-		//lint:alloc-ok one-time fabric construction at communicator startup
 		ch := make(chan message, o.ChanCap)
 		w.pairs[i] = &pairState{ch: ch, sendTail: closed, recvTail: closed}
 	}
@@ -277,7 +276,7 @@ func Run(size int, f func(c *Comm) error, opts ...Options) error {
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
 		wg.Add(1)
-		go func(rank int) { //lint:alloc-ok one goroutine per rank at communicator startup
+		go func(rank int) {
 			defer wg.Done()
 			defer func() {
 				r := recover()
@@ -896,7 +895,7 @@ func (c *Comm) AllGather(x []float64) [][]float64 {
 		func(gen int64) {
 			snap := make([][]float64, w.size)
 			for r, v := range w.gatVals {
-				cp := make([]float64, len(v)) //lint:alloc-ok plan-time collective, one snapshot per generation
+				cp := make([]float64, len(v))
 				copy(cp, v)
 				snap[r] = cp
 				w.gatVals[r] = nil

@@ -158,6 +158,37 @@ func TestAllReduceSumVec(t *testing.T) {
 	}
 }
 
+// TestReductionsSteadyStateAllocs: once the result slot has grown to
+// the longest vector, the reductions a Krylov iteration runs allocate
+// nothing on any rank. AllocsPerRun counts every goroutine's mallocs;
+// the other ranks run the same collectives in lockstep, once more than
+// the measured runs for AllocsPerRun's warm-up call.
+func TestReductionsSteadyStateAllocs(t *testing.T) {
+	const runs = 20
+	err := Run(3, func(c *Comm) error {
+		x := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+		out := make([]float64, len(x))
+		step := func() {
+			c.AllReduceSumVec(x, out)
+			c.AllReduceSum(out[0])
+		}
+		step()
+		if c.Rank() != 0 {
+			for i := 0; i <= runs; i++ {
+				step()
+			}
+			return nil
+		}
+		if avg := testing.AllocsPerRun(runs, step); avg > 0 {
+			return fmt.Errorf("an iteration's reductions allocate %.1f objects", avg)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAllReduceFloatAccuracy(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		x := 0.1 * float64(c.Rank()+1)

@@ -83,7 +83,7 @@ func New(n int) *Pool {
 	p := &Pool{nw: n, panics: make([]any, n)}
 	p.wake = make([]chan Task, n-1)
 	for i := range p.wake {
-		c := make(chan Task, 1) //lint:alloc-ok one wake channel per worker at pool construction
+		c := make(chan Task, 1)
 		p.wake[i] = c
 		go p.worker(i+1, c)
 	}

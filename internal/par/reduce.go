@@ -9,8 +9,8 @@ import "math"
 // ascending segment order. Workers own contiguous runs of segments, so
 // any worker count — including one — produces the exact same partials
 // and therefore the exact same bitwise result. This is the
-// detorder-clean, run-to-run-identical dot product the GMRES iteration
-// decisions hang off.
+// run-to-run-identical dot product the GMRES iteration decisions hang
+// off.
 const Segments = 64
 
 // Dot returns the inner product of x and y via the fixed-shape

@@ -104,10 +104,10 @@ func New(a *sparse.BCSR, part []int32, nparts int, opts Options) (*Preconditione
 	}
 	owned := make([][]int32, nparts)
 	for q, n := range counts {
-		owned[q] = make([]int32, 0, n) //lint:alloc-ok one-time partition of rows at preconditioner setup
+		owned[q] = make([]int32, 0, n)
 	}
 	for i, q := range part {
-		owned[q] = append(owned[q], int32(i)) //lint:alloc-ok appends into capacity preallocated to the exact part size
+		owned[q] = append(owned[q], int32(i))
 	}
 	// One dense mark array serves every subdomain in turn: -1 outside
 	// the subdomain being built, its local row index inside.
@@ -257,7 +257,7 @@ func buildSubdomain(a *sparse.BCSR, owned []int32, mark []int32, opts Options) (
 			for _, j := range a.ColIdx[a.RowPtr[r]:a.RowPtr[r+1]] {
 				if mark[j] < 0 {
 					mark[j] = 0
-					next = append(next, j) //lint:alloc-ok one-time BFS overlap expansion at subdomain setup
+					next = append(next, j)
 				}
 			}
 		}
@@ -270,7 +270,7 @@ func buildSubdomain(a *sparse.BCSR, owned []int32, mark []int32, opts Options) (
 	for r, m := range mark {
 		if m >= 0 {
 			mark[r] = int32(len(s.Extended))
-			s.Extended = append(s.Extended, int32(r)) //lint:alloc-ok appends into exact preallocated capacity at setup
+			s.Extended = append(s.Extended, int32(r))
 		}
 	}
 	s.ownedLocal = make([]int32, len(owned))
@@ -310,8 +310,8 @@ func (s *Subdomain) extract(a *sparse.BCSR, mark []int32) {
 	for li, r := range s.Extended {
 		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
 			if lj := mark[a.ColIdx[k]]; lj >= 0 {
-				colIdx = append(colIdx, lj) //lint:alloc-ok appends into exact preallocated capacity at setup
-				s.src = append(s.src, k)    //lint:alloc-ok appends into exact preallocated capacity at setup
+				colIdx = append(colIdx, lj)
+				s.src = append(s.src, k)
 			}
 		}
 		rowPtr[li+1] = int32(len(colIdx))

@@ -245,8 +245,8 @@ func (a *BCSR) ToCSR() *CSR {
 				j := int(a.ColIdx[k]) * b
 				blk := a.Block(int(k))
 				for c := 0; c < b; c++ {
-					out.ColIdx = append(out.ColIdx, int32(j+c)) //lint:alloc-ok appends into capacity preallocated to the exact nnz
-					out.Val = append(out.Val, blk[c*b+r])       //lint:alloc-ok appends into capacity preallocated to the exact nnz
+					out.ColIdx = append(out.ColIdx, int32(j+c))
+					out.Val = append(out.Val, blk[c*b+r])
 				}
 			}
 			out.RowPtr[i*b+r+1] = int32(len(out.ColIdx))
@@ -273,7 +273,7 @@ func NewBCSRPattern(nb, b int, rows [][]int32) *BCSR {
 	}
 	a.ColIdx = make([]int32, 0, nnzb)
 	for i := 0; i < nb; i++ {
-		a.ColIdx = append(a.ColIdx, rows[i]...) //lint:alloc-ok appends into capacity preallocated to the exact nnzb
+		a.ColIdx = append(a.ColIdx, rows[i]...)
 		slices.Sort(a.ColIdx[a.RowPtr[i]:])
 		a.RowPtr[i+1] = int32(len(a.ColIdx))
 	}

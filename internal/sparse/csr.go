@@ -108,7 +108,7 @@ type Builder struct {
 func NewBuilder(n int) *Builder {
 	rows := make([]map[int32]float64, n)
 	for i := range rows {
-		rows[i] = make(map[int32]float64, 16) //lint:alloc-ok one-time builder initialization
+		rows[i] = make(map[int32]float64, 16)
 	}
 	return &Builder{n: n, rows: rows}
 }
@@ -132,12 +132,12 @@ func (b *Builder) Build() *CSR {
 	for i := 0; i < b.n; i++ {
 		cols = cols[:0]
 		for j := range b.rows[i] {
-			cols = append(cols, j) //lint:alloc-ok assembly-time row staging; cols is reused across rows
+			cols = append(cols, j)
 		}
 		slices.Sort(cols)
 		for _, j := range cols {
-			a.ColIdx = append(a.ColIdx, j)      //lint:alloc-ok appends into capacity preallocated to the exact nnz
-			a.Val = append(a.Val, b.rows[i][j]) //lint:alloc-ok appends into capacity preallocated to the exact nnz
+			a.ColIdx = append(a.ColIdx, j)
+			a.Val = append(a.Val, b.rows[i][j])
 		}
 		a.RowPtr[i+1] = int32(len(a.ColIdx))
 	}

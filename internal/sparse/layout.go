@@ -69,9 +69,9 @@ func BlockPattern(g Graph, b int) *BCSR {
 	rows := make([][]int32, g.NV)
 	for v := 0; v < g.NV; v++ {
 		nbrs := g.Adj[g.XAdj[v]:g.XAdj[v+1]]
-		row := make([]int32, 0, len(nbrs)+1) //lint:alloc-ok one-time sparsity-pattern construction
-		row = append(row, nbrs...)           //lint:alloc-ok one-time sparsity-pattern construction
-		row = append(row, int32(v))          //lint:alloc-ok one-time sparsity-pattern construction
+		row := make([]int32, 0, len(nbrs)+1)
+		row = append(row, nbrs...)
+		row = append(row, int32(v))
 		rows[v] = row
 	}
 	return NewBCSRPattern(g.NV, b, rows)
@@ -102,15 +102,15 @@ func ScalarPattern(g Graph, b int, l Layout) *CSR {
 		nbrs := g.Adj[g.XAdj[v]:g.XAdj[v+1]]
 		cols = cols[:0]
 		for c := 0; c < b; c++ {
-			cols = append(cols, int32(ScalarIndex(l, g.NV, b, v, c))) //lint:alloc-ok pattern staging; cols is reused across rows
+			cols = append(cols, int32(ScalarIndex(l, g.NV, b, v, c)))
 		}
 		for _, w := range nbrs {
 			for c := 0; c < b; c++ {
-				cols = append(cols, int32(ScalarIndex(l, g.NV, b, int(w), c))) //lint:alloc-ok pattern staging; cols is reused across rows
+				cols = append(cols, int32(ScalarIndex(l, g.NV, b, int(w), c)))
 			}
 		}
 		insertionSortInt32(cols)
-		a.ColIdx = append(a.ColIdx, cols...) //lint:alloc-ok one-time pattern construction
+		a.ColIdx = append(a.ColIdx, cols...)
 		a.RowPtr[i+1] = int32(len(a.ColIdx))
 	}
 	a.Val = make([]float64, len(a.ColIdx))

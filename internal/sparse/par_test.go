@@ -67,21 +67,28 @@ func TestMulVecParNilPool(t *testing.T) {
 }
 
 // TestMulVecParSteadyStateAllocs: after the first call sizes the stripe
-// bounds, repeated threaded products do not allocate.
+// bounds, repeated threaded products do not allocate, at both unrolled
+// block sizes and in every kernel family the host runs — the Go kernels
+// are what a host without AVX2 runs.
 func TestMulVecParSteadyStateAllocs(t *testing.T) {
-	a := BlockPattern(bandGraph(48), 5)
-	a.FillDeterministic(7)
-	n := a.N()
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i % 9)
-	}
 	p := par.New(4)
 	defer p.Close()
-	a.MulVecPar(p, x, y) // warm up stripe bounds
-	if avg := testing.AllocsPerRun(20, func() { a.MulVecPar(p, x, y) }); avg > 0 {
-		t.Fatalf("MulVecPar allocates %.1f objects per product", avg)
+	for _, fam := range families() {
+		useKernels(t, fam)
+		for _, b := range []int{4, 5} {
+			a := BlockPattern(bandGraph(48), b)
+			a.FillDeterministic(7)
+			n := a.N()
+			x := make([]float64, n)
+			y := make([]float64, n)
+			for i := range x {
+				x[i] = float64(i % 9)
+			}
+			a.MulVecPar(p, x, y) // warm up stripe bounds
+			if avg := testing.AllocsPerRun(20, func() { a.MulVecPar(p, x, y) }); avg > 0 {
+				t.Fatalf("%s kernels, b=%d: MulVecPar allocates %.1f objects per product", fam.name, b, avg)
+			}
+		}
 	}
 }
 
