@@ -154,9 +154,9 @@ fuzz:
 # `go test -overlay` (the tree is never written) and its packages' tests
 # run under the race detector (without it where the catching test skips
 # under it), after a control run of the same tests on the unmutated tree
-# that must pass. Prints one markdown row per mutant. Retired analyzers'
-# rows must be caught, by a named failing test or runtime check; kept
-# analyzers' rows are recorded. CI runs it in its own workflow
+# that must pass. Prints one markdown row per mutant. The rows of retired
+# analyzers and retired rules must be caught, by a named failing test or
+# runtime check; kept rules' rows are recorded. CI runs it in its own workflow
 # (mutants.yml) when the code it seeds changes, and weekly.
 mutants:
 	go test -tags mutants -run '^TestMutants$$' -count=1 -timeout 2h -v ./internal/lint

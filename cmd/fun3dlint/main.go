@@ -1,16 +1,15 @@
 // Command fun3dlint runs the repository's domain-aware static-analysis
-// suite (internal/lint): hot-path allocation discipline, profiler
-// Begin/End span pairing against the canonical phase taxonomy, cost
-// formula provenance for the roofline accounting, dropped errors and
-// library panics, map-ordered floating-point reductions, overlap-window
-// purity, and the flop-count cross-checker — plus the codegen
-// conformance budget (the compiler's own escape/inline/bounds-check
-// diagnostics held to codegen.budget.json). It is part of `make
-// verify`; any finding fails the build.
+// suite (internal/lint): profiler Begin/End span pairing against the
+// canonical phase taxonomy, cost formula provenance for the roofline
+// accounting, dropped errors and library panics, overlap-window purity,
+// and the flop-count cross-checker — plus the codegen conformance check
+// (the hot packages' compiled archives, disassembled, hold no
+// innermost-loop bounds check and no call to a must-inline helper). It
+// is part of `make verify`; any finding fails the build.
 //
 // Usage:
 //
-//	fun3dlint [-json] [-only analyzer,...] [-list] [-update-budget] [packages]
+//	fun3dlint [-json] [-only analyzer,...] [-list] [packages]
 //
 // Packages are module-relative patterns ("./...", "./internal/...", or
 // plain package directories); the default is "./...". With -only (one
@@ -18,9 +17,7 @@
 // full suite still runs (so pragma hygiene stays whole-suite) but only
 // the named analyzers' findings are reported and counted toward the
 // exit status. -list prints the analyzer registry with the one-line
-// invariants the README table carries. -update-budget re-records the
-// codegen budget's toolchain pin to the running toolchain — an
-// intentional act after reviewing the new compiler's diagnostics.
+// invariants the README table carries.
 // Exit status is 1 when findings are reported, 2 on load or usage
 // errors.
 package main
@@ -32,11 +29,9 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
-	"petscfun3d/internal/codegen"
 	"petscfun3d/internal/lint"
 )
 
@@ -57,10 +52,9 @@ func main() {
 	asJSON := flag.Bool("json", false, "report findings as a versioned JSON object (for CI)")
 	only := flag.String("only", "", "report only these analyzers' findings (comma-separated)")
 	list := flag.Bool("list", false, "print the analyzer registry with its one-line invariants and exit")
-	updateBudget := flag.Bool("update-budget", false, "re-record the codegen budget's toolchain pin to this toolchain and exit")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
-		_, _ = fmt.Fprintf(out, "usage: fun3dlint [-json] [-only analyzer,...] [-list] [-update-budget] [packages]\n")
+		_, _ = fmt.Fprintf(out, "usage: fun3dlint [-json] [-only analyzer,...] [-list] [packages]\n")
 		flag.PrintDefaults()
 		_, _ = fmt.Fprintf(out, "\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
@@ -96,9 +90,6 @@ func main() {
 	root, err := lint.FindModuleRoot(cwd)
 	if err != nil {
 		os.Exit(fatal(err))
-	}
-	if *updateBudget {
-		os.Exit(recordBudget(root))
 	}
 	findings, err := lint.RunPatterns(root, patterns)
 	if err != nil {
@@ -169,26 +160,6 @@ func knownAnalyzer(name string) bool {
 		}
 	}
 	return false
-}
-
-// recordBudget rewrites the codegen budget's toolchain pin to the
-// running toolchain. The zero-escape/zero-bounds-check policy itself
-// never changes — only the compiler version the diagnostics were
-// reviewed under — so this is the whole of "re-recording": an explicit,
-// diffable statement that someone looked at the new toolchain's output.
-func recordBudget(root string) int {
-	path := filepath.Join(root, codegen.BudgetFile)
-	b, err := codegen.LoadBudget(path)
-	if err != nil {
-		return fatal(fmt.Errorf("cannot update budget: %v", err))
-	}
-	old := b.GoVersion
-	b.GoVersion = runtime.Version()
-	if err := b.Save(path); err != nil {
-		return fatal(err)
-	}
-	fmt.Printf("%s: toolchain pin %s -> %s\n", codegen.BudgetFile, old, b.GoVersion)
-	return 0
 }
 
 func fatal(err error) int {

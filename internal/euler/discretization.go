@@ -178,7 +178,7 @@ func (d *Discretization) gather(q []float64, v int32, dst []float64) {
 		d.gatherStrided(q, v, dst)
 		return
 	}
-	copy(dst, q[int(v)*len(dst):])
+	copy(dst, q[int(v)*len(dst):]) //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
 }
 
 // gatherStrided is kept out of line (a call to an inlinable function is
@@ -320,7 +320,7 @@ func (d *Discretization) timeScales(p *jacobianPlan, q, out []float64) {
 	qa := ws.qa[:d.Sys.B()]
 	rows := p.bndRow[:len(p.bnd)] // bce: the boundary index serves both lists unchecked
 	for i, v := range p.bnd {
-		d.gather(q, v, qa)                                              //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
+		d.gather(q, v, qa)
 		out[rows[i]] += d.Sys.SpectralRadius(qa, d.Geo.BoundaryArea[v]) //lint:bce-ok the boundary vertex and its time-scale row come from the plan's lists; both are data-dependent
 	}
 	d.putWS(ws)

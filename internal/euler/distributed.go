@@ -75,7 +75,7 @@ func (d *Discretization) BoundaryResidualMasked(q, r []float64, owned []bool) {
 			continue
 		}
 		s := ba[v]
-		d.gather(q, int32(v), qi) //lint:bce-ok the gathered row offset is v*b, a product prove cannot relate to len(q)
+		d.gather(q, int32(v), qi)
 		switch kind {
 		case mesh.BInflow, mesh.BOutflow:
 			// Weak characteristic farfield: upwind flux against the

@@ -436,7 +436,7 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 			slot[j] = -1 //lint:bce-ok dense work array indexed by block column
 		}
 		if err != nil {
-			return fmt.Errorf("ilu: singular pivot block at row %d: %w", i, err) //lint:escape-ok cold error exit: the row index is boxed only when the factorization fails
+			return fmt.Errorf("ilu: singular pivot block at row %d: %w", i, err)
 		}
 		if v32 != nil {
 			round32(v32[int(lPtr[i])*bb:int(lPtr[i+1])*bb], val[lo*bb:])

@@ -366,7 +366,7 @@ func backwardN[T float32 | float64](val []T, col, uPtr, rows []int32, lo, hi, n 
 
 // axpyCol adds one block column times xc to the row sums s.
 func axpyCol[T float32 | float64](s []float64, col []T, xc float64) {
-	col = col[:len(s)] // bce: ties len(col) to len(s); the r index needs one range check, not two
+	col = col[:len(s)] //lint:bce-ok ties len(col) to len(s): one range check per block column, not two per element
 	for r, w := range col {
 		s[r] += float64(w) * xc
 	}

@@ -16,11 +16,10 @@
 // (costsync).
 //
 // The codegen analyzer closes the last gap between the model and the
-// machine: it replays the compiler's own escape-analysis, inlining, and
-// bounds-check-elimination diagnostics over the hot packages and holds
-// the kernels to the checked-in budget manifest (codegen.budget.json) —
-// no heap escapes, no bounds checks surviving in innermost loops, and
-// the small per-edge/per-row helpers must inline.
+// machine: it disassembles the hot packages' compiled archives and holds
+// the kernels to the policy in codegen.go — no bounds checks surviving
+// in innermost loops, and no call left to the small per-edge/per-row
+// helpers that must inline.
 //
 // The message protocol (every request waited, tags matched), the
 // worker pool's owner-computes determinism, allocation-free steady
@@ -35,7 +34,6 @@
 //
 //	//lint:panic-ok <reason>     (errcheck's panic rule)
 //	//lint:overlap-ok <reason>   (overlapregion)
-//	//lint:escape-ok <reason>    (codegen's escape rules)
 //	//lint:bce-ok <reason>       (codegen's bounds-check rule)
 //
 // The reason is mandatory, and a pragma that suppresses nothing is
@@ -143,7 +141,7 @@ func (p *Pass) ReportSuppressiblef(pos token.Pos, key, format string, args ...an
 
 // ReportAtf records a finding at an explicit source position — for
 // analyzers whose evidence arrives from outside the parsed FileSet (the
-// codegen analyzer reports at compiler-diagnostic positions). key names
+// codegen analyzer reports at object-code line positions). key names
 // the pragma that may suppress it; empty means not suppressible.
 func (p *Pass) ReportAtf(position token.Position, key, format string, args ...any) {
 	p.record(position, key, format, args...)
@@ -180,7 +178,6 @@ var pragmaRe = regexp.MustCompile(`^//lint:([a-z-]+)(?:\s+(.*))?$`)
 var knownPragmaKeys = map[string]bool{
 	"panic-ok":   true,
 	"overlap-ok": true,
-	"escape-ok":  true,
 	"bce-ok":     true,
 }
 

@@ -82,7 +82,7 @@ func TestAnalyzerSuite(t *testing.T) {
 			t.Errorf("analyzer %d = %s, want %s", i, a.Name, want[i])
 		}
 	}
-	keys := []string{"panic-ok", "overlap-ok", "escape-ok", "bce-ok"}
+	keys := []string{"panic-ok", "overlap-ok", "bce-ok"}
 	if len(knownPragmaKeys) != len(keys) {
 		t.Errorf("%d pragma keys registered, want %d", len(knownPragmaKeys), len(keys))
 	}

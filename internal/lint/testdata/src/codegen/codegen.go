@@ -1,29 +1,14 @@
 // Package codegen is the fixture for the codegen conformance analyzer:
-// HotKernel carries one injected heap escape, one stack variable forced
-// to the heap, and one bounds check surviving in an innermost loop;
-// bigHelper is on the must-inline list but cannot inline (recursive);
-// tinyHelper satisfies its must-inline entry. The data-dependent gather
+// HotKernel carries one bounds check surviving in an innermost loop and
+// one call to bigHelper, a must-inline helper kept out of line;
+// tinyHelper inlines and satisfies its entry. The data-dependent gather
 // loop carries an audited bce-ok pragma and must stay silent.
-package codegen // want "codegen budget names hot function vanished which no longer exists"
+package codegen // want "codegen policy names hot function vanished which no longer exists" // want "codegen policy names must-inline helper gone which no longer exists"
 
-var (
-	sinkSlice []float64
-	sinkPtr   *[4]float64
-	sinkFloat float64
-)
+var sinkFloat float64
 
-// HotKernel is the budgeted hot function.
+// HotKernel is the policy's hot function.
 func HotKernel(xs, ys []float64, idx []int32, n int) {
-	var scratch [4]float64 // want "hot kernel HotKernel: moved to heap: scratch"
-	scratch[0] = 1
-	sinkPtr = &scratch
-
-	for pass := 0; pass < 2; pass++ {
-		buf := make([]float64, 4) // want "hot kernel HotKernel: make..]float64, 4. escapes to heap inside its loop"
-		buf[0] = float64(pass)
-		sinkSlice = buf
-	}
-
 	var s float64
 	for i := 0; i < n; i++ {
 		s += xs[i] // want "hot kernel HotKernel: bounds check survives in an innermost loop"
@@ -32,16 +17,13 @@ func HotKernel(xs, ys []float64, idx []int32, n int) {
 	for i := 0; i < n && i < len(xs); i++ {
 		s += ys[idx[i]] //lint:bce-ok data-dependent gather through the edge index; no length relation is provable
 	}
-	sinkFloat = s + tinyHelper(s, s) + bigHelper(3)
+	sinkFloat = s + tinyHelper(s, s) + bigHelper(3) // want "must-inline helper fixture/codegen.bigHelper is called, not inlined, in fixture/codegen.HotKernel"
 }
 
 // tinyHelper inlines; its must-inline entry is satisfied.
 func tinyHelper(a, b float64) float64 { return a*b + b }
 
-// bigHelper is recursive, so the compiler refuses to inline it.
-func bigHelper(n int) float64 { // want "must-inline helper bigHelper"
-	if n <= 0 {
-		return 1
-	}
-	return 1.5 * bigHelper(n-1)
-}
+// bigHelper is kept out of line, so its call survives in the archive.
+//
+//go:noinline
+func bigHelper(n int) float64 { return 1.5 * float64(n) }

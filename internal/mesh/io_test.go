@@ -2,11 +2,29 @@ package mesh
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 )
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestWriteReportsWriterError pins that Write returns the writer's
+// error. The mesh fits the bufio buffer, so the only write that reaches
+// the writer is the final Flush: a Write that drops Flush's error
+// reports success on a file that was never written.
+func TestWriteReportsWriterError(t *testing.T) {
+	if err := testWing(t, 6, 5, 4).Write(failingWriter{}); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Write to a failing writer returned %v, want %v", err, errDiskFull)
+	}
+}
 
 func TestMeshRoundTrip(t *testing.T) {
 	orig := testWing(t, 6, 5, 4)

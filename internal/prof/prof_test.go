@@ -3,6 +3,7 @@ package prof
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 )
@@ -120,6 +121,21 @@ func TestMergeCombinesRanks(t *testing.T) {
 	after := a.Report(0)
 	if before.TotalSeconds != after.TotalSeconds {
 		t.Fatal("self-merge changed totals")
+	}
+}
+
+// failingWriter refuses every write.
+type failingWriter struct{}
+
+var errDiskFull = errors.New("disk full")
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errDiskFull }
+
+// TestWriteJSONReportsWriterError pins that WriteJSON returns the
+// writer's error instead of reporting a profile that was never written.
+func TestWriteJSONReportsWriterError(t *testing.T) {
+	if err := New().WriteJSON(failingWriter{}, 1e9); !errors.Is(err, errDiskFull) {
+		t.Fatalf("WriteJSON to a failing writer returned %v, want %v", err, errDiskFull)
 	}
 }
 
