@@ -77,9 +77,8 @@ func TestPhaseProfileBaseline(t *testing.T) {
 	prof.Default.Disable()
 
 	// The profile must stay within the canonical phase taxonomy (the
-	// names internal/machine and the lint suite's profspan analyzer are
-	// built around); a drifting name would silently detach the measured
-	// tables from the model.
+	// names internal/machine is built around); a drifting name would
+	// silently detach the measured tables from the model.
 	rep = prof.Default.Report(0)
 	if len(rep.Phases) == 0 {
 		t.Fatal("profile has no phases")

@@ -49,7 +49,7 @@ func NewCache(name string, sizeBytes, lineSize, ways int) (*Cache, error) {
 func MustCache(name string, sizeBytes, lineSize, ways int) *Cache {
 	c, err := NewCache(name, sizeBytes, lineSize, ways)
 	if err != nil {
-		//lint:panic-ok Must-style constructor: panicking on an invalid static configuration is its documented contract
+		// Must-style constructor: panicking on an invalid static configuration is its documented contract
 		panic(err)
 	}
 	return c

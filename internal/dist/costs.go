@@ -2,9 +2,9 @@ package dist
 
 // Cost formulas for the measured phase profiler. Every Begin/End span
 // in this package charges its flops and bytes through these functions
-// (the costconst analyzer enforces it), so the counts the profiler
-// reports cannot drift from the formulas the roofline accounting and
-// the virtual-machine model assume.
+// (tests read the charges back from the profiler's report), so the
+// counts the profiler reports cannot drift from the formulas the
+// roofline accounting and the virtual-machine model assume.
 
 // haloWireBytes is the wire traffic of one ghost scatter: each send and
 // receive index list crossing this rank's boundary moves B doublewords

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -282,9 +283,10 @@ func TestDistributedProfileMeasuresCommunication(t *testing.T) {
 		t.Error("compute phases recorded no flops")
 	}
 	// The interior/boundary split's flop accounting must equal one full
-	// MulVec per call: the two subsets partition the stored blocks.
-	if got["interior"].Flops+got["boundary"].Flops <= 0 {
-		t.Error("split matvec recorded no flops")
+	// MulVec per call: the two subsets partition the stored blocks, and
+	// every rank makes each call.
+	if split, want := got["interior"].Flops+got["boundary"].Flops, got["matvec"].Calls/nranks*pr.a.MulVecFlops(); split != want {
+		t.Errorf("split matvec charged %d flops over %d calls, want %d (one global MulVec per call)", split, got["matvec"].Calls/nranks, want)
 	}
 	// Every rank's halo phases happen inside its matvecs: cumulative
 	// child time cannot exceed cumulative parent time.
@@ -666,5 +668,162 @@ func TestSplitMatVecBitwiseGrid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+	}
+}
+
+// samePhases returns an error unless rep holds exactly the phases of
+// want, each with its calls, flops and bytes.
+func samePhases(what string, rep prof.Report, want map[string]prof.PhaseStat) error {
+	got := map[string]prof.PhaseStat{}
+	for _, st := range rep.Phases {
+		got[st.Phase] = st
+	}
+	var bad []string
+	for name, st := range got {
+		w, ok := want[name]
+		if !ok || st.Calls != w.Calls || st.Flops != w.Flops || st.Bytes != w.Bytes {
+			bad = append(bad, fmt.Sprintf("%s = {%d calls, %d flops, %d bytes}, want {%d, %d, %d}",
+				name, st.Calls, st.Flops, st.Bytes, w.Calls, w.Flops, w.Bytes))
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			bad = append(bad, name+" missing")
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return fmt.Errorf("%s: %v", what, bad)
+	}
+	return nil
+}
+
+// profiled runs f under a fresh enabled profiler and returns its report.
+func profiled(f func(p *prof.Profiler) error) (prof.Report, error) {
+	p := prof.New()
+	p.Enable()
+	err := f(p)
+	p.Disable()
+	return p.Report(0), err
+}
+
+// TestSpansChargeTheirFormulas: on every rank, the distributed product
+// with and without overlap, BlockJacobi and its solve each record
+// exactly their phases, each charged its cost formulas — the phase,
+// calls, flops and bytes Table 3's decomposition reads. The product
+// splits its work into interior and boundary spans and charges the
+// halo's pack, wait and wire bytes; its matvec span carries no work of
+// its own. (TestDistributedResidualPhases does the same for Residual.)
+func TestSpansChargeTheirFormulas(t *testing.T) {
+	const nranks = 3
+	pr := buildTestProblem(t, 6, 5, 4, 4, nranks)
+	err := mpi.Run(nranks, func(c *mpi.Comm) error {
+		m, err := NewMatrix(c, pr.a, pr.part.Part)
+		if err != nil {
+			return err
+		}
+		mh := m.halo
+		x := make([]float64, m.LocalN())
+		for i := range x {
+			x[i] = 1 + float64(i%5)
+		}
+		y := make([]float64, m.LocalN())
+		interior := prof.PhaseStat{Calls: 1, Flops: m.diag.MulVecFlops(), Bytes: m.diag.MulVecBytes()}
+		boundary := prof.PhaseStat{Calls: 1, Flops: sparse.MulVecRowsFlops(len(m.off.ColIdx), m.B),
+			Bytes: sparse.MulVecRowsBytes(len(m.off.ColIdx), len(m.boundary), m.B)}
+		for _, noOverlap := range []bool{false, true} {
+			m.NoOverlap = noOverlap
+			rep, err := profiled(func(p *prof.Profiler) error { m.Prof = p; return m.MulVec(x, y) })
+			if err != nil {
+				return err
+			}
+			want := map[string]prof.PhaseStat{"matvec": {Calls: 1}, "interior": interior, "boundary": boundary}
+			if noOverlap {
+				want["scatter"] = prof.PhaseStat{Calls: 1, Bytes: mh.haloWireBytes()}
+			} else {
+				want["scatter_pack"] = prof.PhaseStat{Calls: 2, Bytes: mh.haloPackBytes() + mh.haloUnpackBytes()}
+				want["scatter_wait"] = prof.PhaseStat{Calls: 1, Bytes: mh.haloWireBytes()}
+			}
+			if err := samePhases(fmt.Sprintf("matvec (no overlap %v)", noOverlap), rep, want); err != nil {
+				return err
+			}
+		}
+		var solve func(r, z []float64)
+		rep, err := profiled(func(p *prof.Profiler) (err error) {
+			m.Prof = p
+			solve, err = m.BlockJacobi(ilu.Options{Level: 0})
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		f := m.bj
+		if err := samePhases("block Jacobi", rep, map[string]prof.PhaseStat{
+			"ilu_factor": {Calls: 1, Flops: f.FactorFlops(), Bytes: f.FactorBytes()},
+		}); err != nil {
+			return err
+		}
+		rep, _ = profiled(func(p *prof.Profiler) error { m.Prof = p; solve(x, y); return nil })
+		return samePhases("block Jacobi solve", rep, map[string]prof.PhaseStat{
+			"tri_solve": {Calls: 1, Flops: f.SolveFlops(), Bytes: f.SolveBytes()},
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewtonSolveSpans: a distributed Newton solve records one uncharged
+// newton span, one uncharged pc_setup span for the operator's plan plus
+// one per step around block Jacobi, and one jacobian span per step
+// charged the local assembly's formulas.
+func TestNewtonSolveSpans(t *testing.T) {
+	const nranks = 2
+	d, part, q0 := buildResidualProblem(t, 5, 4, 4, nranks)
+	opts := DefaultNewtonOptions()
+	opts.MaxSteps = 2
+	opts.RelTol = 1e-14
+	err := mpi.Run(nranks, func(c *mpi.Comm) error {
+		rd, err := NewResidual(c, d, part.Part)
+		if err != nil {
+			return err
+		}
+		am, err := planOperator(c, rd, part.Part)
+		if err != nil {
+			return err
+		}
+		jf, jb := am.jac.Flops(), am.jac.Bytes()
+		q := append([]float64(nil), q0...)
+		rep, err := profiled(func(p *prof.Profiler) error {
+			_, err := NewtonSolve(c, d, part.Part, q, opts, p)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		got := map[string]prof.PhaseStat{}
+		for _, st := range rep.Phases {
+			got[st.Phase] = st
+		}
+		steps := got["jacobian"].Calls
+		if steps < 1 {
+			return fmt.Errorf("rank %d: no jacobian span in %+v", c.Rank(), rep.Phases)
+		}
+		want := map[string]prof.PhaseStat{
+			"newton":   {Calls: 1},
+			"pc_setup": {Calls: steps + 1},
+			"jacobian": {Calls: steps, Flops: steps * jf, Bytes: steps * jb},
+		}
+		for name, w := range want {
+			st := got[name]
+			if st.Calls != w.Calls || st.Flops != w.Flops || st.Bytes != w.Bytes {
+				return fmt.Errorf("rank %d: %s = {%d calls, %d flops, %d bytes}, want {%d, %d, %d}",
+					c.Rank(), name, st.Calls, st.Flops, st.Bytes, w.Calls, w.Flops, w.Bytes)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

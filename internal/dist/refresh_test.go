@@ -11,6 +11,7 @@ import (
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/newton"
+	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
 )
 
@@ -183,10 +184,20 @@ func TestMatrixRefreshSingularPivotIsRecoverable(t *testing.T) {
 			}
 			clear(blk)
 		}
+		pf := prof.New()
+		if owner {
+			m.Prof = pf
+			pf.Enable()
+		}
 		_, err = m.BlockJacobi(opts)
+		m.Prof = nil
 		if owner {
 			if err == nil || !strings.Contains(err.Error(), "singular pivot block at row 0") {
 				return fmt.Errorf("zeroed diagonal block gave %v, want a singular-pivot error naming row 0", err)
+			}
+			// The failed factorization still closes its span, uncharged.
+			if ph := pf.Report(0).Phases; len(ph) != 1 || ph[0].Phase != "ilu_factor" || ph[0].Calls != 1 || ph[0].Flops != 0 || ph[0].Bytes != 0 {
+				return fmt.Errorf("failed BlockJacobi recorded phases %+v, want one closed ilu_factor span", ph)
 			}
 		} else if err != nil {
 			return err

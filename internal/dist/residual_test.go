@@ -8,6 +8,7 @@ import (
 	"petscfun3d/internal/euler"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/mpi"
+	"petscfun3d/internal/par"
 	"petscfun3d/internal/partition"
 	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
@@ -84,54 +85,53 @@ func TestDistributedResidualMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDistributedResidualPhases: the overlapped Eval must charge the
-// flux, scatter_pack, scatter_wait, interior, and boundary phases.
+// TestDistributedResidualPhases: on every rank the overlapped Eval
+// records exactly flux (uncharged: the work is in the nested spans),
+// scatter_pack, scatter_wait, interior and boundary, and OwnedNorm2 one
+// reduce span, each charged its cost formulas.
 func TestDistributedResidualPhases(t *testing.T) {
 	const nranks = 3
-	d, p, q := buildResidualProblem(t, 6, 5, 4, nranks)
-	b := 4
-	profs := make([]*prof.Profiler, nranks)
-	for i := range profs {
-		profs[i] = prof.New()
-		profs[i].Enable()
-	}
+	d, p, q0 := buildResidualProblem(t, 6, 5, 4, nranks)
+	b := d.Sys.B()
 	err := mpi.Run(nranks, func(c *mpi.Comm) error {
 		rd, err := NewResidual(c, d, p.Part)
 		if err != nil {
 			return err
 		}
-		rd.Prof = profs[c.Rank()]
-		lq := make([]float64, d.N())
-		res := make([]float64, d.N())
+		h := rd.halo
+		q := make([]float64, d.N())
 		for v := int32(0); v < int32(d.M.NumVertices()); v++ {
 			if rd.Owned(v) {
-				copy(lq[int(v)*b:(int(v)+1)*b], q[int(v)*b:(int(v)+1)*b])
+				copy(q[int(v)*b:(int(v)+1)*b], q0[int(v)*b:(int(v)+1)*b])
 			}
 		}
-		return rd.Eval(lq, res)
+		res := make([]float64, d.N())
+		rep, err := profiled(func(p *prof.Profiler) error { rd.Prof = p; return rd.Eval(q, res) })
+		if err != nil {
+			return err
+		}
+		if err := samePhases("residual", rep, map[string]prof.PhaseStat{
+			"flux":         {Calls: 1},
+			"scatter_pack": {Calls: 2, Bytes: h.haloPackBytes() + h.haloUnpackBytes()},
+			"scatter_wait": {Calls: 1, Bytes: h.haloWireBytes()},
+			"interior": {Calls: 1, Flops: euler.EdgeSubsetFlops(len(rd.interior), b),
+				Bytes: euler.EdgeSubsetBytes(len(rd.interior), b)},
+			"boundary": {Calls: 1, Flops: euler.EdgeSubsetFlops(len(rd.frontier), b),
+				Bytes: euler.EdgeSubsetBytes(len(rd.frontier), b)},
+		}); err != nil {
+			return err
+		}
+		if len(rd.interior) == 0 || len(rd.frontier) == 0 {
+			return fmt.Errorf("rank %d: %d interior and %d frontier edges; want both nonempty",
+				c.Rank(), len(rd.interior), len(rd.frontier))
+		}
+		rep, _ = profiled(func(p *prof.Profiler) error { rd.Prof = p; rd.OwnedNorm2(res); return nil })
+		return samePhases("owned norm", rep, map[string]prof.PhaseStat{
+			"reduce": {Calls: 1, Flops: par.MDotFlops(1, rd.nOwned*b), Bytes: par.MDotBytes(1, rd.nOwned*b)},
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	merged := prof.New()
-	for _, pp := range profs {
-		merged.Merge(pp)
-	}
-	got := map[string]prof.PhaseStat{}
-	for _, st := range merged.Report(0).Phases {
-		got[st.Phase] = st
-	}
-	for _, want := range []string{"flux", "scatter_pack", "scatter_wait", "interior", "boundary"} {
-		st, ok := got[want]
-		if !ok {
-			t.Fatalf("phase %q missing from residual profile", want)
-		}
-		if st.Calls <= 0 {
-			t.Fatalf("phase %q recorded no calls", want)
-		}
-	}
-	if got["interior"].Flops <= 0 || got["boundary"].Flops <= 0 {
-		t.Error("edge subsets recorded no flops")
 	}
 }
 

@@ -273,7 +273,7 @@ func (d *Discretization) wallFlux(q []float64, s mesh.Vec3, out []float64) {
 		out[3] = p * s.Z
 		out[4] = 0
 	default:
-		//lint:panic-ok internal invariant: the system enum is validated when the problem is configured
+		// Internal invariant: the system enum is validated when the problem is configured
 		panic("euler: wallFlux: unknown system")
 	}
 }

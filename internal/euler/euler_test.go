@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/par"
+	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
 )
 
@@ -259,6 +261,67 @@ func TestAssembledJacobianMatchesFiniteDifference(t *testing.T) {
 		}
 		if worstAll > 2e-2 {
 			t.Errorf("%s: boundary Jacobian vs FD worst diff %g", sys.Name(), worstAll)
+		}
+	}
+}
+
+// TestSpansChargeTheirFormulas: one Residual records exactly one flux
+// span (and at second order one gradient span inside it), one
+// ResidualParallel one flux span that adds the private-array gather, and
+// one AssembleJacobian exactly one jacobian span, each charged its cost
+// formulas — the phase, calls, flops and bytes the roofline tables read.
+func TestSpansChargeTheirFormulas(t *testing.T) {
+	m := testMesh(t, 5, 4, 4)
+	const nw = 3
+	p := par.New(nw)
+	defer p.Close()
+	for _, sys := range systems() {
+		d1 := newDisc(t, m, sys, Options{Order: 1})
+		d2 := newDisc(t, m, sys, Options{Order: 2, Limit: true})
+		q := smoothState(d1)
+		r := make([]float64, d1.N())
+		a := d1.JacobianPattern()
+		cases := []struct {
+			name string
+			run  func() error
+			want map[string]prof.PhaseStat
+		}{
+			{"first-order residual", func() error { d1.Residual(q, r); return nil }, map[string]prof.PhaseStat{
+				"flux": {Calls: 1, Flops: d1.SweepFlops(), Bytes: d1.SweepBytes()},
+			}},
+			{"second-order residual", func() error { d2.Residual(q, r); return nil }, map[string]prof.PhaseStat{
+				"flux":     {Calls: 1, Flops: d2.SweepFlops(), Bytes: d2.SweepBytes()},
+				"gradient": {Calls: 1, Flops: d2.gradientFlops(), Bytes: d2.gradientBytes()},
+			}},
+			{"pooled residual", func() error { return d1.ResidualParallel(q, r, p) }, map[string]prof.PhaseStat{
+				"flux": {Calls: 1,
+					Flops: d1.SweepFlops() + PrivateGatherFlops(nw-1, int64(d1.N())),
+					Bytes: d1.SweepBytes() + PrivateGatherBytes(nw-1, int64(d1.N()))},
+			}},
+			{"jacobian", func() error { return d1.AssembleJacobian(q, a) }, map[string]prof.PhaseStat{
+				"jacobian": {Calls: 1, Flops: d1.jacobianFlops(), Bytes: d1.jacobianBytes()},
+			}},
+		}
+		for _, c := range cases {
+			prof.Default.Reset()
+			prof.Default.Enable()
+			err := c.run()
+			prof.Default.Disable()
+			rep := prof.Default.Report(0)
+			prof.Default.Reset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Phases) != len(c.want) {
+				t.Errorf("%s %s: recorded phases %+v, want %v", sys.Name(), c.name, rep.Phases, c.want)
+			}
+			for _, st := range rep.Phases {
+				w, ok := c.want[st.Phase]
+				if !ok || st.Calls != w.Calls || st.Flops != w.Flops || st.Bytes != w.Bytes {
+					t.Errorf("%s %s: phase %s has %d calls, %d flops, %d bytes; want %+v",
+						sys.Name(), c.name, st.Phase, st.Calls, st.Flops, st.Bytes, w)
+				}
+			}
 		}
 	}
 }

@@ -331,7 +331,7 @@ func (d *Discretization) wallJacobian(q []float64, s mesh.Vec3, j []float64) {
 			j[c*b+3] = s.Z * dp[c]
 		}
 	default:
-		//lint:panic-ok internal invariant: the system enum is validated when the problem is configured
+		// Internal invariant: the system enum is validated when the problem is configured
 		panic("euler: wallJacobian: unknown system")
 	}
 }

@@ -48,7 +48,7 @@ func (d *Discretization) fluxEdges(edges []edgeData, idx []int32, q, r []float64
 	case *Compressible:
 		fluxEdges5(sys.Gamma, edges, idx, q, r, sv, sc)
 	default:
-		//lint:panic-ok internal invariant: NewDiscretization rejects systems without an edge kernel
+		// Internal invariant: NewDiscretization rejects systems without an edge kernel
 		panic("euler: fluxEdges: unknown system")
 	}
 }
@@ -229,7 +229,7 @@ func (d *Discretization) timeScaleEdges(p *jacobianPlan, q, out []float64) {
 	case *Compressible:
 		timeScaleEdges5(sys, d.edges, p.idx, p.ra, p.rb, q, out, sv, sc)
 	default:
-		//lint:panic-ok internal invariant: NewDiscretization rejects systems without an edge kernel
+		// Internal invariant: NewDiscretization rejects systems without an edge kernel
 		panic("euler: timeScaleEdges: unknown system")
 	}
 }

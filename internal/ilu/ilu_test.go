@@ -6,6 +6,8 @@ import (
 	"testing/quick"
 
 	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/par"
+	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
 )
 
@@ -254,5 +256,77 @@ func TestILUImprovesResidualProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSpansChargeTheirFormulas: Factor, Refactor, Solve and SolvePar
+// each record exactly one span charged their cost formulas; a Factor
+// that fails closes its span uncharged; the NoSpan variants record
+// nothing. These are the ilu_factor and tri_solve rows the roofline
+// tables read.
+func TestSpansChargeTheirFormulas(t *testing.T) {
+	p := par.New(2)
+	defer p.Close()
+	for _, single := range []bool{false, true} {
+		opts := Options{Level: 1, SinglePrecision: single}
+		a := wingBlockMatrix(t, 6, 5, 4, 4, 11)
+		bad := zeroBlock(t, a, 0)
+		f, err := Factor(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.fwdPtr) == 0 {
+			t.Fatal("factorization has no level schedule; SolvePar would not take the pooled path")
+		}
+		n := f.NB * f.B
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(i%7) - 3
+		}
+		x := make([]float64, n)
+		factor := prof.PhaseStat{Calls: 1, Flops: f.FactorFlops(), Bytes: f.FactorBytes()}
+		solve := prof.PhaseStat{Calls: 1, Flops: f.SolveFlops(), Bytes: f.SolveBytes()}
+		none := map[string]prof.PhaseStat{}
+		cases := []struct {
+			name    string
+			run     func() error
+			wantErr bool
+			want    map[string]prof.PhaseStat
+		}{
+			{"factor", func() error { _, err := Factor(a, opts); return err }, false,
+				map[string]prof.PhaseStat{"ilu_factor": factor}},
+			{"singular factor", func() error { _, err := Factor(bad, opts); return err }, true,
+				map[string]prof.PhaseStat{"ilu_factor": {Calls: 1}}},
+			{"refactor", func() error { return f.Refactor(a) }, false,
+				map[string]prof.PhaseStat{"ilu_factor": factor}},
+			{"solve", func() error { f.Solve(b, x); return nil }, false,
+				map[string]prof.PhaseStat{"tri_solve": solve}},
+			{"pooled solve", func() error { f.SolvePar(p, b, x); return nil }, false,
+				map[string]prof.PhaseStat{"tri_solve": solve}},
+			{"factor without span", func() error { _, err := FactorNoSpan(a, opts); return err }, false, none},
+			{"refactor without span", func() error { return f.RefactorNoSpan(a) }, false, none},
+			{"solve without span", func() error { f.SolveNoSpan(b, x); return nil }, false, none},
+		}
+		for _, c := range cases {
+			prof.Default.Reset()
+			prof.Default.Enable()
+			err := c.run()
+			prof.Default.Disable()
+			rep := prof.Default.Report(0)
+			prof.Default.Reset()
+			if (err != nil) != c.wantErr {
+				t.Fatalf("single=%v %s: error %v, want error %v", single, c.name, err, c.wantErr)
+			}
+			if len(rep.Phases) != len(c.want) {
+				t.Errorf("single=%v %s: recorded phases %+v, want %v", single, c.name, rep.Phases, c.want)
+			}
+			for _, st := range rep.Phases {
+				w, ok := c.want[st.Phase]
+				if !ok || st.Calls != w.Calls || st.Flops != w.Flops || st.Bytes != w.Bytes {
+					t.Errorf("single=%v %s: phase %s has %d calls, %d flops, %d bytes; want %+v",
+						single, c.name, st.Phase, st.Calls, st.Flops, st.Bytes, w)
+				}
+			}
+		}
 	}
 }

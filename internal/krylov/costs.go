@@ -2,10 +2,10 @@ package krylov
 
 import "petscfun3d/internal/par"
 
-// Cost formulas for the GMRES phase spans (enforced by the costconst
-// analyzer). The orthogonalization span is charged with the sum of
-// these over the kernels a step actually called, so no mechanism has a
-// closed form of its own to drift from its code.
+// Cost formulas for the GMRES phase spans. The orthogonalization span
+// is charged with the sum of these over the kernels a step actually
+// called (TestOrthoChargeIsSumOfKernelFormulas reads the charge back),
+// so no mechanism has a closed form of its own to drift from its code.
 
 // dotsFlops and dotsBytes: one dots batch over n local scalars — a
 // k-vector par.MDot pass plus extra (0 or 1) separate par.Dot.

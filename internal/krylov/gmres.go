@@ -535,7 +535,7 @@ func (s *gmres) orthogonalize(mech string, j int) float64 {
 		}
 		return s.norm(s.w)
 	}
-	//lint:panic-ok invariant: SolveOn validated the options and Mechanism resolved "", so mech is one of Orthogonalizations
+	// Invariant: SolveOn validated the options and Mechanism resolved "", so mech is one of Orthogonalizations
 	panic("krylov: unvalidated orthogonalization " + mech)
 }
 

@@ -367,6 +367,40 @@ func TestOrthoChargeIsSumOfKernelFormulas(t *testing.T) {
 	}
 }
 
+// TestSolveSpansOnTheDefaultProfiler: Solve records one uncharged krylov
+// span, one uncharged matvec span per product (the operator's own phases
+// carry its work), and its ortho spans, on the process-wide profiler.
+func TestSolveSpansOnTheDefaultProfiler(t *testing.T) {
+	a := wingMatrix(t, 5, 4, 4, 4, 37)
+	n := a.N()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.Cos(float64(i) * 0.23)
+	}
+	prof.Default.Reset()
+	prof.Default.Enable()
+	st, err := Solve(OperatorFunc(a.MulVec), nil, b, make([]float64, n), Options{Restart: 6, MaxIters: 15})
+	prof.Default.Disable()
+	rep := prof.Default.Report(0)
+	prof.Default.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"krylov": 1, "matvec": int64(st.MatVecs), "ortho": int64(st.Iterations)}
+	if len(rep.Phases) != len(want) {
+		t.Errorf("recorded phases %+v, want %v", rep.Phases, want)
+	}
+	for _, ps := range rep.Phases {
+		calls, ok := want[ps.Phase]
+		if !ok || ps.Calls != calls {
+			t.Errorf("phase %s has %d calls; want %v", ps.Phase, ps.Calls, want)
+		}
+		if ps.Phase != "ortho" && (ps.Flops != 0 || ps.Bytes != 0) {
+			t.Errorf("phase %s charged %d flops, %d bytes; want none", ps.Phase, ps.Flops, ps.Bytes)
+		}
+	}
+}
+
 func TestGMRESStatsAccounting(t *testing.T) {
 	a := wingMatrix(t, 4, 4, 3, 1, 71)
 	n := a.N()

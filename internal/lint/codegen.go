@@ -93,7 +93,7 @@ func runCodegen(pass *Pass) {
 		}
 	}
 	spans := hotFunctionSpans(pass, hot)
-	syms, err := disassemble(pass.Pkg.Dir)
+	syms, err := disassemble(pass.Pkg)
 	if err != nil {
 		pass.Reportf(pass.Pkg.Files[0].Pos(), "codegen: %v", err)
 		return
@@ -203,14 +203,52 @@ type inst struct {
 func (in inst) isJump() bool { return strings.HasPrefix(in.op, "J") && in.target != 0 }
 
 // disassemble returns the TEXT symbols of the amd64 archive the go
-// command builds for the package in dir.
-func disassemble(dir string) ([]symbol, error) {
-	archive, err := goCommand(dir, "list", "-export", "-f", "{{.Export}}", ".")
+// command builds for pkg.
+func disassemble(pkg *Package) ([]symbol, error) {
+	archive, err := archiveOf(pkg)
 	if err != nil {
 		return nil, err
 	}
-	out, err := goCommand(dir, "tool", "objdump", strings.TrimSpace(string(archive)))
+	out, err := goCommand(pkg.Dir, "tool", "objdump", archive)
 	return parseObjdump(string(out)), err
+}
+
+// archiveOf returns the path of pkg's amd64 export archive. The first
+// call for a module lists every held package of that module in one
+// `go list -export`, so the go command starts once per run, not once
+// per package; later calls read the loader's memo.
+func archiveOf(pkg *Package) (string, error) {
+	archives := pkg.loader.archives
+	if a, ok := archives[pkg.Path]; ok {
+		return a, nil
+	}
+	root, err := FindModuleRoot(pkg.Dir)
+	if err != nil {
+		return "", err
+	}
+	mod, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	args := []string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
+	for path := range codegenPackages {
+		if path == mod || strings.HasPrefix(path, mod+"/") {
+			args = append(args, path)
+		}
+	}
+	out, err := goCommand(root, args...)
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, archive, ok := strings.Cut(line, " "); ok {
+			archives[path] = archive
+		}
+	}
+	if a, ok := archives[pkg.Path]; ok {
+		return a, nil
+	}
+	return "", fmt.Errorf("go list -export lists no archive for %s", pkg.Path)
 }
 
 func goCommand(dir string, args ...string) ([]byte, error) {

@@ -8,9 +8,9 @@ import (
 )
 
 // CostSync cross-checks the cost formulas against the kernels they
-// describe. costconst (already in the suite) guarantees every profiler
-// span charges through a shared formula; CostSync closes the remaining
-// gap — a formula that no longer matches the loop it models. It walks a
+// describe. The value tests pin every profiler span to its shared
+// formula; CostSync closes the remaining gap — a formula that no longer
+// matches the loop it models. It walks a
 // kernel's innermost loop bodies, counts floating-point multiply/add
 // (or load/store) operations symbolically per iteration, and verifies
 // the formula's leading coefficient — the finite difference of the

@@ -59,7 +59,7 @@ func runFixture(t *testing.T, name string) []Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run(l.Fset, pkg, Config{}, Analyzers())
+	return Run(l.Fset, pkg, Analyzers())
 }
 
 func TestAnalyzerFixtures(t *testing.T) {
@@ -92,7 +92,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 
 // TestPragmaHygiene pins the synthetic pragma analyzer: unknown keys,
 // missing reasons, and pragmas that suppress nothing are all findings,
-// so the escape hatches cannot rot silently.
+// so the escape hatches cannot rot silently. A pragma without a reason
+// must not suppress the finding under it.
 func TestPragmaHygiene(t *testing.T) {
 	findings := runFixture(t, "pragmahygiene")
 	expect := []struct {
@@ -100,10 +101,10 @@ func TestPragmaHygiene(t *testing.T) {
 		analyzer string
 		substr   string
 	}{
-		{5, "pragma", "unknown pragma //lint:frobnicate"},
-		{10, "pragma", "needs a reason"},
-		{11, "errcheck", "panic in library code"},
-		{15, "pragma", "unused pragma //lint:overlap-ok"},
+		{7, "pragma", "unknown pragma //lint:frobnicate"},
+		{14, "pragma", "needs a reason"},
+		{15, "overlapregion", "blocking point-to-point call inside the overlap window"},
+		{19, "pragma", "unused pragma //lint:overlap-ok"},
 	}
 	if len(findings) != len(expect) {
 		t.Fatalf("got %d findings, want %d:\n%v", len(findings), len(expect), findings)

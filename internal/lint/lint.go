@@ -3,14 +3,8 @@
 // module is offline; no analysis framework dependency). The analyzers
 // enforce the invariants the paper's performance argument rests on
 // where a defect changes what a run measures, not the values a test
-// observes: every profiler span must close on all paths so the
-// measured phase profile stays balanced (profspan), flop/byte counts
-// fed to the profiler must come from the shared cost formulas so the
-// roofline tables cannot drift from the model (costconst), and errors
-// must not be dropped and library code must not panic (errcheck).
-//
-// The window between posting a halo exchange and waiting on it must
-// stay free of blocking operations and posted-buffer writes
+// observes: the window between posting a halo exchange and waiting on
+// it must stay free of blocking operations and posted-buffer writes
 // (overlapregion), and the cost formulas the profiler charges must
 // match the kernel loops they model, coefficient by coefficient
 // (costsync).
@@ -23,16 +17,17 @@
 //
 // The message protocol (every request waited, tags matched), the
 // worker pool's owner-computes determinism, allocation-free steady
-// states and map-order-free reductions are enforced at run time
+// states, map-order-free reductions, closed profiler spans charged
+// their cost formulas, and returned errors are enforced at run time
 // instead — by mpi.Run's in-flight check and tag matching, par's named
-// panics, the bitwise worker-count grids, the race detector and the
-// AllocsPerRun gates — and the mutation scoreboard in mutants_test.go
-// shows a test failing on a seeded defect of each kind.
+// panics, the bitwise worker-count grids, the race detector, the
+// AllocsPerRun gates and the tests that read the profiler's report —
+// and the mutation scoreboard in mutants_test.go shows a test failing
+// on a seeded defect of each kind.
 //
 // Findings can be suppressed by a pragma comment on the offending line
 // or the line directly above:
 //
-//	//lint:panic-ok <reason>     (errcheck's panic rule)
 //	//lint:overlap-ok <reason>   (overlapregion)
 //	//lint:bce-ok <reason>       (codegen's bounds-check rule)
 //
@@ -58,31 +53,13 @@ type Finding struct {
 	Analyzer string         `json:"analyzer"`
 	Message  string         `json:"message"`
 
-	// suppressKey names the pragma kind ("panic-ok", "bce-ok") that
+	// suppressKey names the pragma kind ("overlap-ok", "bce-ok") that
 	// may suppress this finding; empty means not suppressible.
 	suppressKey string
 }
 
 func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-}
-
-// Config selects the packages where panic is tolerated.
-type Config struct {
-	// NoPanicExemptPrefixes are import-path prefixes where panic is
-	// tolerated (command mains; tests are exempt because test files are
-	// never loaded).
-	NoPanicExemptPrefixes []string
-}
-
-// DefaultConfig returns the repository's lint policy.
-func DefaultConfig() Config {
-	return Config{
-		NoPanicExemptPrefixes: []string{
-			"petscfun3d/cmd/",
-			"petscfun3d/examples/",
-		},
-	}
 }
 
 // Analyzer is one named check.
@@ -99,9 +76,6 @@ type Analyzer struct {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		ProfSpan,
-		CostConst,
-		ErrCheck,
 		OverlapRegion,
 		CostSync,
 		Codegen,
@@ -112,20 +86,9 @@ func Analyzers() []*Analyzer {
 type Pass struct {
 	Fset *token.FileSet
 	Pkg  *Package
-	Cfg  Config
 
 	analyzer *Analyzer
 	findings *[]Finding
-}
-
-// PanicExempt reports whether panic is tolerated in this package.
-func (p *Pass) PanicExempt() bool {
-	for _, pre := range p.Cfg.NoPanicExemptPrefixes {
-		if strings.HasPrefix(p.Pkg.Path, pre) {
-			return true
-		}
-	}
-	return false
 }
 
 // Reportf records a finding at pos.
@@ -176,7 +139,6 @@ var pragmaRe = regexp.MustCompile(`^//lint:([a-z-]+)(?:\s+(.*))?$`)
 
 // knownPragmaKeys are the escape hatches the suite honors.
 var knownPragmaKeys = map[string]bool{
-	"panic-ok":   true,
 	"overlap-ok": true,
 	"bce-ok":     true,
 }
@@ -208,10 +170,10 @@ func collectPragmas(fset *token.FileSet, files []*ast.File) []*pragma {
 // and pragma hygiene violations (unknown key, missing reason, pragma
 // that suppresses nothing) are appended as findings of the synthetic
 // "pragma" analyzer.
-func Run(fset *token.FileSet, pkg *Package, cfg Config, analyzers []*Analyzer) []Finding {
+func Run(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) []Finding {
 	var raw []Finding
 	for _, a := range analyzers {
-		pass := &Pass{Fset: fset, Pkg: pkg, Cfg: cfg, analyzer: a, findings: &raw}
+		pass := &Pass{Fset: fset, Pkg: pkg, analyzer: a, findings: &raw}
 		a.Run(pass)
 	}
 	pragmas := collectPragmas(fset, pkg.Files)
@@ -271,8 +233,8 @@ func Run(fset *token.FileSet, pkg *Package, cfg Config, analyzers []*Analyzer) [
 }
 
 // RunPatterns loads the packages matching patterns under the module
-// rooted at root and runs the full suite with the default config —
-// the programmatic equivalent of `fun3dlint ./...`.
+// rooted at root and runs the full suite — the programmatic equivalent
+// of `fun3dlint ./...`.
 func RunPatterns(root string, patterns []string) ([]Finding, error) {
 	l, err := NewLoader(root)
 	if err != nil {
@@ -282,14 +244,13 @@ func RunPatterns(root string, patterns []string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := DefaultConfig()
 	var all []Finding
 	for _, path := range paths {
 		pkg, err := l.Load(path)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, Run(l.Fset, pkg, cfg, Analyzers())...)
+		all = append(all, Run(l.Fset, pkg, Analyzers())...)
 	}
 	return all, nil
 }

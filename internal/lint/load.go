@@ -25,6 +25,8 @@ type Package struct {
 	// Imports holds the module packages this one imports directly, by
 	// import path (costsync follows cost formulas into them).
 	Imports map[string]*Package
+
+	loader *Loader
 }
 
 // Loader parses and type-checks packages using only the standard
@@ -41,6 +43,9 @@ type Loader struct {
 	pkgs      map[string]*Package       // fully loaded module packages
 	typecache map[string]*types.Package // all successfully imported packages
 	loading   map[string]bool           // cycle detection
+	// archives holds the export archives codegen found, by import path:
+	// it lists each module's held packages in one go command per run.
+	archives map[string]string
 }
 
 // NewLoader creates a loader for the module rooted at root (the
@@ -67,6 +72,7 @@ func NewLoader(root string) (*Loader, error) {
 		pkgs:       map[string]*Package{},
 		typecache:  map[string]*types.Package{},
 		loading:    map[string]bool{},
+		archives:   map[string]string{},
 	}, nil
 }
 
@@ -155,7 +161,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, Imports: map[string]*Package{}}
+	p := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info, Imports: map[string]*Package{}, loader: l}
 	for _, imp := range tpkg.Imports() {
 		if dep, ok := l.pkgs[imp.Path()]; ok {
 			p.Imports[imp.Path()] = dep

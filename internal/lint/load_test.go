@@ -59,20 +59,16 @@ func TestLoaderGenericsAndAtomics(t *testing.T) {
 
 	// The suite runs clean over it (and, in particular, does not
 	// misclassify the type parameter T as a float in cost counting).
-	if findings := Run(l.Fset, pkg, DefaultConfig(), Analyzers()); len(findings) > 0 {
+	if findings := Run(l.Fset, pkg, Analyzers()); len(findings) > 0 {
 		t.Errorf("suite reported findings on the generics fixture:\n%v", findings)
 	}
 }
 
-// TestAnalyzerSuite pins the suite roster — the three original
-// analyzers the tests cannot replace, then overlapregion, costsync and
-// codegen — and that the pragma keys are exactly those of the
-// suppressible analyzers.
+// TestAnalyzerSuite pins the suite roster — overlapregion, costsync
+// and codegen, the analyzers no test replaces yet — and that the pragma
+// keys are exactly those of the suppressible analyzers.
 func TestAnalyzerSuite(t *testing.T) {
-	want := []string{
-		"profspan", "costconst", "errcheck",
-		"overlapregion", "costsync", "codegen",
-	}
+	want := []string{"overlapregion", "costsync", "codegen"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))
@@ -82,7 +78,7 @@ func TestAnalyzerSuite(t *testing.T) {
 			t.Errorf("analyzer %d = %s, want %s", i, a.Name, want[i])
 		}
 	}
-	keys := []string{"panic-ok", "overlap-ok", "bce-ok"}
+	keys := []string{"overlap-ok", "bce-ok"}
 	if len(knownPragmaKeys) != len(keys) {
 		t.Errorf("%d pragma keys registered, want %d", len(knownPragmaKeys), len(keys))
 	}
@@ -162,7 +158,7 @@ func TestLoaderRangeOverIntAndAliasedGenerics(t *testing.T) {
 	}
 
 	// The full suite runs clean over the fixture.
-	if findings := Run(l.Fset, pkg, DefaultConfig(), Analyzers()); len(findings) > 0 {
+	if findings := Run(l.Fset, pkg, Analyzers()); len(findings) > 0 {
 		t.Errorf("suite reported findings on the rangegenerics fixture:\n%v", findings)
 	}
 }

@@ -14,12 +14,15 @@ import (
 	"testing"
 )
 
-// The mutation scoreboard. Seven analyzers were retired because the
+// The mutation scoreboard. Ten analyzers were retired because the
 // tests already fail on what they flagged: the message protocol's
 // (reqwait, tagconst), the worker pool's (ownwrite, fixedreduce,
-// poollife), the hot-loop allocation rule (hotalloc) and the map-order
-// reduction rule (detorder); so was codegen's heap-escape rule. Each row below seeds one defect of one rule
-// of a retired or a kept analyzer into real solver code. `make mutants`
+// poollife), the hot-loop allocation rule (hotalloc), the map-order
+// reduction rule (detorder), the dropped-error and library-panic rules
+// (errcheck), and the profiler's span and charge rules (costconst,
+// profspan); so was codegen's heap-escape rule. Each row below seeds
+// one defect of one rule of a retired or a kept analyzer into real
+// solver code. `make mutants`
 // (mutants_run_test.go, build tag `mutants`) applies each row through
 // `go test -overlay`, so the tree is never written, and reports whether
 // a test, the race detector or a runtime check fails on it.
@@ -429,7 +432,7 @@ var mutants = []mutant{
 		}},
 		Pkgs: eulerPkgs, Run: "."},
 
-	// errcheck (kept): a dropped error on an input check, an output
+	// errcheck (retired): a dropped error on an input check, an output
 	// flush and a profile write; a panic for a rejected option and a
 	// rejected input.
 	{Analyzer: "errcheck", Rule: ruleDroppedError,
@@ -463,7 +466,8 @@ var mutants = []mutant{
 		}},
 		Pkgs: meshPkgs, Run: "."},
 
-	// costconst (kept): a literal and a hand-rolled count fed to a span.
+	// costconst (retired): a literal and a hand-rolled count fed to a
+	// span.
 	{Analyzer: "costconst", Rule: ruleLiteralCost,
 		File: "internal/euler/discretization.go", Edits: []edit{{
 			Old: "\td.boundaryResidual(q, r)\n\tsp.End(d.SweepFlops(), d.SweepBytes())\n",
@@ -477,7 +481,7 @@ var mutants = []mutant{
 		}},
 		Pkgs: distPkgs, Run: "."},
 
-	// profspan (kept): one row per rule.
+	// profspan (retired): one row per rule.
 	{Analyzer: "profspan", Rule: ruleUnboundSpan,
 		File: "internal/dist/dist.go", Edits: []edit{
 			{Old: "\tbsp := m.Prof.Begin(prof.PhaseBoundary)\n", New: "\tm.Prof.Begin(prof.PhaseBoundary)\n"},

@@ -440,7 +440,7 @@ func (w *world) abortErr() error {
 // injected panic.
 func (w *world) beforeOp(rank int) {
 	if w.faults != nil && w.faults.BeforeOp(rank) {
-		//lint:panic-ok deterministic fault injection: Run's containment converts this panic into a structured WorldError
+		// Deterministic fault injection: Run's containment converts this panic into a structured WorldError
 		panic(faults.InjectedPanic{Rank: rank, Seed: w.faults.Seed})
 	}
 }
@@ -515,7 +515,7 @@ func (c *Comm) Protect(f func() error) (err error) {
 			err = c.w.abortErr()
 			return
 		}
-		//lint:panic-ok re-raising a foreign panic unchanged; only the runtime's own abort unwind is absorbed
+		// Re-raising a foreign panic unchanged; only the runtime's own abort unwind is absorbed
 		panic(r)
 	}()
 	return f()
@@ -633,7 +633,7 @@ func (c *Comm) Send(to int, tag Tag, data []float64) {
 	prev, done := p.takeSendSlot()
 	w.setOp(c.rank, rankOp{kind: opSend, peer: to, tag: tag})
 	if err := w.waitTicket(prev); err != nil {
-		//lint:panic-ok Send has no error return; the worldAbort sentinel unwinds the cancelled rank and Run converts it to an error
+		// Send has no error return; the worldAbort sentinel unwinds the cancelled rank and Run converts it to an error
 		panic(worldAbort{})
 	}
 	if w.faults != nil {
@@ -642,7 +642,7 @@ func (c *Comm) Send(to int, tag Tag, data []float64) {
 		}
 	}
 	if err := w.putMsg(p, message{tag: tag, data: cp}); err != nil {
-		//lint:panic-ok Send has no error return; the worldAbort sentinel unwinds the cancelled rank and Run converts it to an error
+		// Send has no error return; the worldAbort sentinel unwinds the cancelled rank and Run converts it to an error
 		panic(worldAbort{})
 	}
 	close(done)
@@ -923,7 +923,7 @@ func (w *world) rendezvous(deposit func(), combine func(gen int64), read func(ge
 	w.redMu.Lock()
 	defer w.redMu.Unlock()
 	if w.aborted {
-		//lint:panic-ok collectives have no error return; the worldAbort sentinel unwinds the cancelled rank and Run converts it to an error
+		// Collectives have no error return; the worldAbort sentinel unwinds the cancelled rank and Run converts it to an error
 		panic(worldAbort{})
 	}
 	gen := w.redGen
@@ -939,7 +939,7 @@ func (w *world) rendezvous(deposit func(), combine func(gen int64), read func(ge
 		for w.redGen == gen {
 			w.redCond.Wait()
 			if w.aborted {
-				//lint:panic-ok collectives have no error return; the worldAbort sentinel unwinds the cancelled rank and Run converts it to an error
+				// Collectives have no error return; the worldAbort sentinel unwinds the cancelled rank and Run converts it to an error
 				panic(worldAbort{})
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mesh"
+	"petscfun3d/internal/prof"
 	"petscfun3d/internal/sparse"
 )
 
@@ -223,6 +224,36 @@ func TestStepsRecordLinearIterations(t *testing.T) {
 	}
 	if total == 0 {
 		t.Error("no linear iterations recorded")
+	}
+}
+
+// TestSolveOpensOneNewtonSpan: a solve records one uncharged newton
+// span on the process-wide profiler, the root its phases nest in.
+func TestSolveOpensOneNewtonSpan(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MaxSteps = 2
+	s, q := buildSolver(t, 5, 4, 4, euler.NewIncompressible(), opts)
+	prof.Default.Reset()
+	prof.Default.Enable()
+	_, err := s.Solve(q)
+	prof.Default.Disable()
+	rep := prof.Default.Report(0)
+	prof.Default.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found bool
+	for _, ps := range rep.Phases {
+		if ps.Phase != "newton" {
+			continue
+		}
+		found = true
+		if ps.Calls != 1 || ps.Flops != 0 || ps.Bytes != 0 {
+			t.Errorf("newton phase has %d calls, %d flops, %d bytes; want 1, 0, 0", ps.Calls, ps.Flops, ps.Bytes)
+		}
+	}
+	if !found {
+		t.Errorf("no newton phase in %+v", rep.Phases)
 	}
 }
 

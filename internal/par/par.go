@@ -106,7 +106,7 @@ func (p *Pool) Close() {
 		return
 	}
 	if p.running {
-		//lint:panic-ok caller misuse: closing a pool with a Run in flight is a programming error, not a data condition
+		// Caller misuse: closing a pool with a Run in flight is a programming error, not a data condition
 		panic(PanicCloseDuringRun)
 	}
 	p.closed = true
@@ -126,7 +126,7 @@ func (p *Pool) Run(t Task) {
 		return
 	}
 	if p.closed {
-		//lint:panic-ok caller misuse: running a task on a closed pool is a programming error, not a data condition
+		// Caller misuse: running a task on a closed pool is a programming error, not a data condition
 		panic(PanicRunClosed)
 	}
 	if p.running {
@@ -134,7 +134,7 @@ func (p *Pool) Run(t Task) {
 		// in the outer barrier, so the inner one can never complete.
 		// Reads of the flag from worker shards are synchronized by the
 		// wake-channel send; the caller's own shard shares its goroutine.
-		//lint:panic-ok caller misuse: a nested barrier deadlocks; fail loudly instead of hanging
+		// Caller misuse: a nested barrier deadlocks; fail loudly instead of hanging
 		panic(PanicNestedRun)
 	}
 	p.running = true
@@ -154,7 +154,7 @@ func (p *Pool) Run(t Task) {
 			for i := range p.panics {
 				p.panics[i] = nil
 			}
-			//lint:panic-ok re-raise of a worker shard's panic on the caller after the barrier; containment stays with the calling goroutine
+			// Re-raise of a worker shard's panic on the caller after the barrier; containment stays with the calling goroutine
 			panic(fmt.Sprintf("par: worker %d panicked: %v", w, e))
 		}
 	}

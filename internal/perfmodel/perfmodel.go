@@ -19,7 +19,7 @@ import "fmt"
 //	N * ceil((span - c) / w)   when span >= c, else 0.
 func ConflictMissBound(n, span, c, w int) float64 {
 	if w <= 0 {
-		//lint:panic-ok documented precondition: the cache line size must be positive
+		// Documented precondition: the cache line size must be positive
 		panic("perfmodel: nonpositive cache line size")
 	}
 	if span < c {
@@ -68,7 +68,7 @@ func SpMVFlops(nnz int) int64 { return 2 * int64(nnz) }
 // sparse linear-algebra phases, which run at the STREAM limit.
 func BandwidthLimitedTime(bytes int64, bw float64) float64 {
 	if bw <= 0 {
-		//lint:panic-ok documented precondition: the bandwidth must be positive
+		// Documented precondition: the bandwidth must be positive
 		panic("perfmodel: nonpositive bandwidth")
 	}
 	return float64(bytes) / bw

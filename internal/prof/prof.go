@@ -249,10 +249,10 @@ func (s Span) End(flops, bytes int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	// Find this span's frame. Normally it is the top of the stack; if a
-	// nested span leaked (opened but never closed — the bug the profspan
-	// analyzer exists to prevent), unwind past the leaked frames so one
-	// leak does not silently discard this End and corrupt every ancestor
-	// phase's accounting. Leaked frames are dropped uncharged (their
+	// nested span leaked (opened but never closed, say on an error
+	// return), unwind past the leaked frames so one leak does not
+	// silently discard this End and corrupt every ancestor phase's
+	// accounting. Leaked frames are dropped uncharged (their
 	// counts never arrived); their wall time folds into this span's self
 	// time. Searching from the top finds the innermost frame, so nested
 	// same-phase spans (recursion) still pair correctly.

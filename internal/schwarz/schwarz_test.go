@@ -479,15 +479,21 @@ func TestSubdomainParallelBitwiseGrid(t *testing.T) {
 	}
 }
 
-// TestPooledSpansStayOnTheCaller: with subdomains across a pool, one
-// Apply records one tri_solve span and one Refresh one ilu_factor span —
-// the workers, which run the kernels, open none — charged with the sum
-// of the subdomains' work and the pool's width.
+// TestPooledSpansStayOnTheCaller: with subdomains across a pool, New
+// and one Refresh each record one pc_setup and one ilu_factor span, and
+// one Apply one tri_solve span — the workers, which run the kernels,
+// open none — charged with the sum of the subdomains' work and the
+// pool's width.
 func TestPooledSpansStayOnTheCaller(t *testing.T) {
 	pr := buildProblem(t, 6, 5, 4, 4, 4)
 	pool := par.New(2)
 	defer pool.Close()
+	prof.Default.Reset()
+	prof.Default.Enable()
 	pc, err := New(pr.a, pr.part.Part, 4, Options{Overlap: 1, ILU: ilu.Options{Level: 1}, Pool: pool})
+	prof.Default.Disable()
+	setup := prof.Default.Report(0)
+	prof.Default.Reset()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,6 +504,11 @@ func TestPooledSpansStayOnTheCaller(t *testing.T) {
 		factorFlops += s.Factor.FactorFlops()
 		factorBytes += s.Factor.FactorBytes()
 	}
+	// New: extraction on the caller, the factorizations on the pool.
+	checkPhases(t, "New", setup, map[string]prof.PhaseStat{
+		"pc_setup":   {Calls: 1, Bytes: pc.refreshBytes()},
+		"ilu_factor": {Calls: 1, Flops: factorFlops, Bytes: factorBytes, Threads: 2},
+	})
 	z := make([]float64, pr.a.N())
 	prof.Default.Reset()
 	prof.Default.Enable()
@@ -509,19 +520,25 @@ func TestPooledSpansStayOnTheCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]prof.PhaseStat{
+	checkPhases(t, "Apply and Refresh", rep, map[string]prof.PhaseStat{
 		"pc_apply":   {Calls: 1, Bytes: pc.applyCopyBytes()},
 		"tri_solve":  {Calls: 1, Flops: solveFlops, Bytes: solveBytes, Threads: 2},
 		"pc_setup":   {Calls: 1, Bytes: pc.refreshBytes()},
 		"ilu_factor": {Calls: 1, Flops: factorFlops, Bytes: factorBytes, Threads: 2},
-	}
+	})
+}
+
+// checkPhases fails unless rep holds exactly the phases of want, each
+// with its calls, flops, bytes and threads.
+func checkPhases(t *testing.T, what string, rep prof.Report, want map[string]prof.PhaseStat) {
+	t.Helper()
 	if len(rep.Phases) != len(want) {
-		t.Fatalf("recorded phases %+v, want %d", rep.Phases, len(want))
+		t.Fatalf("%s: recorded phases %+v, want %d", what, rep.Phases, len(want))
 	}
 	for _, st := range rep.Phases {
 		w, ok := want[st.Phase]
 		if !ok || st.Calls != w.Calls || st.Flops != w.Flops || st.Bytes != w.Bytes || st.Threads != w.Threads {
-			t.Errorf("phase %s: %d calls, %d flops, %d bytes, %d threads; want %+v", st.Phase, st.Calls, st.Flops, st.Bytes, st.Threads, w)
+			t.Errorf("%s: phase %s: %d calls, %d flops, %d bytes, %d threads; want %+v", what, st.Phase, st.Calls, st.Flops, st.Bytes, st.Threads, w)
 		}
 	}
 }

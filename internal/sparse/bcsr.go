@@ -81,7 +81,7 @@ func (a *BCSR) MulVecBytes() int64 {
 // runs (KernelFamily).
 func (a *BCSR) MulVec(x, y []float64) {
 	if len(x) < a.N() || len(y) < a.N() {
-		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
+		// Kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
 		panic(fmt.Sprintf("sparse: BCSR MulVec dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N(), len(x), len(y)))
 	}
 	kern.mulVec(a, nil, 0, a.NB, false, x, y)
@@ -96,7 +96,7 @@ func (a *BCSR) MulVec(x, y []float64) {
 // multiply its owned columns while the ghost values are in flight.
 func (a *BCSR) MulVecAddRows(rows []int32, x, y []float64) {
 	if len(x) < a.N() || len(y) < a.N() {
-		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
+		// Kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
 		panic(fmt.Sprintf("sparse: BCSR MulVecAddRows dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N(), len(x), len(y)))
 	}
 	kern.mulVec(a, rows, 0, len(rows), true, x, y)

@@ -47,7 +47,7 @@ func (a *CSR) Bandwidth() int {
 // MulVec computes y = A x.
 func (a *CSR) MulVec(x, y []float64) {
 	if len(x) < a.N || len(y) < a.N {
-		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
+		// Kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N, len(x), len(y)))
 	}
 	for i := 0; i < a.N; i++ {

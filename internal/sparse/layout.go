@@ -41,7 +41,7 @@ func ScalarIndex(l Layout, nv, b, v, c int) int {
 // into layout `to`, returning a new slice.
 func ConvertLayout(x []float64, nv, b int, from, to Layout) []float64 {
 	if len(x) != nv*b {
-		//lint:panic-ok documented precondition: the vector length must match nv*b
+		// Documented precondition: the vector length must match nv*b
 		panic(fmt.Sprintf("sparse: ConvertLayout length %d, want %d", len(x), nv*b))
 	}
 	out := make([]float64, len(x))

@@ -24,7 +24,7 @@ func (a *BCSR) MulVecPar(p *par.Pool, x, y []float64) {
 		return
 	}
 	if len(x) < a.N() || len(y) < a.N() {
-		//lint:panic-ok kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
+		// Kernel precondition: a dimension mismatch is caller misuse caught before the bandwidth-limited sweep
 		panic(fmt.Sprintf("sparse: BCSR MulVecPar dimension mismatch: N=%d len(x)=%d len(y)=%d", a.N(), len(x), len(y)))
 	}
 	if len(a.parBounds) != nw+1 {
