@@ -66,12 +66,12 @@ perf:
 	go run ./bench -out perf.json
 
 # Chaos gate: the fault-injection soak — the faults/mpi/dist suites
-# under the race detector with a widened seed grid (the soak asserts
-# bitwise-identical residual histories under every seed, and that
-# injected panics and stalls produce structured errors, never hangs) —
-# followed by the measured η_impl-vs-skew sweep as a smoke test.
+# under the race detector (the soak asserts bitwise-identical residual
+# histories under each of its three seeds, and that injected panics and
+# stalls produce structured errors, never hangs) — followed by the
+# measured η_impl-vs-skew sweep as a smoke test.
 chaos:
-	FUN3D_CHAOS_SEEDS=1,2,3 go test -race -count=1 ./internal/faults ./internal/mpi ./internal/dist
+	go test -race -count=1 ./internal/faults ./internal/mpi ./internal/dist
 	go run ./cmd/benchtables -experiment chaos -size small
 
 # Threads gate: the node-level worker-pool determinism grid — the pool
@@ -97,8 +97,7 @@ threads: threads-grid
 # and the AVX2 BCSR products of internal/sparse against their Go kernels
 # (MulVec, MulVecAddRows alone and on a column split, MulVecPar at 1-4
 # workers, special values, a malformed matrix, the FuzzMulVecKernels
-# seed corpus, the family following CPUID) — under the race detector
-# (CI runs it by name).
+# seed corpus, the family following CPUID) — under the race detector.
 kernels-grid:
 	$(call named_gate,'KernelsMatch|EdgeFlux|SharedDiscretization|OperandOrders|MulVecKernels|MulVecDispatch',./internal/euler ./internal/sparse,-race)
 
@@ -114,7 +113,7 @@ kernels-grid:
 # (special values, level row lists, whole factorizations, Solve ≡
 # SolvePar) and the family follows CPUID — under the race detector, which
 # does not see the assembly's accesses, so the grids also run the Go
-# kernels (CI runs it by name).
+# kernels.
 ilu-grid:
 	$(call named_gate,'SinglePrecisionIsRoundedDouble|RefactorBitwiseGrid|SubdomainParallelBitwiseGrid|Refresh|BlockKernelsMatchGo|DispatchFollowsCPUID',./internal/ilu ./internal/schwarz ./internal/dist,-race)
 
@@ -125,7 +124,7 @@ ilu-grid:
 # against one MulVec in sparse and against the owned-first global matrix
 # in dist (threads × overlapped/blocking, the empty and the all-boundary
 # ghost block), and a second in-place assembly against a fresh build —
-# under the race detector (CI runs it by name).
+# under the race detector.
 dist-grid:
 	$(call named_gate,'LocalJacobian|MulVecAddRows|SplitMatVec|MatrixRefresh|StepOperator',./internal/euler ./internal/sparse ./internal/dist,-race)
 
@@ -166,8 +165,8 @@ mutants:
 # the batched vector AllReduce, the GMRES suites of both callers of the
 # one solver (rounds accounting, span charges, non-finite exits, the
 # mechanisms × ranks × workers grid), and the hybrid soak — under the
-# race detector (ortho-grid, which CI runs by name), followed by the
-# measured mgs/cgs/cgs2/cgs1 orthogonalization study, printed.
+# race detector (ortho-grid), followed by the measured
+# mgs/cgs/cgs2/cgs1 orthogonalization study, printed.
 ortho-grid:
 	go test -race -count=1 ./internal/par
 	$(call named_gate,'MDot|MAxpy|MReduce|Ortho|Reduction|AllReduceSumVec|GMRES|NonFinite|Hybrid',./internal/krylov ./internal/mpi ./internal/dist ./internal/experiments,-race)

@@ -1,8 +1,8 @@
 // Command fun3dlint runs the repository's domain-aware static-analysis
-// suite (internal/lint): overlap-window purity and the flop-count
-// cross-checker, plus the codegen conformance check (the hot packages'
-// compiled archives, disassembled, hold no innermost-loop bounds check
-// and no call to a must-inline helper). It is part of `make verify`;
+// suite (internal/lint): the flop-count cross-checker, plus the codegen
+// conformance check (the hot packages' compiled archives, disassembled,
+// hold no innermost-loop bounds check and no call to a must-inline
+// helper). It is part of `make verify`;
 // any finding fails the build.
 //
 // Usage:

@@ -3,8 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,24 +11,8 @@ import (
 	"petscfun3d/internal/mpi"
 )
 
-// chaosSeeds returns the fault-seed grid for the soak. CI runs the
-// small default grid; FUN3D_CHAOS_SEEDS="1,2,3,4" widens it (make chaos
-// sets it).
-func chaosSeeds(t *testing.T) []int64 {
-	env := os.Getenv("FUN3D_CHAOS_SEEDS")
-	if env == "" {
-		return []int64{1, 2}
-	}
-	var seeds []int64
-	for _, f := range strings.Split(env, ",") {
-		s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			t.Fatalf("FUN3D_CHAOS_SEEDS: %v", err)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds
-}
+// chaosSeeds is the fault-seed grid of the soaks.
+var chaosSeeds = []int64{1, 2, 3}
 
 // soakNewtonOptions keeps the soak's solves short: enough steps that
 // the SER law, line search, and per-step Jacobian refresh all run, not
@@ -87,13 +69,12 @@ func TestChaosSoakNewtonBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is a long test")
 	}
-	seeds := chaosSeeds(t)
 	for _, nranks := range []int{2, 4, 8} {
 		clean := runChaosNewton(t, nranks, nil)
 		if len(clean) < 2 {
 			t.Fatalf("%d ranks: degenerate history %v", nranks, clean)
 		}
-		for _, seed := range seeds {
+		for _, seed := range chaosSeeds {
 			plan := faults.NewPlan(seed, faults.ProfileMixed)
 			plan.StallLen = 2 * time.Millisecond // keep the soak quick; the regime, not the length, is the test
 			chaos := runChaosNewton(t, nranks, plan)

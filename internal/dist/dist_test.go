@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"petscfun3d/internal/faults"
 	"petscfun3d/internal/ilu"
 	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/mesh"
@@ -707,22 +708,63 @@ func profiled(f func(p *prof.Profiler) error) (prof.Report, error) {
 	return p.Report(0), err
 }
 
+// countOps returns a function that reports the fabric operations —
+// Send, ISend, Recv, IRecv and collective entries — c's rank has made
+// since the previous report, as plan counts them. Only the rank's own
+// goroutine moves its count, so the number is exact; an inert plan
+// (faults.ProfileNone) changes no timing.
+func countOps(plan *faults.Plan, c *mpi.Comm) func() int64 {
+	last := plan.Ops()[c.Rank()]
+	return func() int64 {
+		now := plan.Ops()[c.Rank()]
+		d := now - last
+		last = now
+		return d
+	}
+}
+
+// haloMessages is the fabric operations one exchange of h makes on its
+// rank: one post to each peer it sends to and one from each peer it
+// receives from. An overlap window (Start … Finish) that makes any other
+// — a collective, a nested blocking exchange — serializes the latency it
+// exists to hide, without changing a value or a span.
+func haloMessages(h *Halo) int64 {
+	var n int64
+	for pi := range h.peers {
+		if len(h.sendIdx[pi]) > 0 {
+			n++
+		}
+		if len(h.recvIdx[pi]) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSpansChargeTheirFormulas: on every rank, the distributed product
 // with and without overlap, BlockJacobi and its solve each record
 // exactly their phases, each charged its cost formulas — the phase,
 // calls, flops and bytes Table 3's decomposition reads. The product
 // splits its work into interior and boundary spans and charges the
 // halo's pack, wait and wire bytes; its matvec span carries no work of
-// its own. (TestDistributedResidualPhases does the same for Residual.)
+// its own. The product makes exactly the halo's messages, and block
+// Jacobi none. (TestDistributedResidualPhases does the same for
+// Residual.)
 func TestSpansChargeTheirFormulas(t *testing.T) {
 	const nranks = 3
 	pr := buildTestProblem(t, 6, 5, 4, 4, nranks)
+	plan := faults.NewPlan(0, faults.ProfileNone)
 	err := mpi.Run(nranks, func(c *mpi.Comm) error {
 		m, err := NewMatrix(c, pr.a, pr.part.Part)
 		if err != nil {
 			return err
 		}
 		mh := m.halo
+		msgs := haloMessages(mh)
+		if msgs == 0 {
+			return fmt.Errorf("rank %d: the halo exchanges nothing", c.Rank())
+		}
+		ops := countOps(plan, c)
 		x := make([]float64, m.LocalN())
 		for i := range x {
 			x[i] = 1 + float64(i%5)
@@ -747,6 +789,10 @@ func TestSpansChargeTheirFormulas(t *testing.T) {
 			if err := samePhases(fmt.Sprintf("matvec (no overlap %v)", noOverlap), rep, want); err != nil {
 				return err
 			}
+			if n := ops(); n != msgs {
+				return fmt.Errorf("rank %d: matvec (no overlap %v) made %d fabric operations, want the halo's %d",
+					c.Rank(), noOverlap, n, msgs)
+			}
 		}
 		var solve func(r, z []float64)
 		rep, err := profiled(func(p *prof.Profiler) (err error) {
@@ -764,10 +810,16 @@ func TestSpansChargeTheirFormulas(t *testing.T) {
 			return err
 		}
 		rep, _ = profiled(func(p *prof.Profiler) error { m.Prof = p; solve(x, y); return nil })
-		return samePhases("block Jacobi solve", rep, map[string]prof.PhaseStat{
+		if err := samePhases("block Jacobi solve", rep, map[string]prof.PhaseStat{
 			"tri_solve": {Calls: 1, Flops: f.SolveFlops(), Bytes: f.SolveBytes()},
-		})
-	})
+		}); err != nil {
+			return err
+		}
+		if n := ops(); n != 0 {
+			return fmt.Errorf("rank %d: block Jacobi and its solve made %d fabric operations, want 0", c.Rank(), n)
+		}
+		return nil
+	}, mpi.Options{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"petscfun3d/internal/euler"
+	"petscfun3d/internal/faults"
 	"petscfun3d/internal/mesh"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/par"
@@ -88,17 +89,20 @@ func TestDistributedResidualMatchesSequential(t *testing.T) {
 // TestDistributedResidualPhases: on every rank the overlapped Eval
 // records exactly flux (uncharged: the work is in the nested spans),
 // scatter_pack, scatter_wait, interior and boundary, and OwnedNorm2 one
-// reduce span, each charged its cost formulas.
+// reduce span, each charged its cost formulas. Eval makes exactly the
+// halo's messages, and OwnedNorm2 its one collective.
 func TestDistributedResidualPhases(t *testing.T) {
 	const nranks = 3
 	d, p, q0 := buildResidualProblem(t, 6, 5, 4, nranks)
 	b := d.Sys.B()
+	plan := faults.NewPlan(0, faults.ProfileNone)
 	err := mpi.Run(nranks, func(c *mpi.Comm) error {
 		rd, err := NewResidual(c, d, p.Part)
 		if err != nil {
 			return err
 		}
 		h := rd.halo
+		ops := countOps(plan, c)
 		q := make([]float64, d.N())
 		for v := int32(0); v < int32(d.M.NumVertices()); v++ {
 			if rd.Owned(v) {
@@ -125,11 +129,20 @@ func TestDistributedResidualPhases(t *testing.T) {
 			return fmt.Errorf("rank %d: %d interior and %d frontier edges; want both nonempty",
 				c.Rank(), len(rd.interior), len(rd.frontier))
 		}
+		if n, msgs := ops(), haloMessages(h); n != msgs || msgs == 0 {
+			return fmt.Errorf("rank %d: residual made %d fabric operations, want the halo's %d (> 0)", c.Rank(), n, msgs)
+		}
 		rep, _ = profiled(func(p *prof.Profiler) error { rd.Prof = p; rd.OwnedNorm2(res); return nil })
-		return samePhases("owned norm", rep, map[string]prof.PhaseStat{
+		if err := samePhases("owned norm", rep, map[string]prof.PhaseStat{
 			"reduce": {Calls: 1, Flops: par.MDotFlops(1, rd.nOwned*b), Bytes: par.MDotBytes(1, rd.nOwned*b)},
-		})
-	})
+		}); err != nil {
+			return err
+		}
+		if n := ops(); n != 1 {
+			return fmt.Errorf("rank %d: owned norm made %d fabric operations, want its one collective", c.Rank(), n)
+		}
+		return nil
+	}, mpi.Options{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestHybridChaosSoakBitwise(t *testing.T) {
 	}
 	const nranks = 4
 	clean := runHybridNewton(t, nranks, 1, nil)
-	for _, seed := range chaosSeeds(t) {
+	for _, seed := range chaosSeeds {
 		plan := faults.NewPlan(seed, faults.ProfileMixed)
 		plan.StallLen = 2 * time.Millisecond
 		hist := runHybridNewton(t, nranks, 4, plan)

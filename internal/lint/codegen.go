@@ -69,7 +69,8 @@ var codegenPackages = map[string]struct{ hot, mustInline []string }{
 			"GatherBlocks", "bcsrMulTask.RunShard"},
 		mustInline: []string{"BCSR.Block", "Dot", "Norm2", "ScalarIndex"},
 	},
-	"fixture/codegen": {hot: []string{"HotKernel", "vanished"}, mustInline: []string{"bigHelper", "gone", "tinyHelper"}},
+	"fixture/codegen":               {hot: []string{"HotKernel", "vanished"}, mustInline: []string{"bigHelper", "gone", "tinyHelper"}},
+	"fixture/codegen/pragmahygiene": {hot: []string{"Kernel"}},
 }
 
 func runCodegen(pass *Pass) {

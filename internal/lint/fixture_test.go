@@ -93,18 +93,20 @@ func TestAnalyzerFixtures(t *testing.T) {
 // TestPragmaHygiene pins the synthetic pragma analyzer: unknown keys,
 // missing reasons, and pragmas that suppress nothing are all findings,
 // so the escape hatches cannot rot silently. A pragma without a reason
-// must not suppress the finding under it.
+// must not suppress the finding under it. The fixture is a package of
+// the codegen fixture's module, so its bounds check is a real codegen
+// finding.
 func TestPragmaHygiene(t *testing.T) {
-	findings := runFixture(t, "pragmahygiene")
+	findings := runFixture(t, "codegen/pragmahygiene")
 	expect := []struct {
 		line     int
 		analyzer string
 		substr   string
 	}{
-		{7, "pragma", "unknown pragma //lint:frobnicate"},
-		{14, "pragma", "needs a reason"},
-		{15, "overlapregion", "blocking point-to-point call inside the overlap window"},
-		{19, "pragma", "unused pragma //lint:overlap-ok"},
+		{5, "pragma", "unknown pragma //lint:frobnicate"},
+		{16, "pragma", "needs a reason"},
+		{17, "codegen", "hot kernel Kernel: bounds check survives in an innermost loop"},
+		{22, "pragma", "unused pragma //lint:bce-ok"},
 	}
 	if len(findings) != len(expect) {
 		t.Fatalf("got %d findings, want %d:\n%v", len(findings), len(expect), findings)

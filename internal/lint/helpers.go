@@ -5,24 +5,6 @@ import (
 	"go/types"
 )
 
-// eachFuncBody invokes fn once per function body in the file: every
-// declared function or method and every function literal. Bodies are
-// analyzed independently — a literal's statements belong to the
-// literal, not to its enclosing function.
-func eachFuncBody(f *ast.File, fn func(body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				fn(n.Body)
-			}
-		case *ast.FuncLit:
-			fn(n.Body)
-		}
-		return true
-	})
-}
-
 // shallowInspect walks the subtree rooted at n like ast.Inspect but
 // does not descend into nested function literals: the *ast.FuncLit node
 // itself is visited, its body is not.
@@ -58,35 +40,6 @@ func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	b, ok := calleeObject(info, call).(*types.Builtin)
 	return ok && b.Name() == name
-}
-
-// isNamedType reports whether t (or the type it points to) is the named
-// type pkgPath.name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
-// isMethodOn reports whether call invokes a method with the given name
-// whose receiver is the named type pkgPath.recvName.
-func isMethodOn(info *types.Info, call *ast.CallExpr, pkgPath, recvName, method string) bool {
-	obj := calleeObject(info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Name() != method {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return isNamedType(sig.Recv().Type(), pkgPath, recvName)
 }
 
 // isFloat reports whether t's underlying type is a floating-point

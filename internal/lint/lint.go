@@ -3,11 +3,8 @@
 // module is offline; no analysis framework dependency). The analyzers
 // enforce the invariants the paper's performance argument rests on
 // where a defect changes what a run measures, not the values a test
-// observes: the window between posting a halo exchange and waiting on
-// it must stay free of blocking operations and posted-buffer writes
-// (overlapregion), and the cost formulas the profiler charges must
-// match the kernel loops they model, coefficient by coefficient
-// (costsync).
+// observes: the cost formulas the profiler charges must match the
+// kernel loops they model, coefficient by coefficient (costsync).
 //
 // The codegen analyzer closes the last gap between the model and the
 // machine: it disassembles the hot packages' compiled archives and holds
@@ -15,21 +12,22 @@
 // in innermost loops, and no call left to the small per-edge/per-row
 // helpers that must inline.
 //
-// The message protocol (every request waited, tags matched), the
-// worker pool's owner-computes determinism, allocation-free steady
-// states, map-order-free reductions, closed profiler spans charged
-// their cost formulas, and returned errors are enforced at run time
-// instead — by mpi.Run's in-flight check and tag matching, par's named
-// panics, the bitwise worker-count grids, the race detector, the
-// AllocsPerRun gates and the tests that read the profiler's report —
-// and the mutation scoreboard in mutants_test.go shows a test failing
-// on a seeded defect of each kind.
+// The message protocol (every request waited, tags matched), overlap
+// windows that make only their halo's messages, the worker pool's
+// owner-computes determinism, allocation-free steady states,
+// map-order-free reductions, closed profiler spans charged their cost
+// formulas, and returned errors are enforced at run time instead — by
+// mpi.Run's in-flight check and tag matching, the fault plan's
+// per-rank operation count, par's named panics, the bitwise
+// worker-count grids, the race detector, the AllocsPerRun gates and the
+// tests that read the profiler's report — and the mutation scoreboard
+// in mutants_test.go shows a test failing on a seeded defect of each
+// kind.
 //
-// Findings can be suppressed by a pragma comment on the offending line
-// or the line directly above:
+// A codegen bounds-check finding can be suppressed by a pragma comment
+// on the offending line or the line directly above:
 //
-//	//lint:overlap-ok <reason>   (overlapregion)
-//	//lint:bce-ok <reason>       (codegen's bounds-check rule)
+//	//lint:bce-ok <reason>
 //
 // The reason is mandatory, and a pragma that suppresses nothing is
 // itself a finding, so escape hatches cannot rot silently.
@@ -53,8 +51,8 @@ type Finding struct {
 	Analyzer string         `json:"analyzer"`
 	Message  string         `json:"message"`
 
-	// suppressKey names the pragma kind ("overlap-ok", "bce-ok") that
-	// may suppress this finding; empty means not suppressible.
+	// suppressKey names the pragma kind ("bce-ok") that may suppress
+	// this finding; empty means not suppressible.
 	suppressKey string
 }
 
@@ -76,7 +74,6 @@ type Analyzer struct {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		OverlapRegion,
 		CostSync,
 		Codegen,
 	}
@@ -91,15 +88,9 @@ type Pass struct {
 	findings *[]Finding
 }
 
-// Reportf records a finding at pos.
+// Reportf records a finding at pos that no pragma suppresses.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, "", format, args...)
-}
-
-// ReportSuppressiblef records a finding that a //lint:<key> pragma may
-// suppress.
-func (p *Pass) ReportSuppressiblef(pos token.Pos, key, format string, args ...any) {
-	p.report(pos, key, format, args...)
+	p.ReportAtf(p.Fset.Position(pos), "", format, args...)
 }
 
 // ReportAtf records a finding at an explicit source position — for
@@ -107,14 +98,6 @@ func (p *Pass) ReportSuppressiblef(pos token.Pos, key, format string, args ...an
 // codegen analyzer reports at object-code line positions). key names
 // the pragma that may suppress it; empty means not suppressible.
 func (p *Pass) ReportAtf(position token.Position, key, format string, args ...any) {
-	p.record(position, key, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, key, format string, args ...any) {
-	p.record(p.Fset.Position(pos), key, format, args...)
-}
-
-func (p *Pass) record(position token.Position, key, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Pos:         position,
 		File:        position.Filename,
@@ -139,8 +122,7 @@ var pragmaRe = regexp.MustCompile(`^//lint:([a-z-]+)(?:\s+(.*))?$`)
 
 // knownPragmaKeys are the escape hatches the suite honors.
 var knownPragmaKeys = map[string]bool{
-	"overlap-ok": true,
-	"bce-ok":     true,
+	"bce-ok": true,
 }
 
 func collectPragmas(fset *token.FileSet, files []*ast.File) []*pragma {

@@ -64,11 +64,11 @@ func TestLoaderGenericsAndAtomics(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSuite pins the suite roster — overlapregion, costsync
-// and codegen, the analyzers no test replaces yet — and that the pragma
-// keys are exactly those of the suppressible analyzers.
+// TestAnalyzerSuite pins the suite roster — costsync and codegen, the
+// analyzers no test replaces yet — and that the pragma keys are exactly
+// those of the suppressible rules.
 func TestAnalyzerSuite(t *testing.T) {
-	want := []string{"overlapregion", "costsync", "codegen"}
+	want := []string{"costsync", "codegen"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))
@@ -78,7 +78,7 @@ func TestAnalyzerSuite(t *testing.T) {
 			t.Errorf("analyzer %d = %s, want %s", i, a.Name, want[i])
 		}
 	}
-	keys := []string{"overlap-ok", "bce-ok"}
+	keys := []string{"bce-ok"}
 	if len(knownPragmaKeys) != len(keys) {
 		t.Errorf("%d pragma keys registered, want %d", len(knownPragmaKeys), len(keys))
 	}
