@@ -4,8 +4,11 @@ package core
 // of the kernels live next to them (euler.EdgeFluxFlops,
 // ilu.FactorFlopsFor, …) and are called from there, so the modeled
 // accounting and the measured profiler (internal/prof) charge the same
-// work with the same constants; only the model's own vector-sweep
-// estimates live here.
+// work with the same constants — except the factorization, which the
+// model charges by the ilu.FactorFlopsFor/FactorBytesFor estimates and
+// the profiler by the operations a Factorization counted
+// (FactorFlops/FactorBytes); only the model's own vector-sweep estimates
+// live here.
 
 // vecSweepBytes is the traffic of one pass over a local vector of n
 // scalars (read + write); vecSweepFlops the multiply-add work of the

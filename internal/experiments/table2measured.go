@@ -32,13 +32,16 @@ type Table2MeasuredRow struct {
 	RefactorSec float64 `col:"refactor,%.3f,ms,1e-3"`
 	RefactorIQR float64 `col:"refactor IQR,%.3f,ms,1e-3"`
 	// RefactorFrac and SolveFrac are bytes/s over the run's STREAM Triad:
-	// SolveBytes (every stored block read once) and the FactorBytes
-	// estimate (each stored block read and written about three times),
-	// each over the median time.
+	// SolveBytes (every stored block read once) and FactorBytes (A's
+	// values read, the factors written, the index arrays read once), each
+	// over the median time.
 	RefactorFrac float64 `col:"refactor/STREAM,%.2f"`
-	SolveSec     float64 `col:"solve,%.3f,ms,1e-3"`
-	SolveIQR     float64 `col:"solve IQR,%.3f,ms,1e-3"`
-	SolveFrac    float64 `col:"solve/STREAM,%.2f"`
+	// RefactorGflops is FactorFlops — the elimination's counted
+	// operations — over the median time.
+	RefactorGflops float64 `col:"refactor flops,%.2f,Gflop/s,1e9"`
+	SolveSec       float64 `col:"solve,%.3f,ms,1e-3"`
+	SolveIQR       float64 `col:"solve IQR,%.3f,ms,1e-3"`
+	SolveFrac      float64 `col:"solve/STREAM,%.2f"`
 	// SolveRatio is this row's Solve median over the float64 one of the
 	// same matrix — the paper's Table 2 claim in time.
 	SolveRatio float64 `col:"vs f64,%.2f"`
@@ -65,7 +68,7 @@ func (t *Table2MeasuredResult) Tables() []Table {
 		Measured: true, Params: t, Rows: t.Rows,
 		Notes: "median (IQR) of the alternated repetitions. factors: values kept (float32: 4 B a scalar plus the\n" +
 			"float64 elimination window). /STREAM: Solve reads every stored block once (SolveBytes); Refactor's\n" +
-			"bytes are the FactorBytes estimate. vs f64: the Solve median over the float64 one of the same matrix.\n"}}
+			"bytes are FactorBytes, counted. vs f64: the Solve median over the float64 one of the same matrix.\n"}}
 }
 
 // Table2MeasuredStudy factors each matrix in both precisions and times,
@@ -119,6 +122,7 @@ func Table2MeasuredStudy(mats []Table2Matrix, reps, calls, streamMB int) (*Table
 			row.RefactorSec, row.RefactorIQR = timing(refactor[p])
 			row.SolveSec, row.SolveIQR = timing(solve[p])
 			row.SolveRatio = row.SolveSec / f64Solve
+			row.RefactorGflops = float64(f.FactorFlops()) / row.RefactorSec
 			if res.StreamBps > 0 {
 				row.RefactorFrac = float64(f.FactorBytes()) / row.RefactorSec / res.StreamBps
 				row.SolveFrac = float64(f.SolveBytes()) / row.SolveSec / res.StreamBps

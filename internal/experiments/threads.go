@@ -82,7 +82,7 @@ func (t *ThreadsResult) Tables() []Table {
 			"preconditioner has 4 subdomains, overlap 1, ILU(0): with a subdomain per worker every subdomain\n" +
 			"runs the sequential solve in storage order (one barrier per apply); past that the subdomains run\n" +
 			"in turn on the level schedule of the tri-solve column. Apply's bytes are the factors read once\n" +
-			"(SolveBytes), Refresh's the FactorBytes estimate.\n"}}
+			"(SolveBytes), Refresh's the counted FactorBytes.\n"}}
 }
 
 // ThreadsStudy times the four threaded kernels on one deterministic

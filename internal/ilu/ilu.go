@@ -64,6 +64,10 @@ type Factorization struct {
 	slot    []int32
 	aug     []float64
 
+	// ops is what one numeric pass does, counted from the pattern by
+	// countOps: FactorFlops and FactorBytes charge it.
+	ops factorOps
+
 	// Level-set schedule of the triangular solves (levels.go): block
 	// rows grouped by dependency depth in the L (forward) and U
 	// (backward) DAGs, computed once per factorization from the symbolic
@@ -109,27 +113,81 @@ func (f *Factorization) StorageBytes() int64 {
 }
 
 // FactorFlopsFor estimates the floating-point work of factoring nnzb
-// stored blocks of size b: each block participates in O(1) block-block
-// multiplies of 2b³ flops. Shared between the measured profiler and the
-// virtual-machine cost model (internal/core).
+// stored blocks of size b as 2b³ per block — the virtual-machine cost
+// model's estimate (internal/core), which needs no pattern. A real
+// factorization charges its counted FactorFlops instead.
 func FactorFlopsFor(nnzb, b int) int64 {
 	return 2 * int64(nnzb) * int64(b) * int64(b) * int64(b)
 }
 
-// FactorBytesFor estimates factorization traffic: each stored block read
-// and written a small constant number of times at valBytes per scalar.
+// FactorBytesFor estimates factorization traffic for the same model:
+// each stored block read and written a small constant number of times
+// at valBytes per scalar. A real factorization charges FactorBytes.
 func FactorBytesFor(nnzb, b, valBytes int) int64 {
 	return 3 * int64(nnzb) * int64(b) * int64(b) * int64(valBytes)
 }
 
-// FactorFlops estimates the floating-point work of this factorization.
-func (f *Factorization) FactorFlops() int64 {
-	return FactorFlopsFor(len(f.Col), f.B)
+// factorOps counts the block operations of one numeric pass: the row
+// updates the level rule keeps (mulSub), the L-block multiplies
+// (mulRight, one per L block), the pivot inversions (one per row), and
+// the blocks of A the pass loads.
+type factorOps struct {
+	mulSub, mulRight, invert, aBlocks int64
 }
 
-// FactorBytes estimates this factorization's memory traffic.
+// countOps counts f.ops from the pattern alone, walking it the way
+// numeric does: row i's columns are marked in slot (and unmarked after),
+// and an update of row i by pivot p is kept when slot marks its column.
+func (f *Factorization) countOps(aBlocks int) {
+	slot, col := f.slot, f.Col
+	var kept int64
+	for i := 0; i < f.NB; i++ {
+		lower := col[f.LPtr[i]:f.LPtr[i+1]]
+		upper := col[f.UPtr[i+1]:f.UPtr[i]]
+		for _, j := range lower {
+			slot[j] = 0
+		}
+		for _, j := range upper {
+			slot[j] = 0
+		}
+		for _, p := range lower {
+			for _, j := range col[f.UPtr[p+1] : f.UPtr[p]-1] {
+				if slot[j] >= 0 {
+					kept++
+				}
+			}
+		}
+		for _, j := range lower {
+			slot[j] = -1
+		}
+		for _, j := range upper {
+			slot[j] = -1
+		}
+	}
+	f.ops = factorOps{mulSub: kept, mulRight: int64(f.LPtr[f.NB]), invert: int64(f.NB), aBlocks: int64(aBlocks)}
+}
+
+// FactorFlops is the floating-point work of one numeric pass, counted:
+// each kept row update (mulSub) 2b³ + b² flops — b² sums of b products
+// accumulated from +0, each subtracted once — each L-block multiply
+// (mulRight) 2b³, and each pivot inversion 4b³ − 2b² + b, its full
+// Gauss–Jordan sweep over the b × 2b augmented block (per column one
+// reciprocal, 2b scalings and 2b multiply-subtracts in each other row;
+// a row skipped because its multiplier is zero is charged all the same).
+func (f *Factorization) FactorFlops() int64 {
+	b := int64(f.B)
+	return f.ops.mulSub*(2*b*b*b+b*b) + f.ops.mulRight*2*b*b*b + f.ops.invert*(4*b*b*b-2*b*b+b)
+}
+
+// FactorBytes is the memory traffic of one numeric pass: A's values read
+// at 8 bytes a scalar, the factors written at BytesPerValue, and the
+// index arrays read once each at 4 bytes an entry — A's RowPtr and
+// ColIdx, the layout's Col, LPtr and UPtr. The U rows an update reads
+// again and the float32 window are cache traffic and not charged.
 func (f *Factorization) FactorBytes() int64 {
-	return FactorBytesFor(len(f.Col), f.B, f.BytesPerValue())
+	bb := int64(f.B * f.B)
+	index := f.ops.aBlocks + int64(f.NB+1) + int64(len(f.Col)) + 2*int64(f.NB+1)
+	return 8*f.ops.aBlocks*bb + int64(f.BytesPerValue())*int64(len(f.Col))*bb + 4*index
 }
 
 // Factor computes the block ILU(k) factorization of a: the symbolic
@@ -168,6 +226,7 @@ func FactorNoSpan(a *sparse.BCSR, opts Options) (*Factorization, error) {
 	}
 	f.aug = make([]float64, 2*f.B*f.B)
 	f.tmp = make([]float64, f.B)
+	f.countOps(len(a.ColIdx))
 	n := len(f.Col) * a.B * a.B
 	if opts.SinglePrecision {
 		f.val32 = make([]float32, n)
@@ -375,7 +434,11 @@ func (f *Factorization) planWindow() {
 // numeric performs the block IKJ elimination of a's values on the fill
 // pattern, a row at a time in elim — the one numeric path behind Factor
 // and Refactor in both storage precisions: the same kernels on the same
-// float64 operands in the same order wherever elim puts them.
+// float64 operands in the same order wherever elim puts them. A row is
+// a few coarse kernel calls: one loads A's row, one per L block
+// multiplies it by its pivot's inverse and applies every update it
+// makes, one inverts the pivot, and under float32 storage two round the
+// finished row into val32.
 func (f *Factorization) numeric(a *sparse.BCSR) error {
 	b := f.B
 	bb := b * b
@@ -402,33 +465,15 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 			clear(val[lo*bb : (lo+len(lower))*bb])
 			clear(val[uo*bb : (kd+1)*bb])
 		}
-		aCols := a.ColIdx[aLo:aHi]
-		for k, j := range aCols {
-			dst, src := int(slot[j]), (aLo+k)*bb           //lint:bce-ok dense work array indexed by block column
-			copy(val[dst*bb:dst*bb+bb], a.Val[src:src+bb]) //lint:bce-ok block offsets are data-dependent through the pattern
-		}
-		for t, pc := range lower {
-			p, kip := int(pc), lo+t
-			// A_ip *= invU_pp, in place; row p's inverse sits after its U
-			// blocks. (aug is free until the pivot inversion below.)
-			pCols := col[uPtr[p+1] : uPtr[p]-1]
-			uLo := int(uOff[p])
-			pd := uLo + len(pCols)
-			factor := val[kip*bb : kip*bb+bb]
-			mulRight(factor, val[pd*bb:pd*bb+bb], f.aug, b)
-			// Row update: A_ij -= A_ip * U_pj for j > p in row p.
-			for kp, j := range pCols {
-				dst := int(slot[j]) //lint:bce-ok dense work array indexed by block column
-				if dst < 0 {
-					continue // fill dropped by the level rule
-				}
-				src := (uLo + kp) * bb
-				mulSub(val[dst*bb:dst*bb+bb], factor, val[src:src+bb], b) //lint:bce-ok block offsets are data-dependent through the pattern
-			}
+		loadRow(val, a.Val[aLo*bb:aHi*bb], a.ColIdx[aLo:aHi], slot, b)
+		for t, p := range lower {
+			// Row p's U blocks start at uOff[p], its inverse follows them.
+			// (aug is free until the pivot inversion below.)
+			pCols := col[uPtr[p+1] : uPtr[p]-1]                       //lint:bce-ok U row of a pivot named by the pattern
+			rowUpdate(val, lo+t, int(uOff[p]), pCols, slot, b, f.aug) //lint:bce-ok U row of a pivot named by the pattern
 		}
 		// The pivot block is inverted in place, last of the row's U segment.
-		diag := val[kd*bb : kd*bb+bb]
-		err := invertBlock(diag, diag, b, f.aug)
+		err := invertPivot(val[kd*bb:kd*bb+bb], b, f.aug)
 		for _, j := range lower {
 			slot[j] = -1 //lint:bce-ok dense work array indexed by block column
 		}
@@ -439,8 +484,10 @@ func (f *Factorization) numeric(a *sparse.BCSR) error {
 			return fmt.Errorf("ilu: singular pivot block at row %d: %w", i, err)
 		}
 		if v32 != nil {
-			round32(v32[int(lPtr[i])*bb:int(lPtr[i+1])*bb], val[lo*bb:])
-			round32(v32[int(uPtr[i+1])*bb:int(uPtr[i])*bb], val[uo*bb:])
+			l32 := v32[int(lPtr[i])*bb : int(lPtr[i+1])*bb]
+			u32 := v32[int(uPtr[i+1])*bb : int(uPtr[i])*bb]
+			kern.round32(l32, val[lo*bb:lo*bb+len(l32)])
+			kern.round32(u32, val[uo*bb:uo*bb+len(u32)])
 		}
 	}
 	return nil
@@ -461,22 +508,80 @@ func round32(dst []float32, src []float64) {
 // depend on the order it visits entries in — which is what lets the
 // assembly twins (kernels_amd64.s) vectorise across a block's rows.
 
-// mulSub computes c -= a*b. Each entry's product sum is accumulated from
-// zero in ascending k and subtracted once — exactly a matMul into a
-// temporary followed by a subtraction, without the temporary. Unrolled
-// kernels handle the paper's block sizes (4 incompressible, 5
-// compressible).
-func mulSub(c, a, b []float64, n int) {
+// loadRow copies A's row — the blocks src, whose columns are cols — into
+// the blocks of val that slot names for those columns (n×n blocks).
+func loadRow(val, src []float64, cols, slot []int32, n int) {
 	switch n {
 	case 4:
-		kern.mulSub4(c, a, b)
+		kern.loadRow4(val, src, cols, slot)
 	case 5:
-		kern.mulSub5(c, a, b)
+		kern.loadRow5(val, src, cols, slot)
 	default:
-		mulSubGeneric(c, a, b, n)
+		loadRowN(val, src, cols, slot, n*n)
 	}
 }
 
+func loadRowN(val, src []float64, cols, slot []int32, bb int) {
+	for k, j := range cols {
+		d := int(slot[j]) * bb               //lint:bce-ok dense work array indexed by block column
+		copy(val[d:d+bb], src[k*bb:k*bb+bb]) //lint:bce-ok block offsets are data-dependent through the pattern
+	}
+}
+
+func loadRow4(val, src []float64, cols, slot []int32) { loadRowN(val, src, cols, slot, 16) }
+func loadRow5(val, src []float64, cols, slot []int32) { loadRowN(val, src, cols, slot, 25) }
+
+// rowUpdate applies one L block of the row being eliminated, the block
+// factor in column p: factor ← factor·invU_pp (mulRight), then for each
+// U block U_pj of row p — pCols holds their columns, the blocks are uLo
+// onward and the pivot's inverse follows them — A_ij -= factor·U_pj
+// (mulSub) on the block slot names for column j, skipped where slot[j]
+// is -1 (fill dropped by the level rule). No updated block is factor
+// (their columns exceed p), so a kernel may hold factor in registers
+// across the updates. scratch is n² scalars for the sizes without
+// unrolled kernels.
+func rowUpdate(val []float64, factor, uLo int, pCols, slot []int32, n int, scratch []float64) {
+	switch n {
+	case 4:
+		kern.rowUpdate4(val, factor, uLo, pCols, slot)
+	case 5:
+		kern.rowUpdate5(val, factor, uLo, pCols, slot)
+	default:
+		bb := n * n
+		rowUpdateWith(val, factor, uLo, pCols, slot, bb,
+			func(a, b []float64) { matMul(a, b, scratch, n); copy(a, scratch[:bb]) },
+			func(c, a, b []float64) { mulSubGeneric(c, a, b, n) })
+	}
+}
+
+func rowUpdate4(val []float64, factor, uLo int, pCols, slot []int32) {
+	rowUpdateWith(val, factor, uLo, pCols, slot, 16, mulRight4, mulSub4)
+}
+
+func rowUpdate5(val []float64, factor, uLo int, pCols, slot []int32) {
+	rowUpdateWith(val, factor, uLo, pCols, slot, 25, mulRight5, mulSub5)
+}
+
+// rowUpdateWith is rowUpdate on bb-scalar blocks through the given
+// L-block multiply and row-update kernels.
+func rowUpdateWith(val []float64, factor, uLo int, pCols, slot []int32, bb int,
+	mulRight func(a, b []float64), mulSub func(c, a, b []float64)) {
+	l := val[factor*bb : factor*bb+bb]
+	pd := (uLo + len(pCols)) * bb
+	mulRight(l, val[pd:pd+bb])
+	for kp, j := range pCols {
+		if dst := int(slot[j]); dst >= 0 { //lint:bce-ok dense work array indexed by block column
+			src := (uLo + kp) * bb
+			mulSub(val[dst*bb:dst*bb+bb], l, val[src:src+bb]) //lint:bce-ok block offsets are data-dependent through the pattern
+		}
+	}
+}
+
+// mulSubGeneric computes c -= a*b. Each entry's product sum is
+// accumulated from zero in ascending k and subtracted once — exactly a
+// matMul into a temporary followed by a subtraction, without the
+// temporary. mulSub4 and mulSub5 are its unrolled forms for the paper's
+// block sizes (4 incompressible, 5 compressible).
 func mulSubGeneric(c, a, b []float64, n int) {
 	for j := 0; j < n; j++ {
 		bj := b[j*n : j*n+n]
@@ -563,23 +668,10 @@ func mulSub5(c, a, b []float64) {
 	}
 }
 
-// mulRight computes a = a*b in place, every entry's product sum
-// accumulated from +0 in ascending k — matMul's order, so the result is
-// bitwise matMul's. Row i of the product reads row i of a only, which is
-// what lets the written-out kernels overwrite a row at a time; other
-// sizes go through matMul into scratch (n² scalars).
-func mulRight(a, b, scratch []float64, n int) {
-	switch n {
-	case 4:
-		kern.mulRight4(a, b)
-	case 5:
-		kern.mulRight5(a, b)
-	default:
-		matMul(a, b, scratch, n)
-		copy(a, scratch[:n*n])
-	}
-}
-
+// mulRight4 and mulRight5 compute a = a*b in place, every entry's
+// product sum accumulated from +0 in ascending k — matMul's order, so
+// the result is bitwise matMul's. Row i of the product reads row i of a
+// only, which is what lets them overwrite a row at a time.
 func mulRight4(a, b []float64) {
 	a, b = a[:16:16], b[:16:16]
 	b00, b10, b20, b30 := b[0], b[1], b[2], b[3]
@@ -656,10 +748,32 @@ func matMul(a, b, c []float64, n int) {
 	}
 }
 
+// invertPivot inverts the n×n pivot block blk in place, through the
+// family's written-out kernels at the paper's block sizes; aug is 2n²
+// scalars of scratch.
+func invertPivot(blk []float64, n int, aug []float64) error {
+	var col int
+	switch n {
+	case 4:
+		col = kern.invert4(blk, aug)
+	case 5:
+		col = kern.invert5(blk, aug)
+	default:
+		col = invertBlock(blk, blk, n, aug)
+	}
+	if col >= 0 {
+		return fmt.Errorf("zero pivot in column %d", col)
+	}
+	return nil
+}
+
 // invertBlock inverts the n×n block src into dst (which may be src
-// itself) using Gauss-Jordan with partial pivoting; aug is 2n² scalars of
-// scratch for the augmented block [A | I], kept row-major.
-func invertBlock(src, dst []float64, n int, aug []float64) error {
+// itself) using Gauss-Jordan with partial pivoting — the first row of
+// largest magnitude in the column — on the augmented block [A | I], kept
+// row-major in aug (2n² scalars of scratch). It returns -1, or the
+// column whose pivot is below 1e-300 in magnitude or NaN, leaving dst
+// untouched.
+func invertBlock(src, dst []float64, n int, aug []float64) int {
 	w := 2 * n
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -676,8 +790,8 @@ func invertBlock(src, dst []float64, n int, aug []float64) error {
 				piv = r
 			}
 		}
-		if math.Abs(aug[piv*w+col]) < 1e-300 {
-			return fmt.Errorf("zero pivot in column %d", col)
+		if !(math.Abs(aug[piv*w+col]) >= 1e-300) {
+			return col
 		}
 		if piv != col {
 			for j := 0; j < w; j++ {
@@ -706,5 +820,10 @@ func invertBlock(src, dst []float64, n int, aug []float64) error {
 			dst[j*n+i] = aug[i*w+n+j]
 		}
 	}
-	return nil
+	return -1
 }
+
+// invertBlock4 and invertBlock5 are the Go family's pivot inversions:
+// invertBlock itself, the oracle the assembly twins are held to.
+func invertBlock4(blk, aug []float64) int { return invertBlock(blk, blk, 4, aug) }
+func invertBlock5(blk, aug []float64) int { return invertBlock(blk, blk, 5, aug) }

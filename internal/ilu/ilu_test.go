@@ -1,6 +1,7 @@
 package ilu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,8 +27,8 @@ func wingBlockMatrix(t testing.TB, nx, ny, nz, b int, seed uint64) *sparse.BCSR 
 func TestInvertBlock(t *testing.T) {
 	src := []float64{4, 1, 0, 2, 5, 1, 0, 3, 6}
 	dst := make([]float64, 9)
-	if err := invertBlock(src, dst, 3, make([]float64, 18)); err != nil {
-		t.Fatal(err)
+	if col := invertBlock(src, dst, 3, make([]float64, 18)); col >= 0 {
+		t.Fatalf("zero pivot in column %d", col)
 	}
 	// src * dst == I.
 	prod := make([]float64, 9)
@@ -45,8 +46,8 @@ func TestInvertBlock(t *testing.T) {
 	}
 	// In place, as the numeric pass inverts its pivots.
 	inPlace := append([]float64(nil), src...)
-	if err := invertBlock(inPlace, inPlace, 3, make([]float64, 18)); err != nil {
-		t.Fatal(err)
+	if col := invertBlock(inPlace, inPlace, 3, make([]float64, 18)); col >= 0 {
+		t.Fatalf("zero pivot in column %d", col)
 	}
 	for i := range dst {
 		if inPlace[i] != dst[i] {
@@ -54,8 +55,45 @@ func TestInvertBlock(t *testing.T) {
 		}
 	}
 	singular := []float64{1, 2, 2, 4}
-	if err := invertBlock(singular, make([]float64, 4), 2, make([]float64, 8)); err == nil {
+	if invertBlock(singular, make([]float64, 4), 2, make([]float64, 8)) < 0 {
 		t.Error("singular block inverted")
+	}
+	nan := []float64{math.NaN(), 1, 1, 2}
+	if invertBlock(nan, make([]float64, 4), 2, make([]float64, 8)) < 0 {
+		t.Error("block with a NaN pivot inverted")
+	}
+
+	// The written-out inversions of every family are invertBlock bit for
+	// bit: on random blocks, on blocks holding special values, and
+	// failing at the same column.
+	s := uint64(3)
+	for _, fam := range families() {
+		for _, n := range []int{4, 5} {
+			blk := make([]float64, n*n)
+			for trial := 0; trial < 300; trial++ {
+				randomBlock(blk, &s, 2+trial%6)
+				for i := 0; i < n; i++ {
+					blk[i*n+i] += float64(trial%3) * 2 // mostly, but not always, dominant
+				}
+				invertMatchesGeneric(t, fmt.Sprintf("%s n=%d trial %d", fam.name, n, trial), fam, blk, n)
+			}
+		}
+	}
+}
+
+// invertMatchesGeneric inverts blk with fam's written-out inversion and
+// with invertBlock, and fails unless both fail at the same column or
+// both give the same bits (any NaN matching any NaN).
+func invertMatchesGeneric(t *testing.T, who string, fam *blockKernels, blk []float64, n int) {
+	t.Helper()
+	want, got := append([]float64(nil), blk...), append([]float64(nil), blk...)
+	wantCol := invertBlock(want, want, n, make([]float64, 2*n*n))
+	gotCol := pick(fam.invert4, fam.invert5, n)(got, make([]float64, 2*n*n))
+	if gotCol != wantCol {
+		t.Fatalf("%s: written-out inverse fails at column %d, invertBlock at %d", who, gotCol, wantCol)
+	}
+	if wantCol < 0 {
+		sameSolution(t, who, got, want)
 	}
 }
 
@@ -63,11 +101,43 @@ func TestInvertBlockNeedsPivoting(t *testing.T) {
 	// Zero in the (0,0) position requires a row swap.
 	src := []float64{0, 1, 1, 0}
 	dst := make([]float64, 4)
-	if err := invertBlock(src, dst, 2, make([]float64, 8)); err != nil {
-		t.Fatal(err)
+	if col := invertBlock(src, dst, 2, make([]float64, 8)); col >= 0 {
+		t.Fatalf("zero pivot in column %d", col)
 	}
 	if dst[0] != 0 || dst[1] != 1 || dst[2] != 1 || dst[3] != 0 {
 		t.Errorf("inverse of swap = %v", dst)
+	}
+	// The written-out inversions choose invertBlock's pivots: the pivot
+	// found in the last row (an anti-diagonal block, every column), ties
+	// in magnitude going to the first row (±2 in every row of a column,
+	// and rows equal up to sign), and a pivot row that changes twice in
+	// one search.
+	for _, fam := range families() {
+		for _, n := range []int{4, 5} {
+			nn := n * n
+			anti, ties, signs, climb := make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn)
+			for i := 0; i < n; i++ {
+				anti[i*n+n-1-i] = float64(i + 2) // column i's only entry, in row n-1-i
+				for j := 0; j < n; j++ {
+					ties[j*n+i] = 2
+					if (i+j)%2 == 1 {
+						ties[j*n+i] = -2
+					}
+					signs[j*n+i] = float64(j + 1)
+					climb[j*n+i] = float64((i*7+j*3)%5) + 0.5
+				}
+				ties[i*n+i] += 0.5 * float64(i)
+				if i%2 == 1 {
+					for j := 0; j < n; j++ {
+						signs[j*n+i] = -signs[j*n+i] + 0.25*float64(i*j)
+					}
+				}
+				climb[i] = float64(i) // column 0 ascends: every row beats the last
+			}
+			for name, blk := range map[string][]float64{"anti-diagonal": anti, "tied": ties, "signs": signs, "climbing": climb} {
+				invertMatchesGeneric(t, fmt.Sprintf("%s n=%d %s", fam.name, n, name), fam, blk, n)
+			}
+		}
 	}
 }
 
@@ -270,7 +340,7 @@ func TestSpansChargeTheirFormulas(t *testing.T) {
 	for _, single := range []bool{false, true} {
 		opts := Options{Level: 1, SinglePrecision: single}
 		a := wingBlockMatrix(t, 6, 5, 4, 4, 11)
-		bad := zeroBlock(t, a, 0)
+		bad := fillBlock(t, a, 0, 0)
 		f, err := Factor(a, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -326,6 +396,99 @@ func TestSpansChargeTheirFormulas(t *testing.T) {
 					t.Errorf("single=%v %s: phase %s has %d calls, %d flops, %d bytes; want %+v",
 						single, c.name, st.Phase, st.Calls, st.Flops, st.Bytes, w)
 				}
+			}
+		}
+	}
+}
+
+// countOpsByBruteForce recounts one numeric pass's block operations from
+// the layout alone, without slot: row i's columns as a set, one L-block
+// multiply per L block, one update of row i by pivot p for every column
+// of row p's U blocks the set holds, one inversion per row. It also
+// returns the updates the level rule drops.
+func countOpsByBruteForce(f *Factorization) (mulSub, mulRight, invert, dropped int64) {
+	for i := 0; i < f.NB; i++ {
+		inRow := map[int32]bool{}
+		for _, j := range f.Col[f.LPtr[i]:f.LPtr[i+1]] {
+			inRow[j] = true
+		}
+		for _, j := range f.Col[f.UPtr[i+1]:f.UPtr[i]] {
+			inRow[j] = true
+		}
+		for _, p := range f.Col[f.LPtr[i]:f.LPtr[i+1]] {
+			mulRight++
+			for _, j := range f.Col[f.UPtr[p+1] : f.UPtr[p]-1] {
+				if inRow[j] {
+					mulSub++
+				} else {
+					dropped++
+				}
+			}
+		}
+		invert++
+	}
+	return mulSub, mulRight, invert, dropped
+}
+
+// countedFactorCases are the two shapes the charge is recounted on: the
+// paper's incompressible ILU(0) and compressible ILU(1) factorizations.
+var countedFactorCases = []struct{ b, level int }{{4, 0}, {5, 1}}
+
+// TestFactorFlopsCountsTheElimination: FactorFlops is the recounted
+// operations times the flops each kernel's loops execute per call — a
+// row update's n² sums of n products accumulated from +0 and one
+// subtraction each, an L-block multiply's n² such sums, and a pivot
+// inversion's reciprocal, 2n scalings and 2n multiply-subtracts in each
+// other row per column of [A | I].
+func TestFactorFlopsCountsTheElimination(t *testing.T) {
+	for _, c := range countedFactorCases {
+		a := wingBlockMatrix(t, 6, 5, 4, c.b, 11)
+		f, err := Factor(a, Options{Level: c.level, SinglePrecision: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(c.b)
+		mulSub, mulRight, invert, dropped := countOpsByBruteForce(f)
+		if mulSub == 0 || dropped == 0 {
+			t.Fatalf("B=%d ILU(%d): %d kept and %d dropped updates; the fixture should have both", c.b, c.level, mulSub, dropped)
+		}
+		var perInvert int64
+		for col := int64(0); col < n; col++ {
+			perInvert++        // the pivot's reciprocal
+			perInvert += 2 * n // the pivot row scaled
+			for r := int64(0); r < n; r++ {
+				if r != col {
+					perInvert += 2 * (2 * n) // a multiply and a subtraction per scalar of the row
+				}
+			}
+		}
+		perMulSub := n * n * (n + n + 1) // per entry: n products, n additions from +0, one subtraction
+		perMulRight := n * n * (n + n)
+		want := mulSub*perMulSub + mulRight*perMulRight + invert*perInvert
+		if got := f.FactorFlops(); got != want {
+			t.Errorf("B=%d ILU(%d): FactorFlops = %d, recounted %d (%d updates, %d L-block multiplies, %d inversions)",
+				c.b, c.level, got, want, mulSub, mulRight, invert)
+		}
+	}
+}
+
+// TestFactorBytesCountsTheTraffic: FactorBytes is A's values at 8 bytes,
+// every stored factor value at the storage precision, and one 4-byte
+// read of each index array the numeric pass walks — A's RowPtr and
+// ColIdx, the layout's Col, LPtr and UPtr — summed from the arrays
+// themselves.
+func TestFactorBytesCountsTheTraffic(t *testing.T) {
+	for _, c := range countedFactorCases {
+		for _, single := range []bool{false, true} {
+			a := wingBlockMatrix(t, 6, 5, 4, c.b, 11)
+			f, err := Factor(a, Options{Level: c.level, SinglePrecision: single})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(8*len(a.Val) + 8*len(f.val64) + 4*len(f.val32) +
+				4*(len(a.RowPtr)+len(a.ColIdx)+len(f.Col)+len(f.LPtr)+len(f.UPtr)))
+			if got := f.FactorBytes(); got != want {
+				t.Errorf("B=%d ILU(%d) single=%v: FactorBytes = %d, recounted %d", c.b, c.level, single, got, want)
 			}
 		}
 	}

@@ -1,17 +1,21 @@
 package ilu
 
 // blockKernels is one family of the unrolled kernels of the paper's block
-// sizes: the elimination's row update and L-block multiply, and the
-// triangular solves' row kernels in each storage precision. Every family
-// computes the same bits (each entry a sum from +0 in ascending k, the
-// operands in the Go kernels' order, no fused multiply-add), so which one
-// runs is a property of the host, not of the result.
+// sizes: the elimination's row kernels (the load of A's row, the update
+// by one L block, the pivot's inversion, the rounding of a finished row
+// into float32 storage) and the triangular solves' row kernels in each
+// storage precision. Every family computes the same bits (each entry a
+// sum from +0 in ascending k, the operands in the Go kernels' order, no
+// fused multiply-add, round to nearest), so which one runs is a property
+// of the host, not of the result.
 type blockKernels struct {
-	name                 string
-	mulSub4, mulSub5     func(c, a, b []float64)
-	mulRight4, mulRight5 func(a, b []float64)
-	f64                  sweeps[float64]
-	f32                  sweeps[float32]
+	name                   string
+	loadRow4, loadRow5     func(val, src []float64, cols, slot []int32)
+	rowUpdate4, rowUpdate5 func(val []float64, factor, uLo int, pCols, slot []int32)
+	invert4, invert5       func(blk, aug []float64) (failed int)
+	round32                func(dst []float32, src []float64)
+	f64                    sweeps[float64]
+	f32                    sweeps[float32]
 }
 
 // sweeps is a family's row kernels for one storage precision.
@@ -23,11 +27,13 @@ type sweeps[T float32 | float64] struct {
 // goKernels is the Go family: the oracle, and what runs on every
 // architecture and host without an assembly family.
 var goKernels = blockKernels{
-	name:    "Go",
-	mulSub4: mulSub4, mulSub5: mulSub5,
-	mulRight4: mulRight4, mulRight5: mulRight5,
-	f64: sweeps[float64]{forward4[float64], forward5[float64], backward4[float64], backward5[float64]},
-	f32: sweeps[float32]{forward4[float32], forward5[float32], backward4[float32], backward5[float32]},
+	name:     "Go",
+	loadRow4: loadRow4, loadRow5: loadRow5,
+	rowUpdate4: rowUpdate4, rowUpdate5: rowUpdate5,
+	invert4: invertBlock4, invert5: invertBlock5,
+	round32: round32,
+	f64:     sweeps[float64]{forward4[float64], forward5[float64], backward4[float64], backward5[float64]},
+	f32:     sweeps[float32]{forward4[float32], forward5[float32], backward4[float32], backward5[float32]},
 }
 
 // kern is the family the factorizations run, and avx2Kernels the

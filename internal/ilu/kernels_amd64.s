@@ -590,18 +590,82 @@ done:
 	VSUBSD  X11, X15, X15; \
 	VMOVSD  X15, (40*j+32)(DI)
 
-#define SET4(j) VMOVUPD Y4, (32*j)(DI)
-
 #define SET5(j) \
 	VMOVUPD Y10, (40*j)(DI); \
 	VMOVSD  X11, (40*j+32)(DI)
 
-// func mulSub4AVX2(c, a, b []float64)
-TEXT ·mulSub4AVX2(SB), NOSPLIT, $0-72
-	MOVQ c_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DX
-	LOADA4
+// The L block times the pivot's inverse, stored over the L block (DI =
+// SI), each product column from the columns of a held in registers. At
+// b = 4 the product columns are kept in Y8-Y11 and become the held
+// columns of the updates; at b = 5, short of registers, they are loaded
+// back.
+#define MULRIGHT4 \
+	MOVQ    SI, DI; \
+	LOADA4; \
+	PROD4(0); \
+	VMOVAPD Y4, Y8; \
+	PROD4(1); \
+	VMOVAPD Y4, Y9; \
+	PROD4(2); \
+	VMOVAPD Y4, Y10; \
+	PROD4(3); \
+	VMOVAPD Y4, Y11; \
+	VMOVUPD Y8, 0(DI); \
+	VMOVUPD Y9, 32(DI); \
+	VMOVUPD Y10, 64(DI); \
+	VMOVUPD Y11, 96(DI); \
+	VMOVAPD Y8, Y0; \
+	VMOVAPD Y9, Y1; \
+	VMOVAPD Y10, Y2; \
+	VMOVAPD Y11, Y3
+
+#define MULRIGHT5 \
+	MOVQ SI, DI; \
+	LOADA5; \
+	PROD5(0); \
+	SET5(0); \
+	PROD5(1); \
+	SET5(1); \
+	PROD5(2); \
+	SET5(2); \
+	PROD5(3); \
+	SET5(3); \
+	PROD5(4); \
+	SET5(4); \
+	LOADA5
+
+// Register plan of the row updates: R12 val, SI the L block, R11 the
+// U block of row p at the update's position, DX the b operand (the
+// pivot's inverse, then that U block), R8 the column in pCols, CX the
+// columns left, R9 slot, AX the destination's block and DI its address.
+
+// func rowUpdate4AVX2(val []float64, factor, uLo int, pCols, slot []int32)
+TEXT ·rowUpdate4AVX2(SB), NOSPLIT, $0-88
+	MOVQ val_base+0(FP), R12
+	MOVQ factor+24(FP), SI
+	MOVQ uLo+32(FP), R11
+	MOVQ pCols_base+40(FP), R8
+	MOVQ pCols_len+48(FP), CX
+	MOVQ slot_base+64(FP), R9
+	SHLQ $7, SI
+	ADDQ R12, SI
+	SHLQ $7, R11
+	ADDQ R12, R11
+	MOVQ CX, DX
+	SHLQ $7, DX
+	ADDQ R11, DX
+	MULRIGHT4
+	TESTQ CX, CX
+	JZ    done
+
+update:
+	MOVLQSX (R8), AX
+	MOVLQSX (R9)(AX*4), AX
+	TESTQ   AX, AX
+	JS      next
+	SHLQ    $7, AX
+	LEAQ    (R12)(AX*1), DI
+	MOVQ    R11, DX
 	PROD4(0)
 	SUB4(0)
 	PROD4(1)
@@ -610,15 +674,43 @@ TEXT ·mulSub4AVX2(SB), NOSPLIT, $0-72
 	SUB4(2)
 	PROD4(3)
 	SUB4(3)
+
+next:
+	ADDQ $4, R8
+	ADDQ $128, R11
+	DECQ CX
+	JNZ  update
+
+done:
 	VZEROUPPER
 	RET
 
-// func mulSub5AVX2(c, a, b []float64)
-TEXT ·mulSub5AVX2(SB), NOSPLIT, $0-72
-	MOVQ c_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), DX
-	LOADA5
+// func rowUpdate5AVX2(val []float64, factor, uLo int, pCols, slot []int32)
+TEXT ·rowUpdate5AVX2(SB), NOSPLIT, $0-88
+	MOVQ   val_base+0(FP), R12
+	MOVQ   factor+24(FP), SI
+	MOVQ   uLo+32(FP), R11
+	MOVQ   pCols_base+40(FP), R8
+	MOVQ   pCols_len+48(FP), CX
+	MOVQ   slot_base+64(FP), R9
+	IMUL3Q $200, SI, SI
+	ADDQ   R12, SI
+	IMUL3Q $200, R11, R11
+	ADDQ   R12, R11
+	IMUL3Q $200, CX, DX
+	ADDQ   R11, DX
+	MULRIGHT5
+	TESTQ  CX, CX
+	JZ     done
+
+update:
+	MOVLQSX (R8), AX
+	MOVLQSX (R9)(AX*4), AX
+	TESTQ   AX, AX
+	JS      next
+	IMUL3Q  $200, AX, AX
+	LEAQ    (R12)(AX*1), DI
+	MOVQ    R11, DX
 	PROD5(0)
 	SUB5(0)
 	PROD5(1)
@@ -629,41 +721,445 @@ TEXT ·mulSub5AVX2(SB), NOSPLIT, $0-72
 	SUB5(3)
 	PROD5(4)
 	SUB5(4)
+
+next:
+	ADDQ $4, R8
+	ADDQ $200, R11
+	DECQ CX
+	JNZ  update
+
+done:
 	VZEROUPPER
 	RET
 
-// func mulRight4AVX2(a, b []float64)
-TEXT ·mulRight4AVX2(SB), NOSPLIT, $0-48
-	MOVQ a_base+0(FP), DI
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DX
-	LOADA4
-	PROD4(0)
-	SET4(0)
-	PROD4(1)
-	SET4(1)
-	PROD4(2)
-	SET4(2)
-	PROD4(3)
-	SET4(3)
+// func loadRow4AVX2(val, src []float64, cols, slot []int32)
+TEXT ·loadRow4AVX2(SB), NOSPLIT, $0-96
+	MOVQ  val_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  cols_base+48(FP), R8
+	MOVQ  cols_len+56(FP), CX
+	MOVQ  slot_base+72(FP), R9
+	TESTQ CX, CX
+	JZ    done
+
+block:
+	MOVLQSX (R8), AX
+	MOVLQSX (R9)(AX*4), AX
+	SHLQ    $7, AX
+	PREFETCHT0 2048(SI)
+	PREFETCHT0 2112(SI)
+	VMOVUPD 0(SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VMOVUPD Y0, 0(DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	VMOVUPD Y2, 64(DI)(AX*1)
+	VMOVUPD Y3, 96(DI)(AX*1)
+	ADDQ    $128, SI
+	ADDQ    $4, R8
+	DECQ    CX
+	JNZ     block
+
+done:
 	VZEROUPPER
 	RET
 
-// func mulRight5AVX2(a, b []float64)
-TEXT ·mulRight5AVX2(SB), NOSPLIT, $0-48
-	MOVQ a_base+0(FP), DI
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DX
-	LOADA5
-	PROD5(0)
-	SET5(0)
-	PROD5(1)
-	SET5(1)
-	PROD5(2)
-	SET5(2)
-	PROD5(3)
-	SET5(3)
-	PROD5(4)
-	SET5(4)
+// func loadRow5AVX2(val, src []float64, cols, slot []int32)
+TEXT ·loadRow5AVX2(SB), NOSPLIT, $0-96
+	MOVQ  val_base+0(FP), DI
+	MOVQ  src_base+24(FP), SI
+	MOVQ  cols_base+48(FP), R8
+	MOVQ  cols_len+56(FP), CX
+	MOVQ  slot_base+72(FP), R9
+	TESTQ CX, CX
+	JZ    done
+
+block:
+	MOVLQSX (R8), AX
+	MOVLQSX (R9)(AX*4), AX
+	IMUL3Q  $200, AX, AX
+	PREFETCHT0 2560(SI)
+	PREFETCHT0 2624(SI)
+	PREFETCHT0 2688(SI)
+	VMOVUPD 0(SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	VMOVUPD 128(SI), Y4
+	VMOVUPD 160(SI), Y5
+	VMOVSD  192(SI), X6
+	VMOVUPD Y0, 0(DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	VMOVUPD Y2, 64(DI)(AX*1)
+	VMOVUPD Y3, 96(DI)(AX*1)
+	VMOVUPD Y4, 128(DI)(AX*1)
+	VMOVUPD Y5, 160(DI)(AX*1)
+	VMOVSD  X6, 192(DI)(AX*1)
+	ADDQ    $200, SI
+	ADDQ    $4, R8
+	DECQ    CX
+	JNZ     block
+
+done:
+	VZEROUPPER
+	RET
+
+// VCVTPD2PS rounds four float64 to float32 as Go's float32() does one
+// (CVTSD2SS): both round under MXCSR, which Go leaves at its default —
+// round to nearest even, no flush to zero.
+// func round32AVX2(dst []float32, src []float64)
+TEXT ·round32AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	CMPQ CX, $8
+	JLT  four
+
+eight:
+	VCVTPD2PSY 0(SI), X0
+	VCVTPD2PSY 32(SI), X1
+	VMOVUPS    X0, 0(DI)
+	VMOVUPS    X1, 16(DI)
+	ADDQ       $64, SI
+	ADDQ       $32, DI
+	SUBQ       $8, CX
+	CMPQ       CX, $8
+	JGE        eight
+
+four:
+	CMPQ       CX, $4
+	JLT        one
+	VCVTPD2PSY 0(SI), X0
+	VMOVUPS    X0, 0(DI)
+	ADDQ       $32, SI
+	ADDQ       $16, DI
+	SUBQ       $4, CX
+
+one:
+	TESTQ     CX, CX
+	JZ        done
+	VMOVSD    0(SI), X0
+	VCVTSD2SS X0, X0, X0
+	VMOVSS    X0, 0(DI)
+	ADDQ      $8, SI
+	ADDQ      $4, DI
+	DECQ      CX
+	JMP       one
+
+done:
+	VZEROUPPER
+	RET
+
+// The pivot inversions run invertBlock's Gauss-Jordan sweep on the
+// augmented block [A | I], its rows in aug (2n scalars each, row-major):
+// R8-R11 (and R12 at b = 5) point at logical rows 0…n-1, so a row swap
+// swaps two pointers and moves no data. Per column, written out: the
+// first row of largest magnitude, by strict compares in row order (a NaN
+// never wins, and a NaN pivot fails the >= 1e-300 test like a small
+// one); the pivot row times its reciprocal; then every other row minus
+// its multiplier times the pivot row, kept unchanged where the
+// multiplier is zero (VCMPPD not-equal-unordered, so a NaN multiplier
+// applies). Constants: X15 the |·| mask, X14 1e-300, X13 1.0, Y12 zero;
+// AX the pivot row found, BX the column (returned on failure).
+
+#define INVCONSTS \
+	VPCMPEQQ Y15, Y15, Y15; \
+	VPSRLQ   $1, Y15, Y15; \
+	MOVQ     $0x01a56e1fc2f8f359, DX; \
+	VMOVQ    DX, X14; \
+	MOVQ     $0x3ff0000000000000, DX; \
+	VMOVQ    DX, X13; \
+	VXORPD   Y12, Y12, Y12
+
+// |row rc's entry at off| into X0, row rc the pivot so far.
+#define PIVFIRST(off, rc) \
+	MOVQ   rc, AX; \
+	VMOVSD off(rc), X0; \
+	VANDPD X15, X0, X0
+
+// Row rr becomes the pivot when its magnitude is strictly larger.
+#define PIVNEXT(off, rr) \
+	VMOVSD   off(rr), X1; \
+	VANDPD   X15, X1, X1; \
+	VUCOMISD X0, X1; \
+	CMOVQHI  rr, AX; \
+	VMAXSD   X0, X1, X0
+
+// Row rr takes row rc's place if it is the pivot row found.
+#define PIVSWAP(rc, rr) \
+	CMPQ    rr, AX; \
+	CMOVQEQ rc, rr
+
+// The pivot's check and its reciprocal broadcast into Y2.
+#define PIVINV(off, c, rc) \
+	MOVQ         $c, BX; \
+	VUCOMISD     X14, X0; \
+	JCS          fail; \
+	VMOVSD       off(rc), X2; \
+	VDIVSD       X2, X13, X2; \
+	VBROADCASTSD X2, Y2
+
+// Scalars 0-7 of a row: the pivot row scaled into Y3, Y4 and stored.
+#define SCALE8(rc) \
+	VMULPD  0(rc), Y2, Y3; \
+	VMULPD  32(rc), Y2, Y4; \
+	VMOVUPD Y3, 0(rc); \
+	VMOVUPD Y4, 32(rc)
+
+// q minus fac times the pivot row's part p, at byte off of row rr, kept
+// where the mask Y6 (fac != 0) is clear.
+#define ELIM(off, p, fac, rr, T7, T8, T9, M) \
+	VMULPD    p, fac, T7; \
+	VMOVUPD   off(rr), T8; \
+	VSUBPD    T7, T8, T9; \
+	VBLENDVPD M, T9, T8, T8; \
+	VMOVUPD   T8, off(rr)
+
+#define ROWOP4(off, rr) \
+	VBROADCASTSD off(rr), Y5; \
+	VCMPPD       $4, Y12, Y5, Y6; \
+	ELIM(0, Y3, Y5, rr, Y7, Y8, Y9, Y6); \
+	ELIM(32, Y4, Y5, rr, Y7, Y8, Y9, Y6)
+
+#define ROWOP5(off, rr) \
+	ROWOP4(off, rr); \
+	ELIM(64, X10, X5, rr, X7, X8, X9, X6)
+
+#define TRANSPOSE4 \
+	VUNPCKLPD  Y1, Y0, Y4; \
+	VUNPCKHPD  Y1, Y0, Y5; \
+	VUNPCKLPD  Y3, Y2, Y6; \
+	VUNPCKHPD  Y3, Y2, Y7; \
+	VPERM2F128 $0x20, Y6, Y4, Y0; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x31, Y6, Y4, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3
+
+// func invertBlock4AVX2(blk, aug []float64) int
+TEXT ·invertBlock4AVX2(SB), NOSPLIT, $0-56
+	MOVQ blk_base+0(FP), SI
+	MOVQ aug_base+24(FP), R8
+	LEAQ 64(R8), R9
+	LEAQ 128(R8), R10
+	LEAQ 192(R8), R11
+	INVCONSTS
+
+	// [A | I]: A's columns transposed into the rows' first halves.
+	VMOVUPD 0(SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+	TRANSPOSE4
+	VMOVUPD Y0, 0(R8)
+	VMOVUPD Y1, 0(R9)
+	VMOVUPD Y2, 0(R10)
+	VMOVUPD Y3, 0(R11)
+	VMOVUPD Y12, 32(R8)
+	VMOVUPD Y12, 32(R9)
+	VMOVUPD Y12, 32(R10)
+	VMOVUPD Y12, 32(R11)
+	VMOVSD  X13, 32(R8)
+	VMOVSD  X13, 40(R9)
+	VMOVSD  X13, 48(R10)
+	VMOVSD  X13, 56(R11)
+
+	// Column 0.
+	PIVFIRST(0, R8)
+	PIVNEXT(0, R9)
+	PIVNEXT(0, R10)
+	PIVNEXT(0, R11)
+	PIVSWAP(R8, R9)
+	PIVSWAP(R8, R10)
+	PIVSWAP(R8, R11)
+	MOVQ AX, R8
+	PIVINV(0, 0, R8)
+	SCALE8(R8)
+	ROWOP4(0, R9)
+	ROWOP4(0, R10)
+	ROWOP4(0, R11)
+
+	// Column 1.
+	PIVFIRST(8, R9)
+	PIVNEXT(8, R10)
+	PIVNEXT(8, R11)
+	PIVSWAP(R9, R10)
+	PIVSWAP(R9, R11)
+	MOVQ AX, R9
+	PIVINV(8, 1, R9)
+	SCALE8(R9)
+	ROWOP4(8, R8)
+	ROWOP4(8, R10)
+	ROWOP4(8, R11)
+
+	// Column 2.
+	PIVFIRST(16, R10)
+	PIVNEXT(16, R11)
+	PIVSWAP(R10, R11)
+	MOVQ AX, R10
+	PIVINV(16, 2, R10)
+	SCALE8(R10)
+	ROWOP4(16, R8)
+	ROWOP4(16, R9)
+	ROWOP4(16, R11)
+
+	// Column 3.
+	PIVFIRST(24, R11)
+	PIVINV(24, 3, R11)
+	SCALE8(R11)
+	ROWOP4(24, R8)
+	ROWOP4(24, R9)
+	ROWOP4(24, R10)
+
+	// The inverse: the rows' second halves, transposed into blk.
+	VMOVUPD 32(R8), Y0
+	VMOVUPD 32(R9), Y1
+	VMOVUPD 32(R10), Y2
+	VMOVUPD 32(R11), Y3
+	TRANSPOSE4
+	VMOVUPD Y0, 0(SI)
+	VMOVUPD Y1, 32(SI)
+	VMOVUPD Y2, 64(SI)
+	VMOVUPD Y3, 96(SI)
+	MOVQ    $-1, ret+48(FP)
+	VZEROUPPER
+	RET
+
+fail:
+	MOVQ BX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// Row ri of [A | I] at b = 5: A's entries (i, 0…4) — scalars i, 5+i, …
+// of the column-major block — then the identity's row.
+#define AUGROW5(i, ri) \
+	VMOVSD  (8*i)(SI), X0; \
+	VMOVSD  X0, 0(ri); \
+	VMOVSD  (8*(5+i))(SI), X0; \
+	VMOVSD  X0, 8(ri); \
+	VMOVSD  (8*(10+i))(SI), X0; \
+	VMOVSD  X0, 16(ri); \
+	VMOVSD  (8*(15+i))(SI), X0; \
+	VMOVSD  X0, 24(ri); \
+	VMOVSD  (8*(20+i))(SI), X0; \
+	VMOVSD  X0, 32(ri); \
+	VMOVUPD Y12, 40(ri); \
+	VMOVSD  X12, 72(ri); \
+	VMOVSD  X13, (40+8*i)(ri)
+
+// Row ri's second half into row i of the column-major inverse.
+#define INVROW5(i, ri) \
+	VMOVSD 40(ri), X0; \
+	VMOVSD X0, (8*i)(SI); \
+	VMOVSD 48(ri), X0; \
+	VMOVSD X0, (8*(5+i))(SI); \
+	VMOVSD 56(ri), X0; \
+	VMOVSD X0, (8*(10+i))(SI); \
+	VMOVSD 64(ri), X0; \
+	VMOVSD X0, (8*(15+i))(SI); \
+	VMOVSD 72(ri), X0; \
+	VMOVSD X0, (8*(20+i))(SI)
+
+// Scalars 0-9 of the pivot row: SCALE8 and the last two into X10.
+#define SCALE10(rc) \
+	SCALE8(rc); \
+	VMULPD  64(rc), X2, X10; \
+	VMOVUPD X10, 64(rc)
+
+// func invertBlock5AVX2(blk, aug []float64) int
+TEXT ·invertBlock5AVX2(SB), NOSPLIT, $0-56
+	MOVQ blk_base+0(FP), SI
+	MOVQ aug_base+24(FP), R8
+	LEAQ 80(R8), R9
+	LEAQ 160(R8), R10
+	LEAQ 240(R8), R11
+	LEAQ 320(R8), R12
+	INVCONSTS
+	AUGROW5(0, R8)
+	AUGROW5(1, R9)
+	AUGROW5(2, R10)
+	AUGROW5(3, R11)
+	AUGROW5(4, R12)
+
+	// Column 0.
+	PIVFIRST(0, R8)
+	PIVNEXT(0, R9)
+	PIVNEXT(0, R10)
+	PIVNEXT(0, R11)
+	PIVNEXT(0, R12)
+	PIVSWAP(R8, R9)
+	PIVSWAP(R8, R10)
+	PIVSWAP(R8, R11)
+	PIVSWAP(R8, R12)
+	MOVQ AX, R8
+	PIVINV(0, 0, R8)
+	SCALE10(R8)
+	ROWOP5(0, R9)
+	ROWOP5(0, R10)
+	ROWOP5(0, R11)
+	ROWOP5(0, R12)
+
+	// Column 1.
+	PIVFIRST(8, R9)
+	PIVNEXT(8, R10)
+	PIVNEXT(8, R11)
+	PIVNEXT(8, R12)
+	PIVSWAP(R9, R10)
+	PIVSWAP(R9, R11)
+	PIVSWAP(R9, R12)
+	MOVQ AX, R9
+	PIVINV(8, 1, R9)
+	SCALE10(R9)
+	ROWOP5(8, R8)
+	ROWOP5(8, R10)
+	ROWOP5(8, R11)
+	ROWOP5(8, R12)
+
+	// Column 2.
+	PIVFIRST(16, R10)
+	PIVNEXT(16, R11)
+	PIVNEXT(16, R12)
+	PIVSWAP(R10, R11)
+	PIVSWAP(R10, R12)
+	MOVQ AX, R10
+	PIVINV(16, 2, R10)
+	SCALE10(R10)
+	ROWOP5(16, R8)
+	ROWOP5(16, R9)
+	ROWOP5(16, R11)
+	ROWOP5(16, R12)
+
+	// Column 3.
+	PIVFIRST(24, R11)
+	PIVNEXT(24, R12)
+	PIVSWAP(R11, R12)
+	MOVQ AX, R11
+	PIVINV(24, 3, R11)
+	SCALE10(R11)
+	ROWOP5(24, R8)
+	ROWOP5(24, R9)
+	ROWOP5(24, R10)
+	ROWOP5(24, R12)
+
+	// Column 4.
+	PIVFIRST(32, R12)
+	PIVINV(32, 4, R12)
+	SCALE10(R12)
+	ROWOP5(32, R8)
+	ROWOP5(32, R9)
+	ROWOP5(32, R10)
+	ROWOP5(32, R11)
+
+	INVROW5(0, R8)
+	INVROW5(1, R9)
+	INVROW5(2, R10)
+	INVROW5(3, R11)
+	INVROW5(4, R12)
+	MOVQ $-1, ret+48(FP)
+	VZEROUPPER
+	RET
+
+fail:
+	MOVQ BX, ret+48(FP)
 	VZEROUPPER
 	RET

@@ -67,44 +67,54 @@ func randomBlock(blk []float64, s *uint64, specialRate int) {
 }
 
 // TestBlockKernelsMatchGo: every AVX2 kernel is bit for bit its Go kernel
-// — the elimination kernels on random blocks seeded with signed zeros,
-// denormals, infinities, NaNs and products that round to -0; the sweeps
-// over B {4, 5} × fill {0, 1, 2} × precision × {the whole range, the
-// level row lists}, with right-hand sides holding the same; whole
-// factorizations built by either family; and Solve ≡ SolvePar at 1, 2
-// and 4 workers under the AVX2 family.
+// — the elimination's row kernels on random blocks seeded with signed
+// zeros, denormals, infinities, NaNs and products that round to -0 (row
+// updates with dropped and with no updates, A's row loaded through a
+// shuffled slot, pivot inversions, rounding to float32 at every length
+// up to 40); the sweeps over B {4, 5} × fill {0, 1, 2} × precision ×
+// {the whole range, the level row lists}, with right-hand sides holding
+// the same; whole factorizations built by either family; and Solve ≡
+// SolvePar at 1, 2 and 4 workers under the AVX2 family.
 func TestBlockKernelsMatchGo(t *testing.T) {
 	avx := needAVX2(t)
 	t.Run("elimination", func(t *testing.T) {
 		s := uint64(7)
 		for _, n := range []int{4, 5} {
 			nn := n * n
-			a, b, c := make([]float64, nn), make([]float64, nn), make([]float64, nn)
-			cGo, aGo := make([]float64, nn), make([]float64, nn)
 			for trial := 0; trial < 400; trial++ {
 				rate := 3 + trial%5
-				randomBlock(a, &s, rate)
-				randomBlock(b, &s, rate)
-				randomBlock(c, &s, rate)
+				m := trial % 5
+				val, pCols, slot := rowUpdateFixture(n, m, func(j int) bool { return (j+trial)%3 == 1 })
+				randomBlock(val, &s, rate)
 				if trial%4 == 1 {
-					// A row of -0 in a against a positive b: products of -0,
-					// so a sum seeded with its first product would give -0.
+					// A row of -0 in the L block against a positive inverse:
+					// products of -0, so a sum seeded with its first product
+					// would give -0.
 					for k := 0; k < n; k++ {
-						a[k*n] = math.Copysign(0, -1)
-						c[k*n] = math.Copysign(0, -1)
+						val[k*n] = math.Copysign(0, -1)
 					}
-					for i := range b {
-						b[i] = math.Abs(b[i])
+					for i := (m + 1) * nn; i < (m+2)*nn; i++ {
+						val[i] = math.Abs(val[i])
 					}
 				}
-				copy(cGo, c)
-				copy(aGo, a)
-				pick(goKernels.mulSub4, goKernels.mulSub5, n)(cGo, a, b)
-				pick(avx.mulSub4, avx.mulSub5, n)(c, a, b)
-				sameSolution(t, fmt.Sprintf("mulSub%d trial %d", n, trial), c, cGo)
-				pick(goKernels.mulRight4, goKernels.mulRight5, n)(aGo, b)
-				pick(avx.mulRight4, avx.mulRight5, n)(a, b)
-				sameSolution(t, fmt.Sprintf("mulRight%d trial %d", n, trial), a, aGo)
+				want := append([]float64(nil), val...)
+				pick(goKernels.rowUpdate4, goKernels.rowUpdate5, n)(want, 0, 1, pCols, slot)
+				pick(avx.rowUpdate4, avx.rowUpdate5, n)(val, 0, 1, pCols, slot)
+				sameSolution(t, fmt.Sprintf("rowUpdate%d trial %d (%d U blocks)", n, trial, m), val, want)
+
+				kernelsAgreeOnRow(t, fmt.Sprintf("trial %d", trial), avx, n, val[:nn], val[nn:])
+			}
+		}
+		for length := 0; length <= 40; length++ {
+			src := make([]float64, length)
+			randomBlock(src, &s, 3)
+			got, want := make([]float32, length), make([]float32, length)
+			goKernels.round32(want, src)
+			avx.round32(got, src)
+			for k := range want {
+				if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+					t.Fatalf("round32 of %d values: entry %d (%x) is %x, want %x", length, k, math.Float64bits(src[k]), math.Float32bits(got[k]), math.Float32bits(want[k]))
+				}
 			}
 		}
 	})
@@ -151,6 +161,34 @@ func TestBlockKernelsMatchGo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// kernelsAgreeOnRow runs the Go and fam's loadRow and pivot inversion on
+// the same operands: A's row — the blocks of src, its columns shuffled
+// into the blocks of val in reverse — and the inverse of blk, which
+// must fail at the same column or give the same bits.
+func kernelsAgreeOnRow(t *testing.T, who string, fam *blockKernels, n int, blk, src []float64) {
+	t.Helper()
+	nn := n * n
+	nblk := len(src) / nn
+	cols, slot := make([]int32, nblk), make([]int32, nblk)
+	for k := range cols {
+		cols[k] = int32(k)
+		slot[k] = int32(nblk - 1 - k)
+	}
+	want, got := make([]float64, len(src)), make([]float64, len(src))
+	pick(goKernels.loadRow4, goKernels.loadRow5, n)(want, src[:nblk*nn], cols, slot)
+	pick(fam.loadRow4, fam.loadRow5, n)(got, src[:nblk*nn], cols, slot)
+	sameBits(t, fmt.Sprintf("loadRow%d %s", n, who), got, want)
+
+	wantInv, gotInv := append([]float64(nil), blk[:nn]...), append([]float64(nil), blk[:nn]...)
+	aug := make([]float64, 2*nn)
+	wantCol := pick(goKernels.invert4, goKernels.invert5, n)(wantInv, aug)
+	gotCol := pick(fam.invert4, fam.invert5, n)(gotInv, aug)
+	if gotCol != wantCol {
+		t.Fatalf("invert%d %s: failed at column %d, want %d", n, who, gotCol, wantCol)
+	}
+	sameSolution(t, fmt.Sprintf("invert%d %s", n, who), gotInv, wantInv)
 }
 
 // pick returns the b = 4 or the b = 5 kernel of a pair.
@@ -203,11 +241,14 @@ func sweepsMatch(t *testing.T, name string, f *Factorization, fam *blockKernels,
 	}
 }
 
-// FuzzBlockKernels feeds arbitrary 64-bit patterns into the a, b and c
-// blocks of the elimination kernels and into the blocks, x and right-hand
-// side of one forward and one backward row, at B = 4 and 5 and in both
-// storage precisions (a float32 block takes the low half of each
-// pattern), and requires the AVX2 kernels to give the Go kernels' bits.
+// FuzzBlockKernels feeds arbitrary 64-bit patterns into the blocks of
+// one row update (an L block, its inverse, three U blocks of which the
+// level rule drops one, and their destinations), into the load, the
+// inversion and the float32 rounding of the blocks it leaves, and into
+// the blocks, x and right-hand side of one forward and one backward row,
+// at B = 4 and 5 and in both storage precisions (a float32 block takes
+// the low half of each pattern), and requires the AVX2 kernels to give
+// the Go kernels' bits.
 // The patterns are used cyclically, so an input of up to 32 of them
 // reaches every operand; longer inputs are skipped, which keeps the
 // engine's minimization of a new input short.
@@ -246,17 +287,22 @@ func FuzzBlockKernels(f *testing.F) {
 		}
 		for _, n := range []int{4, 5} {
 			nn := n * n
-			a, b, c := make([]float64, nn), make([]float64, nn), make([]float64, nn)
-			fill64(a)
-			fill64(b)
-			fill64(c)
-			cGo, aGo := append([]float64(nil), c...), append([]float64(nil), a...)
-			pick(goKernels.mulSub4, goKernels.mulSub5, n)(cGo, a, b)
-			pick(avx.mulSub4, avx.mulSub5, n)(c, a, b)
-			sameSolution(t, fmt.Sprintf("mulSub%d", n), c, cGo)
-			pick(goKernels.mulRight4, goKernels.mulRight5, n)(aGo, b)
-			pick(avx.mulRight4, avx.mulRight5, n)(a, b)
-			sameSolution(t, fmt.Sprintf("mulRight%d", n), a, aGo)
+			// One L block against three U blocks, the second dropped.
+			val, pCols, slot := rowUpdateFixture(n, 3, func(j int) bool { return j == 1 })
+			fill64(val)
+			want := append([]float64(nil), val...)
+			pick(goKernels.rowUpdate4, goKernels.rowUpdate5, n)(want, 0, 1, pCols, slot)
+			pick(avx.rowUpdate4, avx.rowUpdate5, n)(val, 0, 1, pCols, slot)
+			sameSolution(t, fmt.Sprintf("rowUpdate%d", n), val, want)
+			kernelsAgreeOnRow(t, "", avx, n, val[:nn], val[nn:])
+			r32, w32 := make([]float32, len(val)), make([]float32, len(val))
+			goKernels.round32(w32, val)
+			avx.round32(r32, val)
+			for k := range w32 {
+				if math.Float32bits(r32[k]) != math.Float32bits(w32[k]) {
+					t.Fatalf("round32: entry %d (%x) is %x, want %x", k, math.Float64bits(val[k]), math.Float32bits(r32[k]), math.Float32bits(w32[k]))
+				}
+			}
 
 			// Three block rows. Forward: row 2 reads rows 0 and 1 through
 			// two L blocks. Backward: row 0 reads rows 1 and 2 through two U

@@ -95,47 +95,59 @@ func TestRefactorBitwiseGrid(t *testing.T) {
 	}
 }
 
-// zeroBlock returns a copy of a with block (i, i) zeroed.
-func zeroBlock(t *testing.T, a *sparse.BCSR, i int) *sparse.BCSR {
+// fillBlock returns a copy of a with every scalar of block (i, i) set to v.
+func fillBlock(t *testing.T, a *sparse.BCSR, i int, v float64) *sparse.BCSR {
 	t.Helper()
 	c := &sparse.BCSR{NB: a.NB, B: a.B, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: append([]float64(nil), a.Val...)}
 	blk, ok := c.BlockAt(i, i)
 	if !ok {
 		t.Fatalf("no diagonal block in row %d", i)
 	}
-	clear(blk)
+	for k := range blk {
+		blk[k] = v
+	}
 	return c
 }
 
 // TestRefactorSingularPivotIsRecoverable: a singular pivot block inside
-// Refactor is a structured error naming the row, leaves the work array
-// clean, and the next Refactor with a good matrix is bit-equal to a
-// fresh Factor.
+// Refactor — zero, or NaN, which no magnitude test passes — is a
+// structured error naming the row, in every kernel family and at every
+// block size with its own inversion; it leaves the work array clean,
+// and the next Refactor with a good matrix is bit-equal to a fresh
+// Factor.
 func TestRefactorSingularPivotIsRecoverable(t *testing.T) {
-	for _, single := range []bool{false, true} {
-		opts := Options{Level: 1, SinglePrecision: single}
-		a1 := wingBlockMatrix(t, 6, 5, 4, 4, 11)
-		a2 := wingBlockMatrix(t, 6, 5, 4, 4, 29)
-		f, err := Factor(a1, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, fam := range families() {
+		useKernels(t, fam)
+		for _, b := range []int{4, 5, 7} {
+			for _, single := range []bool{false, true} {
+				for _, pivot := range []float64{0, math.NaN()} {
+					who := fmt.Sprintf("%s B=%d single=%v pivot block of %v", fam.name, b, single, pivot)
+					opts := Options{Level: 1, SinglePrecision: single}
+					a1 := wingBlockMatrix(t, 6, 5, 4, b, 11)
+					a2 := wingBlockMatrix(t, 6, 5, 4, b, 29)
+					f, err := Factor(a1, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Row 0 has no lower blocks, so its pivot is A's block itself.
+					err = f.Refactor(fillBlock(t, a2, 0, pivot))
+					if err == nil || !strings.Contains(err.Error(), "singular pivot block at row 0") {
+						t.Fatalf("%s: gave %v, want a singular-pivot error naming row 0", who, err)
+					}
+					if !slotClean(f) {
+						t.Fatalf("%s: failed Refactor left the slot work array dirty", who)
+					}
+					if err := f.Refactor(a2); err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := Factor(a2, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameFactors(t, f, fresh)
+				}
+			}
 		}
-		// Row 0 has no lower blocks, so its pivot is A's block itself.
-		err = f.Refactor(zeroBlock(t, a2, 0))
-		if err == nil || !strings.Contains(err.Error(), "singular pivot block at row 0") {
-			t.Fatalf("single=%v: zeroed diagonal block gave %v, want a singular-pivot error naming row 0", single, err)
-		}
-		if !slotClean(f) {
-			t.Fatalf("single=%v: failed Refactor left the slot work array dirty", single)
-		}
-		if err := f.Refactor(a2); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := Factor(a2, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameFactors(t, f, fresh)
 	}
 }
 
@@ -196,9 +208,56 @@ func TestRefactorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestMulSubMatchesMatMulThenSubtract pins the fused row-update kernel
-// of every kernel family to the two-step form it replaced, bit for bit,
-// signed zeros included.
+// rowUpdateFixture lays out what rowUpdate reads for one L block of
+// n×n blocks: the L block (the factor) at block 0, row p's m U blocks at
+// 1…m — their columns are 0…m-1 — and its inverted pivot at m+1, and the
+// blocks of the row being eliminated from m+2 on: slot maps column j to
+// block m+2+j, or to -1 where drop(j) (fill dropped by the level rule).
+func rowUpdateFixture(n, m int, drop func(j int) bool) (val []float64, pCols, slot []int32) {
+	val = make([]float64, (2*m+2)*n*n)
+	pCols, slot = make([]int32, m), make([]int32, m)
+	for j := range pCols {
+		pCols[j] = int32(j)
+		slot[j] = int32(m + 2 + j)
+		if drop(j) {
+			slot[j] = -1
+		}
+	}
+	return val, pCols, slot
+}
+
+// rowUpdateByMatMul is rowUpdate in the two-step form the kernels
+// replaced: the L block times the inverse through matMul and a copy,
+// then each kept update as a matMul into a temporary and a subtraction.
+func rowUpdateByMatMul(val []float64, pCols, slot []int32, n int) {
+	bb, m := n*n, len(pCols)
+	tmp := make([]float64, bb)
+	matMul(val[:bb], val[(m+1)*bb:(m+2)*bb], tmp, n)
+	copy(val[:bb], tmp)
+	for kp, j := range pCols {
+		if d := int(slot[j]); d >= 0 {
+			matMul(val[:bb], val[(1+kp)*bb:(2+kp)*bb], tmp, n)
+			for i, v := range tmp {
+				val[d*bb+i] -= v
+			}
+		}
+	}
+}
+
+// sameBits fails unless got and want hold the same bits.
+func sameBits(t *testing.T, who string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d: %x, want %x", who, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestMulSubMatchesMatMulThenSubtract pins the row updates of every
+// kernel family (mulSub's per-entry sequence inside rowUpdate) to the
+// two-step form they replaced, bit for bit, signed zeros included, with
+// updates dropped by the level rule and with none at all.
 func TestMulSubMatchesMatMulThenSubtract(t *testing.T) {
 	for _, fam := range families() {
 		useKernels(t, fam)
@@ -210,52 +269,49 @@ func mulSubMatchesMatMul(t *testing.T, family string) {
 	negZero := math.Copysign(0, -1)
 	for _, n := range []int{1, 2, 4, 5, 7} {
 		nn := n * n
-		a, b, c, want, tmp := make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn)
 		s := uint64(n)
 		next := func() float64 {
 			s = s*6364136223846793005 + 1442695040888963407
 			return float64(int64(s>>20)%2000)/1000 - 1
 		}
 		for trial := 0; trial < 20; trial++ {
-			for i := 0; i < nn; i++ {
-				a[i], b[i], c[i] = next(), next(), next()
+			m := trial % 4
+			val, pCols, slot := rowUpdateFixture(n, m, func(j int) bool { return (j+trial)%3 == 2 })
+			for i := range val {
+				val[i] = next()
 			}
-			// A row of negative zeros in a against a positive b and a
-			// negative-zero row of c separates a sum accumulated from
-			// zero (+0, so c stays -0) from one seeded with its first
-			// product (-0, so c flips to +0). Row 0 of a column-major
-			// block is every n-th scalar.
-			a[nn-1] = 0
-			if trial%2 == 1 {
-				for i := 0; i < n; i++ {
-					a[i*n], c[i*n] = negZero, negZero
+			if trial%2 == 1 && m > 0 {
+				// A positive L block and inverse give a positive product;
+				// against a U block whose column 0 is -0 every term of that
+				// column is -0, which separates a sum accumulated from zero
+				// (+0, so a -0 destination stays -0) from one seeded with
+				// its first product (-0, so it flips to +0).
+				for i := 0; i < nn; i++ {
+					val[i], val[(m+1)*nn+i] = math.Abs(val[i]), math.Abs(val[(m+1)*nn+i])
 				}
-				for i := range b {
-					b[i] = math.Abs(b[i])
-				}
-			}
-			copy(want, c)
-			matMul(a, b, tmp, n)
-			for i := range want {
-				want[i] -= tmp[i]
-			}
-			mulSub(c, a, b, n)
-			for i := range want {
-				if math.Float64bits(c[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: n=%d trial %d entry %d: %x, want %x", family, n, trial, i, math.Float64bits(c[i]), math.Float64bits(want[i]))
+				for k := 0; k < n; k++ {
+					val[nn+k] = negZero
+					for d := m + 2; d < 2*m+2; d++ {
+						val[d*nn+k] = negZero
+					}
 				}
 			}
+			want := append([]float64(nil), val...)
+			rowUpdateByMatMul(want, pCols, slot, n)
+			rowUpdate(val, 0, 1, pCols, slot, n, make([]float64, nn))
+			sameBits(t, fmt.Sprintf("%s: n=%d trial %d (%d U blocks)", family, n, trial, m), val, want)
 		}
 	}
 }
 
 // TestMulRightMatchesMatMulThenCopy pins the in-place L-block multiply
-// (A_ip ← A_ip·invU_pp) of every kernel family to the
-// matMul-into-scratch-and-copy form it replaced, bit for bit, on
-// column-major blocks: random blocks, signed zeros (a row of -0 against a
-// positive b gives -0 products, so a sum seeded with its first product
-// instead of +0 would come out -0), and denormals (whose products
-// underflow and whose sums round differently in any other order).
+// (A_ip ← A_ip·invU_pp, mulRight's sequence inside rowUpdate) of every
+// kernel family to the matMul-into-scratch-and-copy form it replaced, bit
+// for bit, on column-major blocks: random blocks, signed zeros (a row of
+// -0 against a positive inverse gives -0 products, so a sum seeded with
+// its first product instead of +0 would come out -0), and denormals
+// (whose products underflow and whose sums round differently in any
+// other order) — alone, and followed by updates that read the product.
 func TestMulRightMatchesMatMulThenCopy(t *testing.T) {
 	for _, fam := range families() {
 		useKernels(t, fam)
@@ -268,16 +324,18 @@ func mulRightMatchesMatMul(t *testing.T, family string) {
 	denormal := math.Float64frombits(0x000f_0000_0000_0001)
 	for _, n := range []int{1, 2, 4, 5, 7} {
 		nn := n * n
-		a, b, want, scratch := make([]float64, nn), make([]float64, nn), make([]float64, nn), make([]float64, nn)
 		s := uint64(n) + 77
 		next := func() float64 {
 			s = s*6364136223846793005 + 1442695040888963407
 			return float64(int64(s>>20)%2000)/1000 - 1
 		}
 		for trial := 0; trial < 30; trial++ {
-			for i := 0; i < nn; i++ {
-				a[i], b[i] = next(), next()
+			m := (trial / 3) % 2 * 2 // none, or two updates
+			val, pCols, slot := rowUpdateFixture(n, m, func(int) bool { return false })
+			for i := range val {
+				val[i] = next()
 			}
+			a, b := val[:nn], val[(m+1)*nn:(m+2)*nn]
 			switch trial % 3 {
 			case 1:
 				for i := 0; i < n; i++ {
@@ -293,13 +351,10 @@ func mulRightMatchesMatMul(t *testing.T, family string) {
 				}
 				b[0], b[nn-1] = denormal, -denormal
 			}
-			matMul(a, b, want, n)
-			mulRight(a, b, scratch, n)
-			for i := range want {
-				if math.Float64bits(a[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s: n=%d trial %d entry %d: %x, want %x", family, n, trial, i, math.Float64bits(a[i]), math.Float64bits(want[i]))
-				}
-			}
+			want := append([]float64(nil), val...)
+			rowUpdateByMatMul(want, pCols, slot, n)
+			rowUpdate(val, 0, 1, pCols, slot, n, make([]float64, nn))
+			sameBits(t, fmt.Sprintf("%s: n=%d trial %d (%d U blocks)", family, n, trial, m), val, want)
 		}
 	}
 }
@@ -320,4 +375,5 @@ func benchmarkRefactor(b *testing.B, bs, level int) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(f.FactorFlops())*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gflop/s")
 }

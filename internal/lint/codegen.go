@@ -51,8 +51,9 @@ var codegenPackages = map[string]struct{ hot, mustInline []string }{
 	},
 	"petscfun3d/internal/ilu": {
 		hot: []string{"Factorization.numeric", "backward4", "backward5", "backwardN",
-			"forward4", "forward5", "forwardN", "mulRight4", "mulRight5",
-			"mulSub4", "mulSub5", "mulSubGeneric", "round32", "triTask.RunShard"},
+			"forward4", "forward5", "forwardN", "loadRowN",
+			"mulRight4", "mulRight5", "mulSub4", "mulSub5", "mulSubGeneric", "round32",
+			"rowUpdateWith", "triTask.RunShard"},
 		mustInline: []string{"axpyCol", "matMul"},
 	},
 	"petscfun3d/internal/krylov": {
