@@ -9,9 +9,9 @@ package euler
 // profiler's roofline ratios from their order of magnitude.
 
 // EdgeFluxFlops is the floating-point work per edge of one first-order
-// flux evaluation, counted from the written-out kernels (costsync
-// re-counts it on every lint run): fluxEdges4 does 72 multiplies,
-// divides, adds and subtracts per edge, fluxEdges5 does 47 more — the
+// flux evaluation, counted by hand from the written-out kernels (an edit
+// that changes their arithmetic must re-count): fluxEdges4 does 72
+// multiplies, divides, adds and subtracts per edge, fluxEdges5 47 more — the
 // pressures, the divisions by ρ and the energy row are not O(b) extras,
 // so the formula is the line through the two counted points, not a law
 // in b. Square roots, absolute values and comparisons are not counted.

@@ -91,6 +91,38 @@ func TestLocalJacobianMatchesGlobalBitwise(t *testing.T) {
 	}
 }
 
+// TestSubsetFormulasChargeTheWhole: the subset sweep's formula over
+// every edge charges what SweepFlops charges — the conservation law
+// behind the overlap path's interior + boundary phases — and a rank that
+// owns every row charges its in-place assembly what the global assembly
+// charges.
+func TestSubsetFormulasChargeTheWhole(t *testing.T) {
+	m := testMesh(t, 5, 4, 4)
+	all := make([]int32, m.NumVertices())
+	for v := range all {
+		all[v] = int32(v)
+	}
+	for _, sys := range kernelSystems() {
+		d := newDisc(t, m, sys, Options{Order: 1})
+		if got, want := EdgeSubsetFlops(len(d.edges), sys.B()), d.SweepFlops(); got != want {
+			t.Errorf("%s: EdgeSubsetFlops over every edge = %d, SweepFlops = %d", sys.Name(), got, want)
+		}
+		a := d.JacobianPattern()
+		block := func(i, j int32) (int32, bool) {
+			k, ok := slices.BinarySearch(a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], j)
+			return a.RowPtr[i] + int32(k), ok
+		}
+		plan, err := d.PlanLocalJacobian(all, block, int32(len(a.ColIdx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Flops() != d.jacobianFlops() || plan.Bytes() != d.jacobianBytes() {
+			t.Errorf("%s: a rank owning every row charges (%d flops, %d bytes), the global assembly (%d, %d)",
+				sys.Name(), plan.Flops(), plan.Bytes(), d.jacobianFlops(), d.jacobianBytes())
+		}
+	}
+}
+
 // TestPlanLocalJacobianValidation: an owned list that is not ascending
 // vertices, a discretization the distributed path does not support and
 // an array without one of the mesh graph's blocks are errors.

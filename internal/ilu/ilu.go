@@ -750,7 +750,9 @@ func matMul(a, b, c []float64, n int) {
 
 // invertPivot inverts the n×n pivot block blk in place, through the
 // family's written-out kernels at the paper's block sizes; aug is 2n²
-// scalars of scratch.
+// scalars of scratch. An inverse with a NaN or an infinity is rejected
+// as singular: a NaN off the pivots passes every pivot test, and would
+// otherwise spread through the factors without an error.
 func invertPivot(blk []float64, n int, aug []float64) error {
 	var col int
 	switch n {
@@ -763,6 +765,13 @@ func invertPivot(blk []float64, n int, aug []float64) error {
 	}
 	if col >= 0 {
 		return fmt.Errorf("zero pivot in column %d", col)
+	}
+	var probe float64 // v - v is +0 for every finite v and NaN otherwise
+	for _, v := range blk {
+		probe += v - v
+	}
+	if probe != 0 {
+		return fmt.Errorf("non-finite inverse")
 	}
 	return nil
 }

@@ -97,6 +97,33 @@ func invertMatchesGeneric(t *testing.T, who string, fam *blockKernels, blk []flo
 	}
 }
 
+// TestInvertPivotRejectsNaN: a NaN anywhere in a 4×4 or 5×5 diag(4)
+// block fails the pivot inversion in every kernel family — on the
+// diagonal by the pivot test, off it by the non-finite inverse — and
+// the NaN-free block inverts.
+func TestInvertPivotRejectsNaN(t *testing.T) {
+	for _, fam := range families() {
+		useKernels(t, fam)
+		for _, n := range []int{4, 5} {
+			aug := make([]float64, 2*n*n)
+			blk := make([]float64, n*n)
+			for at := -1; at < n*n; at++ {
+				clear(blk)
+				for d := 0; d < n; d++ {
+					blk[d*n+d] = 4
+				}
+				if at >= 0 {
+					blk[at] = math.NaN()
+				}
+				err := invertPivot(blk, n, aug)
+				if (err == nil) != (at < 0) {
+					t.Errorf("%s n=%d NaN at %d: invertPivot gave %v", fam.name, n, at, err)
+				}
+			}
+		}
+	}
+}
+
 func TestInvertBlockNeedsPivoting(t *testing.T) {
 	// Zero in the (0,0) position requires a row swap.
 	src := []float64{0, 1, 1, 0}
@@ -291,14 +318,43 @@ func TestFactorRejectsNegativeLevel(t *testing.T) {
 	}
 }
 
+// TestSolveFlopsPositive recounts SolveFlops and SolveBytes by walking
+// the factors row by row through LPtr and UPtr, on the counted ILU(0)
+// b = 4 and ILU(1) b = 5 factorizations in both precisions. Each stored
+// L or U block costs what its sweep's row kernel does with it: b²
+// products summed from +0 and b subtractions from the row's running
+// value (2b² + b flops), its values at the storage precision and a
+// 4-byte column index. The pivot inverse's apply is b² products summed
+// from +0 (2b² flops) over its values, with no index. Each row reads
+// b once and writes x twice (3b float64s) and one entry of each pointer
+// array, which has one more entry at its end.
 func TestSolveFlopsPositive(t *testing.T) {
-	a := wingBlockMatrix(t, 4, 3, 3, 3, 13)
-	f, err := Factor(a, Options{Level: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.SolveFlops() <= 0 || f.SolveBytes() <= 0 {
-		t.Error("nonpositive work estimates")
+	for _, c := range countedFactorCases {
+		for _, single := range []bool{false, true} {
+			a := wingBlockMatrix(t, 6, 5, 4, c.b, 11)
+			f, err := Factor(a, Options{Level: c.level, SinglePrecision: single})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, v := int64(f.B), int64(f.BytesPerValue())
+			var flops, bytes int64
+			for i := 0; i < f.NB; i++ {
+				lower := int64(f.LPtr[i+1] - f.LPtr[i])
+				upper := int64(f.UPtr[i] - 1 - f.UPtr[i+1]) // the inverse follows the U blocks
+				flops += (lower+upper)*(2*b*b+b) + 2*b*b
+				bytes += (lower+upper)*(b*b*v+4) + b*b*v + 3*b*8 + 2*4
+			}
+			bytes += 2 * 4
+			if flops <= 0 || bytes <= 0 {
+				t.Fatalf("B=%d ILU(%d): recounted %d flops and %d bytes", c.b, c.level, flops, bytes)
+			}
+			if got := f.SolveFlops(); got != flops {
+				t.Errorf("B=%d ILU(%d) single=%v: SolveFlops = %d, recounted %d", c.b, c.level, single, got, flops)
+			}
+			if got := f.SolveBytes(); got != bytes {
+				t.Errorf("B=%d ILU(%d) single=%v: SolveBytes = %d, recounted %d", c.b, c.level, single, got, bytes)
+			}
+		}
 	}
 }
 
@@ -340,7 +396,7 @@ func TestSpansChargeTheirFormulas(t *testing.T) {
 	for _, single := range []bool{false, true} {
 		opts := Options{Level: 1, SinglePrecision: single}
 		a := wingBlockMatrix(t, 6, 5, 4, 4, 11)
-		bad := fillBlock(t, a, 0, 0)
+		bad := fillBlock(t, a, 0, singularPivots[0].set)
 		f, err := Factor(a, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -95,33 +95,54 @@ func TestRefactorBitwiseGrid(t *testing.T) {
 	}
 }
 
-// fillBlock returns a copy of a with every scalar of block (i, i) set to v.
-func fillBlock(t *testing.T, a *sparse.BCSR, i int, v float64) *sparse.BCSR {
+// fillBlock returns a copy of a whose block (i, i) is set by set.
+func fillBlock(t *testing.T, a *sparse.BCSR, i int, set func(blk []float64)) *sparse.BCSR {
 	t.Helper()
 	c := &sparse.BCSR{NB: a.NB, B: a.B, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: append([]float64(nil), a.Val...)}
 	blk, ok := c.BlockAt(i, i)
 	if !ok {
 		t.Fatalf("no diagonal block in row %d", i)
 	}
-	for k := range blk {
-		blk[k] = v
-	}
+	set(blk)
 	return c
 }
 
+// singularPivots are pivot blocks the numeric pass must reject: all
+// zero, all NaN, and diag(4) with one NaN above the diagonal, which
+// passes every pivot test of the elimination.
+var singularPivots = []struct {
+	name string
+	set  func(blk []float64)
+}{
+	{"zero", func(blk []float64) { clear(blk) }},
+	{"NaN", func(blk []float64) {
+		for k := range blk {
+			blk[k] = math.NaN()
+		}
+	}},
+	{"diag(4) with a NaN above the diagonal", func(blk []float64) {
+		clear(blk)
+		n := int(math.Sqrt(float64(len(blk))))
+		for d := 0; d < n; d++ {
+			blk[d*n+d] = 4
+		}
+		blk[n] = math.NaN() // row 0, column 1: blocks are column-major
+	}},
+}
+
 // TestRefactorSingularPivotIsRecoverable: a singular pivot block inside
-// Refactor — zero, or NaN, which no magnitude test passes — is a
-// structured error naming the row, in every kernel family and at every
-// block size with its own inversion; it leaves the work array clean,
-// and the next Refactor with a good matrix is bit-equal to a fresh
-// Factor.
+// Refactor — zero, NaN, which no magnitude test passes, or a NaN above
+// the diagonal, which leaves only the inverse non-finite — is a structured
+// error naming the row, in every kernel family and at every block size
+// with its own inversion; it leaves the work array clean, and the next
+// Refactor with a good matrix is bit-equal to a fresh Factor.
 func TestRefactorSingularPivotIsRecoverable(t *testing.T) {
 	for _, fam := range families() {
 		useKernels(t, fam)
 		for _, b := range []int{4, 5, 7} {
 			for _, single := range []bool{false, true} {
-				for _, pivot := range []float64{0, math.NaN()} {
-					who := fmt.Sprintf("%s B=%d single=%v pivot block of %v", fam.name, b, single, pivot)
+				for _, pivot := range singularPivots {
+					who := fmt.Sprintf("%s B=%d single=%v pivot block %s", fam.name, b, single, pivot.name)
 					opts := Options{Level: 1, SinglePrecision: single}
 					a1 := wingBlockMatrix(t, 6, 5, 4, b, 11)
 					a2 := wingBlockMatrix(t, 6, 5, 4, b, 29)
@@ -130,7 +151,7 @@ func TestRefactorSingularPivotIsRecoverable(t *testing.T) {
 						t.Fatal(err)
 					}
 					// Row 0 has no lower blocks, so its pivot is A's block itself.
-					err = f.Refactor(fillBlock(t, a2, 0, pivot))
+					err = f.Refactor(fillBlock(t, a2, 0, pivot.set))
 					if err == nil || !strings.Contains(err.Error(), "singular pivot block at row 0") {
 						t.Fatalf("%s: gave %v, want a singular-pivot error naming row 0", who, err)
 					}

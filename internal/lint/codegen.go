@@ -14,7 +14,7 @@ import (
 
 // Codegen holds the compiled hot kernels to what the cost formulas
 // price. It reads the amd64 archive the linker links (`go list -export`,
-// on any host) through `go tool objdump`. Two rules:
+// on any host) through `go tool objdump`. Three rules:
 //
 //  1. No bounds check in a hot function's innermost loop: a conditional
 //     branch to runtime.panicIndex/panicSlice* there is a branch and a
@@ -24,54 +24,65 @@ import (
 //     whose jump is on such a line.
 //  2. No call to a must-inline helper: the per-iteration coefficients
 //     assume those calls are flattened.
+//  3. A hot function has the innermost-loop count its policy entry
+//     records: a kernel split into two loops, or fused into one, changes
+//     what one call streams, so its cost formula must be re-derived
+//     before the count is updated.
 //
-// Hot functions are the package's costsync kernels plus its hot list in
-// codegenPackages; other packages are not disassembled. Irreducible
-// sites — a gather through a data-dependent index — are waived in the
-// source with audited //lint:bce-ok pragmas.
+// Hot functions are those of the package's entry in codegenPackages;
+// other packages are not disassembled. Irreducible sites — a gather
+// through a data-dependent index — are waived in the source with
+// audited //lint:bce-ok pragmas.
 var Codegen = &Analyzer{
 	Name:      "codegen",
-	Doc:       "compiled hot kernels meet the codegen policy: no inner-loop bounds checks, helpers inline",
-	Invariant: "The compiled kernels are what the model prices: the package archive the linker links shows no surviving innermost-loop bounds check in a hot kernel and no call to a per-edge helper that must inline.",
+	Invariant: "The compiled kernels are what the model prices: the package archive the linker links shows no surviving innermost-loop bounds check in a hot kernel, no call to a per-edge helper that must inline, and each hot kernel's recorded innermost-loop count.",
 	Run:       runCodegen,
 }
 
-// codegenPackages is the conformance policy, keyed by package path the
-// way the costsync registry is. hot names functions ("Func" or
-// "Type.Method") held to the no-bounds-check rule besides the package's
-// costsync kernels; mustInline names helpers no archive of a held
+// codegenPolicy is one held package's entry: hot maps each function
+// held to the no-bounds-check rule ("Func" or "Type.Method") to its
+// innermost-loop count; mustInline names helpers no archive of a held
 // package may call.
-var codegenPackages = map[string]struct{ hot, mustInline []string }{
-	"petscfun3d/internal/dist": {hot: []string{"rowsTask.RunShard"}},
+type codegenPolicy struct {
+	hot        map[string]int
+	mustInline []string
+}
+
+// codegenPackages is the conformance policy, keyed by import path.
+var codegenPackages = map[string]codegenPolicy{
+	"petscfun3d/internal/dist": {hot: map[string]int{"rowsTask.RunShard": 0}},
 	"petscfun3d/internal/euler": {
-		hot: []string{"Discretization.BoundaryResidualMasked", "Discretization.Residual",
-			"Discretization.TimeScalesInto", "Discretization.timeScales",
-			"fluxEdges4", "fluxEdges5", "jacEdges4", "jacEdges5", "timeScaleEdges4", "timeScaleEdges5"},
+		hot: map[string]int{"Discretization.BoundaryResidualMasked": 1, "Discretization.Residual": 1,
+			"Discretization.TimeScalesInto": 1, "Discretization.timeScales": 1,
+			"fluxEdges4": 1, "fluxEdges5": 1, "gatherPrivate": 1, "jacEdges4": 3, "jacEdges5": 3,
+			"timeScaleEdges4": 1, "timeScaleEdges5": 1},
 		mustInline: []string{"Discretization.EdgeEndpoints", "Discretization.gather"},
 	},
 	"petscfun3d/internal/ilu": {
-		hot: []string{"Factorization.numeric", "backward4", "backward5", "backwardN",
-			"forward4", "forward5", "forwardN", "loadRowN",
-			"mulRight4", "mulRight5", "mulSub4", "mulSub5", "mulSubGeneric", "round32",
-			"rowUpdateWith", "triTask.RunShard"},
+		hot: map[string]int{"Factorization.numeric": 5, "backward4": 1, "backward5": 1, "backwardN": 3,
+			"forward4": 1, "forward5": 1, "forwardN": 2, "loadRowN": 1,
+			"mulRight4": 1, "mulRight5": 1, "mulSub4": 1, "mulSub5": 1, "mulSubGeneric": 1, "round32": 1,
+			"rowUpdateWith": 1, "triTask.RunShard": 0},
 		mustInline: []string{"axpyCol", "matMul"},
 	},
 	"petscfun3d/internal/krylov": {
-		hot: []string{"Workspace.SolveOn", "gmres.fusedPass", "gmres.orthogonalize", "gmres.residual"},
+		hot: map[string]int{"Workspace.SolveOn": 3, "gmres.dots": 0, "gmres.fusedPass": 1, "gmres.maxpy": 0,
+			"gmres.orthogonalize": 1, "gmres.residual": 1, "scaleInto": 1},
 	},
 	"petscfun3d/internal/mpi": {mustInline: []string{"Comm.Rank", "Comm.Size", "Request.claim"}},
 	"petscfun3d/internal/par": {
-		hot: []string{"axpyRange", "axpyTask.RunShard", "combine", "combineSeg", "dotSegments",
-			"maxpy4", "maxpyTask.RunShard", "mdotSeg1", "mdotSeg4", "mdotTask.RunShard"},
+		hot: map[string]int{"axpyRange": 1, "axpyTask.RunShard": 0, "combine": 1, "combineSeg": 1, "dotSegments": 1,
+			"maxpy4": 1, "maxpyTask.RunShard": 0, "mdotSeg1": 1, "mdotSeg4": 1, "mdotTask.RunShard": 0},
 	},
-	"petscfun3d/internal/schwarz": {hot: []string{"Preconditioner.Apply", "applyTask.RunShard"}},
+	"petscfun3d/internal/schwarz": {hot: map[string]int{"Preconditioner.Apply": 1, "applyTask.RunShard": 2}},
 	"petscfun3d/internal/sparse": {
-		hot: []string{"BCSR.MulVec", "BCSR.MulVecAddRows", "BCSR.mulVecGeneric", "CSR.MulVec",
-			"GatherBlocks", "bcsrMulTask.RunShard"},
+		hot: map[string]int{"BCSR.MulVec": 0, "BCSR.MulVecAddRows": 0, "BCSR.mulVec4": 1, "BCSR.mulVec5": 1,
+			"BCSR.mulVecGeneric": 1, "CSR.MulVec": 1, "GatherBlocks": 1, "bcsrMulTask.RunShard": 0},
 		mustInline: []string{"BCSR.Block", "Dot", "Norm2", "ScalarIndex"},
 	},
-	"fixture/codegen":               {hot: []string{"HotKernel", "vanished"}, mustInline: []string{"bigHelper", "gone", "tinyHelper"}},
-	"fixture/codegen/pragmahygiene": {hot: []string{"Kernel"}},
+	"fixture/codegen": {hot: map[string]int{"HotKernel": 2, "Split": 1, "vanished": 0},
+		mustInline: []string{"bigHelper", "gone", "tinyHelper"}},
+	"fixture/codegen/pragmahygiene": {hot: map[string]int{"Kernel": 1}},
 }
 
 func runCodegen(pass *Pass) {
@@ -79,22 +90,13 @@ func runCodegen(pass *Pass) {
 	if !ok {
 		return
 	}
-	hot := map[string]bool{}
-	for _, c := range costChecks {
-		if c.pkg == pass.Pkg.Path {
-			hot[c.kernel] = true
-		}
-	}
-	for _, name := range policy.hot {
-		hot[name] = true
-	}
 	for _, name := range policy.mustInline {
 		if findFuncDecl(pass.Pkg, name) == nil {
 			pass.Reportf(pass.Pkg.Files[0].Pos(),
 				"codegen policy names must-inline helper %s which no longer exists in %s; update codegenPackages", name, pass.Pkg.Path)
 		}
 	}
-	spans := hotFunctionSpans(pass, hot)
+	spans := hotFunctionSpans(pass, policy.hot)
 	syms, err := disassemble(pass.Pkg)
 	if err != nil {
 		pass.Reportf(pass.Pkg.Files[0].Pos(), "codegen: %v", err)
@@ -216,38 +218,30 @@ func disassemble(pkg *Package) ([]symbol, error) {
 }
 
 // archiveOf returns the path of pkg's amd64 export archive. The first
-// call for a module lists every held package of that module in one
-// `go list -export`, so the go command starts once per run, not once
-// per package; later calls read the loader's memo.
+// call lists every held package of the loader's module in one `go list
+// -export`, so the go command starts once per run, not once per
+// package; later calls read the loader's memo.
 func archiveOf(pkg *Package) (string, error) {
-	archives := pkg.loader.archives
-	if a, ok := archives[pkg.Path]; ok {
+	l := pkg.loader
+	if a, ok := l.archives[pkg.Path]; ok {
 		return a, nil
-	}
-	root, err := FindModuleRoot(pkg.Dir)
-	if err != nil {
-		return "", err
-	}
-	mod, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
 	}
 	args := []string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
 	for path := range codegenPackages {
-		if path == mod || strings.HasPrefix(path, mod+"/") {
+		if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
 			args = append(args, path)
 		}
 	}
-	out, err := goCommand(root, args...)
+	out, err := goCommand(l.ModuleRoot, args...)
 	if err != nil {
 		return "", err
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		if path, archive, ok := strings.Cut(line, " "); ok {
-			archives[path] = archive
+			l.archives[path] = archive
 		}
 	}
-	if a, ok := archives[pkg.Path]; ok {
+	if a, ok := l.archives[pkg.Path]; ok {
 		return a, nil
 	}
 	return "", fmt.Errorf("go list -export lists no archive for %s", pkg.Path)
@@ -378,9 +372,10 @@ func innermostLoopAt(spans []*funcSpan, in inst) *funcSpan {
 	return nil
 }
 
-// hotFunctionSpans maps every hot function to its innermost loops; a
-// hot name with no declaration is itself a finding (the policy rotted).
-func hotFunctionSpans(pass *Pass, hot map[string]bool) []*funcSpan {
+// hotFunctionSpans maps every hot function to its innermost loops. A
+// hot name with no declaration is itself a finding (the policy rotted),
+// and so is an innermost-loop count other than the policy's.
+func hotFunctionSpans(pass *Pass, hot map[string]int) []*funcSpan {
 	names := make([]string, 0, len(hot))
 	for n := range hot {
 		names = append(names, n)
@@ -391,8 +386,7 @@ func hotFunctionSpans(pass *Pass, hot map[string]bool) []*funcSpan {
 		fd := findFuncDecl(pass.Pkg, name)
 		if fd == nil {
 			pass.Reportf(pass.Pkg.Files[0].Pos(),
-				"codegen policy names hot function %s which no longer exists in %s; update codegenPackages or the costsync registry",
-				name, pass.Pkg.Path)
+				"codegen policy names hot function %s which no longer exists in %s; update codegenPackages", name, pass.Pkg.Path)
 			continue
 		}
 		fs := spanOf(pass, name, fd)
@@ -402,6 +396,11 @@ func hotFunctionSpans(pass *Pass, hot map[string]bool) []*funcSpan {
 			}
 			return true
 		})
+		if len(fs.inner) != hot[name] {
+			pass.Reportf(fd.Pos(),
+				"hot function %s has %d innermost loops, codegenPackages records %d: the loop structure changed — re-derive its cost formula, then update the count",
+				name, len(fs.inner), hot[name])
+		}
 		out = append(out, fs)
 	}
 	return out
@@ -421,4 +420,43 @@ func containsLoopDeep(body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
+}
+
+// findFuncDecl locates "Func" or "Type.Method" in the package.
+func findFuncDecl(pkg *Package, name string) *ast.FuncDecl {
+	typ, fn, ok := strings.Cut(name, ".")
+	if !ok {
+		typ, fn = "", name
+	}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			fd, isFunc := d.(*ast.FuncDecl)
+			if isFunc && fd.Name.Name == fn && (fd.Recv != nil) == (typ != "") && (typ == "" || recvTypeName(fd) == typ) {
+				return fd
+			}
+		}
+	}
+	return nil
+}
+
+// recvTypeName returns the receiver's type name, stripping a pointer.
+func recvTypeName(fd *ast.FuncDecl) string {
+	t := fd.Recv.List[0].Type
+	if st, ok := t.(*ast.StarExpr); ok {
+		t = st.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}
+
+func loopBody(n ast.Node) *ast.BlockStmt {
+	switch n := n.(type) {
+	case *ast.ForStmt:
+		return n.Body
+	case *ast.RangeStmt:
+		return n.Body
+	}
+	return nil
 }

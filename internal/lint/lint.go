@@ -1,28 +1,25 @@
-// Package lint is a domain-aware static-analysis suite for this
-// repository, built on the stdlib go/parser + go/types toolchain (the
-// module is offline; no analysis framework dependency). The analyzers
-// enforce the invariants the paper's performance argument rests on
-// where a defect changes what a run measures, not the values a test
-// observes: the cost formulas the profiler charges must match the
-// kernel loops they model, coefficient by coefficient (costsync).
+// Package lint is this repository's static gate, built on go/parser and
+// `go tool objdump` alone (the module is offline; no analysis framework
+// dependency, no type checker). Its one analyzer, codegen, holds the
+// compiled hot kernels to what the cost formulas price: it disassembles
+// the held packages' archives and finds a bounds check surviving in an
+// innermost loop, a call left to a small helper that must inline, or a
+// hot function whose innermost-loop count is not the one its policy
+// entry in codegen.go records.
 //
-// The codegen analyzer closes the last gap between the model and the
-// machine: it disassembles the hot packages' compiled archives and holds
-// the kernels to the policy in codegen.go — no bounds checks surviving
-// in innermost loops, and no call left to the small per-edge/per-row
-// helpers that must inline.
-//
-// The message protocol (every request waited, tags matched), overlap
-// windows that make only their halo's messages, the worker pool's
-// owner-computes determinism, allocation-free steady states,
+// Everything else is enforced by tests. The cost formulas are recounted
+// from the data they charge (ilu's SolveFlops and FactorFlops, BCSR's
+// MulVecFlops) and tied to their subset twins by equality tests (euler,
+// sparse). The message protocol (every request waited, tags matched),
+// overlap windows that make only their halo's messages, the worker
+// pool's owner-computes determinism, allocation-free steady states,
 // map-order-free reductions, closed profiler spans charged their cost
-// formulas, and returned errors are enforced at run time instead — by
-// mpi.Run's in-flight check and tag matching, the fault plan's
-// per-rank operation count, par's named panics, the bitwise
-// worker-count grids, the race detector, the AllocsPerRun gates and the
-// tests that read the profiler's report — and the mutation scoreboard
-// in mutants_test.go shows a test failing on a seeded defect of each
-// kind.
+// formulas, and returned errors are enforced at run time — by mpi.Run's
+// in-flight check and tag matching, the fault plan's per-rank operation
+// count, par's named panics, the bitwise worker-count grids, the race
+// detector, the AllocsPerRun gates and the tests that read the
+// profiler's report. The mutation scoreboard in mutants_test.go shows a
+// test failing on a seeded defect of each kind.
 //
 // A codegen bounds-check finding can be suppressed by a pragma comment
 // on the offending line or the line directly above:
@@ -30,13 +27,16 @@
 //	//lint:bce-ok <reason>
 //
 // The reason is mandatory, and a pragma that suppresses nothing is
-// itself a finding, so escape hatches cannot rot silently.
+// itself a finding, in every package of the module, so escape hatches
+// cannot rot silently.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"io/fs"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -44,12 +44,11 @@ import (
 
 // Finding is one analyzer diagnostic.
 type Finding struct {
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Analyzer string         `json:"analyzer"`
-	Message  string         `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 
 	// suppressKey names the pragma kind ("bce-ok") that may suppress
 	// this finding; empty means not suppressible.
@@ -63,20 +62,16 @@ func (f Finding) String() string {
 // Analyzer is one named check.
 type Analyzer struct {
 	Name string
-	Doc  string
 	// Invariant is the one-line paper invariant the analyzer defends —
 	// the exact string the README's analyzer table carries (a test
-	// asserts the two never drift) and `fun3dlint -list` prints.
+	// asserts the two never drift).
 	Invariant string
 	Run       func(*Pass)
 }
 
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		CostSync,
-		Codegen,
-	}
+	return []*Analyzer{Codegen}
 }
 
 // Pass carries one package through one analyzer.
@@ -99,7 +94,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // the pragma that may suppress it; empty means not suppressible.
 func (p *Pass) ReportAtf(position token.Position, key, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
-		Pos:         position,
 		File:        position.Filename,
 		Line:        position.Line,
 		Col:         position.Column,
@@ -182,7 +176,6 @@ func Run(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) []Finding {
 	for _, pr := range pragmas {
 		report := func(format string, args ...any) {
 			out = append(out, Finding{
-				Pos:      token.Position{Filename: pr.file, Line: pr.line, Column: 1},
 				File:     pr.file,
 				Line:     pr.line,
 				Col:      1,
@@ -214,25 +207,36 @@ func Run(fset *token.FileSet, pkg *Package, analyzers []*Analyzer) []Finding {
 	return out
 }
 
-// RunPatterns loads the packages matching patterns under the module
-// rooted at root and runs the full suite — the programmatic equivalent
-// of `fun3dlint ./...`.
-func RunPatterns(root string, patterns []string) ([]Finding, error) {
+// RunModule runs the suite over every package of the module rooted at
+// root: codegen disassembles the packages it holds, and pragma hygiene
+// reads every non-test file. Directories named testdata or vendor, or
+// starting with "." or "_", are skipped, as the go tool skips them.
+func RunModule(root string) ([]Finding, error) {
 	l, err := NewLoader(root)
 	if err != nil {
 		return nil, err
 	}
-	paths, err := l.ExpandPatterns(patterns)
-	if err != nil {
-		return nil, err
-	}
 	var all []Finding
-	for _, path := range paths {
-		pkg, err := l.Load(path)
-		if err != nil {
-			return nil, err
+	err = filepath.WalkDir(l.ModuleRoot, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
-		all = append(all, Run(l.Fset, pkg, Analyzers())...)
-	}
-	return all, nil
+		rel, err := filepath.Rel(l.ModuleRoot, dir)
+		if err != nil {
+			return err
+		}
+		path := l.ModulePath
+		if rel != "." {
+			if name := d.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			path += "/" + filepath.ToSlash(rel)
+		}
+		pkg, err := l.LoadDir(dir, path)
+		if err == nil && len(pkg.Files) > 0 {
+			all = append(all, Run(l.Fset, pkg, Analyzers())...)
+		}
+		return err
+	})
+	return all, err
 }

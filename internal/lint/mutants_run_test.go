@@ -35,9 +35,9 @@ var runtimeChecks = []struct{ signature, name string }{
 // markdown row per mutant and fails when a row's text does not apply, a
 // mutant does not build, or a row of a retired analyzer (one no longer
 // in Analyzers()) or of a retired rule is not caught. The rows of the
-// kept rules are recorded as they come out.
+// kept rules and of the given-up rules are recorded as they come out.
 func TestMutants(t *testing.T) {
-	root, err := FindModuleRoot(".")
+	root, err := findModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMutants(t *testing.T) {
 		switch {
 		case verdict == "build failed":
 			t.Errorf("%s %q at %s does not build:\n%s", m.Analyzer, m.Rule, m.where(), out)
-		case verdict != "caught" && (!kept[m.Analyzer] || retiredRules[m.Rule]):
+		case verdict != "caught" && (!kept[m.Analyzer] || retiredRules[m.Rule]) && !givenUpRules[m.Rule]:
 			t.Errorf("%s %q at %s is %s: add the test that catches it\n%s", m.Analyzer, m.Rule, m.where(), verdict, out)
 		}
 		fmt.Printf("| %s | %s | %s | %s | %s |\n", m.Analyzer, m.Rule, m.where(), verdict, evidence)

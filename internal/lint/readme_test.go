@@ -12,7 +12,7 @@ import (
 // invariant |" header, as (name, invariant) pairs.
 func readmeAnalyzerRows(t *testing.T) [][2]string {
 	t.Helper()
-	root, err := FindModuleRoot(".")
+	root, err := findModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func readmeAnalyzerRows(t *testing.T) [][2]string {
 
 // TestREADMEAnalyzerTable pins the README's analyzer table to the
 // registry: same analyzers, same reporting order, and cell text equal
-// to the Invariant strings `fun3dlint -list` prints — one source of
-// truth, asserted instead of drifting.
+// to the analyzers' Invariant strings — one source of truth, asserted
+// instead of drifting.
 func TestREADMEAnalyzerTable(t *testing.T) {
 	rows := readmeAnalyzerRows(t)
 	reg := Analyzers()

@@ -1,26 +1,38 @@
 package lint
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestRepositoryLintsClean is the acceptance gate: the full suite over
-// the whole module (what `fun3dlint ./...` and `make lint` run) must
-// report nothing. A finding here means either new code broke a
-// discipline or an analyzer regressed into a false positive — both are
-// failures.
+// lintWallBudget is the generous ceiling on one analysis of the
+// repository, codegen's disassembly of the held packages' archives
+// included. The analysis runs in a few seconds; the ceiling exists so
+// analyzer growth cannot quietly bloat the verify gate.
+const lintWallBudget = 120 * time.Second
+
+// TestRepositoryLintsClean is the static gate, and `make race` the one
+// place that runs it: the suite over the whole module — codegen over
+// the packages it holds, pragma hygiene over every non-test file — must
+// report nothing, within its wall budget. A finding here means either
+// new code broke a discipline or an analyzer regressed into a false
+// positive; both are failures.
 func TestRepositoryLintsClean(t *testing.T) {
-	root, err := FindModuleRoot(".")
+	root, err := findModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunPatterns(root, []string{"./..."})
+	start := time.Now()
+	findings, err := RunModule(root)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d := time.Since(start); d > lintWallBudget {
+		t.Errorf("the analysis took %v, over the %v budget; an analyzer has gotten pathologically slow", d, lintWallBudget)
 	}
 	if len(findings) > 0 {
 		var sb strings.Builder
@@ -33,64 +45,49 @@ func TestRepositoryLintsClean(t *testing.T) {
 	}
 }
 
-// lintWallBudget is the generous ceiling on one whole-suite analysis of
-// the repository, codegen's disassembly of the hot packages' archives
-// included. The suite currently runs in a few seconds; the ceiling
-// exists so analyzer growth cannot quietly bloat the verify gate.
-const lintWallBudget = 120 * time.Second
-
-// TestLintSuiteWallTime is the wall-time guard on the static gate.
-func TestLintSuiteWallTime(t *testing.T) {
-	if testing.Short() {
-		t.Skip("times a whole-repository analysis; skipped in -short")
+// TestAnalyzerSuite pins the suite roster — codegen, the analyzer no
+// test replaces — and that the pragma keys are exactly those of the
+// suppressible rules.
+func TestAnalyzerSuite(t *testing.T) {
+	want := []string{"codegen"}
+	got := Analyzers()
+	if len(got) != len(want) {
+		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
+	for i, a := range got {
+		if a.Name != want[i] {
+			t.Errorf("analyzer %d = %s, want %s", i, a.Name, want[i])
+		}
+		if a.Invariant == "" {
+			t.Errorf("analyzer %s has no one-line invariant (the README table sources it)", a.Name)
+		}
 	}
-	start := time.Now()
-	if _, err := RunPatterns(root, []string{"./..."}); err != nil {
-		t.Fatal(err)
+	keys := []string{"bce-ok"}
+	if len(knownPragmaKeys) != len(keys) {
+		t.Errorf("%d pragma keys registered, want %d", len(knownPragmaKeys), len(keys))
 	}
-	if d := time.Since(start); d > lintWallBudget {
-		t.Fatalf("whole-suite lint took %v, over the %v budget; an analyzer has gotten pathologically slow", d, lintWallBudget)
+	for _, key := range keys {
+		if !knownPragmaKeys[key] {
+			t.Errorf("pragma key %s not registered", key)
+		}
 	}
 }
 
-// TestRepositoryCodegenClean is the codegen-conformance acceptance
-// gate, the explicit companion to TestRepositoryLintsClean: the policy
-// covers every costsync-registered hot package, and the suite over the
-// held packages reports no codegen finding — their archives hold no
-// surviving innermost-loop bounds check in a hot kernel and no call to
-// a must-inline helper.
-func TestRepositoryCodegenClean(t *testing.T) {
-	root, err := FindModuleRoot(".")
+// findModuleRoot walks up from dir to the nearest directory containing
+// go.mod.
+func findModuleRoot(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
-	for _, c := range costChecks {
-		if _, ok := codegenPackages[c.pkg]; !ok && strings.HasPrefix(c.pkg, "petscfun3d/") {
-			t.Errorf("costsync registry pins %s in %s, but codegenPackages does not hold that package", c.kernel, c.pkg)
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
 		}
-	}
-	var dirs []string
-	for path := range codegenPackages {
-		if rel, ok := strings.CutPrefix(path, "petscfun3d/"); ok {
-			dirs = append(dirs, "./"+filepath.ToSlash(rel))
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("lint: no go.mod found above %s", dir)
 		}
-	}
-	sort.Strings(dirs)
-	findings, err := RunPatterns(root, dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bad []string
-	for _, f := range findings {
-		if f.Analyzer == "codegen" {
-			bad = append(bad, "  "+f.String())
-		}
-	}
-	if len(bad) > 0 {
-		t.Fatalf("codegen conformance findings (%d):\n%s", len(bad), strings.Join(bad, "\n"))
+		dir = parent
 	}
 }

@@ -1,7 +1,7 @@
 package par
 
-// Cost formulas for the fused multi-vector kernels (costsync pins the
-// group-of-4 kernels' loop bodies to these marginals). The fusion is
+// Cost formulas for the fused multi-vector kernels (each group-of-4
+// kernel's one loop does these marginals per element). The fusion is
 // the point of the formulas: k separate Dots stream 16kn bytes where
 // MDot streams 8(k+1)n — the shared vector x once — and k separate
 // Axpys stream 24kn where MAxpy streams (8k+16)n — one read-modify-

@@ -106,6 +106,34 @@ func TestBCSRMulVecMatchesCSR(t *testing.T) {
 	}
 }
 
+// TestMulVecFlopsCountsTheProduct recounts MulVecFlops and MulVecBytes
+// by walking RowPtr. Each stored block costs what its row kernel does
+// with it: b row sums of b products (2b² flops), its values and a 4-byte
+// column index. Each block row reads x's b scalars and writes y's once.
+// MulVecRowsFlops over every block charges what MulVecFlops charges:
+// the row-subset product runs the same kernels.
+func TestMulVecFlopsCountsTheProduct(t *testing.T) {
+	for _, b := range []int{4, 5} {
+		a := BlockPattern(bandGraph(17), b)
+		bb := int64(b * b)
+		var flops, bytes int64
+		for i := 0; i < a.NB; i++ {
+			blocks := int64(a.RowPtr[i+1] - a.RowPtr[i])
+			flops += blocks * 2 * bb
+			bytes += blocks*(bb*8+4) + 2*int64(b)*8
+		}
+		if got := a.MulVecFlops(); got != flops {
+			t.Errorf("b=%d: MulVecFlops = %d, recounted %d", b, got, flops)
+		}
+		if got := a.MulVecBytes(); got != bytes {
+			t.Errorf("b=%d: MulVecBytes = %d, recounted %d", b, got, bytes)
+		}
+		if got := MulVecRowsFlops(len(a.ColIdx), b); got != a.MulVecFlops() {
+			t.Errorf("b=%d: MulVecRowsFlops over every block = %d, MulVecFlops = %d", b, got, a.MulVecFlops())
+		}
+	}
+}
+
 func TestLayoutBandwidthContrast(t *testing.T) {
 	// The central claim behind equations (1) and (2): interlacing keeps
 	// matrix bandwidth ~ b*beta while noninterlacing pushes it to ~ N.
