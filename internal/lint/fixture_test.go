@@ -139,3 +139,30 @@ func TestPragmaHygiene(t *testing.T) {
 		}
 	}
 }
+
+// TestCodegenFixtureFails pins the gate's failing half on the violation
+// fixture: the suite run from the fixture module's own root, through
+// the entry point the repository gate uses, reports the injected
+// hot-loop bounds check and the lost inline. A regression that silently
+// skips the fixture — an archive lookup that finds nothing, say — fails
+// here rather than leaving the gate toothless.
+func TestCodegenFixtureFails(t *testing.T) {
+	var msgs []string
+	for _, f := range fixtureFindings(t, "codegen") {
+		if f.Analyzer == "codegen" {
+			msgs = append(msgs, f.Message)
+		}
+	}
+	if len(msgs) == 0 {
+		t.Fatal("fixture produced no codegen findings; the gate would pass the violation fixture")
+	}
+	for _, want := range []string{"bounds check survives", "must-inline helper"} {
+		found := false
+		for _, m := range msgs {
+			found = found || strings.Contains(m, want)
+		}
+		if !found {
+			t.Errorf("fixture findings missing the injected %q violation; got:\n  %s", want, strings.Join(msgs, "\n  "))
+		}
+	}
+}
