@@ -6,7 +6,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './related/*')
 
-.PHONY: verify fmt vet fallback test race bench perf chaos threads threads-grid ortho ortho-grid kernels-grid ilu-grid dist-grid allocs fuzz mutants
+.PHONY: verify fmt vet fallback test race bench perf threads threads-grid ortho-grid kernels-grid ilu-grid dist-grid allocs fuzz mutants
 
 # named_gate runs the tests of packages $(2) that match the regex $(1)
 # with the go test flags $(3) (-race, except where noted) — after
@@ -55,13 +55,6 @@ bench:
 perf:
 	go run ./bench -out perf.json
 
-# Chaos smoke run: the measured η_impl-vs-skew sweep under fault plans.
-# The fault-injection soak itself (the faults/mpi/dist suites: bitwise
-# residual histories under each of its three seeds, injected panics and
-# stalls as structured errors, never hangs) runs in make race.
-chaos:
-	go run ./cmd/benchtables -experiment chaos -size small
-
 # Threads grid: the node-level worker-pool determinism grid — the pool
 # primitives' own suite, then the bitwise tri-solve/SpMV grids, the
 # Schwarz subdomains × workers grid (internal/schwarz) and the whole
@@ -73,12 +66,12 @@ threads-grid:
 	go test -race -count=1 ./internal/par
 	$(call named_gate,'Par|Thread|Bitwise|Level|Determin',./internal/sparse ./internal/ilu ./internal/schwarz ./internal/core ./internal/euler ./internal/dist,-race)
 
-# Threads smoke run: the measured thread-scaling sweep and the
-# gather-corrected Table 5 model, printed (nothing is written into the
-# checkout); the grid itself runs in make race.
+# Threads smoke run: the measured thread-scaling sweep at medium scale,
+# printed (nothing is written into the checkout); the grid itself runs
+# in make race, and make bench runs every study, table5 and chaos among
+# them, at small.
 threads:
 	go run ./cmd/benchtables -experiment threads -size medium
-	go run ./cmd/benchtables -experiment table5 -size small
 
 # Kernel-equivalence gate: the first-order edge kernels of
 # internal/euler against the generic sweep through the System interface
@@ -156,11 +149,7 @@ mutants:
 # the batched vector AllReduce, the GMRES suites of both callers of the
 # one solver (rounds accounting, span charges, non-finite exits, the
 # mechanisms × ranks × workers grid), and the hybrid soak — under the
-# race detector (ortho-grid), followed by the measured
-# mgs/cgs/cgs2/cgs1 orthogonalization study, printed.
+# race detector. A -run subset of make race, kept for local use.
 ortho-grid:
 	go test -race -count=1 ./internal/par
-	$(call named_gate,'MDot|MAxpy|MReduce|Ortho|Reduction|AllReduceSumVec|GMRES|NonFinite|Hybrid',./internal/krylov ./internal/mpi ./internal/dist ./internal/experiments,-race)
-
-ortho: ortho-grid
-	go run ./cmd/benchtables -experiment ortho -size medium
+	$(call named_gate,'MDot|MAxpy|MReduce|Ortho|Reduction|AllReduceSumVec|GMRES|NonFinite|Hybrid',./internal/krylov ./internal/mpi ./internal/dist,-race)

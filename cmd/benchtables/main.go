@@ -5,7 +5,11 @@
 //
 // Usage:
 //
-//	benchtables [-size small|medium|large] [-experiment all|table1|figure3|missmodel|spmvbound|table2measured|table3|table3measured|chaos|figure2|figure4|figure5|table4|table5|threads|ortho|ablation] [-csv dir] [-profile-json file]
+//	benchtables [-size small|medium|large] [-experiment all|<study>] [-csv dir] [-profile-json file]
+//
+// A study is one name of the experiments.Studies registry (an unknown
+// name lists them); README.md's claim map names the paper result each
+// reproduces.
 //
 // -csv writes one CSV file per table: a header of column names and
 // units, then one line per row.

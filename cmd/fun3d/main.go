@@ -16,7 +16,6 @@ import (
 
 	"petscfun3d/internal/core"
 	"petscfun3d/internal/experiments"
-	"petscfun3d/internal/faults"
 	"petscfun3d/internal/krylov"
 	"petscfun3d/internal/machine"
 	"petscfun3d/internal/newton"
@@ -40,7 +39,7 @@ func main() {
 	flag.IntVar(&cfg.Order, "order", cfg.Order, "flux discretization order (1 or 2)")
 	flag.BoolVar(&cfg.Limit, "limit", cfg.Limit, "apply the van Albada flux limiter (second-order only)")
 	flag.Float64Var(&cfg.Viscosity, "viscosity", cfg.Viscosity, "Galerkin momentum diffusion coefficient (0 = Euler)")
-	flag.Float64Var(&cfg.SwitchOrderAt, "switch-order-at", cfg.SwitchOrderAt, "residual reduction at which to switch 1st->2nd order (0=off)")
+	flag.Float64Var(&cfg.SwitchOrderAt, "switch-order-at", cfg.SwitchOrderAt, "> 0 builds the second-order discretization and forces first order, but never switches to second (0=off)")
 	nopts := &cfg.Newton
 	flag.Float64Var(&nopts.CFL0, "cfl0", nopts.CFL0, "initial CFL number")
 	flag.Float64Var(&nopts.SERExponent, "ser-exponent", nopts.SERExponent, "SER power-law exponent")
@@ -62,9 +61,6 @@ func main() {
 	flag.BoolVar(&cfg.RCM, "rcm", cfg.RCM, "renumber vertices with Reverse Cuthill-McKee")
 	profileJSON := flag.String("profile-json", "", "measure per-phase wall time and write the profile report (JSON) to this file")
 	distRanks := flag.String("dist-ranks", "2,4,8", "with -profile-json and -ranks>1: rank counts for the measured overlapped-halo efficiency sweep (comma-separated, ascending; empty disables)")
-	chaosSeed := flag.Int64("chaos-seed", 0, "run the chaos sweep (measured η_impl vs injected skew) starting at this fault seed instead of solving (0 = off)")
-	chaosProfile := flag.String("chaos-profile", "mixed", fmt.Sprintf("fault profile for -chaos-seed (one of %v)", faults.Profiles()))
-	chaosSeeds := flag.Int("chaos-seeds", 4, "number of consecutive fault seeds the chaos sweep covers")
 	flag.Parse()
 
 	machProf, err := perfmodel.ProfileByName(*profile)
@@ -72,13 +68,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Profile = machProf
-
-	if *chaosSeed != 0 {
-		if err := chaosSweep(cfg, *chaosSeed, *chaosProfile, *chaosSeeds); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	if *profileJSON != "" {
 		prof.Default.Enable()
@@ -145,49 +134,6 @@ func main() {
 	if *profileJSON != "" {
 		writeProfile(*profileJSON, nil)
 	}
-}
-
-// chaosSweep runs the measured η_impl-vs-injected-skew table on the
-// problem's actual first-order Jacobian: the distributed GMRES under a
-// deterministic fault plan per seed, against the fault-free baseline.
-// The runtime guarantees (and the sweep asserts) that the faults move
-// only clocks — every run converges in the baseline's iteration count.
-func chaosSweep(cfg core.Config, seed int64, profile string, nseeds int) error {
-	fp, err := faults.ParseProfile(profile)
-	if err != nil {
-		return err
-	}
-	if nseeds < 1 {
-		return fmt.Errorf("-chaos-seeds must be at least 1")
-	}
-	p, err := core.Build(cfg)
-	if err != nil {
-		return err
-	}
-	q := p.Disc.FreestreamVector()
-	a := p.Disc.JacobianPattern()
-	if err := p.Disc.AssembleJacobian(q, a); err != nil {
-		return err
-	}
-	newton.AddTimeDiagonal(a, p.Disc.TimeScales(q), cfg.Newton.CFL0)
-	rhs := make([]float64, a.N())
-	for i := range rhs {
-		rhs[i] = math.Sin(float64(i) * 0.19)
-	}
-	procs := cfg.Ranks
-	if procs < 2 {
-		procs = 4
-	}
-	seeds := make([]int64, nseeds)
-	for i := range seeds {
-		seeds[i] = seed + int64(i)
-	}
-	res, err := experiments.ChaosEfficiency(a, p.Graph, rhs, procs, fp, seeds)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.Text(res.Tables()...))
-	return nil
 }
 
 // measuredSweep runs the measured overlapped-halo efficiency

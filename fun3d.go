@@ -24,8 +24,6 @@ package petscfun3d
 
 import (
 	"petscfun3d/internal/core"
-	"petscfun3d/internal/experiments"
-	"petscfun3d/internal/faults"
 	"petscfun3d/internal/perfmodel"
 )
 
@@ -80,26 +78,3 @@ func FluxPhaseTime(cfg Config, nodes, procsPerNode, threads, evals int) (float64
 // ProfileByName looks up a built-in machine profile ("ASCI Red",
 // "Cray T3E", "Blue Pacific", "Origin 2000").
 func ProfileByName(name string) (Profile, error) { return perfmodel.ProfileByName(name) }
-
-// FaultProfile names a canned fault-injection schedule for chaos runs
-// (jitter, delay, stall, panic, mixed — see internal/faults).
-type FaultProfile = faults.Profile
-
-// ChaosResult is the measured η_impl-vs-injected-skew table produced by
-// ChaosSweep: the distributed GMRES solved fault-free, then once per
-// seed under a deterministic fault plan, with the implementation
-// efficiency read off the wall clocks. Faults are timing-only, so every
-// row converges in the fault-free iteration count (asserted).
-type ChaosResult = experiments.ChaosSweepResult
-
-// FaultProfiles lists the fault profiles ChaosSweep accepts.
-func FaultProfiles() []FaultProfile { return faults.Profiles() }
-
-// ChaosSweep runs the chaos sweep on the deterministic wing-mesh system
-// with nv vertices at procs virtual ranks: one distributed solve per
-// seed under the profile's fault plan, reduced against the fault-free
-// baseline. The fun3d binary's -chaos-seed flag is the CLI spelling of
-// the same study on the real first-order Jacobian.
-func ChaosSweep(nv, procs int, profile FaultProfile, seeds []int64) (*ChaosResult, error) {
-	return experiments.ChaosSweepStudy(nv, procs, profile, seeds)
-}

@@ -34,8 +34,10 @@ type Config struct {
 	// (5 unknowns/vertex).
 	System string
 
-	// Order is the flux discretization order (1 or 2); SwitchOrderAt>0
-	// runs first-order until that residual reduction, then second.
+	// Order is the flux discretization order (1 or 2). SwitchOrderAt > 0
+	// builds the second-order Disc2 and forces Disc to first order, but
+	// never switches: nothing copies it into newton.Options.SwitchOrderAt,
+	// so the whole solve runs first order.
 	Order         int
 	Limit         bool
 	SwitchOrderAt float64

@@ -31,7 +31,7 @@ func (o gridOutcome) sameBits(ref gridOutcome) error {
 
 // gridSolve runs one cell of the grid on the wing block matrix with
 // block-Jacobi ILU(0): through krylov.Solve when nranks is 0, else
-// through krylov.SolveOn on nranks ranks of the message-passing fabric,
+// through (*krylov.Workspace).SolveOn on nranks ranks of the message-passing fabric,
 // each with a pool of workers workers (0: none). It fails the test if
 // the ranks disagree on any statistic.
 func gridSolve(t *testing.T, nranks, workers int, opts krylov.Options) gridOutcome {
@@ -84,7 +84,7 @@ func gridSolve(t *testing.T, nranks, workers int, opts krylov.Options) gridOutco
 		}
 		o := opts
 		o.Pool = pool
-		st, err := krylov.SolveOn(krylov.Space{Sum: sum}, dm.MulVec, pc, lb, lx, o)
+		st, err := new(krylov.Workspace).SolveOn(krylov.Space{Sum: sum}, dm.MulVec, pc, lb, lx, o)
 		if err != nil {
 			return err
 		}
@@ -231,7 +231,7 @@ func TestGMRESNonFiniteSameErrorOnEveryRank(t *testing.T) {
 			copy(lb[li*b:(li+1)*b], pr.rhs[int(gr)*b:(int(gr)+1)*b])
 		}
 		sum := func(buf []float64) { c.AllReduceSumVec(buf, buf) }
-		_, errs[c.Rank()] = krylov.SolveOn(krylov.Space{Sum: sum}, apply, nil, lb, lx,
+		_, errs[c.Rank()] = new(krylov.Workspace).SolveOn(krylov.Space{Sum: sum}, apply, nil, lb, lx,
 			krylov.Options{Restart: 2, MaxIters: 50, RelTol: 1e-12, Orthogonalization: "cgs1"})
 		var moved bool
 		for i, v := range lx {

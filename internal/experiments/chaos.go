@@ -7,7 +7,6 @@ import (
 	"petscfun3d/internal/faults"
 	"petscfun3d/internal/mpi"
 	"petscfun3d/internal/partition"
-	"petscfun3d/internal/sparse"
 )
 
 // ChaosSweepResult is the chaos extension of the measured Table 3: the
@@ -67,35 +66,29 @@ func (r *ChaosSweepResult) Tables() []Table {
 const chaosReps = 3
 
 // ChaosSweepStudy builds the deterministic wing-mesh system (the same
-// construction as Table3MeasuredStudy) and sweeps the fault seeds at
-// one rank count.
+// construction as Table3MeasuredStudy), solves it with the distributed
+// GMRES at one rank count fault-free, then once per seed under the
+// profile's fault plan, and reduces the timings into the
+// η_impl-vs-skew table. Any seed whose iteration count differs from the
+// fault-free run fails the sweep — that would mean the faults changed
+// numerics, which the runtime guarantees they cannot.
 func ChaosSweepStudy(nv, procs int, profile faults.Profile, seeds []int64) (*ChaosSweepResult, error) {
-	w, err := wingSystem(nv, 4, 101)
-	if err != nil {
-		return nil, err
-	}
-	return ChaosEfficiency(w.a, w.g, w.rhs, procs, profile, seeds)
-}
-
-// ChaosEfficiency is the matrix-level entry point (fun3d's -chaos-seed
-// path calls it with the real first-order Jacobian): solve a·x = rhs
-// with the distributed GMRES fault-free, then once per seed under the
-// profile's fault plan, and reduce the timings into the η_impl-vs-skew
-// table. Any seed whose iteration count differs from the fault-free
-// run fails the sweep — that would mean the faults changed numerics,
-// which the runtime guarantees they cannot.
-func ChaosEfficiency(a *sparse.BCSR, g sparse.Graph, rhs []float64, procs int, profile faults.Profile, seeds []int64) (*ChaosSweepResult, error) {
 	if _, err := faults.ParseProfile(string(profile)); err != nil {
 		return nil, err
 	}
 	if profile == faults.ProfilePanic {
 		return nil, fmt.Errorf("experiments: the panic profile kills the run by design; the chaos soak tests cover it")
 	}
-	part, err := partition.KWay(g, procs)
+	w, err := wingSystem(nv, 4, 101)
 	if err != nil {
 		return nil, err
 	}
-	res := &ChaosSweepResult{Vertices: g.NV, B: a.B, Procs: procs, Profile: profile}
+	a, rhs := w.a, w.rhs
+	part, err := partition.KWay(w.g, procs)
+	if err != nil {
+		return nil, err
+	}
+	res := &ChaosSweepResult{Vertices: w.g.NV, B: a.B, Procs: procs, Profile: profile}
 	cleanRanks, cleanIts, _, _, err := solveMeasured(a, part.Part, rhs, procs, false, measureReps)
 	if err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ func TestChaosSweepShape(t *testing.T) {
 		if row.Seed != seeds[i] {
 			t.Errorf("row %d seed %d, want %d", i, row.Seed, seeds[i])
 		}
-		// The invariant ChaosEfficiency asserts internally: faults never
+		// The invariant ChaosSweepStudy asserts internally: faults never
 		// change numerics, so every run matches the clean iteration count.
 		if row.LinearIts != res.CleanIts {
 			t.Errorf("row %d iterations %d != clean %d", i, row.LinearIts, res.CleanIts)

@@ -98,9 +98,6 @@ var Studies = []Study{
 	{"missmodel", func(s Size) ([]Table, error) {
 		return tables(MissModelStudy(pick(s, 16384, 65536, 131072), pick(s, 16<<10, 64<<10, 128<<10)))
 	}},
-	{"spmvbound", func(s Size) ([]Table, error) {
-		return tables(SpMVBoundsStudy(pick(s, 2500, 22677, 22677)))
-	}},
 	// The measured Table 2 on the benchmark's two factor shapes — the
 	// 22k b = 4 ILU(0) and the 10k b = 5 ILU(1) wing matrices — and the
 	// modeled one beside it.
@@ -150,9 +147,6 @@ var Studies = []Study{
 	}},
 	{"threads", func(s Size) ([]Table, error) {
 		return tables(ThreadsStudy(pick(s, 2000, 22677, 90000), pick(s, 10, 40, 40), pick(s, 3, 7, 7), []int{1, 2, 4, 8}))
-	}},
-	{"ortho", func(s Size) ([]Table, error) {
-		return tables(OrthoStudy(pick(s, 2000, 22677, 90000), pick(s, 3, 5, 5), []int{1, 2, 4, 8}, []int{10, 30}))
 	}},
 	{"ablation", func(s Size) ([]Table, error) {
 		return tables(AblationStudy(pick(s, 2500, 22677, 22677)))

@@ -49,7 +49,7 @@ func Profiles() []Profile {
 	return []Profile{ProfileNone, ProfileJitter, ProfileDelay, ProfileStall, ProfilePanic, ProfileMixed}
 }
 
-// ParseProfile validates a profile name (as given to -chaos-profile).
+// ParseProfile validates a profile name.
 func ParseProfile(s string) (Profile, error) {
 	for _, p := range Profiles() {
 		if s == string(p) {

@@ -183,11 +183,6 @@ func Solve(a Operator, m Preconditioner, b, x []float64, opts Options) (Stats, e
 	return new(Workspace).Solve(a, m, b, x, opts)
 }
 
-// SolveOn is (*Workspace).SolveOn on a fresh Workspace.
-func SolveOn(sp Space, apply func(x, y []float64) error, pc func(r, z []float64), b, x []float64, opts Options) (Stats, error) {
-	return new(Workspace).SolveOn(sp, apply, pc, b, x, opts)
-}
-
 // Workspace is the memory of a GMRES solve — basis slab, Hessenberg,
 // rotation arrays, batch list — kept so a sequence of solves (the
 // Newton steps of one nonlinear solve) allocates it once. The zero

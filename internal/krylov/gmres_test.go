@@ -294,7 +294,9 @@ func TestNonFiniteOperatorStops(t *testing.T) {
 // orthogonalization steps is ortho work whether or not the vectors are
 // distributed. On one address space there is no reduce phase; with Sum
 // set it holds one span per Sum round (the steps' and the 1 + Restarts
-// residual norms'), no flops, and the scalars each round summed.
+// residual norms'), no flops, and the scalars each round summed. Over
+// the same iterations cgs's one fused pass moves fewer ortho bytes than
+// mgs's pass per vector.
 func TestOrthoChargeIsSumOfKernelFormulas(t *testing.T) {
 	a := wingMatrix(t, 5, 4, 4, 4, 37)
 	n := a.N()
@@ -311,6 +313,7 @@ func TestOrthoChargeIsSumOfKernelFormulas(t *testing.T) {
 	maxpy := func(vectors, sweeps int) (int64, int64) {
 		return par.MAxpyFlops(vectors, n), par.MAxpyBytes(vectors, n) + int64(sweeps-1)*par.MAxpyBytes(0, n)
 	}
+	orthoBytes := map[string]int64{}
 	for _, mech := range Orthogonalizations {
 		for _, distributed := range []bool{false, true} {
 			p := prof.New()
@@ -319,7 +322,7 @@ func TestOrthoChargeIsSumOfKernelFormulas(t *testing.T) {
 			if distributed {
 				sp.Sum = func([]float64) {} // one rank: the local sums are the global ones
 			}
-			st, err := SolveOn(sp, apply, nil, b, make([]float64, n),
+			st, err := new(Workspace).SolveOn(sp, apply, nil, b, make([]float64, n),
 				Options{Restart: 6, MaxIters: 15, Orthogonalization: mech})
 			if err != nil {
 				t.Fatal(err)
@@ -363,7 +366,11 @@ func TestOrthoChargeIsSumOfKernelFormulas(t *testing.T) {
 				t.Errorf("%s distributed=%v: ortho charged %d flops, %d bytes in %d spans; the kernels called sum to %d, %d in %d",
 					mech, distributed, o.Flops, o.Bytes, o.Calls, wantOrthoF, wantOrthoB, its)
 			}
+			orthoBytes[mech] = got["ortho"].Bytes
 		}
+	}
+	if orthoBytes["cgs"] >= orthoBytes["mgs"] {
+		t.Errorf("cgs ortho bytes %d not below mgs %d over the same 15 iterations", orthoBytes["cgs"], orthoBytes["mgs"])
 	}
 }
 

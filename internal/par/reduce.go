@@ -1,7 +1,5 @@
 package par
 
-import "math"
-
 // Segments is the fixed shape of the deterministic reductions: a vector
 // is always cut into exactly Segments index ranges (depending only on
 // its length, never on the worker count), each range is summed in
@@ -28,9 +26,6 @@ func Dot(p *Pool, x, y []float64) float64 {
 	t.x, t.y = nil, nil
 	return combine(&p.dotParts)
 }
-
-// Norm2 returns the Euclidean norm of x, deterministic like Dot.
-func Norm2(p *Pool, x []float64) float64 { return math.Sqrt(Dot(p, x, x)) }
 
 // Axpy computes y += a*x, striped elementwise across the workers. Each
 // element is written exactly once by its owning worker, so the result

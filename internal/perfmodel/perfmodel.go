@@ -1,10 +1,9 @@
 // Package perfmodel implements the paper's analytical performance
 // models: the conflict-miss bounds for sparse matrix-vector product under
-// interlaced and noninterlaced layouts (equations (1) and (2), with the
-// TLB reinterpretation), STREAM-bandwidth-limited time estimates for the
-// memory-bound sparse kernels, machine profiles for the platforms of the
-// paper, and the parallel-efficiency decomposition
-// η_overall = η_alg · η_impl used in Table 3.
+// interlaced and noninterlaced layouts (equations (1) and (2)), machine
+// profiles for the platforms of the paper with a roofline compute time,
+// and the parallel-efficiency decomposition η_overall = η_alg · η_impl
+// used in Table 3.
 package perfmodel
 
 import "fmt"
@@ -28,50 +27,11 @@ func ConflictMissBound(n, span, c, w int) float64 {
 	return float64(n) * ceilDiv(span-c, w)
 }
 
-// TLBMissBound is the TLB reading of the same bound: capacity is the
-// number of page-table entries times the page size in doublewords, and
-// the "line" is one page.
-func TLBMissBound(n, span, entries, pageDoubleWords int) float64 {
-	return ConflictMissBound(n, span, entries*pageDoubleWords, pageDoubleWords)
-}
-
 func ceilDiv(a, b int) float64 {
 	if a <= 0 {
 		return 0
 	}
 	return float64((a + b - 1) / b)
-}
-
-// SpMVTraffic returns the minimum memory traffic in bytes of one sparse
-// matrix-vector product y = A x, following the analysis of the companion
-// paper [10]: every matrix value and column index is read once, the row
-// pointer array is read once, and with perfect cache reuse x is read once
-// and y written once.
-//
-// n is the scalar dimension, nnz the scalar nonzeros, nnzBlocks the
-// number of stored blocks (equal to nnz for scalar CSR), and valBytes the
-// bytes per stored value (8 for float64, 4 for float32).
-func SpMVTraffic(n, nnz, nnzBlocks, valBytes int) int64 {
-	const idxBytes = 4
-	return int64(nnz)*int64(valBytes) + // matrix values
-		int64(nnzBlocks)*idxBytes + // column indices (one per block)
-		int64(n+1)*idxBytes + // row pointers
-		int64(n)*8 + // x read
-		int64(n)*8 // y written
-}
-
-// SpMVFlops returns the floating-point operations of one SpMV.
-func SpMVFlops(nnz int) int64 { return 2 * int64(nnz) }
-
-// BandwidthLimitedTime returns the time in seconds to move `bytes` at the
-// sustainable memory bandwidth bw (bytes/s) — the paper's model for the
-// sparse linear-algebra phases, which run at the STREAM limit.
-func BandwidthLimitedTime(bytes int64, bw float64) float64 {
-	if bw <= 0 {
-		// Documented precondition: the bandwidth must be positive
-		panic("perfmodel: nonpositive bandwidth")
-	}
-	return float64(bytes) / bw
 }
 
 // Profile describes a machine node for the virtual-machine timing model.
@@ -80,7 +40,6 @@ func BandwidthLimitedTime(bytes int64, bw float64) float64 {
 // times.
 type Profile struct {
 	Name          string
-	ClockHz       float64 // processor clock
 	PeakFlops     float64 // per processor, flop/s
 	StreamBW      float64 // sustainable memory bandwidth per processor, bytes/s
 	NodeStreamBW  float64 // aggregate bandwidth of one node (shared by its processors)
@@ -98,7 +57,7 @@ var (
 	// ASCIRed: Intel ASCI Red, 333 MHz Pentium Pro, two processors per
 	// node sharing one memory bus.
 	ASCIRed = Profile{
-		Name: "ASCI Red", ClockHz: 333e6, PeakFlops: 333e6,
+		Name: "ASCI Red", PeakFlops: 333e6,
 		StreamBW: 140e6, NodeStreamBW: 200e6, ProcsPerNode: 2,
 		NetLatency: 18e-6, NetBW: 310e6, ReduceLatency: 12e-6,
 		FluxFlopRate: 90e6,
@@ -106,7 +65,7 @@ var (
 	// CrayT3E: 600 MHz Alpha 21164 (EV5), one processor per node, fast
 	// E-register network.
 	CrayT3E = Profile{
-		Name: "Cray T3E", ClockHz: 600e6, PeakFlops: 1200e6,
+		Name: "Cray T3E", PeakFlops: 1200e6,
 		StreamBW: 380e6, NodeStreamBW: 380e6, ProcsPerNode: 1,
 		NetLatency: 10e-6, NetBW: 340e6, ReduceLatency: 8e-6,
 		FluxFlopRate: 160e6,
@@ -114,7 +73,7 @@ var (
 	// BluePacific: IBM ASCI Blue Pacific, 332 MHz PowerPC 604e, four
 	// processors per node.
 	BluePacific = Profile{
-		Name: "Blue Pacific", ClockHz: 332e6, PeakFlops: 664e6,
+		Name: "Blue Pacific", PeakFlops: 664e6,
 		StreamBW: 150e6, NodeStreamBW: 420e6, ProcsPerNode: 4,
 		NetLatency: 30e-6, NetBW: 150e6, ReduceLatency: 20e-6,
 		FluxFlopRate: 110e6,
@@ -122,7 +81,7 @@ var (
 	// Origin2000: SGI Origin 2000, 250 MHz MIPS R10000 — the platform of
 	// Tables 1 and 2 and Figure 3.
 	Origin2000 = Profile{
-		Name: "Origin 2000", ClockHz: 250e6, PeakFlops: 500e6,
+		Name: "Origin 2000", PeakFlops: 500e6,
 		StreamBW: 300e6, NodeStreamBW: 300e6, ProcsPerNode: 1,
 		NetLatency: 5e-6, NetBW: 600e6, ReduceLatency: 5e-6,
 		FluxFlopRate: 140e6,
@@ -156,11 +115,6 @@ func (p Profile) ComputeTime(flops, bytes int64, rate float64) float64 {
 		return tc
 	}
 	return tm
-}
-
-// MessageTime models a point-to-point message of n bytes.
-func (p Profile) MessageTime(bytes int64) float64 {
-	return p.NetLatency + float64(bytes)/p.NetBW
 }
 
 // ReduceTime models a global reduction of one scalar across n ranks
